@@ -2,7 +2,7 @@
 //! dispatch ablation: the **old** code path (kept in-tree as a reference
 //! implementation or behind a knob) and the **new** one are measured in the
 //! same process, back to back, so the comparison is free of toolchain and
-//! host drift. Three changes:
+//! host drift. Four changes:
 //!
 //! 1. **`pull_blocked_prefetch`**: the dense pull round's fused per-slot loop
 //!    ([`Engine::pull_round_reference`], the pre-PR-8 code, verbatim) vs the
@@ -15,6 +15,11 @@
 //! 3. **`sparse_commit_runs`**: the copy-on-write commit's per-slot
 //!    `mem::swap` loop (`set_batch_commit(false)`) vs batching maximal
 //!    contiguous id runs into `swap_with_slice` block moves (the default).
+//! 4. **`fused_sample_step`**: a tournament-shaped step of `k` samples per
+//!    node feeding a local update — `collect_samples_flat(k)` plus
+//!    `local_step` (the composition) vs [`Engine::sample_step`], which
+//!    draws, prefetches and applies all `k` samples in one pass — for
+//!    `k = 3` (a 3-TOURNAMENT iteration) and `k = 15` (the final vote).
 //!
 //! Every pair also cross-checks **bit-identical final states** — the layout
 //! work is pure mechanical sympathy, so any trajectory divergence is a bug,
@@ -125,8 +130,40 @@ fn sparse_rounds_per_sec(n: usize, rounds: u64, batch: bool) -> (f64, Vec<u64>) 
     (rate, e.into_states())
 }
 
+/// The update both sides of the sample-step A/B apply: each node takes the
+/// median of its `k` samples (Algorithm 2's iteration and final vote).
+fn take_median(st: &mut u64, samples: &mut [Option<u64>]) {
+    let mid = samples.len() / 2;
+    if let Some(m) = samples.select_nth_unstable(mid).1 {
+        *st = *m;
+    }
+}
+
+fn sample_step_rounds_per_sec(n: usize, k: usize, steps: u64, fused: bool) -> (f64, Vec<u64>) {
+    let mut e = engine(n);
+    let start = Instant::now();
+    for _ in 0..steps {
+        if fused {
+            e.sample_step(k, k, |_| true, |_, &v| v, |_, st, _, s| take_median(st, s));
+        } else {
+            let m = e.collect_samples_flat(k, |_, &v| v);
+            e.local_step(|v, st, _| {
+                let mut row = [None; 16];
+                for (r, slot) in row[..k].iter_mut().enumerate() {
+                    *slot = m.sample(v, r);
+                }
+                take_median(st, &mut row[..k]);
+            });
+        }
+    }
+    let rate = (k as u64 * steps) as f64 / start.elapsed().as_secs_f64();
+    (rate, e.into_states())
+}
+
 struct AbRow {
     change: &'static str,
+    /// Samples per step, for the sample-step rows.
+    k: Option<usize>,
     n: usize,
     old: criterion::stats::Summary,
     new: criterion::stats::Summary,
@@ -162,6 +199,7 @@ fn bench_engine_layout(c: &mut Criterion) {
         assert!(identical, "blocked/prefetched pull diverged at n = {n}");
         rows.push(AbRow {
             change: "pull_blocked_prefetch",
+            k: None,
             n,
             old,
             new,
@@ -176,6 +214,7 @@ fn bench_engine_layout(c: &mut Criterion) {
         assert!(identical, "flat sample collection diverged at n = {n}");
         rows.push(AbRow {
             change: "collect_flat",
+            k: None,
             n,
             old,
             new,
@@ -189,24 +228,44 @@ fn bench_engine_layout(c: &mut Criterion) {
         assert!(identical, "batched sparse commit diverged at n = {n}");
         rows.push(AbRow {
             change: "sparse_commit_runs",
+            k: None,
             n,
             old,
             new,
             identical,
         });
+
+        for k in [3, 15] {
+            let steps = (3 * rounds).div_ceil(k as u64);
+            let old = measure(|| sample_step_rounds_per_sec(n, k, steps, false).0);
+            let new = measure(|| sample_step_rounds_per_sec(n, k, steps, true).0);
+            let identical = sample_step_rounds_per_sec(n, k, steps, false).1
+                == sample_step_rounds_per_sec(n, k, steps, true).1;
+            assert!(identical, "fused sample step diverged at n = {n}, k = {k}");
+            rows.push(AbRow {
+                change: "fused_sample_step",
+                k: Some(k),
+                n,
+                old,
+                new,
+                identical,
+            });
+        }
     }
     group.finish();
 
     let mut json_rows = Vec::new();
     for r in &rows {
         let speedup = r.new.median / r.old.median;
+        let k = r.k.map_or(String::new(), |k| format!(" k={k}"));
         println!(
-            "engine_layout {} n={}: old {:.2}±{:.2} rounds/s, new {:.2}±{:.2} rounds/s \
+            "engine_layout {}{k} n={}: old {:.2}±{:.2} rounds/s, new {:.2}±{:.2} rounds/s \
              (speedup {speedup:.2}x, identical: {})",
             r.change, r.n, r.old.median, r.old.std_dev, r.new.median, r.new.std_dev, r.identical
         );
+        let k = r.k.map_or(String::new(), |k| format!(" \"k\": {k},"));
         json_rows.push(format!(
-            "    {{\"change\": \"{}\", \"n\": {}, \"threads\": 1, \"host_cores\": {host_cores}, \
+            "    {{\"change\": \"{}\",{k} \"n\": {}, \"threads\": 1, \"host_cores\": {host_cores}, \
              \"rounds_per_sec_old\": {:.3}, \"std_old\": {:.3}, \
              \"rounds_per_sec_new\": {:.3}, \"std_new\": {:.3}, \"speedup\": {speedup:.3}, \
              \"identical_states\": {}}}",

@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 
 /// Keys that identify a row within its section rather than measuring it.
 /// Spans all three reports: engine rows (`n`/`threads`/`active_frac`/
-/// `change`), service rows (`kind`/`q`/`dirty_fraction`/`perturbation`) and
+/// `change`/`k`), service rows (`kind`/`q`/`dirty_fraction`/`perturbation`) and
 /// robustness rows (in-row `section` plus `fault`/`intensity` for the sweep,
 /// `mode`/`mu` for the schedule comparison).
 const IDENTITY_KEYS: &[&str] = &[
@@ -43,6 +43,7 @@ const IDENTITY_KEYS: &[&str] = &[
     "threads",
     "active_frac",
     "change",
+    "k",
     "kind",
     "q",
     "dirty_fraction",

@@ -144,13 +144,18 @@
 //!   iterations ahead of their random-gather read, hiding the DRAM latency
 //!   of the uniform contact pattern (the CSR delivery folds and the sparse
 //!   pair-list folds prefetch their sender gathers the same way);
+//! * a `k`-sample step feeding a local update — a tournament iteration —
+//!   runs as **one** such pass ([`Engine::sample_step`]): all `k` rounds'
+//!   targets of a node batch are drawn up front, gathered under one
+//!   prefetch stream, and applied without an intermediate sample matrix;
 //! * the sparse copy-on-write commit batches runs of consecutive written ids
 //!   into whole-slice swaps ([`crate::soa::swap_runs`]).
 //!
-//! All three are mechanical rewrites with bit-identical results — per-node
+//! All of them are mechanical rewrites with bit-identical results — per-node
 //! RNG consumption, fold order and metrics are unchanged (pinned by the
-//! golden suites and `tests/layout.rs`, with the pre-layout pull loop kept
-//! as [`Engine::pull_round_reference`] for same-host A/B measurement).
+//! golden suites, `tests/layout.rs` and the sample-step ≡ composition tests
+//! of `tests/program.rs`, with the pre-layout pull loop kept as
+//! [`Engine::pull_round_reference`] for same-host A/B measurement).
 //! Algorithms whose own state scans dominate can mirror their state structs
 //! into flat parallel columns via [`crate::soa::Columns`] / the
 //! [`columns!`](crate::columns) macro.
@@ -164,7 +169,7 @@ use crate::metrics::{Metrics, RoundKind};
 use crate::par;
 use crate::pool::{PoolStats, WorkerPool};
 use crate::rng::{KeyPrefix, NodeRng};
-use crate::soa::LaneMatrix;
+use crate::soa::{LaneMatrix, SampleMatrix};
 use crate::topology::{
     AdjacencyCache, CompleteSampler, CsrSampler, PeerSampler, Sampler, Topology,
 };
@@ -182,6 +187,10 @@ const TARGET_SILENT: u32 = u32::MAX - 1;
 /// sentinels it is `>= n` (engines reject `n > u32::MAX - 2`), so the
 /// bucketing passes skip it and `after` sees `delivered = false`.
 const TARGET_DROPPED: u32 = u32::MAX - 2;
+
+/// Contact targets the prefetched gathers draw ahead into one stack or
+/// scratch batch before serving them.
+const TARGET_BATCH: usize = 256;
 
 /// A push contact buffered by the straggler model: it lands in the first
 /// push-capable round at or after round `due`, where the message is
@@ -1050,7 +1059,6 @@ impl<S: Clone + Send + Sync> Engine<S> {
                     //    same either way, so this gate cannot affect results.
                     let prefetch = dist > 0
                         && std::mem::size_of::<S>() * states.len() > crate::soa::PREFETCH_MIN_BYTES;
-                    const TARGET_BATCH: usize = 256;
                     let mut tbuf = [0u32; TARGET_BATCH];
                     let mut bs = 0;
                     while bs < chunk.len() {
@@ -1500,8 +1508,12 @@ impl<S: Clone + Send + Sync> Engine<S> {
         M: MessageSize + Send,
         F: Fn(NodeId, &S) -> M + Sync,
     {
-        if self.fault.is_disruptive() {
-            return self.collect_samples_faulty(sampler, k, serve);
+        if self.fault.is_disruptive() || !self.failure.is_reliable() {
+            // Pulls can fail: the flat fault-aware columns, regrouped per
+            // node (failed and dropped pulls simply leave no entry).
+            return self
+                .collect_samples_flat_with(sampler, k, serve)
+                .into_rows();
         }
         let n = self.n();
         let threads = self.threads;
@@ -1509,43 +1521,25 @@ impl<S: Clone + Send + Sync> Engine<S> {
         for _ in 0..k {
             self.metrics.record_round(RoundKind::Pull, n as u64);
             self.round += 1;
-            let round = self.round;
-            let (states, failure) = (&self.states, &self.failure);
+            let states = &self.states;
             let sampler = &sampler;
-            let reliable = failure.is_reliable();
-            let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
+            let prefix = NodeRng::key_prefix(self.seed, self.round, NodeRng::STREAM_ROUND);
             let delta = par::for_chunks(
                 &self.pool,
                 &mut collected,
                 threads,
                 Metrics::default(),
                 |start, chunk| {
+                    // Dedicated no-failure loop: no coin, no model match.
                     let mut local = Metrics::default();
-                    if reliable {
-                        // Dedicated no-failure loop: no coin, no model match.
-                        for (j, bucket) in chunk.iter_mut().enumerate() {
-                            let v = start + j;
-                            local.record_attempt(RoundKind::Pull);
-                            let mut rng = prefix.node(v as u64);
-                            let t = sampler.sample(&mut rng, v);
-                            let msg = serve(t, &states[t]);
-                            local.record_delivery(msg.message_bits());
-                            bucket.push(msg);
-                        }
-                    } else {
-                        for (j, bucket) in chunk.iter_mut().enumerate() {
-                            let v = start + j;
-                            local.record_attempt(RoundKind::Pull);
-                            let mut rng = prefix.node(v as u64);
-                            if failure.fails(v, round, &mut rng) {
-                                local.record_failure();
-                                continue;
-                            }
-                            let t = sampler.sample(&mut rng, v);
-                            let msg = serve(t, &states[t]);
-                            local.record_delivery(msg.message_bits());
-                            bucket.push(msg);
-                        }
+                    for (j, bucket) in chunk.iter_mut().enumerate() {
+                        let v = start + j;
+                        local.record_attempt(RoundKind::Pull);
+                        let mut rng = prefix.node(v as u64);
+                        let t = sampler.sample(&mut rng, v);
+                        let msg = serve(t, &states[t]);
+                        local.record_delivery(msg.message_bits());
+                        bucket.push(msg);
                     }
                     local
                 },
@@ -1559,10 +1553,12 @@ impl<S: Clone + Send + Sync> Engine<S> {
     /// [`Engine::collect_samples`] with flat, column-major storage: one
     /// allocation for the whole `n × k` sample matrix instead of `n`
     /// per-node vectors, with each sampling round writing one contiguous
-    /// column (see [`crate::soa::SampleMatrix`]). Identical round
-    /// accounting, RNG consumption and sample values — the tournament
-    /// drivers use this as their sampling hot path.
-    pub fn collect_samples_flat<M, F>(&mut self, k: usize, serve: F) -> crate::soa::SampleMatrix<M>
+    /// column (see [`SampleMatrix`]). Identical round accounting, RNG
+    /// consumption and sample values. The matrix is always `n × k`: column
+    /// `r` holds round `r`'s pulls, empty where a pull failed or was lost.
+    /// [`Engine::sample_step`] is the fused form for samples that feed a
+    /// local update.
+    pub fn collect_samples_flat<M, F>(&mut self, k: usize, serve: F) -> SampleMatrix<M>
     where
         M: MessageSize + Send,
         F: Fn(NodeId, &S) -> M + Sync,
@@ -1576,61 +1572,46 @@ impl<S: Clone + Send + Sync> Engine<S> {
         sampler: SP,
         k: usize,
         serve: F,
-    ) -> crate::soa::SampleMatrix<M>
+    ) -> SampleMatrix<M>
     where
         SP: Sampler,
         M: MessageSize + Send,
         F: Fn(NodeId, &S) -> M + Sync,
     {
-        if self.fault.is_disruptive() {
-            // The fault-aware sampling loop stays single-sourced; converting
-            // its nested result costs O(n·k) moves on the rare faulted path.
-            return crate::soa::SampleMatrix::from(self.collect_samples_faulty(sampler, k, serve));
-        }
         let n = self.n();
+        let mut matrix = SampleMatrix::empty(n, k);
+        if self.fault.is_disruptive() || !self.failure.is_reliable() {
+            // Pulls can fail: one round per column through the single
+            // failure- and fault-aware column body. Failed or dropped pulls
+            // leave their slot empty, so the matrix is always `n × k`.
+            for r in 0..k {
+                self.collect_column(&sampler, matrix.column_mut(r), &|_| true, &serve);
+            }
+            return matrix;
+        }
         let threads = self.threads;
-        let mut matrix = crate::soa::SampleMatrix::empty(n, k);
         for r in 0..k {
             self.metrics.record_round(RoundKind::Pull, n as u64);
             self.round += 1;
-            let round = self.round;
-            let (states, failure) = (&self.states, &self.failure);
+            let states = &self.states;
             let sampler = &sampler;
-            let reliable = failure.is_reliable();
-            let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
+            let prefix = NodeRng::key_prefix(self.seed, self.round, NodeRng::STREAM_ROUND);
             let delta = par::for_chunks(
                 &self.pool,
                 matrix.column_mut(r),
                 threads,
                 Metrics::default(),
                 |start, chunk| {
+                    // Dedicated no-failure loop: no coin, no model match.
                     let mut local = Metrics::default();
-                    if reliable {
-                        // Dedicated no-failure loop: no coin, no model match.
-                        for (j, slot) in chunk.iter_mut().enumerate() {
-                            let v = start + j;
-                            local.record_attempt(RoundKind::Pull);
-                            let mut rng = prefix.node(v as u64);
-                            let t = sampler.sample(&mut rng, v);
-                            let msg = serve(t, &states[t]);
-                            local.record_delivery(msg.message_bits());
-                            *slot = Some(msg);
-                        }
-                    } else {
-                        for (j, slot) in chunk.iter_mut().enumerate() {
-                            let v = start + j;
-                            local.record_attempt(RoundKind::Pull);
-                            let mut rng = prefix.node(v as u64);
-                            if failure.fails(v, round, &mut rng) {
-                                local.record_failure();
-                                *slot = None;
-                                continue;
-                            }
-                            let t = sampler.sample(&mut rng, v);
-                            let msg = serve(t, &states[t]);
-                            local.record_delivery(msg.message_bits());
-                            *slot = Some(msg);
-                        }
+                    for (j, slot) in chunk.iter_mut().enumerate() {
+                        let v = start + j;
+                        local.record_attempt(RoundKind::Pull);
+                        let mut rng = prefix.node(v as u64);
+                        let t = sampler.sample(&mut rng, v);
+                        let msg = serve(t, &states[t]);
+                        local.record_delivery(msg.message_bits());
+                        *slot = Some(msg);
                     }
                     local
                 },
@@ -1639,6 +1620,326 @@ impl<S: Clone + Send + Sync> Engine<S> {
             self.metrics = self.metrics + delta;
         }
         matrix
+    }
+
+    /// `k` pull rounds against the round-start states, fused with the local
+    /// update they feed: every node collects `k` samples and hands them
+    /// straight to `apply` — the shape of a tournament iteration (Algorithms
+    /// 1 and 2: sample two or three values, replace your own with their
+    /// extremum or median) and of Algorithm 2's final `K`-sample vote.
+    ///
+    /// Rounds `0..dense` run at every node; rounds `dense..k` only at the
+    /// nodes where `participates(v)` holds (the δ-truncated iterations). The
+    /// step is defined as, and **bit-identical** to, the composition
+    /// `collect_samples_flat(dense)`, then `collect_samples_on` over the
+    /// participants for the remaining `k − dense` rounds, then one
+    /// [`Engine::local_step`] calling `apply(v, state, rng, samples)`: the
+    /// same per-node RNG streams, the same round-counter and local-epoch
+    /// advance, and the same [`Metrics`] (`k` pull rounds of `n` — or of the
+    /// participant count, for the cut rounds — plus one attempt, delivery
+    /// and bit charge per sample).
+    ///
+    /// `samples[r]` is what the node pulled in round `r` (`None` where the
+    /// pull failed); the slice holds `k` entries at participating nodes and
+    /// `dense` elsewhere, and `apply` may move the messages out. With
+    /// `dense >= k` there is no cut and `participates` is never called;
+    /// otherwise it must be a pure function of the node id (it may be
+    /// evaluated more than once).
+    ///
+    /// On an engine whose pulls cannot fail the whole step is **one** pool
+    /// dispatch over the back buffer: per block of nodes, all targets of all
+    /// `k` rounds are drawn from the `k` hoisted round prefixes into a
+    /// scratch batch, their states are software-prefetched
+    /// [`Engine::set_prefetch_dist`] ahead (the [`Engine::pull_round`]
+    /// scheme, with the same cache-resident gate), and each node's samples
+    /// go straight to `apply` — no sample matrix and no second pass. Under a
+    /// non-reliable failure model or a disruptive [`FaultPlan`] (and for
+    /// more than 256 samples per node) the step runs the composition itself,
+    /// one flat sample column per round.
+    pub fn sample_step<M, P, F, A>(
+        &mut self,
+        k: usize,
+        dense: usize,
+        participates: P,
+        serve: F,
+        apply: A,
+    ) where
+        M: MessageSize + Clone + Send + Sync,
+        P: Fn(NodeId) -> bool + Sync,
+        F: Fn(NodeId, &S) -> M + Sync,
+        A: Fn(NodeId, &mut S, &mut NodeRng, &mut [Option<M>]) + Sync,
+    {
+        with_sampler!(self, sp => self.sample_step_with(sp, k, dense, participates, serve, apply))
+    }
+
+    /// [`Engine::sample_step`], monomorphised over the sampler type.
+    fn sample_step_with<SP, M, P, F, A>(
+        &mut self,
+        sampler: SP,
+        k: usize,
+        dense: usize,
+        participates: P,
+        serve: F,
+        apply: A,
+    ) where
+        SP: Sampler,
+        M: MessageSize + Clone + Send + Sync,
+        P: Fn(NodeId) -> bool + Sync,
+        F: Fn(NodeId, &S) -> M + Sync,
+        A: Fn(NodeId, &mut S, &mut NodeRng, &mut [Option<M>]) + Sync,
+    {
+        let dense = dense.min(k);
+        // A node's targets must fit one stack batch; steps with more samples
+        // per node than that (no algorithm here takes them) compose instead.
+        if self.fault.is_disruptive() || !self.failure.is_reliable() || k > TARGET_BATCH {
+            return self.sample_step_composed(sampler, k, dense, participates, serve, apply);
+        }
+        let n = self.n();
+        self.ensure_next();
+        let prefixes: Vec<KeyPrefix> = (1..=k as u64)
+            .map(|r| NodeRng::key_prefix(self.seed, self.round + r, NodeRng::STREAM_ROUND))
+            .collect();
+        self.round += k as u64;
+        self.local_epochs += 1;
+        let local = NodeRng::key_prefix(self.seed, self.local_epochs, NodeRng::STREAM_LOCAL);
+
+        let (states, sampler, prefixes) = (&self.states, &sampler, &prefixes);
+        let (block, dist) = (self.copy_block, self.prefetch_dist);
+        let prefetch = dist > 0 && std::mem::size_of::<S>() * n > crate::soa::PREFETCH_MIN_BYTES;
+        // Nodes per target batch, so that a batch holds at most TARGET_BATCH
+        // targets whatever `k` is.
+        let batch = TARGET_BATCH / k.max(1);
+        let (delta, joined) = par::for_chunks(
+            &self.pool,
+            &mut self.next,
+            self.threads,
+            (Metrics::default(), 0u64),
+            |start, chunk| {
+                let mut metrics = Metrics::default();
+                let mut joined = 0u64;
+                // Stack scratch (measurably faster than heap buffers here):
+                // the batch's targets, packed node by node, and how many
+                // rounds each node pulls in — all `k` at participants,
+                // `dense` elsewhere.
+                let mut targets = [0u32; TARGET_BATCH];
+                let mut rounds = [0usize; TARGET_BATCH];
+                let mut got: Vec<Option<M>> = (0..k).map(|_| None).collect();
+                let mut bs = 0;
+                while bs < chunk.len() {
+                    // Same structure as the pull round: refresh one block of
+                    // back-buffer slots, then work through it while it is
+                    // cache-hot, one target batch at a time.
+                    let be = (bs + block).min(chunk.len());
+                    crate::soa::clone_block(&mut chunk[bs..be], &states[start + bs..start + be]);
+                    if !prefetch {
+                        // Cache-resident states: gathers never miss, so the
+                        // batch machinery would be pure overhead.
+                        for (j, slot) in chunk[bs..be].iter_mut().enumerate() {
+                            let v = start + bs + j;
+                            let kv = if dense == k || participates(v) {
+                                k
+                            } else {
+                                dense
+                            };
+                            joined += u64::from(kv > dense);
+                            for (sample, prefix) in got[..kv].iter_mut().zip(prefixes) {
+                                let t = sampler.sample(&mut prefix.node(v as u64), v);
+                                metrics.record_attempt(RoundKind::Pull);
+                                let msg = serve(t, &states[t]);
+                                metrics.record_delivery(msg.message_bits());
+                                *sample = Some(msg);
+                            }
+                            apply(v, slot, &mut local.node(v as u64), &mut got[..kv]);
+                        }
+                        bs = be;
+                        continue;
+                    }
+                    let mut js = bs;
+                    while js < be {
+                        let je = (js + batch).min(be);
+                        let rounds = &mut rounds[..je - js];
+                        // Draw every target of the batch — all rounds of
+                        // every node — before the first gather…
+                        let mut drawn = 0;
+                        for (i, kv) in rounds.iter_mut().enumerate() {
+                            let v = start + js + i;
+                            *kv = if dense == k || participates(v) {
+                                k
+                            } else {
+                                dense
+                            };
+                            joined += u64::from(*kv > dense);
+                            for (slot, prefix) in
+                                targets[drawn..drawn + *kv].iter_mut().zip(prefixes)
+                            {
+                                *slot = sampler.sample(&mut prefix.node(v as u64), v) as u32;
+                            }
+                            drawn += *kv;
+                        }
+                        // …then gather with each read prefetched `dist`
+                        // targets ahead, applying node by node.
+                        let mut j = 0;
+                        for (i, &kv) in rounds.iter().enumerate() {
+                            let v = start + js + i;
+                            for sample in &mut got[..kv] {
+                                if j + dist < drawn {
+                                    crate::soa::prefetch_read(&states[targets[j + dist] as usize]);
+                                }
+                                let t = targets[j] as usize;
+                                metrics.record_attempt(RoundKind::Pull);
+                                let msg = serve(t, &states[t]);
+                                metrics.record_delivery(msg.message_bits());
+                                *sample = Some(msg);
+                                j += 1;
+                            }
+                            apply(
+                                v,
+                                &mut chunk[js + i],
+                                &mut local.node(v as u64),
+                                &mut got[..kv],
+                            );
+                        }
+                        js = je;
+                    }
+                    bs = be;
+                }
+                (metrics, joined)
+            },
+            |(a, x), (b, y)| (a + b, x + y),
+        );
+        for r in 0..k {
+            let active = if r < dense { n as u64 } else { joined };
+            self.metrics.record_round(RoundKind::Pull, active);
+        }
+        self.metrics = self.metrics + delta;
+        std::mem::swap(&mut self.states, &mut self.next);
+    }
+
+    /// [`Engine::sample_step`] on an engine whose pulls can fail: the
+    /// composition it is defined by, run as is — one sampling round per
+    /// column of a flat `n × k` [`SampleMatrix`] (rounds `dense..k` at the
+    /// participants only), then one local step handing every node its row.
+    fn sample_step_composed<SP, M, P, F, A>(
+        &mut self,
+        sampler: SP,
+        k: usize,
+        dense: usize,
+        participates: P,
+        serve: F,
+        apply: A,
+    ) where
+        SP: Sampler,
+        M: MessageSize + Clone + Send + Sync,
+        P: Fn(NodeId) -> bool + Sync,
+        F: Fn(NodeId, &S) -> M + Sync,
+        A: Fn(NodeId, &mut S, &mut NodeRng, &mut [Option<M>]) + Sync,
+    {
+        let mut samples = SampleMatrix::empty(self.n(), k);
+        for r in 0..k {
+            let column = samples.column_mut(r);
+            if r < dense {
+                self.collect_column(&sampler, column, &|_| true, &serve);
+            } else {
+                self.collect_column(&sampler, column, &participates, &serve);
+            }
+        }
+        self.local_epochs += 1;
+        let prefix = NodeRng::key_prefix(self.seed, self.local_epochs, NodeRng::STREAM_LOCAL);
+        let samples = &samples;
+        par::for_chunks(
+            &self.pool,
+            &mut self.states,
+            self.threads,
+            (),
+            |start, chunk| {
+                let mut row: Vec<Option<M>> = Vec::with_capacity(k);
+                for (j, state) in chunk.iter_mut().enumerate() {
+                    let v = start + j;
+                    let kv = if dense < k && !participates(v) {
+                        dense
+                    } else {
+                        k
+                    };
+                    row.clear();
+                    row.extend((0..kv).map(|r| samples.get(v, r).cloned()));
+                    apply(v, state, &mut prefix.node(v as u64), &mut row);
+                }
+            },
+            |(), ()| (),
+        );
+    }
+
+    /// One sampling round into `column`: every node `v` with `pulls(v)`
+    /// pulls once and `column[v]` receives the served message (left `None`
+    /// when the pull fails, is dropped, or the node is down); other slots
+    /// are untouched. The round is recorded with the number of pulling
+    /// nodes, and every coin — churn, failure, target, loss — is drawn in
+    /// exactly the order [`Engine::collect_samples`] (with `pulls` always
+    /// true) and [`Engine::collect_samples_on`] (with `pulls` the active
+    /// set) draw them, so filling `k` columns is their flat twin.
+    fn collect_column<SP, M, P, F>(
+        &mut self,
+        sampler: &SP,
+        column: &mut [Option<M>],
+        pulls: &P,
+        serve: &F,
+    ) where
+        SP: Sampler,
+        M: MessageSize + Send,
+        P: Fn(NodeId) -> bool + Sync,
+        F: Fn(NodeId, &S) -> M + Sync,
+    {
+        self.round += 1;
+        let round = self.round;
+        let disruptive = self.fault.is_disruptive();
+        if disruptive {
+            self.advance_churn(round);
+        }
+        let (states, failure) = (&self.states, &self.failure);
+        let reliable = failure.is_reliable();
+        let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
+        let ctx =
+            disruptive.then(|| FaultCtx::new(self.seed, round, &self.down_until, &self.fault));
+        let ctx = ctx.as_ref();
+        let (delta, active) = par::for_chunks(
+            &self.pool,
+            column,
+            self.threads,
+            (Metrics::default(), 0u64),
+            |start, chunk| {
+                let mut local = Metrics::default();
+                let mut active = 0u64;
+                for (j, slot) in chunk.iter_mut().enumerate() {
+                    let v = start + j;
+                    if !pulls(v) {
+                        continue;
+                    }
+                    active += 1;
+                    if ctx.is_some_and(|c| !c.alive(v)) {
+                        local.record_crash();
+                        continue;
+                    }
+                    local.record_attempt(RoundKind::Pull);
+                    let mut rng = prefix.node(v as u64);
+                    if !reliable && failure.fails(v, round, &mut rng) {
+                        local.record_failure();
+                        continue;
+                    }
+                    let t = sampler.sample(&mut rng, v);
+                    if ctx.is_some_and(|c| !c.alive(t) || c.lost(t, v)) {
+                        local.record_drop();
+                        continue;
+                    }
+                    let msg = serve(t, &states[t]);
+                    local.record_delivery(msg.message_bits());
+                    *slot = Some(msg);
+                }
+                (local, active)
+            },
+            |(a, x), (b, y)| (a + b, x + y),
+        );
+        self.metrics.record_round(RoundKind::Pull, active);
+        self.metrics = self.metrics + delta;
     }
 
     /// One pull round in which every node samples a random peer and receives
@@ -1672,16 +1973,14 @@ impl<S: Clone + Send + Sync> Engine<S> {
             "lane buffer must be n × lanes"
         );
         if self.fault.is_disruptive() {
-            let nested = with_sampler!(self, sp => self.collect_samples_faulty(sp, 1, |t, _| {
-                LaneRow {
-                    source: t as u32,
-                    values: lane_values[t * lanes..(t + 1) * lanes].to_vec(),
-                }
-            }));
+            let rows = self.collect_samples_flat(1, |t, _| LaneRow {
+                source: t as u32,
+                values: lane_values[t * lanes..(t + 1) * lanes].to_vec(),
+            });
             out.reset_sources();
             let (values, sources) = out.parts_mut();
-            for (v, bucket) in nested.into_iter().enumerate() {
-                if let Some(m) = bucket.into_iter().next() {
+            for v in 0..n {
+                if let Some(m) = rows.get(v, 0) {
                     sources[v] = m.source;
                     values[v * lanes..(v + 1) * lanes].copy_from_slice(&m.values);
                 }
@@ -1862,7 +2161,8 @@ impl<S: Clone + Send + Sync> Engine<S> {
     // Fault-aware round bodies.
     //
     // A disruptive [`FaultPlan`] (churn, message loss, or stragglers) routes
-    // every primitive through the dedicated `_faulty` variant below instead
+    // every primitive through the dedicated `_faulty` variant below — the
+    // dense sampling collectors through `collect_column` — instead
     // of threading extra branches through the hot loops: the fast and
     // failure-only loops above stay byte-identical (and so do their golden
     // trajectories), and all fault coins come from the dedicated RNG streams
@@ -2284,64 +2584,6 @@ impl<S: Clone + Send + Sync> Engine<S> {
         self.metrics = self.metrics + deliveries;
         std::mem::swap(&mut self.states, &mut self.next);
         delta.failed_operations as usize
-    }
-
-    /// [`Engine::collect_samples`] under a disruptive fault plan.
-    fn collect_samples_faulty<SP, M, F>(&mut self, sampler: SP, k: usize, serve: F) -> Vec<Vec<M>>
-    where
-        SP: Sampler,
-        M: MessageSize + Send,
-        F: Fn(NodeId, &S) -> M + Sync,
-    {
-        let n = self.n();
-        let threads = self.threads;
-        let mut collected: Vec<Vec<M>> = (0..n).map(|_| Vec::with_capacity(k)).collect();
-        for _ in 0..k {
-            self.metrics.record_round(RoundKind::Pull, n as u64);
-            self.round += 1;
-            self.advance_churn(self.round);
-            let round = self.round;
-            let (states, failure) = (&self.states, &self.failure);
-            let sampler = &sampler;
-            let reliable = failure.is_reliable();
-            let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-            let ctx = FaultCtx::new(self.seed, round, &self.down_until, &self.fault);
-            let ctx = &ctx;
-            let delta = par::for_chunks(
-                &self.pool,
-                &mut collected,
-                threads,
-                Metrics::default(),
-                |start, chunk| {
-                    let mut local = Metrics::default();
-                    for (j, bucket) in chunk.iter_mut().enumerate() {
-                        let v = start + j;
-                        if !ctx.alive(v) {
-                            local.record_crash();
-                            continue;
-                        }
-                        local.record_attempt(RoundKind::Pull);
-                        let mut rng = prefix.node(v as u64);
-                        if !reliable && failure.fails(v, round, &mut rng) {
-                            local.record_failure();
-                            continue;
-                        }
-                        let t = sampler.sample(&mut rng, v);
-                        if !ctx.alive(t) || ctx.lost(t, v) {
-                            local.record_drop();
-                            continue;
-                        }
-                        let msg = serve(t, &states[t]);
-                        local.record_delivery(msg.message_bits());
-                        bucket.push(msg);
-                    }
-                    local
-                },
-                |a, b| a + b,
-            );
-            self.metrics = self.metrics + delta;
-        }
-        collected
     }
 
     /// Counting-sorts senders into per-receiver CSR buckets: deliveries for

@@ -41,7 +41,6 @@ use crate::active::ActiveSet;
 use crate::engine::Engine;
 use crate::message::MessageSize;
 use crate::rng::NodeRng;
-use crate::soa::SampleMatrix;
 use crate::NodeId;
 
 /// What shape of round a recorded step performs — descriptive metadata for
@@ -260,20 +259,20 @@ impl<'a, S: Clone + Send + Sync> RoundProgram<'a, S> {
         })
     }
 
-    /// Records `k` sampling rounds feeding a local update: the step runs
-    /// [`Engine::collect_samples_flat`]`(k, serve)` and immediately applies
-    /// `apply` as a dense local step with each node's
-    /// [`SampleMatrix`] in hand — the tournament-iteration shape
-    /// (collect two samples, replace the value with their extremum).
+    /// Records `k` sampling rounds feeding a local update — one
+    /// [`Engine::sample_step`] with no participation cut: every node pulls
+    /// `k` samples of the step-start states and `apply` runs with them in
+    /// hand (`samples[r]` from round `r`, `None` where the pull failed) —
+    /// the tournament-iteration shape (collect two samples, replace the
+    /// value with their extremum).
     pub fn collect_local<M, F, A>(&mut self, k: usize, serve: F, apply: A) -> &mut Self
     where
-        M: MessageSize + Send + Sync,
+        M: MessageSize + Clone + Send + Sync,
         F: Fn(NodeId, &S) -> M + Sync + 'a,
-        A: Fn(NodeId, &mut S, &mut NodeRng, &SampleMatrix<M>) + Sync + 'a,
+        A: Fn(NodeId, &mut S, &mut NodeRng, &mut [Option<M>]) + Sync + 'a,
     {
         self.step(StepKind::Collect, move |e| {
-            let samples = e.collect_samples_flat(k, &serve);
-            e.local_step(|v, st, rng| apply(v, st, rng, &samples));
+            e.sample_step(k, k, |_| true, &serve, &apply);
         })
     }
 }
@@ -410,31 +409,46 @@ mod tests {
 
     #[test]
     fn collect_local_matches_flat_collect_plus_local_step() {
-        let mut fused = engine(256, 3);
-        let mut p: RoundProgram<'_, u64> = RoundProgram::new();
-        p.collect_local(
-            2,
-            |_, &v| v,
-            |v, st, _, samples| {
-                *st = samples
-                    .sample(v, 0)
-                    .unwrap_or(*st)
-                    .min(samples.sample(v, 1).unwrap_or(*st));
-            },
-        );
-        fused.run_program(&mut p);
+        // The fused sample step against the composition it replaces, on the
+        // sequential path (n = 256) and the parallel, prefetched one
+        // (n = 20 000 is above PAR_MIN_NODES and the prefetch gate), at
+        // every prefetch distance: the order-sensitive fold of the samples
+        // and the local coin must agree bit for bit.
+        let update = |st: &mut u64, rng: &mut NodeRng, samples: &mut dyn Iterator<Item = u64>| {
+            for s in samples {
+                *st = (st.rotate_left(7) ^ s).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            }
+            *st ^= rng.next_u64() & 0xff;
+        };
+        for n in [256, 20_000] {
+            for k in [1, 2, 3, 15] {
+                let mut looped = engine(n, 3);
+                looped.set_threads(crate::par::num_threads());
+                let samples = looped.collect_samples_flat(k, |_, &v| v);
+                looped.local_step(|v, st, rng| update(st, rng, &mut samples.row(v).copied()));
 
-        let mut looped = engine(256, 3);
-        let samples = looped.collect_samples_flat(2, |_, &v| v);
-        looped.local_step(|v, st, _| {
-            *st = samples
-                .sample(v, 0)
-                .unwrap_or(*st)
-                .min(samples.sample(v, 1).unwrap_or(*st));
-        });
-
-        assert_eq!(fused.states(), looped.states());
-        assert_eq!(fused.metrics(), looped.metrics());
+                for dist in [0, 1, 32] {
+                    let mut fused = engine(n, 3);
+                    fused
+                        .set_threads(crate::par::num_threads())
+                        .set_prefetch_dist(dist);
+                    let mut p: RoundProgram<'_, u64> = RoundProgram::new();
+                    p.collect_local(
+                        k,
+                        |_, &v| v,
+                        |_, st, rng, samples| {
+                            assert_eq!(samples.len(), k);
+                            update(st, rng, &mut samples.iter().flatten().copied());
+                        },
+                    );
+                    fused.run_program(&mut p);
+                    let case = format!("n={n} k={k} dist={dist}");
+                    assert_eq!(fused.states(), looped.states(), "{case}");
+                    assert_eq!(fused.metrics(), looped.metrics(), "{case}");
+                    assert_eq!(fused.round(), looped.round(), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

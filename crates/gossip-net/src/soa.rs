@@ -452,31 +452,26 @@ impl<M> SampleMatrix<M> {
         let n = self.n;
         &mut self.data[r * n..(r + 1) * n]
     }
+
+    /// Regroups the matrix into the nested layout of
+    /// [`Engine::collect_samples`](crate::Engine::collect_samples): each
+    /// node's successful samples, in round order.
+    pub(crate) fn into_rows(self) -> Vec<Vec<M>> {
+        let n = self.n;
+        let mut rows: Vec<Vec<M>> = (0..n).map(|_| Vec::with_capacity(self.k)).collect();
+        for (i, sample) in self.data.into_iter().enumerate() {
+            if let Some(msg) = sample {
+                rows[i % n].push(msg);
+            }
+        }
+        rows
+    }
 }
 
 impl<M: Copy> SampleMatrix<M> {
     /// The sample node `v` collected in round `r`, by value.
     pub fn sample(&self, v: usize, r: usize) -> Option<M> {
         self.get(v, r).copied()
-    }
-}
-
-impl<M> From<Vec<Vec<M>>> for SampleMatrix<M> {
-    /// Converts the nested `collect_samples` layout (each inner vector the
-    /// successful samples of one node, in round order). Round provenance is
-    /// not recorded in the nested layout, so samples are packed into the
-    /// earliest columns; [`SampleMatrix::row`] yields identical sequences
-    /// either way.
-    fn from(nested: Vec<Vec<M>>) -> Self {
-        let n = nested.len();
-        let k = nested.iter().map(Vec::len).max().unwrap_or(0);
-        let mut m = SampleMatrix::empty(n, k);
-        for (v, bucket) in nested.into_iter().enumerate() {
-            for (r, msg) in bucket.into_iter().enumerate() {
-                m.data[r * n + v] = Some(msg);
-            }
-        }
-        m
     }
 }
 
@@ -681,13 +676,11 @@ mod tests {
     }
 
     #[test]
-    fn sample_matrix_from_nested_preserves_rows() {
-        let nested = vec![vec![1u64, 2], vec![], vec![5]];
-        let m = SampleMatrix::from(nested);
-        assert_eq!((m.n(), m.k()), (3, 2));
-        assert_eq!(m.row(0).copied().collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(m.count(1), 0);
-        assert_eq!(m.row(2).copied().collect::<Vec<_>>(), vec![5]);
+    fn sample_matrix_regroups_into_rows() {
+        let mut m: SampleMatrix<u64> = SampleMatrix::empty(3, 2);
+        m.column_mut(0).copy_from_slice(&[Some(1), None, Some(5)]);
+        m.column_mut(1).copy_from_slice(&[Some(2), None, None]);
+        assert_eq!(m.into_rows(), vec![vec![1, 2], vec![], vec![5]]);
     }
 
     #[test]

@@ -436,6 +436,49 @@ fn sparse_push_program_at_20k_is_thread_count_invariant() {
     }
 }
 
+#[test]
+fn sample_step_at_20k_is_thread_count_invariant() {
+    // The fused sample step draws, prefetches and applies all k samples of a
+    // node in one pass, and counts the cut rounds' participants per chunk.
+    // Chunk boundaries move with the thread count; the states, the metrics
+    // and the participant counts must not.
+    let run = |threads: usize| {
+        let mut e = engine(20_000, 53, FailureModel::None);
+        e.set_threads(threads);
+        for (k, dense) in [(2, 2), (3, 1), (15, 15)] {
+            e.sample_step(
+                k,
+                dense,
+                |v| v % 4 == 1,
+                |_, &s| s,
+                |_, st, rng, samples| {
+                    *st = fold_hash(*st, samples.len() as u64);
+                    for &s in samples.iter().flatten() {
+                        *st = fold_hash(*st, s);
+                    }
+                    if rng.gen::<f64>() < 0.25 {
+                        *st = st.rotate_right(3);
+                    }
+                },
+            );
+        }
+        let metrics = e.metrics();
+        (e.into_states(), metrics)
+    };
+    let baseline = run(1);
+    assert_eq!(
+        baseline.1.active_nodes_total,
+        20_000 * (2 + 1 + 15) + 2 * 5_000
+    );
+    for threads in THREAD_MATRIX {
+        assert_eq!(
+            run(threads),
+            baseline,
+            "{threads}-thread sample step diverged"
+        );
+    }
+}
+
 /// The full fault plan: churn with rejoin, message loss, stragglers, and the
 /// Section 5 failure model, all active at once.
 fn chaos_plan() -> FaultPlan {

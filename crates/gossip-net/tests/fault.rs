@@ -261,3 +261,31 @@ fn mu_upper_bound_dominates_observed_disturbance() {
         "observed {observed} exceeds the union bound {mu}"
     );
 }
+
+#[test]
+fn flat_collect_keeps_one_column_per_round_under_heavy_loss() {
+    // At 99 % loss most rounds deliver to almost nobody, and some deliver to
+    // nobody at all. The flat matrix must still have one column per round
+    // (so `sample(v, k - 1)` is a valid query at every node), with each
+    // delivery in the column of the round that made it: a twin engine
+    // collecting the same rounds one at a time sees the same columns.
+    let plan = || FaultPlan::none().with_loss(LossModel::uniform(0.99).unwrap());
+    let k = 6;
+    let mut e = engine_with_plan(64, 3, plan());
+    let matrix = e.collect_samples_flat(k, |_, &s| s);
+    assert_eq!((matrix.n(), matrix.k()), (64, k));
+    let mut twin = engine_with_plan(64, 3, plan());
+    let mut empty_rounds = 0;
+    for r in 0..k {
+        let column = twin.collect_samples_flat(1, |_, &s| s);
+        let delivered: Vec<Option<u64>> = (0..64).map(|v| column.sample(v, 0)).collect();
+        assert_eq!(
+            (0..64).map(|v| matrix.sample(v, r)).collect::<Vec<_>>(),
+            delivered,
+            "round {r}"
+        );
+        empty_rounds += usize::from(delivered.iter().all(Option::is_none));
+    }
+    assert!(empty_rounds > 0, "every round delivered something");
+    assert_eq!(e.metrics(), twin.metrics());
+}

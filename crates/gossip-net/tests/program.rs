@@ -16,7 +16,9 @@
 #[path = "support/goldens.rs"]
 mod support;
 
-use gossip_net::{Engine, EngineConfig, FailureModel, Metrics, RoundProgram, StepKind};
+use gossip_net::{
+    ActiveSet, Engine, EngineConfig, FailureModel, Metrics, RoundProgram, StepKind, Topology,
+};
 use rand::Rng;
 use support::{
     chaos_plan, engine, fault_metrics_line, fingerprint, fold_hash, initial_states, metrics_line,
@@ -243,11 +245,8 @@ fn record_op(p: &mut RoundProgram<'_, u64>, op: Op) {
             p.collect_local(
                 2,
                 |_, &s| s,
-                |v, st, _, samples| {
-                    if let Some(s) = samples.sample(v, 0) {
-                        *st = fold_hash(*st, s);
-                    }
-                    if let Some(s) = samples.sample(v, 1) {
+                |_, st, _, samples| {
+                    for &s in samples.iter().flatten() {
                         *st = fold_hash(*st, s);
                     }
                 },
@@ -256,8 +255,14 @@ fn record_op(p: &mut RoundProgram<'_, u64>, op: Op) {
     }
 }
 
-fn run_ops_as_split_programs(n: usize, seed: u64, ops: &[Op], cut: usize) -> (Vec<u64>, Metrics) {
-    let mut e = engine(n, seed, FailureModel::uniform(0.2).unwrap());
+fn run_ops_as_split_programs(
+    n: usize,
+    seed: u64,
+    failure: &FailureModel,
+    ops: &[Op],
+    cut: usize,
+) -> (Vec<u64>, Metrics) {
+    let mut e = engine(n, seed, failure.clone());
     let mut head: RoundProgram<'_, u64> = RoundProgram::new();
     for &op in &ops[..cut] {
         record_op(&mut head, op);
@@ -279,32 +284,175 @@ fn programs_split_at_any_cut_point_match_the_loop() {
     // finalizer the fingerprints use, so the cases are reproducible yet
     // arbitrary. Every split of the word into two sequentially fused
     // programs must equal the hand-rolled loop bit for bit — fusion has no
-    // memory across session boundaries.
-    let n = 500;
-    let seed = 4242;
-    let ops: Vec<Op> = (0..12)
-        .map(|i| OPS[(support::mix64(seed ^ i) % OPS.len() as u64) as usize])
-        .collect();
+    // memory across session boundaries. The small failing engine runs the
+    // collect steps as their composition; the reliable 20k one runs them as
+    // the fused, parallel, prefetched sample step.
+    for (n, failure) in [
+        (500, FailureModel::uniform(0.2).unwrap()),
+        (20_000, FailureModel::None),
+    ] {
+        let seed = 4242;
+        let ops: Vec<Op> = (0..12)
+            .map(|i| OPS[(support::mix64(seed ^ i) % OPS.len() as u64) as usize])
+            .collect();
+        assert!(ops.iter().any(|op| matches!(op, Op::Collect)));
 
-    let mut looped = engine(n, seed, FailureModel::uniform(0.2).unwrap());
-    for &op in &ops {
-        run_op(&mut looped, op);
-    }
-    let loop_metrics = looped.metrics();
-    let baseline = (looped.into_states(), loop_metrics);
+        let mut looped = engine(n, seed, failure.clone());
+        for &op in &ops {
+            run_op(&mut looped, op);
+        }
+        let loop_metrics = looped.metrics();
+        let baseline = (looped.into_states(), loop_metrics);
 
-    // Both degenerate cuts (empty head / empty tail), plus pseudo-random
-    // interior ones.
-    let mut cuts = vec![0, ops.len()];
-    cuts.extend((0..4).map(|i| (support::mix64(seed.wrapping_add(100 + i)) as usize) % ops.len()));
-    for cut in cuts {
-        let split = run_ops_as_split_programs(n, seed, &ops, cut);
-        assert_eq!(
-            split,
-            baseline,
-            "split at {cut}/{} diverged from the loop",
-            ops.len()
+        // Both degenerate cuts (empty head / empty tail), plus pseudo-random
+        // interior ones.
+        let mut cuts = vec![0, ops.len()];
+        cuts.extend(
+            (0..4).map(|i| (support::mix64(seed.wrapping_add(100 + i)) as usize) % ops.len()),
         );
+        for cut in cuts {
+            let split = run_ops_as_split_programs(n, seed, &failure, &ops, cut);
+            assert_eq!(
+                split,
+                baseline,
+                "n = {n}: split at {cut}/{} diverged from the loop",
+                ops.len()
+            );
+        }
+    }
+}
+
+// --- fused sample step ≡ its composition ------------------------------------
+
+/// The participation predicate of the cut cases: pure in the node id, about
+/// a third of the nodes.
+fn participates(v: usize) -> bool {
+    support::mix64(v as u64 ^ 0xc0ffee) % 3 == 0
+}
+
+/// The update every sample-step case applies: an order-sensitive fold of the
+/// delivered samples, the number of rounds the node pulled in, and one local
+/// coin — so any change to which samples arrive, in which order, at which
+/// nodes, or to the local RNG stream shows up in the states.
+fn fold_samples(st: &mut u64, rounds: usize, delivered: impl Iterator<Item = u64>, coin: u64) {
+    for s in delivered {
+        *st = fold_hash(*st, s);
+    }
+    *st = fold_hash(*st, rounds as u64) ^ (coin & 0xff);
+}
+
+/// One `k`-sample step (rounds `dense..k` at the participants only) as the
+/// fused primitive.
+fn fused_step(e: &mut Engine<u64>, k: usize, dense: usize) {
+    e.sample_step(
+        k,
+        dense,
+        participates,
+        |_, &s| s,
+        |_, st, rng, samples| {
+            let coin = rng.gen::<u64>();
+            fold_samples(st, samples.len(), samples.iter().flatten().copied(), coin);
+        },
+    );
+}
+
+/// The same step as the composition it is defined by: a flat collect of the
+/// dense rounds, a sparse collect of the cut rounds over the participant
+/// set, and a local step.
+fn composed_step(e: &mut Engine<u64>, k: usize, dense: usize) {
+    let active = ActiveSet::from_fn(e.n(), participates);
+    let head = e.collect_samples_flat(dense, |_, &s| s);
+    let tail = if dense < k {
+        e.collect_samples_on(&active, k - dense, |_, &s| s)
+    } else {
+        Vec::new()
+    };
+    e.local_step(|v, st, rng| {
+        let coin = rng.gen::<u64>();
+        let cut_rounds = active.rank(v).filter(|_| dense < k);
+        let rounds = if cut_rounds.is_some() || dense == k {
+            k
+        } else {
+            dense
+        };
+        let tail = cut_rounds.map_or(&[][..], |r| tail[r].as_slice());
+        fold_samples(st, rounds, head.row(v).chain(tail).copied(), coin);
+    });
+}
+
+fn graph_engine(n: usize, config: &EngineConfig) -> Engine<u64> {
+    let mut e = Engine::from_states(initial_states(n), config.clone());
+    e.set_threads(gossip_net::par::num_threads());
+    e
+}
+
+#[test]
+fn sample_step_matches_its_composition() {
+    // The fused pass (parallel at 20k, past the prefetch gate) against the
+    // composition, for every k the tournaments use (1, 2 and 3 samples, the
+    // 15-sample vote), with and without a participation cut, at every
+    // prefetch distance, on the complete graph and an expander. Two steps
+    // back to back also pin the round-counter and local-epoch advance.
+    let n = 20_000;
+    for topology in [Topology::Complete, Topology::random_regular(16, 3)] {
+        // Clones share the graph cache, so the expander is built once.
+        let config = EngineConfig::with_seed(77).topology(topology);
+        for k in [1, 2, 3, 15] {
+            for dense in [k, k / 2] {
+                let mut composed = graph_engine(n, &config);
+                composed_step(&mut composed, k, dense);
+                composed_step(&mut composed, k, dense);
+                let composed_metrics = composed.metrics();
+                for dist in [0, 1, 32] {
+                    let mut fused = graph_engine(n, &config);
+                    fused.set_prefetch_dist(dist);
+                    fused.fused(|e| {
+                        fused_step(e, k, dense);
+                        fused_step(e, k, dense);
+                    });
+                    let case = format!("{topology}: k={k} dense={dense} dist={dist}");
+                    assert_eq!(fused.metrics(), composed_metrics, "{case}");
+                    assert_eq!(fused.round(), composed.round(), "{case}");
+                    assert_eq!(fused.states(), composed.states(), "{case}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn sample_step_on_failing_engines_runs_the_composition() {
+    // Failure models and disruptive fault plans take the composed path;
+    // its flat per-round columns must reproduce the nested and sparse
+    // collectors' coins, drops and crashes exactly.
+    for (name, config) in [
+        (
+            "failures",
+            EngineConfig::with_seed(31).failure(FailureModel::uniform(0.3).unwrap()),
+        ),
+        ("chaos", EngineConfig::with_seed(31).fault(chaos_plan())),
+    ] {
+        for (k, dense) in [(2, 2), (3, 1), (15, 15)] {
+            let run = |fuse: bool| {
+                let mut e = Engine::from_states(initial_states(600), config.clone());
+                e.set_threads(gossip_net::par::num_threads());
+                for _ in 0..2 {
+                    if fuse {
+                        fused_step(&mut e, k, dense);
+                    } else {
+                        composed_step(&mut e, k, dense);
+                    }
+                }
+                let metrics = e.metrics();
+                (e.into_states(), metrics)
+            };
+            let composed = run(false);
+            assert!(
+                composed.1.failed_operations + composed.1.messages_dropped > 0,
+                "{name}: no pull failed"
+            );
+            assert_eq!(run(true), composed, "{name}: k={k} dense={dense}");
+        }
     }
 }
 

@@ -10,18 +10,18 @@
 //! and outputs their median — then returns an ε-approximate median at every
 //! node w.h.p. (Lemma 2.17).
 //!
-//! The last tournament iteration is δ-truncated
+//! Every iteration, and the final vote, is one [`Engine::sample_step`]: all
+//! samples are pulled from the iteration-start values and applied in a
+//! single engine pass. The last tournament iteration is δ-truncated
 //! ([`ThreeTournamentSchedule::final_delta`], the analogue of Algorithm 1's
 //! final-step probability): only a δ-fraction of nodes runs the three-sample
-//! tournament, so that iteration's second and third sampling rounds run
-//! **sparsely** on the participating subset
-//! ([`Engine::collect_samples_on`]), with the participation coin drawn on
+//! tournament, so that iteration's second and third rounds run only at the
+//! participants, with the participation coin evaluated inside the pass on
 //! [`NodeRng::STREAM_PARTICIPATION`].
 
 use crate::schedule::ThreeTournamentSchedule;
 use gossip_net::{
-    ActiveSet, Engine, EngineConfig, GossipError, Metrics, NodeRng, NodeValue, Result,
-    RoundProgram, StepKind,
+    Engine, EngineConfig, GossipError, Metrics, NodeRng, NodeValue, Result, RoundProgram, StepKind,
 };
 
 /// Configuration of the final `K`-sample vote of Algorithm 2 (line 8).
@@ -80,14 +80,18 @@ pub fn run<V: NodeValue>(
             reason: "the final vote needs at least one sample".to_string(),
         });
     }
-    let n = values.len();
     let mut engine = Engine::from_states(values.to_vec(), engine_config);
     let seed = engine.seed();
 
     // The tournament iterations compile into one RoundProgram, replayed as a
-    // single fused pool dispatch (the workers wake once for all `3t` rounds).
-    // Each recorded step makes exactly the engine calls the hand-written
-    // loop made, so the trajectory is bit-identical to unfused execution.
+    // single fused pool dispatch (the workers wake once for the whole
+    // schedule); each iteration is one sample step pulling its three samples
+    // from the iteration-start values and applying them in the same pass.
+    // The trajectory is bit-identical to collecting the samples round by
+    // round and applying them in a local step.
+    let update = |_: usize, state: &mut V, _: &mut NodeRng, samples: &mut [Option<V>]| {
+        *state = tournament(*state, samples);
+    };
     let iterations = schedule.len();
     let mut program: RoundProgram<'_, V> = RoundProgram::new();
     for iteration in 0..iterations {
@@ -97,95 +101,87 @@ pub fn run<V: NodeValue>(
             1.0
         };
         if delta >= 1.0 {
-            // Flat column-major sample matrix: one allocation for all three
-            // sampling rounds, each round filling a contiguous column.
-            program.collect_local(
-                3,
-                |_, &v| v,
-                |v, state, _rng, samples| {
-                    let (s0, s1, s2) = (
-                        samples.sample(v, 0),
-                        samples.sample(v, 1),
-                        samples.sample(v, 2),
-                    );
-                    *state = match (s0, s1, s2) {
-                        (Some(a), Some(b), Some(c)) => median3(a, b, c),
-                        // Failure fallbacks: degrade gracefully to the information
-                        // we actually received this iteration (samples keep their
-                        // round order, as in the nested layout).
-                        (Some(a), Some(b), None)
-                        | (Some(a), None, Some(b))
-                        | (None, Some(a), Some(b)) => median3(a, b, *state),
-                        (Some(a), None, None) | (None, Some(a), None) | (None, None, Some(a)) => {
-                            median3(a, *state, *state)
-                        }
-                        (None, None, None) => *state,
-                    };
-                },
-            );
+            program.collect_local(3, |_, &v| v, update);
         } else {
             // δ-truncated final iteration (ThreeTournamentSchedule::final_delta):
             // only a δ-fraction of nodes runs the three-sample tournament;
-            // everyone else copies a single fresh sample. The second and
-            // third sampling rounds therefore run on the participating
-            // subset only — O(δn) engine work — with the participation coin
-            // drawn up front on the dedicated STREAM_PARTICIPATION stream so
-            // the trajectory is a pure function of the seed. Data-dependent
-            // structure, so it records as a custom step.
-            program.step(StepKind::Custom, move |engine| {
-                let prefix =
-                    NodeRng::key_prefix(seed, iteration as u64, NodeRng::STREAM_PARTICIPATION);
-                let active = ActiveSet::from_fn(n, |v| prefix.node(v as u64).next_f64() < delta);
-                let first = engine.collect_samples(1, |_, &v| v);
-                let rest = engine.collect_samples_on(&active, 2, |_, &v| v);
-                engine.local_step(|v, state, _rng| {
-                    let s0 = first[v].first().copied();
-                    let extra = active.rank(v).map(|r| rest[r].as_slice());
-                    *state = match (s0, extra) {
-                        (Some(a), Some(&[b, c])) => median3(a, b, c),
-                        // δ-branch: replace the value with the single sample.
-                        (Some(a), None) => a,
-                        // Failure fallbacks, mirroring the dense arm.
-                        (Some(a), Some(&[b])) => median3(a, b, *state),
-                        (Some(a), Some(_)) => median3(a, *state, *state),
-                        (None, Some(&[b, c])) => median3(b, c, *state),
-                        (None, Some(&[b])) => median3(b, *state, *state),
-                        _ => *state,
-                    };
-                });
+            // everyone else copies a single fresh sample, so the second and
+            // third rounds run at the participants only — O(δn) gathers. The
+            // participation coin is drawn on the dedicated
+            // STREAM_PARTICIPATION stream so the trajectory is a pure
+            // function of the seed.
+            let coin = NodeRng::key_prefix(seed, iteration as u64, NodeRng::STREAM_PARTICIPATION);
+            program.step(StepKind::Collect, move |engine| {
+                engine.sample_step(
+                    3,
+                    1,
+                    |v| coin.node(v as u64).next_f64() < delta,
+                    |_, &v| v,
+                    update,
+                );
             });
         }
     }
     engine.run_program(&mut program);
     let converged_values = engine.states().to_vec();
 
-    // Line 8: sample K values and output their median. The flat matrix
-    // replaces n per-node vectors with one allocation; the vote reuses a
-    // single scratch buffer across nodes. Its K pull rounds fuse into one
-    // dispatch of their own.
-    let final_samples = engine.fused(|e| e.collect_samples_flat(vote.samples, |_, &v| v));
-    let mut scratch: Vec<V> = Vec::with_capacity(vote.samples);
-    let outputs: Vec<V> = (0..n)
-        .map(|v| {
-            scratch.clear();
-            scratch.extend(final_samples.row(v).copied());
-            if scratch.is_empty() {
-                converged_values[v]
-            } else {
-                scratch.sort_unstable();
-                scratch[scratch.len() / 2]
-            }
-        })
-        .collect();
+    // Line 8: sample K values and output their median — one more sample
+    // step, whose per-node median selection runs inside the parallel pass.
+    // A node that received nothing keeps its converged value.
+    engine.fused(|e| {
+        e.sample_step(
+            vote.samples,
+            vote.samples,
+            |_| true,
+            |_, &v| v,
+            |_, state, _, samples| {
+                if let Some(median) = median_of_delivered(samples) {
+                    *state = median;
+                }
+            },
+        );
+    });
 
     let metrics = engine.metrics();
     Ok(ThreeTournamentOutcome {
-        outputs,
+        outputs: engine.into_states(),
         converged_values,
         iterations: schedule.len(),
         rounds: metrics.rounds,
         metrics,
     })
+}
+
+/// One node's Algorithm 2 update from the samples it pulled this iteration
+/// (`None` = a failed pull): the median of three samples, or — a
+/// non-participant of the δ-truncated iteration, which pulls once — the
+/// single fresh sample. With failed pulls the update degrades gracefully to
+/// the samples actually received, padded with the current value.
+fn tournament<V: Ord + Copy>(state: V, samples: &[Option<V>]) -> V {
+    match *samples {
+        [Some(a), Some(b), Some(c)] => median3(a, b, c),
+        [Some(a)] => a,
+        [Some(a), Some(b), None] | [Some(a), None, Some(b)] | [None, Some(a), Some(b)] => {
+            median3(a, b, state)
+        }
+        [Some(a), None, None] | [None, Some(a), None] | [None, None, Some(a)] => {
+            median3(a, state, state)
+        }
+        _ => state,
+    }
+}
+
+/// The median of the delivered samples (the upper median for an even count),
+/// or `None` when every pull failed. Reorders `samples`.
+fn median_of_delivered<V: Ord + Copy>(samples: &mut [Option<V>]) -> Option<V> {
+    // `None` orders before every `Some`, so the delivered values occupy the
+    // top ranks and their median sits `failed` places further in.
+    let failed = samples.iter().filter(|s| s.is_none()).count();
+    if failed == samples.len() {
+        return None;
+    }
+    let mid = failed + (samples.len() - failed) / 2;
+    *samples.select_nth_unstable(mid).1
 }
 
 /// Median of three values.

@@ -14,18 +14,18 @@
 //! the median* so that Phase II ([`crate::three_tournament`]) can finish the
 //! job.
 //!
-//! The final schedule step applies the tournament only with probability
-//! `δ < 1`; non-participants need just one fresh sample, so that iteration's
-//! second sampling round runs **sparsely** on the participating subset
-//! ([`Engine::collect_samples_on`]) — `O(δn)` engine work — with the
-//! participation coin drawn up front on the dedicated
+//! Every iteration is one [`Engine::sample_step`]: both samples are pulled
+//! from the iteration-start values and applied in a single engine pass. The
+//! final schedule step applies the tournament only with probability
+//! `δ < 1`; non-participants need just one fresh sample, so that step's
+//! second round runs only at the participants — `O(δn)` gathers — with the
+//! participation coin evaluated inside the pass on the dedicated
 //! [`NodeRng::STREAM_PARTICIPATION`] stream (deterministic in the seed,
 //! disjoint from round randomness).
 
 use crate::schedule::{ShrinkSide, TwoTournamentSchedule};
 use gossip_net::{
-    ActiveSet, Engine, EngineConfig, GossipError, Metrics, NodeRng, NodeValue, Result,
-    RoundProgram, StepKind,
+    Engine, EngineConfig, GossipError, Metrics, NodeRng, NodeValue, Result, RoundProgram, StepKind,
 };
 
 /// Result of running Phase I.
@@ -59,77 +59,43 @@ pub fn run<V: NodeValue>(
             requested: values.len(),
         });
     }
-    let n = values.len();
     let mut engine = Engine::from_states(values.to_vec(), engine_config);
     let side = schedule.side;
     let seed = engine.seed();
 
     // The whole schedule compiles into one RoundProgram and replays as a
     // single fused pool dispatch: the workers are woken once and every
-    // sampling round of every iteration runs as a resident phase. Each step
-    // records exactly the engine calls the hand-written loop made, so the
-    // trajectory is bit-identical to unfused execution (pinned by the
-    // algorithm-level goldens and the program test suite).
+    // iteration runs as one resident phase — a sample step that pulls both
+    // samples from the iteration-start values and applies them in the same
+    // pass. The trajectory is bit-identical to collecting the samples round
+    // by round and applying them in a local step (pinned by the
+    // algorithm-level goldens of `tests/tournament_golden.rs`).
+    let update = move |_: usize, state: &mut V, _: &mut NodeRng, samples: &mut [Option<V>]| {
+        *state = tournament(side, *state, samples);
+    };
     let mut program: RoundProgram<'_, V> = RoundProgram::new();
     for (iteration, step) in schedule.steps.iter().enumerate() {
         if step.delta >= 1.0 {
-            // Full iteration: two sampling rounds against the iteration-start
-            // snapshot, every node runs the tournament. The flat column-major
-            // sample matrix keeps the whole pass at two allocations total
-            // and makes the per-round sample columns contiguous.
-            program.collect_local(
-                2,
-                |_, &v| v,
-                move |v, state, _rng, samples| {
-                    *state = match (samples.sample(v, 0), samples.sample(v, 1)) {
-                        // Normal case: the two-sample tournament.
-                        (Some(a), Some(b)) => extremum(side, a, b),
-                        // Failure fallbacks (only reachable under a failure
-                        // model): with one sample run the degenerate tournament
-                        // against it, with none keep the current value.
-                        (Some(a), None) | (None, Some(a)) => extremum(side, a, *state),
-                        (None, None) => *state,
-                    };
-                },
-            );
+            // Full iteration: every node runs the tournament.
+            program.collect_local(2, |_, &v| v, update);
         } else {
             // Probabilistic final iteration: only a δ-fraction of nodes runs
-            // the tournament, and only *they* need the second sample — so
-            // the second sampling round executes on the participating subset
-            // (`collect_samples_on`), costing O(δn) instead of O(n). The
+            // the tournament, and only *they* pull the second sample, so the
+            // second round costs O(δn) gathers instead of O(n). The
             // participation coin is drawn on the dedicated
-            // `STREAM_PARTICIPATION` stream, keyed by the iteration index,
-            // *before* any round of the iteration runs — deterministic in
-            // the seed at any thread count, and disjoint from the rounds'
-            // randomness. The coin flips and the sample-feeding local update
-            // are data-dependent structure, so this records as a custom step
-            // (its sequential parts run on the session thread).
+            // `STREAM_PARTICIPATION` stream, keyed by the iteration index —
+            // deterministic in the seed at any thread count, and disjoint
+            // from the rounds' randomness.
             let delta = step.delta;
-            program.step(StepKind::Custom, move |engine| {
-                let prefix =
-                    NodeRng::key_prefix(seed, iteration as u64, NodeRng::STREAM_PARTICIPATION);
-                let active = ActiveSet::from_fn(n, |v| prefix.node(v as u64).next_f64() < delta);
-                // Everyone resamples once (both branches of Algorithm 1
-                // replace the value with fresh samples)…
-                let first = engine.collect_samples(1, |_, &v| v);
-                // …but the second sample is collected by the participants only.
-                let second = engine.collect_samples_on(&active, 1, |_, &v| v);
-                engine.local_step(|v, state, _rng| {
-                    let s0 = first[v].first().copied();
-                    let s1 = active.rank(v).and_then(|r| second[r].first().copied());
-                    *state = match (s0, s1) {
-                        // Participant with both samples: the tournament.
-                        (Some(a), Some(b)) => extremum(side, a, b),
-                        // δ-branch: copy the single fresh sample.
-                        (Some(a), None) if !active.contains(v) => a,
-                        // Failure fallbacks: degenerate tournament against
-                        // the current value, or keep it with no samples at
-                        // all.
-                        (Some(a), None) => extremum(side, a, *state),
-                        (None, Some(b)) => extremum(side, b, *state),
-                        (None, None) => *state,
-                    };
-                });
+            let coin = NodeRng::key_prefix(seed, iteration as u64, NodeRng::STREAM_PARTICIPATION);
+            program.step(StepKind::Collect, move |engine| {
+                engine.sample_step(
+                    2,
+                    1,
+                    |v| coin.node(v as u64).next_f64() < delta,
+                    |_, &v| v,
+                    update,
+                );
             });
         }
     }
@@ -142,6 +108,20 @@ pub fn run<V: NodeValue>(
         rounds: metrics.rounds,
         metrics,
     })
+}
+
+/// One node's Algorithm 1 update from the samples it pulled this iteration
+/// (`None` = a failed pull): the extremum of two samples, or — a
+/// non-participant of a δ-truncated iteration, which pulls once — the single
+/// fresh sample. With failed pulls the update degrades to a tournament
+/// between the received sample and the current value, or keeps the value.
+fn tournament<V: Ord + Copy>(side: ShrinkSide, state: V, samples: &[Option<V>]) -> V {
+    match *samples {
+        [Some(a), Some(b)] => extremum(side, a, b),
+        [Some(a)] => a,
+        [Some(a), None] | [None, Some(a)] => extremum(side, a, state),
+        _ => state,
+    }
 }
 
 pub(crate) fn extremum<V: Ord>(side: ShrinkSide, a: V, b: V) -> V {

@@ -4,7 +4,8 @@
 //! Three experiments, all on the batched [`QuantileService`]:
 //!
 //! * **Batch grid** — for every n ∈ {10k, 100k, 1M} and query-vector size
-//!   q ∈ {1, 8, 64}: the median of five epochs (fresh service each, so the
+//!   q ∈ {1, 8, 64} up to n·q = 10⁷ (so n = 1M stops at q = 8; see
+//!   `MAX_LANE_SLOTS`): the median of five epochs (fresh service each, so the
 //!   cold first-epoch cost is what's measured) answering all q queries
 //!   through shared tournament rounds. Reports rounds, wall-clock with a
 //!   sample standard deviation (`std_epoch_secs`/`std_qps`, so the CI drift
@@ -38,6 +39,13 @@ use quantile_gossip::{
     tournament_quantile, EpochMode, QuantileQuery, QuantileService, ServiceConfig, TournamentConfig,
 };
 use std::time::Instant;
+
+/// Largest `n·q` the batch grid runs. An epoch keeps `t₁max + t₂max + 2`
+/// lane-major snapshots of `n·q` values (15 of them at n = 1M), so the
+/// n = 1M, q = 64 cell would hold about 9 GB — more than a shared bench
+/// host should spend on one row. It returns once the trajectory cache is
+/// opt-in.
+const MAX_LANE_SLOTS: usize = 10_000_000;
 
 fn quick() -> bool {
     std::env::var_os("SERVICE_QPS_QUICK").is_some_and(|v| v != "0")
@@ -332,6 +340,10 @@ fn bench_service_qps(c: &mut Criterion) {
 
     for &n in sizes {
         for &q in qs {
+            if n * q > MAX_LANE_SLOTS {
+                println!("service_qps n={n} q={q}: skipped (n·q above {MAX_LANE_SLOTS})");
+                continue;
+            }
             let cell = run_batch_cell(n, q, 42, trials, n <= seq_measure_cap || q == 1);
             println!(
                 "service_qps n={n} q={q}: rounds={} (solo total {}), amortisation={:.1}x, \

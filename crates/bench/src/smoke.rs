@@ -14,7 +14,7 @@
 //! - the generic style used elsewhere, `within_eps` ↔ `std_within_eps`.
 //!
 //! The band is the committed median ± [`NOISE_SIGMAS`]·(committed std). A
-//! handful of keys ([`DETERMINISTIC_KEYS`]) are *derived counts* — round
+//! handful of keys (`DETERMINISTIC_KEYS`) are *derived counts* — round
 //! totals, amortisation ratios, per-round byte footprints — that are exact
 //! functions of the seed; those are compared exactly even without a
 //! committed std, because any drift there is a behavioural change, not

@@ -937,19 +937,12 @@ fn merge_sorted_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// The source-tagged row message the lane collectors route through the
-/// single-sourced fault-aware sampling loop on the rare disruptive path.
-/// Wire size is the served row alone — the source id is observer metadata,
-/// free on the wire, exactly like the nested layout it substitutes for.
-struct LaneRow<V> {
-    source: u32,
-    values: Vec<V>,
-}
-
-impl<V: MessageSize> MessageSize for LaneRow<V> {
-    fn message_bits(&self) -> u64 {
-        self.values.message_bits()
-    }
+/// Stores a served message in its sample slot and returns its wire size —
+/// the [`Engine::collect_column`] delivery of every message-serving round.
+fn keep<M: MessageSize>(slot: &mut Option<M>, msg: M) -> u64 {
+    let bits = msg.message_bits();
+    *slot = Some(msg);
+    bits
 }
 
 /// Dispatches `$body` with `$sp` bound to the engine's concrete sampler
@@ -1584,8 +1577,9 @@ impl<S: Clone + Send + Sync> Engine<S> {
             // Pulls can fail: one round per column through the single
             // failure- and fault-aware column body. Failed or dropped pulls
             // leave their slot empty, so the matrix is always `n × k`.
+            let deliver = |slot: &mut Option<M>, t, state: &S| keep(slot, serve(t, state));
             for r in 0..k {
-                self.collect_column(&sampler, matrix.column_mut(r), &|_| true, &serve);
+                self.collect_column(&sampler, matrix.column_mut(r), &|_| true, &deliver);
             }
             return matrix;
         }
@@ -1835,12 +1829,13 @@ impl<S: Clone + Send + Sync> Engine<S> {
         A: Fn(NodeId, &mut S, &mut NodeRng, &mut [Option<M>]) + Sync,
     {
         let mut samples = SampleMatrix::empty(self.n(), k);
+        let deliver = |slot: &mut Option<M>, t, state: &S| keep(slot, serve(t, state));
         for r in 0..k {
             let column = samples.column_mut(r);
             if r < dense {
-                self.collect_column(&sampler, column, &|_| true, &serve);
+                self.collect_column(&sampler, column, &|_| true, &deliver);
             } else {
-                self.collect_column(&sampler, column, &participates, &serve);
+                self.collect_column(&sampler, column, &participates, &deliver);
             }
         }
         self.local_epochs += 1;
@@ -1870,24 +1865,26 @@ impl<S: Clone + Send + Sync> Engine<S> {
     }
 
     /// One sampling round into `column`: every node `v` with `pulls(v)`
-    /// pulls once and `column[v]` receives the served message (left `None`
-    /// when the pull fails, is dropped, or the node is down); other slots
-    /// are untouched. The round is recorded with the number of pulling
-    /// nodes, and every coin — churn, failure, target, loss — is drawn in
-    /// exactly the order [`Engine::collect_samples`] (with `pulls` always
-    /// true) and [`Engine::collect_samples_on`] (with `pulls` the active
-    /// set) draw them, so filling `k` columns is their flat twin.
-    fn collect_column<SP, M, P, F>(
+    /// pulls once, and when the pull lands `deliver(&mut column[v], t,
+    /// &states[t])` stores what target `t` served and returns the bits it
+    /// costs on the wire; a pull that fails, is dropped, or comes from a
+    /// down node leaves its slot untouched, as are the other slots. The
+    /// round is recorded with the number of pulling nodes, and every coin —
+    /// churn, failure, target, loss — is drawn in exactly the order
+    /// [`Engine::collect_samples`] (with `pulls` always true) and
+    /// [`Engine::collect_samples_on`] (with `pulls` the active set) draw
+    /// them, so filling `k` columns is their flat twin.
+    fn collect_column<SP, C, P, D>(
         &mut self,
         sampler: &SP,
-        column: &mut [Option<M>],
+        column: &mut [C],
         pulls: &P,
-        serve: &F,
+        deliver: &D,
     ) where
         SP: Sampler,
-        M: MessageSize + Send,
+        C: Send,
         P: Fn(NodeId) -> bool + Sync,
-        F: Fn(NodeId, &S) -> M + Sync,
+        D: Fn(&mut C, NodeId, &S) -> u64 + Sync,
     {
         self.round += 1;
         let round = self.round;
@@ -1930,9 +1927,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
                         local.record_drop();
                         continue;
                     }
-                    let msg = serve(t, &states[t]);
-                    local.record_delivery(msg.message_bits());
-                    *slot = Some(msg);
+                    local.record_delivery(deliver(slot, t, &states[t]));
                 }
                 (local, active)
             },
@@ -1942,99 +1937,121 @@ impl<S: Clone + Send + Sync> Engine<S> {
         self.metrics = self.metrics + delta;
     }
 
+    /// One pull round that records only who delivered: `sources[v]`
+    /// receives the node `v` pulled from, or `u32::MAX` when nothing
+    /// arrived — `v` is outside `active` (when given), its pull failed, it
+    /// was down, or the message was lost. Each delivery is charged
+    /// `bits(source)` bits, the wire size of what the caller's source
+    /// serves. No state is read or written: the round is fully described by
+    /// its realised sources and its bit charge, which is all a caller that
+    /// keeps its values outside the engine needs — it then reads the served
+    /// values itself, when and how it likes.
+    ///
+    /// Targets, coins, the round counter and [`Metrics`] advance exactly as
+    /// a [`Engine::collect_samples`]`(1, ..)` round (with `active`,
+    /// [`Engine::collect_samples_on`]) whose messages cost `bits(source)`.
+    /// On an engine whose pulls cannot fail the round is one pool pass over
+    /// `sources` (over the active indices only, after an `O(n)` reset, when
+    /// `active` is given); under a non-reliable [`FailureModel`] or a
+    /// disruptive [`FaultPlan`] it runs through the same fault-aware column
+    /// body as every other failing sampling round.
+    ///
+    /// # Panics
+    ///
+    /// If `sources.len() != n`, or `active` was built for another size.
+    pub fn pull_sources<B>(&mut self, active: Option<&ActiveSet>, bits: B, sources: &mut [u32])
+    where
+        B: Fn(NodeId) -> u64 + Sync,
+    {
+        assert_eq!(sources.len(), self.n(), "one source slot per node");
+        if let Some(active) = active {
+            self.assert_active(active);
+        }
+        if self.fault.is_disruptive() || !self.failure.is_reliable() {
+            sources.fill(u32::MAX);
+            let pulls = |v| active.map_or(true, |a| a.contains(v));
+            let deliver = |slot: &mut u32, t: NodeId, _: &S| {
+                *slot = t as u32;
+                bits(t)
+            };
+            with_sampler!(self, sp => self.collect_column(&sp, sources, &pulls, &deliver));
+            return;
+        }
+        let pulling = active.map_or(self.n(), ActiveSet::len);
+        self.metrics.record_round(RoundKind::Pull, pulling as u64);
+        self.round += 1;
+        let prefix = NodeRng::key_prefix(self.seed, self.round, NodeRng::STREAM_ROUND);
+        let (pool, threads) = (&self.pool, self.threads);
+        let delta = with_sampler!(self, sp => {
+            let draw = |v: NodeId, local: &mut Metrics| {
+                local.record_attempt(RoundKind::Pull);
+                let t = sp.sample(&mut prefix.node(v as u64), v);
+                local.record_delivery(bits(t));
+                t as u32
+            };
+            match active {
+                None => par::for_chunks(
+                    pool,
+                    sources,
+                    threads,
+                    Metrics::default(),
+                    |start, chunk| {
+                        let mut local = Metrics::default();
+                        for (j, src) in chunk.iter_mut().enumerate() {
+                            *src = draw(start + j, &mut local);
+                        }
+                        local
+                    },
+                    |a, b| a + b,
+                ),
+                Some(active) => {
+                    sources.fill(u32::MAX);
+                    par::for_sparse(
+                        pool,
+                        sources,
+                        active.indices(),
+                        threads,
+                        Metrics::default(),
+                        |ids, base, sub| {
+                            let mut local = Metrics::default();
+                            for &v in ids {
+                                sub[v as usize - base] = draw(v as usize, &mut local);
+                            }
+                            local
+                        },
+                        |a, b| a + b,
+                    )
+                }
+            }
+        });
+        self.metrics = self.metrics + delta;
+    }
+
     /// One pull round in which every node samples a random peer and receives
     /// that peer's `lanes`-wide row of `lane_values` — the lane-major,
     /// allocation-free counterpart of
-    /// `collect_samples(1, |t, _| lane_values[t*lanes..(t+1)*lanes].to_vec())`
-    /// (the multi-query service's per-round shape).
+    /// `collect_samples(1, |t, _| lane_values[t*lanes..(t+1)*lanes].to_vec())`.
     ///
     /// `lane_values` is a borrowed lane-major sheet (`n × lanes`, node `t`'s
     /// row at `t·lanes..(t+1)·lanes`), deliberately separate from the
     /// engine's own states so callers can gossip an external per-node lane
     /// buffer without round-tripping it through engine state. `out` must be
     /// an `n × lanes` [`LaneMatrix`]; its buffers are reused, never
-    /// reallocated. Round accounting, RNG consumption and bit accounting are
-    /// identical to the vector-serving call this replaces — a delivered row
-    /// is charged as the `Vec` message it stands for, length prefix included
-    /// ([`crate::message::seq_message_bits`]) — so answers *and* metrics stay
-    /// bit-identical. Under a disruptive [`FaultPlan`] the round routes
-    /// through the single-sourced fault-aware sampling loop and scatters its
-    /// nested result (the rare, slow path).
+    /// reallocated. The round is [`Engine::pull_sources`] into the source
+    /// column, charging each delivered row as the `Vec` message it stands
+    /// for, length prefix included ([`crate::message::seq_message_bits`]),
+    /// then one pass copying every delivered row — so draws *and* metrics
+    /// equal the vector-serving call's, faults included.
     pub fn collect_lanes<V>(&mut self, lane_values: &[V], out: &mut LaneMatrix<V>)
     where
         V: MessageSize + Copy + Send + Sync,
     {
-        let n = self.n();
-        let lanes = out.lanes();
-        assert_eq!(out.n(), n, "lane matrix row count must match the engine");
-        assert_eq!(
-            lane_values.len(),
-            n * lanes,
-            "lane buffer must be n × lanes"
-        );
-        if self.fault.is_disruptive() {
-            let rows = self.collect_samples_flat(1, |t, _| LaneRow {
-                source: t as u32,
-                values: lane_values[t * lanes..(t + 1) * lanes].to_vec(),
-            });
-            out.reset_sources();
-            let (values, sources) = out.parts_mut();
-            for v in 0..n {
-                if let Some(m) = rows.get(v, 0) {
-                    sources[v] = m.source;
-                    values[v * lanes..(v + 1) * lanes].copy_from_slice(&m.values);
-                }
-            }
-            return;
-        }
-        self.metrics.record_round(RoundKind::Pull, n as u64);
-        self.round += 1;
-        let round = self.round;
-        let threads = self.threads;
-        let failure = &self.failure;
-        let reliable = failure.is_reliable();
-        let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let pool = &self.pool;
-        let (values, sources) = out.parts_mut();
-        let delta = with_sampler!(self, sp => {
-            let sampler = &sp;
-            par::for_rows2(
-                pool,
-                values,
-                lanes,
-                sources,
-                1,
-                threads,
-                Metrics::default(),
-                |start, vchunk, schunk| {
-                    let mut local = Metrics::default();
-                    for (j, src) in schunk.iter_mut().enumerate() {
-                        let v = start + j;
-                        local.record_attempt(RoundKind::Pull);
-                        let mut rng = prefix.node(v as u64);
-                        if !reliable && failure.fails(v, round, &mut rng) {
-                            local.record_failure();
-                            *src = LaneMatrix::<V>::NO_SOURCE;
-                            continue;
-                        }
-                        let t = sampler.sample(&mut rng, v);
-                        let row = &lane_values[t * lanes..(t + 1) * lanes];
-                        local.record_delivery(crate::message::seq_message_bits(row));
-                        *src = t as u32;
-                        vchunk[j * lanes..(j + 1) * lanes].copy_from_slice(row);
-                    }
-                    local
-                },
-                |a, b| a + b,
-            )
-        });
-        self.metrics = self.metrics + delta;
+        self.collect_lanes_in(None, lane_values, out);
     }
 
     /// [`Engine::collect_lanes`] restricted to an [`ActiveSet`]: only the
     /// active nodes pull; every other row is left undelivered
-    /// ([`LaneMatrix::NO_SOURCE`]). Sampling cost is `O(|active|)` plus the
-    /// `O(n)` source-column reset; round accounting matches
+    /// ([`LaneMatrix::NO_SOURCE`]). Round accounting matches
     /// [`Engine::collect_samples_on`] (the round is consumed even by an
     /// empty active set).
     pub fn collect_lanes_on<V>(
@@ -2045,81 +2062,53 @@ impl<S: Clone + Send + Sync> Engine<S> {
     ) where
         V: MessageSize + Copy + Send + Sync,
     {
-        let n = self.n();
+        self.collect_lanes_in(Some(active), lane_values, out);
+    }
+
+    /// Both lane collectors: draw the sources, then gather the rows.
+    fn collect_lanes_in<V>(
+        &mut self,
+        active: Option<&ActiveSet>,
+        lane_values: &[V],
+        out: &mut LaneMatrix<V>,
+    ) where
+        V: MessageSize + Copy + Send + Sync,
+    {
         let lanes = out.lanes();
-        assert_eq!(out.n(), n, "lane matrix row count must match the engine");
+        assert_eq!(
+            out.n(),
+            self.n(),
+            "lane matrix row count must match the engine"
+        );
         assert_eq!(
             lane_values.len(),
-            n * lanes,
+            self.n() * lanes,
             "lane buffer must be n × lanes"
         );
-        if self.fault.is_disruptive() {
-            // `collect_samples_on` re-checks the fault plan and takes its
-            // single-sourced faulty loop; buckets align with the active ids.
-            let nested = self.collect_samples_on(active, 1, |t, _| LaneRow {
-                source: t as u32,
-                values: lane_values[t * lanes..(t + 1) * lanes].to_vec(),
-            });
-            out.reset_sources();
-            let (values, sources) = out.parts_mut();
-            let ids = active.indices();
-            for (rk, bucket) in nested.into_iter().enumerate() {
-                if let Some(m) = bucket.into_iter().next() {
-                    let v = ids[rk] as usize;
-                    sources[v] = m.source;
-                    values[v * lanes..(v + 1) * lanes].copy_from_slice(&m.values);
-                }
-            }
-            return;
-        }
-        self.assert_active(active);
-        out.reset_sources();
-        self.metrics
-            .record_round(RoundKind::Pull, active.len() as u64);
-        self.round += 1;
-        let round = self.round;
-        let threads = self.threads;
-        let failure = &self.failure;
-        let reliable = failure.is_reliable();
-        let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let pool = &self.pool;
-        let ids = active.indices();
+        let row = |t: usize| &lane_values[t * lanes..(t + 1) * lanes];
         let (values, sources) = out.parts_mut();
-        let delta = with_sampler!(self, sp => {
-            let sampler = &sp;
-            par::for_sparse_rows2(
-                pool,
-                values,
-                lanes,
-                sources,
-                1,
-                ids,
-                threads,
-                Metrics::default(),
-                |ids, base, sub_v, sub_s| {
-                    let mut local = Metrics::default();
-                    for &vu in ids {
-                        let v = vu as usize;
-                        let rel = v - base;
-                        local.record_attempt(RoundKind::Pull);
-                        let mut rng = prefix.node(v as u64);
-                        if !reliable && failure.fails(v, round, &mut rng) {
-                            // The reset already marked the row undelivered.
-                            local.record_failure();
-                            continue;
-                        }
-                        let t = sampler.sample(&mut rng, v);
-                        let row = &lane_values[t * lanes..(t + 1) * lanes];
-                        local.record_delivery(crate::message::seq_message_bits(row));
-                        sub_s[rel] = t as u32;
-                        sub_v[rel * lanes..(rel + 1) * lanes].copy_from_slice(row);
+        self.pull_sources(
+            active,
+            |t| crate::message::seq_message_bits(row(t)),
+            sources,
+        );
+        par::for_rows2(
+            &self.pool,
+            values,
+            lanes,
+            sources,
+            1,
+            self.threads,
+            (),
+            |_, vchunk, schunk| {
+                for (dst, &src) in vchunk.chunks_exact_mut(lanes).zip(schunk.iter()) {
+                    if src != LaneMatrix::<V>::NO_SOURCE {
+                        dst.copy_from_slice(row(src as usize));
                     }
-                    local
-                },
-                |a, b| a + b,
-            )
-        });
-        self.metrics = self.metrics + delta;
+                }
+            },
+            |(), ()| (),
+        );
     }
 
     /// Computes, without executing anything, the pull target every node

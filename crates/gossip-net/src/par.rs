@@ -393,6 +393,39 @@ where
     acc
 }
 
+/// [`for_rows2`] over a single buffer of `width`-element rows: `map`
+/// receives the chunk's starting row index and whole rows only, so a row
+/// never straddles two tasks.
+pub fn for_rows<T, A, F, R>(
+    pool: &WorkerPool,
+    data: &mut [T],
+    width: usize,
+    threads: usize,
+    identity: A,
+    map: F,
+    reduce: R,
+) -> A
+where
+    T: Send,
+    A: Send,
+    F: Fn(usize, &mut [T]) -> A + Sync,
+    R: Fn(A, A) -> A,
+{
+    // A zero-sized companion column: `vec![(); n]` never allocates.
+    let mut unit = vec![(); data.len() / width.max(1)];
+    for_rows2(
+        pool,
+        data,
+        width,
+        &mut unit,
+        1,
+        threads,
+        identity,
+        |start, rows, _| map(start, rows),
+        reduce,
+    )
+}
+
 /// Like [`for_sparse2`], but over two buffers of rows (`wa` and `wb` elements
 /// per row), carved at the same **row** boundaries: each task gets mutable
 /// access to exactly the rows its indices fall in, in both buffers.

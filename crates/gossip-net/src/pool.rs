@@ -50,7 +50,7 @@
 //! changes) becomes a *phase*: the owner publishes the task list and bumps a
 //! phase word (phase counter packed with the phase's participant count, so a
 //! worker's decision to join a phase is atomic with observing it — see
-//! [`PHASE_SHIFT`]); resident workers synchronise on that word with a
+//! `PHASE_SHIFT`); resident workers synchronise on that word with a
 //! spin-then-park wait (`GOSSIP_SPIN_US` sets the spin budget; spinning
 //! yields the CPU periodically so an oversubscribed host keeps making
 //! progress, and a worker that outlives the budget parks on the condvar and

@@ -534,12 +534,6 @@ impl<V> LaneMatrix<V> {
         &self.sources
     }
 
-    /// Marks every row undelivered (values are left stale, per the type's
-    /// contract) — the collector's per-round reset.
-    pub(crate) fn reset_sources(&mut self) {
-        self.sources.fill(Self::NO_SOURCE);
-    }
-
     /// The value buffer and source column, mutably — the engine's fill pass.
     pub(crate) fn parts_mut(&mut self) -> (&mut [V], &mut [u32]) {
         (&mut self.values, &mut self.sources)
@@ -696,7 +690,7 @@ mod tests {
         assert_eq!(m.source(1), Some(7));
         assert_eq!(m.row(1), Some(&[10u64, 11][..]));
         assert_eq!(m.row(0), None);
-        m.reset_sources();
+        m.parts_mut().1.fill(LaneMatrix::<u64>::NO_SOURCE);
         assert!((0..3).all(|v| m.row(v).is_none()));
     }
 

@@ -479,6 +479,38 @@ fn sample_step_at_20k_is_thread_count_invariant() {
     }
 }
 
+#[test]
+fn pull_sources_at_20k_is_thread_count_invariant() {
+    // The source-only pull round writes each node's realised source in a
+    // chunked pass (dense, or over the active indices after a reset) and
+    // sums its metrics per chunk; under the chaos plan it runs the
+    // fault-aware column body. Sources and metrics must not move with the
+    // thread count.
+    let n = 20_000;
+    let active = ActiveSet::from_fn(n, |v| v % 5 != 2);
+    for plan in [FaultPlan::none(), chaos_plan()] {
+        let run = |threads: usize| {
+            let config = EngineConfig::with_seed(61).fault(plan.clone());
+            let mut e: Engine<()> = Engine::from_states(vec![(); n], config);
+            e.set_threads(threads);
+            let mut rows = vec![0u32; 3 * n];
+            for (r, row) in rows.chunks_exact_mut(n).enumerate() {
+                let set = (r == 1).then_some(&active);
+                e.pull_sources(set, |t| 64 + t as u64 % 3, row);
+            }
+            (rows, e.metrics())
+        };
+        let baseline = run(1);
+        for threads in THREAD_MATRIX {
+            assert_eq!(
+                run(threads),
+                baseline,
+                "{threads}-thread source draw diverged"
+            );
+        }
+    }
+}
+
 /// The full fault plan: churn with rejoin, message loss, stragglers, and the
 /// Section 5 failure model, all active at once.
 fn chaos_plan() -> FaultPlan {

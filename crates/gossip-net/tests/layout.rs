@@ -5,13 +5,18 @@
 //! size, prefetch distance, active-set shape, and failure model they must
 //! produce exactly the states, metrics, and sample values of the reference
 //! code (kept in-tree as [`Engine::pull_round_reference`] and behind
-//! `set_batch_commit(false)`).
+//! `set_batch_commit(false)`). The source-only pull round behind the lane
+//! collectors is pinned the same way, against nested one-sample collection.
 //!
 //! Property tests draw those knobs arbitrarily (proptest); every test runs
 //! at `par::num_threads()` workers, so CI's 1/2/8-thread matrix exercises
 //! the blocked paths at each thread count.
 
-use gossip_net::{par, soa, ActiveSet, Engine, EngineConfig, FailureModel, Metrics};
+use gossip_net::message::seq_message_bits;
+use gossip_net::{
+    par, soa, ActiveSet, ChurnModel, Engine, EngineConfig, FailureModel, FaultPlan, LaneMatrix,
+    LossModel, MessageSize, Metrics,
+};
 use proptest::prelude::*;
 
 fn fold_hash(state: u64, msg: u64) -> u64 {
@@ -206,4 +211,97 @@ fn oversized_prefetch_distance_is_harmless() {
     e.set_prefetch_dist(1 << 20);
     let far = pull_rounds(&mut e, 4, false);
     assert_eq!(reference, far);
+}
+
+/// A lane row tagged with the node that served it. Only the row goes on the
+/// wire, as in the lane collectors' bit charge.
+struct SourcedRow {
+    source: u32,
+    row: Vec<u64>,
+}
+
+impl MessageSize for SourcedRow {
+    fn message_bits(&self) -> u64 {
+        self.row.message_bits()
+    }
+}
+
+/// The source-only pull round realises exactly the sources and metrics of
+/// the lane collector and of nested one-sample collection serving tagged
+/// rows: dense, on an active set (an empty one included), under a failure
+/// model and under a disruptive fault plan, below and above the parallel
+/// threshold.
+#[test]
+fn pull_sources_matches_lane_collection_and_nested_sampling() {
+    let q = 3;
+    let configs = [
+        ("clean", EngineConfig::with_seed(77)),
+        (
+            "failure",
+            EngineConfig::with_seed(77).failure(FailureModel::uniform(0.3).unwrap()),
+        ),
+        (
+            "disruptive",
+            EngineConfig::with_seed(77).fault(
+                FaultPlan::none()
+                    .with_churn(ChurnModel::with_rejoin(0.1, 2).unwrap())
+                    .with_loss(LossModel::uniform(0.15).unwrap())
+                    .with_failure(FailureModel::uniform(0.1).unwrap()),
+            ),
+        ),
+    ];
+    for n in [256usize, 20_000] {
+        let lanes: Vec<u64> = (0..(n * q) as u64)
+            .map(|x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let row = |t: usize| &lanes[t * q..(t + 1) * q];
+        let serve = |t: usize, _: &()| SourcedRow {
+            source: t as u32,
+            row: row(t).to_vec(),
+        };
+        let source_of = |bucket: Option<&Vec<SourcedRow>>| {
+            bucket
+                .and_then(|b| b.first())
+                .map_or(u32::MAX, |m| m.source)
+        };
+        let partial = ActiveSet::from_fn(n, |v| v % 3 != 1);
+        let empty = ActiveSet::from_fn(n, |_| false);
+        for (name, config) in &configs {
+            let make = || {
+                let mut e: Engine<()> = Engine::from_states(vec![(); n], config.clone());
+                e.set_threads(par::num_threads());
+                e
+            };
+            let (mut drawn, mut lane, mut nested) = (make(), make(), make());
+            let mut sources = vec![0u32; n];
+            let mut matrix = LaneMatrix::empty(n, q, 0u64);
+            for active in [None, Some(&partial), Some(&empty), None, Some(&partial)] {
+                drawn.pull_sources(active, |t| seq_message_bits(row(t)), &mut sources);
+                let reference: Vec<u32> = match active {
+                    None => {
+                        lane.collect_lanes(&lanes, &mut matrix);
+                        let buckets = nested.collect_samples(1, serve);
+                        buckets.iter().map(|b| source_of(Some(b))).collect()
+                    }
+                    Some(set) => {
+                        lane.collect_lanes_on(set, &lanes, &mut matrix);
+                        let buckets = nested.collect_samples_on(set, 1, serve);
+                        (0..n)
+                            .map(|v| source_of(set.rank(v).map(|rk| &buckets[rk])))
+                            .collect()
+                    }
+                };
+                assert_eq!(sources, reference, "{name}, n = {n}: nested sampling");
+                assert_eq!(matrix.sources(), &sources[..], "{name}, n = {n}: lanes");
+                for (v, &src) in sources.iter().enumerate() {
+                    if src != u32::MAX {
+                        assert_eq!(matrix.row(v), Some(row(src as usize)));
+                    }
+                }
+            }
+            assert_eq!(drawn.round(), nested.round());
+            assert_eq!(drawn.metrics(), nested.metrics(), "{name}, n = {n}");
+            assert_eq!(drawn.metrics(), lane.metrics(), "{name}, n = {n}");
+        }
+    }
 }

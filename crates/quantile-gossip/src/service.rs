@@ -50,9 +50,11 @@ use crate::schedule::{ShrinkSide, ThreeTournamentSchedule, TwoTournamentSchedule
 use crate::three_tournament::{median3, FinalVote};
 use crate::two_tournament::extremum;
 use baselines::CompactorSketch;
+use gossip_net::message::seq_message_bits;
+use gossip_net::soa::prefetch_read;
 use gossip_net::{
-    par, ActiveSet, Engine, EngineConfig, GossipError, LaneMatrix, MessageSize, Metrics, NodeRng,
-    NodeValue, Result, SeedSequence, WorkerPool,
+    par, ActiveSet, Engine, EngineConfig, GossipError, MessageSize, Metrics, NodeRng, NodeValue,
+    Result, SeedSequence, WorkerPool,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -130,15 +132,19 @@ pub enum EpochMode {
 /// part of answer equality, and the unfilled stages of a mode stay `0.0`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochTimings {
-    /// Seconds collecting lane samples (engine pull rounds, including
-    /// participation coins and δ-cut active sets).
+    /// Seconds drawing the epoch's rounds as realised sources only
+    /// ([`Engine::pull_sources`], straight into the trajectory's source
+    /// rows), including participation coins and δ-cut active sets.
     pub collect_secs: f64,
-    /// Seconds applying lane steps to the shared state vector.
+    /// Seconds in the fused gather-and-step passes: each window reads every
+    /// node's samples out of snapshot `j` at its realised sources and writes
+    /// its lane values into snapshot `j + 1`.
     pub apply_secs: f64,
-    /// Seconds recording the replay cache (state snapshots and realised
-    /// sources).
+    /// Seconds recording the replay cache beyond what the passes above
+    /// write in place: only the Phase I → II snapshot hand-off.
     pub record_secs: f64,
-    /// Seconds deriving or patching the per-lane vote outputs.
+    /// Seconds deriving (full epochs) or patching (incremental epochs) the
+    /// per-lane vote outputs.
     pub vote_secs: f64,
     /// Seconds replaying the cached dataflow (incremental epochs only).
     pub replay_secs: f64,
@@ -196,7 +202,8 @@ impl LanePlan {
 /// The cached trajectory of the last full epoch, the raw material of
 /// incremental replay. `snap1[j][v * q + i]` is node `v`'s lane-`i` value at
 /// the start of Phase I iteration `j` (`snap1[0]` holds the inputs);
-/// likewise `snap2` for Phase II; `outputs[v * q + i]` is the final vote
+/// likewise `snap2` for Phase II, whose last snapshot `snap2[t2max]` holds
+/// the final states the vote reads; `outputs[v * q + i]` is the final vote
 /// output.
 ///
 /// `sources1`/`sources2` record the realised contact graph: the node each
@@ -210,9 +217,14 @@ impl LanePlan {
 /// `sources2` is `3·t2max + K` rows of `n` (Phase II rounds and votes).
 /// `rounds`/`metrics` are the logical cost of the cached trajectory,
 /// reported verbatim by incremental epochs.
-/// Snapshots are stored lane-major and flat — `snap1[j][v * q + i]` — so an
-/// incremental source read touches one cache line covering every lane of the
-/// source node instead of chasing a per-node `Vec` pointer.
+///
+/// Snapshots are stored lane-major and flat — `snap1[j][v * q + i]` — so a
+/// source read touches the one contiguous row covering every lane of the
+/// source node instead of chasing a per-node `Vec` pointer. They are not
+/// copies taken on the side: a full epoch steps each window straight from
+/// snapshot `j` into snapshot `j + 1`, so the snapshots double as the
+/// epoch's ping-pong state buffers, and the only copy is the Phase I → II
+/// hand-off `snap2[0] = snap1[t1max]`.
 #[derive(Debug, Clone)]
 struct Trajectory<V> {
     snap1: Vec<Vec<V>>,
@@ -224,7 +236,7 @@ struct Trajectory<V> {
     metrics: Metrics,
 }
 
-impl<V> Trajectory<V> {
+impl<V: Copy> Trajectory<V> {
     /// An unsized trajectory for the first full epoch to grow into —
     /// subsequent full epochs refill the previous epoch's buffers in place.
     fn empty() -> Self {
@@ -238,6 +250,45 @@ impl<V> Trajectory<V> {
             metrics: Metrics::new(),
         }
     }
+
+    /// Sizes every buffer for an epoch of `n × q` lanes, `t1max`/`t2max`
+    /// iterations and `r2max` Phase II rounds. Returns whether any buffer
+    /// had to grow. Contents are left as they are: the epoch writes every
+    /// element before reading it.
+    fn prepare(
+        &mut self,
+        n: usize,
+        q: usize,
+        t1max: usize,
+        t2max: usize,
+        r2max: usize,
+        fill: V,
+    ) -> bool {
+        let mut grew = fit(&mut self.sources1, 2 * t1max * n, u32::MAX);
+        grew |= fit(&mut self.sources2, r2max * n, u32::MAX);
+        grew |= fit(&mut self.outputs, n * q, fill);
+        for (snaps, len) in [(&mut self.snap1, t1max + 1), (&mut self.snap2, t2max + 1)] {
+            if snaps.len() != len {
+                snaps.resize_with(len, Vec::new);
+                grew = true;
+            }
+            for snap in snaps.iter_mut() {
+                grew |= fit(snap, n * q, fill);
+            }
+        }
+        grew
+    }
+}
+
+/// Resizes `buf` to `len` (filled with `fill`) unless it already has that
+/// length. Returns whether it had to.
+fn fit<T: Copy>(buf: &mut Vec<T>, len: usize, fill: T) -> bool {
+    if buf.len() == len {
+        return false;
+    }
+    buf.clear();
+    buf.resize(len, fill);
+    true
 }
 
 /// A lane-vector message tagged with its realised source id — the *logical*
@@ -245,11 +296,12 @@ impl<V> Trajectory<V> {
 /// metadata: [`MessageSize`] delegates to the payload alone, so the traffic
 /// metrics equal serving the bare lane vector.
 ///
-/// The epoch hot path no longer constructs these (it fills a flat
-/// [`LaneMatrix`] — one reused buffer instead of one heap `Vec` per node per
-/// round); the type remains the reference semantics of what a recorded
-/// sample *is*, and the conformance suite pins the lane-matrix collector
-/// against an engine run that serves `Sourced` values.
+/// The epoch hot path never constructs these: it draws each round's
+/// sources alone ([`Engine::pull_sources`]) and reads the served rows out of
+/// its snapshots. The type remains the reference semantics of what a
+/// recorded sample *is*, and the conformance suite pins the engine's
+/// lane-matrix collector against an engine run that serves `Sourced`
+/// values.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sourced<V> {
     /// The realised pull source (the node whose lane row was served).
@@ -274,17 +326,14 @@ impl<V: NodeValue> MessageSize for Sourced<V> {
     }
 }
 
-/// Reused epoch working memory: everything a steady-state epoch touches per
-/// round is allocated here once (or by the first epoch) and only ever
-/// *filled* afterwards — the buffer-reuse half of the service's "no
-/// per-round size-`n` allocations" guarantee (the debug fingerprint in
-/// [`QuantileService::recompute_full`] asserts the other half).
+/// Reused epoch working memory besides the [`Trajectory`]: everything a
+/// steady-state epoch touches per round is allocated here once (or by the
+/// first epoch) and only ever *filled* afterwards — the buffer-reuse half of
+/// the service's "no per-round size-`n` allocations" guarantee (the debug
+/// fingerprint in [`QuantileService::recompute_full`] asserts the other
+/// half).
 #[derive(Debug)]
-struct EpochScratch<V> {
-    /// Three lane matrices: Phase I uses slots 0–1, a Phase II window 0–2.
-    slots: Vec<LaneMatrix<V>>,
-    /// The live lane-major state vector (`n × q`).
-    states: Vec<V>,
+struct EpochScratch {
     /// Participation coins of the current iteration.
     coins: Vec<f64>,
     /// Reusable δ-cut participant set.
@@ -293,11 +342,9 @@ struct EpochScratch<V> {
     warmed: bool,
 }
 
-impl<V> Default for EpochScratch<V> {
+impl Default for EpochScratch {
     fn default() -> Self {
         EpochScratch {
-            slots: Vec::new(),
-            states: Vec::new(),
             coins: Vec::new(),
             active: ActiveSet::from_fn(0, |_| false),
             warmed: false,
@@ -305,25 +352,11 @@ impl<V> Default for EpochScratch<V> {
     }
 }
 
-impl<V: NodeValue> EpochScratch<V> {
-    /// Sizes every reusable buffer for an `n × q` epoch. Returns whether any
+impl EpochScratch {
+    /// Sizes every reusable buffer for `n` nodes. Returns whether any
     /// buffer had to grow — which must never happen once `warmed`.
-    fn prepare(&mut self, n: usize, q: usize, fill: V) -> bool {
-        let mut grew = false;
-        if self.slots.len() != 3 || self.slots.iter().any(|m| m.n() != n || m.lanes() != q) {
-            self.slots = (0..3).map(|_| LaneMatrix::empty(n, q, fill)).collect();
-            grew = true;
-        }
-        if self.states.len() != n * q {
-            self.states.clear();
-            self.states.resize(n * q, fill);
-            grew = true;
-        }
-        if self.coins.len() != n {
-            self.coins.clear();
-            self.coins.resize(n, 0.0);
-            grew = true;
-        }
+    fn prepare(&mut self, n: usize) -> bool {
+        let mut grew = fit(&mut self.coins, n, 0.0);
         if self.active.n() != n {
             self.active = ActiveSet::from_fn(n, |_| false);
             grew = true;
@@ -375,9 +408,13 @@ pub struct QuantileService<V: NodeValue> {
     inputs: Vec<V>,
     dirty: Vec<bool>,
     cache: Option<Trajectory<V>>,
+    /// Per-lane update rules of every Phase I iteration and Phase II window.
+    windows1: Vec<Window>,
+    windows2: Vec<Window>,
+    vote: VotePlan,
     /// Worker-thread override for epoch execution (`None` = engine default).
     threads: Option<usize>,
-    scratch: EpochScratch<V>,
+    scratch: EpochScratch,
 }
 
 impl<V: NodeValue> QuantileService<V> {
@@ -462,6 +499,11 @@ impl<V: NodeValue> QuantileService<V> {
                 schedule2,
             });
         }
+        let t1max = plans.iter().map(LanePlan::t1).max().unwrap_or(0);
+        let t2max = plans.iter().map(LanePlan::t2).max().unwrap_or(0);
+        let windows1 = (0..t1max).map(|j| Window::phase1(&plans, j)).collect();
+        let windows2 = (0..t2max).map(|j| Window::phase2(&plans, j)).collect();
+        let vote = VotePlan::new(&plans, config.final_vote.samples);
         let mut engine_config = engine_config;
         engine_config.ensure_pool_for(n);
         if engine_config.pool.is_none() {
@@ -473,6 +515,9 @@ impl<V: NodeValue> QuantileService<V> {
         }
         Ok(QuantileService {
             queries: queries.to_vec(),
+            windows1,
+            windows2,
+            vote,
             plans,
             per_query,
             config,
@@ -628,11 +673,11 @@ impl<V: NodeValue> QuantileService<V> {
     }
 
     fn t1max(&self) -> usize {
-        self.plans.iter().map(LanePlan::t1).max().unwrap_or(0)
+        self.windows1.len()
     }
 
     fn t2max(&self) -> usize {
-        self.plans.iter().map(LanePlan::t2).max().unwrap_or(0)
+        self.windows2.len()
     }
 
     /// Runs every lane from scratch through one shared round sequence and
@@ -667,14 +712,17 @@ impl<V: NodeValue> QuantileService<V> {
         self.full_epoch_body()
     }
 
-    /// The full-epoch pipeline: flat lane-major sample collection
-    /// ([`Engine::collect_lanes`]), pool-parallel lane-step application, and
-    /// end-of-epoch vote derivation from the recorded trajectory.
+    /// The full-epoch pipeline, one pass per window: draw the window's
+    /// rounds as realised sources only ([`Engine::pull_sources`], straight
+    /// into the trajectory's source rows), then step every node from
+    /// snapshot `j` into snapshot `j + 1`, reading each sample out of
+    /// snapshot `j` at its source; after Phase II the `K` vote rounds draw
+    /// sources only and one node-major pass votes from the final snapshot.
     ///
     /// Steady-state epochs are **allocation-free per round**: every round
-    /// buffer (lane matrices, states, coins, active set, snapshots, source
-    /// rows, outputs) is reused from [`EpochScratch`] and the previous
-    /// trajectory; a debug fingerprint asserts no buffer moved.
+    /// buffer (coins, active set, snapshots, source rows, outputs) is
+    /// reused from [`EpochScratch`] and the previous trajectory; a debug
+    /// fingerprint asserts no buffer moved.
     fn full_epoch_body(&mut self) -> Result<ServiceOutcome<V>> {
         let (n, q, k) = (self.n, self.queries.len(), self.config.final_vote.samples);
         let (t1max, t2max) = (self.t1max(), self.t2max());
@@ -687,281 +735,96 @@ impl<V: NodeValue> QuantileService<V> {
         }
         let threads = e1.threads();
         let pool = Arc::clone(e1.pool());
-        let (seed1, seed2) = (e1.seed(), e2.seed());
         let plans = &self.plans;
         let mut timings = EpochTimings::default();
 
         // ---- Buffer preparation (reuse everything from last epoch) -----
-        let fill = self.inputs[0];
+        let r2max = 3 * t2max + k;
         let mut scratch = std::mem::take(&mut self.scratch);
-        let grew = scratch.prepare(n, q, fill);
+        let mut traj = self.cache.take().unwrap_or_else(Trajectory::empty);
+        let grew = scratch.prepare(n) | traj.prepare(n, q, t1max, t2max, r2max, self.inputs[0]);
         debug_assert!(
             !(scratch.warmed && grew),
-            "steady-state epoch grew a scratch buffer"
+            "steady-state epoch grew a buffer"
         );
-        let mut traj = self.cache.take().unwrap_or_else(Trajectory::empty);
-        let r2max = 3 * t2max + k;
-        traj.sources1.clear();
-        traj.sources1.resize(2 * t1max * n, u32::MAX);
-        traj.sources2.clear();
-        traj.sources2.resize(r2max * n, u32::MAX);
-        traj.snap1.resize_with(t1max + 1, Vec::new);
-        traj.snap2.resize_with(t2max + 1, Vec::new);
-        let mut states = std::mem::take(&mut scratch.states);
         #[cfg(debug_assertions)]
         let warmed_ptrs = scratch
             .warmed
-            .then(|| epoch_buffer_ptrs(&traj, &states, &scratch.coins));
-        {
-            let inputs = &self.inputs;
-            par::for_chunks(
-                &pool,
-                &mut states[..],
-                threads,
-                (),
-                |start, chunk| {
-                    let mut v = start / q;
-                    let mut i = start % q;
-                    for slot in chunk.iter_mut() {
-                        *slot = inputs[v];
-                        i += 1;
-                        if i == q {
-                            i = 0;
-                            v += 1;
-                        }
-                    }
-                },
-                |(), ()| (),
-            );
-        }
+            .then(|| epoch_buffer_ptrs(&traj, &scratch.coins));
+        let Trajectory {
+            snap1,
+            snap2,
+            outputs,
+            sources1,
+            sources2,
+            ..
+        } = &mut traj;
+        let inputs = &self.inputs;
+        par::for_rows(
+            &pool,
+            &mut snap1[0],
+            q,
+            threads,
+            (),
+            |start, rows| {
+                for (row, &x) in rows.chunks_exact_mut(q).zip(&inputs[start..]) {
+                    row.fill(x);
+                }
+            },
+            |(), ()| (),
+        );
 
-        // ---- Phase I: shared 2-TOURNAMENT rounds -----------------------
-        let t0 = Instant::now();
-        copy_into(&pool, threads, &mut traj.snap1[0], &states);
-        timings.record_secs += t0.elapsed().as_secs_f64();
-        for j in 0..t1max {
-            let cls = p1_class(plans, j);
-            let EpochScratch {
-                slots,
-                coins,
-                active,
-                ..
-            } = &mut scratch;
-            // Slot A is dense for every lane (both branches of Algorithm 1
-            // take a first fresh sample); slot B is dense unless *every* lane
-            // active at `j` is in its δ-truncated step, in which case the
-            // union of the lanes' participant sets suffices — participant
-            // sets are nested (shared coins, per-lane thresholds), so the
-            // union is just the δ_max cut.
-            let t0 = Instant::now();
-            if cls.needs_coins {
-                participation_coins_into(&pool, threads, seed1, j as u64, coins);
-            }
-            let (slot_a, rest) = slots.split_at_mut(1);
-            let (sa_m, sb_m) = (&mut slot_a[0], &mut rest[0]);
-            e1.collect_lanes(&states, sa_m);
-            if cls.any_dense_b {
-                e1.collect_lanes(&states, sb_m);
+        // ---- Phase I: one 2-round window per iteration -----------------
+        // Slot A is dense for every lane (both branches of Algorithm 1 take
+        // a first fresh sample); slot B runs on the δ cut when no lane takes
+        // a full step — participant sets are nested under the shared coins,
+        // so their union is the largest lane's cut.
+        let windows1 = &self.windows1;
+        let cut1 = |j: usize, s: usize| {
+            if s == 0 {
+                None
             } else {
-                let cref = &coins[..];
-                active.reset_from_fn(|v| cref[v] < cls.delta_max);
-                e1.collect_lanes_on(active, &states, sb_m);
+                windows1[j].sparse_cut()
             }
-            timings.collect_secs += t0.elapsed().as_secs_f64();
+        };
+        run_phase(
+            &mut e1,
+            windows1,
+            cut1,
+            snap1,
+            sources1,
+            &mut scratch,
+            &mut timings,
+        );
 
-            let t0 = Instant::now();
-            let (row_a, row_b) = (2 * j * n, (2 * j + 1) * n);
-            traj.sources1[row_a..row_a + n].copy_from_slice(sa_m.sources());
-            traj.sources1[row_b..row_b + n].copy_from_slice(sb_m.sources());
-            timings.record_secs += t0.elapsed().as_secs_f64();
-
-            // Element-parallel lane step, in place over the flat state
-            // vector. A node with no delivery in either slot hits the
-            // `(None, None)` arm of every step rule, which returns the
-            // current value — so no sample-presence pre-filter is needed.
-            let t0 = Instant::now();
-            let (a_vals, a_srcs) = (sa_m.values(), sa_m.sources());
-            let (b_vals, b_srcs) = (sb_m.values(), sb_m.sources());
-            let cref = &coins[..];
-            par::for_chunks(
-                &pool,
-                &mut states[..],
-                threads,
-                (),
-                |start, chunk| {
-                    let mut v = start / q;
-                    let mut i = start % q;
-                    for slot in chunk.iter_mut() {
-                        let steps = &plans[i].schedule1.steps;
-                        if j < steps.len() {
-                            let cur = *slot;
-                            let s0 = (a_srcs[v] != u32::MAX).then(|| a_vals[v * q + i]);
-                            let s1 = (b_srcs[v] != u32::MAX).then(|| b_vals[v * q + i]);
-                            let side = plans[i].schedule1.side;
-                            let delta = steps[j].delta;
-                            *slot = if delta >= 1.0 {
-                                lane_step_two(side, s0, s1, cur)
-                            } else {
-                                lane_step_two_delta(side, cref[v] < delta, s0, s1, cur)
-                            };
-                        }
-                        i += 1;
-                        if i == q {
-                            i = 0;
-                            v += 1;
-                        }
-                    }
-                },
-                |(), ()| (),
-            );
-            timings.apply_secs += t0.elapsed().as_secs_f64();
-
-            let t0 = Instant::now();
-            copy_into(&pool, threads, &mut traj.snap1[j + 1], &states);
-            timings.record_secs += t0.elapsed().as_secs_f64();
-        }
-
-        // ---- Phase II: shared 3-TOURNAMENT rounds ----------------------
+        // ---- Phase I → II hand-off -------------------------------------
         let t0 = Instant::now();
-        copy_into(&pool, threads, &mut traj.snap2[0], &states);
+        copy_into(&pool, threads, &mut snap2[0], &snap1[t1max]);
         timings.record_secs += t0.elapsed().as_secs_f64();
-        let mut coins_for = usize::MAX;
-        for r in 0..r2max {
-            let (j, s) = (r / 3, r % 3);
-            let cls = p2_round_class(plans, k, r);
-            let EpochScratch {
-                slots,
-                coins,
-                active,
-                ..
-            } = &mut scratch;
-            let t0 = Instant::now();
-            {
-                let slot_m = &mut slots[s];
-                if cls.any_dense {
-                    e2.collect_lanes(&states, slot_m);
-                } else {
-                    if coins_for != j {
-                        participation_coins_into(&pool, threads, seed2, j as u64, coins);
-                        coins_for = j;
-                    }
-                    let cref = &coins[..];
-                    active.reset_from_fn(|v| cref[v] < cls.delta_max);
-                    e2.collect_lanes_on(active, &states, slot_m);
-                }
-            }
-            timings.collect_secs += t0.elapsed().as_secs_f64();
 
-            let t0 = Instant::now();
-            let row = r * n;
-            traj.sources2[row..row + n].copy_from_slice(slots[s].sources());
-            timings.record_secs += t0.elapsed().as_secs_f64();
+        // ---- Phase II: one 3-round window per iteration ----------------
+        let cut2 = |j: usize, s: usize| p2_round_cut(plans, k, 3 * j + s);
+        run_phase(
+            &mut e2,
+            &self.windows2,
+            cut2,
+            snap2,
+            sources2,
+            &mut scratch,
+            &mut timings,
+        );
 
-            if s == 2 && plans.iter().any(|p| p.t2() > j) {
-                let any_delta = plans
-                    .iter()
-                    .any(|p| p.t2() == j + 1 && p.schedule2.final_delta < 1.0);
-                if any_delta && coins_for != j {
-                    participation_coins_into(&pool, threads, seed2, j as u64, coins);
-                    coins_for = j;
-                }
-                let t0 = Instant::now();
-                let (s0_v, s0_s) = (slots[0].values(), slots[0].sources());
-                let (s1_v, s1_s) = (slots[1].values(), slots[1].sources());
-                let (s2_v, s2_s) = (slots[2].values(), slots[2].sources());
-                let cref = &coins[..];
-                par::for_chunks(
-                    &pool,
-                    &mut states[..],
-                    threads,
-                    (),
-                    |start, chunk| {
-                        let mut v = start / q;
-                        let mut i = start % q;
-                        for slot in chunk.iter_mut() {
-                            let t2 = plans[i].t2();
-                            if t2 > j {
-                                let cur = *slot;
-                                let s0 = (s0_s[v] != u32::MAX).then(|| s0_v[v * q + i]);
-                                let s1 = (s1_s[v] != u32::MAX).then(|| s1_v[v * q + i]);
-                                let s2 = (s2_s[v] != u32::MAX).then(|| s2_v[v * q + i]);
-                                let fd = plans[i].schedule2.final_delta;
-                                *slot = if t2 == j + 1 && fd < 1.0 {
-                                    lane_step_three_delta(cref[v] < fd, s0, s1, s2, cur)
-                                } else {
-                                    lane_step_three(s0, s1, s2, cur)
-                                };
-                            }
-                            i += 1;
-                            if i == q {
-                                i = 0;
-                                v += 1;
-                            }
-                        }
-                    },
-                    |(), ()| (),
-                );
-                timings.apply_secs += t0.elapsed().as_secs_f64();
-                if j < t2max {
-                    let t0 = Instant::now();
-                    copy_into(&pool, threads, &mut traj.snap2[j + 1], &states);
-                    timings.record_secs += t0.elapsed().as_secs_f64();
-                }
-            }
-        }
-
-        // ---- Per-lane vote derivation ----------------------------------
-        // Derived entirely from the recorded trajectory instead of
-        // accumulated per vote round: lane `i`'s sample at vote round `rr`
-        // is the value its realised source served, and the states served
-        // during any Phase II round `rr` are exactly `snap2[min(rr/3,
-        // t2max)]` (collection precedes the window-end apply, and a lane's
-        // component freezes once it converges). The median of the gathered
-        // multiset via `select_nth_unstable` equals the full sort's
-        // `sorted[c / 2]` — the identical formula the incremental patch has
-        // always used, pinned by incremental ≡ full.
+        // ---- The vote: K rounds of sources, one pass over the nodes -----
+        // Every lane has frozen by its vote window, so the values its vote
+        // sources serve are their final states, `snap2[t2max]`.
+        let fin = &snap2[t2max][..];
         let t0 = Instant::now();
-        copy_into(&pool, threads, &mut traj.outputs, &states);
-        {
-            let Trajectory {
-                outputs,
-                snap2,
-                sources2,
-                ..
-            } = &mut traj;
-            let (snap2, sources2) = (&snap2[..], &sources2[..]);
-            par::for_chunks(
-                &pool,
-                &mut outputs[..],
-                threads,
-                (),
-                |start, chunk| {
-                    let mut buf: Vec<V> = Vec::with_capacity(k);
-                    let mut v = start / q;
-                    let mut i = start % q;
-                    for slot in chunk.iter_mut() {
-                        let first = 3 * plans[i].t2();
-                        buf.clear();
-                        for rr in first..first + k {
-                            let src = sources2[rr * n + v];
-                            if src != u32::MAX {
-                                buf.push(snap2[(rr / 3).min(t2max)][src as usize * q + i]);
-                            }
-                        }
-                        if !buf.is_empty() {
-                            let c = buf.len();
-                            *slot = *buf.select_nth_unstable(c / 2).1;
-                        } // an empty vote keeps the converged value
-                        i += 1;
-                        if i == q {
-                            i = 0;
-                            v += 1;
-                        }
-                    }
-                },
-                |(), ()| (),
-            );
+        for row in sources2[3 * t2max * n..].chunks_exact_mut(n) {
+            e2.pull_sources(None, |t| seq_message_bits(&fin[t * q..(t + 1) * q]), row);
         }
+        timings.collect_secs += t0.elapsed().as_secs_f64();
+        let t0 = Instant::now();
+        vote_rows(&pool, threads, &self.vote, fin, sources2, None, outputs);
         timings.vote_secs += t0.elapsed().as_secs_f64();
 
         let metrics = e1.metrics() + e2.metrics();
@@ -972,28 +835,28 @@ impl<V: NodeValue> QuantileService<V> {
         if let Some(before) = warmed_ptrs {
             debug_assert_eq!(
                 before,
-                epoch_buffer_ptrs(&traj, &states, &scratch.coins),
+                epoch_buffer_ptrs(&traj, &scratch.coins),
                 "steady-state epoch reallocated a round buffer"
             );
         }
-        scratch.states = states;
         scratch.warmed = true;
         self.scratch = scratch;
         self.cache = Some(traj);
         self.dirty.iter_mut().for_each(|d| *d = false);
-        Ok(self.outcome_from_cache(rounds, metrics, EpochMode::Full, timings))
+        Ok(self.outcome_from_cache(rounds, metrics, EpochMode::Full, timings, threads))
     }
 
     /// Replays the cached trajectory as a pure dataflow over the realised
     /// contact graph recorded by the last full recompute: no engine rounds
     /// run at all. Each Phase I/II iteration touches only the nodes whose
     /// own state or realised pull source is dirty, recomputed states are
-    /// compared against the cache and pruned on equality, and the per-lane
-    /// vote outputs are patched for the nodes whose realised vote sources
-    /// carry a dirty component. All other nodes keep their cached
-    /// trajectory untouched. The reported rounds/metrics are the cached
-    /// logical cost of the trajectory (the network would spend the same
-    /// either way — only the service-side wall-clock shrinks).
+    /// compared against the cache and pruned on equality, and the vote
+    /// outputs are recomputed for the nodes whose own row or one of whose
+    /// realised vote sources carries a dirty component. All other nodes
+    /// keep their cached trajectory untouched. The reported rounds/metrics
+    /// are the cached logical cost of the trajectory (the network would
+    /// spend the same either way — only the service-side wall-clock
+    /// shrinks).
     ///
     /// Like [`recompute_full`](Self::recompute_full), the whole replay runs
     /// as one resident pool session: the per-round dirty frontier is carved
@@ -1013,7 +876,7 @@ impl<V: NodeValue> QuantileService<V> {
             .cache
             .take()
             .expect("incremental replay needs a cached trajectory");
-        let (n, q, k) = (self.n, self.queries.len(), self.config.final_vote.samples);
+        let (n, q) = (self.n, self.queries.len());
         let (t1max, t2max) = (self.t1max(), self.t2max());
         let (seed1, seed2) = self.phase_seeds();
         let pool = Arc::clone(
@@ -1060,291 +923,74 @@ impl<V: NodeValue> QuantileService<V> {
                     dirty_fraction,
                 },
                 timings,
+                threads,
             ));
         }
-        let plans = &self.plans;
         let coins = &mut self.scratch.coins;
-        if coins.len() != n {
-            coins.clear();
-            coins.resize(n, 0.0);
-        }
+        fit(coins, n, 0.0);
+        let Trajectory {
+            snap1,
+            snap2,
+            outputs,
+            sources1,
+            sources2,
+            ..
+        } = &mut cache;
 
-        // ---- Phase I replay --------------------------------------------
-        for j in 0..t1max {
-            let cls = p1_class(plans, j);
-            if cls.needs_coins {
-                participation_coins_into(&pool, threads, seed1, j as u64, coins);
-            }
-            // A node's iteration-`j` state can change only if its own state
-            // or one of its realised pull sources this iteration is dirty.
-            let sa_row = &cache.sources1[2 * j * n..(2 * j + 1) * n];
-            let sb_row = &cache.sources1[(2 * j + 1) * n..(2 * j + 2) * n];
-            let dm = &dirty_map[..];
-            let cand: Vec<u32> = par::fold_ranges(
-                &pool,
-                n,
-                threads,
-                Vec::new(),
-                |range| {
-                    let mut hits = Vec::new();
-                    for v in range {
-                        if dm[v]
-                            || (sa_row[v] != u32::MAX && dm[sa_row[v] as usize])
-                            || (sb_row[v] != u32::MAX && dm[sb_row[v] as usize])
-                        {
-                            hits.push(v as u32);
-                        }
-                    }
-                    hits
-                },
-                |mut acc, mut part| {
-                    acc.append(&mut part);
-                    acc
-                },
-            );
-            let (head, tail) = cache.snap1.split_at_mut(j + 1);
-            let (snap, next) = (&head[j][..], &mut tail[0]);
-            let cref = &coins[..];
-            // The candidates are disjoint rows of both the next snapshot
-            // and the component-dirty map, so the frontier recompute carves
-            // them into per-thread chunks.
-            let still: Vec<u32> = par::for_sparse_rows2(
-                &pool,
-                &mut next[..],
-                q,
-                &mut comp_dirty[..],
-                q,
-                &cand,
-                threads,
-                Vec::new(),
-                |ids, base, sub_next, sub_cd| {
-                    let mut still = Vec::new();
-                    for &vu in ids {
-                        let v = vu as usize;
-                        let rel = (v - base) * q;
-                        let sa = (sa_row[v] != u32::MAX).then(|| sa_row[v] as usize * q);
-                        let sb = (sb_row[v] != u32::MAX).then(|| sb_row[v] as usize * q);
-                        let mut any = false;
-                        for (i, plan) in plans.iter().enumerate() {
-                            let steps = &plan.schedule1.steps;
-                            let cur = snap[v * q + i];
-                            let new = if j >= steps.len() {
-                                cur
-                            } else {
-                                let side = plan.schedule1.side;
-                                let delta = steps[j].delta;
-                                let s0 = sa.map(|o| snap[o + i]);
-                                let s1 = sb.map(|o| snap[o + i]);
-                                if delta >= 1.0 {
-                                    lane_step_two(side, s0, s1, cur)
-                                } else {
-                                    lane_step_two_delta(side, cref[v] < delta, s0, s1, cur)
-                                }
-                            };
-                            let changed = new != sub_next[rel + i];
-                            sub_cd[rel + i] = changed;
-                            any = any || changed;
-                            sub_next[rel + i] = new;
-                        }
-                        if any {
-                            still.push(vu);
-                        }
-                    }
-                    still
-                },
-                |mut acc, mut part| {
-                    acc.append(&mut part);
-                    acc
-                },
-            );
-            // Equivalent to the sequential per-candidate `dirty_map[v] =
-            // any`: nothing inside the iteration reads `dirty_map`, so the
-            // update can be deferred past the parallel pass.
-            for &vu in &cand {
-                dirty_map[vu as usize] = false;
-            }
-            for &vu in &still {
-                dirty_map[vu as usize] = true;
-            }
-        }
+        // ---- Phase I replay, hand-off, Phase II replay -----------------
+        replay_phase(
+            &pool,
+            threads,
+            &self.windows1,
+            seed1,
+            coins,
+            snap1,
+            sources1,
+            &mut comp_dirty,
+            &mut dirty_map,
+        );
         for (v, &dirty) in dirty_map.iter().enumerate() {
             if dirty {
-                let (src, dst) = (&cache.snap1[t1max][v * q..(v + 1) * q], v * q);
-                cache.snap2[0][dst..dst + q].copy_from_slice(src);
+                let (src, dst) = (&snap1[t1max][v * q..(v + 1) * q], v * q);
+                snap2[0][dst..dst + q].copy_from_slice(src);
             }
         }
-
-        // ---- Phase II replay -------------------------------------------
-        for j in 0..t2max {
-            let any_delta = plans
-                .iter()
-                .any(|p| p.t2() == j + 1 && p.schedule2.final_delta < 1.0);
-            if any_delta {
-                participation_coins_into(&pool, threads, seed2, j as u64, coins);
-            }
-            // The three rounds of window `j` all serve the pre-window
-            // snapshot, so replay reduces to one pass per window. Sparse
-            // rounds need no membership test: a sat-out round is a
-            // `u32::MAX` source.
-            let rows: [&[u32]; 3] = [
-                &cache.sources2[3 * j * n..(3 * j + 1) * n],
-                &cache.sources2[(3 * j + 1) * n..(3 * j + 2) * n],
-                &cache.sources2[(3 * j + 2) * n..(3 * j + 3) * n],
-            ];
-            let dm = &dirty_map[..];
-            let cand: Vec<u32> = par::fold_ranges(
-                &pool,
-                n,
-                threads,
-                Vec::new(),
-                |range| {
-                    let mut hits = Vec::new();
-                    for v in range {
-                        if dm[v]
-                            || rows
-                                .iter()
-                                .any(|row| row[v] != u32::MAX && dm[row[v] as usize])
-                        {
-                            hits.push(v as u32);
-                        }
-                    }
-                    hits
-                },
-                |mut acc, mut part| {
-                    acc.append(&mut part);
-                    acc
-                },
-            );
-            let (head, tail) = cache.snap2.split_at_mut(j + 1);
-            let (snapj, next) = (&head[j][..], &mut tail[0]);
-            let cref = &coins[..];
-            let still: Vec<u32> = par::for_sparse_rows2(
-                &pool,
-                &mut next[..],
-                q,
-                &mut comp_dirty[..],
-                q,
-                &cand,
-                threads,
-                Vec::new(),
-                |ids, base, sub_next, sub_cd| {
-                    let mut still = Vec::new();
-                    for &vu in ids {
-                        let v = vu as usize;
-                        let rel = (v - base) * q;
-                        let offset = |slot: usize| {
-                            let src = rows[slot][v];
-                            (src != u32::MAX).then(|| src as usize * q)
-                        };
-                        let (s0o, s1o, s2o) = (offset(0), offset(1), offset(2));
-                        let mut any = false;
-                        for (i, plan) in plans.iter().enumerate() {
-                            let t2 = plan.t2();
-                            let cur = snapj[v * q + i];
-                            let new = if t2 <= j {
-                                cur
-                            } else {
-                                let s0 = s0o.map(|o| snapj[o + i]);
-                                let s1 = s1o.map(|o| snapj[o + i]);
-                                let s2 = s2o.map(|o| snapj[o + i]);
-                                let fd = plan.schedule2.final_delta;
-                                if t2 == j + 1 && fd < 1.0 {
-                                    lane_step_three_delta(cref[v] < fd, s0, s1, s2, cur)
-                                } else {
-                                    lane_step_three(s0, s1, s2, cur)
-                                }
-                            };
-                            let changed = new != sub_next[rel + i];
-                            sub_cd[rel + i] = changed;
-                            any = any || changed;
-                            sub_next[rel + i] = new;
-                        }
-                        if any {
-                            still.push(vu);
-                        }
-                    }
-                    still
-                },
-                |mut acc, mut part| {
-                    acc.append(&mut part);
-                    acc
-                },
-            );
-            for &vu in &cand {
-                dirty_map[vu as usize] = false;
-            }
-            for &vu in &still {
-                dirty_map[vu as usize] = true;
-            }
-        }
+        replay_phase(
+            &pool,
+            threads,
+            &self.windows2,
+            seed2,
+            coins,
+            snap2,
+            sources2,
+            &mut comp_dirty,
+            &mut dirty_map,
+        );
         timings.replay_secs = t_replay.elapsed().as_secs_f64();
 
-        // ---- Patch vote outputs for the affected nodes -----------------
-        // A lane's components freeze once it converges, so after the window
-        // loop `comp_dirty` is final for every lane: a node's vote output
-        // can change only if its own component or one of its realised vote
-        // sources carries a dirty component (the own-dirty test also covers
-        // the empty-vote fallback to the converged value). The patch runs
-        // element-parallel over the flat output vector — per `(v, i)` the
-        // hit test walks the node's `k` realised sources and, on a hit,
-        // regathers the vote multiset and takes its median value, identical
-        // to the full path's `sorted[c / 2]`.
+        // ---- Patch the vote outputs ------------------------------------
+        // Every replayed window leaves `dirty_map[v]` set exactly when some
+        // component of `v`'s new row differs from the cache, so after the
+        // last window it marks the rows of the final snapshot that moved. A
+        // vote output can change only if its node's row or one of its
+        // realised vote sources moved (the own-row test also covers the
+        // empty-vote fallback to the converged value); those rows rerun the
+        // full epoch's vote kernel, every other row keeps its cached output.
+        debug_assert!(dirty_map
+            .iter()
+            .zip(comp_dirty.chunks_exact(q))
+            .all(|(&d, row)| d == row.contains(&true)));
         let t0 = Instant::now();
-        {
-            let Trajectory {
-                outputs,
-                snap2,
-                sources2,
-                ..
-            } = &mut cache;
-            let (snap2, sources2) = (&snap2[..], &sources2[..]);
-            let cd = &comp_dirty[..];
-            par::for_chunks(
-                &pool,
-                &mut outputs[..],
-                threads,
-                (),
-                |start, chunk| {
-                    let mut buf: Vec<V> = Vec::with_capacity(k);
-                    let mut v = start / q;
-                    let mut i = start % q;
-                    for slot in chunk.iter_mut() {
-                        let first = 3 * plans[i].t2();
-                        let mut hit = cd[v * q + i];
-                        if !hit {
-                            for rr in first..first + k {
-                                let src = sources2[rr * n + v];
-                                if src != u32::MAX && cd[src as usize * q + i] {
-                                    hit = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if hit {
-                            buf.clear();
-                            for rr in first..first + k {
-                                let src = sources2[rr * n + v];
-                                if src != u32::MAX {
-                                    buf.push(snap2[(rr / 3).min(t2max)][src as usize * q + i]);
-                                }
-                            }
-                            *slot = if buf.is_empty() {
-                                snap2[t2max][v * q + i]
-                            } else {
-                                let c = buf.len();
-                                *buf.select_nth_unstable(c / 2).1
-                            };
-                        }
-                        i += 1;
-                        if i == q {
-                            i = 0;
-                            v += 1;
-                        }
-                    }
-                },
-                |(), ()| (),
-            );
-        }
+        let fin = &snap2[t2max][..];
+        vote_rows(
+            &pool,
+            threads,
+            &self.vote,
+            fin,
+            sources2,
+            Some(&dirty_map),
+            outputs,
+        );
         timings.vote_secs = t0.elapsed().as_secs_f64();
 
         let rounds = cache.rounds;
@@ -1359,21 +1005,43 @@ impl<V: NodeValue> QuantileService<V> {
                 dirty_fraction,
             },
             timings,
+            threads,
         ))
     }
 
+    /// The outcome of an epoch whose outputs are in the cache. The answers
+    /// are the outputs transposed to one vector per lane, on the pool: each
+    /// task walks the output rows once and appends its lanes' values.
     fn outcome_from_cache(
         &self,
         rounds: u64,
         metrics: Metrics,
         mode: EpochMode,
         timings: EpochTimings,
+        threads: usize,
     ) -> ServiceOutcome<V> {
         let outputs = &self.cache.as_ref().expect("cache just written").outputs;
-        let q = self.queries.len();
-        let answers = (0..q)
-            .map(|i| outputs.chunks_exact(q).map(|row| row[i]).collect())
-            .collect();
+        let pool = self
+            .engine_config
+            .pool
+            .as_ref()
+            .expect("the service constructor always installs a pool");
+        let (n, q) = (self.n, self.queries.len());
+        let mut answers: Vec<Vec<V>> = (0..q).map(|_| Vec::with_capacity(n)).collect();
+        par::for_chunks(
+            pool,
+            &mut answers,
+            threads,
+            (),
+            |start, lanes| {
+                for row in outputs.chunks_exact(q) {
+                    for (lane, &x) in lanes.iter_mut().zip(&row[start..]) {
+                        lane.push(x);
+                    }
+                }
+            },
+            |(), ()| (),
+        );
         ServiceOutcome {
             answers,
             rounds,
@@ -1385,75 +1053,599 @@ impl<V: NodeValue> QuantileService<V> {
     }
 }
 
-/// Classification of Phase I iteration `j` across lanes.
-struct P1Class {
-    /// Some lane runs a full (δ = 1) step at `j`, forcing slot B dense.
-    any_dense_b: bool,
-    /// Some lane runs a δ-truncated step at `j` (participation coins needed).
-    needs_coins: bool,
-    /// Largest δ among truncated lanes (their participant sets are nested
-    /// under the shared coins, so this is the union's cut).
-    delta_max: f64,
+/// How one lane updates in one window (a Phase I iteration or a Phase II
+/// 3-round window).
+#[derive(Debug, Clone, Copy)]
+enum LaneRule {
+    /// The lane's schedule has ended: its value carries over.
+    Frozen,
+    /// A full 2-TOURNAMENT step shrinking the given side.
+    Two(ShrinkSide),
+    /// A δ-truncated 2-TOURNAMENT step: only nodes with coin < δ take the
+    /// second sample.
+    TwoCut(ShrinkSide, f64),
+    /// A full 3-TOURNAMENT step.
+    Three,
+    /// The δ-truncated final 3-TOURNAMENT step: only nodes with coin < δ
+    /// take the second and third samples.
+    ThreeCut(f64),
 }
 
-fn p1_class(plans: &[LanePlan], j: usize) -> P1Class {
-    let mut cls = P1Class {
-        any_dense_b: false,
-        needs_coins: false,
-        delta_max: 0.0,
-    };
-    for plan in plans {
-        let steps = &plan.schedule1.steps;
-        if j < steps.len() {
-            let d = steps[j].delta;
-            if d >= 1.0 {
-                cls.any_dense_b = true;
+/// The per-lane rules of one window, built once at construction, and the
+/// node step that applies them.
+#[derive(Debug)]
+struct Window {
+    /// `rules[i]` is lane `i`'s update.
+    rules: Vec<LaneRule>,
+    /// Rounds (samples per node) in the window: 2 in Phase I, 3 in Phase II.
+    samples: usize,
+    /// Every lane takes a full step, so a node whose samples all arrived
+    /// runs the tight `extremum` / `median3` loop instead of the rule table.
+    full: bool,
+}
+
+impl Window {
+    /// Phase I iteration `j`.
+    fn phase1(plans: &[LanePlan], j: usize) -> Self {
+        let rules = plans.iter().map(|plan| {
+            let side = plan.schedule1.side;
+            match plan.schedule1.steps.get(j) {
+                None => LaneRule::Frozen,
+                Some(step) if step.delta >= 1.0 => LaneRule::Two(side),
+                Some(step) => LaneRule::TwoCut(side, step.delta),
+            }
+        });
+        Window::new(rules.collect(), 2)
+    }
+
+    /// Phase II window `j`.
+    fn phase2(plans: &[LanePlan], j: usize) -> Self {
+        let rules = plans.iter().map(|plan| {
+            let (t2, fd) = (plan.t2(), plan.schedule2.final_delta);
+            if t2 <= j {
+                LaneRule::Frozen
+            } else if t2 == j + 1 && fd < 1.0 {
+                LaneRule::ThreeCut(fd)
             } else {
-                cls.needs_coins = true;
-                if d > cls.delta_max {
-                    cls.delta_max = d;
+                LaneRule::Three
+            }
+        });
+        Window::new(rules.collect(), 3)
+    }
+
+    fn new(rules: Vec<LaneRule>, samples: usize) -> Self {
+        let full = rules
+            .iter()
+            .all(|r| matches!(r, LaneRule::Two(_) | LaneRule::Three));
+        Window {
+            rules,
+            samples,
+            full,
+        }
+    }
+
+    /// Some lane takes a δ-truncated step, so the iteration's
+    /// participation coins are needed.
+    fn needs_coins(&self) -> bool {
+        self.rules
+            .iter()
+            .any(|r| matches!(r, LaneRule::TwoCut(..) | LaneRule::ThreeCut(_)))
+    }
+
+    /// Phase I slot B runs only on the participants when no lane takes a
+    /// full step: then it is the cut of the largest δ (`None` otherwise).
+    fn sparse_cut(&self) -> Option<f64> {
+        let mut cut = None;
+        for rule in &self.rules {
+            match *rule {
+                LaneRule::Two(_) => return None,
+                LaneRule::TwoCut(_, d) => cut = Some(cut.map_or(d, |c: f64| c.max(d))),
+                _ => {}
+            }
+        }
+        cut
+    }
+
+    /// Node `v`'s step: `out[i]` becomes lane `i`'s value after the window,
+    /// from its value in `snap` and the rows of `snap` its realised sources
+    /// served (`sources[r·n + v]` for the window's round `r`, `u32::MAX`
+    /// where nothing arrived).
+    fn step<V: NodeValue>(&self, v: usize, snap: &[V], sources: &[u32], coin: f64, out: &mut [V]) {
+        let q = out.len();
+        let n = snap.len() / q;
+        let row = |t: usize| &snap[t * q..(t + 1) * q];
+        let mut got: [Option<&[V]>; 3] = [None; 3];
+        for (r, g) in got[..self.samples].iter_mut().enumerate() {
+            let src = sources[r * n + v];
+            if src != u32::MAX {
+                *g = Some(row(src as usize));
+            }
+        }
+        if self.full {
+            match got {
+                [Some(a), Some(b), Some(c)] => {
+                    for (o, ((&a, &b), &c)) in out.iter_mut().zip(a.iter().zip(b).zip(c)) {
+                        *o = median3(a, b, c);
+                    }
+                    return;
+                }
+                [Some(a), Some(b), None] if self.samples == 2 => {
+                    for (o, (rule, (&a, &b))) in
+                        out.iter_mut().zip(self.rules.iter().zip(a.iter().zip(b)))
+                    {
+                        if let LaneRule::Two(side) = *rule {
+                            *o = extremum(side, a, b);
+                        }
+                    }
+                    return;
+                }
+                _ => {}
+            }
+        }
+        let cur = row(v);
+        for (i, o) in out.iter_mut().enumerate() {
+            let s = |r: usize| got[r].map(|row| row[i]);
+            *o = match self.rules[i] {
+                LaneRule::Frozen => cur[i],
+                LaneRule::Two(side) => lane_step_two(side, s(0), s(1), cur[i]),
+                LaneRule::TwoCut(side, d) => {
+                    lane_step_two_delta(side, coin < d, s(0), s(1), cur[i])
+                }
+                LaneRule::Three => lane_step_three(s(0), s(1), s(2), cur[i]),
+                LaneRule::ThreeCut(d) => lane_step_three_delta(coin < d, s(0), s(1), s(2), cur[i]),
+            };
+        }
+    }
+}
+
+/// Runs one phase of a full epoch, window by window: draw the window's
+/// rounds as realised sources into its rows of `sources` (round `s` of
+/// window `j` dense when `cut(j, s)` is `None`, else on that δ cut of the
+/// iteration's participation coins), then step every node from `snaps[j]`
+/// into `snaps[j + 1]`.
+fn run_phase<V: NodeValue>(
+    engine: &mut Engine<()>,
+    windows: &[Window],
+    cut: impl Fn(usize, usize) -> Option<f64>,
+    snaps: &mut [Vec<V>],
+    sources: &mut [u32],
+    scratch: &mut EpochScratch,
+    timings: &mut EpochTimings,
+) {
+    let (pool, threads, seed) = (Arc::clone(engine.pool()), engine.threads(), engine.seed());
+    let EpochScratch { coins, active, .. } = scratch;
+    let n = engine.n();
+    for (j, window) in windows.iter().enumerate() {
+        let (head, tail) = snaps.split_at_mut(j + 1);
+        let (snap, next) = (&head[j][..], &mut tail[0][..]);
+        let q = window.rules.len();
+        let bits = |t: usize| seq_message_bits(&snap[t * q..(t + 1) * q]);
+        let rows = &mut sources[j * window.samples * n..(j + 1) * window.samples * n];
+        let t0 = Instant::now();
+        if window.needs_coins() {
+            participation_coins_into(&pool, threads, seed, j as u64, coins);
+        }
+        for (s, row) in rows.chunks_exact_mut(n).enumerate() {
+            match cut(j, s) {
+                None => engine.pull_sources(None, bits, row),
+                Some(delta) => {
+                    active.reset_from_fn(|v| coins[v] < delta);
+                    engine.pull_sources(Some(active), bits, row);
                 }
             }
         }
+        timings.collect_secs += t0.elapsed().as_secs_f64();
+        let t0 = Instant::now();
+        step_nodes(&pool, threads, window, snap, rows, coins, next);
+        timings.apply_secs += t0.elapsed().as_secs_f64();
     }
-    cls
 }
 
-/// Classification of Phase II round `r` (0-based within the phase). Vote
-/// rounds need no lane list here — the vote outputs are derived after the
-/// phase from the recorded snapshots and realised sources — but a voting
-/// lane still forces the round dense.
-struct P2Round {
-    /// Some lane needs the round dense (first slot of an iteration, a full
-    /// tournament step, or a vote round).
-    any_dense: bool,
-    /// Largest final δ among truncated lanes when the round can run sparse.
-    delta_max: f64,
+/// How many nodes ahead the step pass prefetches the rows its realised
+/// sources serve.
+const PREFETCH_NODES: usize = 4;
+
+/// Prefetches every cache line of row `src` of the `q`-wide `rows`
+/// (nothing for an undelivered `u32::MAX`).
+fn prefetch_row<V>(rows: &[V], q: usize, src: u32) {
+    if src != u32::MAX {
+        let row = &rows[src as usize * q..(src as usize + 1) * q];
+        let line = (64 / std::mem::size_of::<V>().max(1)).max(1);
+        for x in row.iter().step_by(line) {
+            prefetch_read(x);
+        }
+    }
 }
 
-fn p2_round_class(plans: &[LanePlan], k: usize, r: usize) -> P2Round {
-    let (j, s) = (r / 3, r % 3);
-    let mut cls = P2Round {
-        any_dense: false,
-        delta_max: 0.0,
-    };
-    for plan in plans {
-        let t2 = plan.t2();
-        if r < 3 * t2 {
-            if s == 0 {
-                cls.any_dense = true;
-            } else if t2 == j + 1 && plan.schedule2.final_delta < 1.0 {
-                if plan.schedule2.final_delta > cls.delta_max {
-                    cls.delta_max = plan.schedule2.final_delta;
+/// Steps every node through `window` in one node-major pool pass: row `v`
+/// of `next` becomes node `v`'s lane values after the window, read from
+/// `snap` at the node's realised sources (see [`Window::step`]).
+fn step_nodes<V: NodeValue>(
+    pool: &WorkerPool,
+    threads: usize,
+    window: &Window,
+    snap: &[V],
+    sources: &[u32],
+    coins: &[f64],
+    next: &mut [V],
+) {
+    let q = window.rules.len();
+    let n = snap.len() / q;
+    par::for_rows(
+        pool,
+        next,
+        q,
+        threads,
+        (),
+        |start, rows| {
+            for (j, out) in rows.chunks_exact_mut(q).enumerate() {
+                let v = start + j;
+                let ahead = v + PREFETCH_NODES;
+                if ahead < n {
+                    for r in 0..window.samples {
+                        prefetch_row(snap, q, sources[r * n + ahead]);
+                    }
                 }
+                window.step(v, snap, sources, coins[v], out);
+            }
+        },
+        |(), ()| (),
+    );
+}
+
+/// Replays one phase's windows on the dirty frontier. In window `j` only
+/// the nodes whose own row or one of whose realised sources (the window's
+/// rows of `sources`) is marked in `dirty_map` are stepped again from
+/// `snaps[j]`; each recomputed row is compared with the cached row of
+/// `snaps[j + 1]`, lane by lane, into `comp_dirty` and written over it, and
+/// `dirty_map` ends the window marking the nodes whose row moved.
+#[allow(clippy::too_many_arguments)]
+fn replay_phase<V: NodeValue>(
+    pool: &WorkerPool,
+    threads: usize,
+    windows: &[Window],
+    seed: u64,
+    coins: &mut [f64],
+    snaps: &mut [Vec<V>],
+    sources: &[u32],
+    comp_dirty: &mut [bool],
+    dirty_map: &mut [bool],
+) {
+    let n = dirty_map.len();
+    for (j, window) in windows.iter().enumerate() {
+        if window.needs_coins() {
+            participation_coins_into(pool, threads, seed, j as u64, coins);
+        }
+        let (head, tail) = snaps.split_at_mut(j + 1);
+        let (snap, next) = (&head[j][..], &mut tail[0][..]);
+        let (q, w) = (window.rules.len(), window.samples);
+        let rows = &sources[j * w * n..(j + 1) * w * n];
+        let (dm, coins) = (&dirty_map[..], &coins[..]);
+        let cand: Vec<u32> = par::fold_ranges(
+            pool,
+            n,
+            threads,
+            Vec::new(),
+            |range| {
+                range
+                    .filter(|&v| {
+                        dm[v]
+                            || (0..w).any(|r| {
+                                let src = rows[r * n + v];
+                                src != u32::MAX && dm[src as usize]
+                            })
+                    })
+                    .map(|v| v as u32)
+                    .collect()
+            },
+            |mut acc, mut part| {
+                acc.append(&mut part);
+                acc
+            },
+        );
+        // The candidates are disjoint rows of both the next snapshot and
+        // the component-dirty map, so the frontier recompute carves them
+        // into per-thread chunks.
+        let still: Vec<u32> = par::for_sparse_rows2(
+            pool,
+            next,
+            q,
+            comp_dirty,
+            q,
+            &cand,
+            threads,
+            Vec::new(),
+            |ids, base, sub_next, sub_cd| {
+                let mut row = snap[..q].to_vec();
+                let mut still = Vec::new();
+                for &vu in ids {
+                    let v = vu as usize;
+                    window.step(v, snap, rows, coins[v], &mut row);
+                    let rel = (v - base) * q;
+                    let mut any = false;
+                    let cached = sub_next[rel..rel + q]
+                        .iter_mut()
+                        .zip(&mut sub_cd[rel..rel + q]);
+                    for ((old, changed), &new) in cached.zip(&row) {
+                        *changed = new != *old;
+                        any |= *changed;
+                        *old = new;
+                    }
+                    if any {
+                        still.push(vu);
+                    }
+                }
+                still
+            },
+            |mut acc, mut part| {
+                acc.append(&mut part);
+                acc
+            },
+        );
+        // Equivalent to the sequential per-candidate `dirty_map[v] = any`:
+        // nothing inside the window reads `dirty_map`, so the update can be
+        // deferred past the parallel pass.
+        for &vu in &cand {
+            dirty_map[vu as usize] = false;
+        }
+        for &vu in &still {
+            dirty_map[vu as usize] = true;
+        }
+    }
+}
+
+/// The largest vote the median network takes; larger votes select per
+/// lane.
+const MAX_NETWORK_SAMPLES: usize = 32;
+
+/// The final `K`-sample vote, shared by full epochs and the incremental
+/// patch, built once at construction.
+#[derive(Debug)]
+struct VotePlan {
+    /// Samples per vote (`K`).
+    k: usize,
+    /// Lanes per node (`q`).
+    q: usize,
+    /// One entry per distinct vote window: its first Phase II round
+    /// (`3·t2` of its lanes) and its lanes, ascending.
+    windows: Vec<(usize, Vec<usize>)>,
+    /// Compare-exchange pairs of [`median_network`]`(k)`, empty when `k`
+    /// exceeds [`MAX_NETWORK_SAMPLES`].
+    network: Vec<(usize, usize)>,
+}
+
+/// Per-task working memory of the vote kernel.
+struct VoteScratch<V> {
+    /// The `K` vote sources of the current node and window.
+    sources: Vec<u32>,
+    /// `K` rows of the window's lanes: one per vote source.
+    tile: Vec<V>,
+    /// One lane's delivered vote values.
+    lane: Vec<V>,
+}
+
+impl VotePlan {
+    fn new(plans: &[LanePlan], k: usize) -> Self {
+        let mut windows: Vec<(usize, Vec<usize>)> = Vec::new();
+        for (i, plan) in plans.iter().enumerate() {
+            let first = 3 * plan.t2();
+            match windows.iter_mut().find(|(f, _)| *f == first) {
+                Some((_, lanes)) => lanes.push(i),
+                None => windows.push((first, vec![i])),
+            }
+        }
+        let network = if k <= MAX_NETWORK_SAMPLES {
+            median_network(k)
+        } else {
+            Vec::new()
+        };
+        VotePlan {
+            k,
+            q: plans.len(),
+            windows,
+            network,
+        }
+    }
+
+    fn scratch<V>(&self) -> VoteScratch<V> {
+        VoteScratch {
+            sources: Vec::with_capacity(self.k),
+            tile: Vec::with_capacity(self.k * self.q),
+            lane: Vec::with_capacity(self.k),
+        }
+    }
+
+    /// Whether node `v`'s vote reads a row marked in `dirty`: its own (the
+    /// empty-vote fallback) or one of its realised vote sources'.
+    fn touches(&self, v: usize, sources2: &[u32], dirty: &[bool]) -> bool {
+        let n = dirty.len();
+        dirty[v]
+            || self.windows.iter().any(|&(first, _)| {
+                (first..first + self.k).any(|r| {
+                    let src = sources2[r * n + v];
+                    src != u32::MAX && dirty[src as usize]
+                })
+            })
+    }
+
+    /// Node `v`'s vote: `out[i]` becomes the median of the values lane `i`'s
+    /// realised vote sources serve from the final states `fin` —
+    /// `sorted[c / 2]` of the `c` delivered values, or the node's own final
+    /// value when none arrived. Per window, the node's `K` sources are
+    /// loaded once; when all of them delivered, their rows (the window's
+    /// lanes only) are copied into a `K`-row tile and sorted column-wise by
+    /// the median network, whose row `K / 2` is the answer — the value
+    /// `select_nth_unstable(K / 2)` returns. A window with a missing sample
+    /// selects per lane over the delivered values.
+    fn vote_row<V: NodeValue>(
+        &self,
+        v: usize,
+        fin: &[V],
+        sources2: &[u32],
+        out: &mut [V],
+        scratch: &mut VoteScratch<V>,
+    ) {
+        let (k, q) = (self.k, self.q);
+        let n = fin.len() / q;
+        for (first, lanes) in &self.windows {
+            let VoteScratch {
+                sources,
+                tile,
+                lane,
+            } = &mut *scratch;
+            sources.clear();
+            sources.extend((*first..first + k).map(|r| sources2[r * n + v]));
+            if !self.network.is_empty() && sources.iter().all(|&s| s != u32::MAX) {
+                let w = lanes.len();
+                tile.clear();
+                for &src in sources.iter() {
+                    let row = &fin[src as usize * q..(src as usize + 1) * q];
+                    if w == q {
+                        tile.extend_from_slice(row);
+                    } else {
+                        tile.extend(lanes.iter().map(|&i| row[i]));
+                    }
+                }
+                sort_rows(&self.network, tile, w);
+                for (&i, &median) in lanes.iter().zip(&tile[k / 2 * w..(k / 2 + 1) * w]) {
+                    out[i] = median;
+                }
+                continue;
+            }
+            for &i in lanes {
+                lane.clear();
+                let delivered = sources.iter().filter(|&&s| s != u32::MAX);
+                lane.extend(delivered.map(|&s| fin[s as usize * q + i]));
+                out[i] = if lane.is_empty() {
+                    fin[v * q + i] // an empty vote keeps the converged value
+                } else {
+                    let c = lane.len();
+                    *lane.select_nth_unstable(c / 2).1
+                };
+            }
+        }
+    }
+}
+
+/// One pool pass of the vote kernel ([`VotePlan::vote_row`]) over the rows
+/// of `outputs`: every row in a full epoch (`dirty: None`), only the rows
+/// whose vote reads a dirty row in the incremental patch.
+fn vote_rows<V: NodeValue>(
+    pool: &WorkerPool,
+    threads: usize,
+    plan: &VotePlan,
+    fin: &[V],
+    sources2: &[u32],
+    dirty: Option<&[bool]>,
+    outputs: &mut [V],
+) {
+    par::for_rows(
+        pool,
+        outputs,
+        plan.q,
+        threads,
+        (),
+        |start, rows| {
+            let mut scratch = plan.scratch();
+            for (j, out) in rows.chunks_exact_mut(plan.q).enumerate() {
+                let v = start + j;
+                if dirty.map_or(true, |d| plan.touches(v, sources2, d)) {
+                    plan.vote_row(v, fin, sources2, out, &mut scratch);
+                }
+            }
+        },
+        |(), ()| (),
+    );
+}
+
+/// Batcher's odd–even merge sort for `k` inputs, as compare-exchange pairs
+/// `(a, b)` with `a < b`, pruned to what output `k / 2` depends on.
+///
+/// The network is built for the next power of two and every comparator
+/// touching an input at or past `k` is dropped: padding those inputs with
+/// +∞ would make each such comparator a no-op (a finite value never moves
+/// past position `k`, a padded one never moves below it). Walking the rest
+/// backwards then keeps only comparators feeding the median position.
+fn median_network(k: usize) -> Vec<(usize, usize)> {
+    let size = k.next_power_of_two();
+    let mut pairs = Vec::new();
+    let mut p = 1;
+    while p < size {
+        let mut step = p;
+        while step >= 1 {
+            let mut j = step % p;
+            while j + step < size {
+                for i in 0..step.min(size - j - step) {
+                    let (a, b) = (i + j, i + j + step);
+                    if a / (2 * p) == b / (2 * p) && b < k {
+                        pairs.push((a, b));
+                    }
+                }
+                j += 2 * step;
+            }
+            step /= 2;
+        }
+        p *= 2;
+    }
+    let mut needed = vec![false; k];
+    needed[k / 2] = true;
+    let mut kept: Vec<(usize, usize)> = pairs
+        .into_iter()
+        .rev()
+        .filter(|&(a, b)| {
+            let keep = needed[a] || needed[b];
+            if keep {
+                needed[a] = true;
+                needed[b] = true;
+            }
+            keep
+        })
+        .collect();
+    kept.reverse();
+    kept
+}
+
+/// Runs the compare-exchange `pairs` column-wise over the `width`-wide rows
+/// of `tile`: for each pair `(a, b)`, every lane keeps the smaller value in
+/// row `a` and the larger in row `b` (branchless `min`/`max`; on a tie `min`
+/// keeps its first argument and `max` its second, so equal values stay in
+/// place).
+fn sort_rows<V: Ord + Copy>(pairs: &[(usize, usize)], tile: &mut [V], width: usize) {
+    for &(a, b) in pairs {
+        let (low, high) = tile.split_at_mut(b * width);
+        let rows = low[a * width..(a + 1) * width]
+            .iter_mut()
+            .zip(&mut high[..width]);
+        for (x, y) in rows {
+            let (lo, hi) = ((*x).min(*y), (*x).max(*y));
+            *x = lo;
+            *y = hi;
+        }
+    }
+}
+
+/// The δ cut Phase II round `r` (0-based within the phase) may run on, or
+/// `None` when some lane needs it dense: the first slot of an iteration, a
+/// full tournament step, or a vote round (the vote reads the final snapshot
+/// at the realised sources after the phase, but a voting lane still pulls
+/// at every node). Lanes in their δ-truncated final step only need their
+/// participants, whose sets are nested under the shared coins.
+fn p2_round_cut(plans: &[LanePlan], k: usize, r: usize) -> Option<f64> {
+    let (j, s) = (r / 3, r % 3);
+    let mut cut: f64 = 0.0;
+    for plan in plans {
+        let (t2, fd) = (plan.t2(), plan.schedule2.final_delta);
+        if r < 3 * t2 {
+            if s != 0 && t2 == j + 1 && fd < 1.0 {
+                cut = cut.max(fd);
             } else {
-                cls.any_dense = true;
+                return None;
             }
         } else if r < 3 * t2 + k {
-            cls.any_dense = true;
+            return None;
         }
     }
-    cls
+    Some(cut)
 }
 
 /// The participation coins of one iteration, drawn exactly as the solo
@@ -1482,22 +1674,13 @@ fn participation_coins_into(
     );
 }
 
-/// Pool-parallel `dst.copy_from_slice(src)`, (re)sizing `dst` only on a
-/// length mismatch — the snapshot-recording primitive of the full epoch
-/// (steady-state epochs always hit the matched-length path and stay
-/// allocation-free).
-fn copy_into<V: NodeValue>(pool: &WorkerPool, threads: usize, dst: &mut Vec<V>, src: &[V]) {
-    if src.is_empty() {
-        dst.clear();
-        return;
-    }
-    if dst.len() != src.len() {
-        dst.clear();
-        dst.resize(src.len(), src[0]);
-    }
+/// Pool-parallel `dst.copy_from_slice(src)` — the full epoch's Phase I → II
+/// snapshot hand-off.
+fn copy_into<V: NodeValue>(pool: &WorkerPool, threads: usize, dst: &mut [V], src: &[V]) {
+    assert_eq!(dst.len(), src.len(), "snapshots have one length");
     par::for_chunks(
         pool,
-        &mut dst[..],
+        dst,
         threads,
         (),
         |start, chunk| {
@@ -1511,9 +1694,8 @@ fn copy_into<V: NodeValue>(pool: &WorkerPool, threads: usize, dst: &mut Vec<V>, 
 /// steady-state assertion in `full_epoch_body`: if any pointer moved between
 /// two warmed epochs, a round buffer was reallocated.
 #[cfg(debug_assertions)]
-fn epoch_buffer_ptrs<V>(traj: &Trajectory<V>, states: &[V], coins: &[f64]) -> Vec<usize> {
+fn epoch_buffer_ptrs<V>(traj: &Trajectory<V>, coins: &[f64]) -> Vec<usize> {
     let mut ptrs = vec![
-        states.as_ptr() as usize,
         coins.as_ptr() as usize,
         traj.sources1.as_ptr() as usize,
         traj.sources2.as_ptr() as usize,
@@ -1766,6 +1948,96 @@ mod tests {
             ..ServiceConfig::default()
         };
         assert!(QuantileService::new(&values, &q, bad, ec).is_err());
+    }
+
+    /// SplitMix64: a deterministic value stream for the kernel tests.
+    fn mix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn median_network_row_equals_select_nth() {
+        let width = 5;
+        for k in 1..=MAX_NETWORK_SAMPLES {
+            let network = median_network(k);
+            assert!(network.iter().all(|&(a, b)| a < b && b < k));
+            // Random, all-equal and duplicate-heavy rows.
+            for modulus in [u64::MAX, 1, 3] {
+                for trial in 0..20u64 {
+                    let mut tile: Vec<u64> = (0..(k * width) as u64)
+                        .map(|x| mix((k as u64) << 40 ^ trial << 20 ^ x) % modulus)
+                        .collect();
+                    let columns: Vec<Vec<u64>> = (0..width)
+                        .map(|i| (0..k).map(|r| tile[r * width + i]).collect())
+                        .collect();
+                    sort_rows(&network, &mut tile, width);
+                    for (i, mut column) in columns.into_iter().enumerate() {
+                        let expected = *column.select_nth_unstable(k / 2).1;
+                        assert_eq!(
+                            tile[k / 2 * width + i],
+                            expected,
+                            "k = {k}, modulus {modulus}, trial {trial}, lane {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vote_row_selects_per_lane_where_samples_are_missing() {
+        // Two vote windows over q = 3 lanes (lanes 0 and 2 vote in Phase II
+        // rounds 0..5, lane 1 in rounds 3..8); each node misses samples with
+        // a probability that varies from all delivered to none.
+        let (n, q, k) = (64usize, 3usize, 5usize);
+        let plan = VotePlan {
+            k,
+            q,
+            windows: vec![(0, vec![0, 2]), (3, vec![1])],
+            network: median_network(k),
+        };
+        let fin: Vec<u64> = (0..(n * q) as u64).map(|x| mix(x) % 50).collect();
+        let sources2: Vec<u32> = (0..(8 * n) as u64)
+            .map(|x| {
+                if mix(x ^ 1 << 32) % 8 < (x % n as u64 % 9) {
+                    u32::MAX
+                } else {
+                    (mix(x ^ 2 << 32) % n as u64) as u32
+                }
+            })
+            .collect();
+        let (mut full, mut partial, mut empty) = (0, 0, 0);
+        let mut scratch = plan.scratch();
+        for v in 0..n {
+            let mut out = vec![u64::MAX; q];
+            plan.vote_row(v, &fin, &sources2, &mut out, &mut scratch);
+            for (i, &got) in out.iter().enumerate() {
+                let first = if i == 1 { 3 } else { 0 };
+                let mut values: Vec<u64> = (first..first + k)
+                    .map(|r| sources2[r * n + v])
+                    .filter(|&s| s != u32::MAX)
+                    .map(|s| fin[s as usize * q + i])
+                    .collect();
+                values.sort_unstable();
+                let expected = match values.len() {
+                    0 => fin[v * q + i],
+                    c => values[c / 2],
+                };
+                assert_eq!(got, expected, "node {v}, lane {i}");
+                match values.len() {
+                    0 => empty += 1,
+                    c if c == k => full += 1,
+                    _ => partial += 1,
+                }
+            }
+        }
+        assert!(
+            full > 0 && partial > 0 && empty > 0,
+            "{full}/{partial}/{empty}"
+        );
     }
 
     #[test]

@@ -184,15 +184,19 @@ fn median_of_delivered<V: Ord + Copy>(samples: &mut [Option<V>]) -> Option<V> {
     *samples.select_nth_unstable(mid).1
 }
 
-/// Median of three values.
-pub(crate) fn median3<V: Ord>(a: V, b: V, c: V) -> V {
-    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+/// Median of three values: with `(lo, hi)` the ordered pair `(a, b)`, `lo`
+/// if `c <= lo`, else `hi` if `c >= hi`, else `c`. Written as selects
+/// (`Ord::min` keeps its first argument on a tie, `Ord::max` its second),
+/// so it returns that same element without a data-dependent branch — the
+/// inputs of a tournament are random, and mispredicted branches dominated
+/// the lane-wide step loop.
+pub(crate) fn median3<V: Ord + Copy>(a: V, b: V, c: V) -> V {
+    let (lo, hi) = (a.min(b), a.max(b));
+    let inner = hi.min(c);
     if c <= lo {
         lo
-    } else if c >= hi {
-        hi
     } else {
-        c
+        inner
     }
 }
 
@@ -329,6 +333,44 @@ mod tests {
             assert_eq!(median3(perm[0], perm[1], perm[2]), 2);
         }
         assert_eq!(median3(4, 4, 9), 4);
+    }
+
+    /// Ordered by `key` alone, so ties are told apart by `tag`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Tagged {
+        key: u8,
+        tag: u8,
+    }
+
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Tagged {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    #[test]
+    fn median3_returns_the_element_of_the_comparison_chain_on_ties() {
+        let chain = |a: Tagged, b: Tagged, c: Tagged| {
+            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+            if c <= lo {
+                lo
+            } else if c >= hi {
+                hi
+            } else {
+                c
+            }
+        };
+        for keys in 0..27u8 {
+            let t = |tag: u8, key: u8| Tagged { key, tag };
+            let (a, b, c) = (t(0, keys % 3), t(1, keys / 3 % 3), t(2, keys / 9));
+            assert_eq!(median3(a, b, c), chain(a, b, c), "keys {keys}");
+        }
     }
 
     #[test]

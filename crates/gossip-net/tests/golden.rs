@@ -27,8 +27,9 @@ mod support;
 
 use gossip_net::FailureModel;
 use support::{
-    engine, fault_metrics_line, faulted_mixed, fingerprint, hash_local_steps, initial_states,
-    metrics_line, mixed_iteration, pinned, pull_rounds, push_pull_rounds, push_rounds, sample_fp,
+    engine, fault_metrics_line, faulted_large, faulted_mixed, fingerprint, hash_local_steps,
+    initial_states, metrics_line, mixed_iteration, pinned, pull_rounds, push_pull_rounds,
+    push_rounds, sample_fp,
 };
 
 #[test]
@@ -110,6 +111,17 @@ fn golden_faulted_mixed_sequence() {
 }
 
 #[test]
+fn golden_faulted_large_n_covers_parallel_fault_paths() {
+    // The chaos plan at n = 20 000: multi-thread runs of the CI matrix take
+    // the parallel CSR bucketing with faults on, and the push-capable rounds
+    // drain stragglers across chunk boundaries.
+    let e = faulted_large(1010);
+    assert_eq!(metrics_line(&e), pinned("faulted_large.metrics"));
+    assert_eq!(fault_metrics_line(&e), pinned("faulted_large.faults"));
+    assert_eq!(fingerprint(e.states()), pinned("faulted_large.fp"));
+}
+
+#[test]
 fn golden_local_step() {
     let mut e = engine(512, 505, FailureModel::None);
     hash_local_steps(&mut e, 4);
@@ -179,17 +191,22 @@ fn pin_file_covers_exactly_the_computed_keys() {
         "faulted_mixed",
         "large",
         "large_failures",
+        "faulted_large",
+        "sparse_subset",
+        "sparse_subset_failures",
+        "sparse_subset_faulted",
     ];
     let mut want: Vec<String> = Vec::new();
     for name in expected {
-        want.push(format!("{name}.metrics"));
-        match name {
-            "collect" | "collect_failures" => want.push(format!("{name}.sample_fp")),
-            _ => want.push(format!("{name}.fp")),
-        }
-        if name == "faulted_mixed" {
-            want.insert(want.len() - 1, format!("{name}.faults"));
-        }
+        let fields: &[&str] = match name {
+            "collect" | "collect_failures" => &["metrics", "sample_fp"],
+            "faulted_mixed" | "faulted_large" => &["metrics", "faults", "fp"],
+            _ if name.starts_with("sparse_subset") => {
+                &["metrics", "faults", "fp", "sample_fp", "receivers"]
+            }
+            _ => &["metrics", "fp"],
+        };
+        want.extend(fields.iter().map(|f| format!("{name}.{f}")));
     }
     file_keys.sort_unstable();
     let mut want: Vec<&str> = want.iter().map(String::as_str).collect();

@@ -25,8 +25,9 @@ use gossip_net::{
 use proptest::prelude::*;
 use rand::Rng;
 use support::{
-    chaos_plan, engine, fingerprint, fold_hash, metrics_line, pinned, sample_fp,
-    sparse_pull_rounds, sparse_push_pull_rounds, sparse_push_rounds,
+    chaos_plan, engine, fault_metrics_line, fingerprint, fold_hash, metrics_line, pinned,
+    sample_fp, sparse_pull_rounds, sparse_push_pull_rounds, sparse_push_rounds, sparse_subset,
+    sparse_subset_cases,
 };
 
 // ---------------------------------------------------------------------------
@@ -126,6 +127,38 @@ fn full_set_large_n_matches_dense_golden_pin() {
     sparse_push_pull_rounds(&mut e, &full, 2);
     assert_eq!(metrics_line(&e), pinned("large.metrics"));
     assert_eq!(fingerprint(e.states()), pinned("large.fp"));
+}
+
+// ---------------------------------------------------------------------------
+// Proper-subset pins: the `*_on` rounds over a fixed partial active set,
+// pinned to constants of their own (the checks below only compare code paths
+// with each other, which a change made to both sides alike would pass).
+// ---------------------------------------------------------------------------
+
+fn check_sparse_subset_pin(case: usize) {
+    let (name, seed, plan) = sparse_subset_cases().into_iter().nth(case).unwrap();
+    let (e, samples, receivers) = sparse_subset(seed, plan);
+    let key = |field: &str| format!("{name}.{field}");
+    assert_eq!(metrics_line(&e), pinned(&key("metrics")));
+    assert_eq!(fault_metrics_line(&e), pinned(&key("faults")));
+    assert_eq!(fingerprint(e.states()), pinned(&key("fp")));
+    assert_eq!(samples, pinned(&key("sample_fp")));
+    assert_eq!(receivers, pinned(&key("receivers")));
+}
+
+#[test]
+fn proper_subset_rounds_match_their_pin() {
+    check_sparse_subset_pin(0);
+}
+
+#[test]
+fn proper_subset_rounds_with_failures_match_their_pin() {
+    check_sparse_subset_pin(1);
+}
+
+#[test]
+fn proper_subset_rounds_under_the_chaos_plan_match_their_pin() {
+    check_sparse_subset_pin(2);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 #![allow(dead_code)]
 
 use gossip_net::{
-    par, ActiveSet, ChurnModel, Engine, EngineConfig, FailureModel, FaultPlan, LossModel,
+    par, ActiveSet, ChurnModel, Engine, EngineConfig, FailureModel, FaultPlan, LossModel, NodeId,
     StragglerModel,
 };
 use rand::Rng;
@@ -154,13 +154,30 @@ pub fn mixed_iteration(e: &mut Engine<u64>) {
     });
 }
 
-pub fn faulted_mixed(n: usize, seed: u64) -> Engine<u64> {
-    let config = EngineConfig::with_seed(seed).fault(chaos_plan());
+/// An engine running under a whole fault plan (the `engine` helper only
+/// sets its failure model).
+pub fn plan_engine(n: usize, seed: u64, plan: FaultPlan) -> Engine<u64> {
+    let config = EngineConfig::with_seed(seed).fault(plan);
     let mut e = Engine::from_states(initial_states(n), config);
     e.set_threads(par::num_threads());
+    e
+}
+
+pub fn faulted_mixed(n: usize, seed: u64) -> Engine<u64> {
+    let mut e = plan_engine(n, seed, chaos_plan());
     for _ in 0..3 {
         mixed_iteration(&mut e);
     }
+    e
+}
+
+/// The chaos plan at a size where multi-thread runs take the parallel CSR
+/// bucketing, with stragglers drained across the push-capable rounds.
+pub fn faulted_large(seed: u64) -> Engine<u64> {
+    let mut e = plan_engine(20_000, seed, chaos_plan());
+    pull_rounds(&mut e, 2);
+    push_rounds(&mut e, 2);
+    push_pull_rounds(&mut e, 2);
     e
 }
 
@@ -180,25 +197,86 @@ pub fn sparse_pull_rounds(e: &mut Engine<u64>, active: &ActiveSet, rounds: usize
     }
 }
 
-pub fn sparse_push_rounds(e: &mut Engine<u64>, active: &ActiveSet, rounds: usize) {
-    for _ in 0..rounds {
-        e.push_round_on(
-            active,
-            |v, &s| if v % 5 == 0 { None } else { Some(s) },
-            |_, st, msg| *st = fold_hash(*st, msg),
-            |_, st, delivered| {
-                if !delivered {
-                    *st = st.wrapping_add(1);
-                }
-            },
-        );
-    }
+/// Runs the push scenario body over `active`; returns each round's receivers.
+pub fn sparse_push_rounds(
+    e: &mut Engine<u64>,
+    active: &ActiveSet,
+    rounds: usize,
+) -> Vec<Vec<NodeId>> {
+    (0..rounds)
+        .map(|_| {
+            e.push_round_on(
+                active,
+                |v, &s| if v % 5 == 0 { None } else { Some(s) },
+                |_, st, msg| *st = fold_hash(*st, msg),
+                |_, st, delivered| {
+                    if !delivered {
+                        *st = st.wrapping_add(1);
+                    }
+                },
+            )
+            .receivers
+        })
+        .collect()
 }
 
-pub fn sparse_push_pull_rounds(e: &mut Engine<u64>, active: &ActiveSet, rounds: usize) {
-    for _ in 0..rounds {
-        e.push_pull_round_on(active, |_, &s| s, |_, st, msg| *st = fold_hash(*st, msg));
+/// Runs the push–pull scenario body over `active`; returns each round's
+/// receivers.
+pub fn sparse_push_pull_rounds(
+    e: &mut Engine<u64>,
+    active: &ActiveSet,
+    rounds: usize,
+) -> Vec<Vec<NodeId>> {
+    (0..rounds)
+        .map(|_| {
+            e.push_pull_round_on(active, |_, &s| s, |_, st, msg| *st = fold_hash(*st, msg))
+                .receivers
+        })
+        .collect()
+}
+
+/// The fixed proper subset of the `sparse_subset*` pins: two nodes in
+/// three, plus one contiguous run so the copy-on-write commit swaps
+/// multi-slot runs.
+pub fn pinned_subset(n: usize) -> ActiveSet {
+    ActiveSet::from_fn(n, |v| v % 3 != 0 || (200..320).contains(&v))
+}
+
+/// One `sparse_subset*` scenario: three iterations of `pull_round_on`,
+/// `push_round_on`, `push_pull_round_on` and a two-sample
+/// `collect_samples_on`, all over [`pinned_subset`], under `plan`. Returns
+/// the engine, the fingerprint of every sample bucket, and the fingerprint
+/// of every returned receiver list.
+pub fn sparse_subset(seed: u64, plan: FaultPlan) -> (Engine<u64>, String, String) {
+    let n = 1_000;
+    let mut e = plan_engine(n, seed, plan);
+    let active = pinned_subset(n);
+    let (mut samples, mut receivers) = (Vec::new(), Vec::new());
+    for _ in 0..3 {
+        sparse_pull_rounds(&mut e, &active, 1);
+        receivers.extend(sparse_push_rounds(&mut e, &active, 1));
+        receivers.extend(sparse_push_pull_rounds(&mut e, &active, 1));
+        samples.extend(e.collect_samples_on(&active, 2, |_, &s| s));
     }
+    let receivers: Vec<Vec<u64>> = receivers
+        .iter()
+        .map(|r| r.iter().map(|&v| v as u64).collect())
+        .collect();
+    (e, sample_fp(&samples), sample_fp(&receivers))
+}
+
+/// The three fault settings of the `sparse_subset*` pins: key prefix, seed
+/// and plan.
+pub fn sparse_subset_cases() -> [(&'static str, u64, FaultPlan); 3] {
+    [
+        ("sparse_subset", 1111, FaultPlan::none()),
+        (
+            "sparse_subset_failures",
+            1212,
+            FaultPlan::none().with_failure(FailureModel::uniform(0.3).unwrap()),
+        ),
+        ("sparse_subset_faulted", 1313, chaos_plan()),
+    ]
 }
 
 // --- the pin file -----------------------------------------------------------
@@ -230,9 +308,9 @@ pub fn pinned(key: &str) -> &'static str {
 /// Recomputes every pinned value, in the canonical file order. This is the
 /// single source of truth for what each scenario executes; the test suites
 /// replay the same builders against [`pinned`].
-pub fn compute_all() -> Vec<(&'static str, String)> {
-    let mut out: Vec<(&'static str, String)> = Vec::new();
-    let mut pin = |k, v| out.push((k, v));
+pub fn compute_all() -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> = Vec::new();
+    let mut pin = |k: &str, v| out.push((k.to_owned(), v));
 
     let mut e = engine(512, 101, FailureModel::None);
     pull_rounds(&mut e, 8);
@@ -304,6 +382,20 @@ pub fn compute_all() -> Vec<(&'static str, String)> {
     push_pull_rounds(&mut e, 2);
     pin("large_failures.metrics", metrics_line(&e));
     pin("large_failures.fp", fingerprint(e.states()));
+
+    let e = faulted_large(1010);
+    pin("faulted_large.metrics", metrics_line(&e));
+    pin("faulted_large.faults", fault_metrics_line(&e));
+    pin("faulted_large.fp", fingerprint(e.states()));
+
+    for (name, seed, plan) in sparse_subset_cases() {
+        let (e, samples, receivers) = sparse_subset(seed, plan);
+        pin(&format!("{name}.metrics"), metrics_line(&e));
+        pin(&format!("{name}.faults"), fault_metrics_line(&e));
+        pin(&format!("{name}.fp"), fingerprint(e.states()));
+        pin(&format!("{name}.sample_fp"), samples);
+        pin(&format!("{name}.receivers"), receivers);
+    }
 
     out
 }

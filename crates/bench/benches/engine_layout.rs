@@ -1,8 +1,8 @@
 //! Same-host A/B of the PR 8 memory-layout changes, in the style of PR 3's
 //! dispatch ablation: the **old** code path (kept in-tree as a reference
-//! implementation or behind a knob) and the **new** one are measured in the
-//! same process, back to back, so the comparison is free of toolchain and
-//! host drift. Four changes:
+//! implementation or as the composition a fused call replaces) and the
+//! **new** one are measured in the same process, back to back, so the
+//! comparison is free of toolchain and host drift. Three changes:
 //!
 //! 1. **`pull_blocked_prefetch`**: the dense pull round's fused per-slot loop
 //!    ([`Engine::pull_round_reference`], the pre-PR-8 code, verbatim) vs the
@@ -12,10 +12,7 @@
 //!    `Vec<Vec<M>>` ([`Engine::collect_samples`]) vs the flat column-major
 //!    [`SampleMatrix`](gossip_net::SampleMatrix)
 //!    ([`Engine::collect_samples_flat`]) — n allocations vs one.
-//! 3. **`sparse_commit_runs`**: the copy-on-write commit's per-slot
-//!    `mem::swap` loop (`set_batch_commit(false)`) vs batching maximal
-//!    contiguous id runs into `swap_with_slice` block moves (the default).
-//! 4. **`fused_sample_step`**: a tournament-shaped step of `k` samples per
+//! 3. **`fused_sample_step`**: a tournament-shaped step of `k` samples per
 //!    node feeding a local update — `collect_samples_flat(k)` plus
 //!    `local_step` (the composition) vs [`Engine::sample_step`], which
 //!    draws, prefetches and applies all `k` samples in one pass — for
@@ -27,6 +24,12 @@
 //! `BENCH_engine.json`; the PR 8 acceptance gate is the
 //! `pull_blocked_prefetch` row at n = 1M, threads = 1.
 //!
+//! The run-batched copy-on-write commit ([`gossip_net::soa::swap_runs`]) is
+//! the only commit the engine has; its A/B against the per-slot swap it
+//! replaced is recorded in the committed `sparse_commit_runs` rows of
+//! `BENCH_engine.json` (1.22× at n = 16k, 0.96× at 100k, 0.89× at 1M), and
+//! its equivalence is a property test of `soa` and `tests/layout.rs`.
+//!
 //! Set `ENGINE_LAYOUT_QUICK=1` (CI's bench smoke step does) to shrink sizes
 //! and samples to a bit-rot check.
 //!
@@ -35,7 +38,7 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gossip_net::{ActiveSet, Engine, EngineConfig};
+use gossip_net::{Engine, EngineConfig};
 use std::time::Instant;
 
 fn quick() -> bool {
@@ -107,26 +110,6 @@ fn collect_rounds_per_sec(n: usize, iterations: u64, flat: bool) -> (f64, Vec<u6
     // check so the sample consumption cannot be optimised away.
     let rate = (2 * iterations) as f64 / start.elapsed().as_secs_f64();
     std::hint::black_box(fold); // keep the sample reads live
-    (rate, e.into_states())
-}
-
-fn sparse_rounds_per_sec(n: usize, rounds: u64, batch: bool) -> (f64, Vec<u64>) {
-    let mut e = engine(n);
-    e.set_batch_commit(batch);
-    // Even ids active: every run in the written set is short, making this the
-    // adversarial case for run batching; dense receiver stretches come from
-    // the push deliveries.
-    let active = ActiveSet::from_fn(n, |v| v % 2 == 0);
-    let start = Instant::now();
-    for _ in 0..rounds {
-        e.push_round_on(
-            &active,
-            |_, &s| Some(s),
-            |_, st, m| *st = (*st).max(m),
-            |_, _, _| {},
-        );
-    }
-    let rate = rounds as f64 / start.elapsed().as_secs_f64();
     (rate, e.into_states())
 }
 
@@ -214,20 +197,6 @@ fn bench_engine_layout(c: &mut Criterion) {
         assert!(identical, "flat sample collection diverged at n = {n}");
         rows.push(AbRow {
             change: "collect_flat",
-            k: None,
-            n,
-            old,
-            new,
-            identical,
-        });
-
-        let old = measure(|| sparse_rounds_per_sec(n, rounds, false).0);
-        let new = measure(|| sparse_rounds_per_sec(n, rounds, true).0);
-        let identical =
-            sparse_rounds_per_sec(n, rounds, false).1 == sparse_rounds_per_sec(n, rounds, true).1;
-        assert!(identical, "batched sparse commit diverged at n = {n}");
-        rows.push(AbRow {
-            change: "sparse_commit_runs",
             k: None,
             n,
             old,

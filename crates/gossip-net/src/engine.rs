@@ -25,6 +25,8 @@
 //!
 //! Failure injection (Section 5) applies to the *operation of the failing
 //! node*: a failed puller receives nothing, a failed pusher delivers nothing.
+//! The wider [`FaultPlan`] (churn, message loss, stragglers) runs through the
+//! same round bodies; see "Fault policy" below.
 //!
 //! ## Randomness contract
 //!
@@ -83,23 +85,39 @@
 //!   vectors afterwards. (Earlier engines refreshed a separate snapshot in
 //!   its own dispatch first — a full extra `O(n)` pass per round.)
 //! * **push** — two dispatches around the CSR bucketing: one pass decides
-//!   every sender's outcome (silent / failed / target) into the target
-//!   scratch, the deliveries are counting-sorted receiver-major, and one
-//!   fused pass clones each receiver's state into `next`, folds its incoming
-//!   messages (ascending sender order) and runs `after`. Swap.
+//!   every sender's outcome (silent / failed / dropped / target) into the
+//!   target scratch, the deliveries are counting-sorted receiver-major, and
+//!   one fused pass clones each receiver's state into `next`, folds its
+//!   incoming messages (ascending sender order, then any straggled arrivals
+//!   due this round) and runs `after`. Swap.
 //! * **push–pull** — the same two dispatches; the second pass merges the
 //!   pulled message first, then the pushed ones.
 //!
 //! Inside every pass the loop-invariant work is hoisted: the
 //! `(seed, round, stream)` RNG prefix is absorbed once per round
 //! ([`crate::rng::NodeRng::key_prefix`] — per-node keying is one
-//! xor-multiply and one finalizer instead of three finalizers), the
-//! failure model is matched once per chunk, with a dedicated no-failure loop
-//! when the model is [`FailureModel::None`] (engines normalise never-firing
-//! models to `None` at construction), and the topology is dispatched once
-//! per round — each primitive's body is monomorphised over the concrete
-//! sampler type, so the complete-graph loop carries no per-draw topology
-//! branch (see [`crate::topology`]).
+//! xor-multiply and one finalizer instead of three finalizers), and both the
+//! topology and the fault policy are dispatched once per round — each
+//! primitive's body is monomorphised over the concrete sampler type and the
+//! policy, so the clean complete-graph loop carries no per-draw topology or
+//! fault branch (see [`crate::topology`] and below).
+//!
+//! ## Fault policy
+//!
+//! Each primitive has **one** round body, generic over a private fault
+//! policy that the body asks once per contact, in the order sender down →
+//! failure coin → target → straggler coin (pushes only) → loss coin →
+//! receiver down (see [`FaultPlan`]). Two policies exist, picked per round:
+//! a zero-sized `Reliable` whose hooks are constants — the instantiation a
+//! [`FaultPlan::none`] engine runs, and which compiles to the plain clean
+//! loop — and the per-round `FaultCtx`, which holds the failure model, the
+//! churn model's down-until view, the hoisted loss and straggler stream
+//! prefixes and the straggled pushes due this round. An engine whose plan
+//! only carries a [`FailureModel`] runs `FaultCtx` with its churn, loss and
+//! straggler hooks inert. Engines normalise never-firing plans at
+//! construction, so a zero-intensity plan runs `Reliable`. Fault coins come
+//! from their own streams (`STREAM_FAULT_*`), so a faulted round's draws on
+//! the round stream are exactly a clean round's.
 //!
 //! The CSR bucketing itself is sequential below [`Engine::PAR_MIN_NODES`] (two
 //! linear passes over `u32` buffers) and parallel above it: per-chunk
@@ -151,11 +169,13 @@
 //! * the sparse copy-on-write commit batches runs of consecutive written ids
 //!   into whole-slice swaps ([`crate::soa::swap_runs`]).
 //!
-//! All of them are mechanical rewrites with bit-identical results — per-node
-//! RNG consumption, fold order and metrics are unchanged (pinned by the
-//! golden suites, `tests/layout.rs` and the sample-step ≡ composition tests
-//! of `tests/program.rs`, with the pre-layout pull loop kept as
-//! [`Engine::pull_round_reference`] for same-host A/B measurement).
+//! Faulted rounds run the same bodies, so they get the blocked refresh and
+//! the prefetched gathers too. All of it is mechanical rewriting with
+//! bit-identical results — per-node RNG consumption, fold order and metrics
+//! are unchanged (pinned by the golden suites, `tests/layout.rs` and the
+//! sample-step ≡ composition tests of `tests/program.rs`, with the per-slot
+//! pull loop kept as [`Engine::pull_round_reference`] for same-host A/B
+//! measurement).
 //! Algorithms whose own state scans dominate can mirror their state structs
 //! into flat parallel columns via [`crate::soa::Columns`] / the
 //! [`columns!`](crate::columns) macro.
@@ -174,6 +194,7 @@ use crate::topology::{
     AdjacencyCache, CompleteSampler, CsrSampler, PeerSampler, Sampler, Topology,
 };
 use crate::NodeId;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -202,30 +223,252 @@ struct DelayedContact {
     sender: u32,
 }
 
+/// The fault policy of a round body (see the module docs' "Fault policy"):
+/// the hooks a body asks once per contact, in the per-contact order sender
+/// down → failure coin → target → straggler coin (push directions only) →
+/// loss coin → receiver down. Pulls never straggle: a pull is a
+/// request/response within the round. The last two stages drop the contact
+/// alike and their coins are keyed, not sequential, so the provided methods
+/// test the cheap receiver-down check first without changing any outcome.
+///
+/// `with_faults!` picks the instantiation once per round, never per node (a
+/// per-draw match measurably cost throughput at n = 10⁶): [`Reliable`] when
+/// the plan can inject nothing, [`FaultCtx`] otherwise.
+trait Faults: Sync {
+    /// This policy's view of one round, borrowing the engine's churn and
+    /// straggler state (`Copy`, so it holds the borrows without a
+    /// destructor and a body can re-hoist it after mutating the engine).
+    type Round<'a>: Faults + Copy;
+
+    /// Hoists the round's loop invariants. `due` is the round's drained
+    /// straggler list (see [`Faults::late`]).
+    fn hoist<'a>(
+        seed: u64,
+        round: u64,
+        plan: &'a FaultPlan,
+        down: &'a [u64],
+        due: &'a [(u32, u32)],
+    ) -> Self::Round<'a>;
+
+    /// Whether `v` is up this round; a down node performs nothing.
+    fn alive(&self, v: usize) -> bool;
+
+    /// Draws `v`'s failure-model coin from its round stream.
+    fn fails(&self, v: usize, rng: &mut NodeRng) -> bool;
+
+    /// Draws the straggler coin of `sender`'s push: `Some(due)` buffers it
+    /// until round `due`.
+    fn delayed(&self, sender: usize) -> Option<u64>;
+
+    /// Draws the loss coin of the contact `sender → receiver`.
+    fn lost(&self, sender: usize, receiver: usize) -> bool;
+
+    /// The straggled pushes landing at `receiver` this round, as
+    /// `(receiver, sender)` pairs in send order.
+    fn late(&self, receiver: usize) -> &[(u32, u32)];
+
+    /// Node `v`'s pull contact: its target, or why nothing arrives —
+    /// [`TARGET_SILENT`] (`v` is down and performs nothing),
+    /// [`TARGET_FAILED`] (failure coin) or [`TARGET_DROPPED`] (target down or
+    /// reply lost). Every sentinel is `>= n`, so `states.get(t)` is the
+    /// delivery test.
+    #[inline(always)]
+    fn pull<SP: Sampler>(&self, sp: &SP, prefix: KeyPrefix, v: usize, m: &mut Metrics) -> u32 {
+        if !self.alive(v) {
+            m.record_crash();
+            return TARGET_SILENT;
+        }
+        m.record_attempt(RoundKind::Pull);
+        let mut rng = prefix.node(v as u64);
+        if self.fails(v, &mut rng) {
+            m.record_failure();
+            return TARGET_FAILED;
+        }
+        let t = sp.sample(&mut rng, v);
+        if !self.alive(t) || self.lost(t, v) {
+            m.record_drop();
+            return TARGET_DROPPED;
+        }
+        t as u32
+    }
+
+    /// Node `v`'s push contact, given the wire size of what it sends
+    /// (`None` = silent, nothing recorded): the target, or a sentinel. A
+    /// straggled push goes to `pending` and reads as dropped this round.
+    #[inline(always)]
+    fn push<SP: Sampler>(
+        &self,
+        sp: &SP,
+        prefix: KeyPrefix,
+        v: usize,
+        bits: impl FnOnce() -> Option<u64>,
+        m: &mut Metrics,
+        pending: &mut Vec<DelayedContact>,
+    ) -> u32 {
+        if !self.alive(v) {
+            m.record_crash();
+            return TARGET_SILENT;
+        }
+        let Some(bits) = bits() else {
+            return TARGET_SILENT;
+        };
+        m.record_attempt(RoundKind::Push);
+        let mut rng = prefix.node(v as u64);
+        if self.fails(v, &mut rng) {
+            m.record_failure();
+            return TARGET_FAILED;
+        }
+        let t = sp.sample(&mut rng, v);
+        if !self.push_lands(v, t, m, pending) {
+            return TARGET_DROPPED;
+        }
+        m.record_delivery(bits);
+        t as u32
+    }
+
+    /// Node `v`'s push–pull contact: `(pull target, push target)`, each a
+    /// node id or a sentinel. Both legs share the failure coin; each draws
+    /// its own loss coin. Deliveries are recorded where the messages are
+    /// built, in the receiver pass.
+    #[inline(always)]
+    fn push_pull<SP: Sampler>(
+        &self,
+        sp: &SP,
+        prefix: KeyPrefix,
+        v: usize,
+        m: &mut Metrics,
+        pending: &mut Vec<DelayedContact>,
+    ) -> (u32, u32) {
+        if !self.alive(v) {
+            m.record_crash();
+            return (TARGET_SILENT, TARGET_SILENT);
+        }
+        m.record_attempt(RoundKind::PushPull);
+        let mut rng = prefix.node(v as u64);
+        if self.fails(v, &mut rng) {
+            m.record_failure();
+            return (TARGET_FAILED, TARGET_FAILED);
+        }
+        let t_pull = sp.sample(&mut rng, v);
+        let t_push = sp.sample(&mut rng, v);
+        let pulled = if !self.alive(t_pull) || self.lost(t_pull, v) {
+            m.record_drop();
+            TARGET_DROPPED
+        } else {
+            t_pull as u32
+        };
+        let pushed = if self.push_lands(v, t_push, m, pending) {
+            t_push as u32
+        } else {
+            TARGET_DROPPED
+        };
+        (pulled, pushed)
+    }
+
+    /// The channel half of a push `v → t`: straggler coin, then loss coin and
+    /// receiver down. Whether the push lands this round.
+    #[inline(always)]
+    fn push_lands(
+        &self,
+        v: usize,
+        t: usize,
+        m: &mut Metrics,
+        pending: &mut Vec<DelayedContact>,
+    ) -> bool {
+        if let Some(due) = self.delayed(v) {
+            pending.push(DelayedContact {
+                due,
+                receiver: t as u32,
+                sender: v as u32,
+            });
+            m.record_delay();
+            return false;
+        }
+        if !self.alive(t) || self.lost(v, t) {
+            m.record_drop();
+            return false;
+        }
+        true
+    }
+}
+
+/// The policy of a plan that can inject nothing: every hook is a constant.
+#[derive(Clone, Copy)]
+struct Reliable;
+
+impl Faults for Reliable {
+    type Round<'a> = Reliable;
+
+    #[inline(always)]
+    fn hoist<'a>(_: u64, _: u64, _: &'a FaultPlan, _: &'a [u64], _: &'a [(u32, u32)]) -> Reliable {
+        Reliable
+    }
+
+    #[inline(always)]
+    fn alive(&self, _: usize) -> bool {
+        true
+    }
+
+    #[inline(always)]
+    fn fails(&self, _: usize, _: &mut NodeRng) -> bool {
+        false
+    }
+
+    #[inline(always)]
+    fn delayed(&self, _: usize) -> Option<u64> {
+        None
+    }
+
+    #[inline(always)]
+    fn lost(&self, _: usize, _: usize) -> bool {
+        false
+    }
+
+    #[inline(always)]
+    fn late(&self, _: usize) -> &[(u32, u32)] {
+        &[]
+    }
+}
+
 /// Per-round fault context: the loop-invariant pieces of the active
-/// [`FaultPlan`], hoisted once per fault-aware round (the RNG prefixes of the
-/// loss and delay streams, and the churn model's down-until view).
+/// [`FaultPlan`], hoisted before each pass of a round (the failure model,
+/// the RNG prefixes of the loss and delay streams, the churn model's
+/// down-until view and the drained stragglers).
+#[derive(Clone, Copy)]
 struct FaultCtx<'a> {
     round: u64,
+    /// `None` when the failure model never fires.
+    failure: Option<&'a FailureModel>,
     /// Round until which each node is down (`down[v] > round` = crashed this
     /// round); empty when the plan has no churn.
     down: &'a [u64],
+    due: &'a [(u32, u32)],
     loss: Option<(KeyPrefix, f64)>,
     delay: Option<(KeyPrefix, f64, u64)>,
 }
 
-impl FaultCtx<'_> {
-    fn new<'a>(seed: u64, round: u64, down: &'a [u64], fault: &FaultPlan) -> FaultCtx<'a> {
+impl Faults for FaultCtx<'_> {
+    type Round<'a> = FaultCtx<'a>;
+
+    fn hoist<'a>(
+        seed: u64,
+        round: u64,
+        plan: &'a FaultPlan,
+        down: &'a [u64],
+        due: &'a [(u32, u32)],
+    ) -> FaultCtx<'a> {
         FaultCtx {
             round,
+            failure: Some(plan.failure()).filter(|f| !f.is_reliable()),
             down,
-            loss: fault.loss().map(|l| {
+            due,
+            loss: plan.loss().map(|l| {
                 (
                     NodeRng::key_prefix(seed, round, NodeRng::STREAM_FAULT_LOSS),
                     l.drop_probability(),
                 )
             }),
-            delay: fault.stragglers().map(|s| {
+            delay: plan.stragglers().map(|s| {
                 (
                     NodeRng::key_prefix(seed, round, NodeRng::STREAM_FAULT_DELAY),
                     s.straggle_probability(),
@@ -235,39 +478,80 @@ impl FaultCtx<'_> {
         }
     }
 
-    /// Whether `v` participates this round (not down under churn).
     #[inline]
     fn alive(&self, v: usize) -> bool {
         self.down.is_empty() || self.down[v] <= self.round
     }
 
-    /// Draws the per-contact loss coin for `sender → receiver` this round.
+    #[inline]
+    fn fails(&self, v: usize, rng: &mut NodeRng) -> bool {
+        self.failure.is_some_and(|f| f.fails(v, self.round, rng))
+    }
+
+    /// The coin is keyed by the sender alone; a straggled push lands `d >= 1`
+    /// rounds late.
+    #[inline]
+    fn delayed(&self, sender: usize) -> Option<u64> {
+        let (prefix, p, max_delay) = self.delay?;
+        let mut rng = prefix.node(sender as u64);
+        (rng.next_f64() < p).then(|| self.round + 1 + rng.next_below(max_delay))
+    }
+
     /// The coin is keyed by the packed `(sender, receiver)` pair, so the two
     /// directions of a push–pull round are independent.
     #[inline]
     fn lost(&self, sender: usize, receiver: usize) -> bool {
-        match self.loss {
-            Some((prefix, p)) => {
-                let key = ((sender as u64) << 32) | receiver as u64;
-                let mut rng = prefix.node(key);
-                rng.next_f64() < p
-            }
-            None => false,
-        }
+        self.loss.is_some_and(|(prefix, p)| {
+            let key = ((sender as u64) << 32) | receiver as u64;
+            prefix.node(key).next_f64() < p
+        })
     }
 
-    /// Draws the straggler coin for `sender` this round; `Some(d)` means the
-    /// push lands `d >= 1` rounds late.
     #[inline]
-    fn delay_of(&self, sender: usize) -> Option<u64> {
-        let (prefix, p, max_delay) = self.delay?;
-        let mut rng = prefix.node(sender as u64);
-        if rng.next_f64() < p {
-            Some(1 + rng.next_below(max_delay))
-        } else {
-            None
+    fn late(&self, receiver: usize) -> &[(u32, u32)] {
+        if self.due.is_empty() {
+            return &[];
         }
+        let lo = self.due.partition_point(|&(r, _)| (r as usize) < receiver);
+        let len = self.due[lo..].partition_point(|&(r, _)| r as usize == receiver);
+        &self.due[lo..lo + len]
     }
+}
+
+/// Lands node `v`'s pull contact `t` (see [`Faults::pull`]) in its
+/// back-buffer `slot`: the served message, `None` when the pull failed or its
+/// reply was lost, and nothing at all when `v` is down (it resumes from its
+/// state on rejoin).
+#[inline(always)]
+fn land_pull<S, M: MessageSize>(
+    states: &[S],
+    serve: &impl Fn(NodeId, &S) -> M,
+    apply: &impl Fn(NodeId, &mut S, Option<M>),
+    v: NodeId,
+    slot: &mut S,
+    t: u32,
+    local: &mut Metrics,
+) {
+    match states.get(t as usize) {
+        Some(state) => {
+            let msg = serve(t as usize, state);
+            local.record_delivery(msg.message_bits());
+            apply(v, slot, Some(msg));
+        }
+        None if t != TARGET_SILENT => apply(v, slot, None),
+        None => {}
+    }
+}
+
+/// Concatenates per-chunk `(metrics, straggled pushes)` results in chunk
+/// order, so `pending_delayed` grows in ascending sender order at any thread
+/// count.
+fn join_pending(
+    (ma, mut va): (Metrics, Vec<DelayedContact>),
+    (mb, mut vb): (Metrics, Vec<DelayedContact>),
+) -> (Metrics, Vec<DelayedContact>) {
+    va.append(&mut vb);
+    (ma + mb, va)
 }
 
 /// What a sparse push-style round ([`Engine::push_round_on`] /
@@ -422,10 +706,7 @@ pub struct Engine<S> {
     /// adopted from [`EngineConfig::pool`]) and reused by every round.
     /// Cloning the engine shares the pool.
     pool: Arc<WorkerPool>,
-    failure: FailureModel,
-    /// The normalised fault plan in effect. `failure` above is its
-    /// failure-model combinator, kept as a separate field so the dedicated
-    /// failure loops (and their golden pins) are untouched by the plan.
+    /// The normalised fault plan in effect.
     fault: FaultPlan,
     /// Churn state: the first round node `v` is alive again (`0` = alive,
     /// `u64::MAX` = crashed permanently). Empty until the plan's churn model
@@ -499,10 +780,6 @@ pub struct Engine<S> {
     /// (pull targets, CSR sender states, sparse pair lists); seeded from
     /// `GOSSIP_PREFETCH_DIST`, `0` disables. Never affects results.
     prefetch_dist: usize,
-    /// Whether the sparse copy-on-write commit batches contiguous id runs
-    /// ([`crate::soa::swap_runs`]); the per-slot path is kept for the
-    /// equivalence tests and A/B benches.
-    batch_commit: bool,
 }
 
 /// A zeroed atomic scratch buffer (scratch holds no cross-round state, so
@@ -521,7 +798,6 @@ impl<S: Clone> Clone for Engine<S> {
             seed: self.seed,
             threads: self.threads,
             pool: Arc::clone(&self.pool),
-            failure: self.failure.clone(),
             fault: self.fault.clone(),
             // Churn state and in-flight stragglers are real trajectory state
             // (unlike scratch) and must survive a clone.
@@ -553,7 +829,6 @@ impl<S: Clone> Clone for Engine<S> {
             scratch_receivers: Vec::new(),
             copy_block: self.copy_block,
             prefetch_dist: self.prefetch_dist,
-            batch_commit: self.batch_commit,
         }
     }
 }
@@ -596,10 +871,8 @@ impl<S> Engine<S> {
         }
         config.fault.validate_for(n)?;
         // Combinators that can never fire are stripped so plans built from
-        // zero intensities keep the dedicated fast/failure loops (and their
-        // bit-exact golden trajectories).
+        // zero intensities run the reliable round instantiation.
         let fault = config.fault.normalized();
-        let failure = fault.failure().clone();
         let sampler = config.topology.materialize(n, &config.graph_cache)?;
         let threads = if n >= Self::PAR_MIN_NODES {
             par::num_threads()
@@ -618,7 +891,6 @@ impl<S> Engine<S> {
             seed: config.seed,
             threads,
             pool,
-            failure,
             fault,
             down_until: Vec::new(),
             pending_delayed: Vec::new(),
@@ -643,7 +915,6 @@ impl<S> Engine<S> {
             scratch_receivers: Vec::new(),
             copy_block: crate::soa::copy_block(),
             prefetch_dist: crate::soa::prefetch_dist(),
-            batch_commit: true,
         })
     }
 
@@ -698,7 +969,7 @@ impl<S> Engine<S> {
     /// The failure model in effect (the failure combinator of the fault
     /// plan, normalised at construction).
     pub fn failure_model(&self) -> &FailureModel {
-        &self.failure
+        self.fault.failure()
     }
 
     /// The fault plan in effect (normalised at construction: combinators
@@ -808,16 +1079,6 @@ impl<S> Engine<S> {
     /// value** — prefetches are pure cache hints.
     pub fn set_prefetch_dist(&mut self, dist: usize) -> &mut Self {
         self.prefetch_dist = dist;
-        self
-    }
-
-    /// Selects between the run-batched ([`crate::soa::swap_runs`], the
-    /// default) and the per-slot copy-on-write commit of the sparse rounds.
-    /// The two are byte-identical (pinned by the layout property tests);
-    /// the per-slot path exists as the measured control.
-    #[doc(hidden)]
-    pub fn set_batch_commit(&mut self, batch: bool) -> &mut Self {
-        self.batch_commit = batch;
         self
     }
 
@@ -966,6 +1227,24 @@ macro_rules! with_sampler {
     };
 }
 
+/// Dispatches `$body` with `$fx` bound to the round's fault policy (see
+/// [`Faults`]) — **once per round**, like [`with_sampler!`]: a
+/// `PhantomData` naming [`Reliable`] when the plan can inject nothing,
+/// [`FaultCtx`] otherwise. The body hoists the policy's round view itself
+/// (`X::hoist`), because the view borrows engine state the body mutates
+/// between passes.
+macro_rules! with_faults {
+    ($self:ident, $fx:ident => $body:expr) => {
+        if $self.fault.is_none() {
+            let $fx = PhantomData::<Reliable>;
+            $body
+        } else {
+            let $fx = PhantomData::<FaultCtx<'static>>;
+            $body
+        }
+    };
+}
+
 impl<S: Clone + Send + Sync> Engine<S> {
     /// Sizes the back buffer on the first communication round (the one
     /// size-`n` allocation; every later round reuses it in place).
@@ -982,8 +1261,9 @@ impl<S: Clone + Send + Sync> Engine<S> {
     /// message served by `t(v)` is `serve(t(v), &states[t(v)])`, computed from
     /// the state of `t(v)` at the start of the round. Then
     /// `apply(v, &mut states[v], Some(msg))` is called for every node that
-    /// succeeded, and `apply(v, .., None)` for every node whose operation
-    /// failed under the failure model.
+    /// succeeded, and `apply(v, .., None)` for every node whose pull failed
+    /// or whose reply was lost under the fault plan; a node that is down
+    /// under churn is not applied at all.
     ///
     /// The whole round is **one** pool dispatch: each node's task clones its
     /// pre-round state into the back buffer, applies the update there while
@@ -1000,132 +1280,12 @@ impl<S: Clone + Send + Sync> Engine<S> {
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, Option<M>) + Sync,
     {
-        with_sampler!(self, sp => self.pull_round_with(sp, serve, apply))
-    }
-
-    /// [`Engine::pull_round`], monomorphised over the sampler type.
-    fn pull_round_with<SP, M, F, G>(&mut self, sampler: SP, serve: F, apply: G) -> usize
-    where
-        SP: Sampler,
-        M: MessageSize,
-        F: Fn(NodeId, &S) -> M + Sync,
-        G: Fn(NodeId, &mut S, Option<M>) + Sync,
-    {
-        if self.fault.is_disruptive() {
-            return self.pull_round_faulty(sampler, serve, apply);
-        }
-        self.metrics.record_round(RoundKind::Pull, self.n() as u64);
-        self.round += 1;
-        self.ensure_next();
-
-        let (round, threads) = (self.round, self.threads);
-        let (states, failure) = (&self.states, &self.failure);
-        let sampler = &sampler;
-        let reliable = failure.is_reliable();
-        let (block, dist) = (self.copy_block, self.prefetch_dist);
-        let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let delta = par::for_chunks(
-            &self.pool,
-            &mut self.next,
-            threads,
-            Metrics::default(),
-            |start, chunk| {
-                let mut local = Metrics::default();
-                if reliable {
-                    // Dedicated no-failure loop, restructured around memory
-                    // layout (bit-identical to the per-slot reference —
-                    // every node draws the same stream and serves the same
-                    // target; only the cache-line touch order changes):
-                    //
-                    // 1. refresh one block of back-buffer slots in a tight
-                    //    clone pass (a memcpy for Copy states) so the block
-                    //    is L1/L2-hot for the apply pass;
-                    // 2. within the block, draw contact targets a batch at a
-                    //    time into a stack buffer — separating the RNG math
-                    //    from the gather makes the targets available early;
-                    // 3. serve/apply with the gather prefetched `dist`
-                    //    targets ahead, hiding the random-read latency that
-                    //    dominates large-n rounds. When the whole state
-                    //    array is cache-resident the gather never misses, so
-                    //    the batch/prefetch machinery is skipped (measured
-                    //    ~10% overhead at n = 4k) — the touch order is the
-                    //    same either way, so this gate cannot affect results.
-                    let prefetch = dist > 0
-                        && std::mem::size_of::<S>() * states.len() > crate::soa::PREFETCH_MIN_BYTES;
-                    let mut tbuf = [0u32; TARGET_BATCH];
-                    let mut bs = 0;
-                    while bs < chunk.len() {
-                        let be = (bs + block).min(chunk.len());
-                        crate::soa::clone_block(
-                            &mut chunk[bs..be],
-                            &states[start + bs..start + be],
-                        );
-                        if !prefetch {
-                            for (j, slot) in chunk[bs..be].iter_mut().enumerate() {
-                                let v = start + bs + j;
-                                let mut rng = prefix.node(v as u64);
-                                let t = sampler.sample(&mut rng, v);
-                                local.record_attempt(RoundKind::Pull);
-                                let msg = serve(t, &states[t]);
-                                local.record_delivery(msg.message_bits());
-                                apply(v, slot, Some(msg));
-                            }
-                            bs = be;
-                            continue;
-                        }
-                        let mut js = bs;
-                        while js < be {
-                            let je = (js + TARGET_BATCH).min(be);
-                            let batch = je - js;
-                            for (i, slot) in tbuf[..batch].iter_mut().enumerate() {
-                                let v = start + js + i;
-                                let mut rng = prefix.node(v as u64);
-                                *slot = sampler.sample(&mut rng, v) as u32;
-                            }
-                            for i in 0..batch {
-                                if i + dist < batch {
-                                    crate::soa::prefetch_read(&states[tbuf[i + dist] as usize]);
-                                }
-                                let v = start + js + i;
-                                let t = tbuf[i] as usize;
-                                local.record_attempt(RoundKind::Pull);
-                                let msg = serve(t, &states[t]);
-                                local.record_delivery(msg.message_bits());
-                                apply(v, &mut chunk[js + i], Some(msg));
-                            }
-                            js = je;
-                        }
-                        bs = be;
-                    }
-                } else {
-                    for (j, slot) in chunk.iter_mut().enumerate() {
-                        let v = start + j;
-                        slot.clone_from(&states[v]);
-                        let mut rng = prefix.node(v as u64);
-                        local.record_attempt(RoundKind::Pull);
-                        if failure.fails(v, round, &mut rng) {
-                            local.record_failure();
-                            apply(v, slot, None);
-                        } else {
-                            let t = sampler.sample(&mut rng, v);
-                            let msg = serve(t, &states[t]);
-                            local.record_delivery(msg.message_bits());
-                            apply(v, slot, Some(msg));
-                        }
-                    }
-                }
-                local
-            },
-            |a, b| a + b,
-        );
-        self.metrics = self.metrics + delta;
-        std::mem::swap(&mut self.states, &mut self.next);
-        delta.failed_operations as usize
+        with_sampler!(self, sp => with_faults!(self, fx => self.pull_body(fx, sp, true, serve, apply)))
     }
 
     /// The pre-layout-optimisation [`Engine::pull_round`]: the per-slot
-    /// clone-then-serve loop, kept verbatim as the measured control of the
-    /// `layout` A/B bench and as the reference the property tests pin the
+    /// clone-then-serve loop, kept as the measured control of the `layout`
+    /// A/B bench and as the reference the property tests pin the
     /// blocked/prefetched path against (bit-identical states and metrics).
     /// Not part of the supported API.
     #[doc(hidden)]
@@ -1135,29 +1295,45 @@ impl<S: Clone + Send + Sync> Engine<S> {
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, Option<M>) + Sync,
     {
-        with_sampler!(self, sp => self.pull_round_reference_with(sp, serve, apply))
+        with_sampler!(self, sp => with_faults!(self, fx => self.pull_body(fx, sp, false, serve, apply)))
     }
 
-    /// [`Engine::pull_round_reference`], monomorphised over the sampler type.
-    fn pull_round_reference_with<SP, M, F, G>(&mut self, sampler: SP, serve: F, apply: G) -> usize
+    /// [`Engine::pull_round`] (`blocked`) or [`Engine::pull_round_reference`],
+    /// monomorphised over the sampler type and the fault policy.
+    fn pull_body<X, SP, M, F, G>(
+        &mut self,
+        _: PhantomData<X>,
+        sampler: SP,
+        blocked: bool,
+        serve: F,
+        apply: G,
+    ) -> usize
     where
+        X: Faults,
         SP: Sampler,
         M: MessageSize,
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, Option<M>) + Sync,
     {
-        if self.fault.is_disruptive() {
-            return self.pull_round_faulty(sampler, serve, apply);
-        }
         self.metrics.record_round(RoundKind::Pull, self.n() as u64);
         self.round += 1;
         self.ensure_next();
+        self.advance_churn(self.round);
 
         let (round, threads) = (self.round, self.threads);
-        let (states, failure) = (&self.states, &self.failure);
+        let states = &self.states;
         let sampler = &sampler;
-        let reliable = failure.is_reliable();
+        let (block, dist) = (self.copy_block, self.prefetch_dist);
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
+        let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
+        let (serve, apply) = (&serve, &apply);
+        // When the whole state array is cache-resident the gather never
+        // misses, so the batch/prefetch machinery is skipped (measured ~10%
+        // overhead at n = 4k) — the touch order is the same either way, so
+        // this gate cannot affect results.
+        let prefetch = blocked
+            && dist > 0
+            && std::mem::size_of::<S>() * states.len() > crate::soa::PREFETCH_MIN_BYTES;
         let delta = par::for_chunks(
             &self.pool,
             &mut self.next,
@@ -1165,33 +1341,62 @@ impl<S: Clone + Send + Sync> Engine<S> {
             Metrics::default(),
             |start, chunk| {
                 let mut local = Metrics::default();
-                if reliable {
+                if !blocked {
                     for (j, slot) in chunk.iter_mut().enumerate() {
                         let v = start + j;
                         slot.clone_from(&states[v]);
-                        let mut rng = prefix.node(v as u64);
-                        local.record_attempt(RoundKind::Pull);
-                        let t = sampler.sample(&mut rng, v);
-                        let msg = serve(t, &states[t]);
-                        local.record_delivery(msg.message_bits());
-                        apply(v, slot, Some(msg));
+                        let t = fx.pull(sampler, prefix, v, &mut local);
+                        land_pull(states, serve, apply, v, slot, t, &mut local);
                     }
-                } else {
-                    for (j, slot) in chunk.iter_mut().enumerate() {
-                        let v = start + j;
-                        slot.clone_from(&states[v]);
-                        let mut rng = prefix.node(v as u64);
-                        local.record_attempt(RoundKind::Pull);
-                        if failure.fails(v, round, &mut rng) {
-                            local.record_failure();
-                            apply(v, slot, None);
-                        } else {
-                            let t = sampler.sample(&mut rng, v);
-                            let msg = serve(t, &states[t]);
-                            local.record_delivery(msg.message_bits());
-                            apply(v, slot, Some(msg));
+                    return local;
+                }
+                // Restructured around memory layout (bit-identical to the
+                // per-slot loop above — every node draws the same stream and
+                // serves the same target; only the cache-line touch order
+                // changes):
+                //
+                // 1. refresh one block of back-buffer slots in a tight clone
+                //    pass (a memcpy for Copy states) so the block is L1/L2-hot
+                //    for the apply pass;
+                // 2. within the block, draw contacts a batch at a time into a
+                //    stack buffer — separating the RNG math from the gather
+                //    makes the targets available early;
+                // 3. serve/apply with the gather prefetched `dist` targets
+                //    ahead, hiding the random-read latency that dominates
+                //    large-n rounds.
+                let mut tbuf = [0u32; TARGET_BATCH];
+                let mut bs = 0;
+                while bs < chunk.len() {
+                    let be = (bs + block).min(chunk.len());
+                    crate::soa::clone_block(&mut chunk[bs..be], &states[start + bs..start + be]);
+                    if !prefetch {
+                        for (j, slot) in chunk[bs..be].iter_mut().enumerate() {
+                            let v = start + bs + j;
+                            let t = fx.pull(sampler, prefix, v, &mut local);
+                            land_pull(states, serve, apply, v, slot, t, &mut local);
                         }
+                        bs = be;
+                        continue;
                     }
+                    let mut js = bs;
+                    while js < be {
+                        let je = (js + TARGET_BATCH).min(be);
+                        let batch = je - js;
+                        for (i, t) in tbuf[..batch].iter_mut().enumerate() {
+                            *t = fx.pull(sampler, prefix, start + js + i, &mut local);
+                        }
+                        for i in 0..batch {
+                            if i + dist < batch {
+                                if let Some(ahead) = states.get(tbuf[i + dist] as usize) {
+                                    crate::soa::prefetch_read(ahead);
+                                }
+                            }
+                            let (v, slot) = (start + js + i, &mut chunk[js + i]);
+                            land_pull(states, serve, apply, v, slot, tbuf[i], &mut local);
+                        }
+                        js = je;
+                    }
+                    bs = be;
                 }
                 local
             },
@@ -1224,66 +1429,64 @@ impl<S: Clone + Send + Sync> Engine<S> {
         G: Fn(NodeId, &mut S, M) + Sync,
         H: Fn(NodeId, &mut S, bool) + Sync,
     {
-        with_sampler!(self, sp => self.push_round_with(sp, make, fold, after))
+        with_sampler!(self, sp => with_faults!(self, fx => self.push_body(fx, sp, make, fold, after)))
     }
 
-    /// [`Engine::push_round`], monomorphised over the sampler type.
-    fn push_round_with<SP, M, F, G, H>(&mut self, sampler: SP, make: F, fold: G, after: H) -> usize
+    /// [`Engine::push_round`], monomorphised over the sampler type and the
+    /// fault policy.
+    fn push_body<X, SP, M, F, G, H>(
+        &mut self,
+        _: PhantomData<X>,
+        sampler: SP,
+        make: F,
+        fold: G,
+        after: H,
+    ) -> usize
     where
+        X: Faults,
         SP: Sampler,
         M: MessageSize,
         F: Fn(NodeId, &S) -> Option<M> + Sync,
         G: Fn(NodeId, &mut S, M) + Sync,
         H: Fn(NodeId, &mut S, bool) + Sync,
     {
-        if self.fault.is_disruptive() {
-            return self.push_round_faulty(sampler, make, fold, after);
-        }
         let n = self.n();
         self.metrics.record_round(RoundKind::Push, n as u64);
         self.round += 1;
         self.ensure_next();
+        self.advance_churn(self.round);
 
         let (round, threads) = (self.round, self.threads);
-        let (states, failure) = (&self.states, &self.failure);
+        let states = &self.states;
         let sampler = &sampler;
-        let reliable = failure.is_reliable();
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
+        let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
 
-        // Pass 1: every sender decides its outcome (silent / failed / target),
-        // reading its own pre-round state from the front buffer.
-        let delta = par::for_chunks(
+        // Pass 1: every sender decides its outcome (silent / failed /
+        // dropped / target), reading its own pre-round state from the front
+        // buffer.
+        let (delta, mut pending) = par::for_chunks(
             &self.pool,
             &mut self.scratch_targets,
             threads,
-            Metrics::default(),
+            (Metrics::default(), Vec::new()),
             |start, chunk| {
                 let mut local = Metrics::default();
+                let mut pending = Vec::new();
                 for (j, slot) in chunk.iter_mut().enumerate() {
                     let v = start + j;
-                    let msg = match make(v, &states[v]) {
-                        Some(m) => m,
-                        None => {
-                            *slot = TARGET_SILENT;
-                            continue;
-                        }
-                    };
-                    local.record_attempt(RoundKind::Push);
-                    let mut rng = prefix.node(v as u64);
-                    if !reliable && failure.fails(v, round, &mut rng) {
-                        local.record_failure();
-                        *slot = TARGET_FAILED;
-                    } else {
-                        let t = sampler.sample(&mut rng, v);
-                        local.record_delivery(msg.message_bits());
-                        *slot = t as u32;
-                    }
+                    let bits = || make(v, &states[v]).map(|m| m.message_bits());
+                    *slot = fx.push(sampler, prefix, v, bits, &mut local, &mut pending);
                 }
-                local
+                (local, pending)
             },
-            |a, b| a + b,
+            join_pending,
         );
         self.metrics = self.metrics + delta;
+        // New entries are due strictly after `round`, so appending before the
+        // drain is safe — they cannot be picked up by it.
+        self.pending_delayed.append(&mut pending);
+        self.collect_due(round);
 
         // Bucket deliveries by receiver (CSR), then clone + fold + after per
         // receiver in one fused pass over the back buffer — block-refreshed,
@@ -1298,12 +1501,20 @@ impl<S: Clone + Send + Sync> Engine<S> {
             &self.scratch_offsets,
             &self.scratch_senders,
         );
-        par::for_chunks(
+        let fx = X::hoist(
+            self.seed,
+            round,
+            &self.fault,
+            &self.down_until,
+            &self.due_scratch,
+        );
+        let arrivals = par::for_chunks(
             &self.pool,
             &mut self.next,
             threads,
-            (),
+            Metrics::default(),
             |start, chunk| {
+                let mut local = Metrics::default();
                 let chunk_hi = offsets[start + chunk.len()].load(Ordering::Relaxed) as usize;
                 let mut bs = 0;
                 while bs < chunk.len() {
@@ -1323,13 +1534,31 @@ impl<S: Clone + Send + Sync> Engine<S> {
                                 fold(u, slot, msg);
                             }
                         }
-                        after(u, slot, (targets[u] as usize) < n);
+                        // Late arrivals land after this round's in-time
+                        // deliveries, in send order; the message is
+                        // re-derived from the sender's *current* state (a
+                        // sender answering `None` now means the late message
+                        // evaporates).
+                        for &(_, s) in fx.late(u) {
+                            let v = s as usize;
+                            if let Some(msg) = make(v, &states[v]) {
+                                local.record_delivery(msg.message_bits());
+                                fold(u, slot, msg);
+                            }
+                        }
+                        // A crashed node performed nothing this round, so its
+                        // `after` hook does not run.
+                        if fx.alive(u) {
+                            after(u, slot, (targets[u] as usize) < n);
+                        }
                     }
                     bs = be;
                 }
+                local
             },
-            |(), ()| (),
+            |a, b| a + b,
         );
+        self.metrics = self.metrics + arrivals;
         std::mem::swap(&mut self.states, &mut self.next);
         delta.failed_operations as usize
     }
@@ -1350,71 +1579,59 @@ impl<S: Clone + Send + Sync> Engine<S> {
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, M) + Sync,
     {
-        with_sampler!(self, sp => self.push_pull_round_with(sp, serve, merge))
+        with_sampler!(self, sp => with_faults!(self, fx => self.push_pull_body(fx, sp, serve, merge)))
     }
 
-    /// [`Engine::push_pull_round`], monomorphised over the sampler type.
-    fn push_pull_round_with<SP, M, F, G>(&mut self, sampler: SP, serve: F, merge: G) -> usize
+    /// [`Engine::push_pull_round`], monomorphised over the sampler type and
+    /// the fault policy.
+    fn push_pull_body<X, SP, M, F, G>(
+        &mut self,
+        _: PhantomData<X>,
+        sampler: SP,
+        serve: F,
+        merge: G,
+    ) -> usize
     where
+        X: Faults,
         SP: Sampler,
         M: MessageSize,
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, M) + Sync,
     {
-        if self.fault.is_disruptive() {
-            return self.push_pull_round_faulty(sampler, serve, merge);
-        }
         let n = self.n();
         self.metrics.record_round(RoundKind::PushPull, n as u64);
         self.round += 1;
         self.ensure_next();
+        self.advance_churn(self.round);
 
         let (round, threads) = (self.round, self.threads);
-        let failure = &self.failure;
         let sampler = &sampler;
-        let reliable = failure.is_reliable();
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
+        let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
 
-        // Pass 1: every node draws its failure coin, pull target, push target.
-        // Delivery metrics are recorded in pass 2, where the messages are
-        // constructed anyway.
-        let delta = par::for_chunks2(
+        // Pass 1: every node draws its failure coin, pull target, push
+        // target, then the per-direction fault coins. Delivery metrics are
+        // recorded in pass 2, where the messages are constructed anyway.
+        let (delta, mut pending) = par::for_chunks2(
             &self.pool,
             &mut self.scratch_targets,
             &mut self.scratch_pull,
             threads,
-            Metrics::default(),
+            (Metrics::default(), Vec::new()),
             |start, push_chunk, pull_chunk| {
                 let mut local = Metrics::default();
-                if reliable {
-                    // Dedicated no-failure loop: no coin, no model match.
-                    for j in 0..push_chunk.len() {
-                        let v = start + j;
-                        local.record_attempt(RoundKind::PushPull);
-                        let mut rng = prefix.node(v as u64);
-                        pull_chunk[j] = sampler.sample(&mut rng, v) as u32;
-                        push_chunk[j] = sampler.sample(&mut rng, v) as u32;
-                    }
-                } else {
-                    for j in 0..push_chunk.len() {
-                        let v = start + j;
-                        local.record_attempt(RoundKind::PushPull);
-                        let mut rng = prefix.node(v as u64);
-                        if failure.fails(v, round, &mut rng) {
-                            local.record_failure();
-                            push_chunk[j] = TARGET_FAILED;
-                            pull_chunk[j] = TARGET_FAILED;
-                        } else {
-                            pull_chunk[j] = sampler.sample(&mut rng, v) as u32;
-                            push_chunk[j] = sampler.sample(&mut rng, v) as u32;
-                        }
-                    }
+                let mut pending = Vec::new();
+                for (j, (push, pull)) in push_chunk.iter_mut().zip(pull_chunk).enumerate() {
+                    (*pull, *push) =
+                        fx.push_pull(sampler, prefix, start + j, &mut local, &mut pending);
                 }
-                local
+                (local, pending)
             },
-            |a, b| a + b,
+            join_pending,
         );
         self.metrics = self.metrics + delta;
+        self.pending_delayed.append(&mut pending);
+        self.collect_due(round);
 
         self.bucket_deliveries(n);
         let states = &self.states;
@@ -1423,6 +1640,13 @@ impl<S: Clone + Send + Sync> Engine<S> {
             &self.scratch_pull,
             &self.scratch_offsets,
             &self.scratch_senders,
+        );
+        let fx = X::hoist(
+            self.seed,
+            round,
+            &self.fault,
+            &self.down_until,
+            &self.due_scratch,
         );
         let deliveries = par::for_chunks(
             &self.pool,
@@ -1433,6 +1657,11 @@ impl<S: Clone + Send + Sync> Engine<S> {
                 let mut local = Metrics::default();
                 let chunk_end = start + chunk.len();
                 let chunk_hi = offsets[chunk_end].load(Ordering::Relaxed) as usize;
+                let mut deliver = |u: NodeId, slot: &mut S, v: usize| {
+                    let msg = serve(v, &states[v]);
+                    local.record_delivery(msg.message_bits());
+                    merge(u, slot, msg);
+                };
                 let mut bs = 0;
                 while bs < chunk.len() {
                     let be = (bs + block).min(chunk.len());
@@ -1442,17 +1671,12 @@ impl<S: Clone + Send + Sync> Engine<S> {
                         // Prefetch the pull gather a few receivers ahead;
                         // the push gather is prefetched along the CSR span.
                         if dist > 0 && u + dist < chunk_end {
-                            let ahead = pulls[u + dist];
-                            if ahead != TARGET_FAILED {
-                                crate::soa::prefetch_read(&states[ahead as usize]);
+                            if let Some(ahead) = states.get(pulls[u + dist] as usize) {
+                                crate::soa::prefetch_read(ahead);
                             }
                         }
-                        let t_pull = pulls[u];
-                        if t_pull != TARGET_FAILED {
-                            let t = t_pull as usize;
-                            let msg = serve(t, &states[t]);
-                            local.record_delivery(msg.message_bits());
-                            merge(u, slot, msg);
+                        if (pulls[u] as usize) < n {
+                            deliver(u, slot, pulls[u] as usize);
                         }
                         let lo = offsets[u].load(Ordering::Relaxed) as usize;
                         let hi = offsets[u + 1].load(Ordering::Relaxed) as usize;
@@ -1461,10 +1685,10 @@ impl<S: Clone + Send + Sync> Engine<S> {
                                 let ahead = senders[i + dist].load(Ordering::Relaxed) as usize;
                                 crate::soa::prefetch_read(&states[ahead]);
                             }
-                            let v = senders[i].load(Ordering::Relaxed) as usize;
-                            let msg = serve(v, &states[v]);
-                            local.record_delivery(msg.message_bits());
-                            merge(u, slot, msg);
+                            deliver(u, slot, senders[i].load(Ordering::Relaxed) as usize);
+                        }
+                        for &(_, s) in fx.late(u) {
+                            deliver(u, slot, s as usize);
                         }
                     }
                     bs = be;
@@ -1491,55 +1715,21 @@ impl<S: Clone + Send + Sync> Engine<S> {
         M: MessageSize + Send,
         F: Fn(NodeId, &S) -> M + Sync,
     {
-        with_sampler!(self, sp => self.collect_samples_with(sp, k, serve))
-    }
-
-    /// [`Engine::collect_samples`], monomorphised over the sampler type.
-    fn collect_samples_with<SP, M, F>(&mut self, sampler: SP, k: usize, serve: F) -> Vec<Vec<M>>
-    where
-        SP: Sampler,
-        M: MessageSize + Send,
-        F: Fn(NodeId, &S) -> M + Sync,
-    {
-        if self.fault.is_disruptive() || !self.failure.is_reliable() {
-            // Pulls can fail: the flat fault-aware columns, regrouped per
-            // node (failed and dropped pulls simply leave no entry).
-            return self
-                .collect_samples_flat_with(sampler, k, serve)
-                .into_rows();
-        }
-        let n = self.n();
-        let threads = self.threads;
-        let mut collected: Vec<Vec<M>> = (0..n).map(|_| Vec::with_capacity(k)).collect();
-        for _ in 0..k {
-            self.metrics.record_round(RoundKind::Pull, n as u64);
-            self.round += 1;
-            let states = &self.states;
-            let sampler = &sampler;
-            let prefix = NodeRng::key_prefix(self.seed, self.round, NodeRng::STREAM_ROUND);
-            let delta = par::for_chunks(
-                &self.pool,
-                &mut collected,
-                threads,
-                Metrics::default(),
-                |start, chunk| {
-                    // Dedicated no-failure loop: no coin, no model match.
-                    let mut local = Metrics::default();
-                    for (j, bucket) in chunk.iter_mut().enumerate() {
-                        let v = start + j;
-                        local.record_attempt(RoundKind::Pull);
-                        let mut rng = prefix.node(v as u64);
-                        let t = sampler.sample(&mut rng, v);
-                        let msg = serve(t, &states[t]);
-                        local.record_delivery(msg.message_bits());
-                        bucket.push(msg);
-                    }
-                    local
-                },
-                |a, b| a + b,
-            );
-            self.metrics = self.metrics + delta;
-        }
+        // `k` sampling columns whose slots are the per-node buckets, so every
+        // round pushes straight into them in parallel (regrouping a flat
+        // matrix afterwards would be a sequential pass).
+        let mut collected: Vec<Vec<M>> = (0..self.n()).map(|_| Vec::with_capacity(k)).collect();
+        let deliver = |bucket: &mut Vec<M>, t, state: &S| {
+            let msg = serve(t, state);
+            let bits = msg.message_bits();
+            bucket.push(msg);
+            bits
+        };
+        with_sampler!(self, sp => with_faults!(self, fx => {
+            for _ in 0..k {
+                self.collect_column(fx, &sp, &mut collected, &|_| true, &deliver);
+            }
+        }));
         collected
     }
 
@@ -1556,63 +1746,13 @@ impl<S: Clone + Send + Sync> Engine<S> {
         M: MessageSize + Send,
         F: Fn(NodeId, &S) -> M + Sync,
     {
-        with_sampler!(self, sp => self.collect_samples_flat_with(sp, k, serve))
-    }
-
-    /// [`Engine::collect_samples_flat`], monomorphised over the sampler type.
-    fn collect_samples_flat_with<SP, M, F>(
-        &mut self,
-        sampler: SP,
-        k: usize,
-        serve: F,
-    ) -> SampleMatrix<M>
-    where
-        SP: Sampler,
-        M: MessageSize + Send,
-        F: Fn(NodeId, &S) -> M + Sync,
-    {
-        let n = self.n();
-        let mut matrix = SampleMatrix::empty(n, k);
-        if self.fault.is_disruptive() || !self.failure.is_reliable() {
-            // Pulls can fail: one round per column through the single
-            // failure- and fault-aware column body. Failed or dropped pulls
-            // leave their slot empty, so the matrix is always `n × k`.
-            let deliver = |slot: &mut Option<M>, t, state: &S| keep(slot, serve(t, state));
+        let mut matrix = SampleMatrix::empty(self.n(), k);
+        let deliver = |slot: &mut Option<M>, t, state: &S| keep(slot, serve(t, state));
+        with_sampler!(self, sp => with_faults!(self, fx => {
             for r in 0..k {
-                self.collect_column(&sampler, matrix.column_mut(r), &|_| true, &deliver);
+                self.collect_column(fx, &sp, matrix.column_mut(r), &|_| true, &deliver);
             }
-            return matrix;
-        }
-        let threads = self.threads;
-        for r in 0..k {
-            self.metrics.record_round(RoundKind::Pull, n as u64);
-            self.round += 1;
-            let states = &self.states;
-            let sampler = &sampler;
-            let prefix = NodeRng::key_prefix(self.seed, self.round, NodeRng::STREAM_ROUND);
-            let delta = par::for_chunks(
-                &self.pool,
-                matrix.column_mut(r),
-                threads,
-                Metrics::default(),
-                |start, chunk| {
-                    // Dedicated no-failure loop: no coin, no model match.
-                    let mut local = Metrics::default();
-                    for (j, slot) in chunk.iter_mut().enumerate() {
-                        let v = start + j;
-                        local.record_attempt(RoundKind::Pull);
-                        let mut rng = prefix.node(v as u64);
-                        let t = sampler.sample(&mut rng, v);
-                        let msg = serve(t, &states[t]);
-                        local.record_delivery(msg.message_bits());
-                        *slot = Some(msg);
-                    }
-                    local
-                },
-                |a, b| a + b,
-            );
-            self.metrics = self.metrics + delta;
-        }
+        }));
         matrix
     }
 
@@ -1646,10 +1786,10 @@ impl<S: Clone + Send + Sync> Engine<S> {
     /// scratch batch, their states are software-prefetched
     /// [`Engine::set_prefetch_dist`] ahead (the [`Engine::pull_round`]
     /// scheme, with the same cache-resident gate), and each node's samples
-    /// go straight to `apply` — no sample matrix and no second pass. Under a
-    /// non-reliable failure model or a disruptive [`FaultPlan`] (and for
-    /// more than 256 samples per node) the step runs the composition itself,
-    /// one flat sample column per round.
+    /// go straight to `apply` — no sample matrix and no second pass. Under
+    /// any fault, the failure model included (and for more than 256 samples
+    /// per node), the step runs the composition itself, one flat sample
+    /// column per round.
     pub fn sample_step<M, P, F, A>(
         &mut self,
         k: usize,
@@ -1685,7 +1825,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let dense = dense.min(k);
         // A node's targets must fit one stack batch; steps with more samples
         // per node than that (no algorithm here takes them) compose instead.
-        if self.fault.is_disruptive() || !self.failure.is_reliable() || k > TARGET_BATCH {
+        if !self.fault.is_none() || k > TARGET_BATCH {
             return self.sample_step_composed(sampler, k, dense, participates, serve, apply);
         }
         let n = self.n();
@@ -1830,14 +1970,16 @@ impl<S: Clone + Send + Sync> Engine<S> {
     {
         let mut samples = SampleMatrix::empty(self.n(), k);
         let deliver = |slot: &mut Option<M>, t, state: &S| keep(slot, serve(t, state));
-        for r in 0..k {
-            let column = samples.column_mut(r);
-            if r < dense {
-                self.collect_column(&sampler, column, &|_| true, &deliver);
-            } else {
-                self.collect_column(&sampler, column, &participates, &deliver);
+        with_faults!(self, fx => {
+            for r in 0..k {
+                let column = samples.column_mut(r);
+                if r < dense {
+                    self.collect_column(fx, &sampler, column, &|_| true, &deliver);
+                } else {
+                    self.collect_column(fx, &sampler, column, &participates, &deliver);
+                }
             }
-        }
+        });
         self.local_epochs += 1;
         let prefix = NodeRng::key_prefix(self.seed, self.local_epochs, NodeRng::STREAM_LOCAL);
         let samples = &samples;
@@ -1871,16 +2013,17 @@ impl<S: Clone + Send + Sync> Engine<S> {
     /// down node leaves its slot untouched, as are the other slots. The
     /// round is recorded with the number of pulling nodes, and every coin —
     /// churn, failure, target, loss — is drawn in exactly the order
-    /// [`Engine::collect_samples`] (with `pulls` always true) and
-    /// [`Engine::collect_samples_on`] (with `pulls` the active set) draw
-    /// them, so filling `k` columns is their flat twin.
-    fn collect_column<SP, C, P, D>(
+    /// [`Engine::collect_samples_on`] (with `pulls` the active set) draws
+    /// them, so filling `k` columns is its flat twin.
+    fn collect_column<X, SP, C, P, D>(
         &mut self,
+        _: PhantomData<X>,
         sampler: &SP,
         column: &mut [C],
         pulls: &P,
         deliver: &D,
     ) where
+        X: Faults,
         SP: Sampler,
         C: Send,
         P: Fn(NodeId) -> bool + Sync,
@@ -1888,52 +2031,34 @@ impl<S: Clone + Send + Sync> Engine<S> {
     {
         self.round += 1;
         let round = self.round;
-        let disruptive = self.fault.is_disruptive();
-        if disruptive {
-            self.advance_churn(round);
-        }
-        let (states, failure) = (&self.states, &self.failure);
-        let reliable = failure.is_reliable();
+        self.advance_churn(round);
+        let states = &self.states;
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let ctx =
-            disruptive.then(|| FaultCtx::new(self.seed, round, &self.down_until, &self.fault));
-        let ctx = ctx.as_ref();
-        let (delta, active) = par::for_chunks(
+        let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
+        let delta = par::for_chunks(
             &self.pool,
             column,
             self.threads,
-            (Metrics::default(), 0u64),
+            Metrics::default(),
             |start, chunk| {
                 let mut local = Metrics::default();
-                let mut active = 0u64;
                 for (j, slot) in chunk.iter_mut().enumerate() {
                     let v = start + j;
                     if !pulls(v) {
                         continue;
                     }
-                    active += 1;
-                    if ctx.is_some_and(|c| !c.alive(v)) {
-                        local.record_crash();
-                        continue;
+                    let t = fx.pull(sampler, prefix, v, &mut local) as usize;
+                    if let Some(state) = states.get(t) {
+                        local.record_delivery(deliver(slot, t, state));
                     }
-                    local.record_attempt(RoundKind::Pull);
-                    let mut rng = prefix.node(v as u64);
-                    if !reliable && failure.fails(v, round, &mut rng) {
-                        local.record_failure();
-                        continue;
-                    }
-                    let t = sampler.sample(&mut rng, v);
-                    if ctx.is_some_and(|c| !c.alive(t) || c.lost(t, v)) {
-                        local.record_drop();
-                        continue;
-                    }
-                    local.record_delivery(deliver(slot, t, &states[t]));
                 }
-                (local, active)
+                local
             },
-            |(a, x), (b, y)| (a + b, x + y),
+            |a, b| a + b,
         );
-        self.metrics.record_round(RoundKind::Pull, active);
+        // Every pulling node either attempted or was down.
+        let pulling = delta.pulls_attempted + delta.crashed_operations;
+        self.metrics.record_round(RoundKind::Pull, pulling);
         self.metrics = self.metrics + delta;
     }
 
@@ -1952,9 +2077,8 @@ impl<S: Clone + Send + Sync> Engine<S> {
     /// [`Engine::collect_samples_on`]) whose messages cost `bits(source)`.
     /// On an engine whose pulls cannot fail the round is one pool pass over
     /// `sources` (over the active indices only, after an `O(n)` reset, when
-    /// `active` is given); under a non-reliable [`FailureModel`] or a
-    /// disruptive [`FaultPlan`] it runs through the same fault-aware column
-    /// body as every other failing sampling round.
+    /// `active` is given); under any fault, the failure model included, it
+    /// runs the fault-aware instantiation of the sampling column.
     ///
     /// # Panics
     ///
@@ -1967,14 +2091,15 @@ impl<S: Clone + Send + Sync> Engine<S> {
         if let Some(active) = active {
             self.assert_active(active);
         }
-        if self.fault.is_disruptive() || !self.failure.is_reliable() {
+        if !self.fault.is_none() {
             sources.fill(u32::MAX);
             let pulls = |v| active.map_or(true, |a| a.contains(v));
             let deliver = |slot: &mut u32, t: NodeId, _: &S| {
                 *slot = t as u32;
                 bits(t)
             };
-            with_sampler!(self, sp => self.collect_column(&sp, sources, &pulls, &deliver));
+            let fx = PhantomData::<FaultCtx>;
+            with_sampler!(self, sp => self.collect_column(fx, &sp, sources, &pulls, &deliver));
             return;
         }
         let pulling = active.map_or(self.n(), ActiveSet::len);
@@ -2111,60 +2236,15 @@ impl<S: Clone + Send + Sync> Engine<S> {
         );
     }
 
-    /// Computes, without executing anything, the pull target every node
-    /// *would* draw in the given absolute round (the value [`Engine::round`]
-    /// has **during** that round, i.e. `self.round() + 1` previews the next
-    /// round). `out[v]` is `None` when `v`'s failure coin makes its pull fail
-    /// that round (no target is drawn), `Some(t)` otherwise.
-    ///
-    /// Pull-target draws are keyed purely by `(seed, round, node)` on
-    /// [`NodeRng::STREAM_ROUND`], so the preview is exact for any future (or
-    /// past) round and is unaffected by sparse execution, payload contents, or
-    /// thread count. Two caveats under a disruptive [`FaultPlan`]: a node
-    /// that turns out to be crashed in that round draws nothing in reality
-    /// (the preview still reports the target it would have drawn), and a
-    /// contact that is lost in flight still had its target drawn exactly as
-    /// previewed. Both make the preview a *superset* of realised contacts —
-    /// what an incremental-recompute layer needs to bound which nodes a state
-    /// change can influence.
-    pub fn preview_pull_targets_at(&self, round: u64, out: &mut Vec<Option<NodeId>>) {
-        let n = self.n();
-        out.clear();
-        out.reserve(n);
-        let failure = &self.failure;
-        let reliable = failure.is_reliable();
-        let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        with_sampler!(self, sp => {
-            for v in 0..n {
-                let mut rng = prefix.node(v as u64);
-                if !reliable && failure.fails(v, round, &mut rng) {
-                    out.push(None);
-                } else {
-                    out.push(Some(sp.sample(&mut rng, v)));
-                }
-            }
-        });
-    }
-
     // ------------------------------------------------------------------
-    // Fault-aware round bodies.
+    // Fault state between rounds.
     //
-    // A disruptive [`FaultPlan`] (churn, message loss, or stragglers) routes
-    // every primitive through the dedicated `_faulty` variant below — the
-    // dense sampling collectors through `collect_column` — instead
-    // of threading extra branches through the hot loops: the fast and
-    // failure-only loops above stay byte-identical (and so do their golden
-    // trajectories), and all fault coins come from the dedicated RNG streams
-    // (`STREAM_FAULT_*`), so the algorithm's own draws on `STREAM_ROUND` are
-    // exactly the ones a fault-free run would make.
-    //
-    // Per-contact decision order (also documented on [`FaultPlan`]):
-    // sender crashed → failure coin → target sampling → straggler coin
-    // (push directions only) → loss coin → receiver crashed. Pull contacts
-    // never straggle (a pull is a request/response within the round);
-    // straggled pushes are buffered in `pending_delayed` and folded into the
-    // first push-capable round at or after their due round, with the message
-    // re-derived from the sender's state at arrival.
+    // Every round body advances the churn model at its start (a no-op
+    // without churn), and the push-capable bodies drain the straggled
+    // contacts due this round after their sender pass. Straggled pushes
+    // wait in `pending_delayed` and fold into the first push-capable round
+    // at or after their due round, with the message re-derived from the
+    // sender's state at arrival; pull-only rounds leave them in flight.
     // ------------------------------------------------------------------
 
     /// Advances the churn model to `round`: every currently-alive node draws
@@ -2221,358 +2301,6 @@ impl<S: Clone + Send + Sync> Engine<S> {
         for _ in 0..dropped {
             self.metrics.record_drop();
         }
-    }
-
-    /// [`Engine::pull_round`] under a disruptive fault plan.
-    fn pull_round_faulty<SP, M, F, G>(&mut self, sampler: SP, serve: F, apply: G) -> usize
-    where
-        SP: Sampler,
-        M: MessageSize,
-        F: Fn(NodeId, &S) -> M + Sync,
-        G: Fn(NodeId, &mut S, Option<M>) + Sync,
-    {
-        self.metrics.record_round(RoundKind::Pull, self.n() as u64);
-        self.round += 1;
-        self.ensure_next();
-        self.advance_churn(self.round);
-
-        let (round, threads) = (self.round, self.threads);
-        let (states, failure) = (&self.states, &self.failure);
-        let sampler = &sampler;
-        let reliable = failure.is_reliable();
-        let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let ctx = FaultCtx::new(self.seed, round, &self.down_until, &self.fault);
-        let ctx = &ctx;
-        let delta = par::for_chunks(
-            &self.pool,
-            &mut self.next,
-            threads,
-            Metrics::default(),
-            |start, chunk| {
-                let mut local = Metrics::default();
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let v = start + j;
-                    // Crashed nodes keep their state (they resume from it on
-                    // rejoin) but perform no operation.
-                    slot.clone_from(&states[v]);
-                    if !ctx.alive(v) {
-                        local.record_crash();
-                        continue;
-                    }
-                    let mut rng = prefix.node(v as u64);
-                    local.record_attempt(RoundKind::Pull);
-                    if !reliable && failure.fails(v, round, &mut rng) {
-                        local.record_failure();
-                        apply(v, slot, None);
-                        continue;
-                    }
-                    let t = sampler.sample(&mut rng, v);
-                    if !ctx.alive(t) || ctx.lost(t, v) {
-                        local.record_drop();
-                        apply(v, slot, None);
-                        continue;
-                    }
-                    let msg = serve(t, &states[t]);
-                    local.record_delivery(msg.message_bits());
-                    apply(v, slot, Some(msg));
-                }
-                local
-            },
-            |a, b| a + b,
-        );
-        self.metrics = self.metrics + delta;
-        std::mem::swap(&mut self.states, &mut self.next);
-        delta.failed_operations as usize
-    }
-
-    /// [`Engine::push_round`] under a disruptive fault plan.
-    fn push_round_faulty<SP, M, F, G, H>(
-        &mut self,
-        sampler: SP,
-        make: F,
-        fold: G,
-        after: H,
-    ) -> usize
-    where
-        SP: Sampler,
-        M: MessageSize,
-        F: Fn(NodeId, &S) -> Option<M> + Sync,
-        G: Fn(NodeId, &mut S, M) + Sync,
-        H: Fn(NodeId, &mut S, bool) + Sync,
-    {
-        let n = self.n();
-        self.metrics.record_round(RoundKind::Push, n as u64);
-        self.round += 1;
-        self.ensure_next();
-        self.advance_churn(self.round);
-
-        let (round, threads) = (self.round, self.threads);
-        let (states, failure) = (&self.states, &self.failure);
-        let sampler = &sampler;
-        let reliable = failure.is_reliable();
-        let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let ctx = FaultCtx::new(self.seed, round, &self.down_until, &self.fault);
-        let ctx = &ctx;
-
-        // Pass 1: as the reliable pass, plus the fault decisions. Straggled
-        // pushes are collected per chunk and concatenated in chunk order by
-        // the fold, so `pending_delayed` grows in ascending sender order at
-        // any thread count.
-        let (delta, mut new_pending) = par::for_chunks(
-            &self.pool,
-            &mut self.scratch_targets,
-            threads,
-            (Metrics::default(), Vec::new()),
-            |start, chunk| {
-                let mut local = Metrics::default();
-                let mut pending: Vec<DelayedContact> = Vec::new();
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let v = start + j;
-                    if !ctx.alive(v) {
-                        *slot = TARGET_SILENT;
-                        local.record_crash();
-                        continue;
-                    }
-                    let msg = match make(v, &states[v]) {
-                        Some(m) => m,
-                        None => {
-                            *slot = TARGET_SILENT;
-                            continue;
-                        }
-                    };
-                    local.record_attempt(RoundKind::Push);
-                    let mut rng = prefix.node(v as u64);
-                    if !reliable && failure.fails(v, round, &mut rng) {
-                        local.record_failure();
-                        *slot = TARGET_FAILED;
-                        continue;
-                    }
-                    let t = sampler.sample(&mut rng, v);
-                    if let Some(d) = ctx.delay_of(v) {
-                        pending.push(DelayedContact {
-                            due: round + d,
-                            receiver: t as u32,
-                            sender: v as u32,
-                        });
-                        *slot = TARGET_DROPPED;
-                        local.record_delay();
-                        continue;
-                    }
-                    if !ctx.alive(t) || ctx.lost(v, t) {
-                        *slot = TARGET_DROPPED;
-                        local.record_drop();
-                        continue;
-                    }
-                    local.record_delivery(msg.message_bits());
-                    *slot = t as u32;
-                }
-                (local, pending)
-            },
-            |(ma, mut va), (mb, mut vb)| {
-                va.append(&mut vb);
-                (ma + mb, va)
-            },
-        );
-        self.metrics = self.metrics + delta;
-        // New entries are due strictly after `round`, so appending before the
-        // drain is safe — they cannot be picked up by it.
-        self.pending_delayed.append(&mut new_pending);
-        self.collect_due(round);
-
-        self.bucket_deliveries(n);
-        let states = &self.states;
-        let (targets, offsets, senders) = (
-            &self.scratch_targets,
-            &self.scratch_offsets,
-            &self.scratch_senders,
-        );
-        let due = &self.due_scratch;
-        let down = &self.down_until;
-        let arrivals = par::for_chunks(
-            &self.pool,
-            &mut self.next,
-            threads,
-            Metrics::default(),
-            |start, chunk| {
-                let mut local = Metrics::default();
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let u = start + j;
-                    slot.clone_from(&states[u]);
-                    let lo = offsets[u].load(Ordering::Relaxed) as usize;
-                    let hi = offsets[u + 1].load(Ordering::Relaxed) as usize;
-                    for s in &senders[lo..hi] {
-                        let v = s.load(Ordering::Relaxed) as usize;
-                        if let Some(msg) = make(v, &states[v]) {
-                            fold(u, slot, msg);
-                        }
-                    }
-                    if !due.is_empty() {
-                        // Late arrivals land after this round's in-time
-                        // deliveries, in send order; the message is
-                        // re-derived from the sender's *current* state (a
-                        // sender answering `None` now means the late message
-                        // evaporates).
-                        let dlo = due.partition_point(|&(r, _)| (r as usize) < u);
-                        for &(_, s) in due[dlo..].iter().take_while(|&&(r, _)| (r as usize) == u) {
-                            let v = s as usize;
-                            if let Some(msg) = make(v, &states[v]) {
-                                local.record_delivery(msg.message_bits());
-                                fold(u, slot, msg);
-                            }
-                        }
-                    }
-                    // A crashed node performed nothing this round, so its
-                    // `after` hook does not run.
-                    if down.is_empty() || down[u] <= round {
-                        after(u, slot, (targets[u] as usize) < n);
-                    }
-                }
-                local
-            },
-            |a, b| a + b,
-        );
-        self.metrics = self.metrics + arrivals;
-        std::mem::swap(&mut self.states, &mut self.next);
-        delta.failed_operations as usize
-    }
-
-    /// [`Engine::push_pull_round`] under a disruptive fault plan.
-    fn push_pull_round_faulty<SP, M, F, G>(&mut self, sampler: SP, serve: F, merge: G) -> usize
-    where
-        SP: Sampler,
-        M: MessageSize,
-        F: Fn(NodeId, &S) -> M + Sync,
-        G: Fn(NodeId, &mut S, M) + Sync,
-    {
-        let n = self.n();
-        self.metrics.record_round(RoundKind::PushPull, n as u64);
-        self.round += 1;
-        self.ensure_next();
-        self.advance_churn(self.round);
-
-        let (round, threads) = (self.round, self.threads);
-        let failure = &self.failure;
-        let sampler = &sampler;
-        let reliable = failure.is_reliable();
-        let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let ctx = FaultCtx::new(self.seed, round, &self.down_until, &self.fault);
-        let ctx = &ctx;
-
-        // Pass 1: failure coin, pull target, push target — then the fault
-        // decisions per direction. The two directions draw independent loss
-        // coins (the pair key is ordered sender-then-receiver).
-        let (delta, mut new_pending) = par::for_chunks2(
-            &self.pool,
-            &mut self.scratch_targets,
-            &mut self.scratch_pull,
-            threads,
-            (Metrics::default(), Vec::new()),
-            |start, push_chunk, pull_chunk| {
-                let mut local = Metrics::default();
-                let mut pending: Vec<DelayedContact> = Vec::new();
-                for j in 0..push_chunk.len() {
-                    let v = start + j;
-                    if !ctx.alive(v) {
-                        push_chunk[j] = TARGET_SILENT;
-                        pull_chunk[j] = TARGET_SILENT;
-                        local.record_crash();
-                        continue;
-                    }
-                    local.record_attempt(RoundKind::PushPull);
-                    let mut rng = prefix.node(v as u64);
-                    if !reliable && failure.fails(v, round, &mut rng) {
-                        local.record_failure();
-                        push_chunk[j] = TARGET_FAILED;
-                        pull_chunk[j] = TARGET_FAILED;
-                        continue;
-                    }
-                    let t_pull = sampler.sample(&mut rng, v);
-                    let t_push = sampler.sample(&mut rng, v);
-                    // Pull direction: the server `t_pull` answers `v`; pulls
-                    // never straggle.
-                    if !ctx.alive(t_pull) || ctx.lost(t_pull, v) {
-                        local.record_drop();
-                        pull_chunk[j] = TARGET_DROPPED;
-                    } else {
-                        pull_chunk[j] = t_pull as u32;
-                    }
-                    // Push direction: may straggle.
-                    if let Some(d) = ctx.delay_of(v) {
-                        pending.push(DelayedContact {
-                            due: round + d,
-                            receiver: t_push as u32,
-                            sender: v as u32,
-                        });
-                        push_chunk[j] = TARGET_DROPPED;
-                        local.record_delay();
-                    } else if !ctx.alive(t_push) || ctx.lost(v, t_push) {
-                        push_chunk[j] = TARGET_DROPPED;
-                        local.record_drop();
-                    } else {
-                        push_chunk[j] = t_push as u32;
-                    }
-                }
-                (local, pending)
-            },
-            |(ma, mut va), (mb, mut vb)| {
-                va.append(&mut vb);
-                (ma + mb, va)
-            },
-        );
-        self.metrics = self.metrics + delta;
-        self.pending_delayed.append(&mut new_pending);
-        self.collect_due(round);
-
-        self.bucket_deliveries(n);
-        let states = &self.states;
-        let (pulls, offsets, senders) = (
-            &self.scratch_pull,
-            &self.scratch_offsets,
-            &self.scratch_senders,
-        );
-        let due = &self.due_scratch;
-        let deliveries = par::for_chunks(
-            &self.pool,
-            &mut self.next,
-            threads,
-            Metrics::default(),
-            |start, chunk| {
-                let mut local = Metrics::default();
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let u = start + j;
-                    slot.clone_from(&states[u]);
-                    let t_pull = pulls[u];
-                    if (t_pull as usize) < n {
-                        let t = t_pull as usize;
-                        let msg = serve(t, &states[t]);
-                        local.record_delivery(msg.message_bits());
-                        merge(u, slot, msg);
-                    }
-                    let lo = offsets[u].load(Ordering::Relaxed) as usize;
-                    let hi = offsets[u + 1].load(Ordering::Relaxed) as usize;
-                    for s in &senders[lo..hi] {
-                        let v = s.load(Ordering::Relaxed) as usize;
-                        let msg = serve(v, &states[v]);
-                        local.record_delivery(msg.message_bits());
-                        merge(u, slot, msg);
-                    }
-                    if !due.is_empty() {
-                        let dlo = due.partition_point(|&(r, _)| (r as usize) < u);
-                        for &(_, s) in due[dlo..].iter().take_while(|&&(r, _)| (r as usize) == u) {
-                            let v = s as usize;
-                            let msg = serve(v, &states[v]);
-                            local.record_delivery(msg.message_bits());
-                            merge(u, slot, msg);
-                        }
-                    }
-                }
-                local
-            },
-            |a, b| a + b,
-        );
-        self.metrics = self.metrics + deliveries;
-        std::mem::swap(&mut self.states, &mut self.next);
-        delta.failed_operations as usize
     }
 
     /// Counting-sorts senders into per-receiver CSR buckets: deliveries for
@@ -2812,37 +2540,39 @@ impl<S: Clone + Send + Sync> Engine<S> {
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, Option<M>) + Sync,
     {
-        with_sampler!(self, sp => self.pull_round_on_with(sp, active, serve, apply))
+        with_sampler!(self, sp => with_faults!(self, fx => self.pull_on_body(fx, sp, active, serve, apply)))
     }
 
-    /// [`Engine::pull_round_on`], monomorphised over the sampler type.
-    fn pull_round_on_with<SP, M, F, G>(
+    /// [`Engine::pull_round_on`], monomorphised over the sampler type and
+    /// the fault policy. Crash bookkeeping is restricted to the active
+    /// members (a crashed *inactive* node does nothing either way).
+    fn pull_on_body<X, SP, M, F, G>(
         &mut self,
+        _: PhantomData<X>,
         sampler: SP,
         active: &ActiveSet,
         serve: F,
         apply: G,
     ) -> usize
     where
+        X: Faults,
         SP: Sampler,
         M: MessageSize,
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, Option<M>) + Sync,
     {
-        if self.fault.is_disruptive() {
-            return self.pull_round_on_faulty(sampler, active, serve, apply);
-        }
         self.assert_active(active);
         self.metrics
             .record_round(RoundKind::Pull, active.len() as u64);
         self.round += 1;
         self.ensure_next();
+        self.advance_churn(self.round);
 
         let (round, threads) = (self.round, self.threads);
-        let (states, failure) = (&self.states, &self.failure);
+        let states = &self.states;
         let sampler = &sampler;
-        let reliable = failure.is_reliable();
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
+        let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
         let delta = par::for_sparse(
             &self.pool,
             &mut self.next,
@@ -2851,35 +2581,12 @@ impl<S: Clone + Send + Sync> Engine<S> {
             Metrics::default(),
             |ids, base, sub| {
                 let mut local = Metrics::default();
-                if reliable {
-                    for &id in ids {
-                        let v = id as usize;
-                        let slot = &mut sub[v - base];
-                        slot.clone_from(&states[v]);
-                        let mut rng = prefix.node(v as u64);
-                        local.record_attempt(RoundKind::Pull);
-                        let t = sampler.sample(&mut rng, v);
-                        let msg = serve(t, &states[t]);
-                        local.record_delivery(msg.message_bits());
-                        apply(v, slot, Some(msg));
-                    }
-                } else {
-                    for &id in ids {
-                        let v = id as usize;
-                        let slot = &mut sub[v - base];
-                        slot.clone_from(&states[v]);
-                        let mut rng = prefix.node(v as u64);
-                        local.record_attempt(RoundKind::Pull);
-                        if failure.fails(v, round, &mut rng) {
-                            local.record_failure();
-                            apply(v, slot, None);
-                        } else {
-                            let t = sampler.sample(&mut rng, v);
-                            let msg = serve(t, &states[t]);
-                            local.record_delivery(msg.message_bits());
-                            apply(v, slot, Some(msg));
-                        }
-                    }
+                for &id in ids {
+                    let v = id as usize;
+                    let slot = &mut sub[v - base];
+                    slot.clone_from(&states[v]);
+                    let t = fx.pull(sampler, prefix, v, &mut local);
+                    land_pull(states, &serve, &apply, v, slot, t, &mut local);
                 }
                 local
             },
@@ -2911,12 +2618,16 @@ impl<S: Clone + Send + Sync> Engine<S> {
         G: Fn(NodeId, &mut S, M) + Sync,
         H: Fn(NodeId, &mut S, bool) + Sync,
     {
-        with_sampler!(self, sp => self.push_round_on_with(sp, active, make, fold, after))
+        with_sampler!(self, sp => with_faults!(self, fx => {
+            self.push_on_body(fx, sp, active, make, fold, after)
+        }))
     }
 
-    /// [`Engine::push_round_on`], monomorphised over the sampler type.
-    fn push_round_on_with<SP, M, F, G, H>(
+    /// [`Engine::push_round_on`], monomorphised over the sampler type and
+    /// the fault policy.
+    fn push_on_body<X, SP, M, F, G, H>(
         &mut self,
+        _: PhantomData<X>,
         sampler: SP,
         active: &ActiveSet,
         make: F,
@@ -2924,83 +2635,80 @@ impl<S: Clone + Send + Sync> Engine<S> {
         after: H,
     ) -> SparsePushOutcome
     where
+        X: Faults,
         SP: Sampler,
         M: MessageSize,
         F: Fn(NodeId, &S) -> Option<M> + Sync,
         G: Fn(NodeId, &mut S, M) + Sync,
         H: Fn(NodeId, &mut S, bool) + Sync,
     {
-        if self.fault.is_disruptive() {
-            return self.push_round_on_faulty(sampler, active, make, fold, after);
-        }
         self.assert_active(active);
         let n = self.n();
         let m = active.len();
         self.metrics.record_round(RoundKind::Push, m as u64);
         self.round += 1;
         self.ensure_next();
+        self.advance_churn(self.round);
         if self.scratch_compact.len() < m {
             self.scratch_compact.resize(m, 0);
         }
 
         let (round, threads) = (self.round, self.threads);
-        let (states, failure) = (&self.states, &self.failure);
+        let states = &self.states;
         let sampler = &sampler;
-        let reliable = failure.is_reliable();
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
         let ids = active.indices();
+        let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
 
-        // Pass 1: every active sender decides its outcome (silent / failed /
-        // target) into the compact scratch, aligned with the active indices.
-        let delta = par::for_chunks(
+        // Pass 1: every active sender decides its outcome into the compact
+        // scratch, aligned with the active indices.
+        let (delta, mut pending) = par::for_chunks(
             &self.pool,
             &mut self.scratch_compact[..m],
             threads,
-            Metrics::default(),
+            (Metrics::default(), Vec::new()),
             |start, chunk| {
                 let mut local = Metrics::default();
+                let mut pending = Vec::new();
                 for (j, slot) in chunk.iter_mut().enumerate() {
                     let v = ids[start + j] as usize;
-                    let msg = match make(v, &states[v]) {
-                        Some(m) => m,
-                        None => {
-                            *slot = TARGET_SILENT;
-                            continue;
-                        }
-                    };
-                    local.record_attempt(RoundKind::Push);
-                    let mut rng = prefix.node(v as u64);
-                    if !reliable && failure.fails(v, round, &mut rng) {
-                        local.record_failure();
-                        *slot = TARGET_FAILED;
-                    } else {
-                        let t = sampler.sample(&mut rng, v);
-                        local.record_delivery(msg.message_bits());
-                        *slot = t as u32;
-                    }
+                    let bits = || make(v, &states[v]).map(|m| m.message_bits());
+                    *slot = fx.push(sampler, prefix, v, bits, &mut local, &mut pending);
                 }
-                local
+                (local, pending)
             },
-            |a, b| a + b,
+            join_pending,
         );
         self.metrics = self.metrics + delta;
+        self.pending_delayed.append(&mut pending);
+        self.collect_due(round);
 
-        // Bucket the sparse message set and assemble the written set.
+        // Bucket the sparse message set and assemble the written set, late
+        // arrivals' receivers included.
         let receivers = self.bucket_sparse(active);
+        let receivers = self.merge_due_receivers(receivers);
 
         // Pass 2: clone every written node into the back buffer, fold its
-        // deliveries (ascending sender order), and run `after` on the active
-        // members.
+        // deliveries (ascending sender order, then late arrivals), and run
+        // `after` on the active members that are up.
         let states = &self.states;
         let (pairs, compact) = (&self.scratch_pairs, &self.scratch_compact[..m]);
         let dist = self.prefetch_dist;
-        par::for_sparse(
+        let fx = X::hoist(
+            self.seed,
+            round,
+            &self.fault,
+            &self.down_until,
+            &self.due_scratch,
+        );
+        let arrivals = par::for_sparse(
             &self.pool,
             &mut self.next,
             &self.scratch_written,
             threads,
-            (),
+            Metrics::default(),
             |wids, base, sub| {
+                let mut local = Metrics::default();
                 for &id in wids {
                     let u = id as usize;
                     let slot = &mut sub[u - base];
@@ -3021,13 +2729,24 @@ impl<S: Clone + Send + Sync> Engine<S> {
                             fold(u, slot, msg);
                         }
                     }
+                    for &(_, s) in fx.late(u) {
+                        let v = s as usize;
+                        if let Some(msg) = make(v, &states[v]) {
+                            local.record_delivery(msg.message_bits());
+                            fold(u, slot, msg);
+                        }
+                    }
                     if let Some(rank) = active.rank(u) {
-                        after(u, slot, (compact[rank] as usize) < n);
+                        if fx.alive(u) {
+                            after(u, slot, (compact[rank] as usize) < n);
+                        }
                     }
                 }
+                local
             },
-            |(), ()| (),
+            |a, b| a + b,
         );
+        self.metrics = self.metrics + arrivals;
         let written = std::mem::take(&mut self.scratch_written);
         self.commit_written(&written);
         self.scratch_written = written;
@@ -3056,31 +2775,35 @@ impl<S: Clone + Send + Sync> Engine<S> {
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, M) + Sync,
     {
-        with_sampler!(self, sp => self.push_pull_round_on_with(sp, active, serve, merge))
+        with_sampler!(self, sp => with_faults!(self, fx => {
+            self.push_pull_on_body(fx, sp, active, serve, merge)
+        }))
     }
 
-    /// [`Engine::push_pull_round_on`], monomorphised over the sampler type.
-    fn push_pull_round_on_with<SP, M, F, G>(
+    /// [`Engine::push_pull_round_on`], monomorphised over the sampler type
+    /// and the fault policy.
+    fn push_pull_on_body<X, SP, M, F, G>(
         &mut self,
+        _: PhantomData<X>,
         sampler: SP,
         active: &ActiveSet,
         serve: F,
         merge: G,
     ) -> SparsePushOutcome
     where
+        X: Faults,
         SP: Sampler,
         M: MessageSize,
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, M) + Sync,
     {
-        if self.fault.is_disruptive() {
-            return self.push_pull_round_on_faulty(sampler, active, serve, merge);
-        }
         self.assert_active(active);
+        let n = self.n();
         let m = active.len();
         self.metrics.record_round(RoundKind::PushPull, m as u64);
         self.round += 1;
         self.ensure_next();
+        self.advance_churn(self.round);
         if self.scratch_compact.len() < m {
             self.scratch_compact.resize(m, 0);
         }
@@ -3089,60 +2812,50 @@ impl<S: Clone + Send + Sync> Engine<S> {
         }
 
         let (round, threads) = (self.round, self.threads);
-        let failure = &self.failure;
         let sampler = &sampler;
-        let reliable = failure.is_reliable();
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
         let ids = active.indices();
+        let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
 
-        // Pass 1: every active node draws its failure coin, pull target, push
-        // target (the dense primitive's draw order), into the compact
-        // scratches.
-        let delta = par::for_chunks2(
+        // Pass 1: every active node draws its contacts (the dense
+        // primitive's draw order) into the compact scratches.
+        let (delta, mut pending) = par::for_chunks2(
             &self.pool,
             &mut self.scratch_compact[..m],
             &mut self.scratch_compact2[..m],
             threads,
-            Metrics::default(),
+            (Metrics::default(), Vec::new()),
             |start, push_chunk, pull_chunk| {
                 let mut local = Metrics::default();
-                if reliable {
-                    for j in 0..push_chunk.len() {
-                        let v = ids[start + j] as usize;
-                        local.record_attempt(RoundKind::PushPull);
-                        let mut rng = prefix.node(v as u64);
-                        pull_chunk[j] = sampler.sample(&mut rng, v) as u32;
-                        push_chunk[j] = sampler.sample(&mut rng, v) as u32;
-                    }
-                } else {
-                    for j in 0..push_chunk.len() {
-                        let v = ids[start + j] as usize;
-                        local.record_attempt(RoundKind::PushPull);
-                        let mut rng = prefix.node(v as u64);
-                        if failure.fails(v, round, &mut rng) {
-                            local.record_failure();
-                            push_chunk[j] = TARGET_FAILED;
-                            pull_chunk[j] = TARGET_FAILED;
-                        } else {
-                            pull_chunk[j] = sampler.sample(&mut rng, v) as u32;
-                            push_chunk[j] = sampler.sample(&mut rng, v) as u32;
-                        }
-                    }
+                let mut pending = Vec::new();
+                for (j, (push, pull)) in push_chunk.iter_mut().zip(pull_chunk).enumerate() {
+                    let v = ids[start + j] as usize;
+                    (*pull, *push) = fx.push_pull(sampler, prefix, v, &mut local, &mut pending);
                 }
-                local
+                (local, pending)
             },
-            |a, b| a + b,
+            join_pending,
         );
         self.metrics = self.metrics + delta;
+        self.pending_delayed.append(&mut pending);
+        self.collect_due(round);
 
         let receivers = self.bucket_sparse(active);
+        let receivers = self.merge_due_receivers(receivers);
 
         // Pass 2: clone every written node, merge its pulled message first
         // (active members only), then the pushed ones in ascending sender
-        // order.
+        // order, then late arrivals.
         let states = &self.states;
         let (pairs, pulls) = (&self.scratch_pairs, &self.scratch_compact2[..m]);
         let dist = self.prefetch_dist;
+        let fx = X::hoist(
+            self.seed,
+            round,
+            &self.fault,
+            &self.down_until,
+            &self.due_scratch,
+        );
         let deliveries = par::for_sparse(
             &self.pool,
             &mut self.next,
@@ -3151,17 +2864,18 @@ impl<S: Clone + Send + Sync> Engine<S> {
             Metrics::default(),
             |wids, base, sub| {
                 let mut local = Metrics::default();
+                let mut deliver = |u: NodeId, slot: &mut S, v: usize| {
+                    let msg = serve(v, &states[v]);
+                    local.record_delivery(msg.message_bits());
+                    merge(u, slot, msg);
+                };
                 for &id in wids {
                     let u = id as usize;
                     let slot = &mut sub[u - base];
                     slot.clone_from(&states[u]);
                     if let Some(rank) = active.rank(u) {
-                        let t_pull = pulls[rank];
-                        if t_pull != TARGET_FAILED {
-                            let t = t_pull as usize;
-                            let msg = serve(t, &states[t]);
-                            local.record_delivery(msg.message_bits());
-                            merge(u, slot, msg);
+                        if (pulls[rank] as usize) < n {
+                            deliver(u, slot, pulls[rank] as usize);
                         }
                     }
                     let lo = pairs.partition_point(|&(r, _)| r < id);
@@ -3170,10 +2884,10 @@ impl<S: Clone + Send + Sync> Engine<S> {
                         if dist > 0 && k + dist < pairs.len() {
                             crate::soa::prefetch_read(&states[pairs[k + dist].1 as usize]);
                         }
-                        let v = pairs[k].1 as usize;
-                        let msg = serve(v, &states[v]);
-                        local.record_delivery(msg.message_bits());
-                        merge(u, slot, msg);
+                        deliver(u, slot, pairs[k].1 as usize);
+                    }
+                    for &(_, s) in fx.late(u) {
+                        deliver(u, slot, s as usize);
                     }
                 }
                 local
@@ -3208,467 +2922,23 @@ impl<S: Clone + Send + Sync> Engine<S> {
         M: MessageSize + Send,
         F: Fn(NodeId, &S) -> M + Sync,
     {
-        with_sampler!(self, sp => self.collect_samples_on_with(sp, active, k, serve))
+        with_sampler!(self, sp => with_faults!(self, fx => {
+            self.collect_samples_on_body(fx, sp, active, k, serve)
+        }))
     }
 
-    /// [`Engine::collect_samples_on`], monomorphised over the sampler type.
-    fn collect_samples_on_with<SP, M, F>(
+    /// [`Engine::collect_samples_on`], monomorphised over the sampler type
+    /// and the fault policy.
+    fn collect_samples_on_body<X, SP, M, F>(
         &mut self,
+        _: PhantomData<X>,
         sampler: SP,
         active: &ActiveSet,
         k: usize,
         serve: F,
     ) -> Vec<Vec<M>>
     where
-        SP: Sampler,
-        M: MessageSize + Send,
-        F: Fn(NodeId, &S) -> M + Sync,
-    {
-        if self.fault.is_disruptive() {
-            return self.collect_samples_on_faulty(sampler, active, k, serve);
-        }
-        self.assert_active(active);
-        let m = active.len();
-        let threads = self.threads;
-        let ids = active.indices();
-        let mut collected: Vec<Vec<M>> = (0..m).map(|_| Vec::with_capacity(k)).collect();
-        for _ in 0..k {
-            self.metrics.record_round(RoundKind::Pull, m as u64);
-            self.round += 1;
-            let round = self.round;
-            let (states, failure) = (&self.states, &self.failure);
-            let sampler = &sampler;
-            let reliable = failure.is_reliable();
-            let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-            let delta = par::for_chunks(
-                &self.pool,
-                &mut collected,
-                threads,
-                Metrics::default(),
-                |start, chunk| {
-                    let mut local = Metrics::default();
-                    if reliable {
-                        for (j, bucket) in chunk.iter_mut().enumerate() {
-                            let v = ids[start + j] as usize;
-                            local.record_attempt(RoundKind::Pull);
-                            let mut rng = prefix.node(v as u64);
-                            let t = sampler.sample(&mut rng, v);
-                            let msg = serve(t, &states[t]);
-                            local.record_delivery(msg.message_bits());
-                            bucket.push(msg);
-                        }
-                    } else {
-                        for (j, bucket) in chunk.iter_mut().enumerate() {
-                            let v = ids[start + j] as usize;
-                            local.record_attempt(RoundKind::Pull);
-                            let mut rng = prefix.node(v as u64);
-                            if failure.fails(v, round, &mut rng) {
-                                local.record_failure();
-                                continue;
-                            }
-                            let t = sampler.sample(&mut rng, v);
-                            let msg = serve(t, &states[t]);
-                            local.record_delivery(msg.message_bits());
-                            bucket.push(msg);
-                        }
-                    }
-                    local
-                },
-                |a, b| a + b,
-            );
-            self.metrics = self.metrics + delta;
-        }
-        collected
-    }
-
-    /// [`Engine::pull_round_on`] under a disruptive fault plan. Crash
-    /// bookkeeping is restricted to the active members (a crashed *inactive*
-    /// node does nothing either way, so nothing is counted for it).
-    fn pull_round_on_faulty<SP, M, F, G>(
-        &mut self,
-        sampler: SP,
-        active: &ActiveSet,
-        serve: F,
-        apply: G,
-    ) -> usize
-    where
-        SP: Sampler,
-        M: MessageSize,
-        F: Fn(NodeId, &S) -> M + Sync,
-        G: Fn(NodeId, &mut S, Option<M>) + Sync,
-    {
-        self.assert_active(active);
-        self.metrics
-            .record_round(RoundKind::Pull, active.len() as u64);
-        self.round += 1;
-        self.ensure_next();
-        self.advance_churn(self.round);
-
-        let (round, threads) = (self.round, self.threads);
-        let (states, failure) = (&self.states, &self.failure);
-        let sampler = &sampler;
-        let reliable = failure.is_reliable();
-        let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let ctx = FaultCtx::new(self.seed, round, &self.down_until, &self.fault);
-        let ctx = &ctx;
-        let delta = par::for_sparse(
-            &self.pool,
-            &mut self.next,
-            active.indices(),
-            threads,
-            Metrics::default(),
-            |ids, base, sub| {
-                let mut local = Metrics::default();
-                for &id in ids {
-                    let v = id as usize;
-                    let slot = &mut sub[v - base];
-                    slot.clone_from(&states[v]);
-                    if !ctx.alive(v) {
-                        local.record_crash();
-                        continue;
-                    }
-                    let mut rng = prefix.node(v as u64);
-                    local.record_attempt(RoundKind::Pull);
-                    if !reliable && failure.fails(v, round, &mut rng) {
-                        local.record_failure();
-                        apply(v, slot, None);
-                        continue;
-                    }
-                    let t = sampler.sample(&mut rng, v);
-                    if !ctx.alive(t) || ctx.lost(t, v) {
-                        local.record_drop();
-                        apply(v, slot, None);
-                        continue;
-                    }
-                    let msg = serve(t, &states[t]);
-                    local.record_delivery(msg.message_bits());
-                    apply(v, slot, Some(msg));
-                }
-                local
-            },
-            |a, b| a + b,
-        );
-        self.metrics = self.metrics + delta;
-        self.commit_written(active.indices());
-        delta.failed_operations as usize
-    }
-
-    /// [`Engine::push_round_on`] under a disruptive fault plan.
-    fn push_round_on_faulty<SP, M, F, G, H>(
-        &mut self,
-        sampler: SP,
-        active: &ActiveSet,
-        make: F,
-        fold: G,
-        after: H,
-    ) -> SparsePushOutcome
-    where
-        SP: Sampler,
-        M: MessageSize,
-        F: Fn(NodeId, &S) -> Option<M> + Sync,
-        G: Fn(NodeId, &mut S, M) + Sync,
-        H: Fn(NodeId, &mut S, bool) + Sync,
-    {
-        self.assert_active(active);
-        let n = self.n();
-        let m = active.len();
-        self.metrics.record_round(RoundKind::Push, m as u64);
-        self.round += 1;
-        self.ensure_next();
-        self.advance_churn(self.round);
-        if self.scratch_compact.len() < m {
-            self.scratch_compact.resize(m, 0);
-        }
-
-        let (round, threads) = (self.round, self.threads);
-        let (states, failure) = (&self.states, &self.failure);
-        let sampler = &sampler;
-        let reliable = failure.is_reliable();
-        let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let ids = active.indices();
-        let ctx = FaultCtx::new(self.seed, round, &self.down_until, &self.fault);
-        let ctx = &ctx;
-
-        let (delta, mut new_pending) = par::for_chunks(
-            &self.pool,
-            &mut self.scratch_compact[..m],
-            threads,
-            (Metrics::default(), Vec::new()),
-            |start, chunk| {
-                let mut local = Metrics::default();
-                let mut pending: Vec<DelayedContact> = Vec::new();
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let v = ids[start + j] as usize;
-                    if !ctx.alive(v) {
-                        *slot = TARGET_SILENT;
-                        local.record_crash();
-                        continue;
-                    }
-                    let msg = match make(v, &states[v]) {
-                        Some(m) => m,
-                        None => {
-                            *slot = TARGET_SILENT;
-                            continue;
-                        }
-                    };
-                    local.record_attempt(RoundKind::Push);
-                    let mut rng = prefix.node(v as u64);
-                    if !reliable && failure.fails(v, round, &mut rng) {
-                        local.record_failure();
-                        *slot = TARGET_FAILED;
-                        continue;
-                    }
-                    let t = sampler.sample(&mut rng, v);
-                    if let Some(d) = ctx.delay_of(v) {
-                        pending.push(DelayedContact {
-                            due: round + d,
-                            receiver: t as u32,
-                            sender: v as u32,
-                        });
-                        *slot = TARGET_DROPPED;
-                        local.record_delay();
-                        continue;
-                    }
-                    if !ctx.alive(t) || ctx.lost(v, t) {
-                        *slot = TARGET_DROPPED;
-                        local.record_drop();
-                        continue;
-                    }
-                    local.record_delivery(msg.message_bits());
-                    *slot = t as u32;
-                }
-                (local, pending)
-            },
-            |(ma, mut va), (mb, mut vb)| {
-                va.append(&mut vb);
-                (ma + mb, va)
-            },
-        );
-        self.metrics = self.metrics + delta;
-        self.pending_delayed.append(&mut new_pending);
-        self.collect_due(round);
-
-        let receivers = self.bucket_sparse(active);
-        let receivers = self.merge_due_receivers(receivers);
-
-        let states = &self.states;
-        let (pairs, compact) = (&self.scratch_pairs, &self.scratch_compact[..m]);
-        let due = &self.due_scratch;
-        let down = &self.down_until;
-        let arrivals = par::for_sparse(
-            &self.pool,
-            &mut self.next,
-            &self.scratch_written,
-            threads,
-            Metrics::default(),
-            |wids, base, sub| {
-                let mut local = Metrics::default();
-                for &id in wids {
-                    let u = id as usize;
-                    let slot = &mut sub[u - base];
-                    slot.clone_from(&states[u]);
-                    let lo = pairs.partition_point(|&(r, _)| r < id);
-                    let hi = pairs.partition_point(|&(r, _)| r <= id);
-                    for &(_, s) in &pairs[lo..hi] {
-                        let v = s as usize;
-                        if let Some(msg) = make(v, &states[v]) {
-                            fold(u, slot, msg);
-                        }
-                    }
-                    if !due.is_empty() {
-                        let dlo = due.partition_point(|&(r, _)| r < id);
-                        for &(_, s) in due[dlo..].iter().take_while(|&&(r, _)| r == id) {
-                            let v = s as usize;
-                            if let Some(msg) = make(v, &states[v]) {
-                                local.record_delivery(msg.message_bits());
-                                fold(u, slot, msg);
-                            }
-                        }
-                    }
-                    if let Some(rank) = active.rank(u) {
-                        if down.is_empty() || down[u] <= round {
-                            after(u, slot, (compact[rank] as usize) < n);
-                        }
-                    }
-                }
-                local
-            },
-            |a, b| a + b,
-        );
-        self.metrics = self.metrics + arrivals;
-        let written = std::mem::take(&mut self.scratch_written);
-        self.commit_written(&written);
-        self.scratch_written = written;
-        SparsePushOutcome {
-            failed: delta.failed_operations as usize,
-            receivers,
-        }
-    }
-
-    /// [`Engine::push_pull_round_on`] under a disruptive fault plan.
-    fn push_pull_round_on_faulty<SP, M, F, G>(
-        &mut self,
-        sampler: SP,
-        active: &ActiveSet,
-        serve: F,
-        merge: G,
-    ) -> SparsePushOutcome
-    where
-        SP: Sampler,
-        M: MessageSize,
-        F: Fn(NodeId, &S) -> M + Sync,
-        G: Fn(NodeId, &mut S, M) + Sync,
-    {
-        self.assert_active(active);
-        let n = self.n();
-        let m = active.len();
-        self.metrics.record_round(RoundKind::PushPull, m as u64);
-        self.round += 1;
-        self.ensure_next();
-        self.advance_churn(self.round);
-        if self.scratch_compact.len() < m {
-            self.scratch_compact.resize(m, 0);
-        }
-        if self.scratch_compact2.len() < m {
-            self.scratch_compact2.resize(m, 0);
-        }
-
-        let (round, threads) = (self.round, self.threads);
-        let failure = &self.failure;
-        let sampler = &sampler;
-        let reliable = failure.is_reliable();
-        let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let ids = active.indices();
-        let ctx = FaultCtx::new(self.seed, round, &self.down_until, &self.fault);
-        let ctx = &ctx;
-
-        let (delta, mut new_pending) = par::for_chunks2(
-            &self.pool,
-            &mut self.scratch_compact[..m],
-            &mut self.scratch_compact2[..m],
-            threads,
-            (Metrics::default(), Vec::new()),
-            |start, push_chunk, pull_chunk| {
-                let mut local = Metrics::default();
-                let mut pending: Vec<DelayedContact> = Vec::new();
-                for j in 0..push_chunk.len() {
-                    let v = ids[start + j] as usize;
-                    if !ctx.alive(v) {
-                        push_chunk[j] = TARGET_SILENT;
-                        pull_chunk[j] = TARGET_SILENT;
-                        local.record_crash();
-                        continue;
-                    }
-                    local.record_attempt(RoundKind::PushPull);
-                    let mut rng = prefix.node(v as u64);
-                    if !reliable && failure.fails(v, round, &mut rng) {
-                        local.record_failure();
-                        push_chunk[j] = TARGET_FAILED;
-                        pull_chunk[j] = TARGET_FAILED;
-                        continue;
-                    }
-                    let t_pull = sampler.sample(&mut rng, v);
-                    let t_push = sampler.sample(&mut rng, v);
-                    if !ctx.alive(t_pull) || ctx.lost(t_pull, v) {
-                        local.record_drop();
-                        pull_chunk[j] = TARGET_DROPPED;
-                    } else {
-                        pull_chunk[j] = t_pull as u32;
-                    }
-                    if let Some(d) = ctx.delay_of(v) {
-                        pending.push(DelayedContact {
-                            due: round + d,
-                            receiver: t_push as u32,
-                            sender: v as u32,
-                        });
-                        push_chunk[j] = TARGET_DROPPED;
-                        local.record_delay();
-                    } else if !ctx.alive(t_push) || ctx.lost(v, t_push) {
-                        push_chunk[j] = TARGET_DROPPED;
-                        local.record_drop();
-                    } else {
-                        push_chunk[j] = t_push as u32;
-                    }
-                }
-                (local, pending)
-            },
-            |(ma, mut va), (mb, mut vb)| {
-                va.append(&mut vb);
-                (ma + mb, va)
-            },
-        );
-        self.metrics = self.metrics + delta;
-        self.pending_delayed.append(&mut new_pending);
-        self.collect_due(round);
-
-        let receivers = self.bucket_sparse(active);
-        let receivers = self.merge_due_receivers(receivers);
-
-        let states = &self.states;
-        let (pairs, pulls) = (&self.scratch_pairs, &self.scratch_compact2[..m]);
-        let due = &self.due_scratch;
-        let deliveries = par::for_sparse(
-            &self.pool,
-            &mut self.next,
-            &self.scratch_written,
-            threads,
-            Metrics::default(),
-            |wids, base, sub| {
-                let mut local = Metrics::default();
-                for &id in wids {
-                    let u = id as usize;
-                    let slot = &mut sub[u - base];
-                    slot.clone_from(&states[u]);
-                    if let Some(rank) = active.rank(u) {
-                        let t_pull = pulls[rank];
-                        if (t_pull as usize) < n {
-                            let t = t_pull as usize;
-                            let msg = serve(t, &states[t]);
-                            local.record_delivery(msg.message_bits());
-                            merge(u, slot, msg);
-                        }
-                    }
-                    let lo = pairs.partition_point(|&(r, _)| r < id);
-                    let hi = pairs.partition_point(|&(r, _)| r <= id);
-                    for &(_, s) in &pairs[lo..hi] {
-                        let v = s as usize;
-                        let msg = serve(v, &states[v]);
-                        local.record_delivery(msg.message_bits());
-                        merge(u, slot, msg);
-                    }
-                    if !due.is_empty() {
-                        let dlo = due.partition_point(|&(r, _)| r < id);
-                        for &(_, s) in due[dlo..].iter().take_while(|&&(r, _)| r == id) {
-                            let v = s as usize;
-                            let msg = serve(v, &states[v]);
-                            local.record_delivery(msg.message_bits());
-                            merge(u, slot, msg);
-                        }
-                    }
-                }
-                local
-            },
-            |a, b| a + b,
-        );
-        self.metrics = self.metrics + deliveries;
-        let written = std::mem::take(&mut self.scratch_written);
-        self.commit_written(&written);
-        self.scratch_written = written;
-        SparsePushOutcome {
-            failed: delta.failed_operations as usize,
-            receivers,
-        }
-    }
-
-    /// [`Engine::collect_samples_on`] under a disruptive fault plan.
-    fn collect_samples_on_faulty<SP, M, F>(
-        &mut self,
-        sampler: SP,
-        active: &ActiveSet,
-        k: usize,
-        serve: F,
-    ) -> Vec<Vec<M>>
-    where
+        X: Faults,
         SP: Sampler,
         M: MessageSize + Send,
         F: Fn(NodeId, &S) -> M + Sync,
@@ -3677,18 +2947,16 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let m = active.len();
         let threads = self.threads;
         let ids = active.indices();
+        let sampler = &sampler;
         let mut collected: Vec<Vec<M>> = (0..m).map(|_| Vec::with_capacity(k)).collect();
         for _ in 0..k {
             self.metrics.record_round(RoundKind::Pull, m as u64);
             self.round += 1;
-            self.advance_churn(self.round);
             let round = self.round;
-            let (states, failure) = (&self.states, &self.failure);
-            let sampler = &sampler;
-            let reliable = failure.is_reliable();
+            self.advance_churn(round);
+            let states = &self.states;
             let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-            let ctx = FaultCtx::new(self.seed, round, &self.down_until, &self.fault);
-            let ctx = &ctx;
+            let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
             let delta = par::for_chunks(
                 &self.pool,
                 &mut collected,
@@ -3698,24 +2966,12 @@ impl<S: Clone + Send + Sync> Engine<S> {
                     let mut local = Metrics::default();
                     for (j, bucket) in chunk.iter_mut().enumerate() {
                         let v = ids[start + j] as usize;
-                        if !ctx.alive(v) {
-                            local.record_crash();
-                            continue;
+                        let t = fx.pull(sampler, prefix, v, &mut local) as usize;
+                        if let Some(state) = states.get(t) {
+                            let msg = serve(t, state);
+                            local.record_delivery(msg.message_bits());
+                            bucket.push(msg);
                         }
-                        local.record_attempt(RoundKind::Pull);
-                        let mut rng = prefix.node(v as u64);
-                        if !reliable && failure.fails(v, round, &mut rng) {
-                            local.record_failure();
-                            continue;
-                        }
-                        let t = sampler.sample(&mut rng, v);
-                        if !ctx.alive(t) || ctx.lost(t, v) {
-                            local.record_drop();
-                            continue;
-                        }
-                        let msg = serve(t, &states[t]);
-                        local.record_delivery(msg.message_bits());
-                        bucket.push(msg);
                     }
                     local
                 },
@@ -3806,31 +3062,18 @@ impl<S: Clone + Send + Sync> Engine<S> {
     /// `O(|written|)` pass (the sparse counterpart of the dense rounds'
     /// `O(1)` whole-vector swap).
     ///
-    /// By default maximal runs of consecutive ids are swapped with one
+    /// Maximal runs of consecutive ids are swapped with one
     /// [`slice::swap_with_slice`] each ([`crate::soa::swap_runs`]) — active
     /// sets and receiver lists are sorted, so dense stretches collapse into
-    /// block moves. [`Engine::set_batch_commit`] restores the per-slot loop
-    /// (the A/B control; both orders touch each slot exactly once, so the
-    /// result is bit-identical).
+    /// block moves.
     fn commit_written(&mut self, written: &[u32]) {
-        let threads = self.threads;
-        let batch = self.batch_commit;
         par::for_sparse2(
             &self.pool,
             &mut self.states,
             &mut self.next,
             written,
-            threads,
-            |ids, base, front, back| {
-                if batch {
-                    crate::soa::swap_runs(ids, base, front, back);
-                } else {
-                    for &id in ids {
-                        let i = id as usize - base;
-                        std::mem::swap(&mut front[i], &mut back[i]);
-                    }
-                }
-            },
+            self.threads,
+            crate::soa::swap_runs,
         );
     }
 }
@@ -3863,51 +3106,6 @@ mod tests {
                 },
             );
         }
-    }
-
-    #[test]
-    fn preview_pull_targets_matches_executed_rounds() {
-        // The preview and the execution must agree target-for-target, with
-        // failure coins included, on the complete graph and on a restricted
-        // topology.
-        let configs = [
-            EngineConfig::with_seed(21),
-            EngineConfig::with_seed(22).failure(FailureModel::uniform(0.3).unwrap()),
-            EngineConfig::with_seed(23).topology(Topology::ring(4)),
-        ];
-        for config in configs {
-            let mut e = Engine::from_states(vec![0u64; 64], config);
-            let mut preview = Vec::new();
-            for _ in 0..5 {
-                e.preview_pull_targets_at(e.round() + 1, &mut preview);
-                // Serving the target's id makes each node's bucket record who
-                // it actually contacted this round.
-                let got = e.collect_samples(1, |t, _| t as u64);
-                for (v, bucket) in got.iter().enumerate() {
-                    match preview[v] {
-                        Some(t) => assert_eq!(bucket.as_slice(), &[t as u64], "node {v}"),
-                        None => assert!(bucket.is_empty(), "node {v} should have failed"),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn preview_pull_targets_is_round_addressable() {
-        // Previews are pure functions of (seed, round): asking for round 3
-        // before or after executing rounds 1–2 gives the same answer.
-        let e = engine_with(32, 77);
-        let mut early = Vec::new();
-        e.preview_pull_targets_at(3, &mut early);
-        let mut e2 = engine_with(32, 77);
-        for _ in 0..2 {
-            e2.collect_samples(1, |_, &s| s);
-        }
-        let mut late = Vec::new();
-        e2.preview_pull_targets_at(e2.round() + 1, &mut late);
-        assert_eq!(e2.round(), 2);
-        assert_eq!(early, late);
     }
 
     #[test]

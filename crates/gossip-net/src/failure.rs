@@ -127,7 +127,7 @@ impl FailureModel {
     /// all-zero [`FailureModel::PerNode`]) can be constructed directly — and
     /// would steer the engine onto its per-node coin path for a probability
     /// that can never fire. The engine normalises its model at construction
-    /// so those models take the dedicated no-failure round loops.
+    /// so those models run the no-fault instantiation of its round bodies.
     /// [`FailureModel::Schedule`] cannot be inspected and is left as-is.
     pub fn normalized(self) -> Self {
         match &self {

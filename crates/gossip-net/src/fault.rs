@@ -287,9 +287,10 @@ impl FaultPlan {
     }
 
     /// Whether the plan carries churn, loss, or stragglers — the fault kinds
-    /// that need the engine's fault-aware round loops. A plan with only a
-    /// [`FailureModel`] runs on the engine's dedicated failure loops instead
-    /// (bit-identical to the pre-fault-layer engine).
+    /// beyond the Section 5 [`FailureModel`]. The engine does not branch on
+    /// it: every plan that is not [`FaultPlan::is_none`] runs the fault-aware
+    /// instantiation of the engine's round bodies, whose churn, loss and
+    /// straggler hooks stay inert when this is false.
     pub(crate) fn is_disruptive(&self) -> bool {
         self.churn.is_some() || self.loss.is_some() || self.stragglers.is_some()
     }
@@ -445,8 +446,10 @@ mod tests {
 
     #[test]
     fn failure_only_plan_is_not_disruptive() {
-        // A plan carrying only the Section 5 model must land on the engine's
-        // existing failure loops (golden-pinned), not the fault-aware loops.
+        // A plan carrying only the Section 5 model is neither disruptive nor
+        // none: the engine runs it through the fault-aware round bodies with
+        // the churn, loss and straggler hooks inert (golden-pinned by the
+        // `*_failures` scenarios).
         let plan = FaultPlan::none().with_failure(FailureModel::uniform(0.5).unwrap());
         assert!(!plan.is_disruptive());
         assert!(!plan.is_none());

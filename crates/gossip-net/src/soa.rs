@@ -452,20 +452,6 @@ impl<M> SampleMatrix<M> {
         let n = self.n;
         &mut self.data[r * n..(r + 1) * n]
     }
-
-    /// Regroups the matrix into the nested layout of
-    /// [`Engine::collect_samples`](crate::Engine::collect_samples): each
-    /// node's successful samples, in round order.
-    pub(crate) fn into_rows(self) -> Vec<Vec<M>> {
-        let n = self.n;
-        let mut rows: Vec<Vec<M>> = (0..n).map(|_| Vec::with_capacity(self.k)).collect();
-        for (i, sample) in self.data.into_iter().enumerate() {
-            if let Some(msg) = sample {
-                rows[i % n].push(msg);
-            }
-        }
-        rows
-    }
 }
 
 impl<M: Copy> SampleMatrix<M> {
@@ -667,14 +653,6 @@ mod tests {
         assert_eq!(m.row(1).copied().collect::<Vec<_>>(), vec![21]);
         assert_eq!(m.row(2).copied().collect::<Vec<_>>(), vec![30]);
         assert_eq!(m.count(1), 1);
-    }
-
-    #[test]
-    fn sample_matrix_regroups_into_rows() {
-        let mut m: SampleMatrix<u64> = SampleMatrix::empty(3, 2);
-        m.column_mut(0).copy_from_slice(&[Some(1), None, Some(5)]);
-        m.column_mut(1).copy_from_slice(&[Some(2), None, None]);
-        assert_eq!(m.into_rows(), vec![vec![1, 2], vec![], vec![5]]);
     }
 
     #[test]

@@ -659,8 +659,8 @@ struct PairState {
 fn soa_backed_engine_is_identical_across_thread_counts_and_layout_knobs() {
     // The SoA path end to end: algorithm state lives in a ColumnStore, is
     // loaded into an engine (Columns → states), run through pull/push rounds
-    // whose layout knobs (copy block, prefetch distance, commit batching)
-    // vary per configuration, and decomposed back into columns. Every
+    // whose layout knobs (copy block, prefetch distance) vary per
+    // configuration, and decomposed back into columns. Every
     // (threads, knobs) point of the matrix must yield bit-identical columns —
     // the knobs are mechanical-sympathy switches, never semantic ones.
     use gossip_net::soa::ColumnStore;
@@ -673,12 +673,10 @@ fn soa_backed_engine_is_identical_across_thread_counts_and_layout_knobs() {
         .collect();
     let store: ColumnStore<PairColumns> = ColumnStore::from_states(&initial);
 
-    let run = |threads: usize, block: usize, dist: usize, batch: bool| {
+    let run = |threads: usize, block: usize, dist: usize| {
         let mut e = Engine::from_states(store.states(), EngineConfig::with_seed(77));
         e.set_threads(threads);
-        e.set_copy_block(block)
-            .set_prefetch_dist(dist)
-            .set_batch_commit(batch);
+        e.set_copy_block(block).set_prefetch_dist(dist);
         let active = ActiveSet::from_fn(2000, |v| v % 3 != 0);
         for _ in 0..3 {
             e.pull_round(
@@ -708,12 +706,12 @@ fn soa_backed_engine_is_identical_across_thread_counts_and_layout_knobs() {
         )
     };
 
-    let (baseline_cols, baseline_metrics) = run(1, 2048, 32, true);
+    let (baseline_cols, baseline_metrics) = run(1, 2048, 32);
     for (i, &threads) in THREAD_MATRIX.iter().enumerate() {
         // Vary every knob along the matrix, including the degenerate block
         // size and a disabled prefetcher.
-        let (block, dist, batch) = [(1, 0, false), (64, 8, true), (4096, 512, false)][i];
-        let (cols, metrics) = run(threads, block, dist, batch);
+        let (block, dist) = [(1, 0), (64, 8), (4096, 512)][i];
+        let (cols, metrics) = run(threads, block, dist);
         assert_eq!(
             cols.value, baseline_cols.value,
             "{threads} threads / block {block} diverged in the value column"

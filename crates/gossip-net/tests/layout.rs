@@ -4,9 +4,10 @@
 //! commit are *mechanical* rewrites of the per-slot paths — for every block
 //! size, prefetch distance, active-set shape, and failure model they must
 //! produce exactly the states, metrics, and sample values of the reference
-//! code (kept in-tree as [`Engine::pull_round_reference`] and behind
-//! `set_batch_commit(false)`). The source-only pull round behind the lane
-//! collectors is pinned the same way, against nested one-sample collection.
+//! code (kept in-tree as [`Engine::pull_round_reference`], and for the commit
+//! as the per-slot swap `soa::swap_runs` is checked against). The
+//! source-only pull round behind the lane collectors is pinned the same way,
+//! against nested one-sample collection.
 //!
 //! Property tests draw those knobs arbitrarily (proptest); every test runs
 //! at `par::num_threads()` workers, so CI's 1/2/8-thread matrix exercises
@@ -102,46 +103,6 @@ proptest! {
             (e.states().to_vec(), e.metrics())
         };
         prop_assert_eq!(run(None), run(Some(knobs)));
-    }
-
-    /// The run-batched copy-on-write commit equals the per-slot swap for
-    /// arbitrary active-set shapes (density sweeps from a handful of nodes to
-    /// nearly all of them, producing every run structure from singletons to
-    /// long dense stretches).
-    fn batched_commit_matches_per_slot(
-        size in (16usize..600, 0u64..1_000_000),
-        shape in (1u64..100, 0usize..64),
-        fail_p in proptest::f64_range(0.0, 0.4),
-    ) {
-        let (n, seed) = size;
-        let (density, dist) = shape;
-        let run = |batch: bool| {
-            let mut e = engine(n, seed, failure_for(fail_p));
-            e.set_batch_commit(batch).set_prefetch_dist(dist);
-            let active = ActiveSet::from_fn(n, |v| {
-                (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seed) % 100 < density
-            });
-            for _ in 0..3 {
-                e.pull_round_on(
-                    &active,
-                    |_, &s| s,
-                    |_, st, pulled| {
-                        if let Some(p) = pulled {
-                            *st = fold_hash(*st, p);
-                        }
-                    },
-                );
-                e.push_round_on(
-                    &active,
-                    |_, &s| Some(s),
-                    |_, st, msg| *st = fold_hash(*st, msg),
-                    |_, _, _| {},
-                );
-                e.push_pull_round_on(&active, |_, &s| s, |_, st, msg| *st = fold_hash(*st, msg));
-            }
-            (e.states().to_vec(), e.metrics())
-        };
-        prop_assert_eq!(run(false), run(true));
     }
 
     /// `swap_runs` itself, against the per-slot reference, for arbitrary

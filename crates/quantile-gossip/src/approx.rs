@@ -237,9 +237,17 @@ pub fn approximate_quantile<V: NodeValue>(
 mod tests {
     use super::*;
 
-    /// Rank (1-based) of `x` in `values`.
-    fn rank_of(values: &[u64], x: u64) -> u64 {
-        values.iter().filter(|&&v| v <= x).count() as u64
+    /// A sorted copy of `values`, made once per check for [`rank_of`].
+    fn sorted_copy(values: &[u64]) -> Vec<u64> {
+        let mut sorted = values.to_vec();
+        sorted.sort_unstable();
+        sorted
+    }
+
+    /// Rank (1-based) of `x` among the ascending `sorted` values: how many
+    /// are `<= x`.
+    fn rank_of(sorted: &[u64], x: u64) -> u64 {
+        sorted.partition_point(|&v| v <= x) as u64
     }
 
     #[test]
@@ -269,6 +277,7 @@ mod tests {
         let n: u64 = 100_000;
         let values: Vec<u64> = (0..n).map(|i| i * 3 + 7).collect();
         let eps = 0.06;
+        let sorted = sorted_copy(&values);
         for (seed, phi) in [(1u64, 0.1f64), (2, 0.3), (3, 0.5), (4, 0.7), (5, 0.9)] {
             let out = tournament_quantile(
                 &values,
@@ -280,7 +289,7 @@ mod tests {
             .unwrap();
             let target = (phi * n as f64).ceil();
             for &o in &out.outputs {
-                let r = rank_of(&values, o) as f64;
+                let r = rank_of(&sorted, o) as f64;
                 assert!(
                     (r - target).abs() <= eps * n as f64 + 1.0,
                     "phi={phi}: rank {r}, target {target}"
@@ -323,8 +332,9 @@ mod tests {
         .unwrap();
         assert!(matches!(out.method, MethodUsed::Narrowing { .. }));
         let target = (0.5 * n as f64).ceil() as u64;
+        let sorted = sorted_copy(&values);
         for &o in &out.outputs {
-            let r = rank_of(&values, o);
+            let r = rank_of(&sorted, o);
             assert!(
                 (r as i64 - target as i64).unsigned_abs() <= 4,
                 "rank {r} target {target}"
@@ -358,8 +368,9 @@ mod tests {
         )
         .unwrap();
         let n = values.len() as f64;
+        let sorted = sorted_copy(&values);
         for &o in &out.outputs {
-            let r = rank_of(&values, o) as f64;
+            let r = rank_of(&sorted, o) as f64;
             assert!((r - 0.5 * n).abs() <= 0.4 * n);
         }
     }

@@ -94,7 +94,7 @@ impl Table {
 ///
 /// The trailing `dispatches` / `wakeups` columns render the scheduling
 /// counters (`Metrics::pool_dispatches`, `Metrics::worker_wakeups`): on a
-/// fused round program the whole schedule costs one dispatch, so a
+/// fused session the whole schedule costs one dispatch, so a
 /// `rounds ≫ dispatches` row makes the fusion's savings observable instead
 /// of inferred from wall clock.
 pub fn round_budget_table(title: impl Into<String>, entries: &[(String, Metrics)]) -> Table {

@@ -24,9 +24,7 @@
 //! ([`spread_min_max`] stays dense: in min/max aggregation every node holds
 //! information from round 0, so there is no sparse phase to exploit.)
 
-use gossip_net::{
-    ActiveSet, Engine, EngineConfig, GossipError, Metrics, NodeValue, Result, RoundProgram,
-};
+use gossip_net::{ActiveSet, Engine, EngineConfig, GossipError, Metrics, NodeValue, Result};
 
 /// How long to run the spreading process.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,24 +134,23 @@ pub fn spread_min_max<V: NodeValue>(
     let mut engine = Engine::from_states(states, engine_config);
     let total_rounds = rounds.rounds_for(values.len());
 
-    // A fixed schedule of identical push–pull rounds: record it once as a
-    // round program and replay it fused (one pool dispatch for the whole
-    // spread).
-    let mut program: RoundProgram<'_, MinMaxState<V>> = RoundProgram::new();
-    for _ in 0..total_rounds {
-        program.push_pull(
-            |_, st| (st.min, st.max),
-            |_, st, (lo, hi)| {
-                if lo < st.min {
-                    st.min = lo;
-                }
-                if hi > st.max {
-                    st.max = hi;
-                }
-            },
-        );
-    }
-    engine.run_program(&mut program);
+    // A fixed schedule of identical push–pull rounds, fused into one pool
+    // dispatch for the whole spread.
+    engine.fused(|engine| {
+        for _ in 0..total_rounds {
+            engine.push_pull_round(
+                |_, st| (st.min, st.max),
+                |_, st, (lo, hi)| {
+                    if lo < st.min {
+                        st.min = lo;
+                    }
+                    if hi > st.max {
+                        st.max = hi;
+                    }
+                },
+            );
+        }
+    });
 
     let metrics = engine.metrics();
     let states = engine.into_states();
@@ -237,12 +234,11 @@ pub fn spread_rumor(
     let budget = rounds.rounds_for(n);
     let mut informed_per_round = vec![active.len()];
 
-    // One fused round program for the whole doubling process: the schedule
-    // is data-dependent (each round's active set is grown from the previous
-    // round's receivers, and the loop stops at full coverage), so the live
-    // loop runs inside `Engine::fused` — the pool wakes once, every sparse
-    // push dispatches as a resident phase, and the active-set union runs on
-    // the session thread between phases. Bit-identical to the unfused loop.
+    // One fused session for the whole doubling process: the pool wakes
+    // once, every sparse push dispatches as a resident phase, and the
+    // active-set union (each round's active set is grown from the previous
+    // round's receivers, and the loop stops at full coverage) runs on the
+    // session thread between phases. Bit-identical to the unfused loop.
     let mut executed = 0u64;
     engine.fused(|engine| {
         while executed < budget && active.len() < n {
@@ -292,19 +288,19 @@ pub fn spread_max_tagged<V: NodeValue>(
     }
     let mut engine = Engine::from_states(tagged.to_vec(), engine_config);
     let total_rounds = rounds.rounds_for(tagged.len());
-    // Fixed schedule → recorded program, replayed as one fused dispatch.
-    let mut program: RoundProgram<'_, (u64, V)> = RoundProgram::new();
-    for _ in 0..total_rounds {
-        program.push_pull(
-            |_, st| *st,
-            |_, st, m| {
-                if m > *st {
-                    *st = m;
-                }
-            },
-        );
-    }
-    engine.run_program(&mut program);
+    // Fixed schedule, fused into one pool dispatch.
+    engine.fused(|engine| {
+        for _ in 0..total_rounds {
+            engine.push_pull_round(
+                |_, st| *st,
+                |_, st, m| {
+                    if m > *st {
+                        *st = m;
+                    }
+                },
+            );
+        }
+    });
     let metrics = engine.metrics();
     let states = engine.into_states();
     let true_max = *tagged.iter().max().expect("non-empty");

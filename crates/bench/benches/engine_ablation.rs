@@ -1,4 +1,4 @@
-//! Three ablations of the engine's round machinery:
+//! Two ablations of the engine's round machinery:
 //!
 //! 1. **Per-pass round costs** (`engine_rounds`): the steady-state cost of one
 //!    round of each primitive — pull (a single fused double-buffer dispatch),
@@ -13,19 +13,13 @@
 //!    payoff. Rows are recorded into the `active_set` section of
 //!    `BENCH_engine.json` (one row per `(n, active_frac)`, median-of-5 with
 //!    `std_*`, same conventions as the `results` section).
-//! 3. **Dispatch overhead** (`engine_ablation`): the per-node `ProtocolRunner`
-//!    path vs the direct `Engine` rounds used by the algorithms, on the same
-//!    rumor-spreading task — demonstrating that the faster path does not
-//!    change the dynamics while quantifying its overhead difference.
 //!
 //! Set `ENGINE_ABLATION_QUICK=1` (CI's bench smoke step does) to shrink the
 //! sizes and sample counts so a run finishes in seconds — enough to catch
 //! bit-rot, not enough for stable numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gossip_net::{
-    par, ActiveSet, Engine, EngineConfig, FailureModel, NodeProtocol, ProtocolRunner,
-};
+use gossip_net::{par, ActiveSet, Engine, EngineConfig, FailureModel};
 use std::time::Instant;
 
 fn quick() -> bool {
@@ -209,82 +203,5 @@ fn bench_active_set(c: &mut Criterion) {
     bench::report_json::write_section("active_set", &rows);
 }
 
-#[derive(Debug, Clone)]
-struct MaxSpread {
-    current: u64,
-    target: u64,
-}
-
-impl NodeProtocol for MaxSpread {
-    type Message = u64;
-    type Output = u64;
-    fn serve(&self) -> u64 {
-        self.current
-    }
-    fn on_pull(&mut self, _round: u64, pulled: Option<u64>) {
-        if let Some(p) = pulled {
-            self.current = self.current.max(p);
-        }
-    }
-    fn is_finished(&self) -> bool {
-        self.current == self.target
-    }
-    fn output(&self) -> u64 {
-        self.current
-    }
-}
-
-fn bench_engine_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_ablation");
-    group.sample_size(if quick() { 3 } else { 10 });
-    let sizes: &[usize] = if quick() {
-        &[1 << 12]
-    } else {
-        &[1 << 12, 1 << 14]
-    };
-    for &n in sizes {
-        group.bench_with_input(BenchmarkId::new("direct_engine", n), &n, |b, &n| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let mut e =
-                    Engine::from_states((0..n as u64).collect(), EngineConfig::with_seed(seed));
-                while e.states().iter().any(|&v| v != (n - 1) as u64) {
-                    e.pull_round(
-                        |_, &s| s,
-                        |_, st, p| {
-                            if let Some(p) = p {
-                                *st = (*st).max(p);
-                            }
-                        },
-                    );
-                }
-                e.round()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("protocol_runner", n), &n, |b, &n| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let nodes: Vec<MaxSpread> = (0..n)
-                    .map(|v| MaxSpread {
-                        current: v as u64,
-                        target: (n - 1) as u64,
-                    })
-                    .collect();
-                ProtocolRunner::new(nodes, EngineConfig::with_seed(seed))
-                    .run(10_000)
-                    .rounds
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_round_primitives,
-    bench_active_set,
-    bench_engine_ablation
-);
+criterion_group!(benches, bench_round_primitives, bench_active_set);
 criterion_main!(benches);

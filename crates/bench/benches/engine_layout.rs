@@ -1,18 +1,13 @@
-//! Same-host A/B of the PR 8 memory-layout changes, in the style of PR 3's
-//! dispatch ablation: the **old** code path (kept in-tree as a reference
-//! implementation or as the composition a fused call replaces) and the
-//! **new** one are measured in the same process, back to back, so the
-//! comparison is free of toolchain and host drift. Three changes:
+//! Same-host A/B of the memory-layout changes: the **old** code path (the
+//! composition a fused call replaces) and the **new** one are measured in
+//! the same process, back to back, so the comparison is free of toolchain
+//! and host drift. Two changes:
 //!
-//! 1. **`pull_blocked_prefetch`**: the dense pull round's fused per-slot loop
-//!    ([`Engine::pull_round_reference`], the pre-PR-8 code, verbatim) vs the
-//!    cache-blocked back-buffer refresh + batched, software-prefetched target
-//!    gather that [`Engine::pull_round`] now runs.
-//! 2. **`collect_flat`**: `k` sampling rounds into the nested per-node
+//! 1. **`collect_flat`**: `k` sampling rounds into the nested per-node
 //!    `Vec<Vec<M>>` ([`Engine::collect_samples`]) vs the flat column-major
 //!    [`SampleMatrix`](gossip_net::SampleMatrix)
 //!    ([`Engine::collect_samples_flat`]) — n allocations vs one.
-//! 3. **`fused_sample_step`**: a tournament-shaped step of `k` samples per
+//! 2. **`fused_sample_step`**: a tournament-shaped step of `k` samples per
 //!    node feeding a local update — `collect_samples_flat(k)` plus
 //!    `local_step` (the composition) vs [`Engine::sample_step`], which
 //!    draws, prefetches and applies all `k` samples in one pass — for
@@ -21,8 +16,15 @@
 //! Every pair also cross-checks **bit-identical final states** — the layout
 //! work is pure mechanical sympathy, so any trajectory divergence is a bug,
 //! not a tolerance question. Rows land in the `layout` section of
-//! `BENCH_engine.json`; the PR 8 acceptance gate is the
-//! `pull_blocked_prefetch` row at n = 1M, threads = 1.
+//! `BENCH_engine.json`.
+//!
+//! The cache-blocked, prefetched dense pull round is the only pull round
+//! the engine has. Its A/B against the per-slot loop it replaced is
+//! recorded in the committed `pull_blocked_prefetch` rows of
+//! `BENCH_engine.json` (0.925× at n = 16k, 0.897× at 100k, 1.821× at 1M;
+//! a full run of this bench rewrites the section without them), and its
+//! equivalence to the per-slot configuration (`set_copy_block(1)`,
+//! `set_prefetch_dist(0)`) is a property test of `tests/layout.rs`.
 //!
 //! The run-batched copy-on-write commit ([`gossip_net::soa::swap_runs`]) is
 //! the only commit the engine has; its A/B against the per-slot swap it
@@ -37,7 +39,7 @@
 //! cargo bench -p bench --bench engine_layout
 //! ```
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion};
 use gossip_net::{Engine, EngineConfig};
 use std::time::Instant;
 
@@ -66,26 +68,6 @@ fn measure(mut f: impl FnMut() -> f64) -> criterion::stats::Summary {
     let _warmup = f();
     let collected: Vec<f64> = (0..samples).map(|_| f()).collect();
     criterion::stats::summary(&collected).expect("samples")
-}
-
-fn pull_rounds_per_sec(n: usize, rounds: u64, reference: bool) -> (f64, Vec<u64>) {
-    let mut e = engine(n);
-    let serve = |_: usize, &s: &u64| s;
-    let apply = |_: usize, st: &mut u64, p: Option<u64>| {
-        if let Some(p) = p {
-            *st = (*st).max(p);
-        }
-    };
-    let start = Instant::now();
-    for _ in 0..rounds {
-        if reference {
-            e.pull_round_reference(serve, apply);
-        } else {
-            e.pull_round(serve, apply);
-        }
-    }
-    let rate = rounds as f64 / start.elapsed().as_secs_f64();
-    (rate, e.into_states())
 }
 
 fn collect_rounds_per_sec(n: usize, iterations: u64, flat: bool) -> (f64, Vec<u64>) {
@@ -153,7 +135,7 @@ struct AbRow {
     identical: bool,
 }
 
-fn bench_engine_layout(c: &mut Criterion) {
+fn bench_engine_layout(_: &mut Criterion) {
     let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let sizes: &[usize] = if quick() {
         &[1 << 12, 1 << 14]
@@ -161,34 +143,9 @@ fn bench_engine_layout(c: &mut Criterion) {
         &[16_000, 100_000, 1_000_000]
     };
 
-    let mut group = c.benchmark_group("engine_layout");
-    group.sample_size(if quick() { 2 } else { 5 });
     let mut rows: Vec<AbRow> = Vec::new();
-
     for &n in sizes {
         let rounds = rounds_for(n);
-        group.throughput(Throughput::Elements(rounds * n as u64));
-        group.bench_with_input(BenchmarkId::new("pull_old", n), &n, |b, &n| {
-            b.iter(|| pull_rounds_per_sec(n, rounds, true).0);
-        });
-        group.bench_with_input(BenchmarkId::new("pull_new", n), &n, |b, &n| {
-            b.iter(|| pull_rounds_per_sec(n, rounds, false).0);
-        });
-
-        let old = measure(|| pull_rounds_per_sec(n, rounds, true).0);
-        let new = measure(|| pull_rounds_per_sec(n, rounds, false).0);
-        let identical =
-            pull_rounds_per_sec(n, rounds, true).1 == pull_rounds_per_sec(n, rounds, false).1;
-        assert!(identical, "blocked/prefetched pull diverged at n = {n}");
-        rows.push(AbRow {
-            change: "pull_blocked_prefetch",
-            k: None,
-            n,
-            old,
-            new,
-            identical,
-        });
-
         let iterations = rounds.div_ceil(2).max(1);
         let old = measure(|| collect_rounds_per_sec(n, iterations, false).0);
         let new = measure(|| collect_rounds_per_sec(n, iterations, true).0);
@@ -221,7 +178,6 @@ fn bench_engine_layout(c: &mut Criterion) {
             });
         }
     }
-    group.finish();
 
     let mut json_rows = Vec::new();
     for r in &rows {

@@ -9,9 +9,9 @@
 //! column of those rows across PRs.
 //!
 //! The `program` section measures the same pull schedule **looped vs fused**:
-//! the looped run dispatches the pool once per round, the fused run records
-//! the schedule into a [`RoundProgram`] and replays it as one resident
-//! session. At small n with workers, the per-round hand-off dominates and
+//! the looped run dispatches the pool once per round, the fused run runs the
+//! same loop inside one [`Engine::fused`] resident session. At small n with
+//! workers, the per-round hand-off dominates and
 //! fusion should win outright; at 1M nodes the round bodies dominate and the
 //! two must agree within noise. Each row also pins the engine's dispatch
 //! counters for both variants (R dispatches looped, 1 fused) and asserts the
@@ -29,7 +29,7 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gossip_net::{par, Engine, EngineConfig, RoundProgram};
+use gossip_net::{par, Engine, EngineConfig};
 use std::time::Instant;
 
 /// Rounds per measurement at a given n (many at small n so dispatch overhead
@@ -49,79 +49,15 @@ fn max_spread_engine(n: usize, seed: u64, threads: usize) -> Engine<u64> {
     engine
 }
 
-/// Runs `rounds` pull rounds of max-spreading and returns rounds/sec.
-fn measure_pull_rounds_per_sec(n: usize, threads: usize, rounds: u64) -> f64 {
-    let mut engine = max_spread_engine(n, 42, threads);
-    let start = Instant::now();
-    for _ in 0..rounds {
-        engine.pull_round(
-            |_, &s| s,
-            |_, st, p| {
-                if let Some(p) = p {
-                    *st = (*st).max(p);
-                }
-            },
-        );
-    }
-    rounds as f64 / start.elapsed().as_secs_f64()
-}
-
-fn final_states(n: usize, threads: usize, rounds: u64) -> Vec<u64> {
-    let mut engine = max_spread_engine(n, 42, threads);
-    for _ in 0..rounds {
-        engine.pull_round(
-            |_, &s| s,
-            |_, st, p| {
-                if let Some(p) = p {
-                    *st = (*st).max(p);
-                }
-            },
-        );
-    }
-    engine.into_states()
-}
-
-/// Records the max-spread pull schedule into `program`.
-fn record_pull_schedule(program: &mut RoundProgram<'_, u64>, rounds: u64) {
-    for _ in 0..rounds {
-        program.pull(
-            |_, &s| s,
-            |_, st, p| {
-                if let Some(p) = p {
-                    *st = (*st).max(p);
-                }
-            },
-        );
-    }
-}
-
-/// Runs the schedule as one fused program and returns rounds/sec (recording
-/// time excluded — a schedule is recorded once and replayed per epoch).
-fn measure_pull_program_rounds_per_sec(n: usize, threads: usize, rounds: u64) -> f64 {
-    let mut engine = max_spread_engine(n, 42, threads);
-    let mut program: RoundProgram<'_, u64> = RoundProgram::new();
-    record_pull_schedule(&mut program, rounds);
-    let start = Instant::now();
-    engine.run_program(&mut program);
-    rounds as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Final states plus the pool dispatches the run cost, looped or fused.
-fn run_pull_counting_dispatches(
-    n: usize,
-    threads: usize,
-    rounds: u64,
-    fused: bool,
-) -> (Vec<u64>, u64) {
+/// Runs `rounds` pull rounds of max-spreading, looped or inside one fused
+/// session. Returns rounds/sec, the final states, and the pool dispatches
+/// the run cost.
+fn run_pull(n: usize, threads: usize, rounds: u64, fused: bool) -> (f64, Vec<u64>, u64) {
     let mut engine = max_spread_engine(n, 42, threads);
     let before = engine.metrics().pool_dispatches;
-    if fused {
-        let mut program: RoundProgram<'_, u64> = RoundProgram::new();
-        record_pull_schedule(&mut program, rounds);
-        engine.run_program(&mut program);
-    } else {
+    let spread = |e: &mut Engine<u64>| {
         for _ in 0..rounds {
-            engine.pull_round(
+            e.pull_round(
                 |_, &s| s,
                 |_, st, p| {
                     if let Some(p) = p {
@@ -130,9 +66,16 @@ fn run_pull_counting_dispatches(
                 },
             );
         }
+    };
+    let start = Instant::now();
+    if fused {
+        engine.fused(spread);
+    } else {
+        spread(&mut engine);
     }
+    let rate = rounds as f64 / start.elapsed().as_secs_f64();
     let dispatches = engine.metrics().pool_dispatches - before;
-    (engine.into_states(), dispatches)
+    (rate, engine.into_states(), dispatches)
 }
 
 fn bench_engine_scaling(c: &mut Criterion) {
@@ -159,7 +102,7 @@ fn bench_engine_scaling(c: &mut Criterion) {
                 BenchmarkId::new(format!("pull_n{n}"), format!("{threads}t")),
                 &(n, threads),
                 |b, &(n, threads)| {
-                    b.iter(|| measure_pull_rounds_per_sec(n, threads, rounds));
+                    b.iter(|| run_pull(n, threads, rounds, false).0);
                 },
             );
         }
@@ -169,15 +112,15 @@ fn bench_engine_scaling(c: &mut Criterion) {
         // dev (host contention shows up as outliers the median resists, and
         // the std dev records how noisy the run was).
         let measure = |threads: usize| {
-            let _warmup = measure_pull_rounds_per_sec(n, threads, rounds);
+            let _warmup = run_pull(n, threads, rounds, false);
             let samples: Vec<f64> = (0..5)
-                .map(|_| measure_pull_rounds_per_sec(n, threads, rounds))
+                .map(|_| run_pull(n, threads, rounds, false).0)
                 .collect();
             criterion::stats::summary(&samples).expect("five samples")
         };
         let single = measure(1);
         let multi = measure(threads_mt);
-        let identical = final_states(n, 1, rounds) == final_states(n, threads_mt, rounds);
+        let identical = run_pull(n, 1, rounds, false).1 == run_pull(n, threads_mt, rounds, false).1;
         assert!(identical, "thread count changed the execution at n = {n}");
         println!(
             "engine_scaling n={n}: {:.2}±{:.2} rounds/s @1t, {:.2}±{:.2} rounds/s @{threads_mt}t \
@@ -227,23 +170,16 @@ fn bench_engine_scaling(c: &mut Criterion) {
         }
         for &threads in &thread_configs {
             let measure = |fused: bool| {
-                let run = |f: bool| {
-                    if f {
-                        measure_pull_program_rounds_per_sec(n, threads, rounds)
-                    } else {
-                        measure_pull_rounds_per_sec(n, threads, rounds)
-                    }
-                };
-                let _warmup = run(fused);
-                let samples: Vec<f64> = (0..5).map(|_| run(fused)).collect();
+                let _warmup = run_pull(n, threads, rounds, fused);
+                let samples: Vec<f64> = (0..5)
+                    .map(|_| run_pull(n, threads, rounds, fused).0)
+                    .collect();
                 criterion::stats::summary(&samples).expect("five samples")
             };
             let looped = measure(false);
             let fused = measure(true);
-            let (loop_states, dispatches_loop) =
-                run_pull_counting_dispatches(n, threads, rounds, false);
-            let (program_states, dispatches_program) =
-                run_pull_counting_dispatches(n, threads, rounds, true);
+            let (_, loop_states, dispatches_loop) = run_pull(n, threads, rounds, false);
+            let (_, program_states, dispatches_program) = run_pull(n, threads, rounds, true);
             let identical = loop_states == program_states;
             assert!(identical, "fusion changed the execution at n = {n}");
             let speedup = fused.median / looped.median;

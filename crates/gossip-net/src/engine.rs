@@ -172,10 +172,9 @@
 //! Faulted rounds run the same bodies, so they get the blocked refresh and
 //! the prefetched gathers too. All of it is mechanical rewriting with
 //! bit-identical results — per-node RNG consumption, fold order and metrics
-//! are unchanged (pinned by the golden suites, `tests/layout.rs` and the
-//! sample-step ≡ composition tests of `tests/program.rs`, with the per-slot
-//! pull loop kept as [`Engine::pull_round_reference`] for same-host A/B
-//! measurement).
+//! are unchanged (pinned by the golden suites, by `tests/layout.rs` against
+//! the per-slot configuration `set_copy_block(1)` + `set_prefetch_dist(0)`,
+//! and by the sample-step ≡ composition tests of `tests/program.rs`).
 //! Algorithms whose own state scans dominate can mirror their state structs
 //! into flat parallel columns via [`crate::soa::Columns`] / the
 //! [`columns!`](crate::columns) macro.
@@ -1037,23 +1036,22 @@ impl<S> Engine<S> {
         &self.pool
     }
 
-    /// Runs `f` as one **fused round program**: the worker pool is woken
-    /// once ([`WorkerPool::run_program`]), stays resident for every round
-    /// primitive `f` executes on this engine, and parks again when `f`
+    /// Runs `f` as one **fused session** — the engine's one way to fuse a
+    /// multi-round schedule into a single pool dispatch. The worker pool is
+    /// woken once ([`WorkerPool::run_program`]), stays resident for every
+    /// round primitive `f` executes on this engine, and parks again when `f`
     /// returns — replacing one full dispatch hand-off per round with a
     /// lightweight spin-then-park phase barrier.
     ///
     /// Results are **bit-identical** to running `f` without the fusion (the
-    /// determinism and program test suites pin this); only wall-clock time
-    /// and the scheduling counters change. Fused blocks nest freely (the
-    /// inner one just runs inside the outer session), and arbitrary
+    /// determinism suite and `tests/program.rs` pin this); only wall-clock
+    /// time and the scheduling counters change. A schedule is a plain loop
+    /// inside `f`, fixed (the tournament iterations, rumor spreading) or
+    /// data-dependent (convergence loops, expanding active sets): arbitrary
     /// sequential work between rounds — convergence checks, active-set
-    /// unions, metric folds — is fine inside `f`: it simply runs on the
-    /// session thread (executor 0) while the workers wait at the barrier.
-    ///
-    /// Use [`Engine::run_program`](crate::RoundProgram) to build and replay
-    /// a recorded round schedule; use `fused` directly when the schedule is
-    /// data-dependent (convergence loops, expanding active sets).
+    /// unions, metric folds — simply runs on the session thread (executor 0)
+    /// while the workers wait at the barrier. Fused blocks nest freely (the
+    /// inner one just runs inside the outer session).
     ///
     /// Note: engines sharing this pool cannot dispatch from *other* threads
     /// while the session runs (they serialise on the pool's gate, as
@@ -1280,31 +1278,15 @@ impl<S: Clone + Send + Sync> Engine<S> {
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, Option<M>) + Sync,
     {
-        with_sampler!(self, sp => with_faults!(self, fx => self.pull_body(fx, sp, true, serve, apply)))
+        with_sampler!(self, sp => with_faults!(self, fx => self.pull_body(fx, sp, serve, apply)))
     }
 
-    /// The pre-layout-optimisation [`Engine::pull_round`]: the per-slot
-    /// clone-then-serve loop, kept as the measured control of the `layout`
-    /// A/B bench and as the reference the property tests pin the
-    /// blocked/prefetched path against (bit-identical states and metrics).
-    /// Not part of the supported API.
-    #[doc(hidden)]
-    pub fn pull_round_reference<M, F, G>(&mut self, serve: F, apply: G) -> usize
-    where
-        M: MessageSize,
-        F: Fn(NodeId, &S) -> M + Sync,
-        G: Fn(NodeId, &mut S, Option<M>) + Sync,
-    {
-        with_sampler!(self, sp => with_faults!(self, fx => self.pull_body(fx, sp, false, serve, apply)))
-    }
-
-    /// [`Engine::pull_round`] (`blocked`) or [`Engine::pull_round_reference`],
-    /// monomorphised over the sampler type and the fault policy.
+    /// [`Engine::pull_round`], monomorphised over the sampler type and the
+    /// fault policy.
     fn pull_body<X, SP, M, F, G>(
         &mut self,
         _: PhantomData<X>,
         sampler: SP,
-        blocked: bool,
         serve: F,
         apply: G,
     ) -> usize
@@ -1331,9 +1313,8 @@ impl<S: Clone + Send + Sync> Engine<S> {
         // misses, so the batch/prefetch machinery is skipped (measured ~10%
         // overhead at n = 4k) — the touch order is the same either way, so
         // this gate cannot affect results.
-        let prefetch = blocked
-            && dist > 0
-            && std::mem::size_of::<S>() * states.len() > crate::soa::PREFETCH_MIN_BYTES;
+        let prefetch =
+            dist > 0 && std::mem::size_of::<S>() * states.len() > crate::soa::PREFETCH_MIN_BYTES;
         let delta = par::for_chunks(
             &self.pool,
             &mut self.next,
@@ -1341,19 +1322,10 @@ impl<S: Clone + Send + Sync> Engine<S> {
             Metrics::default(),
             |start, chunk| {
                 let mut local = Metrics::default();
-                if !blocked {
-                    for (j, slot) in chunk.iter_mut().enumerate() {
-                        let v = start + j;
-                        slot.clone_from(&states[v]);
-                        let t = fx.pull(sampler, prefix, v, &mut local);
-                        land_pull(states, serve, apply, v, slot, t, &mut local);
-                    }
-                    return local;
-                }
-                // Restructured around memory layout (bit-identical to the
-                // per-slot loop above — every node draws the same stream and
-                // serves the same target; only the cache-line touch order
-                // changes):
+                // Structured around memory layout (bit-identical to a
+                // per-slot clone-then-serve loop — every node draws the same
+                // stream and serves the same target; only the cache-line
+                // touch order changes):
                 //
                 // 1. refresh one block of back-buffer slots in a tight clone
                 //    pass (a memcpy for Copy states) so the block is L1/L2-hot
@@ -2171,34 +2143,6 @@ impl<S: Clone + Send + Sync> Engine<S> {
     where
         V: MessageSize + Copy + Send + Sync,
     {
-        self.collect_lanes_in(None, lane_values, out);
-    }
-
-    /// [`Engine::collect_lanes`] restricted to an [`ActiveSet`]: only the
-    /// active nodes pull; every other row is left undelivered
-    /// ([`LaneMatrix::NO_SOURCE`]). Round accounting matches
-    /// [`Engine::collect_samples_on`] (the round is consumed even by an
-    /// empty active set).
-    pub fn collect_lanes_on<V>(
-        &mut self,
-        active: &ActiveSet,
-        lane_values: &[V],
-        out: &mut LaneMatrix<V>,
-    ) where
-        V: MessageSize + Copy + Send + Sync,
-    {
-        self.collect_lanes_in(Some(active), lane_values, out);
-    }
-
-    /// Both lane collectors: draw the sources, then gather the rows.
-    fn collect_lanes_in<V>(
-        &mut self,
-        active: Option<&ActiveSet>,
-        lane_values: &[V],
-        out: &mut LaneMatrix<V>,
-    ) where
-        V: MessageSize + Copy + Send + Sync,
-    {
         let lanes = out.lanes();
         assert_eq!(
             out.n(),
@@ -2212,11 +2156,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
         );
         let row = |t: usize| &lane_values[t * lanes..(t + 1) * lanes];
         let (values, sources) = out.parts_mut();
-        self.pull_sources(
-            active,
-            |t| crate::message::seq_message_bits(row(t)),
-            sources,
-        );
+        self.pull_sources(None, |t| crate::message::seq_message_bits(row(t)), sources);
         par::for_rows2(
             &self.pool,
             values,

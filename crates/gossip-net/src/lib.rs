@@ -64,8 +64,6 @@ pub mod message;
 pub mod metrics;
 pub mod par;
 pub mod pool;
-pub mod program;
-pub mod protocol;
 pub mod rng;
 pub mod soa;
 pub mod topology;
@@ -79,10 +77,8 @@ pub use fault::{ChurnModel, FaultPlan, LossModel, StragglerModel};
 pub use message::MessageSize;
 pub use metrics::{Metrics, RoundKind};
 pub use pool::{PoolStats, WorkerPool};
-pub use program::{RoundProgram, StepKind};
-pub use protocol::{NodeProtocol, ProtocolOutcome, ProtocolRunner, StepReport};
 pub use rng::{KeyPrefix, NodeRng, SeedSequence};
-pub use soa::{ColumnStore, Columns, LaneMatrix, SampleMatrix};
+pub use soa::{Columns, LaneMatrix, SampleMatrix};
 pub use topology::{Adjacency, AdjacencyCache, Topology};
 pub use value::{NodeValue, OrderedF64};
 

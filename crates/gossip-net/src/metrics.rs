@@ -82,15 +82,16 @@ pub struct Metrics {
     /// Largest single message observed, in bits.
     pub max_message_bits: u64,
     /// Full worker-pool dispatch hand-offs this engine paid (one per
-    /// non-inline parallel map outside a round program, one per fused
-    /// program — see the crate docs' "round programs"). A **scheduling**
+    /// non-inline parallel map outside a fused session, one per
+    /// [`Engine::fused`](crate::Engine::fused) session — see
+    /// [`crate::pool`]'s "Resident sessions"). A **scheduling**
     /// counter: it measures execution cost, not communication, and is
     /// therefore excluded from `==` (see [`Metrics`]'s `PartialEq`).
     /// With a shared pool (`EngineConfig::pool`), dispatches by other
     /// sharers during this engine's lifetime are included.
     pub pool_dispatches: u64,
     /// Worker threads woken by those dispatches (plus parked resident
-    /// workers woken by program phases, best-effort). Scheduling-only and
+    /// workers woken by session phases, best-effort). Scheduling-only and
     /// excluded from `==`, like `pool_dispatches`; inherently
     /// nondeterministic across hosts and thread counts.
     pub worker_wakeups: u64,
@@ -100,7 +101,7 @@ pub struct Metrics {
 ///
 /// `pool_dispatches` and `worker_wakeups` are deliberately excluded: they
 /// describe how the simulation was scheduled (thread count, pool sharing,
-/// program fusion), not what it computed, and the engine's determinism
+/// fused sessions), not what it computed, and the engine's determinism
 /// contract — bit-identical results at any thread count, pinned by
 /// `tests/determinism.rs` comparing `(states, metrics)` tuples — must not
 /// depend on them.

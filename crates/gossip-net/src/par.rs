@@ -18,8 +18,8 @@
 //! the long-lived workers of a [`WorkerPool`] (owned by the engine,
 //! constructed once, shareable between engines): per map, the hand-off is one
 //! mutex/condvar wake plus an atomic task cursor. Inside a
-//! [`WorkerPool::run_program`] resident session (an [`Engine::fused`] block
-//! or a replayed [`RoundProgram`]), even that is skipped: the pool
+//! [`WorkerPool::run_program`] resident session (an [`Engine::fused`]
+//! block), even that is skipped: the pool
 //! recognises the session owner's thread and turns each map into a *phase*
 //! of the already-woken workers — an atomic phase bump on a spin-then-park
 //! barrier instead of a full wake/quiesce hand-off. The helpers themselves
@@ -28,7 +28,6 @@
 //! phase barrier, and its lifecycle.
 //!
 //! [`Engine::fused`]: crate::Engine::fused
-//! [`RoundProgram`]: crate::RoundProgram
 //! [`WorkerPool::run_program`]: crate::WorkerPool::run_program
 //!
 //! ## Determinism argument

@@ -36,14 +36,17 @@
 //! Worker panics are caught per job, forwarded to the caller after the
 //! barrier, and leave the pool usable.
 //!
-//! ## Resident sessions (round programs)
+//! ## Resident sessions
 //!
 //! The epoch/condvar hand-off above costs tens of microseconds per dispatch
 //! on a busy host — negligible for one big map, dominant for a schedule of
 //! hundreds of sub-millisecond rounds (the regime the paper's tournament
 //! schedules live in). [`WorkerPool::run_program`] removes that per-round
 //! constant: it wakes every worker **once**, runs the whole multi-round
-//! program with the workers *resident*, and only then lets them park again.
+//! schedule with the workers *resident*, and only then lets them park again.
+//! The engine reaches it through [`Engine::fused`](crate::Engine::fused),
+//! its one way to fuse rounds; the service's epochs open a session on their
+//! shared pool directly.
 //!
 //! Inside a session, a dispatch from the owning thread (any
 //! [`WorkerPool::run`] call it makes — the engine's round primitives need no
@@ -55,7 +58,7 @@
 //! yields the CPU periodically so an oversubscribed host keeps making
 //! progress, and a worker that outlives the budget parks on the condvar and
 //! is woken by the next phase bump). Between phases the owner thread —
-//! executor 0 — performs the program's short sequential work (CSR prefix
+//! executor 0 — performs the schedule's short sequential work (CSR prefix
 //! scans, buffer swaps, metrics folds, active-set unions) while the workers
 //! wait at the barrier. The per-phase quiescence wait (`remaining == 0`)
 //! plays the same lifetime-erasure-soundness role as `running == 0` does for
@@ -63,7 +66,7 @@
 //!
 //! Phases keep the exact task semantics of plain dispatches — same task
 //! indices, same cursor-claimed assignment, same per-phase barrier — so a
-//! program's results are **bit-identical** to the equivalent loop of single
+//! session's results are **bit-identical** to the equivalent loop of single
 //! dispatches (pinned by `tests/program.rs`); only the hand-off cost changes.
 //!
 //! ## Determinism argument

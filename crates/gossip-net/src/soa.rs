@@ -9,14 +9,15 @@
 //! layout-level tools the engine and the algorithm crates use to squeeze the
 //! per-byte cost:
 //!
-//! * [`Columns`] / [`ColumnStore`] — struct-of-arrays storage for per-node
-//!   algorithm state. A `Columns` implementation (hand-written, or generated
-//!   by [`columns!`](crate::columns)) mirrors a per-node struct as parallel
+//! * [`Columns`] — struct-of-arrays storage for per-node algorithm state. A
+//!   `Columns` implementation (hand-written, or generated by
+//!   [`columns!`](crate::columns)) mirrors a per-node struct as parallel
 //!   flat `Vec`s, one per field, so whole-population passes ("divide every
 //!   `s` by its `w`", "count the `good` flags") run over contiguous
 //!   same-typed arrays that autovectorise, instead of striding over
-//!   interleaved structs. `ColumnStore` keeps the engine-compatible
-//!   `states()` / per-slot accessor API on top.
+//!   interleaved structs. [`Columns::from_states`] and
+//!   [`Columns::to_states`] convert to and from the row layout an engine
+//!   runs on.
 //! * [`SampleMatrix`] — the flat result of
 //!   [`Engine::collect_samples_flat`](crate::Engine::collect_samples_flat):
 //!   `k` rounds of samples for `n` nodes in **one** column-major allocation
@@ -53,8 +54,8 @@
 //! **None of these affect results.** Block sizes and prefetch distances
 //! change only the order in which cache lines are touched, never the order
 //! in which per-node closures observe state — the property tests pin the
-//! blocked paths bit-identical to the per-slot reference for arbitrary
-//! block sizes and active sets.
+//! blocked paths bit-identical to the per-slot configuration (block size 1,
+//! prefetch off) for arbitrary block sizes and active sets.
 
 use std::sync::OnceLock;
 
@@ -226,106 +227,6 @@ pub trait Columns: Default {
     /// [`Engine`](crate::Engine) consumes).
     fn to_states(&self) -> Vec<Self::State> {
         (0..self.len()).map(|i| self.get(i)).collect()
-    }
-}
-
-/// An [`Engine`](crate::Engine)-compatible column-backed state buffer.
-///
-/// Holds a [`Columns`] implementation and keeps the engine's familiar
-/// API shape on top of it: [`states`](ColumnStore::states) materialises the
-/// row vector an engine is constructed from, [`get`](ColumnStore::get) /
-/// [`set`](ColumnStore::set) are per-slot accessor views, and
-/// [`for_each`](ColumnStore::for_each) is the `local_step`-shaped whole-
-/// population update (each closure invocation sees one node's state as a
-/// struct view; the mutation is written back to the columns). Column slices
-/// themselves are reachable via [`columns`](ColumnStore::columns) for the
-/// flat passes that are the point of the exercise.
-///
-/// ```
-/// use gossip_net::soa::{Columns, ColumnStore};
-///
-/// #[derive(Debug, Clone, Copy, PartialEq)]
-/// struct Pair { s: f64, w: f64 }
-/// gossip_net::columns! {
-///     /// Columns of `Pair`.
-///     struct PairColumns for Pair { s: f64, w: f64 }
-/// }
-///
-/// let states = vec![Pair { s: 1.0, w: 2.0 }, Pair { s: 3.0, w: 4.0 }];
-/// let mut store = ColumnStore::<PairColumns>::from_states(&states);
-/// store.for_each(|_, p| p.s *= 10.0);
-/// assert_eq!(store.columns().s, vec![10.0, 30.0]);     // flat column pass
-/// assert_eq!(store.get(1), Pair { s: 30.0, w: 4.0 });  // struct view
-/// assert_eq!(store.states().len(), 2);                 // engine-shaped
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ColumnStore<C: Columns> {
-    cols: C,
-}
-
-impl<C: Columns> ColumnStore<C> {
-    /// Builds the store from a slice of per-node states.
-    pub fn from_states(states: &[C::State]) -> Self {
-        ColumnStore {
-            cols: C::from_states(states),
-        }
-    }
-
-    /// Wraps already-built columns.
-    pub fn from_columns(cols: C) -> Self {
-        ColumnStore { cols }
-    }
-
-    /// Number of nodes stored.
-    pub fn len(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
-    }
-
-    /// Materialises node `i`'s state (the accessor view).
-    pub fn get(&self, i: usize) -> C::State {
-        self.cols.get(i)
-    }
-
-    /// Overwrites node `i`'s state from a struct value.
-    pub fn set(&mut self, i: usize, state: &C::State) {
-        self.cols.set(i, state);
-    }
-
-    /// Materialises all states in engine layout (`Vec<State>`, indexed by
-    /// node id) — feed this to [`Engine::from_states`](crate::Engine::from_states).
-    pub fn states(&self) -> Vec<C::State> {
-        self.cols.to_states()
-    }
-
-    /// Applies a `local_step`-shaped update to every node: the closure gets
-    /// `(node id, &mut state view)`; mutations are written back to the
-    /// columns.
-    pub fn for_each(&mut self, mut f: impl FnMut(usize, &mut C::State)) {
-        for i in 0..self.cols.len() {
-            let mut state = self.cols.get(i);
-            f(i, &mut state);
-            self.cols.set(i, &state);
-        }
-    }
-
-    /// The underlying columns (flat field arrays).
-    pub fn columns(&self) -> &C {
-        &self.cols
-    }
-
-    /// Mutable access to the underlying columns.
-    pub fn columns_mut(&mut self) -> &mut C {
-        &mut self.cols
-    }
-
-    /// Consumes the store, returning the columns.
-    pub fn into_columns(self) -> C {
-        self.cols
     }
 }
 
@@ -571,22 +472,6 @@ mod tests {
         assert_eq!(cols.len(), states.len());
         assert_eq!(cols.a, (0..10).collect::<Vec<u64>>());
         assert_eq!(cols.to_states(), states);
-    }
-
-    #[test]
-    fn column_store_accessor_views() {
-        let mut store = ColumnStore::<DemoColumns>::from_states(&demo_states());
-        assert_eq!(store.len(), 10);
-        assert!(!store.is_empty());
-        store.set(3, &Demo { a: 99, b: -1.0 });
-        assert_eq!(store.get(3), Demo { a: 99, b: -1.0 });
-        store.for_each(|i, st| st.a += i as u64);
-        assert_eq!(store.columns().a[3], 99 + 3);
-        assert_eq!(store.states()[0], Demo { a: 0, b: 0.0 });
-        // Column mutation is visible through the struct views.
-        store.columns_mut().b[0] = 7.5;
-        assert_eq!(store.get(0).b, 7.5);
-        assert_eq!(store.into_columns().a.len(), 10);
     }
 
     #[test]

@@ -356,82 +356,59 @@ fn sparse_push_at_20k_is_thread_count_invariant() {
 }
 
 #[test]
-fn sparse_push_program_at_20k_is_thread_count_invariant() {
+fn sparse_push_session_at_20k_is_thread_count_invariant() {
     // The resident-session counterpart of the entry above: the same sparse
-    // push / dense pull interleaving recorded as a RoundProgram and replayed
-    // as one fused dispatch. The phase barrier must preserve thread-count
-    // invariance exactly as the full hand-off does — and the fused run must
-    // equal the looped one bit for bit at every matrix point.
-    let looped = |threads: usize| {
+    // push / dense pull interleaving, looped and inside one fused session.
+    // The phase barrier must preserve thread-count invariance exactly as the
+    // full hand-off does — and the fused run must equal the looped one bit
+    // for bit at every matrix point.
+    let run = |threads: usize, fuse: bool| {
         let n = 20_000;
         let active = ActiveSet::from_fn(n, |v| v % 11 == 0);
         let mut e = engine(n, 47, FailureModel::uniform(0.15).unwrap());
         e.set_threads(threads);
-        for _ in 0..3 {
-            e.push_round_on(
-                &active,
-                |v, &s| if v % 5 == 0 { None } else { Some(s) },
-                |_, st, msg| *st = fold_hash(*st, msg),
-                |_, st, delivered| {
-                    if delivered {
-                        *st = st.rotate_left(1);
-                    }
-                },
-            );
-            e.pull_round(
-                |_, &s| s,
-                |_, st, p| {
-                    if let Some(p) = p {
-                        *st = fold_hash(*st, p);
-                    }
-                },
-            );
+        let schedule = |e: &mut Engine<u64>| {
+            for _ in 0..3 {
+                e.push_round_on(
+                    &active,
+                    |v, &s| if v % 5 == 0 { None } else { Some(s) },
+                    |_, st, msg| *st = fold_hash(*st, msg),
+                    |_, st, delivered| {
+                        if delivered {
+                            *st = st.rotate_left(1);
+                        }
+                    },
+                );
+                e.pull_round(
+                    |_, &s| s,
+                    |_, st, p| {
+                        if let Some(p) = p {
+                            *st = fold_hash(*st, p);
+                        }
+                    },
+                );
+            }
+        };
+        if fuse {
+            e.fused(schedule);
+        } else {
+            schedule(&mut e);
         }
         let metrics = e.metrics();
         (e.into_states(), metrics)
     };
-    let fused = |threads: usize| {
-        let n = 20_000;
-        let active = ActiveSet::from_fn(n, |v| v % 11 == 0);
-        let mut e = engine(n, 47, FailureModel::uniform(0.15).unwrap());
-        e.set_threads(threads);
-        let mut program: gossip_net::RoundProgram<'_, u64> = gossip_net::RoundProgram::new();
-        for _ in 0..3 {
-            program.push_on(
-                active.clone(),
-                |v, &s| if v % 5 == 0 { None } else { Some(s) },
-                |_, st, msg| *st = fold_hash(*st, msg),
-                |_, st, delivered| {
-                    if delivered {
-                        *st = st.rotate_left(1);
-                    }
-                },
-            );
-            program.pull(
-                |_, &s| s,
-                |_, st, p| {
-                    if let Some(p) = p {
-                        *st = fold_hash(*st, p);
-                    }
-                },
-            );
-        }
-        e.run_program(&mut program);
-        let metrics = e.metrics();
-        (e.into_states(), metrics)
-    };
-    let baseline = looped(1);
+    let baseline = run(1, false);
     assert!(baseline.1.failed_operations > 0, "failures did not fire");
     for threads in THREAD_MATRIX {
         assert_eq!(
-            looped(threads),
+            run(threads, false),
             baseline,
             "{threads}-thread sparse push loop diverged"
         );
         assert_eq!(
-            fused(threads),
+            run(threads, true),
             baseline,
-            "{threads}-thread sparse push program diverged from the loop"
+            "{threads}-thread sparse push session diverged from the loop"
         );
     }
 }
@@ -657,13 +634,13 @@ struct PairState {
 
 #[test]
 fn soa_backed_engine_is_identical_across_thread_counts_and_layout_knobs() {
-    // The SoA path end to end: algorithm state lives in a ColumnStore, is
-    // loaded into an engine (Columns → states), run through pull/push rounds
+    // The SoA path end to end: algorithm state lives in columns, is loaded
+    // into an engine (`Columns::to_states`), run through pull/push rounds
     // whose layout knobs (copy block, prefetch distance) vary per
     // configuration, and decomposed back into columns. Every
     // (threads, knobs) point of the matrix must yield bit-identical columns —
     // the knobs are mechanical-sympathy switches, never semantic ones.
-    use gossip_net::soa::ColumnStore;
+    use gossip_net::Columns;
 
     let initial: Vec<PairState> = (0..2000u64)
         .map(|v| PairState {
@@ -671,10 +648,10 @@ fn soa_backed_engine_is_identical_across_thread_counts_and_layout_knobs() {
             tag: v ^ 0x5eed,
         })
         .collect();
-    let store: ColumnStore<PairColumns> = ColumnStore::from_states(&initial);
+    let columns = PairColumns::from_states(&initial);
 
     let run = |threads: usize, block: usize, dist: usize| {
-        let mut e = Engine::from_states(store.states(), EngineConfig::with_seed(77));
+        let mut e = Engine::from_states(columns.to_states(), EngineConfig::with_seed(77));
         e.set_threads(threads);
         e.set_copy_block(block).set_prefetch_dist(dist);
         let active = ActiveSet::from_fn(2000, |v| v % 3 != 0);
@@ -699,11 +676,7 @@ fn soa_backed_engine_is_identical_across_thread_counts_and_layout_knobs() {
                 |_, _, _| {},
             );
         }
-        let metrics = e.metrics();
-        (
-            ColumnStore::<PairColumns>::from_states(e.states()).into_columns(),
-            metrics,
-        )
+        (PairColumns::from_states(e.states()), e.metrics())
     };
 
     let (baseline_cols, baseline_metrics) = run(1, 2048, 32);
@@ -723,9 +696,9 @@ fn soa_backed_engine_is_identical_across_thread_counts_and_layout_knobs() {
         assert_eq!(metrics, baseline_metrics);
     }
 
-    // The store itself round-trips states losslessly.
-    assert_eq!(store.states(), initial);
-    assert_eq!(store.get(7), initial[7]);
+    // The columns themselves round-trip states losslessly.
+    assert_eq!(columns.to_states(), initial);
+    assert_eq!(columns.get(7), initial[7]);
 }
 
 #[test]

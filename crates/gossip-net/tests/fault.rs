@@ -10,8 +10,8 @@
 //!   not frozen at send time;
 //! * straggled contacts survive intervening pull rounds and drain on the
 //!   next push-capable round;
-//! * `ProtocolRunner::step_reporting` surfaces per-round crash sets and
-//!   fault deltas mid-protocol;
+//! * the engine surfaces per-round crash sets (`crashed_nodes`) and fault
+//!   deltas (`Metrics::snapshot_delta`) mid-run;
 //! * fault injection composes with restricted topologies.
 //!
 //! Every test runs at `par::num_threads()` workers, so CI's 1/2/8-thread
@@ -177,48 +177,49 @@ fn crashed_nodes_states_are_frozen() {
     assert!(!frozen.is_empty());
 }
 
-/// `ProtocolRunner::step_reporting` exposes the crash set and fault deltas
-/// of each round while a protocol runs.
+/// The engine reports each round's faults while an algorithm runs:
+/// `crashed_nodes()` is the crash set after the round, and
+/// `metrics().snapshot_delta(&before)` is the round's fault delta. Pull and
+/// push rounds alternate, so both directions report; a fault-free engine
+/// reports nothing.
 #[test]
-fn protocol_runner_reports_faults_per_round() {
-    use gossip_net::{NodeProtocol, ProtocolRunner};
-
-    #[derive(Clone)]
-    struct Max(u64);
-    impl NodeProtocol for Max {
-        type Message = u64;
-        type Output = u64;
-        fn serve(&self) -> u64 {
-            self.0
-        }
-        fn on_pull(&mut self, _round: u64, pulled: Option<u64>) {
-            if let Some(m) = pulled {
-                self.0 = self.0.max(m);
+fn engine_reports_faults_per_round() {
+    let n = 300;
+    for (plan, faulty) in [(chaos_plan(), true), (FaultPlan::none(), false)] {
+        let mut e = engine_with_plan(n, 99, plan);
+        let mut saw_crash = false;
+        let mut saw_disruption = false;
+        for round in 0..10 {
+            let before = e.metrics();
+            if round % 2 == 0 {
+                e.pull_round(
+                    |_, &s| s,
+                    |_, st, pulled| {
+                        if let Some(m) = pulled {
+                            *st = (*st).max(m);
+                        }
+                    },
+                );
+            } else {
+                e.push_round(|_, &s| Some(s), |_, st, m| *st = (*st).max(m), |_, _, _| {});
             }
+            let crashed = e.crashed_nodes();
+            let delta = e.metrics().snapshot_delta(&before);
+            assert_eq!(delta.rounds, 1);
+            assert_eq!(crashed.len() as u64, delta.crashed_operations);
+            assert!(crashed.windows(2).all(|w| w[0] < w[1]));
+            // Crashed nodes make no attempts.
+            assert_eq!(
+                delta.pulls_attempted + delta.pushes_attempted,
+                n as u64 - delta.crashed_operations
+            );
+            saw_crash |= !crashed.is_empty();
+            saw_disruption |= delta.messages_dropped > 0;
         }
-        fn on_push(&mut self, _round: u64, pushed: u64) {
-            self.0 = self.0.max(pushed);
-        }
-        fn output(&self) -> u64 {
-            self.0
-        }
+        // Both fire within 10 rounds of the chaos plan, never without it.
+        assert_eq!(saw_crash, faulty, "churn fired: {saw_crash}");
+        assert_eq!(saw_disruption, faulty, "loss fired: {saw_disruption}");
     }
-
-    let nodes: Vec<Max> = (0..300).map(Max).collect();
-    let config = EngineConfig::with_seed(99).fault(chaos_plan());
-    let mut runner = ProtocolRunner::new(nodes, config);
-    let mut saw_crash = false;
-    let mut saw_disruption = false;
-    for _ in 0..10 {
-        let report = runner.step_reporting();
-        assert_eq!(report.crashed.len() as u64, report.delta.crashed_operations);
-        assert!(report.crashed.windows(2).all(|w| w[0] < w[1]));
-        saw_crash |= !report.crashed.is_empty();
-        saw_disruption |= report.delta.messages_dropped > 0;
-        assert_eq!(report.delta.rounds, 1);
-    }
-    assert!(saw_crash, "churn never fired in 10 rounds");
-    assert!(saw_disruption, "loss never fired in 10 rounds");
 }
 
 /// Fault injection composes with restricted topologies: the per-contact

@@ -1,13 +1,14 @@
-//! Bit-identity of the PR 8 memory-layout machinery: the cache-blocked
+//! Bit-identity of the memory-layout machinery: the cache-blocked
 //! back-buffer refresh, the batched target gather with software prefetch,
 //! the flat column-major sample matrix, and the run-batched copy-on-write
 //! commit are *mechanical* rewrites of the per-slot paths — for every block
 //! size, prefetch distance, active-set shape, and failure model they must
-//! produce exactly the states, metrics, and sample values of the reference
-//! code (kept in-tree as [`Engine::pull_round_reference`], and for the commit
-//! as the per-slot swap `soa::swap_runs` is checked against). The
-//! source-only pull round behind the lane collectors is pinned the same way,
-//! against nested one-sample collection.
+//! produce exactly the states, metrics, and sample values of the per-slot
+//! configuration (`set_copy_block(1)` with `set_prefetch_dist(0)`: one slot
+//! cloned, then served, at a time; for the commit, the per-slot swap
+//! `soa::swap_runs` is checked against). The source-only pull round behind
+//! the lane collector is pinned the same way, against nested one-sample
+//! collection.
 //!
 //! Property tests draw those knobs arbitrarily (proptest); every test runs
 //! at `par::num_threads()` workers, so CI's 1/2/8-thread matrix exercises
@@ -39,38 +40,43 @@ fn failure_for(p: f64) -> FailureModel {
     }
 }
 
-fn pull_rounds(e: &mut Engine<u64>, rounds: usize, reference: bool) -> (Vec<u64>, Metrics) {
-    let serve = |_: usize, &s: &u64| s;
-    let apply = |_: usize, st: &mut u64, pulled: Option<u64>| {
-        if let Some(p) = pulled {
-            *st = fold_hash(*st, p);
-        }
-    };
+/// An engine in the per-slot configuration every layout knob setting is
+/// compared against: refresh blocks of one slot, no prefetch.
+fn per_slot(n: usize, seed: u64, failure: FailureModel) -> Engine<u64> {
+    let mut e = engine(n, seed, failure);
+    e.set_copy_block(1).set_prefetch_dist(0);
+    e
+}
+
+fn pull_rounds(e: &mut Engine<u64>, rounds: usize) -> (Vec<u64>, Metrics) {
     for _ in 0..rounds {
-        if reference {
-            e.pull_round_reference(serve, apply);
-        } else {
-            e.pull_round(serve, apply);
-        }
+        e.pull_round(
+            |_, &s| s,
+            |_, st, pulled| {
+                if let Some(p) = pulled {
+                    *st = fold_hash(*st, p);
+                }
+            },
+        );
     }
     (e.states().to_vec(), e.metrics())
 }
 
 proptest! {
-    /// The blocked + prefetched pull round is bit-identical to the verbatim
-    /// pre-PR-8 loop for arbitrary sizes, block sizes, prefetch distances,
+    /// The blocked + prefetched pull round is bit-identical to the per-slot
+    /// configuration for arbitrary sizes, block sizes, prefetch distances,
     /// and failure rates.
-    fn blocked_pull_matches_reference(
+    fn blocked_pull_matches_per_slot(
         size in (16usize..600, 0u64..1_000_000),
         knobs in (1usize..512, 0usize..64),
         fail_p in proptest::f64_range(0.0, 0.4),
     ) {
         let (n, seed) = size;
         let (block, dist) = knobs;
-        let reference = pull_rounds(&mut engine(n, seed, failure_for(fail_p)), 4, true);
+        let reference = pull_rounds(&mut per_slot(n, seed, failure_for(fail_p)), 4);
         let mut e = engine(n, seed, failure_for(fail_p));
         e.set_copy_block(block).set_prefetch_dist(dist);
-        let blocked = pull_rounds(&mut e, 4, false);
+        let blocked = pull_rounds(&mut e, 4);
         prop_assert_eq!(reference, blocked);
     }
 
@@ -153,12 +159,12 @@ proptest! {
 /// straddles the parallel chunk boundary — pinned explicitly on top of the
 /// random sweep.
 #[test]
-fn pull_block_edge_cases_match_reference() {
+fn pull_block_edge_cases_match_per_slot() {
     for block in [1, 7, 1 << 14, usize::MAX / 2] {
-        let reference = pull_rounds(&mut engine(300, 5, FailureModel::None), 4, true);
+        let reference = pull_rounds(&mut per_slot(300, 5, FailureModel::None), 4);
         let mut e = engine(300, 5, FailureModel::None);
         e.set_copy_block(block);
-        let blocked = pull_rounds(&mut e, 4, false);
+        let blocked = pull_rounds(&mut e, 4);
         assert_eq!(reference, blocked, "block = {block}");
     }
 }
@@ -167,31 +173,31 @@ fn pull_block_edge_cases_match_reference() {
 /// an out-of-bounds access.
 #[test]
 fn oversized_prefetch_distance_is_harmless() {
-    let reference = pull_rounds(&mut engine(200, 9, FailureModel::None), 4, true);
+    let reference = pull_rounds(&mut per_slot(200, 9, FailureModel::None), 4);
     let mut e = engine(200, 9, FailureModel::None);
     e.set_prefetch_dist(1 << 20);
-    let far = pull_rounds(&mut e, 4, false);
+    let far = pull_rounds(&mut e, 4);
     assert_eq!(reference, far);
 }
 
 /// A lane row tagged with the node that served it. Only the row goes on the
 /// wire, as in the lane collectors' bit charge.
-struct SourcedRow {
+struct TaggedRow {
     source: u32,
     row: Vec<u64>,
 }
 
-impl MessageSize for SourcedRow {
+impl MessageSize for TaggedRow {
     fn message_bits(&self) -> u64 {
         self.row.message_bits()
     }
 }
 
 /// The source-only pull round realises exactly the sources and metrics of
-/// the lane collector and of nested one-sample collection serving tagged
-/// rows: dense, on an active set (an empty one included), under a failure
-/// model and under a disruptive fault plan, below and above the parallel
-/// threshold.
+/// nested one-sample collection serving tagged rows, and on dense rounds of
+/// the lane collector too: dense, on an active set (an empty one included),
+/// under a failure model and under a disruptive fault plan, below and above
+/// the parallel threshold.
 #[test]
 fn pull_sources_matches_lane_collection_and_nested_sampling() {
     let q = 3;
@@ -216,11 +222,11 @@ fn pull_sources_matches_lane_collection_and_nested_sampling() {
             .map(|x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect();
         let row = |t: usize| &lanes[t * q..(t + 1) * q];
-        let serve = |t: usize, _: &()| SourcedRow {
+        let serve = |t: usize, _: &()| TaggedRow {
             source: t as u32,
             row: row(t).to_vec(),
         };
-        let source_of = |bucket: Option<&Vec<SourcedRow>>| {
+        let source_of = |bucket: Option<&Vec<TaggedRow>>| {
             bucket
                 .and_then(|b| b.first())
                 .map_or(u32::MAX, |m| m.source)
@@ -237,15 +243,24 @@ fn pull_sources_matches_lane_collection_and_nested_sampling() {
             let mut sources = vec![0u32; n];
             let mut matrix = LaneMatrix::empty(n, q, 0u64);
             for active in [None, Some(&partial), Some(&empty), None, Some(&partial)] {
-                drawn.pull_sources(active, |t| seq_message_bits(row(t)), &mut sources);
+                let bits = |t: usize| seq_message_bits(row(t));
+                drawn.pull_sources(active, bits, &mut sources);
                 let reference: Vec<u32> = match active {
                     None => {
                         lane.collect_lanes(&lanes, &mut matrix);
+                        assert_eq!(matrix.sources(), &sources[..], "{name}, n = {n}: lanes");
+                        for (v, &src) in sources.iter().enumerate() {
+                            if src != u32::MAX {
+                                assert_eq!(matrix.row(v), Some(row(src as usize)));
+                            }
+                        }
                         let buckets = nested.collect_samples(1, serve);
                         buckets.iter().map(|b| source_of(Some(b))).collect()
                     }
                     Some(set) => {
-                        lane.collect_lanes_on(set, &lanes, &mut matrix);
+                        // The lane collector is dense-only: its engine draws
+                        // the sparse rounds directly, staying in step.
+                        lane.pull_sources(active, bits, &mut vec![0; n]);
                         let buckets = nested.collect_samples_on(set, 1, serve);
                         (0..n)
                             .map(|v| source_of(set.rank(v).map(|rk| &buckets[rk])))
@@ -253,12 +268,6 @@ fn pull_sources_matches_lane_collection_and_nested_sampling() {
                     }
                 };
                 assert_eq!(sources, reference, "{name}, n = {n}: nested sampling");
-                assert_eq!(matrix.sources(), &sources[..], "{name}, n = {n}: lanes");
-                for (v, &src) in sources.iter().enumerate() {
-                    if src != u32::MAX {
-                        assert_eq!(matrix.row(v), Some(row(src as usize)));
-                    }
-                }
             }
             assert_eq!(drawn.round(), nested.round());
             assert_eq!(drawn.metrics(), nested.metrics(), "{name}, n = {n}");

@@ -1,13 +1,13 @@
-//! Program-replay equivalence: the golden trajectories of `tests/golden.rs`,
-//! re-executed through [`RoundProgram`] / [`Engine::fused`], must reproduce
-//! the **same pinned fingerprints** — fusing a schedule into one resident
-//! pool dispatch is a scheduling change, never a semantic one.
+//! Fused-session equivalence: the golden trajectories of `tests/golden.rs`,
+//! re-executed inside [`Engine::fused`], must reproduce the **same pinned
+//! fingerprints** — fusing a schedule into one resident pool dispatch is a
+//! scheduling change, never a semantic one.
 //!
 //! On top of the pins, the suite checks the composition laws that make fused
-//! execution safe to adopt incrementally: a program split at any cut point
-//! into two sequential fused runs equals both the unsplit program and the
-//! plain loop, and a whole program costs a single pool dispatch where the
-//! loop pays one per round.
+//! execution safe to adopt incrementally: a schedule split at any cut point
+//! into two sequential fused sessions equals the plain loop, a sample step
+//! equals its composition, and a whole session — nested blocks included —
+//! costs a single pool dispatch where the loop pays one per round.
 //!
 //! Every test runs at `par::num_threads()`, so CI's `GOSSIP_NUM_THREADS`
 //! matrix (crossed with `GOSSIP_SPIN_US` for the spin-vs-park barrier paths)
@@ -16,87 +16,42 @@
 #[path = "support/goldens.rs"]
 mod support;
 
-use gossip_net::{
-    ActiveSet, Engine, EngineConfig, FailureModel, Metrics, RoundProgram, StepKind, Topology,
-};
+use gossip_net::{ActiveSet, Engine, EngineConfig, FailureModel, Metrics, Topology};
 use rand::Rng;
 use support::{
-    chaos_plan, engine, fault_metrics_line, fingerprint, fold_hash, initial_states, metrics_line,
-    mixed_iteration, pinned,
+    chaos_plan, engine, fault_metrics_line, fingerprint, fold_hash, hash_local_steps,
+    initial_states, metrics_line, mixed_iteration, pinned, pinned_subset, pull_rounds,
+    push_pull_rounds, push_rounds, sparse_pull_rounds, sparse_push_pull_rounds, sparse_push_rounds,
 };
 
-/// Records `rounds` copies of the golden pull-round body.
-fn record_pulls(p: &mut RoundProgram<'_, u64>, rounds: usize) {
-    for _ in 0..rounds {
-        p.pull(
-            |_, &s| s,
-            |_, st, pulled| {
-                if let Some(pl) = pulled {
-                    *st = fold_hash(*st, pl);
-                }
-            },
-        );
-    }
-}
-
-/// Records `rounds` copies of the golden push-round body.
-fn record_pushes(p: &mut RoundProgram<'_, u64>, rounds: usize) {
-    for _ in 0..rounds {
-        p.push(
-            |v, &s| if v % 5 == 0 { None } else { Some(s) },
-            |_, st, msg| *st = fold_hash(*st, msg),
-            |_, st, delivered| {
-                if !delivered {
-                    *st = st.wrapping_add(1);
-                }
-            },
-        );
-    }
-}
-
-/// Records `rounds` copies of the golden push–pull-round body.
-fn record_push_pulls(p: &mut RoundProgram<'_, u64>, rounds: usize) {
-    for _ in 0..rounds {
-        p.push_pull(|_, &s| s, |_, st, msg| *st = fold_hash(*st, msg));
-    }
-}
-
 #[test]
-fn golden_pull_replays_through_a_program() {
+fn golden_pull_replays_through_fused() {
     let mut e = engine(512, 101, FailureModel::None);
-    let mut p: RoundProgram<'_, u64> = RoundProgram::new();
-    record_pulls(&mut p, 8);
-    e.run_program(&mut p);
+    e.fused(|e| pull_rounds(e, 8));
     assert_eq!(metrics_line(&e), pinned("pull.metrics"));
     assert_eq!(fingerprint(e.states()), pinned("pull.fp"));
 }
 
 #[test]
-fn golden_pull_with_failures_replays_through_a_program() {
+fn golden_pull_with_failures_replays_through_fused() {
     let mut e = engine(512, 101, FailureModel::uniform(0.3).unwrap());
-    let mut p: RoundProgram<'_, u64> = RoundProgram::new();
-    record_pulls(&mut p, 8);
-    e.run_program(&mut p);
+    e.fused(|e| pull_rounds(e, 8));
     assert_eq!(metrics_line(&e), pinned("pull_failures.metrics"));
     assert_eq!(fingerprint(e.states()), pinned("pull_failures.fp"));
 }
 
 #[test]
-fn golden_push_replays_through_a_program() {
+fn golden_push_replays_through_fused() {
     let mut e = engine(512, 202, FailureModel::None);
-    let mut p: RoundProgram<'_, u64> = RoundProgram::new();
-    record_pushes(&mut p, 8);
-    e.run_program(&mut p);
+    e.fused(|e| push_rounds(e, 8));
     assert_eq!(metrics_line(&e), pinned("push.metrics"));
     assert_eq!(fingerprint(e.states()), pinned("push.fp"));
 }
 
 #[test]
-fn golden_push_pull_replays_through_a_program() {
+fn golden_push_pull_replays_through_fused() {
     let mut e = engine(512, 303, FailureModel::None);
-    let mut p: RoundProgram<'_, u64> = RoundProgram::new();
-    record_push_pulls(&mut p, 8);
-    e.run_program(&mut p);
+    e.fused(|e| push_pull_rounds(e, 8));
     assert_eq!(metrics_line(&e), pinned("push_pull.metrics"));
     assert_eq!(fingerprint(e.states()), pinned("push_pull.fp"));
 }
@@ -136,114 +91,62 @@ fn golden_faulted_mixed_replays_through_fused() {
 }
 
 #[test]
-fn golden_large_n_replays_through_a_program() {
+fn golden_large_n_replays_through_fused() {
     // Large enough that multi-thread CI matrix entries take the parallel CSR
     // bucketing path *inside resident phases*.
     let mut e = engine(20_000, 707, FailureModel::None);
-    let mut p: RoundProgram<'_, u64> = RoundProgram::new();
-    record_pulls(&mut p, 2);
-    record_pushes(&mut p, 2);
-    record_push_pulls(&mut p, 2);
-    e.run_program(&mut p);
+    e.fused(|e| {
+        pull_rounds(e, 2);
+        push_rounds(e, 2);
+        push_pull_rounds(e, 2);
+    });
     assert_eq!(metrics_line(&e), pinned("large.metrics"));
     assert_eq!(fingerprint(e.states()), pinned("large.fp"));
 }
 
 // --- cut-point splits -------------------------------------------------------
 
-/// The step alphabet of the split tests; a schedule is a word over it.
-#[derive(Debug, Clone, Copy)]
+/// The step alphabet of the split tests; a schedule is a word over it. The
+/// `*On` ops run over [`pinned_subset`], a fixed proper subset.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Op {
     Pull,
     Push,
     PushPull,
     Local,
     Collect,
+    PullOn,
+    PushOn,
+    PushPullOn,
+    LocalOn,
 }
 
-const OPS: [Op; 5] = [Op::Pull, Op::Push, Op::PushPull, Op::Local, Op::Collect];
+const OPS: [Op; 9] = [
+    Op::Pull,
+    Op::Push,
+    Op::PushPull,
+    Op::Local,
+    Op::Collect,
+    Op::PullOn,
+    Op::PushOn,
+    Op::PushPullOn,
+    Op::LocalOn,
+];
 
-/// Executes one op directly — the loop baseline.
-fn run_op(e: &mut Engine<u64>, op: Op) {
+/// Executes one op. `Collect` runs as the sample step when `sample_step`
+/// is set, and as the composition it is defined by — a flat collect, then
+/// a local step — otherwise.
+fn run_op(e: &mut Engine<u64>, active: &ActiveSet, op: Op, sample_step: bool) {
     match op {
-        Op::Pull => {
-            e.pull_round(
-                |_, &s| s,
-                |_, st, pulled| {
-                    if let Some(p) = pulled {
-                        *st = fold_hash(*st, p);
-                    }
-                },
-            );
-        }
-        Op::Push => {
-            e.push_round(
-                |v, &s| if v % 3 == 0 { None } else { Some(s) },
-                |_, st, msg| *st = fold_hash(*st, msg),
-                |_, st, delivered| {
-                    if !delivered {
-                        *st = st.wrapping_add(1);
-                    }
-                },
-            );
-        }
-        Op::PushPull => {
-            e.push_pull_round(|_, &s| s, |_, st, msg| *st = fold_hash(*st, msg));
-        }
-        Op::Local => {
-            e.local_step(|v, st, rng| {
-                *st = fold_hash(*st, rng.gen::<u64>() ^ v as u64);
-            });
-        }
-        Op::Collect => {
-            let samples = e.collect_samples_flat(2, |_, &s| s);
-            e.local_step(|v, st, _| {
-                if let Some(s) = samples.sample(v, 0) {
-                    *st = fold_hash(*st, s);
-                }
-                if let Some(s) = samples.sample(v, 1) {
-                    *st = fold_hash(*st, s);
-                }
-            });
-        }
-    }
-}
-
-/// Records the same op into a program.
-fn record_op(p: &mut RoundProgram<'_, u64>, op: Op) {
-    match op {
-        Op::Pull => {
-            p.pull(
-                |_, &s| s,
-                |_, st, pulled| {
-                    if let Some(pl) = pulled {
-                        *st = fold_hash(*st, pl);
-                    }
-                },
-            );
-        }
-        Op::Push => {
-            p.push(
-                |v, &s| if v % 3 == 0 { None } else { Some(s) },
-                |_, st, msg| *st = fold_hash(*st, msg),
-                |_, st, delivered| {
-                    if !delivered {
-                        *st = st.wrapping_add(1);
-                    }
-                },
-            );
-        }
-        Op::PushPull => {
-            p.push_pull(|_, &s| s, |_, st, msg| *st = fold_hash(*st, msg));
-        }
-        Op::Local => {
-            p.local_step(|v, st, rng| {
-                *st = fold_hash(*st, rng.gen::<u64>() ^ v as u64);
-            });
-        }
-        Op::Collect => {
-            p.collect_local(
+        Op::Pull => pull_rounds(e, 1),
+        Op::Push => push_rounds(e, 1),
+        Op::PushPull => push_pull_rounds(e, 1),
+        Op::Local => hash_local_steps(e, 1),
+        Op::Collect if sample_step => {
+            e.sample_step(
                 2,
+                2,
+                |_| true,
                 |_, &s| s,
                 |_, st, _, samples| {
                     for &s in samples.iter().flatten() {
@@ -252,10 +155,31 @@ fn record_op(p: &mut RoundProgram<'_, u64>, op: Op) {
                 },
             );
         }
+        Op::Collect => {
+            let samples = e.collect_samples_flat(2, |_, &s| s);
+            e.local_step(|v, st, _| {
+                for &s in samples.row(v) {
+                    *st = fold_hash(*st, s);
+                }
+            });
+        }
+        Op::PullOn => sparse_pull_rounds(e, active, 1),
+        Op::PushOn => {
+            sparse_push_rounds(e, active, 1);
+        }
+        Op::PushPullOn => {
+            sparse_push_pull_rounds(e, active, 1);
+        }
+        Op::LocalOn => {
+            e.local_step_on(active, |v, st, rng| {
+                *st = fold_hash(*st, rng.gen::<u64>() ^ v as u64);
+            });
+        }
     }
 }
 
-fn run_ops_as_split_programs(
+/// Runs `ops` as two sequential fused sessions, split at `cut`.
+fn run_ops_as_split_sessions(
     n: usize,
     seed: u64,
     failure: &FailureModel,
@@ -263,43 +187,47 @@ fn run_ops_as_split_programs(
     cut: usize,
 ) -> (Vec<u64>, Metrics) {
     let mut e = engine(n, seed, failure.clone());
-    let mut head: RoundProgram<'_, u64> = RoundProgram::new();
-    for &op in &ops[..cut] {
-        record_op(&mut head, op);
+    let active = pinned_subset(n);
+    for part in [&ops[..cut], &ops[cut..]] {
+        e.fused(|e| {
+            for &op in part {
+                run_op(e, &active, op, true);
+            }
+        });
     }
-    let mut tail: RoundProgram<'_, u64> = RoundProgram::new();
-    for &op in &ops[cut..] {
-        record_op(&mut tail, op);
-    }
-    e.run_program(&mut head);
-    e.run_program(&mut tail);
     let metrics = e.metrics();
     (e.into_states(), metrics)
 }
 
 #[test]
-fn programs_split_at_any_cut_point_match_the_loop() {
+fn sessions_split_at_any_cut_point_match_the_loop() {
     // Property-style schedule generation without a proptest dependency: the
     // op word and the exercised cut points are drawn from the same splitmix
     // finalizer the fingerprints use, so the cases are reproducible yet
-    // arbitrary. Every split of the word into two sequentially fused
-    // programs must equal the hand-rolled loop bit for bit — fusion has no
-    // memory across session boundaries. The small failing engine runs the
-    // collect steps as their composition; the reliable 20k one runs them as
-    // the fused, parallel, prefetched sample step.
+    // arbitrary. The word holds every op once, in a seeded order, followed by
+    // seeded draws, so every primitive, dense and sparse, runs in the split
+    // sessions. Every split of the word into two sequentially
+    // fused sessions must equal the hand-rolled loop bit for bit — fusion
+    // has no memory across session boundaries. The split side runs the
+    // collect steps as sample steps, the loop as their composition: the
+    // small failing engine's sample step composes itself, the reliable 20k
+    // one runs the fused, parallel, prefetched pass.
     for (n, failure) in [
         (500, FailureModel::uniform(0.2).unwrap()),
         (20_000, FailureModel::None),
     ] {
         let seed = 4242;
-        let ops: Vec<Op> = (0..12)
-            .map(|i| OPS[(support::mix64(seed ^ i) % OPS.len() as u64) as usize])
-            .collect();
-        assert!(ops.iter().any(|op| matches!(op, Op::Collect)));
+        let mut ops = OPS.to_vec();
+        ops.sort_by_key(|&op| support::mix64(seed ^ op as u64));
+        ops.extend(
+            (0..7).map(|i| OPS[(support::mix64(seed ^ (16 + i)) % OPS.len() as u64) as usize]),
+        );
+        assert!(OPS.iter().all(|op| ops.contains(op)), "{ops:?}");
 
         let mut looped = engine(n, seed, failure.clone());
+        let active = pinned_subset(n);
         for &op in &ops {
-            run_op(&mut looped, op);
+            run_op(&mut looped, &active, op, false);
         }
         let loop_metrics = looped.metrics();
         let baseline = (looped.into_states(), loop_metrics);
@@ -311,7 +239,7 @@ fn programs_split_at_any_cut_point_match_the_loop() {
             (0..4).map(|i| (support::mix64(seed.wrapping_add(100 + i)) as usize) % ops.len()),
         );
         for cut in cuts {
-            let split = run_ops_as_split_programs(n, seed, &failure, &ops, cut);
+            let split = run_ops_as_split_sessions(n, seed, &failure, &ops, cut);
             assert_eq!(
                 split,
                 baseline,
@@ -388,14 +316,20 @@ fn graph_engine(n: usize, config: &EngineConfig) -> Engine<u64> {
 
 #[test]
 fn sample_step_matches_its_composition() {
-    // The fused pass (parallel at 20k, past the prefetch gate) against the
-    // composition, for every k the tournaments use (1, 2 and 3 samples, the
-    // 15-sample vote), with and without a participation cut, at every
-    // prefetch distance, on the complete graph and an expander. Two steps
-    // back to back also pin the round-counter and local-epoch advance.
-    let n = 20_000;
-    for topology in [Topology::Complete, Topology::random_regular(16, 3)] {
-        // Clones share the graph cache, so the expander is built once.
+    // The fused pass against the composition — on the cache-resident path
+    // (n = 256) and the parallel, prefetched one (20k is above
+    // PAR_MIN_NODES and the prefetch gate) — for every k the tournaments use
+    // (1, 2 and 3 samples, the 15-sample vote), with and without a
+    // participation cut, at every prefetch distance, on the complete graph
+    // and an expander. Two steps back to back also pin the round-counter and
+    // local-epoch advance.
+    for (n, topology) in [256, 20_000].into_iter().flat_map(|n| {
+        [
+            (n, Topology::Complete),
+            (n, Topology::random_regular(16, 3)),
+        ]
+    }) {
+        // Clones share the graph cache, so the expander is built once per n.
         let config = EngineConfig::with_seed(77).topology(topology);
         for k in [1, 2, 3, 15] {
             for dense in [k, k / 2] {
@@ -410,7 +344,7 @@ fn sample_step_matches_its_composition() {
                         fused_step(e, k, dense);
                         fused_step(e, k, dense);
                     });
-                    let case = format!("{topology}: k={k} dense={dense} dist={dist}");
+                    let case = format!("n={n} {topology}: k={k} dense={dense} dist={dist}");
                     assert_eq!(fused.metrics(), composed_metrics, "{case}");
                     assert_eq!(fused.round(), composed.round(), "{case}");
                     assert_eq!(fused.states(), composed.states(), "{case}");
@@ -459,32 +393,33 @@ fn sample_step_on_failing_engines_runs_the_composition() {
 // --- scheduling-counter contract --------------------------------------------
 
 #[test]
-fn a_program_costs_one_dispatch_where_the_loop_pays_per_round() {
-    // The point of the whole layer, asserted on the engine's own metrics: a
-    // 16-round recorded schedule is one pool dispatch; the identical loop
-    // pays at least one per round. (Workers are required — the inline
-    // single-thread path has no hand-off to count.)
+fn a_session_costs_one_dispatch_where_the_loop_pays_per_round() {
+    // The point of fusing, asserted on the engine's own metrics: a 16-round
+    // schedule inside one fused block is one pool dispatch, and so is the
+    // same schedule split across a block nested inside another (the inner
+    // block runs inside the outer session); the identical loop pays at least
+    // one per round. (Workers are required — the inline single-thread path
+    // has no hand-off to count.)
     let rounds = 16;
-    let run = |fuse: bool| {
+    let run = |schedule: &dyn Fn(&mut Engine<u64>)| {
         let mut e = engine(512, 1313, FailureModel::None);
         e.set_threads(2);
         let before = e.metrics().pool_dispatches;
-        let mut p: RoundProgram<'_, u64> = RoundProgram::new();
-        record_pulls(&mut p, rounds);
-        if fuse {
-            e.run_program(&mut p);
-        } else {
-            for _ in 0..rounds {
-                run_op(&mut e, Op::Pull);
-            }
-        }
-        let m = e.metrics();
-        (m.pool_dispatches - before, e.into_states())
+        schedule(&mut e);
+        (e.metrics().pool_dispatches - before, e.into_states())
     };
-    let (program_dispatches, program_states) = run(true);
-    let (loop_dispatches, loop_states) = run(false);
-    assert_eq!(program_states, loop_states);
-    assert_eq!(program_dispatches, 1, "a session is one hand-off");
+    let (loop_dispatches, loop_states) = run(&|e| pull_rounds(e, rounds));
+    let (fused_dispatches, fused_states) = run(&|e| e.fused(|e| pull_rounds(e, rounds)));
+    let (nested_dispatches, nested_states) = run(&|e| {
+        e.fused(|e| {
+            pull_rounds(e, rounds / 2);
+            e.fused(|e| pull_rounds(e, rounds / 2));
+        })
+    });
+    assert_eq!(fused_states, loop_states);
+    assert_eq!(nested_states, loop_states);
+    assert_eq!(fused_dispatches, 1, "a session is one hand-off");
+    assert_eq!(nested_dispatches, 1, "a nested block joins the session");
     assert!(
         loop_dispatches >= rounds as u64,
         "looped dispatches {loop_dispatches} < {rounds} rounds"
@@ -499,14 +434,10 @@ fn scheduling_counters_do_not_affect_metrics_equality() {
     let run = |fuse: bool| {
         let mut e = engine(256, 77, FailureModel::None);
         e.set_threads(2);
-        let mut p: RoundProgram<'_, u64> = RoundProgram::new();
-        record_pulls(&mut p, 4);
         if fuse {
-            e.run_program(&mut p);
+            e.fused(|e| pull_rounds(e, 4));
         } else {
-            for _ in 0..4 {
-                run_op(&mut e, Op::Pull);
-            }
+            pull_rounds(&mut e, 4);
         }
         e.metrics()
     };
@@ -514,14 +445,4 @@ fn scheduling_counters_do_not_affect_metrics_equality() {
     let looped = run(false);
     assert_eq!(fused, looped);
     assert_ne!(fused.pool_dispatches, looped.pool_dispatches);
-}
-
-#[test]
-fn step_kinds_describe_the_recorded_schedule() {
-    let mut p: RoundProgram<'_, u64> = RoundProgram::new();
-    record_op(&mut p, Op::Pull);
-    record_op(&mut p, Op::Collect);
-    p.step(StepKind::Custom, |_| {});
-    let kinds: Vec<String> = p.kinds().map(|k| k.to_string()).collect();
-    assert_eq!(kinds, ["pull", "collect", "custom"]);
 }

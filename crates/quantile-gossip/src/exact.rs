@@ -490,12 +490,11 @@ fn distribute_tokens<V: NodeValue>(
     let mut senders = ActiveSet::from_members(n, std::iter::empty())?;
     let mut sender_ids: Vec<usize> = Vec::new();
     let mut executed = 0u64;
-    // The whole settle loop is one fused round program (`Engine::fused`):
-    // the pool wakes once, the sparse local/push rounds dispatch as resident
-    // phases, and the sequential inter-round work — the settled scan and the
-    // sender-set rebuild — runs on the session thread between phases. The
-    // schedule is data-dependent (it ends at settlement), so the live loop
-    // fuses instead of being recorded; results are bit-identical either way.
+    // The whole settle loop is one fused session (`Engine::fused`): the pool
+    // wakes once, the sparse local/push rounds dispatch as resident phases,
+    // and the sequential inter-round work — the settled scan that ends the
+    // loop and the sender-set rebuild — runs on the session thread between
+    // phases. Results are bit-identical to the unfused loop.
     let budget_exceeded = engine.fused(|engine| loop {
         let settled = holders.iter().all(|v| {
             let st = &engine.states()[v];

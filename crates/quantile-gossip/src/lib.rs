@@ -85,7 +85,7 @@ pub use schedule::{
 };
 pub use service::{
     EpochMode, EpochTimings, QuantileQuery, QuantileService, QueryCost, ServiceConfig,
-    ServiceOutcome, Sourced,
+    ServiceOutcome,
 };
 pub use three_tournament::FinalVote;
 

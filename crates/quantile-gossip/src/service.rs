@@ -53,8 +53,8 @@ use baselines::CompactorSketch;
 use gossip_net::message::seq_message_bits;
 use gossip_net::soa::prefetch_read;
 use gossip_net::{
-    par, ActiveSet, Engine, EngineConfig, GossipError, MessageSize, Metrics, NodeRng, NodeValue,
-    Result, SeedSequence, WorkerPool,
+    par, ActiveSet, Engine, EngineConfig, GossipError, Metrics, NodeRng, NodeValue, Result,
+    SeedSequence, WorkerPool,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -289,41 +289,6 @@ fn fit<T: Copy>(buf: &mut Vec<T>, len: usize, fill: T) -> bool {
     buf.clear();
     buf.resize(len, fill);
     true
-}
-
-/// A lane-vector message tagged with its realised source id — the *logical*
-/// message shape of the service's replay cache. The tag is observer-side
-/// metadata: [`MessageSize`] delegates to the payload alone, so the traffic
-/// metrics equal serving the bare lane vector.
-///
-/// The epoch hot path never constructs these: it draws each round's
-/// sources alone ([`Engine::pull_sources`]) and reads the served rows out of
-/// its snapshots. The type remains the reference semantics of what a
-/// recorded sample *is*, and the conformance suite pins the engine's
-/// lane-matrix collector against an engine run that serves `Sourced`
-/// values.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Sourced<V> {
-    /// The realised pull source (the node whose lane row was served).
-    pub source: u32,
-    /// The served lane values, one per query.
-    pub values: Vec<V>,
-}
-
-impl<V: NodeValue> Sourced<V> {
-    /// Tags `values` with the node that served them.
-    pub fn new(source: usize, values: Vec<V>) -> Self {
-        Sourced {
-            source: source as u32,
-            values,
-        }
-    }
-}
-
-impl<V: NodeValue> MessageSize for Sourced<V> {
-    fn message_bits(&self) -> u64 {
-        self.values.message_bits()
-    }
 }
 
 /// Reused epoch working memory besides the [`Trajectory`]: everything a

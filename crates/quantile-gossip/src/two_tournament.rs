@@ -24,9 +24,7 @@
 //! disjoint from round randomness).
 
 use crate::schedule::{ShrinkSide, TwoTournamentSchedule};
-use gossip_net::{
-    Engine, EngineConfig, GossipError, Metrics, NodeRng, NodeValue, Result, RoundProgram, StepKind,
-};
+use gossip_net::{Engine, EngineConfig, GossipError, Metrics, NodeRng, NodeValue, Result};
 
 /// Result of running Phase I.
 #[derive(Debug, Clone)]
@@ -63,32 +61,31 @@ pub fn run<V: NodeValue>(
     let side = schedule.side;
     let seed = engine.seed();
 
-    // The whole schedule compiles into one RoundProgram and replays as a
-    // single fused pool dispatch: the workers are woken once and every
-    // iteration runs as one resident phase — a sample step that pulls both
-    // samples from the iteration-start values and applies them in the same
-    // pass. The trajectory is bit-identical to collecting the samples round
-    // by round and applying them in a local step (pinned by the
-    // algorithm-level goldens of `tests/tournament_golden.rs`).
+    // The whole schedule runs as one fused session: the workers are woken
+    // once and every iteration runs as one resident phase — a sample step
+    // that pulls both samples from the iteration-start values and applies
+    // them in the same pass. The trajectory is bit-identical to collecting
+    // the samples round by round and applying them in a local step (pinned
+    // by the algorithm-level goldens of `tests/tournament_golden.rs`).
     let update = move |_: usize, state: &mut V, _: &mut NodeRng, samples: &mut [Option<V>]| {
         *state = tournament(side, *state, samples);
     };
-    let mut program: RoundProgram<'_, V> = RoundProgram::new();
-    for (iteration, step) in schedule.steps.iter().enumerate() {
-        if step.delta >= 1.0 {
-            // Full iteration: every node runs the tournament.
-            program.collect_local(2, |_, &v| v, update);
-        } else {
-            // Probabilistic final iteration: only a δ-fraction of nodes runs
-            // the tournament, and only *they* pull the second sample, so the
-            // second round costs O(δn) gathers instead of O(n). The
-            // participation coin is drawn on the dedicated
-            // `STREAM_PARTICIPATION` stream, keyed by the iteration index —
-            // deterministic in the seed at any thread count, and disjoint
-            // from the rounds' randomness.
-            let delta = step.delta;
-            let coin = NodeRng::key_prefix(seed, iteration as u64, NodeRng::STREAM_PARTICIPATION);
-            program.step(StepKind::Collect, move |engine| {
+    engine.fused(|engine| {
+        for (iteration, step) in schedule.steps.iter().enumerate() {
+            if step.delta >= 1.0 {
+                // Full iteration: every node runs the tournament.
+                engine.sample_step(2, 2, |_| true, |_, &v| v, update);
+            } else {
+                // Probabilistic final iteration: only a δ-fraction of nodes
+                // runs the tournament, and only *they* pull the second
+                // sample, so the second round costs O(δn) gathers instead of
+                // O(n). The participation coin is drawn on the dedicated
+                // `STREAM_PARTICIPATION` stream, keyed by the iteration index
+                // — deterministic in the seed at any thread count, and
+                // disjoint from the rounds' randomness.
+                let delta = step.delta;
+                let coin =
+                    NodeRng::key_prefix(seed, iteration as u64, NodeRng::STREAM_PARTICIPATION);
                 engine.sample_step(
                     2,
                     1,
@@ -96,10 +93,9 @@ pub fn run<V: NodeValue>(
                     |_, &v| v,
                     update,
                 );
-            });
+            }
         }
-    }
-    engine.run_program(&mut program);
+    });
 
     let metrics = engine.metrics();
     Ok(TwoTournamentOutcome {

@@ -12,12 +12,10 @@
 //!    count) of a from-scratch recompute over the updated inputs.
 
 use gossip_net::{
-    ActiveSet, ChurnModel, Engine, EngineConfig, FailureModel, FaultPlan, LaneMatrix, LossModel,
-    StragglerModel, Topology,
+    ChurnModel, EngineConfig, FailureModel, FaultPlan, LossModel, StragglerModel, Topology,
 };
 use quantile_gossip::{
-    tournament_quantile, EpochMode, QuantileQuery, QuantileService, ServiceConfig, Sourced,
-    TournamentConfig,
+    tournament_quantile, EpochMode, QuantileQuery, QuantileService, ServiceConfig, TournamentConfig,
 };
 
 /// 144 nodes: divisible into the 12×12 grid `Topology::Torus2D` needs.
@@ -252,66 +250,6 @@ fn fused_epoch_is_bit_identical_to_the_unfused_loop() {
         assert_eq!(f.answers, l.answers, "fused epoch diverged from the loop");
         assert_eq!(f.rounds, l.rounds);
         assert_eq!(f.metrics, l.metrics);
-    }
-}
-
-/// The flat lane-major collector behind the service's hot path
-/// ([`Engine::collect_lanes`] / [`Engine::collect_lanes_on`]) must realise
-/// exactly the draws, deliveries and metrics of the nested
-/// `collect_samples(1, ..)` construction serving [`Sourced`] lane vectors —
-/// dense and sparse, reliable and under failures.
-#[test]
-fn lane_matrix_collection_matches_nested_sample_collection() {
-    let (n, q) = (200usize, 3usize);
-    let lane_values: Vec<u64> = (0..(n * q) as u64)
-        .map(|x| x.wrapping_mul(2_654_435_761) % 1_000_000)
-        .collect();
-    let faults = [
-        FaultPlan::none(),
-        FaultPlan::none().with_failure(FailureModel::uniform(0.3).unwrap()),
-    ];
-    for fault in faults {
-        let ec = EngineConfig::with_seed(2024).fault(fault);
-        let mut flat: Engine<()> = Engine::from_states(vec![(); n], ec.clone());
-        let mut nested: Engine<()> = Engine::from_states(vec![(); n], ec);
-        let mut matrix = LaneMatrix::empty(n, q, 0u64);
-        let active = ActiveSet::from_fn(n, |v| v % 3 != 0);
-        for round in 0..6 {
-            if round % 2 == 0 {
-                flat.collect_lanes(&lane_values, &mut matrix);
-                let buckets = nested.collect_samples(1, |t, _| {
-                    Sourced::new(t, lane_values[t * q..(t + 1) * q].to_vec())
-                });
-                for (v, bucket) in buckets.iter().enumerate() {
-                    match bucket.first() {
-                        Some(msg) => {
-                            assert_eq!(matrix.source(v), Some(msg.source));
-                            assert_eq!(matrix.row(v).unwrap(), &msg.values[..]);
-                        }
-                        None => assert_eq!(matrix.source(v), None),
-                    }
-                }
-            } else {
-                flat.collect_lanes_on(&active, &lane_values, &mut matrix);
-                let buckets = nested.collect_samples_on(&active, 1, |t, _| {
-                    Sourced::new(t, lane_values[t * q..(t + 1) * q].to_vec())
-                });
-                for v in 0..n {
-                    let reference = active.rank(v).and_then(|rk| buckets[rk].first());
-                    match reference {
-                        Some(msg) => {
-                            assert_eq!(matrix.source(v), Some(msg.source));
-                            assert_eq!(matrix.row(v).unwrap(), &msg.values[..]);
-                        }
-                        None => assert_eq!(matrix.source(v), None),
-                    }
-                }
-            }
-        }
-        // Same rounds, attempts, failures, deliveries and bits — `Sourced`'s
-        // `MessageSize` counts the payload alone, exactly like the flat
-        // collector's per-row accounting.
-        assert_eq!(flat.metrics(), nested.metrics());
     }
 }
 

@@ -1,27 +1,28 @@
-//! Round programs: record a multi-round gossip schedule once, replay it as
-//! **one** worker-pool dispatch.
+//! Fused sessions: run a multi-round gossip schedule as **one** worker-pool
+//! dispatch.
 //!
 //! The paper's algorithms run hundreds of very short rounds (Theorems
 //! 1.2/1.3 prove `O(log n)`-round budgets), so at small `n` the engine's
 //! per-round worker hand-off — wake every worker, run a few microseconds of
 //! round body, put every worker back to sleep — costs more than the rounds
-//! themselves. A [`RoundProgram`] records the schedule's steps up front;
-//! [`Engine::run_program`] then wakes the workers once and runs every round
-//! as a phase of one resident session, synchronising on a spin-then-park
-//! barrier. Results are bit-identical to the loop — this example proves it
-//! on its own run — only the scheduling counters and the wall clock change.
+//! themselves. [`Engine::fused`] runs a closure as one resident session: the
+//! workers are woken once, and every round the closure runs is a phase of
+//! that session, synchronised on a spin-then-park barrier. The schedule is a
+//! plain loop inside the closure. Results are bit-identical to the unfused
+//! loop — this example proves it on its own run — only the scheduling
+//! counters and the wall clock change.
 //!
 //! ```text
 //! cargo run --release --example round_program
 //! ```
 
-use gossip_quantiles::{Engine, EngineConfig, RoundProgram};
+use gossip_quantiles::{Engine, EngineConfig};
 use std::time::Instant;
 
 /// Max-spreading pull: after O(log n) rounds every node holds the maximum.
-fn record_schedule(program: &mut RoundProgram<'_, u64>, rounds: usize) {
+fn pull_rounds(engine: &mut Engine<u64>, rounds: usize) {
     for _ in 0..rounds {
-        program.pull(
+        engine.pull_round(
             |_, &v| v,
             |_, state, pulled| {
                 if let Some(p) = pulled {
@@ -46,25 +47,14 @@ fn main() {
     // Looped: every round is its own pool dispatch.
     let mut looped = engine(n, threads);
     let start = Instant::now();
-    for _ in 0..rounds {
-        looped.pull_round(
-            |_, &v| v,
-            |_, state, pulled| {
-                if let Some(p) = pulled {
-                    *state = (*state).max(p);
-                }
-            },
-        );
-    }
+    pull_rounds(&mut looped, rounds);
     let loop_time = start.elapsed();
 
-    // Fused: the same schedule, recorded and replayed as one session.
+    // Fused: the same loop inside one session.
     let mut fused = engine(n, threads);
-    let mut program: RoundProgram<'_, u64> = RoundProgram::new();
-    record_schedule(&mut program, rounds);
     let start = Instant::now();
-    fused.run_program(&mut program);
-    let program_time = start.elapsed();
+    fused.fused(|e| pull_rounds(e, rounds));
+    let fused_time = start.elapsed();
 
     let lm = looped.metrics();
     let fm = fused.metrics();
@@ -74,12 +64,12 @@ fn main() {
         lm.pool_dispatches, lm.worker_wakeups
     );
     println!(
-        "  fused  : {program_time:>10.3?}  ({} pool dispatch,   {} worker wakeups)",
+        "  fused  : {fused_time:>10.3?}  ({} pool dispatch,   {} worker wakeups)",
         fm.pool_dispatches, fm.worker_wakeups
     );
     println!(
         "\n  speedup {:.2}x, dispatches reduced {}x",
-        loop_time.as_secs_f64() / program_time.as_secs_f64().max(f64::EPSILON),
+        loop_time.as_secs_f64() / fused_time.as_secs_f64().max(f64::EPSILON),
         lm.pool_dispatches / fm.pool_dispatches.max(1)
     );
 
@@ -90,13 +80,13 @@ fn main() {
     assert_eq!(looped.states().iter().max(), Some(&(n as u64 - 1)));
     println!("  final states identical: true");
 
-    // A program is replayable: the next epoch reuses the recorded schedule
-    // (fresh deterministic randomness — rounds advance the engine's counter).
+    // The next session continues from the engine's new state, with fresh
+    // deterministic randomness (rounds advance the engine's counter).
     let before = fused.round();
-    fused.run_program(&mut program);
+    fused.fused(|e| pull_rounds(e, rounds));
     assert_eq!(fused.round(), before + rounds as u64);
     println!(
-        "  replayed the same program: rounds {} -> {}",
+        "  ran the schedule again in a second session: rounds {} -> {}",
         before,
         fused.round()
     );

@@ -61,7 +61,7 @@ pub use analysis as measure;
 
 pub use gossip_net::{
     ChurnModel, Engine, EngineConfig, FailureModel, FaultPlan, GossipError, LossModel, Metrics,
-    NodeValue, PoolStats, Result, RoundProgram, StepKind, StragglerModel, Topology,
+    NodeValue, PoolStats, Result, StragglerModel, Topology,
 };
 pub use quantile_gossip::{
     approximate_quantile, estimate_own_quantiles, exact_quantile, robust_approximate_quantile,

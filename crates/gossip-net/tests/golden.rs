@@ -195,6 +195,9 @@ fn pin_file_covers_exactly_the_computed_keys() {
         "sparse_subset",
         "sparse_subset_failures",
         "sparse_subset_faulted",
+        "sparse_subset_large",
+        "sparse_subset_large_failures",
+        "sparse_subset_large_faulted",
     ];
     let mut want: Vec<String> = Vec::new();
     for name in expected {

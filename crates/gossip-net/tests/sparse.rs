@@ -25,9 +25,9 @@ use gossip_net::{
 use proptest::prelude::*;
 use rand::Rng;
 use support::{
-    chaos_plan, engine, fault_metrics_line, fingerprint, fold_hash, metrics_line, pinned,
-    sample_fp, sparse_pull_rounds, sparse_push_pull_rounds, sparse_push_rounds, sparse_subset,
-    sparse_subset_cases,
+    chaos_plan, engine, fault_metrics_line, fingerprint, fold_hash, large_name, metrics_line,
+    pinned, sample_fp, sparse_pull_rounds, sparse_push_pull_rounds, sparse_push_rounds,
+    sparse_subset, sparse_subset_cases, sparse_subset_large,
 };
 
 // ---------------------------------------------------------------------------
@@ -137,7 +137,17 @@ fn full_set_large_n_matches_dense_golden_pin() {
 
 fn check_sparse_subset_pin(case: usize) {
     let (name, seed, plan) = sparse_subset_cases().into_iter().nth(case).unwrap();
-    let (e, samples, receivers) = sparse_subset(seed, plan);
+    check_subset_keys(name, sparse_subset(seed, plan));
+}
+
+/// The same pins at n = 20,000, where the sparse rounds take the prefetched
+/// gathers and the parallel dispatch, with `local_step_on` in the mix.
+fn check_sparse_subset_large_pin(case: usize) {
+    let (name, seed, plan) = sparse_subset_cases().into_iter().nth(case).unwrap();
+    check_subset_keys(&large_name(name), sparse_subset_large(seed, plan));
+}
+
+fn check_subset_keys(name: &str, (e, samples, receivers): (Engine<u64>, String, String)) {
     let key = |field: &str| format!("{name}.{field}");
     assert_eq!(metrics_line(&e), pinned(&key("metrics")));
     assert_eq!(fault_metrics_line(&e), pinned(&key("faults")));
@@ -159,6 +169,21 @@ fn proper_subset_rounds_with_failures_match_their_pin() {
 #[test]
 fn proper_subset_rounds_under_the_chaos_plan_match_their_pin() {
     check_sparse_subset_pin(2);
+}
+
+#[test]
+fn large_proper_subset_rounds_match_their_pin() {
+    check_sparse_subset_large_pin(0);
+}
+
+#[test]
+fn large_proper_subset_rounds_with_failures_match_their_pin() {
+    check_sparse_subset_large_pin(1);
+}
+
+#[test]
+fn large_proper_subset_rounds_under_the_chaos_plan_match_their_pin() {
+    check_sparse_subset_large_pin(2);
 }
 
 // ---------------------------------------------------------------------------

@@ -248,7 +248,27 @@ pub fn pinned_subset(n: usize) -> ActiveSet {
 /// the engine, the fingerprint of every sample bucket, and the fingerprint
 /// of every returned receiver list.
 pub fn sparse_subset(seed: u64, plan: FaultPlan) -> (Engine<u64>, String, String) {
-    let n = 1_000;
+    subset_scenario(1_000, seed, plan, false)
+}
+
+/// One `sparse_subset_large*` scenario: the [`sparse_subset`] iterations at
+/// n = 20,000 — above the prefetch gate and the parallel threshold — with a
+/// `local_step_on` over the subset closing each iteration.
+pub fn sparse_subset_large(seed: u64, plan: FaultPlan) -> (Engine<u64>, String, String) {
+    subset_scenario(20_000, seed, plan, true)
+}
+
+/// The key prefix of the large twin of a `sparse_subset*` case.
+pub fn large_name(name: &str) -> String {
+    name.replacen("sparse_subset", "sparse_subset_large", 1)
+}
+
+fn subset_scenario(
+    n: usize,
+    seed: u64,
+    plan: FaultPlan,
+    local_step: bool,
+) -> (Engine<u64>, String, String) {
     let mut e = plan_engine(n, seed, plan);
     let active = pinned_subset(n);
     let (mut samples, mut receivers) = (Vec::new(), Vec::new());
@@ -257,6 +277,11 @@ pub fn sparse_subset(seed: u64, plan: FaultPlan) -> (Engine<u64>, String, String
         receivers.extend(sparse_push_rounds(&mut e, &active, 1));
         receivers.extend(sparse_push_pull_rounds(&mut e, &active, 1));
         samples.extend(e.collect_samples_on(&active, 2, |_, &s| s));
+        if local_step {
+            e.local_step_on(&active, |v, st, rng| {
+                *st = fold_hash(*st, rng.gen::<u64>() ^ v as u64);
+            });
+        }
     }
     let receivers: Vec<Vec<u64>> = receivers
         .iter()
@@ -390,6 +415,16 @@ pub fn compute_all() -> Vec<(String, String)> {
 
     for (name, seed, plan) in sparse_subset_cases() {
         let (e, samples, receivers) = sparse_subset(seed, plan);
+        pin(&format!("{name}.metrics"), metrics_line(&e));
+        pin(&format!("{name}.faults"), fault_metrics_line(&e));
+        pin(&format!("{name}.fp"), fingerprint(e.states()));
+        pin(&format!("{name}.sample_fp"), samples);
+        pin(&format!("{name}.receivers"), receivers);
+    }
+
+    for (name, seed, plan) in sparse_subset_cases() {
+        let name = large_name(name);
+        let (e, samples, receivers) = sparse_subset_large(seed, plan);
         pin(&format!("{name}.metrics"), metrics_line(&e));
         pin(&format!("{name}.faults"), fault_metrics_line(&e));
         pin(&format!("{name}.fp"), fingerprint(e.states()));

@@ -192,7 +192,7 @@ pub fn exact_quantile<V: NodeValue>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_net::FailureModel;
+    use gossip_net::{FailureModel, FaultPlan};
 
     fn sorted_rank(values: &[u64], phi: f64) -> u64 {
         let mut sorted = values.to_vec();
@@ -284,8 +284,8 @@ mod tests {
             counting_rounds: Some(150),
             ..Default::default()
         };
-        let engine_config =
-            EngineConfig::with_seed(10).failure(FailureModel::uniform(0.2).unwrap());
+        let engine_config = EngineConfig::with_seed(10)
+            .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.2).unwrap()));
         let out = exact_quantile(&values, 0.5, &cfg, engine_config).unwrap();
         assert_eq!(out.answer, sorted_rank(&values, 0.5));
         assert!(out.metrics.failed_operations > 0);

@@ -110,7 +110,7 @@ fn all_equal<V: PartialEq>(values: &[V]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_net::FailureModel;
+    use gossip_net::{FailureModel, FaultPlan};
 
     #[test]
     fn median3_is_correct_for_all_orderings() {
@@ -172,7 +172,8 @@ mod tests {
             max_iterations: 300,
             stop_on_consensus: true,
         };
-        let engine_config = EngineConfig::with_seed(5).failure(FailureModel::uniform(0.3).unwrap());
+        let engine_config = EngineConfig::with_seed(5)
+            .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.3).unwrap()));
         let out = run(&values, &cfg, engine_config).unwrap();
         assert!(out.consensus);
         let v = out.values[0] as f64 / 2048.0;

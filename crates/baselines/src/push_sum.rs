@@ -248,7 +248,7 @@ pub fn count_matching(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_net::FailureModel;
+    use gossip_net::{FailureModel, FaultPlan};
 
     fn cfg(seed: u64) -> EngineConfig {
         EngineConfig::with_seed(seed)
@@ -329,7 +329,8 @@ mod tests {
             rounds: Some(120),
             target_accuracy: 1e-6,
         };
-        let engine_config = EngineConfig::with_seed(9).failure(FailureModel::uniform(0.3).unwrap());
+        let engine_config = EngineConfig::with_seed(9)
+            .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.3).unwrap()));
         let out = average(&values, &config, engine_config).unwrap();
         assert!(
             out.max_absolute_error(truth) < 0.05,

@@ -317,7 +317,7 @@ pub fn spread_max_tagged<V: NodeValue>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_net::FailureModel;
+    use gossip_net::{FailureModel, FaultPlan};
 
     #[test]
     fn rejects_tiny_networks() {
@@ -353,7 +353,8 @@ mod tests {
     #[test]
     fn survives_constant_failure_probability() {
         let values: Vec<u64> = (0..2048).collect();
-        let cfg = EngineConfig::with_seed(3).failure(FailureModel::uniform(0.4).unwrap());
+        let cfg = EngineConfig::with_seed(3)
+            .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.4).unwrap()));
         // Inflate the round budget by 1/(1-mu) as the robust algorithms do.
         let out = spread_min_max(&values, SpreadRounds::LogarithmicWithFactor(8.0), cfg).unwrap();
         assert!(out.complete, "coverage {}", out.coverage(0, 2047));

@@ -19,7 +19,7 @@
 //! bit-rot, not enough for stable numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gossip_net::{par, ActiveSet, Engine, EngineConfig, FailureModel};
+use gossip_net::{par, ActiveSet, Engine, EngineConfig, FailureModel, FaultPlan};
 use std::time::Instant;
 
 fn quick() -> bool {
@@ -27,7 +27,7 @@ fn quick() -> bool {
 }
 
 fn round_engine(n: usize, failure: FailureModel) -> Engine<u64> {
-    let config = EngineConfig::with_seed(7).failure(failure);
+    let config = EngineConfig::with_seed(7).fault(FaultPlan::none().with_failure(failure));
     Engine::from_states((0..n as u64).collect(), config)
 }
 

@@ -2,7 +2,7 @@
 
 use analysis::Workload;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gossip_net::{EngineConfig, FailureModel};
+use gossip_net::{EngineConfig, FailureModel, FaultPlan};
 use quantile_gossip::{robust, RobustConfig};
 
 fn bench_robust(c: &mut Criterion) {
@@ -17,8 +17,8 @@ fn bench_robust(c: &mut Criterion) {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed += 1;
-                    let cfg =
-                        EngineConfig::with_seed(seed).failure(FailureModel::uniform(mu).unwrap());
+                    let cfg = EngineConfig::with_seed(seed)
+                        .fault(FaultPlan::none().with_failure(FailureModel::uniform(mu).unwrap()));
                     robust::robust_approximate_quantile(
                         values,
                         0.5,

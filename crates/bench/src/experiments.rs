@@ -5,7 +5,7 @@ use baselines::{
     compactor, doubling, kdg_selection, median_rule, push_sum, sampling, KdgSelectionConfig,
     MedianRuleConfig, PushSumConfig,
 };
-use gossip_net::{EngineConfig, FailureModel};
+use gossip_net::{EngineConfig, FailureModel, FaultPlan};
 use quantile_gossip::{
     approx, exact, own_rank, robust, NarrowingConfig, OwnRankConfig, RobustConfig, TournamentConfig,
 };
@@ -286,8 +286,8 @@ pub fn e5_robust_failures(scale: Scale, master_seed: u64) -> Table {
         let rows = run_trials(&spec, |_, seed| {
             let values = Workload::UniformDistinct.generate(n, seed);
             let oracle = RankOracle::new(&values);
-            let engine_config =
-                EngineConfig::with_seed(seed).failure(FailureModel::uniform(mu).expect("mu"));
+            let engine_config = EngineConfig::with_seed(seed)
+                .fault(FaultPlan::none().with_failure(FailureModel::uniform(mu).expect("mu")));
             let out = robust::robust_approximate_quantile(
                 &values,
                 0.5,

@@ -11,13 +11,13 @@
 //! proportional to `|active|` instead of `n`.
 //!
 //! The representation is a **dense bitmap plus a sorted index list**: the
-//! bitmap answers `contains` in O(1) (the push paths ask it per written
-//! node), the sorted list drives the chunked sparse dispatch of
-//! [`crate::par::for_sparse`] and keeps iteration order — and therefore
-//! execution — deterministic. Build one per phase and reuse it across the
-//! phase's rounds; an incremental [`union_sorted`](ActiveSet::union_sorted)
-//! grows it between rounds (e.g. newly informed rumor receivers) without a
-//! rebuild.
+//! bitmap answers `contains` in O(1), and the sorted list is the index
+//! domain the sparse rounds run their round bodies over. It drives the
+//! chunked sparse dispatch of [`crate::par::for_sparse`] and keeps iteration
+//! order — and therefore execution — deterministic. Build one per phase and
+//! reuse it across the phase's rounds; an incremental
+//! [`union_sorted`](ActiveSet::union_sorted) grows it between rounds (e.g.
+//! newly informed rumor receivers) without a rebuild.
 
 use crate::error::{GossipError, Result};
 use crate::NodeId;

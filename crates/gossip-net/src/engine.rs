@@ -96,11 +96,12 @@
 //! Inside every pass the loop-invariant work is hoisted: the
 //! `(seed, round, stream)` RNG prefix is absorbed once per round
 //! ([`crate::rng::NodeRng::key_prefix`] — per-node keying is one
-//! xor-multiply and one finalizer instead of three finalizers), and both the
-//! topology and the fault policy are dispatched once per round — each
-//! primitive's body is monomorphised over the concrete sampler type and the
-//! policy, so the clean complete-graph loop carries no per-draw topology or
-//! fault branch (see [`crate::topology`] and below).
+//! xor-multiply and one finalizer instead of three finalizers), and the
+//! topology, the fault policy and the index domain are dispatched once per
+//! round — each primitive's body is monomorphised over the concrete sampler
+//! type, the policy and the domain, so the clean dense complete-graph loop
+//! carries no per-draw topology, fault or domain branch (see
+//! [`crate::topology`] and below).
 //!
 //! ## Fault policy
 //!
@@ -118,6 +119,25 @@
 //! construction, so a zero-intensity plan runs `Reliable`. Fault coins come
 //! from their own streams (`STREAM_FAULT_*`), so a faulted round's draws on
 //! the round stream are exactly a clean round's.
+//!
+//! ## Index domains
+//!
+//! The same bodies run the `_on` primitives: each body is also generic over
+//! a private *index domain*, the nodes the round runs at — every node for
+//! the dense rounds, an [`ActiveSet`]'s sorted members for the `_on` rounds
+//! — picked once per round next to the sampler and the fault policy. The
+//! domain answers what the two kinds of round do differently: its member
+//! count (the participant charge), the node at a member position and the
+//! position of a node, how the pool chunks a node-indexed buffer
+//! ([`crate::par::for_chunks`] or [`crate::par::for_sparse`]), how a block of
+//! back-buffer slots is refreshed (one [`crate::soa::clone_block`] burst or
+//! per-slot clones), how push deliveries are bucketed (the CSR below, or a
+//! sort of the `(receiver, sender)` pairs laid out as a CSR over the written
+//! set), and how the round commits (the whole-buffer swap or the
+//! copy-on-write slot swap). The fault order, the ascending-sender fold,
+//! the straggler drain, the prefetched gathers and the metrics accounting
+//! each live in one place, and the dense instantiation is the plain dense
+//! loop.
 //!
 //! The CSR bucketing itself is sequential below [`Engine::PAR_MIN_NODES`] (two
 //! linear passes over `u32` buffers) and parallel above it: per-chunk
@@ -160,8 +180,8 @@
 //! * pull targets are drawn into a small stack batch and the corresponding
 //!   sender states are **software-prefetched** [`Engine::set_prefetch_dist`]
 //!   iterations ahead of their random-gather read, hiding the DRAM latency
-//!   of the uniform contact pattern (the CSR delivery folds and the sparse
-//!   pair-list folds prefetch their sender gathers the same way);
+//!   of the uniform contact pattern (the CSR delivery folds prefetch their
+//!   sender gathers the same way);
 //! * a `k`-sample step feeding a local update — a tournament iteration —
 //!   runs as **one** such pass ([`Engine::sample_step`]): all `k` rounds'
 //!   targets of a node batch are drawn up front, gathered under one
@@ -169,8 +189,8 @@
 //! * the sparse copy-on-write commit batches runs of consecutive written ids
 //!   into whole-slice swaps ([`crate::soa::swap_runs`]).
 //!
-//! Faulted rounds run the same bodies, so they get the blocked refresh and
-//! the prefetched gathers too. All of it is mechanical rewriting with
+//! Faulted and sparse rounds run the same bodies, so they get the blocked
+//! refresh and the prefetched gathers too. All of it is mechanical rewriting with
 //! bit-identical results — per-node RNG consumption, fold order and metrics
 //! are unchanged (pinned by the golden suites, by `tests/layout.rs` against
 //! the per-slot configuration `set_copy_block(1)` + `set_prefetch_dist(0)`,
@@ -194,6 +214,7 @@ use crate::topology::{
 };
 use crate::NodeId;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -553,6 +574,207 @@ fn join_pending(
     (ma + mb, va)
 }
 
+/// The index domain of a round body (see the module docs' "Index domains"):
+/// the nodes it runs at, addressed by their *member position* `0..len()` in
+/// ascending node order. [`All`] is every node, where position `p` is node
+/// `p`; [`Members`] is an [`ActiveSet`]'s member list. The public wrappers
+/// pick the domain once per round, next to the sampler and the fault
+/// policy, so the [`All`] instantiation is the plain dense loop.
+trait Domain: Copy + Sync {
+    /// The domain a push-style round writes: its members and every receiver
+    /// of the round, as laid out by [`Domain::bucket`].
+    type Written<'w>: Domain;
+
+    /// Member count — the round's participant charge.
+    fn len(self) -> usize;
+
+    /// The node at member position `p`.
+    fn node(self, p: usize) -> usize;
+
+    /// The member position of node `v`, or `None` if `v` is not a member.
+    fn position(self, v: usize) -> Option<usize>;
+
+    /// Runs `map(run, base, sub)` over contiguous runs of member positions
+    /// on `pool` and folds the results in run order. `data` is node-indexed
+    /// and `sub` is its window starting at node `base`, so the slot of
+    /// member `p` is `sub[self.node(p) - base]`.
+    fn map<T, A, F, R>(
+        self,
+        pool: &WorkerPool,
+        data: &mut [T],
+        threads: usize,
+        identity: A,
+        map: F,
+        reduce: R,
+    ) -> A
+    where
+        T: Send,
+        A: Send,
+        F: Fn(Range<usize>, usize, &mut [T]) -> A + Sync,
+        R: Fn(A, A) -> A;
+
+    /// Refreshes the back-buffer slots of the members `run` from `states`,
+    /// in `sub`, a [`Domain::map`] window starting at node `base`.
+    fn refresh<S: Clone>(self, sub: &mut [S], base: usize, states: &[S], run: Range<usize>);
+
+    /// Buckets a push round's deliveries, given the members' targets in
+    /// `scratch_targets[..len()]`, into a CSR over the written domain's
+    /// positions: the senders of written position `q` are
+    /// `scratch_senders[scratch_offsets[q]..scratch_offsets[q + 1]]`, in
+    /// ascending order. Returns the round's receivers (empty for [`All`],
+    /// which reports none).
+    fn bucket<S: Clone + Send + Sync>(self, e: &mut Engine<S>) -> Vec<NodeId>;
+
+    /// The written domain, given the written list [`Domain::bucket`] left in
+    /// `scratch_written`.
+    fn written(self, list: &[u32]) -> Self::Written<'_>;
+
+    /// Commits the members' back-buffer slots to the front buffer.
+    fn commit<S: Send>(
+        self,
+        pool: &WorkerPool,
+        states: &mut Vec<S>,
+        next: &mut Vec<S>,
+        threads: usize,
+    );
+}
+
+/// Every node of an `n`-node network: member position `p` is node `p`.
+#[derive(Clone, Copy)]
+struct All(usize);
+
+impl Domain for All {
+    type Written<'w> = All;
+
+    #[inline(always)]
+    fn len(self) -> usize {
+        self.0
+    }
+
+    #[inline(always)]
+    fn node(self, p: usize) -> usize {
+        p
+    }
+
+    #[inline(always)]
+    fn position(self, v: usize) -> Option<usize> {
+        Some(v)
+    }
+
+    #[inline(always)]
+    fn map<T, A, F, R>(
+        self,
+        pool: &WorkerPool,
+        data: &mut [T],
+        threads: usize,
+        identity: A,
+        map: F,
+        reduce: R,
+    ) -> A
+    where
+        T: Send,
+        A: Send,
+        F: Fn(Range<usize>, usize, &mut [T]) -> A + Sync,
+        R: Fn(A, A) -> A,
+    {
+        let chunk_map = |start, chunk: &mut [T]| map(start..start + chunk.len(), start, chunk);
+        par::for_chunks(pool, data, threads, identity, chunk_map, reduce)
+    }
+
+    /// One [`crate::soa::clone_block`] burst: a memcpy for `Copy` states.
+    #[inline(always)]
+    fn refresh<S: Clone>(self, sub: &mut [S], base: usize, states: &[S], run: Range<usize>) {
+        crate::soa::clone_block(&mut sub[run.start - base..run.end - base], &states[run]);
+    }
+
+    fn bucket<S: Clone + Send + Sync>(self, e: &mut Engine<S>) -> Vec<NodeId> {
+        e.bucket_deliveries(self.0);
+        Vec::new()
+    }
+
+    fn written(self, _: &[u32]) -> All {
+        self
+    }
+
+    /// The `O(1)` whole-buffer swap.
+    fn commit<S: Send>(self, _: &WorkerPool, states: &mut Vec<S>, next: &mut Vec<S>, _: usize) {
+        std::mem::swap(states, next);
+    }
+}
+
+/// A sorted, duplicate-free member list — an [`ActiveSet`]'s indices, or a
+/// sparse push round's written set: member position `p` is node `ids[p]`.
+#[derive(Clone, Copy)]
+struct Members<'a>(&'a [u32]);
+
+impl Domain for Members<'_> {
+    type Written<'w> = Members<'w>;
+
+    #[inline]
+    fn len(self) -> usize {
+        self.0.len()
+    }
+
+    #[inline]
+    fn node(self, p: usize) -> usize {
+        self.0[p] as usize
+    }
+
+    #[inline]
+    fn position(self, v: usize) -> Option<usize> {
+        self.0.binary_search(&(v as u32)).ok()
+    }
+
+    fn map<T, A, F, R>(
+        self,
+        pool: &WorkerPool,
+        data: &mut [T],
+        threads: usize,
+        identity: A,
+        map: F,
+        reduce: R,
+    ) -> A
+    where
+        T: Send,
+        A: Send,
+        F: Fn(Range<usize>, usize, &mut [T]) -> A + Sync,
+        R: Fn(A, A) -> A,
+    {
+        let chunk_map =
+            |first, ids: &[u32], base, sub: &mut [T]| map(first..first + ids.len(), base, sub);
+        par::for_sparse(pool, data, self.0, threads, identity, chunk_map, reduce)
+    }
+
+    /// A per-slot `clone_from`: the members need not be contiguous.
+    #[inline]
+    fn refresh<S: Clone>(self, sub: &mut [S], base: usize, states: &[S], run: Range<usize>) {
+        for &v in &self.0[run] {
+            sub[v as usize - base].clone_from(&states[v as usize]);
+        }
+    }
+
+    fn bucket<S: Clone + Send + Sync>(self, e: &mut Engine<S>) -> Vec<NodeId> {
+        e.bucket_sparse(self.0)
+    }
+
+    fn written(self, list: &[u32]) -> Members<'_> {
+        Members(list)
+    }
+
+    /// The copy-on-write commit: swaps the members' slots between the
+    /// buffers, batching runs of consecutive ids into slice swaps
+    /// ([`crate::soa::swap_runs`]).
+    fn commit<S: Send>(
+        self,
+        pool: &WorkerPool,
+        states: &mut Vec<S>,
+        next: &mut Vec<S>,
+        threads: usize,
+    ) {
+        par::for_sparse2(pool, states, next, self.0, threads, crate::soa::swap_runs);
+    }
+}
+
 /// What a sparse push-style round ([`Engine::push_round_on`] /
 /// [`Engine::push_pull_round_on`]) did, beyond the dense primitives' failed
 /// count: the set of nodes that received at least one message this round.
@@ -581,10 +803,10 @@ pub struct EngineConfig {
     /// identical executions — at any thread count.
     pub seed: u64,
     /// The fault plan applied to the engine's rounds (default:
-    /// [`FaultPlan::none`]). This subsumes the failure model: configure a
-    /// plain [`FailureModel`] through [`EngineConfig::failure`], or a full
-    /// plan (churn, message loss, stragglers) through
-    /// [`EngineConfig::fault`].
+    /// [`FaultPlan::none`]), set through [`EngineConfig::fault`]. It
+    /// subsumes the Section 5 failure model: a plain [`FailureModel`] is
+    /// `FaultPlan::none().with_failure(model)`, and churn, message loss and
+    /// stragglers are its other combinators.
     pub fault: FaultPlan,
     /// The communication graph peer sampling runs on (default:
     /// [`Topology::Complete`], the paper's uniform-gossip model). See
@@ -616,14 +838,6 @@ impl EngineConfig {
             pool: None,
             graph_cache: Arc::new(AdjacencyCache::default()),
         }
-    }
-
-    /// Replaces the failure-model combinator of the fault plan (sugar for
-    /// `fault(self.fault.with_failure(model))`; any configured churn, loss or
-    /// straggler combinators are kept).
-    pub fn failure(mut self, failure: FailureModel) -> Self {
-        self.fault = self.fault.clone().with_failure(failure);
-        self
     }
 
     /// Replaces the whole fault plan (see [`FaultPlan`]).
@@ -735,12 +949,14 @@ pub struct Engine<S> {
     pool_base: PoolStats,
     round: u64,
     local_epochs: u64,
-    /// Per-sender contact target (push target in push–pull), or a sentinel.
+    /// Per-sender contact target (push target in push–pull), or a sentinel,
+    /// at the sender's member position.
     scratch_targets: Vec<u32>,
-    /// Per-puller contact target in push–pull rounds.
+    /// Per-puller contact target in push–pull rounds, by member position.
     scratch_pull: Vec<u32>,
-    /// CSR bucket offsets: deliveries for receiver `u` occupy
-    /// `scratch_senders[offsets[u]..offsets[u + 1]]`. Atomic because the
+    /// CSR bucket offsets over the written domain's positions: deliveries
+    /// for written position `q` (node `q` in a dense round) occupy
+    /// `scratch_senders[offsets[q]..offsets[q + 1]]`. Atomic because the
     /// parallel bucketing passes write them from `pool.run` tasks (every slot
     /// has exactly one writer per pass; all accesses are `Relaxed`, ordered
     /// across passes by the pool's quiescence barrier).
@@ -753,22 +969,16 @@ pub struct Engine<S> {
     /// Parallel-CSR per-chunk histograms (chunk-major, `chunks × n`); empty
     /// until the first parallel push round.
     scratch_hist: Vec<u32>,
-    /// Compact per-active-sender contact targets of the sparse push paths
-    /// (aligned with the round's `ActiveSet::indices`); grown to the largest
-    /// active set seen.
-    scratch_compact: Vec<u32>,
-    /// Compact per-active-node pull targets of sparse push–pull rounds.
-    scratch_compact2: Vec<u32>,
     /// Sparse delivery list: `(receiver, sender)` pairs, sorted
-    /// receiver-major with ascending senders — the CSR of a sparse push,
-    /// sized by the number of messages instead of `n`.
+    /// receiver-major with ascending senders — sized by the number of
+    /// messages instead of `n`, and laid out into the CSR scratch above.
     scratch_pairs: Vec<(u32, u32)>,
     /// The written set of the current sparse round (active ∪ receivers),
     /// sorted — what the copy-on-write commit pass swaps into the front
     /// buffer.
     scratch_written: Vec<u32>,
-    /// Sorted unique receivers of the current sparse push round (the dedup
-    /// of `scratch_pairs`' receiver column), reused across rounds.
+    /// Sorted unique receivers of the current sparse push round, late
+    /// arrivals included, reused across rounds.
     scratch_receivers: Vec<u32>,
     /// Slots per cache-blocked back-buffer refresh block (see
     /// [`crate::soa::clone_block`]); seeded from `GOSSIP_COPY_BLOCK`,
@@ -776,7 +986,7 @@ pub struct Engine<S> {
     /// results, only cache behaviour.
     copy_block: usize,
     /// Lookahead of the software prefetches issued by the delivery gathers
-    /// (pull targets, CSR sender states, sparse pair lists); seeded from
+    /// (pull targets, CSR sender states); seeded from
     /// `GOSSIP_PREFETCH_DIST`, `0` disables. Never affects results.
     prefetch_dist: usize,
 }
@@ -821,8 +1031,6 @@ impl<S: Clone> Clone for Engine<S> {
             // Like the atomic scratches above: no cross-round state, so the
             // clone starts empty instead of memcpying stale ids (the sparse
             // paths resize/clear these before every use).
-            scratch_compact: Vec::new(),
-            scratch_compact2: Vec::new(),
             scratch_pairs: Vec::new(),
             scratch_written: Vec::new(),
             scratch_receivers: Vec::new(),
@@ -907,8 +1115,6 @@ impl<S> Engine<S> {
             scratch_cursors: atomic_zeroed(n),
             scratch_senders: atomic_zeroed(n),
             scratch_hist: Vec::new(),
-            scratch_compact: Vec::new(),
-            scratch_compact2: Vec::new(),
             scratch_pairs: Vec::new(),
             scratch_written: Vec::new(),
             scratch_receivers: Vec::new(),
@@ -963,12 +1169,6 @@ impl<S> Engine<S> {
     /// The seed all of this engine's random streams are keyed by.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The failure model in effect (the failure combinator of the fault
-    /// plan, normalised at construction).
-    pub fn failure_model(&self) -> &FailureModel {
-        self.fault.failure()
     }
 
     /// The fault plan in effect (normalised at construction: combinators
@@ -1101,23 +1301,7 @@ impl<S: Send> Engine<S> {
     where
         F: Fn(NodeId, &mut S, &mut NodeRng) + Sync,
     {
-        self.local_epochs += 1;
-        let threads = self.threads;
-        let prefix = NodeRng::key_prefix(self.seed, self.local_epochs, NodeRng::STREAM_LOCAL);
-        par::for_chunks(
-            &self.pool,
-            &mut self.states,
-            threads,
-            (),
-            |start, chunk| {
-                for (j, state) in chunk.iter_mut().enumerate() {
-                    let v = start + j;
-                    let mut rng = prefix.node(v as u64);
-                    f(v, state, &mut rng);
-                }
-            },
-            |(), ()| (),
-        );
+        self.local_body(All(self.n()), f);
     }
 
     /// [`Engine::local_step`] restricted to an [`ActiveSet`]: only the
@@ -1133,20 +1317,25 @@ impl<S: Send> Engine<S> {
         F: Fn(NodeId, &mut S, &mut NodeRng) + Sync,
     {
         self.assert_active(active);
+        self.local_body(Members(active.indices()), f);
+    }
+
+    /// The local step over the members of `dom`.
+    fn local_body<D: Domain, F>(&mut self, dom: D, f: F)
+    where
+        F: Fn(NodeId, &mut S, &mut NodeRng) + Sync,
+    {
         self.local_epochs += 1;
-        let threads = self.threads;
         let prefix = NodeRng::key_prefix(self.seed, self.local_epochs, NodeRng::STREAM_LOCAL);
-        par::for_sparse(
+        dom.map(
             &self.pool,
             &mut self.states,
-            active.indices(),
-            threads,
+            self.threads,
             (),
-            |ids, base, sub| {
-                for &id in ids {
-                    let v = id as usize;
-                    let mut rng = prefix.node(v as u64);
-                    f(v, &mut sub[v - base], &mut rng);
+            |run, base, sub| {
+                for p in run {
+                    let v = dom.node(p);
+                    f(v, &mut sub[v - base], &mut prefix.node(v as u64));
                 }
             },
             |(), ()| (),
@@ -1278,26 +1467,29 @@ impl<S: Clone + Send + Sync> Engine<S> {
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, Option<M>) + Sync,
     {
-        with_sampler!(self, sp => with_faults!(self, fx => self.pull_body(fx, sp, serve, apply)))
+        let all = All(self.n());
+        with_sampler!(self, sp => with_faults!(self, fx => self.pull_body(all, fx, sp, serve, apply)))
     }
 
-    /// [`Engine::pull_round`], monomorphised over the sampler type and the
-    /// fault policy.
-    fn pull_body<X, SP, M, F, G>(
+    /// [`Engine::pull_round`] and [`Engine::pull_round_on`], monomorphised
+    /// over the index domain, the sampler type and the fault policy.
+    fn pull_body<D, X, SP, M, F, G>(
         &mut self,
+        dom: D,
         _: PhantomData<X>,
         sampler: SP,
         serve: F,
         apply: G,
     ) -> usize
     where
+        D: Domain,
         X: Faults,
         SP: Sampler,
         M: MessageSize,
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, Option<M>) + Sync,
     {
-        self.metrics.record_round(RoundKind::Pull, self.n() as u64);
+        self.metrics.record_round(RoundKind::Pull, dom.len() as u64);
         self.round += 1;
         self.ensure_next();
         self.advance_churn(self.round);
@@ -1315,12 +1507,12 @@ impl<S: Clone + Send + Sync> Engine<S> {
         // this gate cannot affect results.
         let prefetch =
             dist > 0 && std::mem::size_of::<S>() * states.len() > crate::soa::PREFETCH_MIN_BYTES;
-        let delta = par::for_chunks(
+        let delta = dom.map(
             &self.pool,
             &mut self.next,
             threads,
             Metrics::default(),
-            |start, chunk| {
+            |run, base, sub| {
                 let mut local = Metrics::default();
                 // Structured around memory layout (bit-identical to a
                 // per-slot clone-then-serve loop — every node draws the same
@@ -1328,8 +1520,8 @@ impl<S: Clone + Send + Sync> Engine<S> {
                 // touch order changes):
                 //
                 // 1. refresh one block of back-buffer slots in a tight clone
-                //    pass (a memcpy for Copy states) so the block is L1/L2-hot
-                //    for the apply pass;
+                //    pass (a memcpy for Copy states on the dense domain) so
+                //    the block is L1/L2-hot for the apply pass;
                 // 2. within the block, draw contacts a batch at a time into a
                 //    stack buffer — separating the RNG math from the gather
                 //    makes the targets available early;
@@ -1337,15 +1529,15 @@ impl<S: Clone + Send + Sync> Engine<S> {
                 //    ahead, hiding the random-read latency that dominates
                 //    large-n rounds.
                 let mut tbuf = [0u32; TARGET_BATCH];
-                let mut bs = 0;
-                while bs < chunk.len() {
-                    let be = (bs + block).min(chunk.len());
-                    crate::soa::clone_block(&mut chunk[bs..be], &states[start + bs..start + be]);
+                let mut bs = run.start;
+                while bs < run.end {
+                    let be = (bs + block).min(run.end);
+                    dom.refresh(sub, base, states, bs..be);
                     if !prefetch {
-                        for (j, slot) in chunk[bs..be].iter_mut().enumerate() {
-                            let v = start + bs + j;
+                        for p in bs..be {
+                            let v = dom.node(p);
                             let t = fx.pull(sampler, prefix, v, &mut local);
-                            land_pull(states, serve, apply, v, slot, t, &mut local);
+                            land_pull(states, serve, apply, v, &mut sub[v - base], t, &mut local);
                         }
                         bs = be;
                         continue;
@@ -1355,7 +1547,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
                         let je = (js + TARGET_BATCH).min(be);
                         let batch = je - js;
                         for (i, t) in tbuf[..batch].iter_mut().enumerate() {
-                            *t = fx.pull(sampler, prefix, start + js + i, &mut local);
+                            *t = fx.pull(sampler, prefix, dom.node(js + i), &mut local);
                         }
                         for i in 0..batch {
                             if i + dist < batch {
@@ -1363,7 +1555,8 @@ impl<S: Clone + Send + Sync> Engine<S> {
                                     crate::soa::prefetch_read(ahead);
                                 }
                             }
-                            let (v, slot) = (start + js + i, &mut chunk[js + i]);
+                            let v = dom.node(js + i);
+                            let slot = &mut sub[v - base];
                             land_pull(states, serve, apply, v, slot, tbuf[i], &mut local);
                         }
                         js = je;
@@ -1375,7 +1568,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
             |a, b| a + b,
         );
         self.metrics = self.metrics + delta;
-        std::mem::swap(&mut self.states, &mut self.next);
+        dom.commit(&self.pool, &mut self.states, &mut self.next, threads);
         delta.failed_operations as usize
     }
 
@@ -1401,20 +1594,25 @@ impl<S: Clone + Send + Sync> Engine<S> {
         G: Fn(NodeId, &mut S, M) + Sync,
         H: Fn(NodeId, &mut S, bool) + Sync,
     {
-        with_sampler!(self, sp => with_faults!(self, fx => self.push_body(fx, sp, make, fold, after)))
+        let all = All(self.n());
+        with_sampler!(self, sp => with_faults!(self, fx => {
+            self.push_body(all, fx, sp, make, fold, after).failed
+        }))
     }
 
-    /// [`Engine::push_round`], monomorphised over the sampler type and the
-    /// fault policy.
-    fn push_body<X, SP, M, F, G, H>(
+    /// [`Engine::push_round`] and [`Engine::push_round_on`], monomorphised
+    /// over the index domain, the sampler type and the fault policy.
+    fn push_body<D, X, SP, M, F, G, H>(
         &mut self,
+        dom: D,
         _: PhantomData<X>,
         sampler: SP,
         make: F,
         fold: G,
         after: H,
-    ) -> usize
+    ) -> SparsePushOutcome
     where
+        D: Domain,
         X: Faults,
         SP: Sampler,
         M: MessageSize,
@@ -1422,8 +1620,8 @@ impl<S: Clone + Send + Sync> Engine<S> {
         G: Fn(NodeId, &mut S, M) + Sync,
         H: Fn(NodeId, &mut S, bool) + Sync,
     {
-        let n = self.n();
-        self.metrics.record_round(RoundKind::Push, n as u64);
+        let (n, m) = (self.n(), dom.len());
+        self.metrics.record_round(RoundKind::Push, m as u64);
         self.round += 1;
         self.ensure_next();
         self.advance_churn(self.round);
@@ -1434,19 +1632,19 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
         let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
 
-        // Pass 1: every sender decides its outcome (silent / failed /
-        // dropped / target), reading its own pre-round state from the front
-        // buffer.
+        // Pass 1: every member decides its outcome (silent / failed /
+        // dropped / target) into its member position of the target scratch,
+        // reading its own pre-round state from the front buffer.
         let (delta, mut pending) = par::for_chunks(
             &self.pool,
-            &mut self.scratch_targets,
+            &mut self.scratch_targets[..m],
             threads,
             (Metrics::default(), Vec::new()),
             |start, chunk| {
                 let mut local = Metrics::default();
                 let mut pending = Vec::new();
                 for (j, slot) in chunk.iter_mut().enumerate() {
-                    let v = start + j;
+                    let v = dom.node(start + j);
                     let bits = || make(v, &states[v]).map(|m| m.message_bits());
                     *slot = fx.push(sampler, prefix, v, bits, &mut local, &mut pending);
                 }
@@ -1460,16 +1658,18 @@ impl<S: Clone + Send + Sync> Engine<S> {
         self.pending_delayed.append(&mut pending);
         self.collect_due(round);
 
-        // Bucket deliveries by receiver (CSR), then clone + fold + after per
-        // receiver in one fused pass over the back buffer — block-refreshed,
-        // with the sender-state gather prefetched ahead (the senders of a
-        // chunk's receivers occupy one contiguous CSR span, so the lookahead
-        // is a cheap sequential read of the sender ids).
-        self.bucket_deliveries(n);
+        // Bucket deliveries into a CSR over the written domain, then clone +
+        // fold + after per written node in one fused pass over the back
+        // buffer — block-refreshed, with the sender-state gather prefetched
+        // ahead (the senders of a chunk's receivers occupy one contiguous CSR
+        // span, so the lookahead is a cheap sequential read of the sender
+        // ids).
+        let receivers = dom.bucket(self);
+        let written = dom.written(&self.scratch_written);
         let states = &self.states;
         let (block, dist) = (self.copy_block, self.prefetch_dist);
         let (targets, offsets, senders) = (
-            &self.scratch_targets,
+            &self.scratch_targets[..m],
             &self.scratch_offsets,
             &self.scratch_senders,
         );
@@ -1480,24 +1680,25 @@ impl<S: Clone + Send + Sync> Engine<S> {
             &self.down_until,
             &self.due_scratch,
         );
-        let arrivals = par::for_chunks(
+        let arrivals = written.map(
             &self.pool,
             &mut self.next,
             threads,
             Metrics::default(),
-            |start, chunk| {
+            |run, base, sub| {
                 let mut local = Metrics::default();
-                let chunk_hi = offsets[start + chunk.len()].load(Ordering::Relaxed) as usize;
-                let mut bs = 0;
-                while bs < chunk.len() {
-                    let be = (bs + block).min(chunk.len());
-                    crate::soa::clone_block(&mut chunk[bs..be], &states[start + bs..start + be]);
-                    for (j, slot) in chunk[bs..be].iter_mut().enumerate() {
-                        let u = start + bs + j;
-                        let lo = offsets[u].load(Ordering::Relaxed) as usize;
-                        let hi = offsets[u + 1].load(Ordering::Relaxed) as usize;
+                let run_hi = offsets[run.end].load(Ordering::Relaxed) as usize;
+                let mut bs = run.start;
+                while bs < run.end {
+                    let be = (bs + block).min(run.end);
+                    written.refresh(sub, base, states, bs..be);
+                    for q in bs..be {
+                        let u = written.node(q);
+                        let slot = &mut sub[u - base];
+                        let lo = offsets[q].load(Ordering::Relaxed) as usize;
+                        let hi = offsets[q + 1].load(Ordering::Relaxed) as usize;
                         for i in lo..hi {
-                            if dist > 0 && i + dist < chunk_hi {
+                            if dist > 0 && i + dist < run_hi {
                                 let ahead = senders[i + dist].load(Ordering::Relaxed) as usize;
                                 crate::soa::prefetch_read(&states[ahead]);
                             }
@@ -1518,10 +1719,12 @@ impl<S: Clone + Send + Sync> Engine<S> {
                                 fold(u, slot, msg);
                             }
                         }
-                        // A crashed node performed nothing this round, so its
-                        // `after` hook does not run.
-                        if fx.alive(u) {
-                            after(u, slot, (targets[u] as usize) < n);
+                        // `after` runs at the members only, and not at a
+                        // crashed one: it performed nothing this round.
+                        if let Some(p) = dom.position(u) {
+                            if fx.alive(u) {
+                                after(u, slot, (targets[p] as usize) < n);
+                            }
                         }
                     }
                     bs = be;
@@ -1531,8 +1734,11 @@ impl<S: Clone + Send + Sync> Engine<S> {
             |a, b| a + b,
         );
         self.metrics = self.metrics + arrivals;
-        std::mem::swap(&mut self.states, &mut self.next);
-        delta.failed_operations as usize
+        written.commit(&self.pool, &mut self.states, &mut self.next, threads);
+        SparsePushOutcome {
+            failed: delta.failed_operations as usize,
+            receivers,
+        }
     }
 
     /// One synchronous **push–pull** round (both directions in one round), the
@@ -1551,27 +1757,33 @@ impl<S: Clone + Send + Sync> Engine<S> {
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, M) + Sync,
     {
-        with_sampler!(self, sp => with_faults!(self, fx => self.push_pull_body(fx, sp, serve, merge)))
+        let all = All(self.n());
+        with_sampler!(self, sp => with_faults!(self, fx => {
+            self.push_pull_body(all, fx, sp, serve, merge).failed
+        }))
     }
 
-    /// [`Engine::push_pull_round`], monomorphised over the sampler type and
-    /// the fault policy.
-    fn push_pull_body<X, SP, M, F, G>(
+    /// [`Engine::push_pull_round`] and [`Engine::push_pull_round_on`],
+    /// monomorphised over the index domain, the sampler type and the fault
+    /// policy.
+    fn push_pull_body<D, X, SP, M, F, G>(
         &mut self,
+        dom: D,
         _: PhantomData<X>,
         sampler: SP,
         serve: F,
         merge: G,
-    ) -> usize
+    ) -> SparsePushOutcome
     where
+        D: Domain,
         X: Faults,
         SP: Sampler,
         M: MessageSize,
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, M) + Sync,
     {
-        let n = self.n();
-        self.metrics.record_round(RoundKind::PushPull, n as u64);
+        let (n, m) = (self.n(), dom.len());
+        self.metrics.record_round(RoundKind::PushPull, m as u64);
         self.round += 1;
         self.ensure_next();
         self.advance_churn(self.round);
@@ -1581,21 +1793,21 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
         let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
 
-        // Pass 1: every node draws its failure coin, pull target, push
+        // Pass 1: every member draws its failure coin, pull target, push
         // target, then the per-direction fault coins. Delivery metrics are
         // recorded in pass 2, where the messages are constructed anyway.
         let (delta, mut pending) = par::for_chunks2(
             &self.pool,
-            &mut self.scratch_targets,
-            &mut self.scratch_pull,
+            &mut self.scratch_targets[..m],
+            &mut self.scratch_pull[..m],
             threads,
             (Metrics::default(), Vec::new()),
             |start, push_chunk, pull_chunk| {
                 let mut local = Metrics::default();
                 let mut pending = Vec::new();
                 for (j, (push, pull)) in push_chunk.iter_mut().zip(pull_chunk).enumerate() {
-                    (*pull, *push) =
-                        fx.push_pull(sampler, prefix, start + j, &mut local, &mut pending);
+                    let v = dom.node(start + j);
+                    (*pull, *push) = fx.push_pull(sampler, prefix, v, &mut local, &mut pending);
                 }
                 (local, pending)
             },
@@ -1605,11 +1817,12 @@ impl<S: Clone + Send + Sync> Engine<S> {
         self.pending_delayed.append(&mut pending);
         self.collect_due(round);
 
-        self.bucket_deliveries(n);
+        let receivers = dom.bucket(self);
+        let written = dom.written(&self.scratch_written);
         let states = &self.states;
         let (block, dist) = (self.copy_block, self.prefetch_dist);
         let (pulls, offsets, senders) = (
-            &self.scratch_pull,
+            &self.scratch_pull[..m],
             &self.scratch_offsets,
             &self.scratch_senders,
         );
@@ -1620,40 +1833,45 @@ impl<S: Clone + Send + Sync> Engine<S> {
             &self.down_until,
             &self.due_scratch,
         );
-        let deliveries = par::for_chunks(
+        let deliveries = written.map(
             &self.pool,
             &mut self.next,
             threads,
             Metrics::default(),
-            |start, chunk| {
+            |run, base, sub| {
                 let mut local = Metrics::default();
-                let chunk_end = start + chunk.len();
-                let chunk_hi = offsets[chunk_end].load(Ordering::Relaxed) as usize;
+                let run_hi = offsets[run.end].load(Ordering::Relaxed) as usize;
                 let mut deliver = |u: NodeId, slot: &mut S, v: usize| {
                     let msg = serve(v, &states[v]);
                     local.record_delivery(msg.message_bits());
                     merge(u, slot, msg);
                 };
-                let mut bs = 0;
-                while bs < chunk.len() {
-                    let be = (bs + block).min(chunk.len());
-                    crate::soa::clone_block(&mut chunk[bs..be], &states[start + bs..start + be]);
-                    for (j, slot) in chunk[bs..be].iter_mut().enumerate() {
-                        let u = start + bs + j;
-                        // Prefetch the pull gather a few receivers ahead;
-                        // the push gather is prefetched along the CSR span.
-                        if dist > 0 && u + dist < chunk_end {
-                            if let Some(ahead) = states.get(pulls[u + dist] as usize) {
-                                crate::soa::prefetch_read(ahead);
+                let mut bs = run.start;
+                while bs < run.end {
+                    let be = (bs + block).min(run.end);
+                    written.refresh(sub, base, states, bs..be);
+                    for q in bs..be {
+                        let u = written.node(q);
+                        let slot = &mut sub[u - base];
+                        // The pulled message first (members only), its
+                        // gather prefetched a few members ahead; the push
+                        // gather is prefetched along the CSR span.
+                        if let Some(p) = dom.position(u) {
+                            if dist > 0 {
+                                if let Some(&ahead) = pulls.get(p + dist) {
+                                    if let Some(ahead) = states.get(ahead as usize) {
+                                        crate::soa::prefetch_read(ahead);
+                                    }
+                                }
+                            }
+                            if (pulls[p] as usize) < n {
+                                deliver(u, slot, pulls[p] as usize);
                             }
                         }
-                        if (pulls[u] as usize) < n {
-                            deliver(u, slot, pulls[u] as usize);
-                        }
-                        let lo = offsets[u].load(Ordering::Relaxed) as usize;
-                        let hi = offsets[u + 1].load(Ordering::Relaxed) as usize;
+                        let lo = offsets[q].load(Ordering::Relaxed) as usize;
+                        let hi = offsets[q + 1].load(Ordering::Relaxed) as usize;
                         for i in lo..hi {
-                            if dist > 0 && i + dist < chunk_hi {
+                            if dist > 0 && i + dist < run_hi {
                                 let ahead = senders[i + dist].load(Ordering::Relaxed) as usize;
                                 crate::soa::prefetch_read(&states[ahead]);
                             }
@@ -1670,8 +1888,11 @@ impl<S: Clone + Send + Sync> Engine<S> {
             |a, b| a + b,
         );
         self.metrics = self.metrics + deliveries;
-        std::mem::swap(&mut self.states, &mut self.next);
-        delta.failed_operations as usize
+        written.commit(&self.pool, &mut self.states, &mut self.next, threads);
+        SparsePushOutcome {
+            failed: delta.failed_operations as usize,
+            receivers,
+        }
     }
 
     /// Convenience: `k` consecutive pull rounds in which every node collects
@@ -1687,19 +1908,30 @@ impl<S: Clone + Send + Sync> Engine<S> {
         M: MessageSize + Send,
         F: Fn(NodeId, &S) -> M + Sync,
     {
-        // `k` sampling columns whose slots are the per-node buckets, so every
-        // round pushes straight into them in parallel (regrouping a flat
-        // matrix afterwards would be a sequential pass).
-        let mut collected: Vec<Vec<M>> = (0..self.n()).map(|_| Vec::with_capacity(k)).collect();
+        self.collect_buckets(All(self.n()), k, serve)
+    }
+
+    /// [`Engine::collect_samples`] and [`Engine::collect_samples_on`]: `k`
+    /// sampling columns whose slots are the members' buckets, so every round
+    /// pushes straight into them in parallel (regrouping a flat matrix
+    /// afterwards would be a sequential pass).
+    fn collect_buckets<D, M, F>(&mut self, dom: D, k: usize, serve: F) -> Vec<Vec<M>>
+    where
+        D: Domain,
+        M: MessageSize + Send,
+        F: Fn(NodeId, &S) -> M + Sync,
+    {
+        let mut collected: Vec<Vec<M>> = (0..dom.len()).map(|_| Vec::with_capacity(k)).collect();
         let deliver = |bucket: &mut Vec<M>, t, state: &S| {
             let msg = serve(t, state);
             let bits = msg.message_bits();
             bucket.push(msg);
             bits
         };
+        let slots = All(dom.len());
         with_sampler!(self, sp => with_faults!(self, fx => {
             for _ in 0..k {
-                self.collect_column(fx, &sp, &mut collected, &|_| true, &deliver);
+                self.collect_column(dom, slots, fx, &sp, &mut collected, &deliver);
             }
         }));
         collected
@@ -1720,9 +1952,10 @@ impl<S: Clone + Send + Sync> Engine<S> {
     {
         let mut matrix = SampleMatrix::empty(self.n(), k);
         let deliver = |slot: &mut Option<M>, t, state: &S| keep(slot, serve(t, state));
+        let all = All(self.n());
         with_sampler!(self, sp => with_faults!(self, fx => {
             for r in 0..k {
-                self.collect_column(fx, &sp, matrix.column_mut(r), &|_| true, &deliver);
+                self.collect_column(all, all, fx, &sp, matrix.column_mut(r), &deliver);
             }
         }));
         matrix
@@ -1940,15 +2173,26 @@ impl<S: Clone + Send + Sync> Engine<S> {
         F: Fn(NodeId, &S) -> M + Sync,
         A: Fn(NodeId, &mut S, &mut NodeRng, &mut [Option<M>]) + Sync,
     {
-        let mut samples = SampleMatrix::empty(self.n(), k);
+        let n = self.n();
+        let mut samples = SampleMatrix::empty(n, k);
         let deliver = |slot: &mut Option<M>, t, state: &S| keep(slot, serve(t, state));
+        let all = All(n);
+        // The participants of the cut rounds `dense..k`, if there are any.
+        let cut: Vec<u32> = if dense < k {
+            (0..n as u32)
+                .filter(|&v| participates(v as usize))
+                .collect()
+        } else {
+            Vec::new()
+        };
         with_faults!(self, fx => {
             for r in 0..k {
                 let column = samples.column_mut(r);
                 if r < dense {
-                    self.collect_column(fx, &sampler, column, &|_| true, &deliver);
+                    self.collect_column(all, all, fx, &sampler, column, &deliver);
                 } else {
-                    self.collect_column(fx, &sampler, column, &participates, &deliver);
+                    let cut = Members(&cut);
+                    self.collect_column(cut, cut, fx, &sampler, column, &deliver);
                 }
             }
         });
@@ -1978,49 +2222,50 @@ impl<S: Clone + Send + Sync> Engine<S> {
         );
     }
 
-    /// One sampling round into `column`: every node `v` with `pulls(v)`
-    /// pulls once, and when the pull lands `deliver(&mut column[v], t,
-    /// &states[t])` stores what target `t` served and returns the bits it
-    /// costs on the wire; a pull that fails, is dropped, or comes from a
-    /// down node leaves its slot untouched, as are the other slots. The
-    /// round is recorded with the number of pulling nodes, and every coin —
-    /// churn, failure, target, loss — is drawn in exactly the order
-    /// [`Engine::collect_samples_on`] (with `pulls` the active set) draws
-    /// them, so filling `k` columns is its flat twin.
-    fn collect_column<X, SP, C, P, D>(
+    /// One sampling round into `column`: every member `v` of `dom` pulls
+    /// once, and when the pull lands `deliver(slot, t, &states[t])` stores
+    /// what target `t` served in `v`'s slot and returns the bits it costs on
+    /// the wire; a pull that fails, is dropped, or comes from a down node
+    /// leaves its slot untouched, as are the other slots. `slots` is the
+    /// domain `column` is indexed by: `dom` itself for a node-indexed column,
+    /// or `All(dom.len())` for one slot per member. The round is recorded
+    /// with the member count, and every coin — churn, failure, target, loss
+    /// — is drawn in the order of the pull round.
+    fn collect_column<D, K, X, SP, C, Dl>(
         &mut self,
+        dom: D,
+        slots: K,
         _: PhantomData<X>,
         sampler: &SP,
         column: &mut [C],
-        pulls: &P,
-        deliver: &D,
+        deliver: &Dl,
     ) where
+        D: Domain,
+        K: Domain,
         X: Faults,
         SP: Sampler,
         C: Send,
-        P: Fn(NodeId) -> bool + Sync,
-        D: Fn(&mut C, NodeId, &S) -> u64 + Sync,
+        Dl: Fn(&mut C, NodeId, &S) -> u64 + Sync,
     {
+        self.metrics.record_round(RoundKind::Pull, dom.len() as u64);
         self.round += 1;
         let round = self.round;
         self.advance_churn(round);
         let states = &self.states;
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
         let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
-        let delta = par::for_chunks(
+        let delta = slots.map(
             &self.pool,
             column,
             self.threads,
             Metrics::default(),
-            |start, chunk| {
+            |run, base, sub| {
                 let mut local = Metrics::default();
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let v = start + j;
-                    if !pulls(v) {
-                        continue;
-                    }
+                for p in run {
+                    let v = dom.node(p);
                     let t = fx.pull(sampler, prefix, v, &mut local) as usize;
                     if let Some(state) = states.get(t) {
+                        let slot = &mut sub[slots.node(p) - base];
                         local.record_delivery(deliver(slot, t, state));
                     }
                 }
@@ -2028,9 +2273,6 @@ impl<S: Clone + Send + Sync> Engine<S> {
             },
             |a, b| a + b,
         );
-        // Every pulling node either attempted or was down.
-        let pulling = delta.pulls_attempted + delta.crashed_operations;
-        self.metrics.record_round(RoundKind::Pull, pulling);
         self.metrics = self.metrics + delta;
     }
 
@@ -2046,11 +2288,10 @@ impl<S: Clone + Send + Sync> Engine<S> {
     ///
     /// Targets, coins, the round counter and [`Metrics`] advance exactly as
     /// a [`Engine::collect_samples`]`(1, ..)` round (with `active`,
-    /// [`Engine::collect_samples_on`]) whose messages cost `bits(source)`.
-    /// On an engine whose pulls cannot fail the round is one pool pass over
-    /// `sources` (over the active indices only, after an `O(n)` reset, when
-    /// `active` is given); under any fault, the failure model included, it
-    /// runs the fault-aware instantiation of the sampling column.
+    /// [`Engine::collect_samples_on`]) whose messages cost `bits(source)`:
+    /// it is the same sampling column, over the active indices only when
+    /// `active` is given (after an `O(n)` reset of `sources`, which also
+    /// runs whenever a pull can fail).
     ///
     /// # Panics
     ///
@@ -2063,65 +2304,24 @@ impl<S: Clone + Send + Sync> Engine<S> {
         if let Some(active) = active {
             self.assert_active(active);
         }
-        if !self.fault.is_none() {
+        // Every slot no delivery writes reads "nothing arrived".
+        if active.is_some() || !self.fault.is_none() {
             sources.fill(u32::MAX);
-            let pulls = |v| active.map_or(true, |a| a.contains(v));
-            let deliver = |slot: &mut u32, t: NodeId, _: &S| {
-                *slot = t as u32;
-                bits(t)
-            };
-            let fx = PhantomData::<FaultCtx>;
-            with_sampler!(self, sp => self.collect_column(fx, &sp, sources, &pulls, &deliver));
-            return;
         }
-        let pulling = active.map_or(self.n(), ActiveSet::len);
-        self.metrics.record_round(RoundKind::Pull, pulling as u64);
-        self.round += 1;
-        let prefix = NodeRng::key_prefix(self.seed, self.round, NodeRng::STREAM_ROUND);
-        let (pool, threads) = (&self.pool, self.threads);
-        let delta = with_sampler!(self, sp => {
-            let draw = |v: NodeId, local: &mut Metrics| {
-                local.record_attempt(RoundKind::Pull);
-                let t = sp.sample(&mut prefix.node(v as u64), v);
-                local.record_delivery(bits(t));
-                t as u32
-            };
-            match active {
-                None => par::for_chunks(
-                    pool,
-                    sources,
-                    threads,
-                    Metrics::default(),
-                    |start, chunk| {
-                        let mut local = Metrics::default();
-                        for (j, src) in chunk.iter_mut().enumerate() {
-                            *src = draw(start + j, &mut local);
-                        }
-                        local
-                    },
-                    |a, b| a + b,
-                ),
-                Some(active) => {
-                    sources.fill(u32::MAX);
-                    par::for_sparse(
-                        pool,
-                        sources,
-                        active.indices(),
-                        threads,
-                        Metrics::default(),
-                        |ids, base, sub| {
-                            let mut local = Metrics::default();
-                            for &v in ids {
-                                sub[v as usize - base] = draw(v as usize, &mut local);
-                            }
-                            local
-                        },
-                        |a, b| a + b,
-                    )
-                }
+        let deliver = |slot: &mut u32, t: NodeId, _: &S| {
+            *slot = t as u32;
+            bits(t)
+        };
+        with_sampler!(self, sp => with_faults!(self, fx => match active {
+            None => {
+                let all = All(self.n());
+                self.collect_column(all, all, fx, &sp, sources, &deliver);
             }
-        });
-        self.metrics = self.metrics + delta;
+            Some(active) => {
+                let dom = Members(active.indices());
+                self.collect_column(dom, dom, fx, &sp, sources, &deliver);
+            }
+        }));
     }
 
     /// One pull round in which every node samples a random peer and receives
@@ -2433,15 +2633,16 @@ impl<S: Clone + Send + Sync> Engine<S> {
 /// ## Sparse rounds: active sets and copy-on-write buffers
 ///
 /// The `*_on` primitives are the participant-proportional counterparts of the
-/// dense rounds: they take an [`ActiveSet`] and dispatch pool chunks over the
-/// active indices only ([`crate::par::for_sparse`]), so a round over `a`
-/// participants costs `O(a)` (plus `O(messages)` delivery work on the push
-/// paths) instead of `O(n)`. Peer *targets* are still sampled from the full
-/// topology neighbourhood — sparseness restricts who acts, not who can be
-/// contacted.
+/// dense rounds: they take an [`ActiveSet`] and run the dense primitives'
+/// round bodies over its members (the index domain, see the module docs), so
+/// their pool chunks cover the active indices only
+/// ([`crate::par::for_sparse`]) and a round over `a` participants costs
+/// `O(a)` (plus `O(messages)` delivery work on the push paths) instead of
+/// `O(n)`. Peer *targets* are still sampled from the full topology
+/// neighbourhood — sparseness restricts who acts, not who can be contacted.
 ///
-/// Instead of the dense rounds' whole-buffer clone into `next`, sparse rounds
-/// are **copy-on-write**: only the round's *written set* — the active nodes
+/// Instead of the dense rounds' whole-buffer swap, sparse rounds are
+/// **copy-on-write**: only the round's *written set* — the active nodes
 /// (pull) or active ∪ receivers (push paths) — is cloned into the back
 /// buffer, updated there against the immutable front buffer, and committed by
 /// swapping exactly those slots back (an `O(|written|)` pass;
@@ -2457,8 +2658,8 @@ impl<S: Clone + Send + Sync> Engine<S> {
 /// Push deliveries are bucketed over the **sparse message set**: a
 /// `(receiver, sender)` pair list sized by the number of messages, sorted
 /// receiver-major (unique keys, so the unstable sort is deterministic and
-/// yields the dense paths' ascending-sender fold order) — never the dense
-/// `O(n)` CSR offsets array.
+/// yields the dense paths' ascending-sender fold order) and laid out as a
+/// CSR over the written set — never the dense `O(n)` receiver histogram.
 ///
 /// A sparse round over [`ActiveSet::full`] is **bit-identical** to its dense
 /// counterpart — same RNG keys per node, same fold order, same metrics — as
@@ -2480,61 +2681,9 @@ impl<S: Clone + Send + Sync> Engine<S> {
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, Option<M>) + Sync,
     {
-        with_sampler!(self, sp => with_faults!(self, fx => self.pull_on_body(fx, sp, active, serve, apply)))
-    }
-
-    /// [`Engine::pull_round_on`], monomorphised over the sampler type and
-    /// the fault policy. Crash bookkeeping is restricted to the active
-    /// members (a crashed *inactive* node does nothing either way).
-    fn pull_on_body<X, SP, M, F, G>(
-        &mut self,
-        _: PhantomData<X>,
-        sampler: SP,
-        active: &ActiveSet,
-        serve: F,
-        apply: G,
-    ) -> usize
-    where
-        X: Faults,
-        SP: Sampler,
-        M: MessageSize,
-        F: Fn(NodeId, &S) -> M + Sync,
-        G: Fn(NodeId, &mut S, Option<M>) + Sync,
-    {
         self.assert_active(active);
-        self.metrics
-            .record_round(RoundKind::Pull, active.len() as u64);
-        self.round += 1;
-        self.ensure_next();
-        self.advance_churn(self.round);
-
-        let (round, threads) = (self.round, self.threads);
-        let states = &self.states;
-        let sampler = &sampler;
-        let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
-        let delta = par::for_sparse(
-            &self.pool,
-            &mut self.next,
-            active.indices(),
-            threads,
-            Metrics::default(),
-            |ids, base, sub| {
-                let mut local = Metrics::default();
-                for &id in ids {
-                    let v = id as usize;
-                    let slot = &mut sub[v - base];
-                    slot.clone_from(&states[v]);
-                    let t = fx.pull(sampler, prefix, v, &mut local);
-                    land_pull(states, &serve, &apply, v, slot, t, &mut local);
-                }
-                local
-            },
-            |a, b| a + b,
-        );
-        self.metrics = self.metrics + delta;
-        self.commit_written(active.indices());
-        delta.failed_operations as usize
+        let dom = Members(active.indices());
+        with_sampler!(self, sp => with_faults!(self, fx => self.pull_body(dom, fx, sp, serve, apply)))
     }
 
     /// [`Engine::push_round`] restricted to an [`ActiveSet`]: only active
@@ -2558,142 +2707,11 @@ impl<S: Clone + Send + Sync> Engine<S> {
         G: Fn(NodeId, &mut S, M) + Sync,
         H: Fn(NodeId, &mut S, bool) + Sync,
     {
-        with_sampler!(self, sp => with_faults!(self, fx => {
-            self.push_on_body(fx, sp, active, make, fold, after)
-        }))
-    }
-
-    /// [`Engine::push_round_on`], monomorphised over the sampler type and
-    /// the fault policy.
-    fn push_on_body<X, SP, M, F, G, H>(
-        &mut self,
-        _: PhantomData<X>,
-        sampler: SP,
-        active: &ActiveSet,
-        make: F,
-        fold: G,
-        after: H,
-    ) -> SparsePushOutcome
-    where
-        X: Faults,
-        SP: Sampler,
-        M: MessageSize,
-        F: Fn(NodeId, &S) -> Option<M> + Sync,
-        G: Fn(NodeId, &mut S, M) + Sync,
-        H: Fn(NodeId, &mut S, bool) + Sync,
-    {
         self.assert_active(active);
-        let n = self.n();
-        let m = active.len();
-        self.metrics.record_round(RoundKind::Push, m as u64);
-        self.round += 1;
-        self.ensure_next();
-        self.advance_churn(self.round);
-        if self.scratch_compact.len() < m {
-            self.scratch_compact.resize(m, 0);
-        }
-
-        let (round, threads) = (self.round, self.threads);
-        let states = &self.states;
-        let sampler = &sampler;
-        let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let ids = active.indices();
-        let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
-
-        // Pass 1: every active sender decides its outcome into the compact
-        // scratch, aligned with the active indices.
-        let (delta, mut pending) = par::for_chunks(
-            &self.pool,
-            &mut self.scratch_compact[..m],
-            threads,
-            (Metrics::default(), Vec::new()),
-            |start, chunk| {
-                let mut local = Metrics::default();
-                let mut pending = Vec::new();
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let v = ids[start + j] as usize;
-                    let bits = || make(v, &states[v]).map(|m| m.message_bits());
-                    *slot = fx.push(sampler, prefix, v, bits, &mut local, &mut pending);
-                }
-                (local, pending)
-            },
-            join_pending,
-        );
-        self.metrics = self.metrics + delta;
-        self.pending_delayed.append(&mut pending);
-        self.collect_due(round);
-
-        // Bucket the sparse message set and assemble the written set, late
-        // arrivals' receivers included.
-        let receivers = self.bucket_sparse(active);
-        let receivers = self.merge_due_receivers(receivers);
-
-        // Pass 2: clone every written node into the back buffer, fold its
-        // deliveries (ascending sender order, then late arrivals), and run
-        // `after` on the active members that are up.
-        let states = &self.states;
-        let (pairs, compact) = (&self.scratch_pairs, &self.scratch_compact[..m]);
-        let dist = self.prefetch_dist;
-        let fx = X::hoist(
-            self.seed,
-            round,
-            &self.fault,
-            &self.down_until,
-            &self.due_scratch,
-        );
-        let arrivals = par::for_sparse(
-            &self.pool,
-            &mut self.next,
-            &self.scratch_written,
-            threads,
-            Metrics::default(),
-            |wids, base, sub| {
-                let mut local = Metrics::default();
-                for &id in wids {
-                    let u = id as usize;
-                    let slot = &mut sub[u - base];
-                    slot.clone_from(&states[u]);
-                    let lo = pairs.partition_point(|&(r, _)| r < id);
-                    let hi = pairs.partition_point(|&(r, _)| r <= id);
-                    for k in lo..hi {
-                        // The pair list is sorted by receiver, so the sender
-                        // column is a random gather; hint the read `dist`
-                        // entries ahead (possibly past this receiver's run —
-                        // a neighbouring run's sender is still a useful
-                        // warm-up).
-                        if dist > 0 && k + dist < pairs.len() {
-                            crate::soa::prefetch_read(&states[pairs[k + dist].1 as usize]);
-                        }
-                        let v = pairs[k].1 as usize;
-                        if let Some(msg) = make(v, &states[v]) {
-                            fold(u, slot, msg);
-                        }
-                    }
-                    for &(_, s) in fx.late(u) {
-                        let v = s as usize;
-                        if let Some(msg) = make(v, &states[v]) {
-                            local.record_delivery(msg.message_bits());
-                            fold(u, slot, msg);
-                        }
-                    }
-                    if let Some(rank) = active.rank(u) {
-                        if fx.alive(u) {
-                            after(u, slot, (compact[rank] as usize) < n);
-                        }
-                    }
-                }
-                local
-            },
-            |a, b| a + b,
-        );
-        self.metrics = self.metrics + arrivals;
-        let written = std::mem::take(&mut self.scratch_written);
-        self.commit_written(&written);
-        self.scratch_written = written;
-        SparsePushOutcome {
-            failed: delta.failed_operations as usize,
-            receivers,
-        }
+        let dom = Members(active.indices());
+        with_sampler!(self, sp => with_faults!(self, fx => {
+            self.push_body(dom, fx, sp, make, fold, after)
+        }))
     }
 
     /// [`Engine::push_pull_round`] restricted to an [`ActiveSet`]: only
@@ -2715,133 +2733,11 @@ impl<S: Clone + Send + Sync> Engine<S> {
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, M) + Sync,
     {
-        with_sampler!(self, sp => with_faults!(self, fx => {
-            self.push_pull_on_body(fx, sp, active, serve, merge)
-        }))
-    }
-
-    /// [`Engine::push_pull_round_on`], monomorphised over the sampler type
-    /// and the fault policy.
-    fn push_pull_on_body<X, SP, M, F, G>(
-        &mut self,
-        _: PhantomData<X>,
-        sampler: SP,
-        active: &ActiveSet,
-        serve: F,
-        merge: G,
-    ) -> SparsePushOutcome
-    where
-        X: Faults,
-        SP: Sampler,
-        M: MessageSize,
-        F: Fn(NodeId, &S) -> M + Sync,
-        G: Fn(NodeId, &mut S, M) + Sync,
-    {
         self.assert_active(active);
-        let n = self.n();
-        let m = active.len();
-        self.metrics.record_round(RoundKind::PushPull, m as u64);
-        self.round += 1;
-        self.ensure_next();
-        self.advance_churn(self.round);
-        if self.scratch_compact.len() < m {
-            self.scratch_compact.resize(m, 0);
-        }
-        if self.scratch_compact2.len() < m {
-            self.scratch_compact2.resize(m, 0);
-        }
-
-        let (round, threads) = (self.round, self.threads);
-        let sampler = &sampler;
-        let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let ids = active.indices();
-        let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
-
-        // Pass 1: every active node draws its contacts (the dense
-        // primitive's draw order) into the compact scratches.
-        let (delta, mut pending) = par::for_chunks2(
-            &self.pool,
-            &mut self.scratch_compact[..m],
-            &mut self.scratch_compact2[..m],
-            threads,
-            (Metrics::default(), Vec::new()),
-            |start, push_chunk, pull_chunk| {
-                let mut local = Metrics::default();
-                let mut pending = Vec::new();
-                for (j, (push, pull)) in push_chunk.iter_mut().zip(pull_chunk).enumerate() {
-                    let v = ids[start + j] as usize;
-                    (*pull, *push) = fx.push_pull(sampler, prefix, v, &mut local, &mut pending);
-                }
-                (local, pending)
-            },
-            join_pending,
-        );
-        self.metrics = self.metrics + delta;
-        self.pending_delayed.append(&mut pending);
-        self.collect_due(round);
-
-        let receivers = self.bucket_sparse(active);
-        let receivers = self.merge_due_receivers(receivers);
-
-        // Pass 2: clone every written node, merge its pulled message first
-        // (active members only), then the pushed ones in ascending sender
-        // order, then late arrivals.
-        let states = &self.states;
-        let (pairs, pulls) = (&self.scratch_pairs, &self.scratch_compact2[..m]);
-        let dist = self.prefetch_dist;
-        let fx = X::hoist(
-            self.seed,
-            round,
-            &self.fault,
-            &self.down_until,
-            &self.due_scratch,
-        );
-        let deliveries = par::for_sparse(
-            &self.pool,
-            &mut self.next,
-            &self.scratch_written,
-            threads,
-            Metrics::default(),
-            |wids, base, sub| {
-                let mut local = Metrics::default();
-                let mut deliver = |u: NodeId, slot: &mut S, v: usize| {
-                    let msg = serve(v, &states[v]);
-                    local.record_delivery(msg.message_bits());
-                    merge(u, slot, msg);
-                };
-                for &id in wids {
-                    let u = id as usize;
-                    let slot = &mut sub[u - base];
-                    slot.clone_from(&states[u]);
-                    if let Some(rank) = active.rank(u) {
-                        if (pulls[rank] as usize) < n {
-                            deliver(u, slot, pulls[rank] as usize);
-                        }
-                    }
-                    let lo = pairs.partition_point(|&(r, _)| r < id);
-                    let hi = pairs.partition_point(|&(r, _)| r <= id);
-                    for k in lo..hi {
-                        if dist > 0 && k + dist < pairs.len() {
-                            crate::soa::prefetch_read(&states[pairs[k + dist].1 as usize]);
-                        }
-                        deliver(u, slot, pairs[k].1 as usize);
-                    }
-                    for &(_, s) in fx.late(u) {
-                        deliver(u, slot, s as usize);
-                    }
-                }
-                local
-            },
-            |a, b| a + b,
-        );
-        self.metrics = self.metrics + deliveries;
-        let written = std::mem::take(&mut self.scratch_written);
-        self.commit_written(&written);
-        self.scratch_written = written;
-        SparsePushOutcome {
-            failed: delta.failed_operations as usize,
-            receivers,
-        }
+        let dom = Members(active.indices());
+        with_sampler!(self, sp => with_faults!(self, fx => {
+            self.push_pull_body(dom, fx, sp, serve, merge)
+        }))
     }
 
     /// [`Engine::collect_samples`] restricted to an [`ActiveSet`]: `k`
@@ -2862,159 +2758,50 @@ impl<S: Clone + Send + Sync> Engine<S> {
         M: MessageSize + Send,
         F: Fn(NodeId, &S) -> M + Sync,
     {
-        with_sampler!(self, sp => with_faults!(self, fx => {
-            self.collect_samples_on_body(fx, sp, active, k, serve)
-        }))
-    }
-
-    /// [`Engine::collect_samples_on`], monomorphised over the sampler type
-    /// and the fault policy.
-    fn collect_samples_on_body<X, SP, M, F>(
-        &mut self,
-        _: PhantomData<X>,
-        sampler: SP,
-        active: &ActiveSet,
-        k: usize,
-        serve: F,
-    ) -> Vec<Vec<M>>
-    where
-        X: Faults,
-        SP: Sampler,
-        M: MessageSize + Send,
-        F: Fn(NodeId, &S) -> M + Sync,
-    {
         self.assert_active(active);
-        let m = active.len();
-        let threads = self.threads;
-        let ids = active.indices();
-        let sampler = &sampler;
-        let mut collected: Vec<Vec<M>> = (0..m).map(|_| Vec::with_capacity(k)).collect();
-        for _ in 0..k {
-            self.metrics.record_round(RoundKind::Pull, m as u64);
-            self.round += 1;
-            let round = self.round;
-            self.advance_churn(round);
-            let states = &self.states;
-            let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-            let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
-            let delta = par::for_chunks(
-                &self.pool,
-                &mut collected,
-                threads,
-                Metrics::default(),
-                |start, chunk| {
-                    let mut local = Metrics::default();
-                    for (j, bucket) in chunk.iter_mut().enumerate() {
-                        let v = ids[start + j] as usize;
-                        let t = fx.pull(sampler, prefix, v, &mut local) as usize;
-                        if let Some(state) = states.get(t) {
-                            let msg = serve(t, state);
-                            local.record_delivery(msg.message_bits());
-                            bucket.push(msg);
-                        }
-                    }
-                    local
-                },
-                |a, b| a + b,
-            );
-            self.metrics = self.metrics + delta;
-        }
-        collected
+        self.collect_buckets(Members(active.indices()), k, serve)
     }
 
-    /// Extends the sparse round's written set and receiver list with the
-    /// receivers of straggled messages due this round (`due_scratch`), so
-    /// pass 2 clones and commits them like any other receiver. No-op without
-    /// due arrivals.
-    fn merge_due_receivers(&mut self, receivers: Vec<NodeId>) -> Vec<NodeId> {
-        if self.due_scratch.is_empty() {
-            return receivers;
-        }
-        let mut due_recv: Vec<u32> = Vec::with_capacity(self.due_scratch.len());
-        for &(r, _) in &self.due_scratch {
-            if due_recv.last() != Some(&r) {
-                due_recv.push(r);
-            }
-        }
-        let prev = std::mem::take(&mut self.scratch_written);
-        let mut merged = Vec::with_capacity(prev.len() + due_recv.len());
-        merge_sorted_into(&prev, &due_recv, &mut merged);
-        self.scratch_written = merged;
-        let mut out = Vec::with_capacity(receivers.len() + due_recv.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < receivers.len() && j < due_recv.len() {
-            let b = due_recv[j] as usize;
-            match receivers[i].cmp(&b) {
-                std::cmp::Ordering::Less => {
-                    out.push(receivers[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(receivers[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&receivers[i..]);
-        out.extend(due_recv[j..].iter().map(|&r| r as usize));
-        out
-    }
-
-    /// Buckets the current sparse round's deliveries: reads the compact
-    /// per-active targets, builds the `(receiver, sender)` pair list sorted
-    /// receiver-major with ascending senders, assembles the written set
-    /// (active ∪ receivers) into `scratch_written`, and returns the sorted
-    /// receiver list. `O(messages log messages + |active|)` — never `O(n)`.
-    fn bucket_sparse(&mut self, active: &ActiveSet) -> Vec<NodeId> {
+    /// Buckets a sparse push round's deliveries: the members' targets
+    /// (`scratch_targets[..ids.len()]`, by member position) become
+    /// `(receiver, sender)` pairs, sorted receiver-major with ascending
+    /// senders; the written set (members ∪ receivers ∪ this round's
+    /// straggler receivers) goes to `scratch_written`, and the pairs are laid
+    /// out as a CSR over it in `scratch_offsets` / `scratch_senders`, so the
+    /// delivery pass is the dense one. Returns the sorted receivers, late
+    /// ones included. `O(messages · log messages + |members|)` — never
+    /// `O(n)`.
+    fn bucket_sparse(&mut self, ids: &[u32]) -> Vec<NodeId> {
         let n = self.n();
-        self.scratch_pairs.clear();
-        for (j, &id) in active.indices().iter().enumerate() {
-            let t = self.scratch_compact[j];
+        let pairs = &mut self.scratch_pairs;
+        pairs.clear();
+        for (&v, &t) in ids.iter().zip(&self.scratch_targets) {
             if (t as usize) < n {
-                self.scratch_pairs.push((t, id));
+                pairs.push((t, v));
             }
         }
         // Keys are unique (one push per sender), so the unstable sort is
         // deterministic; receiver-major lexicographic order gives each
         // receiver its senders ascending — the dense fold order.
-        self.scratch_pairs.sort_unstable();
-        // Dedup into the reusable u32 scratch; the only per-round allocation
-        // is the receiver list handed back to the caller.
-        self.scratch_receivers.clear();
-        for &(r, _) in &self.scratch_pairs {
-            if self.scratch_receivers.last() != Some(&r) {
-                self.scratch_receivers.push(r);
+        pairs.sort_unstable();
+        let receivers = &mut self.scratch_receivers;
+        receivers.clear();
+        receivers.extend(pairs.iter().chain(&self.due_scratch).map(|&(r, _)| r));
+        if !self.due_scratch.is_empty() {
+            receivers.sort_unstable();
+        }
+        receivers.dedup();
+        merge_sorted_into(ids, receivers, &mut self.scratch_written);
+        let mut k = 0;
+        for (q, &u) in self.scratch_written.iter().enumerate() {
+            *self.scratch_offsets[q].get_mut() = k as u32;
+            while k < pairs.len() && pairs[k].0 == u {
+                *self.scratch_senders[k].get_mut() = pairs[k].1;
+                k += 1;
             }
         }
-        let mut written = std::mem::take(&mut self.scratch_written);
-        merge_sorted_into(active.indices(), &self.scratch_receivers, &mut written);
-        self.scratch_written = written;
-        self.scratch_receivers.iter().map(|&r| r as usize).collect()
-    }
-
-    /// The copy-on-write commit: swaps every written slot between the back
-    /// and front buffers, so the front buffer is fully current again after an
-    /// `O(|written|)` pass (the sparse counterpart of the dense rounds'
-    /// `O(1)` whole-vector swap).
-    ///
-    /// Maximal runs of consecutive ids are swapped with one
-    /// [`slice::swap_with_slice`] each ([`crate::soa::swap_runs`]) — active
-    /// sets and receiver lists are sorted, so dense stretches collapse into
-    /// block moves.
-    fn commit_written(&mut self, written: &[u32]) {
-        par::for_sparse2(
-            &self.pool,
-            &mut self.states,
-            &mut self.next,
-            written,
-            self.threads,
-            crate::soa::swap_runs,
-        );
+        *self.scratch_offsets[self.scratch_written.len()].get_mut() = k as u32;
+        receivers.iter().map(|&r| r as usize).collect()
     }
 }
 
@@ -3167,21 +2954,27 @@ mod tests {
         // The enum variants are public, so a literal `Uniform(0.0)` (which
         // `FailureModel::uniform` would have canonicalised) must still land
         // on the engine's no-failure fast loops.
-        let config = EngineConfig::with_seed(1).failure(FailureModel::Uniform(0.0));
+        let config = EngineConfig::with_seed(1)
+            .fault(FaultPlan::none().with_failure(FailureModel::Uniform(0.0)));
         let e = Engine::from_states(vec![0u64; 4], config);
-        assert!(e.failure_model().is_reliable());
+        assert!(e.fault_plan().failure().is_reliable());
         let per_node = FailureModel::per_node(vec![0.0; 4]).unwrap();
-        let e = Engine::from_states(vec![0u64; 4], EngineConfig::with_seed(1).failure(per_node));
-        assert!(e.failure_model().is_reliable());
+        let e = Engine::from_states(
+            vec![0u64; 4],
+            EngineConfig::with_seed(1).fault(FaultPlan::none().with_failure(per_node)),
+        );
+        assert!(e.fault_plan().failure().is_reliable());
         // A model that can fire survives normalisation.
-        let config = EngineConfig::with_seed(1).failure(FailureModel::uniform(0.5).unwrap());
+        let config = EngineConfig::with_seed(1)
+            .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.5).unwrap()));
         let e = Engine::from_states(vec![0u64; 4], config);
-        assert!(!e.failure_model().is_reliable());
+        assert!(!e.fault_plan().failure().is_reliable());
     }
 
     #[test]
     fn failures_reduce_deliveries() {
-        let config = EngineConfig::with_seed(3).failure(FailureModel::uniform(0.5).unwrap());
+        let config = EngineConfig::with_seed(3)
+            .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.5).unwrap()));
         let mut e = Engine::from_states(vec![1u64; 1000], config);
         e.pull_round(|_, &s| s, |_, _, _| {});
         let m = e.metrics();
@@ -3196,7 +2989,8 @@ mod tests {
 
     #[test]
     fn total_failure_schedule_blocks_everything() {
-        let config = EngineConfig::with_seed(3).failure(FailureModel::schedule(|_, _| 1.0));
+        let config = EngineConfig::with_seed(3)
+            .fault(FaultPlan::none().with_failure(FailureModel::schedule(|_, _| 1.0)));
         let mut e = Engine::from_states(vec![1u64, 2, 3, 4], config);
         let failed = e.pull_round(
             |_, &s| s,
@@ -3237,7 +3031,8 @@ mod tests {
 
     #[test]
     fn collect_samples_with_failures_returns_fewer() {
-        let config = EngineConfig::with_seed(5).failure(FailureModel::uniform(0.4).unwrap());
+        let config = EngineConfig::with_seed(5)
+            .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.4).unwrap()));
         let mut e = Engine::from_states((0..500u64).collect(), config);
         let samples = e.collect_samples(4, |_, &s| s);
         let total: usize = samples.iter().map(Vec::len).sum();
@@ -3379,9 +3174,11 @@ mod tests {
     #[test]
     fn per_node_failure_length_is_validated_against_n() {
         let per_node = FailureModel::per_node(vec![0.1; 8]).unwrap();
-        let err =
-            Engine::try_from_states(vec![0u64; 16], EngineConfig::with_seed(1).failure(per_node))
-                .unwrap_err();
+        let err = Engine::try_from_states(
+            vec![0u64; 16],
+            EngineConfig::with_seed(1).fault(FaultPlan::none().with_failure(per_node)),
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             GossipError::InvalidParameter {

@@ -190,15 +190,18 @@ where
 /// index list, handing each task mutable access to exactly the slice of
 /// `data` its indices fall in.
 ///
-/// This is the sparse counterpart of [`for_chunks`]: the engine's `*_on`
-/// round primitives dispatch over the active indices only, so per-round cost
-/// is proportional to the number of participants, not to `data.len()`.
+/// This is the sparse counterpart of [`for_chunks`]: the engine's round
+/// bodies dispatch through it when they run over an active set's members
+/// (the `*_on` primitives), so per-round cost is proportional to the number
+/// of participants, not to `data.len()`.
 /// Safety falls out of the index order: chunk `j` of the index list covers
 /// the slot range `[ids[j·chunk], ids[(j+1)·chunk])`, and because the indices
 /// are strictly increasing these ranges are disjoint — `data` is carved into
 /// per-task sub-slices with `split_at_mut`, no interior mutability needed.
 ///
-/// `map` receives `(ids, base, sub)` where `sub` is the task's sub-slice of
+/// `map` receives `(first, ids, base, sub)`: the task's run of the index
+/// list, `ids`, starts at position `first` of the whole list (the way
+/// [`for_chunks`] hands `start`), and `sub` is the task's sub-slice of
 /// `data` starting at global index `base`: the slot of index `i ∈ ids` is
 /// `sub[i - base]`. Results are folded in chunk order, exactly like
 /// [`for_chunks`]; chunk boundaries depend only on `ids.len()` and `threads`.
@@ -220,7 +223,7 @@ pub fn for_sparse<T, A, F, R>(
 where
     T: Send,
     A: Send,
-    F: Fn(&[u32], usize, &mut [T]) -> A + Sync,
+    F: Fn(usize, &[u32], usize, &mut [T]) -> A + Sync,
     R: Fn(A, A) -> A,
 {
     debug_assert!(
@@ -236,7 +239,7 @@ where
     }
     let threads = threads.clamp(1, m);
     if threads == 1 {
-        return reduce(identity, map(ids, 0, data));
+        return reduce(identity, map(0, ids, 0, data));
     }
     let chunk = m.div_ceil(threads);
     // Carve `data` at each chunk's first index; chunk j's last index is
@@ -260,7 +263,7 @@ where
     let slots: Vec<Mutex<Option<A>>> = (0..tasks.len()).map(|_| Mutex::new(None)).collect();
     pool.run(tasks.len(), &|i| {
         let (ids, base, sub) = take(&tasks[i]).expect("pool ran a sparse task twice");
-        *slots[i].lock().expect("slot mutex poisoned") = Some(map(ids, base, sub));
+        *slots[i].lock().expect("slot mutex poisoned") = Some(map(i * chunk, ids, base, sub));
     });
     let mut acc = identity;
     for slot in slots {
@@ -669,11 +672,12 @@ mod tests {
                 &ids,
                 threads,
                 0usize,
-                |ids, base, sub| {
-                    for &i in ids {
+                |first, run, base, sub| {
+                    assert_eq!(&ids[first..first + run.len()], run);
+                    for &i in run {
                         sub[i as usize - base] = i as u64 + 1;
                     }
-                    ids.len()
+                    run.len()
                 },
                 |a, b| a + b,
             );
@@ -700,7 +704,7 @@ mod tests {
             &[],
             4,
             7u32,
-            |_, _, _| unreachable!(),
+            |_, _, _, _| unreachable!(),
             |a, _b| a,
         );
         assert_eq!(acc, 7);
@@ -712,13 +716,15 @@ mod tests {
             &ids,
             5,
             Vec::new(),
-            |ids, base, _| vec![(ids[0], base)],
+            |first, ids, base, _| vec![(first, ids[0], base)],
             |mut a, b| {
                 a.extend(b);
                 a
             },
         );
-        assert_eq!(order, vec![(0, 0), (2, 2), (4, 4), (6, 6), (8, 8)]);
+        let firsts: Vec<(usize, u32, usize)> =
+            (0..5).map(|c| (2 * c, 2 * c as u32, 2 * c)).collect();
+        assert_eq!(order, firsts);
     }
 
     #[test]

@@ -64,7 +64,7 @@ fn run_mixed_sequence(mut engine: Engine<u64>, threads: usize) -> (Vec<u64>, Met
 }
 
 fn engine(n: usize, seed: u64, failure: FailureModel) -> Engine<u64> {
-    let config = EngineConfig::with_seed(seed).failure(failure);
+    let config = EngineConfig::with_seed(seed).fault(FaultPlan::none().with_failure(failure));
     Engine::from_states((0..n as u64).map(|v| v.wrapping_mul(31)).collect(), config)
 }
 
@@ -253,7 +253,7 @@ fn non_complete_topologies_are_thread_count_invariant() {
     ] {
         let make = || {
             let config = EngineConfig::with_seed(23)
-                .failure(FailureModel::uniform(0.2).unwrap())
+                .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.2).unwrap()))
                 .topology(topology);
             Engine::from_states((0..600u64).map(|v| v.wrapping_mul(31)).collect(), config)
         };
@@ -277,7 +277,7 @@ fn parallel_csr_bucketing_with_sparse_topology_is_thread_count_invariant() {
     // perturb the stable placement at any thread count.
     let run = |threads: usize| {
         let config = EngineConfig::with_seed(31)
-            .failure(FailureModel::uniform(0.15).unwrap())
+            .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.15).unwrap()))
             .topology(Topology::random_regular(8, 11));
         let mut e =
             Engine::from_states((0..20_000u64).map(|v| v.wrapping_mul(31)).collect(), config);

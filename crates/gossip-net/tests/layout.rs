@@ -2,7 +2,8 @@
 //! back-buffer refresh, the batched target gather with software prefetch,
 //! the flat column-major sample matrix, and the run-batched copy-on-write
 //! commit are *mechanical* rewrites of the per-slot paths — for every block
-//! size, prefetch distance, active-set shape, and failure model they must
+//! size, prefetch distance, active-set shape, and failure model, in the
+//! dense rounds and in the `_on` rounds alike, they must
 //! produce exactly the states, metrics, and sample values of the per-slot
 //! configuration (`set_copy_block(1)` with `set_prefetch_dist(0)`: one slot
 //! cloned, then served, at a time; for the commit, the per-slot swap
@@ -26,7 +27,7 @@ fn fold_hash(state: u64, msg: u64) -> u64 {
 }
 
 fn engine(n: usize, seed: u64, failure: FailureModel) -> Engine<u64> {
-    let config = EngineConfig::with_seed(seed).failure(failure);
+    let config = EngineConfig::with_seed(seed).fault(FaultPlan::none().with_failure(failure));
     let mut e = Engine::from_states((0..n as u64).map(|v| v.wrapping_mul(31)).collect(), config);
     e.set_threads(par::num_threads());
     e
@@ -109,6 +110,55 @@ proptest! {
             (e.states().to_vec(), e.metrics())
         };
         prop_assert_eq!(run(None), run(Some(knobs)));
+    }
+
+    /// The `_on` rounds run the dense bodies over their members, so they
+    /// honour both knobs too: over a proper subset, at sizes below and above
+    /// the 64 KiB prefetch gate (8,192 `u64` states), every block size and
+    /// prefetch distance reproduces the per-slot configuration's states,
+    /// metrics and receiver lists.
+    fn sparse_rounds_are_knob_invariant(
+        size in (16usize..600, 0u64..1_000_000, 0usize..2),
+        knobs in (1usize..512, 0usize..64, 2usize..6),
+        fail_p in proptest::f64_range(0.0, 0.4),
+    ) {
+        let (small, seed, above_gate) = size;
+        let n = if above_gate == 1 { 8_192 + 7 * small } else { small };
+        let (block, dist, stride) = knobs;
+        let phase = seed as usize % stride;
+        let active = ActiveSet::from_fn(n, |v| v % stride != phase);
+        let run = |mut e: Engine<u64>| {
+            let mut receivers = Vec::new();
+            for _ in 0..3 {
+                e.pull_round_on(
+                    &active,
+                    |_, &s| s,
+                    |_, st, pulled| {
+                        if let Some(p) = pulled {
+                            *st = fold_hash(*st, p);
+                        }
+                    },
+                );
+                let pushed = e.push_round_on(
+                    &active,
+                    |v, &s| if v % 3 == 0 { None } else { Some(s) },
+                    |_, st, msg| *st = fold_hash(*st, msg),
+                    |_, st, delivered| {
+                        if !delivered {
+                            *st = st.wrapping_add(1);
+                        }
+                    },
+                );
+                receivers.push(pushed.receivers);
+                let swapped =
+                    e.push_pull_round_on(&active, |_, &s| s, |_, st, msg| *st = fold_hash(*st, msg));
+                receivers.push(swapped.receivers);
+            }
+            (e.states().to_vec(), e.metrics(), receivers)
+        };
+        let mut e = engine(n, seed, failure_for(fail_p));
+        e.set_copy_block(block).set_prefetch_dist(dist);
+        prop_assert_eq!(run(per_slot(n, seed, failure_for(fail_p))), run(e));
     }
 
     /// `swap_runs` itself, against the per-slot reference, for arbitrary
@@ -205,7 +255,8 @@ fn pull_sources_matches_lane_collection_and_nested_sampling() {
         ("clean", EngineConfig::with_seed(77)),
         (
             "failure",
-            EngineConfig::with_seed(77).failure(FailureModel::uniform(0.3).unwrap()),
+            EngineConfig::with_seed(77)
+                .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.3).unwrap())),
         ),
         (
             "disruptive",

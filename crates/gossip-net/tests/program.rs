@@ -16,7 +16,7 @@
 #[path = "support/goldens.rs"]
 mod support;
 
-use gossip_net::{ActiveSet, Engine, EngineConfig, FailureModel, Metrics, Topology};
+use gossip_net::{ActiveSet, Engine, EngineConfig, FailureModel, FaultPlan, Metrics, Topology};
 use rand::Rng;
 use support::{
     chaos_plan, engine, fault_metrics_line, fingerprint, fold_hash, hash_local_steps,
@@ -362,7 +362,8 @@ fn sample_step_on_failing_engines_runs_the_composition() {
     for (name, config) in [
         (
             "failures",
-            EngineConfig::with_seed(31).failure(FailureModel::uniform(0.3).unwrap()),
+            EngineConfig::with_seed(31)
+                .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.3).unwrap())),
         ),
         ("chaos", EngineConfig::with_seed(31).fault(chaos_plan())),
     ] {

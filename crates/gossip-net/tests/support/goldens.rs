@@ -77,7 +77,7 @@ pub fn initial_states(n: usize) -> Vec<u64> {
 }
 
 pub fn engine(n: usize, seed: u64, failure: FailureModel) -> Engine<u64> {
-    let config = EngineConfig::with_seed(seed).failure(failure);
+    let config = EngineConfig::with_seed(seed).fault(FaultPlan::none().with_failure(failure));
     let mut e = Engine::from_states(initial_states(n), config);
     e.set_threads(par::num_threads());
     e

@@ -730,8 +730,10 @@ mod tests {
                 }
             })
             .collect();
-        let cfg =
-            EngineConfig::with_seed(4).failure(gossip_net::FailureModel::uniform(0.3).unwrap());
+        let cfg = EngineConfig::with_seed(4).fault(
+            gossip_net::FaultPlan::none()
+                .with_failure(gossip_net::FailureModel::uniform(0.3).unwrap()),
+        );
         let (assigned, _rounds, metrics) = distribute_tokens(&keys, 4, n, cfg).unwrap();
         let placed: Vec<u64> = assigned.iter().filter_map(|a| *a).collect();
         assert_eq!(placed.len(), 32 * 4);

@@ -339,7 +339,7 @@ pub fn robust_approximate_quantile<V: NodeValue>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_net::FailureModel;
+    use gossip_net::{FailureModel, FaultPlan};
 
     /// A sorted copy of `values`, made once per check for [`rank_of`].
     fn sorted_copy(values: &[u64]) -> Vec<u64> {
@@ -370,7 +370,8 @@ mod tests {
         )
         .is_err());
         // A schedule-based failure model has no derivable mu.
-        let ec = EngineConfig::with_seed(0).failure(FailureModel::schedule(|_, _| 0.1));
+        let ec = EngineConfig::with_seed(0)
+            .fault(FaultPlan::none().with_failure(FailureModel::schedule(|_, _| 0.1)));
         assert!(
             robust_approximate_quantile(&(0..10u64).collect::<Vec<_>>(), 0.5, 0.1, &cfg, ec)
                 .is_err()
@@ -419,7 +420,8 @@ mod tests {
         let values: Vec<u64> = (0..n).collect();
         let eps = 0.08;
         let mu = 0.5;
-        let ec = EngineConfig::with_seed(5).failure(FailureModel::uniform(mu).unwrap());
+        let ec = EngineConfig::with_seed(5)
+            .fault(FaultPlan::none().with_failure(FailureModel::uniform(mu).unwrap()));
         let out =
             robust_approximate_quantile(&values, 0.5, eps, &RobustConfig::default(), ec).unwrap();
         // Lemma 5.2: a constant fraction of nodes stays good.
@@ -489,7 +491,8 @@ mod tests {
         // A schedule-based failure model has no mu_upper_bound; adaptive mode
         // runs anyway, the fixed mode errors (as pinned above).
         let values: Vec<u64> = (0..5_000u64).collect();
-        let ec = EngineConfig::with_seed(3).failure(FailureModel::schedule(|_, _| 0.2));
+        let ec = EngineConfig::with_seed(3)
+            .fault(FaultPlan::none().with_failure(FailureModel::schedule(|_, _| 0.2)));
         let cfg = RobustConfig {
             adaptive: true,
             ..Default::default()
@@ -505,7 +508,8 @@ mod tests {
         let values: Vec<u64> = (0..n).collect();
         // Adversarial-ish: half the nodes fail 60% of the time, half never.
         let probs: Vec<f64> = (0..n).map(|i| if i % 2 == 0 { 0.6 } else { 0.0 }).collect();
-        let ec = EngineConfig::with_seed(9).failure(FailureModel::per_node(probs).unwrap());
+        let ec = EngineConfig::with_seed(9)
+            .fault(FaultPlan::none().with_failure(FailureModel::per_node(probs).unwrap()));
         let out =
             robust_approximate_quantile(&values, 0.5, 0.1, &RobustConfig::default(), ec).unwrap();
         assert!(

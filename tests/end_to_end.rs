@@ -5,7 +5,8 @@
 use gossip_quantiles::measure::{RankOracle, Workload};
 use gossip_quantiles::quantile::MethodUsed;
 use gossip_quantiles::{
-    approximate_quantile, exact_quantile, ApproxConfig, EngineConfig, FailureModel, NarrowingConfig,
+    approximate_quantile, exact_quantile, ApproxConfig, EngineConfig, FailureModel, FaultPlan,
+    NarrowingConfig,
 };
 
 #[test]
@@ -128,7 +129,8 @@ fn approximate_quantile_under_failures_still_within_epsilon() {
     let eps = 0.08;
     // The plain (non-robust) algorithm under a mild failure rate: accuracy
     // degrades gracefully because failed pulls fall back to fewer samples.
-    let engine = EngineConfig::with_seed(22).failure(FailureModel::uniform(0.1).unwrap());
+    let engine = EngineConfig::with_seed(22)
+        .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.1).unwrap()));
     let out = approximate_quantile(&values, 0.5, eps, &ApproxConfig::default(), engine)
         .expect("approximate");
     let worst = oracle.worst_error(&out.outputs, 0.5);
@@ -139,7 +141,8 @@ fn approximate_quantile_under_failures_still_within_epsilon() {
 fn exact_quantile_under_failures_is_still_exact() {
     let values = Workload::UniformDistinct.generate(3_000, 33);
     let oracle = RankOracle::new(&values);
-    let engine = EngineConfig::with_seed(34).failure(FailureModel::uniform(0.2).unwrap());
+    let engine = EngineConfig::with_seed(34)
+        .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.2).unwrap()));
     let out = exact_quantile(&values, 0.5, &NarrowingConfig::default(), engine).expect("exact");
     assert_eq!(out.answer, oracle.quantile(0.5));
     assert!(out.metrics.failed_operations > 0);

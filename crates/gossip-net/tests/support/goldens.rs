@@ -413,23 +413,19 @@ pub fn compute_all() -> Vec<(String, String)> {
     pin("faulted_large.faults", fault_metrics_line(&e));
     pin("faulted_large.fp", fingerprint(e.states()));
 
-    for (name, seed, plan) in sparse_subset_cases() {
-        let (e, samples, receivers) = sparse_subset(seed, plan);
-        pin(&format!("{name}.metrics"), metrics_line(&e));
-        pin(&format!("{name}.faults"), fault_metrics_line(&e));
-        pin(&format!("{name}.fp"), fingerprint(e.states()));
-        pin(&format!("{name}.sample_fp"), samples);
-        pin(&format!("{name}.receivers"), receivers);
-    }
-
-    for (name, seed, plan) in sparse_subset_cases() {
-        let name = large_name(name);
-        let (e, samples, receivers) = sparse_subset_large(seed, plan);
-        pin(&format!("{name}.metrics"), metrics_line(&e));
-        pin(&format!("{name}.faults"), fault_metrics_line(&e));
-        pin(&format!("{name}.fp"), fingerprint(e.states()));
-        pin(&format!("{name}.sample_fp"), samples);
-        pin(&format!("{name}.receivers"), receivers);
+    for large in [false, true] {
+        for (name, seed, plan) in sparse_subset_cases() {
+            let (name, (e, samples, receivers)) = if large {
+                (large_name(name), sparse_subset_large(seed, plan))
+            } else {
+                (name.to_owned(), sparse_subset(seed, plan))
+            };
+            pin(&format!("{name}.metrics"), metrics_line(&e));
+            pin(&format!("{name}.faults"), fault_metrics_line(&e));
+            pin(&format!("{name}.fp"), fingerprint(e.states()));
+            pin(&format!("{name}.sample_fp"), samples);
+            pin(&format!("{name}.receivers"), receivers);
+        }
     }
 
     out

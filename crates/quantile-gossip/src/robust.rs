@@ -449,7 +449,7 @@ mod tests {
 
     #[test]
     fn adaptive_budget_measures_fault_plans_without_a_bound() {
-        use gossip_net::{FaultPlan, LossModel, StragglerModel};
+        use gossip_net::{LossModel, StragglerModel};
         let n: u64 = 20_000;
         let values: Vec<u64> = (0..n).collect();
         // Loss + stragglers: mu_upper_bound is derivable here, but pretend it

@@ -663,6 +663,9 @@ impl WorkerPool {
         }
         r.remaining.store(participants, Ordering::Relaxed);
         shared.cursor.store(0, Ordering::Relaxed);
+        // A phase whose every task panicked leaves the flag set: the owner's
+        // own task unwound before it could read it.
+        r.panicked.store(false, Ordering::Relaxed);
         // Publish phase and participant count as one packed word. Only the
         // owner writes `phase`, so load-then-store does not race.
         let next = phase_of(r.phase.load(Ordering::Relaxed)) + 1;
@@ -717,7 +720,7 @@ impl WorkerPool {
         }
         drop(barrier);
 
-        if r.panicked.swap(false, Ordering::Relaxed) {
+        if r.panicked.load(Ordering::Relaxed) {
             panic!("gossip worker thread panicked");
         }
     }
@@ -1224,6 +1227,25 @@ mod tests {
             ok.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ok.load(Ordering::Relaxed), 16);
+    }
+
+    /// When every task of a phase panics, the owner's own task unwinds out
+    /// of the dispatch after a worker's task has set the panic flag. A clean
+    /// phase after it must not report that stale panic.
+    #[test]
+    fn a_clean_phase_after_an_all_panicking_phase_does_not_panic() {
+        let pool = WorkerPool::new(4);
+        let ok = AtomicUsize::new(0);
+        pool.run_program(|| {
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                pool.run(8, &|_| panic!("every task panics"));
+            }));
+            assert!(attempt.is_err(), "phase panic was swallowed");
+            pool.run(8, &|_| {
+                ok.fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(ok.load(Ordering::Relaxed), 8);
     }
 
     #[test]

@@ -23,7 +23,15 @@
 //! - a worker reads only the job of the phase it joined;
 //! - `remaining` never underflows;
 //! - every terminal state has the owner done and every worker out of the
-//!   phase loop, so no wake-up is lost.
+//!   phase loop, so no wake-up is lost;
+//! - the owner reports a panic from a phase exactly when that phase's tasks
+//!   panicked.
+//!
+//! At two workers each participant sequence also runs under every pattern
+//! of phases whose tasks all panic; at three, which has some 4 million
+//! states, the phases are clean. In a panicking phase each executor stops
+//! claiming after its first task, so the owner's own task unwinds to the
+//! quiescence guard while workers flag theirs.
 //!
 //! Three simplifications keep the state space small, and none of them hides
 //! a schedule:
@@ -43,7 +51,7 @@
 //! The model starts with the session open and every worker waiting for the
 //! first phase, and ends with the session's closing phase bump.
 //!
-//! Two known-bad schedules must be rejected, which shows the model can see
+//! Three known-bad schedules must be rejected, which shows the model can see
 //! the failures it is meant to catch:
 //!
 //! - [`Protocol::SplitCount`], the barrier before the phase word was packed:
@@ -52,7 +60,10 @@
 //!   old phase with a newer count;
 //! - [`Protocol::SleepersFirst`], an owner that reads `sleepers` before it
 //!   publishes the phase word, so a worker can register, re-check and park
-//!   in between and never be woken.
+//!   in between and never be woken;
+//! - [`Protocol::NoPanicReset`], a publication that leaves the panic flag
+//!   alone: when a phase's owner unwinds from its own task, a flag a worker
+//!   set survives into the next, clean phase.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -72,6 +83,9 @@ enum Protocol {
     SplitCount,
     /// Known bad: the owner reads `sleepers` before it stores the phase word.
     SleepersFirst,
+    /// Known bad: publication does not reset the panic flag, and only the
+    /// owner's read after quiescence does.
+    NoPanicReset,
 }
 
 /// The packed phase word: the phase counter and that phase's participant
@@ -91,6 +105,8 @@ enum Owner {
     StoreRemaining,
     /// `cursor.store(0)`.
     StoreCursor,
+    /// `panicked.store(false)`.
+    ResetPanicked,
     /// `SplitCount` only: `participants.store(participants)`.
     StoreCount,
     /// `phase.store(packed)`, or the session's closing bump.
@@ -101,9 +117,11 @@ enum Owner {
     Lock,
     /// `start.notify_all()`.
     Notify,
-    /// `cursor.fetch_add(1)`, then the task if the index is in range.
+    /// `cursor.fetch_add(1)`, then the task if the index is in range. A
+    /// panicking task unwinds to the quiescence guard.
     Claim,
-    /// The quiescence guard: `remaining.load() == 0`, then return.
+    /// The quiescence guard: `remaining.load() == 0`, then return, or go on
+    /// unwinding. A clean return reads `panicked`.
     Quiesce,
     /// Session end: `active.store(false)`.
     ClearActive,
@@ -139,8 +157,11 @@ enum Worker {
     LoadCount,
     /// `*job.get()`: take the phase's job.
     ReadJob,
-    /// `cursor.fetch_add(1)`, then the task if the index is in range.
+    /// `cursor.fetch_add(1)`, then the task if the index is in range. A
+    /// panicking task ends the claim loop, and `catch_unwind` returns.
     Claim,
+    /// `panicked.store(true)` after a task panicked.
+    Flag,
     /// `remaining.fetch_sub(1)`.
     Retire,
     /// Left the phase loop.
@@ -176,6 +197,9 @@ struct State {
     count: u8,
     sleepers: u8,
     active: bool,
+    panicked: bool,
+    /// Whether the owner's own task panicked in the live phase.
+    unwinding: bool,
     /// The phase the owner is inside (from its job write to its return), or
     /// 0: the only phase whose job may be held.
     live: u8,
@@ -184,17 +208,23 @@ struct State {
     workers: [WorkerState; MAX_WORKERS],
 }
 
-/// One exploration: a protocol, a worker count and a participant sequence.
+/// One exploration: a protocol, a worker count, a participant sequence and
+/// the phases whose tasks all panic.
 struct Model {
     protocol: Protocol,
     workers: usize,
     participants: [u8; PHASES],
+    panics: [bool; PHASES],
     visited: HashSet<State, BuildHasherDefault<Fx>>,
 }
 
 impl Model {
     fn tasks(&self, phase: u8) -> u8 {
         self.participants[phase as usize - 1] + 1
+    }
+
+    fn panics(&self, phase: u8) -> bool {
+        self.panics[phase as usize - 1]
     }
 
     fn initial(&self) -> State {
@@ -215,6 +245,8 @@ impl Model {
             count: 0,
             sleepers: 0,
             active: true,
+            panicked: false,
+            unwinding: false,
             live: 0,
             runs: 0,
             workers: [waiting; MAX_WORKERS],
@@ -258,6 +290,13 @@ impl Model {
             Owner::WriteJob => {
                 t.job = phase;
                 t.live = phase;
+                match self.protocol {
+                    Protocol::SplitCount => Owner::StoreCount,
+                    _ => Owner::StoreRemaining,
+                }
+            }
+            Owner::StoreCount => {
+                t.count = self.participants[s.done as usize];
                 Owner::StoreRemaining
             }
             Owner::StoreRemaining => {
@@ -267,14 +306,16 @@ impl Model {
             Owner::StoreCursor => {
                 t.cursor = 0;
                 match self.protocol {
-                    Protocol::Pool => Owner::StoreWord,
-                    Protocol::SplitCount => Owner::StoreCount,
-                    Protocol::SleepersFirst => Owner::ReadSleepers,
+                    Protocol::NoPanicReset => Owner::StoreWord,
+                    _ => Owner::ResetPanicked,
                 }
             }
-            Owner::StoreCount => {
-                t.count = self.participants[s.done as usize];
-                Owner::StoreWord
+            Owner::ResetPanicked => {
+                t.panicked = false;
+                match self.protocol {
+                    Protocol::SleepersFirst => Owner::ReadSleepers,
+                    _ => Owner::StoreWord,
+                }
             }
             Owner::StoreWord => {
                 t.word = if closing {
@@ -320,16 +361,31 @@ impl Model {
             Owner::Claim => {
                 let i = s.cursor;
                 t.cursor += 1;
-                if i < self.tasks(phase) {
-                    run_task(&mut t, i, phase, "the owner")?;
-                    Owner::Claim
-                } else {
+                if i >= self.tasks(phase) {
                     Owner::Quiesce
+                } else {
+                    run_task(&mut t, i, phase, "the owner")?;
+                    t.unwinding = self.panics(phase);
+                    if t.unwinding {
+                        Owner::Quiesce
+                    } else {
+                        Owner::Claim
+                    }
                 }
             }
             Owner::Quiesce if s.remaining == 0 => {
+                let reported = s.unwinding || s.panicked;
+                if self.protocol == Protocol::NoPanicReset && !s.unwinding {
+                    // `panicked.swap(false)`.
+                    t.panicked = false;
+                }
+                if reported != self.panics(phase) {
+                    return Err(format!(
+                        "the owner's return from phase {phase} reports a panic: {reported}"
+                    ));
+                }
                 let all = (1u8 << self.tasks(phase)) - 1;
-                if s.runs != all {
+                if !self.panics(phase) && s.runs != all {
                     return Err(format!(
                         "the owner returns from phase {phase} with tasks {:#b} of {all:#b} run",
                         s.runs
@@ -342,6 +398,7 @@ impl Model {
                 }
                 t.live = 0;
                 t.runs = 0;
+                t.unwinding = false;
                 t.done += 1;
                 if t.done as usize == PHASES {
                     Owner::ClearActive
@@ -438,8 +495,16 @@ impl Model {
                     ));
                 } else {
                     run_task(&mut t, i, me.held, &format!("worker {w}"))?;
-                    Worker::Claim
+                    if self.panics(me.held) {
+                        Worker::Flag
+                    } else {
+                        Worker::Claim
+                    }
                 }
+            }
+            Worker::Flag => {
+                t.panicked = true;
+                Worker::Retire
             }
             Worker::Retire => {
                 if s.remaining == 0 {
@@ -508,26 +573,34 @@ impl Hasher for Fx {
     }
 }
 
-/// Explores every participant sequence for `workers` workers, in
-/// lexicographic order. Returns the number of states visited, or the first
-/// violation with its participant sequence and the steps that reach it.
-fn check_all(protocol: Protocol, workers: usize) -> Result<usize, String> {
+/// Explores every participant sequence for `workers` workers in
+/// lexicographic order, each under every panic pattern below `patterns`
+/// (bit `k` set: every task of phase `k + 1` panics). Returns the number of
+/// states visited, or the first violation with its scenario and the steps
+/// that reach it.
+fn check_all(protocol: Protocol, workers: usize, patterns: u8) -> Result<usize, String> {
     let mut states = 0;
     let w = workers as u8;
     for a in 1..=w {
         for b in 1..=w {
             for c in 1..=w {
-                let mut model = Model {
-                    protocol,
-                    workers,
-                    participants: [a, b, c],
-                    visited: HashSet::default(),
-                };
-                let start = model.initial();
-                model
-                    .explore(start)
-                    .map_err(|e| format!("participants ({a}, {b}, {c}): {e}"))?;
-                states += model.visited.len();
+                for pattern in 0..patterns {
+                    let mut model = Model {
+                        protocol,
+                        workers,
+                        participants: [a, b, c],
+                        panics: [0, 1, 2].map(|k| pattern >> k & 1 == 1),
+                        visited: HashSet::default(),
+                    };
+                    let start = model.initial();
+                    model.explore(start).map_err(|e| {
+                        format!(
+                            "participants ({a}, {b}, {c}), panics {:?}: {e}",
+                            model.panics
+                        )
+                    })?;
+                    states += model.visited.len();
+                }
             }
         }
     }
@@ -536,8 +609,10 @@ fn check_all(protocol: Protocol, workers: usize) -> Result<usize, String> {
 
 #[test]
 fn the_pool_barrier_passes_every_interleaving() {
-    for workers in [2, 3] {
-        match check_all(Protocol::Pool, workers) {
+    // Every panic pattern at two workers; clean phases at three, where the
+    // participant decision has the most room to go wrong.
+    for (workers, patterns) in [(2, 8), (3, 1)] {
+        match check_all(Protocol::Pool, workers, patterns) {
             Ok(states) => eprintln!("{workers} workers: {states} states"),
             Err(e) => panic!("{workers} workers: {e}"),
         }
@@ -546,7 +621,7 @@ fn the_pool_barrier_passes_every_interleaving() {
 
 #[test]
 fn a_count_loaded_after_the_phase_is_rejected() {
-    let err = check_all(Protocol::SplitCount, 2).expect_err("stale pairing not found");
+    let err = check_all(Protocol::SplitCount, 2, 8).expect_err("stale pairing not found");
     assert!(
         err.starts_with("participants (1, 1, 2)") && err.contains("reads the job of phase"),
         "{err}"
@@ -555,9 +630,18 @@ fn a_count_loaded_after_the_phase_is_rejected() {
 
 #[test]
 fn reading_sleepers_before_the_phase_word_is_rejected() {
-    let err = check_all(Protocol::SleepersFirst, 2).expect_err("lost wake-up not found");
+    let err = check_all(Protocol::SleepersFirst, 2, 8).expect_err("lost wake-up not found");
     assert!(
         err.starts_with("participants (1, 1, 1)") && err.contains("deadlock"),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_panic_flag_left_from_an_earlier_phase_is_rejected() {
+    let err = check_all(Protocol::NoPanicReset, 2, 8).expect_err("stale panic not found");
+    assert!(
+        err.starts_with("participants (1, 1, 1)") && err.contains("reports a panic"),
         "{err}"
     );
 }

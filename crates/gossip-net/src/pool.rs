@@ -1,73 +1,45 @@
 //! A persistent worker pool for the engine's per-round chunk maps.
 //!
-//! PR 1 executed every round as a fork/join over `std::thread::scope`, which
-//! re-spawns OS threads for every chunk map — two maps per round, so eight
-//! spawns per `pull_round` at four threads. Spawning dominates below ~16k
-//! nodes. [`WorkerPool`] replaces that with **long-lived workers** parked on a
-//! condition variable; dispatching a round costs two mutex/condvar hand-offs
-//! instead of `threads` thread creations.
+//! Spawning threads for every chunk map costs more than a whole round below
+//! about 16k nodes, so [`WorkerPool`] keeps its workers for its whole life.
+//! They start in one loop, the *phase barrier*, and leave it only when the
+//! pool is dropped.
 //!
-//! ## Barrier protocol
+//! ## Phases
 //!
-//! The pool runs one *job* at a time. A job is an epoch-stamped task list:
+//! Every non-inline [`WorkerPool::run`] is one *phase*. The thread that
+//! calls it, the phase's *owner*, is executor 0:
 //!
-//! 1. [`WorkerPool::run`] takes the dispatch gate (so concurrent callers —
-//!    e.g. two engines sharing one pool from two user threads — serialise),
-//!    publishes the job under the state mutex (`epoch += 1`, task cursor
-//!    reset, a *join budget* of `min(workers, tasks − 1)`), and wakes that
-//!    many workers — after releasing the state mutex, so the first woken
-//!    worker does not immediately block on the lock the notifier still
-//!    holds. The budget keeps a small map on a large shared pool from
-//!    waking — or waiting on — workers it has no tasks for; it always drains,
-//!    because a worker is either parked (a wake-up reaches it) or mid-loop
-//!    (it re-checks the join predicate under the mutex before parking).
-//! 2. Each woken worker joins the epoch by decrementing the budget under the
-//!    mutex (a worker woken in excess of the budget, or spuriously, parks
-//!    again without touching the job); every joined worker **and the calling
-//!    thread** then claims task indices from a shared atomic cursor
-//!    (`fetch_add`) until the cursor passes the task count, and runs the job
-//!    closure on each index it won.
-//! 3. Each joined worker then decrements `running`; the caller blocks until
-//!    `running == 0` before returning. This quiescence barrier is what makes
-//!    the lifetime erasure below sound: no worker can touch the job closure
-//!    (which borrows the caller's stack) after `run` returns, and an unwind
-//!    guard enforces the same if the caller's own task panics.
+//! 1. it writes the job cell (the task closure and its task count), resets
+//!    the task cursor, `remaining` and the panic flag, and stores the packed
+//!    phase word: the phase counter and the phase's participant count in
+//!    one atomic (see `PHASE_SHIFT`);
+//! 2. it wakes the workers that have parked, if any;
+//! 3. it claims task indices from the shared cursor (`fetch_add`) like any
+//!    participant, and runs the job on each index it wins;
+//! 4. it waits until `remaining == 0`, that is until every participant has
+//!    retired the phase, under a guard that waits on unwind too.
 //!
-//! Worker panics are caught per job, forwarded to the caller after the
-//! barrier, and leave the pool usable.
+//! A worker waits for the phase counter to move. It spins for a budget
+//! (`GOSSIP_SPIN_US`), yielding now and then so that an oversubscribed host
+//! keeps making progress; then it registers in `sleepers` and parks on a
+//! condvar, and the next phase's owner wakes it. A phase of `t` tasks has
+//! `min(workers, t − 1)` participants, the id prefix of the workers; the
+//! others go back to waiting without touching the job or `remaining`.
+//! Worker panics are caught per phase, forwarded by the owner after the
+//! quiescence wait, and leave the pool usable.
 //!
-//! ## Resident sessions
+//! Calls from different threads serialise on a gate.
+//! [`WorkerPool::run_program`] holds the gate for a whole block and marks its
+//! thread as the owner, so that thread's `run` calls skip the gate. A
+//! multi-round schedule then takes the gate once, and its workers stay in
+//! their spin window between its rounds.
+//! [`Engine::fused`](crate::Engine::fused) is built on it. Both ways run the
+//! same phases, so results are the same; only the counters differ.
 //!
-//! The epoch/condvar hand-off above costs tens of microseconds per dispatch
-//! on a busy host — negligible for one big map, dominant for a schedule of
-//! hundreds of sub-millisecond rounds (the regime the paper's tournament
-//! schedules live in). [`WorkerPool::run_program`] removes that per-round
-//! constant: it wakes every worker **once**, runs the whole multi-round
-//! schedule with the workers *resident*, and only then lets them park again.
-//! The engine reaches it through [`Engine::fused`](crate::Engine::fused),
-//! its one way to fuse rounds; the service's epochs open a session on their
-//! shared pool directly.
-//!
-//! Inside a session, a dispatch from the owning thread (any
-//! [`WorkerPool::run`] call it makes — the engine's round primitives need no
-//! changes) becomes a *phase*: the owner publishes the task list and bumps a
-//! phase word (phase counter packed with the phase's participant count, so a
-//! worker's decision to join a phase is atomic with observing it — see
-//! `PHASE_SHIFT`); resident workers synchronise on that word with a
-//! spin-then-park wait (`GOSSIP_SPIN_US` sets the spin budget; spinning
-//! yields the CPU periodically so an oversubscribed host keeps making
-//! progress, and a worker that outlives the budget parks on the condvar and
-//! is woken by the next phase bump). Between phases the owner thread —
-//! executor 0 — performs the schedule's short sequential work (CSR prefix
-//! scans, buffer swaps, metrics folds, active-set unions) while the workers
-//! wait at the barrier. The per-phase quiescence wait (`remaining == 0`)
-//! plays the same lifetime-erasure-soundness role as `running == 0` does for
-//! plain jobs.
-//!
-//! Phases keep the exact task semantics of plain dispatches — same task
-//! indices, same cursor-claimed assignment, same per-phase barrier — so a
-//! session's results are **bit-identical** to the equivalent loop of single
-//! dispatches (pinned by `tests/program.rs`); only the hand-off cost changes.
+//! `tests/pool_model.rs` checks this barrier exhaustively: the owner and two
+//! or three workers as a state machine with one step per atomic operation
+//! here, over every interleaving of three phases.
 //!
 //! ## Determinism argument
 //!
@@ -83,12 +55,12 @@
 //!
 //! The job closure borrows the caller's stack (the chunk and slot tables of a
 //! `for_chunks` call), but worker threads are `'static`, so the pool stores
-//! the closure as a lifetime-erased raw pointer (`TaskPtr`). The quiescence
-//! barrier above (plus its unwind guard) guarantees the pointee outlives every
-//! dereference — per job for plain dispatches, per phase for resident ones.
-//! This is the standard scoped-pool construction (rayon's `scope` does the
-//! same) and is the only unsafe code in the crate; the rest of the crate
-//! stays `deny(unsafe_code)`-clean.
+//! the closure as a lifetime-erased raw pointer (`TaskPtr`). Only a phase's
+//! participants dereference it, and the owner returns, or unwinds, only after
+//! every participant has retired the phase, so the pointee outlives every
+//! dereference. This is the standard scoped-pool construction (rayon's
+//! `scope` does the same) and is the only unsafe code in the crate; the rest
+//! of the crate stays `deny(unsafe_code)`-clean.
 
 #![allow(unsafe_code)]
 
@@ -96,12 +68,12 @@ use std::cell::UnsafeCell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Locks a mutex, ignoring poison: the pool forwards worker panics itself
-/// (after the quiescence barrier), so a poisoned lock carries no extra
+/// (after the quiescence wait), so a poisoned lock carries no extra
 /// information and must not wedge the pool for subsequent jobs.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
@@ -111,8 +83,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// A per-thread token distinguishing live threads: the address of a
 /// thread-local, which is unique among concurrently running threads and never
-/// zero. Used to recognise the resident-session owner in
-/// [`WorkerPool::run`]'s fast path without taking any lock.
+/// zero. Used to recognise the [`WorkerPool::run_program`] thread in
+/// [`WorkerPool::run`] without taking any lock.
 fn thread_token() -> usize {
     thread_local! {
         static TOKEN: u8 = const { 0 };
@@ -120,18 +92,15 @@ fn thread_token() -> usize {
     TOKEN.with(|t| t as *const u8 as usize)
 }
 
-/// Default spin budget of the resident phase barrier, in microseconds,
-/// read from `GOSSIP_SPIN_US` (clamped to `[0, 100_000]`; `0` parks
-/// immediately — the pure condvar fallback the CI matrix exercises).
+/// Spin budget of the phase barrier, in microseconds, read from
+/// `GOSSIP_SPIN_US` (clamped to `[0, 100_000]`; `0` parks immediately — the
+/// pure condvar path the CI matrix exercises).
 ///
-/// Without an explicit setting the budget is 100 µs, **provided** `threads`
-/// executors actually fit the host's cores: an oversubscribed pool (more
-/// executors than cores — a CI container, a 1-core box running the 8-thread
-/// matrix) gets `0`, because a spinning waiter then steals the very core its
-/// peer needs to reach the barrier, turning each phase hand-off into a full
-/// scheduler quantum. The env var always wins over the heuristic, so the
-/// spin paths stay testable anywhere.
-pub fn spin_us_from_env(threads: usize) -> u64 {
+/// Without an explicit setting the budget is 100 µs if `threads` executors
+/// fit the host's cores, and `0` if they do not: a spinning waiter on an
+/// oversubscribed host steals the core its peer needs to reach the barrier,
+/// turning each phase hand-off into a full scheduler quantum.
+fn spin_us_from_env(threads: usize) -> u64 {
     if let Some(v) = std::env::var("GOSSIP_SPIN_US")
         .ok()
         .and_then(|v| v.trim().parse::<u64>().ok())
@@ -147,9 +116,9 @@ pub fn spin_us_from_env(threads: usize) -> u64 {
 }
 
 /// Lifetime-erased pointer to a caller-owned `dyn Fn(usize) + Sync` job
-/// closure. Safety: only dereferenced by executors between job publication
-/// and the quiescence barrier of the same [`WorkerPool::run`] call (or
-/// resident phase), during which the pointee is borrowed by the caller frame.
+/// closure. Safety: only dereferenced by a phase's participants, between the
+/// phase's publication and its quiescence, while the owner's
+/// [`WorkerPool::run`] call borrows the pointee.
 #[derive(Clone, Copy)]
 struct TaskPtr(*const (dyn Fn(usize) + Sync + 'static));
 
@@ -159,8 +128,8 @@ impl TaskPtr {
     /// # Safety
     ///
     /// The caller must not let any dereference of the returned pointer
-    /// outlive `'a` — in the pool, the quiescence barrier of the `run` call
-    /// (or resident phase) that published the job enforces this.
+    /// outlive `'a` — in the pool, the quiescence wait of the phase that
+    /// published the job enforces this.
     unsafe fn erase<'a>(task: &'a (dyn Fn(usize) + Sync + 'a)) -> TaskPtr {
         let short: *const (dyn Fn(usize) + Sync + 'a) = task;
         // SAFETY: identical layout; only the lifetime bound changes.
@@ -174,109 +143,82 @@ impl TaskPtr {
 }
 
 // SAFETY: the pointee is `Sync` (shared references may cross threads), and
-// the quiescence barrier bounds every dereference within the lifetime of the
+// the quiescence wait bounds every dereference within the lifetime of the
 // `run` call that published it.
 unsafe impl Send for TaskPtr {}
 
-/// A published task batch: the erased closure and how many task indices it
+/// A published phase's job: the erased closure and how many task indices it
 /// has.
 #[derive(Clone, Copy)]
-struct BatchJob {
+struct Job {
     task: TaskPtr,
     tasks: usize,
 }
 
-/// The job currently published to the workers.
-#[derive(Clone, Copy)]
-enum Job {
-    /// A one-shot task batch (a plain [`WorkerPool::run`]).
-    Batch(BatchJob),
-    /// A resident session: joining workers enter the phase loop and stay
-    /// there until the session ends.
-    Resident,
-}
-
-/// State shared between the caller and the workers, guarded by one mutex.
-struct PoolState {
-    /// Increments once per published job; workers use it to tell a fresh job
-    /// from the one they just finished.
-    epoch: u64,
-    /// The published job, present from publication until the caller's
-    /// quiescence barrier clears it.
-    job: Option<Job>,
-    /// Workers still allowed to join the current epoch. Initialised to
-    /// `min(workers, tasks − 1)` so that a small map on a large shared pool
-    /// does not wake — or wait for — more workers than it has tasks for;
-    /// a worker may only touch the job after decrementing this under the
-    /// mutex.
-    join_budget: usize,
-    /// Joined workers that have not finished the current epoch; the caller
-    /// returns from [`WorkerPool::run`] only once this reaches zero (at which
-    /// point the whole join budget has been consumed and retired).
-    running: usize,
-    /// Set when any executor's task panicked during the current job.
-    panicked: bool,
-    /// Tells the workers to exit; set once, by [`WorkerPool`]'s `Drop`.
-    shutdown: bool,
-}
-
-/// Bit split of [`ResidentState::phase`]: phase counter in the high bits,
-/// that phase's participant count in the low [`PHASE_SHIFT`] bits (a pool has
-/// at most 255 workers, so 16 bits are ample; 48 phase bits outlast any
-/// session). Packing them into **one** atomic is what makes a worker's
-/// participation decision atomic with its phase observation: a lagging worker
-/// that sat out phase N and only wakes after phase N+1 is published reads the
-/// *pair* (N+1, participants(N+1)) — it can never combine phase N's wake-up
-/// with phase N+1's participant count, which would let it execute a phase
-/// twice (and underflow `remaining`, breaking the quiescence barrier the
-/// lifetime-erasure safety argument rests on).
+/// Bit split of [`Shared::phase`]: phase counter in the high bits, that
+/// phase's participant count in the low [`PHASE_SHIFT`] bits (a pool has at
+/// most 255 workers; 48 phase bits outlast any pool). One atomic makes a
+/// worker's participation decision atomic with its phase observation: a
+/// worker that sat out phase N and only looks again after phase N+1 is
+/// published reads the *pair* (N+1, participants(N+1)). Combining phase N
+/// with phase N+1's count would let it run a phase twice and underflow
+/// `remaining`, breaking the quiescence wait the lifetime erasure rests on.
 const PHASE_SHIFT: u32 = 16;
 
-/// Phase-counter half of a packed [`ResidentState::phase`] word.
+/// The participant count of the last phase, which tells every worker to exit.
+const EXIT: u64 = (1 << PHASE_SHIFT) - 1;
+
+/// Phase-counter half of a packed [`Shared::phase`] word.
 fn phase_of(packed: u64) -> u64 {
     packed >> PHASE_SHIFT
 }
 
-/// Participant-count half of a packed [`ResidentState::phase`] word.
-fn participants_of(packed: u64) -> usize {
-    (packed & ((1 << PHASE_SHIFT) - 1)) as usize
+/// Participant-count half of a packed [`Shared::phase`] word.
+fn participants_of(packed: u64) -> u64 {
+    packed & EXIT
 }
 
-/// The lock-free side of a resident session (see the module docs): the phase
-/// word the workers synchronise on and the cell the owner publishes each
-/// phase's job through.
-struct ResidentState {
-    /// Thread token of the session owner ([`thread_token`]); `0` = no
-    /// session. Read by [`WorkerPool::run`]'s fast path to route the owner's
-    /// dispatches through the phase barrier.
+/// The phase barrier's state, shared by the owner of the current phase and
+/// the workers.
+struct Shared {
+    /// Thread token ([`thread_token`]) of the thread inside
+    /// [`WorkerPool::run_program`], or `0`. Its `run` calls skip the gate.
     owner: AtomicUsize,
-    /// Whether the session is live; a resident worker observing a phase bump
-    /// with `active == false` leaves the phase loop.
-    active: AtomicBool,
-    /// Packed phase word (see [`PHASE_SHIFT`]): publication counter in the
-    /// high bits, the phase's participant count (the id-prefix
-    /// `0..participants` of the workers) in the low bits. Reset to 0 at
-    /// session start; written only by the owner, whose `SeqCst` store is the
-    /// release point of the phase's job. Non-participants of a phase never
-    /// read the job cell — that is what makes rewriting it next phase sound
-    /// while they are still catching up on this word.
+    /// Packed phase word (see [`PHASE_SHIFT`]). Written only by the owner of
+    /// the current phase, whose `SeqCst` store is the release point of the
+    /// phase's job. Non-participants of a phase never read the job cell —
+    /// that is what makes rewriting it next phase sound while they are still
+    /// catching up on this word.
     phase: AtomicU64,
     /// The current phase's job. Written by the owner strictly before the
-    /// `phase` store and read by participating workers strictly after
-    /// observing that store, so the release/acquire pair on `phase` orders
-    /// every access (no lock needed).
-    job: UnsafeCell<Option<BatchJob>>,
-    /// Participants that have not yet finished the current phase; the owner
-    /// waits for 0 before returning from the dispatch (the per-phase
-    /// quiescence barrier of the lifetime-erasure argument).
+    /// `phase` store and read by participants strictly after observing that
+    /// store, so the release/acquire pair on `phase` orders every access.
+    job: UnsafeCell<Option<Job>>,
+    /// Next unclaimed task index of the current phase.
+    cursor: AtomicUsize,
+    /// Participants that have not yet retired the current phase; the owner
+    /// returns only when it reaches 0 (the quiescence wait).
     remaining: AtomicUsize,
-    /// Resident workers currently parked on `start` (their spin budget ran
-    /// out). The owner notifies the condvar after a bump only when this is
-    /// non-zero, so an actively spinning session never touches the lock.
+    /// Workers registered to park (their spin budget ran out). The owner
+    /// notifies only when this is non-zero, so a phase whose workers are
+    /// all spinning never touches the mutex.
     sleepers: AtomicUsize,
-    /// Any participant's task panicked during the current phase; drained by
-    /// the owner after the phase quiesces.
+    /// Any participant's task panicked during the current phase.
     panicked: AtomicBool,
+    /// The mutex parked workers wait under; it guards no data, and only
+    /// orders a worker's last check of the phase word against the notify.
+    parking: Mutex<()>,
+    /// Parked workers wait here for the next phase.
+    start: Condvar,
+    /// Spin budget of a waiting worker before it parks, and of the owner's
+    /// quiescence wait before it falls back to pure yielding. Never affects
+    /// results, only the latency/CPU trade.
+    spin: Duration,
+    /// Gate acquisitions: one per [`WorkerPool::run`] outside
+    /// [`WorkerPool::run_program`], one per `run_program` block.
+    dispatches: AtomicU64,
+    /// Parked workers woken by phase publications.
+    wakeups: AtomicU64,
 }
 
 // SAFETY: the `job` cell is the only non-atomic field. The owner writes it
@@ -286,45 +228,21 @@ struct ResidentState {
 // is always consistent), and the owner rewrites the cell only after
 // `remaining` reached 0 (release decrements, acquire read) — so every access
 // pair is ordered by a happens-before edge and no two accesses race.
-unsafe impl Sync for ResidentState {}
-
-struct Shared {
-    state: Mutex<PoolState>,
-    /// Workers wait here for a new epoch (or shutdown); resident workers
-    /// whose spin budget ran out also park here between phases.
-    start: Condvar,
-    /// The caller waits here for `running == 0`.
-    done: Condvar,
-    /// Next unclaimed task index of the current job or phase.
-    cursor: AtomicUsize,
-    /// Resident-session state (see the module docs).
-    resident: ResidentState,
-    /// Spin budget of the resident phase barrier before a worker parks (and
-    /// of the owner's phase-quiescence wait before it falls back to pure
-    /// yielding). Never affects results, only the latency/CPU trade.
-    spin: Duration,
-    /// Cumulative full dispatches: epoch-published jobs and resident-session
-    /// starts — each one a complete wake/quiesce hand-off. Resident *phases*
-    /// deliberately do not count: not paying this hand-off per round is the
-    /// point of a session.
-    dispatches: AtomicU64,
-    /// Cumulative worker wake-ups: condvar notifications issued by job and
-    /// session publication, plus resident sleepers woken by a phase bump.
-    wakeups: AtomicU64,
-}
+unsafe impl Sync for Shared {}
 
 /// Scheduling counters of a [`WorkerPool`] — see [`WorkerPool::stats`].
 ///
 /// These measure dispatch overhead, not communication: they are wall-clock
-/// observability (how many full hand-offs and wake-ups the pool paid), not
-/// part of any algorithm's trajectory.
+/// observability (how often the gate was taken and how many parked workers
+/// had to be woken), not part of any algorithm's trajectory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Full dispatch hand-offs: one per non-inline [`WorkerPool::run`]
-    /// outside a session, plus one per [`WorkerPool::run_program`] session.
+    /// Gate acquisitions: one per non-inline [`WorkerPool::run`] outside a
+    /// [`WorkerPool::run_program`] block, plus one per such block, however
+    /// many phases it runs.
     pub dispatches: u64,
-    /// Workers woken: `workers` per full dispatch, plus parked resident
-    /// workers woken by phase bumps (best-effort count).
+    /// Parked workers woken by phase publications (workers still spinning
+    /// when a phase is published cost no wake-up).
     pub wakeups: u64,
 }
 
@@ -339,7 +257,7 @@ pub struct PoolStats {
 /// Dropping the pool (its last `Arc`, in engine use) shuts the workers down
 /// and joins them.
 pub struct WorkerPool {
-    shared: std::sync::Arc<Shared>,
+    shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     /// Serialises [`WorkerPool::run`] calls from different user threads.
     gate: Mutex<()>,
@@ -347,10 +265,9 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Creates a pool with `threads` executors: the calling thread plus
-    /// `threads - 1` spawned workers (clamped to `[1, 256]`), with the
-    /// resident-barrier spin budget taken from `GOSSIP_SPIN_US`
-    /// ([`spin_us_from_env`]: 100 µs when the executors fit the host's
-    /// cores, `0` when oversubscribed).
+    /// `threads - 1` spawned workers (clamped to `[1, 256]`), with the phase
+    /// barrier's spin budget taken from `GOSSIP_SPIN_US` (100 µs when the
+    /// executors fit the host's cores, `0` when oversubscribed).
     ///
     /// `WorkerPool::new(1)` spawns nothing and makes [`run`](Self::run)
     /// purely inline — the engine's configuration for small networks.
@@ -360,43 +277,29 @@ impl WorkerPool {
         WorkerPool::with_spin(threads, spin_us_from_env(threads))
     }
 
-    /// [`WorkerPool::new`] with an explicit resident-barrier spin budget in
-    /// microseconds (`0` = park immediately, the pure condvar fallback).
-    /// The budget never affects results, only the latency/CPU trade of
-    /// [`WorkerPool::run_program`] phases.
-    pub fn with_spin(threads: usize, spin_us: u64) -> WorkerPool {
+    /// [`WorkerPool::new`] with an explicit spin budget in microseconds.
+    fn with_spin(threads: usize, spin_us: u64) -> WorkerPool {
         let threads = threads.clamp(1, 256);
-        let shared = std::sync::Arc::new(Shared {
-            state: Mutex::new(PoolState {
-                epoch: 0,
-                job: None,
-                join_budget: 0,
-                running: 0,
-                panicked: false,
-                shutdown: false,
-            }),
-            start: Condvar::new(),
-            done: Condvar::new(),
+        let shared = Arc::new(Shared {
+            owner: AtomicUsize::new(0),
+            phase: AtomicU64::new(0),
+            job: UnsafeCell::new(None),
             cursor: AtomicUsize::new(0),
-            resident: ResidentState {
-                owner: AtomicUsize::new(0),
-                active: AtomicBool::new(false),
-                phase: AtomicU64::new(0),
-                job: UnsafeCell::new(None),
-                remaining: AtomicUsize::new(0),
-                sleepers: AtomicUsize::new(0),
-                panicked: AtomicBool::new(false),
-            },
+            remaining: AtomicUsize::new(0),
+            sleepers: AtomicUsize::new(0),
+            panicked: AtomicBool::new(false),
+            parking: Mutex::new(()),
+            start: Condvar::new(),
             spin: Duration::from_micros(spin_us.min(100_000)),
             dispatches: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
         });
         let handles = (1..threads)
             .map_while(|i| {
-                let shared = std::sync::Arc::clone(&shared);
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("gossip-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i - 1))
+                    .spawn(move || worker_loop(&shared, i as u64 - 1))
                     .ok()
             })
             .collect();
@@ -413,10 +316,10 @@ impl WorkerPool {
     }
 
     /// Cumulative scheduling counters (monotone over the pool's lifetime):
-    /// how many full dispatch hand-offs the pool performed and how many
-    /// worker wake-ups it issued. With a shared pool the counts cover every
-    /// sharer. [`Engine::metrics`](crate::Engine::metrics) surfaces the
-    /// deltas as `pool_dispatches` / `worker_wakeups`.
+    /// how many times the gate was taken and how many parked workers phase
+    /// publications woke. With a shared pool the counts cover every sharer.
+    /// [`Engine::metrics`](crate::Engine::metrics) surfaces the deltas as
+    /// `pool_dispatches` / `worker_wakeups`.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             dispatches: self.shared.dispatches.load(Ordering::Relaxed),
@@ -435,9 +338,8 @@ impl WorkerPool {
     ///
     /// Calls from different threads serialise on an internal gate. Do not
     /// call `run` from inside a task closure — the nested call would deadlock
-    /// on that gate. From inside a [`WorkerPool::run_program`] session (on
-    /// the session's thread), `run` dispatches as a resident phase instead of
-    /// a full hand-off — same results, a fraction of the cost.
+    /// on that gate. Inside a [`WorkerPool::run_program`] block, on the
+    /// block's thread, `run` skips the gate, which the block already holds.
     ///
     /// # Panics
     ///
@@ -454,274 +356,133 @@ impl WorkerPool {
             }
             return;
         }
-        if self.shared.resident.owner.load(Ordering::Relaxed) == thread_token() {
-            // This thread owns the live resident session: dispatch as a
-            // phase. (Only the owner thread can ever observe its own token
-            // here, so the relaxed load is enough.)
-            return self.dispatch_resident(tasks, task);
+        // Only the owner thread can ever observe its own token here, so the
+        // relaxed load is enough.
+        if self.shared.owner.load(Ordering::Relaxed) == thread_token() {
+            return self.phase(tasks, task);
         }
-        let _dispatch = lock(&self.gate);
-
-        // SAFETY (lifetime erasure): the quiescence barrier below, also
-        // enforced on unwind, keeps every dereference within this call,
-        // while `task` is borrowed.
-        let erased = unsafe { TaskPtr::erase(task) };
-        // Never involve more workers than there are tasks beyond the
-        // caller's own: a 2-chunk map on an 8-executor shared pool wakes and
-        // waits for 1 worker, not 7. (Any worker woken in excess of the
-        // budget — or spuriously — re-checks the join predicate under the
-        // mutex and goes back to sleep without touching the job.)
-        let workers = self.handles.len().min(tasks - 1);
-        {
-            let mut st = lock(&self.shared.state);
-            debug_assert!(st.job.is_none(), "pool gate failed to serialise jobs");
-            st.epoch += 1;
-            st.join_budget = workers;
-            st.running = workers;
-            st.panicked = false;
-            self.shared.cursor.store(0, Ordering::Relaxed);
-            st.job = Some(Job::Batch(BatchJob {
-                task: erased,
-                tasks,
-            }));
-        }
-        // Wake the workers *after* releasing the state mutex: a worker woken
-        // here immediately re-acquires that mutex to join the epoch, so
-        // notifying from inside the critical section would hand it a lock
-        // the notifier still holds. (The job is already published; a worker
-        // that races ahead via a spurious wake finds it without the notify.)
-        for _ in 0..workers {
-            self.shared.start.notify_one();
-        }
+        let _gate = lock(&self.gate);
         self.shared.dispatches.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .wakeups
-            .fetch_add(workers as u64, Ordering::Relaxed);
-
-        /// Blocks until every worker finished the current job, then retires
-        /// it. Running this in `Drop` keeps the barrier in place even when
-        /// the caller's own task panics below.
-        struct Quiesce<'p>(&'p Shared);
-        impl Drop for Quiesce<'_> {
-            fn drop(&mut self) {
-                let mut st = lock(&self.0.state);
-                while st.running > 0 {
-                    st = self
-                        .0
-                        .done
-                        .wait(st)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                }
-                st.job = None;
-            }
-        }
-        let barrier = Quiesce(&self.shared);
-
-        // The caller is executor 0: claim tasks like any worker.
-        loop {
-            let i = self.shared.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= tasks {
-                break;
-            }
-            task(i);
-        }
-        drop(barrier);
-
-        if std::mem::replace(&mut lock(&self.shared.state).panicked, false) {
-            panic!("gossip worker thread panicked");
-        }
+        self.phase(tasks, task);
     }
 
-    /// Runs `program` as a **resident session**: every worker is woken once,
-    /// stays at the phase barrier for the whole call, and parks again only
-    /// when `program` returns. Any [`WorkerPool::run`] this thread makes
-    /// inside `program` — directly or through engine round primitives —
-    /// executes as a phase of the session instead of a full hand-off.
+    /// Runs `program` holding the pool's gate, with this thread marked as its
+    /// owner: every [`WorkerPool::run`] this thread makes inside `program` —
+    /// directly or through engine round primitives — skips the gate, and the
+    /// block counts as one dispatch in [`PoolStats`]. Between the block's
+    /// phases the workers stay in their spin window instead of each round
+    /// paying a gate hand-off and, after a long gap, a wake-up.
     ///
-    /// Results are bit-identical to calling `program` without the session
-    /// (phases keep the exact task semantics of plain dispatches); only the
-    /// per-dispatch cost changes. Nested `run_program` calls on the same
-    /// pool from the session thread are no-ops (the program just runs inside
-    /// the existing session), so fused helpers compose freely.
+    /// Results are bit-identical to calling `program` without the block (its
+    /// phases are the same phases a plain `run` publishes). Nested
+    /// `run_program` calls on the same pool from the block's thread just run
+    /// their program, so fused helpers compose freely.
     ///
     /// Calls from different threads serialise on the same gate as
-    /// [`WorkerPool::run`]: a second thread blocks until the session ends.
+    /// [`WorkerPool::run`]: a second thread blocks until the block ends.
     ///
     /// # Panics
     ///
-    /// Worker panics inside a phase are forwarded by that phase's dispatch;
-    /// a panic unwinding out of `program` ends the session cleanly (workers
-    /// park, the pool remains usable) and continues unwinding.
+    /// Worker panics inside a phase are forwarded by that phase's `run`; a
+    /// panic unwinding out of `program` releases the gate and the owner mark
+    /// and continues unwinding.
     pub fn run_program<R>(&self, program: impl FnOnce() -> R) -> R {
-        if self.handles.is_empty() {
-            // No workers: every dispatch is inline anyway, there is nothing
-            // to keep resident.
-            return program();
-        }
         let token = thread_token();
-        if self.shared.resident.owner.load(Ordering::Relaxed) == token {
-            // Re-entrant: already inside this pool's session on this thread.
+        if self.handles.is_empty() || self.shared.owner.load(Ordering::Relaxed) == token {
+            // No workers to keep waiting, or already inside this pool's
+            // block on this thread.
             return program();
         }
-        let _dispatch = lock(&self.gate);
-        let workers = self.handles.len();
-        {
-            let mut st = lock(&self.shared.state);
-            debug_assert!(st.job.is_none(), "pool gate failed to serialise jobs");
-            st.epoch += 1;
-            st.join_budget = workers;
-            st.running = workers;
-            st.panicked = false;
-            st.job = Some(Job::Resident);
-            let r = &self.shared.resident;
-            r.phase.store(0, Ordering::Relaxed);
-            r.remaining.store(0, Ordering::Relaxed);
-            r.panicked.store(false, Ordering::Relaxed);
-            r.active.store(true, Ordering::SeqCst);
-            r.owner.store(token, Ordering::Relaxed);
-        }
-        // One wake-up for the whole program (outside the critical section,
-        // as in `run`) — this is the dispatch cost the session amortises
-        // over every round inside it.
-        for _ in 0..workers {
-            self.shared.start.notify_one();
-        }
+        let _gate = lock(&self.gate);
         self.shared.dispatches.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .wakeups
-            .fetch_add(workers as u64, Ordering::Relaxed);
-
-        /// Ends the session (in `Drop`, so a panic unwinding out of the
-        /// program closes it too): revokes the owner token, publishes the
-        /// end-of-session phase bump, and waits for every resident worker to
-        /// leave the phase loop and retire the epoch.
-        struct EndSession<'p>(&'p Shared);
-        impl Drop for EndSession<'_> {
+        /// Clears the owner mark when the block ends, by unwinding too.
+        struct Owner<'p>(&'p AtomicUsize);
+        impl Drop for Owner<'_> {
             fn drop(&mut self) {
-                let r = &self.0.resident;
-                r.owner.store(0, Ordering::Relaxed);
-                r.active.store(false, Ordering::SeqCst);
-                // Bump only the phase half of the packed word; the stale
-                // participant bits are harmless because workers check
-                // `active` (ordered before this bump) before consulting
-                // them.
-                r.phase.fetch_add(1 << PHASE_SHIFT, Ordering::SeqCst);
-                if r.sleepers.load(Ordering::SeqCst) > 0 {
-                    drop(lock(&self.0.state));
-                    self.0.start.notify_all();
-                }
-                let mut st = lock(&self.0.state);
-                while st.running > 0 {
-                    st = self
-                        .0
-                        .done
-                        .wait(st)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                }
-                st.job = None;
-                r.panicked.store(false, Ordering::Relaxed);
-                // SAFETY: all workers left the phase loop (`running == 0`),
-                // so nothing concurrently reads the cell.
-                unsafe {
-                    *r.job.get() = None;
-                }
+                self.0.store(0, Ordering::Relaxed);
             }
         }
-        let session = EndSession(&self.shared);
-        let result = program();
-        drop(session);
-        result
+        self.shared.owner.store(token, Ordering::Relaxed);
+        let _owner = Owner(&self.shared.owner);
+        program()
     }
 
-    /// Dispatches one phase of the live resident session (see the module
-    /// docs): publish the job, bump the phase counter, claim tasks alongside
-    /// the workers, and wait for the phase to quiesce.
-    fn dispatch_resident(&self, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
-        let shared = &self.shared;
-        let r = &shared.resident;
-        // SAFETY (lifetime erasure): the phase-quiescence barrier below,
-        // also enforced on unwind, keeps every dereference within this call,
-        // while `task` is borrowed.
-        let erased = unsafe { TaskPtr::erase(task) };
-        // Same involvement rule as `run`: a 2-task phase on an 8-worker pool
-        // involves 1 worker. Non-participants skip the phase without reading
-        // the job cell (which is what makes rewriting it next phase sound
-        // even while they still catch up on the phase word).
+    /// Runs one phase (see the module docs): publish the job, claim tasks
+    /// alongside the participants, and wait for the phase to quiesce. The
+    /// caller holds the gate.
+    fn phase(&self, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
+        let shared = &*self.shared;
+        // A 2-task phase on an 8-worker pool involves 1 worker.
         let participants = self.handles.len().min(tasks - 1);
-        // SAFETY: a worker reads the cell only after its acquire load of the
-        // packed phase word returns this phase *with* a participant count
-        // covering its id — the decision travels in one word with the phase,
-        // so a lagging worker can never act on a stale pairing. Every
-        // participant of the previous phase decremented `remaining` (and the
-        // owner saw 0) before this call, so no reader of the old value
-        // remains.
+        // SAFETY (lifetime erasure): the quiescence wait below, which also
+        // runs on unwind, keeps every dereference within this call, while
+        // `task` is borrowed.
+        let task_ptr = unsafe { TaskPtr::erase(task) };
+        // SAFETY: no worker reads the cell now. A worker reads it only as a
+        // participant of the phase its packed word names; every participant
+        // of the previous phase retired before that phase's owner returned,
+        // and this phase's word is not stored yet.
         unsafe {
-            *r.job.get() = Some(BatchJob {
-                task: erased,
+            *shared.job.get() = Some(Job {
+                task: task_ptr,
                 tasks,
             });
         }
-        r.remaining.store(participants, Ordering::Relaxed);
+        shared.remaining.store(participants, Ordering::Relaxed);
         shared.cursor.store(0, Ordering::Relaxed);
         // A phase whose every task panicked leaves the flag set: the owner's
         // own task unwound before it could read it.
-        r.panicked.store(false, Ordering::Relaxed);
-        // Publish phase and participant count as one packed word. Only the
-        // owner writes `phase`, so load-then-store does not race.
-        let next = phase_of(r.phase.load(Ordering::Relaxed)) + 1;
-        r.phase
-            .store(next << PHASE_SHIFT | participants as u64, Ordering::SeqCst);
-        // Wake parked workers, if any. The `SeqCst` store above and the
-        // `SeqCst` sleeper registration in `wait_for_phase` order each other:
-        // either the worker's re-check sees the new phase, or this load sees
-        // the sleeper and notifies. The empty lock/unlock serialises with a
-        // worker that checked the phase under the mutex but has not yet
-        // entered `wait`.
-        let sleepers = r.sleepers.load(Ordering::SeqCst);
-        if sleepers > 0 {
-            drop(lock(&shared.state));
-            shared.start.notify_all();
-            shared.wakeups.fetch_add(sleepers as u64, Ordering::Relaxed);
-        }
+        shared.panicked.store(false, Ordering::Relaxed);
+        self.publish(participants as u64);
 
-        /// Waits until every participant retired the phase — the per-phase
-        /// quiescence barrier, enforced on unwind like `run`'s.
-        struct PhaseQuiesce<'p>(&'p Shared);
-        impl Drop for PhaseQuiesce<'_> {
+        /// Waits until every participant retired the phase — in `Drop`, so
+        /// the wait holds when the owner's own task panics too.
+        struct Quiesce<'p>(&'p Shared);
+        impl Drop for Quiesce<'_> {
             fn drop(&mut self) {
-                let r = &self.0.resident;
                 let deadline = Instant::now() + self.0.spin;
-                loop {
-                    if r.remaining.load(Ordering::Acquire) == 0 {
-                        return;
-                    }
+                while self.0.remaining.load(Ordering::Acquire) != 0 {
                     if Instant::now() < deadline {
                         for _ in 0..64 {
                             std::hint::spin_loop();
                         }
                     } else {
-                        // Owner never parks between phases (workers finish
-                        // in bounded time); yielding keeps an oversubscribed
+                        // The owner never parks (participants finish in
+                        // bounded time); yielding keeps an oversubscribed
                         // host making progress.
                         std::thread::yield_now();
                     }
                 }
             }
         }
-        let barrier = PhaseQuiesce(shared);
+        let quiesce = Quiesce(shared);
+        claim(shared, tasks, task);
+        drop(quiesce);
 
-        // The owner is executor 0: claim tasks like any participant.
-        loop {
-            let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= tasks {
-                break;
-            }
-            task(i);
-        }
-        drop(barrier);
-
-        if r.panicked.load(Ordering::Relaxed) {
+        if shared.panicked.load(Ordering::Relaxed) {
             panic!("gossip worker thread panicked");
+        }
+    }
+
+    /// Stores the next phase word and wakes the parked workers. The `SeqCst`
+    /// store and the `SeqCst` `sleepers` read pair with a worker's `SeqCst`
+    /// registration and re-check in [`wait_for_phase`]: either the re-check
+    /// sees the new phase, or this read sees the sleeper and notifies. The
+    /// empty lock/unlock serialises with a worker that checked the phase
+    /// under the mutex but has not yet entered `wait`.
+    fn publish(&self, participants: u64) {
+        let shared = &*self.shared;
+        // Only the gate holder (or `Drop`) writes the word, so the
+        // load-then-store does not race.
+        let next = phase_of(shared.phase.load(Ordering::Relaxed)) + 1;
+        shared
+            .phase
+            .store(next << PHASE_SHIFT | participants, Ordering::SeqCst);
+        let sleepers = shared.sleepers.load(Ordering::SeqCst);
+        if sleepers > 0 {
+            drop(lock(&shared.parking));
+            shared.start.notify_all();
+            shared.wakeups.fetch_add(sleepers as u64, Ordering::Relaxed);
         }
     }
 }
@@ -736,191 +497,101 @@ impl fmt::Debug for WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        {
-            let mut st = lock(&self.shared.state);
-            st.shutdown = true;
-            self.shared.start.notify_all();
-        }
+        // The last phase: every worker observes it and exits.
+        self.publish(EXIT);
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// The worker side of the barrier protocol (see the module docs). `id` is the
-/// worker's stable index (`0..workers`), used for resident-phase
-/// participation.
-fn worker_loop(shared: &Shared, id: usize) {
-    let mut seen_epoch = 0u64;
+/// Claims task indices from the cursor and runs `task` on each, until the
+/// cursor passes `tasks`.
+fn claim(shared: &Shared, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
     loop {
-        let job = {
-            let mut st = lock(&shared.state);
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                match st.job {
-                    // Join the epoch only while its budget lasts; a worker
-                    // woken in excess of the budget (or spuriously) sleeps
-                    // again without ever touching the job.
-                    Some(job) if st.epoch != seen_epoch && st.join_budget > 0 => {
-                        seen_epoch = st.epoch;
-                        st.join_budget -= 1;
-                        break job;
-                    }
-                    _ => {
-                        st = shared
-                            .start
-                            .wait(st)
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    }
-                }
-            }
-        };
-        let failed = match job {
-            Job::Batch(job) => {
-                // SAFETY: the job was published by a `run` call that cannot
-                // return (or unwind) before this worker decrements `running`
-                // below, so the pointee — the caller's closure — is alive for
-                // the whole dereference.
-                let task: &(dyn Fn(usize) + Sync) = unsafe { &*job.task.0 };
-                catch_unwind(AssertUnwindSafe(|| loop {
-                    let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= job.tasks {
-                        break;
-                    }
-                    task(i);
-                }))
-                .is_err()
-            }
-            Job::Resident => {
-                // Stay at the phase barrier until the session ends. Phase
-                // panics are tracked per phase (`resident.panicked`) and
-                // forwarded by the owner's dispatch, not via `st.panicked`.
-                resident_phase_loop(shared, id);
-                false
-            }
-        };
-        let mut st = lock(&shared.state);
-        if failed {
-            st.panicked = true;
-        }
-        st.running -= 1;
-        if st.running == 0 {
-            shared.done.notify_all();
-        }
-    }
-}
-
-/// Waits (spin, then yield, then park on `start`) until the resident phase
-/// counter moves past `seen` (a phase number, not a packed word), and returns
-/// the new **packed** phase word — phase and participant count observed as
-/// one consistent pair. Returns `None` if the pool shuts down while the
-/// counter is unchanged, so the caller leaves the phase loop instead of
-/// spinning on a dead session.
-fn wait_for_phase(shared: &Shared, seen: u64) -> Option<u64> {
-    let r = &shared.resident;
-    // Spin-then-yield within the budget. The periodic yield matters on an
-    // oversubscribed host: the owner (or another worker) needs the core to
-    // make the progress this worker is waiting for.
-    if !shared.spin.is_zero() {
-        let deadline = Instant::now() + shared.spin;
-        loop {
-            let p = r.phase.load(Ordering::Acquire);
-            if phase_of(p) != seen {
-                return Some(p);
-            }
-            for _ in 0..64 {
-                std::hint::spin_loop();
-            }
-            if Instant::now() >= deadline {
-                break;
-            }
-            std::thread::yield_now();
-        }
-    }
-    // Park: register as a sleeper, re-check, then wait on `start`. The
-    // `SeqCst` registration pairs with the owner's `SeqCst` store-then-read:
-    // either the re-check sees the new phase, or the owner sees the sleeper
-    // and notifies (serialised by its empty lock/unlock of `state`, so the
-    // notify cannot fall between the predicate check below and the wait).
-    loop {
-        let p = r.phase.load(Ordering::SeqCst);
-        if phase_of(p) != seen {
-            return Some(p);
-        }
-        r.sleepers.fetch_add(1, Ordering::SeqCst);
-        if phase_of(r.phase.load(Ordering::SeqCst)) != seen {
-            r.sleepers.fetch_sub(1, Ordering::SeqCst);
-            continue;
-        }
-        let shutdown = {
-            let mut st = lock(&shared.state);
-            while phase_of(r.phase.load(Ordering::SeqCst)) == seen && !st.shutdown {
-                st = shared
-                    .start
-                    .wait(st)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-            }
-            st.shutdown
-        };
-        r.sleepers.fetch_sub(1, Ordering::SeqCst);
-        if shutdown && phase_of(r.phase.load(Ordering::SeqCst)) == seen {
-            // Shutdown with no phase movement: the session can never
-            // progress — exit rather than re-registering forever.
-            return None;
-        }
-    }
-}
-
-/// The resident worker's phase loop: wait for each phase bump, run the
-/// phase's tasks if participating, retire the phase; leave when the session
-/// ends. Sessions start with `phase == 0`, so `seen` tracks the phase numbers
-/// this worker has handled. A worker that sat a phase out may lag and observe
-/// a *later* phase next — safe, because the owner cannot retire a phase (and
-/// publish the next) until every listed participant checked in, so a phase
-/// this worker participates in can never be skipped over, and the packed word
-/// always pairs the observed phase with *its own* participant count.
-fn resident_phase_loop(shared: &Shared, id: usize) {
-    let r = &shared.resident;
-    let mut seen = 0u64;
-    loop {
-        let Some(packed) = wait_for_phase(shared, seen) else {
-            // Pool shutdown mid-session (not reachable through the engine's
-            // lifetimes, but the loop must not outlive the pool if that ever
-            // changes).
+        let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= tasks {
             return;
-        };
+        }
+        task(i);
+    }
+}
+
+/// A worker's life: wait for each phase, run its tasks if `id` participates,
+/// retire it; exit on the [`EXIT`] phase. A worker that sat a phase out may
+/// lag and observe a *later* phase next — safe, because the owner cannot
+/// return from a phase (and publish the next) until every listed participant
+/// retired it, so a phase this worker participates in can never be skipped
+/// over, and the packed word always pairs the observed phase with *its own*
+/// participant count.
+fn worker_loop(shared: &Shared, id: u64) {
+    let mut seen = 0;
+    loop {
+        let packed = wait_for_phase(shared, seen);
         seen = phase_of(packed);
-        if !r.active.load(Ordering::SeqCst) {
+        let participants = participants_of(packed);
+        if participants == EXIT {
             return;
         }
-        if id >= participants_of(packed) {
-            // Sat out: this phase has fewer tasks than the pool has workers.
-            // Never touches `job` or `remaining`, so the owner does not wait
-            // for this worker — which is why it may lag into a later phase.
+        if id >= participants {
+            // Never touches the job or `remaining`, so the owner does not
+            // wait for this worker — which is why it may lag.
             continue;
         }
-        // SAFETY: the acquire-ordered observation of the packed word in
-        // `wait_for_phase` happens-after the owner's job publication for
-        // exactly this phase (participation was decided from the same word,
-        // so this cannot be a stale pairing), and the owner cannot rewrite
-        // the cell (or return from its dispatch) before this participant
-        // decrements `remaining` below.
-        let job = unsafe { (*r.job.get()).expect("resident phase published without a job") };
-        let task: &(dyn Fn(usize) + Sync) = unsafe { &*job.task.0 };
-        let outcome = catch_unwind(AssertUnwindSafe(|| loop {
-            let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= job.tasks {
-                break;
-            }
-            task(i);
-        }));
-        if outcome.is_err() {
-            r.panicked.store(true, Ordering::Relaxed);
+        // SAFETY: the acquire-ordered observation of the packed word happens
+        // after the owner's job publication for exactly this phase
+        // (participation was decided from the same word, so this cannot be a
+        // stale pairing), and the owner cannot rewrite the cell, or return
+        // and end the closure's borrow, before this participant decrements
+        // `remaining` below.
+        let (task, tasks) = unsafe {
+            let job = (*shared.job.get()).expect("phase published without a job");
+            (&*job.task.0, job.tasks)
+        };
+        if catch_unwind(AssertUnwindSafe(|| claim(shared, tasks, task))).is_err() {
+            shared.panicked.store(true, Ordering::Relaxed);
         }
-        r.remaining.fetch_sub(1, Ordering::Release);
+        shared.remaining.fetch_sub(1, Ordering::Release);
     }
+}
+
+/// Waits until the phase counter moves past `seen` (a phase number, not a
+/// packed word), and returns the new **packed** word — phase and participant
+/// count observed as one consistent pair.
+///
+/// It spins and yields within the budget first; the yield matters on an
+/// oversubscribed host, where the owner needs the core to make the progress
+/// this worker waits for. Then it parks: register as a sleeper, re-check,
+/// and wait on `start` (see [`WorkerPool::publish`] for why no wake-up is
+/// lost).
+fn wait_for_phase(shared: &Shared, seen: u64) -> u64 {
+    let deadline = Instant::now() + shared.spin;
+    loop {
+        let p = shared.phase.load(Ordering::Acquire);
+        if phase_of(p) != seen {
+            return p;
+        }
+        if Instant::now() >= deadline {
+            break;
+        }
+        for _ in 0..64 {
+            std::hint::spin_loop();
+        }
+        std::thread::yield_now();
+    }
+    let unmoved = || phase_of(shared.phase.load(Ordering::SeqCst)) == seen;
+    shared.sleepers.fetch_add(1, Ordering::SeqCst);
+    if unmoved() {
+        let mut parked = lock(&shared.parking);
+        while unmoved() {
+            parked = shared
+                .start
+                .wait(parked)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+    }
+    shared.sleepers.fetch_sub(1, Ordering::SeqCst);
+    shared.phase.load(Ordering::Acquire)
 }
 
 #[cfg(test)]
@@ -981,9 +652,10 @@ mod tests {
 
     #[test]
     fn small_jobs_on_a_big_pool_complete_repeatedly() {
-        // Exercises the join budget: 2-task jobs on a 16-executor pool leave
-        // 14 workers parked per job, across many back-to-back epochs (so
-        // workers alternate between joining and sitting epochs out).
+        // Exercises the participant prefix: 2-task jobs on a 16-executor
+        // pool leave 14 workers out of each phase, across many back-to-back
+        // phases (so workers alternate between joining and sitting phases
+        // out).
         let pool = WorkerPool::new(16);
         let total = AtomicU64::new(0);
         for round in 0..300u64 {
@@ -1042,7 +714,7 @@ mod tests {
         assert_eq!(total, 1000 * 999 / 2);
     }
 
-    // --- resident sessions -------------------------------------------------
+    // --- run_program blocks ----------------------------------------------
 
     /// Phase dispatches inside a program execute every task exactly once —
     /// at both ends of the spin spectrum (0 = park immediately, large =
@@ -1309,11 +981,15 @@ mod tests {
 
     #[test]
     fn stats_count_wakeups_per_dispatch() {
-        let pool = WorkerPool::new(4);
+        // With no spin budget every worker parks; a phase wakes them all.
+        let pool = WorkerPool::with_spin(4, 0);
+        while pool.shared.sleepers.load(Ordering::SeqCst) < 3 {
+            std::thread::yield_now();
+        }
         let before = pool.stats();
         pool.run(4, &|_| {});
         let delta_w = pool.stats().wakeups - before.wakeups;
-        assert_eq!(delta_w, 3, "a 4-task job on 4 executors wakes 3 workers");
+        assert_eq!(delta_w, 3, "a 4-task job wakes the 3 parked workers");
         // Inline runs cost nothing.
         let before = pool.stats();
         pool.run(1, &|_| {});

@@ -6,7 +6,7 @@
 //! that barrier is. A stress test samples a few schedules; this file checks
 //! **every** schedule of a small configuration instead.
 //!
-//! The session owner and `W` workers are written as a state machine with one
+//! A phase's owner and `W` workers are written as a state machine with one
 //! step per atomic operation of `pool.rs`; each step's variant names the
 //! operation it models. Steps are sequentially consistent: every atomic the
 //! barrier's correctness rests on is `SeqCst`, or a release/acquire pair
@@ -37,7 +37,7 @@
 //! a schedule:
 //!
 //! - A load that finds the phase counter unchanged changes nothing, so the
-//!   spin loop's loads and the park loop's first load are one step.
+//!   spin loop's loads are one step.
 //! - Every critical section on the mutex is a single step: the owner's is
 //!   empty, and a worker's is one load followed by either `wait` (which
 //!   releases the mutex atomically) or the unlock. Holding the mutex only
@@ -48,8 +48,11 @@
 //!   model already has, and leaving them out keeps a lost wake-up a terminal
 //!   state rather than a cycle.
 //!
-//! The model starts with the session open and every worker waiting for the
-//! first phase, and ends with the session's closing phase bump.
+//! The model starts where `WorkerPool::new` leaves the pool, with every
+//! worker waiting for phase 1. Three phases follow, each published by a
+//! `run`; the gate orders the phases of different callers, so one owner
+//! stands for them all, and a `run_program` block only skips the gate. Then
+//! the pool's `Drop` publishes the exit phase and joins the workers.
 //!
 //! Three known-bad schedules must be rejected, which shows the model can see
 //! the failures it is meant to catch:
@@ -72,6 +75,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 const PHASES: usize = 3;
 /// Most workers a configuration has.
 const MAX_WORKERS: usize = 3;
+/// The exit phase's participant count.
+const EXIT: u8 = u8::MAX;
 
 /// Which barrier the model runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -109,13 +114,14 @@ enum Owner {
     ResetPanicked,
     /// `SplitCount` only: `participants.store(participants)`.
     StoreCount,
-    /// `phase.store(packed)`, or the session's closing bump.
+    /// `publish`: `phase.store(packed)`, for a phase or for the exit phase.
     StoreWord,
-    /// `sleepers.load()`.
+    /// `publish`: `sleepers.load()`.
     ReadSleepers,
-    /// `drop(lock(&state))`, the empty critical section before the notify.
+    /// `publish`: `drop(lock(&parking))`, the empty critical section before
+    /// the notify.
     Lock,
-    /// `start.notify_all()`.
+    /// `publish`: `start.notify_all()`.
     Notify,
     /// `cursor.fetch_add(1)`, then the task if the index is in range. A
     /// panicking task unwinds to the quiescence guard.
@@ -123,9 +129,7 @@ enum Owner {
     /// The quiescence guard: `remaining.load() == 0`, then return, or go on
     /// unwinding. A clean return reads `panicked`.
     Quiesce,
-    /// Session end: `active.store(false)`.
-    ClearActive,
-    /// Session end: wait until every worker has left the phase loop.
+    /// `Drop`: `handle.join()` for every worker.
     Join,
     Done,
 }
@@ -133,7 +137,9 @@ enum Owner {
 /// What a worker does next.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Worker {
-    /// `phase.load()` in the spin loop, or the park loop's first one.
+    /// `phase.load()` in the spin loop, or after unregistering. A moved
+    /// counter returns the word, and the worker exits, joins the phase or
+    /// sits it out by the word's participant count.
     Check,
     /// `sleepers.fetch_add(1)`.
     Register,
@@ -141,7 +147,7 @@ enum Worker {
     Recheck,
     /// `sleepers.fetch_sub(1)` after the re-check saw a new phase.
     Retract,
-    /// The locked re-check: `lock(&state)`, `phase.load()`, then
+    /// The locked re-check: `lock(&parking)`, `phase.load()`, then
     /// `start.wait()` if the phase has not moved, else the unlock.
     Lock,
     /// Parked in `start.wait()` until a notify.
@@ -151,8 +157,6 @@ enum Worker {
     Relock,
     /// `sleepers.fetch_sub(1)` after the locked re-check saw a new phase.
     Leave,
-    /// `active.load()` after observing a phase.
-    Active,
     /// `SplitCount` only: `participants.load()`.
     LoadCount,
     /// `*job.get()`: take the phase's job.
@@ -164,7 +168,7 @@ enum Worker {
     Flag,
     /// `remaining.fetch_sub(1)`.
     Retire,
-    /// Left the phase loop.
+    /// Returned from `worker_loop`.
     Exited,
 }
 
@@ -173,9 +177,6 @@ struct WorkerState {
     pc: Worker,
     /// The phase counter this worker last observed.
     seen: u8,
-    /// The word that observation returned, until the worker has decided
-    /// whether it participates.
-    word: Word,
     /// The phase whose job this worker holds, or 0.
     held: u8,
 }
@@ -196,7 +197,6 @@ struct State {
     /// `SplitCount`'s separate participant count.
     count: u8,
     sleepers: u8,
-    active: bool,
     panicked: bool,
     /// Whether the owner's own task panicked in the live phase.
     unwinding: bool,
@@ -227,11 +227,18 @@ impl Model {
         self.panics[phase as usize - 1]
     }
 
+    /// The first step of `publish`.
+    fn publish(&self) -> Owner {
+        match self.protocol {
+            Protocol::SleepersFirst => Owner::ReadSleepers,
+            _ => Owner::StoreWord,
+        }
+    }
+
     fn initial(&self) -> State {
         let waiting = WorkerState {
             pc: Worker::Check,
             seen: 0,
-            word: Word::default(),
             held: 0,
         };
         State {
@@ -244,7 +251,6 @@ impl Model {
             word: Word::default(),
             count: 0,
             sleepers: 0,
-            active: true,
             panicked: false,
             unwinding: false,
             live: 0,
@@ -312,27 +318,16 @@ impl Model {
             }
             Owner::ResetPanicked => {
                 t.panicked = false;
-                match self.protocol {
-                    Protocol::SleepersFirst => Owner::ReadSleepers,
-                    _ => Owner::StoreWord,
-                }
+                self.publish()
             }
             Owner::StoreWord => {
-                t.word = if closing {
-                    // `phase.fetch_add(1 << PHASE_SHIFT)`: the participant
-                    // bits stay stale; workers check `active` first.
-                    Word {
-                        phase: s.word.phase + 1,
-                        ..s.word
-                    }
-                } else {
-                    Word {
-                        phase,
-                        participants: match self.protocol {
-                            Protocol::SplitCount => 0,
-                            _ => self.participants[s.done as usize],
-                        },
-                    }
+                t.word = Word {
+                    phase,
+                    participants: match self.protocol {
+                        _ if closing => EXIT,
+                        Protocol::SplitCount => 0,
+                        _ => self.participants[s.done as usize],
+                    },
                 };
                 match self.protocol {
                     Protocol::SleepersFirst if s.notify => Owner::Lock,
@@ -401,16 +396,9 @@ impl Model {
                 t.unwinding = false;
                 t.done += 1;
                 if t.done as usize == PHASES {
-                    Owner::ClearActive
+                    self.publish()
                 } else {
                     Owner::WriteJob
-                }
-            }
-            Owner::ClearActive => {
-                t.active = false;
-                match self.protocol {
-                    Protocol::SleepersFirst => Owner::ReadSleepers,
-                    _ => Owner::StoreWord,
                 }
             }
             Owner::Join
@@ -440,8 +428,12 @@ impl Model {
         next.pc = match me.pc {
             Worker::Check if moved => {
                 next.seen = s.word.phase;
-                next.word = s.word;
-                Worker::Active
+                match s.word.participants {
+                    EXIT => Worker::Exited,
+                    _ if self.protocol == Protocol::SplitCount => Worker::LoadCount,
+                    p if (w as u8) < p => Worker::ReadJob,
+                    _ => Worker::Check,
+                }
             }
             Worker::Check => Worker::Register,
             Worker::Register => {
@@ -456,16 +448,6 @@ impl Model {
             }
             Worker::Lock | Worker::Relock if moved => Worker::Leave,
             Worker::Lock | Worker::Relock => Worker::Waiting,
-            Worker::Active if !s.active => Worker::Exited,
-            Worker::Active if self.protocol == Protocol::SplitCount => Worker::LoadCount,
-            Worker::Active => {
-                next.word = Word::default();
-                if (w as u8) < me.word.participants {
-                    Worker::ReadJob
-                } else {
-                    Worker::Check
-                }
-            }
             Worker::LoadCount => {
                 if (w as u8) < s.count {
                     Worker::ReadJob

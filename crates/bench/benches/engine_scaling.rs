@@ -9,11 +9,11 @@
 //! column of those rows across PRs.
 //!
 //! The `program` section measures the same pull schedule **looped vs fused**:
-//! the looped run dispatches the pool once per round, the fused run runs the
-//! same loop inside one [`Engine::fused`] resident session. At small n with
-//! workers, the per-round hand-off dominates and
-//! fusion should win outright; at 1M nodes the round bodies dominate and the
-//! two must agree within noise. Each row also pins the engine's dispatch
+//! the looped run takes the pool's gate once per round, the fused run runs
+//! the same loop inside one [`Engine::fused`] session. Both publish every
+//! round as a phase of the same barrier, so the two should agree within
+//! noise at every size; a fused row far ahead of its looped row means the
+//! plain dispatch path got slower. Each row also pins the engine's dispatch
 //! counters for both variants (R dispatches looped, 1 fused) and asserts the
 //! final states are bit-identical.
 //!
@@ -159,8 +159,8 @@ fn bench_engine_scaling(c: &mut Criterion) {
     group.finish();
 
     // Looped-vs-fused A/B over the same pull schedule: same seed, same round
-    // count, the only variable is whether each round is its own pool
-    // dispatch or a phase of one resident session.
+    // count, the only variable is whether each round takes the pool's gate
+    // or runs inside one session that holds it.
     let mut program_rows = Vec::new();
     for &n in &[1_000usize, 4_000, 10_000, 100_000, 1_000_000] {
         let rounds = rounds_for(n);

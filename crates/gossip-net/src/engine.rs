@@ -1237,11 +1237,11 @@ impl<S> Engine<S> {
     }
 
     /// Runs `f` as one **fused session** — the engine's one way to fuse a
-    /// multi-round schedule into a single pool dispatch. The worker pool is
-    /// woken once ([`WorkerPool::run_program`]), stays resident for every
-    /// round primitive `f` executes on this engine, and parks again when `f`
-    /// returns — replacing one full dispatch hand-off per round with a
-    /// lightweight spin-then-park phase barrier.
+    /// multi-round schedule into a single pool dispatch. The session holds
+    /// the pool's gate for the whole of `f` ([`WorkerPool::run_program`]),
+    /// so every round primitive `f` executes on this engine publishes its
+    /// phases without taking the gate again, and the session counts as one
+    /// dispatch in [`Metrics::pool_dispatches`](crate::Metrics::pool_dispatches).
     ///
     /// Results are **bit-identical** to running `f` without the fusion (the
     /// determinism suite and `tests/program.rs` pin this); only wall-clock

@@ -81,19 +81,19 @@ pub struct Metrics {
     pub bits_delivered: u64,
     /// Largest single message observed, in bits.
     pub max_message_bits: u64,
-    /// Full worker-pool dispatch hand-offs this engine paid (one per
-    /// non-inline parallel map outside a fused session, one per
-    /// [`Engine::fused`](crate::Engine::fused) session — see
-    /// [`crate::pool`]'s "Resident sessions"). A **scheduling**
-    /// counter: it measures execution cost, not communication, and is
-    /// therefore excluded from `==` (see [`Metrics`]'s `PartialEq`).
-    /// With a shared pool (`EngineConfig::pool`), dispatches by other
-    /// sharers during this engine's lifetime are included.
+    /// Worker-pool dispatches this engine paid: acquisitions of the pool's
+    /// gate, one per non-inline parallel map outside a fused session and
+    /// one per [`Engine::fused`](crate::Engine::fused) session, however
+    /// many rounds it runs (see [`crate::pool`]). A **scheduling** counter:
+    /// it measures execution cost, not communication, and is therefore
+    /// excluded from `==` (see [`Metrics`]'s `PartialEq`). With a shared
+    /// pool (`EngineConfig::pool`), dispatches by other sharers during this
+    /// engine's lifetime are included.
     pub pool_dispatches: u64,
-    /// Worker threads woken by those dispatches (plus parked resident
-    /// workers woken by session phases, best-effort). Scheduling-only and
-    /// excluded from `==`, like `pool_dispatches`; inherently
-    /// nondeterministic across hosts and thread counts.
+    /// Parked workers the pool's phases woke (workers still spinning when a
+    /// phase is published cost none). Scheduling-only and excluded from
+    /// `==`, like `pool_dispatches`; inherently nondeterministic across
+    /// hosts, thread counts and spin budgets.
     pub worker_wakeups: u64,
 }
 

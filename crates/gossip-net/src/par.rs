@@ -16,19 +16,15 @@
 //! round — which dominates the round below ~16k nodes and pushed the
 //! parallel break-even point far to the right. The helpers now dispatch onto
 //! the long-lived workers of a [`WorkerPool`] (owned by the engine,
-//! constructed once, shareable between engines): per map, the hand-off is one
-//! mutex/condvar wake plus an atomic task cursor. Inside a
-//! [`WorkerPool::run_program`] resident session (an [`Engine::fused`]
-//! block), even that is skipped: the pool
-//! recognises the session owner's thread and turns each map into a *phase*
-//! of the already-woken workers — an atomic phase bump on a spin-then-park
-//! barrier instead of a full wake/quiesce hand-off. The helpers themselves
-//! are oblivious to the difference; task semantics are identical either way.
-//! See [`crate::pool`] for the pool's epoch/barrier protocol, the resident
-//! phase barrier, and its lifecycle.
+//! constructed once, shareable between engines): each map is one *phase* of
+//! the pool's barrier — a store of the packed phase word that spinning
+//! workers see at once (parked ones need a condvar wake), an atomic task
+//! cursor, and a wait for the participants to retire. Inside an
+//! [`Engine::fused`] block the maps of every round are phases of one gate
+//! acquisition. The helpers themselves are oblivious to the difference. See
+//! [`crate::pool`] for the barrier and its lifecycle.
 //!
 //! [`Engine::fused`]: crate::Engine::fused
-//! [`WorkerPool::run_program`]: crate::WorkerPool::run_program
 //!
 //! ## Determinism argument
 //!

@@ -32,8 +32,8 @@
 //! Calls from different threads serialise on a gate.
 //! [`WorkerPool::run_program`] holds the gate for a whole block and marks its
 //! thread as the owner, so that thread's `run` calls skip the gate. A
-//! multi-round schedule then takes the gate once, and its workers stay in
-//! their spin window between its rounds.
+//! multi-round schedule then takes the gate once, and no other thread's
+//! dispatch comes between its rounds.
 //! [`Engine::fused`](crate::Engine::fused) is built on it. Both ways run the
 //! same phases, so results are the same; only the counters differ.
 //!
@@ -147,8 +147,7 @@ impl TaskPtr {
 // `run` call that published it.
 unsafe impl Send for TaskPtr {}
 
-/// A published phase's job: the erased closure and how many task indices it
-/// has.
+/// A published phase's job: the erased closure and its task count.
 #[derive(Clone, Copy)]
 struct Job {
     task: TaskPtr,
@@ -184,26 +183,25 @@ struct Shared {
     /// Thread token ([`thread_token`]) of the thread inside
     /// [`WorkerPool::run_program`], or `0`. Its `run` calls skip the gate.
     owner: AtomicUsize,
-    /// Packed phase word (see [`PHASE_SHIFT`]). Written only by the owner of
-    /// the current phase, whose `SeqCst` store is the release point of the
-    /// phase's job. Non-participants of a phase never read the job cell —
-    /// that is what makes rewriting it next phase sound while they are still
-    /// catching up on this word.
+    /// Packed phase word (see [`PHASE_SHIFT`]), written only by the owner of
+    /// the current phase; its `SeqCst` store releases the phase's job.
     phase: AtomicU64,
-    /// The current phase's job. Written by the owner strictly before the
-    /// `phase` store and read by participants strictly after observing that
-    /// store, so the release/acquire pair on `phase` orders every access.
+    /// The current phase's job (the `Sync` impl below says why it needs no
+    /// lock).
     job: UnsafeCell<Option<Job>>,
+    /// A phase is in flight: a `run` from inside a task on the owner thread
+    /// must panic, not overwrite the job under the workers.
+    in_phase: AtomicBool,
     /// Next unclaimed task index of the current phase.
     cursor: AtomicUsize,
     /// Participants that have not yet retired the current phase; the owner
     /// returns only when it reaches 0 (the quiescence wait).
     remaining: AtomicUsize,
-    /// Workers registered to park (their spin budget ran out). The owner
-    /// notifies only when this is non-zero, so a phase whose workers are
-    /// all spinning never touches the mutex.
+    /// Workers registered to park. The owner notifies only when this is
+    /// non-zero, so a phase whose workers all spin never takes the mutex.
     sleepers: AtomicUsize,
-    /// Any participant's task panicked during the current phase.
+    /// Any participant's task panicked during the current phase. Its relaxed
+    /// accesses are ordered by the `phase` store and the `remaining` wait.
     panicked: AtomicBool,
     /// The mutex parked workers wait under; it guards no data, and only
     /// orders a worker's last check of the phase word against the notify.
@@ -284,6 +282,7 @@ impl WorkerPool {
             owner: AtomicUsize::new(0),
             phase: AtomicU64::new(0),
             job: UnsafeCell::new(None),
+            in_phase: AtomicBool::new(false),
             cursor: AtomicUsize::new(0),
             remaining: AtomicUsize::new(0),
             sleepers: AtomicUsize::new(0),
@@ -336,10 +335,11 @@ impl WorkerPool {
     /// task's effect a pure function of its index (the contract
     /// [`crate::par::for_chunks`] builds on top of this).
     ///
-    /// Calls from different threads serialise on an internal gate. Do not
-    /// call `run` from inside a task closure — the nested call would deadlock
-    /// on that gate. Inside a [`WorkerPool::run_program`] block, on the
-    /// block's thread, `run` skips the gate, which the block already holds.
+    /// Calls from different threads serialise on an internal gate. Inside a
+    /// [`WorkerPool::run_program`] block, on the block's thread, `run` skips
+    /// the gate, which the block already holds. Do not call `run` from inside
+    /// a task closure: the nested call deadlocks on the gate, or panics on
+    /// the block's thread.
     ///
     /// # Panics
     ///
@@ -369,9 +369,7 @@ impl WorkerPool {
     /// Runs `program` holding the pool's gate, with this thread marked as its
     /// owner: every [`WorkerPool::run`] this thread makes inside `program` —
     /// directly or through engine round primitives — skips the gate, and the
-    /// block counts as one dispatch in [`PoolStats`]. Between the block's
-    /// phases the workers stay in their spin window instead of each round
-    /// paying a gate hand-off and, after a long gap, a wake-up.
+    /// block counts as one dispatch in [`PoolStats`].
     ///
     /// Results are bit-identical to calling `program` without the block (its
     /// phases are the same phases a plain `run` publishes). Nested
@@ -412,6 +410,10 @@ impl WorkerPool {
     /// caller holds the gate.
     fn phase(&self, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
         let shared = &*self.shared;
+        assert!(
+            !shared.in_phase.swap(true, Ordering::Relaxed),
+            "WorkerPool::run called from inside one of its own tasks"
+        );
         // A 2-task phase on an 8-worker pool involves 1 worker.
         let participants = self.handles.len().min(tasks - 1);
         // SAFETY (lifetime erasure): the quiescence wait below, which also
@@ -453,6 +455,7 @@ impl WorkerPool {
                         std::thread::yield_now();
                     }
                 }
+                self.0.in_phase.store(false, Ordering::Relaxed);
             }
         }
         let quiesce = Quiesce(shared);
@@ -505,8 +508,7 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Claims task indices from the cursor and runs `task` on each, until the
-/// cursor passes `tasks`.
+/// Runs `task` on every index this executor claims from the cursor.
 fn claim(shared: &Shared, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
     loop {
         let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
@@ -913,6 +915,39 @@ mod tests {
                 pool.run(8, &|_| panic!("every task panics"));
             }));
             assert!(attempt.is_err(), "phase panic was swallowed");
+            pool.run(8, &|_| {
+                ok.fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(ok.load(Ordering::Relaxed), 8);
+    }
+
+    /// A `run` from a task on the `run_program` thread would publish a phase
+    /// over the one in flight; it must panic instead.
+    #[test]
+    fn a_run_nested_in_a_program_task_panics() {
+        let pool = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        let owner_ran = AtomicBool::new(false);
+        let nested = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_program(|| {
+                pool.run(2, &|_| {
+                    if std::thread::current().id() == caller {
+                        owner_ran.store(true, Ordering::SeqCst);
+                        pool.run(2, &|_| {});
+                    } else {
+                        // Hold the worker's task so the owner claims the
+                        // other one.
+                        while !owner_ran.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            });
+        }));
+        assert!(nested.is_err(), "nested run was not refused");
+        let ok = AtomicUsize::new(0);
+        pool.run_program(|| {
             pool.run(8, &|_| {
                 ok.fetch_add(1, Ordering::Relaxed);
             });

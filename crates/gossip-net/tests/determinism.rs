@@ -357,11 +357,11 @@ fn sparse_push_at_20k_is_thread_count_invariant() {
 
 #[test]
 fn sparse_push_session_at_20k_is_thread_count_invariant() {
-    // The resident-session counterpart of the entry above: the same sparse
-    // push / dense pull interleaving, looped and inside one fused session.
-    // The phase barrier must preserve thread-count invariance exactly as the
-    // full hand-off does — and the fused run must equal the looped one bit
-    // for bit at every matrix point.
+    // The fused counterpart of the entry above: the same sparse push / dense
+    // pull interleaving, looped and inside one fused session. The session
+    // must preserve thread-count invariance exactly as the loop does — and
+    // the fused run must equal the looped one bit for bit at every matrix
+    // point.
     let run = |threads: usize, fuse: bool| {
         let n = 20_000;
         let active = ActiveSet::from_fn(n, |v| v % 11 == 0);

@@ -28,7 +28,7 @@
 //!   panicked.
 //!
 //! At two workers each participant sequence also runs under every pattern
-//! of phases whose tasks all panic; at three, which has some 4 million
+//! of phases whose tasks all panic; at three, which has some 3 million
 //! states, the phases are clean. In a panicking phase each executor stops
 //! claiming after its first task, so the owner's own task unwinds to the
 //! quiescence guard while workers flag theirs.

@@ -2,15 +2,15 @@
 //! dispatch.
 //!
 //! The paper's algorithms run hundreds of very short rounds (Theorems
-//! 1.2/1.3 prove `O(log n)`-round budgets), so at small `n` the engine's
-//! per-round worker hand-off — wake every worker, run a few microseconds of
-//! round body, put every worker back to sleep — costs more than the rounds
-//! themselves. [`Engine::fused`] runs a closure as one resident session: the
-//! workers are woken once, and every round the closure runs is a phase of
-//! that session, synchronised on a spin-then-park barrier. The schedule is a
-//! plain loop inside the closure. Results are bit-identical to the unfused
-//! loop — this example proves it on its own run — only the scheduling
-//! counters and the wall clock change.
+//! 1.2/1.3 prove `O(log n)`-round budgets), so at small `n` the cost of
+//! handing each round to the workers matters. Every round is a phase of the
+//! pool's barrier: its workers spin between phases and only park after a
+//! long gap. [`Engine::fused`] runs a closure as one session that takes the
+//! pool's gate once, so its rounds count as one dispatch and no other
+//! thread's dispatch comes between them; a looped schedule takes the gate
+//! per round, and runs at about the same speed. The schedule is a plain loop
+//! inside the closure. Results are bit-identical to the unfused loop — this
+//! example proves it on its own run — only the scheduling counters change.
 //!
 //! ```text
 //! cargo run --release --example round_program

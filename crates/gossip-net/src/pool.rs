@@ -174,7 +174,7 @@ fn phase_of(packed: u64) -> u64 {
 
 /// Participant-count half of a packed [`Shared::phase`] word.
 fn participants_of(packed: u64) -> u64 {
-    packed & EXIT
+    packed & ((1 << PHASE_SHIFT) - 1)
 }
 
 /// The phase barrier's state, shared by the owner of the current phase and

@@ -93,8 +93,8 @@ fn thread_token() -> usize {
 }
 
 /// Spin budget of the phase barrier, in microseconds, read from
-/// `GOSSIP_SPIN_US` (clamped to `[0, 100_000]`; `0` parks immediately — the
-/// pure condvar path the CI matrix exercises).
+/// `GOSSIP_SPIN_US` (`0` parks immediately — the pure condvar path the CI
+/// matrix exercises; [`WorkerPool::with_spin`] clamps it to 100 ms).
 ///
 /// Without an explicit setting the budget is 100 µs if `threads` executors
 /// fit the host's cores, and `0` if they do not: a spinning waiter on an
@@ -105,7 +105,7 @@ fn spin_us_from_env(threads: usize) -> u64 {
         .ok()
         .and_then(|v| v.trim().parse::<u64>().ok())
     {
-        return v.min(100_000);
+        return v;
     }
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     if threads > cores {

@@ -29,13 +29,10 @@
 //! Worker panics are caught per phase, forwarded by the owner after the
 //! quiescence wait, and leave the pool usable.
 //!
-//! Calls from different threads serialise on a gate.
-//! [`WorkerPool::run_program`] holds the gate for a whole block and marks its
-//! thread as the owner, so that thread's `run` calls skip the gate. A
-//! multi-round schedule then takes the gate once, and no other thread's
-//! dispatch comes between its rounds.
-//! [`Engine::fused`](crate::Engine::fused) is built on it. Both ways run the
-//! same phases, so results are the same; only the counters differ.
+//! Calls from different threads serialise on a gate, taken once per phase;
+//! [`WorkerPool::run_program`] holds it for a whole block, whose thread's
+//! `run` calls then skip it. A `run` from inside one of the pool's own tasks
+//! panics: a thread-local mark names the pool whose task a thread runs.
 //!
 //! `tests/pool_model.rs` checks this barrier exhaustively: the owner and two
 //! or three workers as a state machine with one step per atomic operation
@@ -64,7 +61,7 @@
 
 #![allow(unsafe_code)]
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -90,6 +87,12 @@ fn thread_token() -> usize {
         static TOKEN: u8 = const { 0 };
     }
     TOKEN.with(|t| t as *const u8 as usize)
+}
+
+thread_local! {
+    /// The pool whose task this thread is running (the address of its
+    /// [`Shared`]), or `0`: [`WorkerPool::run`] on that pool panics.
+    static IN_TASK: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Spin budget of the phase barrier, in microseconds, read from
@@ -189,9 +192,6 @@ struct Shared {
     /// The current phase's job (the `Sync` impl below says why it needs no
     /// lock).
     job: UnsafeCell<Option<Job>>,
-    /// A phase is in flight: a `run` from inside a task on the owner thread
-    /// must panic, not overwrite the job under the workers.
-    in_phase: AtomicBool,
     /// Next unclaimed task index of the current phase.
     cursor: AtomicUsize,
     /// Participants that have not yet retired the current phase; the owner
@@ -282,7 +282,6 @@ impl WorkerPool {
             owner: AtomicUsize::new(0),
             phase: AtomicU64::new(0),
             job: UnsafeCell::new(None),
-            in_phase: AtomicBool::new(false),
             cursor: AtomicUsize::new(0),
             remaining: AtomicUsize::new(0),
             sleepers: AtomicUsize::new(0),
@@ -317,8 +316,6 @@ impl WorkerPool {
     /// Cumulative scheduling counters (monotone over the pool's lifetime):
     /// how many times the gate was taken and how many parked workers phase
     /// publications woke. With a shared pool the counts cover every sharer.
-    /// [`Engine::metrics`](crate::Engine::metrics) surfaces the deltas as
-    /// `pool_dispatches` / `worker_wakeups`.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             dispatches: self.shared.dispatches.load(Ordering::Relaxed),
@@ -337,14 +334,13 @@ impl WorkerPool {
     ///
     /// Calls from different threads serialise on an internal gate. Inside a
     /// [`WorkerPool::run_program`] block, on the block's thread, `run` skips
-    /// the gate, which the block already holds. Do not call `run` from inside
-    /// a task closure: the nested call deadlocks on the gate, or panics on
-    /// the block's thread.
+    /// the gate, which the block already holds.
     ///
     /// # Panics
     ///
     /// If any task panics, `run` panics after all executors quiesced; the
-    /// pool itself remains usable.
+    /// pool itself remains usable. A multi-task `run` from inside one of this
+    /// pool's own tasks panics; a task may still run another pool.
     pub fn run(&self, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
         if tasks == 0 {
             return;
@@ -356,6 +352,10 @@ impl WorkerPool {
             }
             return;
         }
+        assert!(
+            IN_TASK.with(Cell::get) != Arc::as_ptr(&self.shared) as usize,
+            "WorkerPool::run called from inside one of its own tasks"
+        );
         // Only the owner thread can ever observe its own token here, so the
         // relaxed load is enough.
         if self.shared.owner.load(Ordering::Relaxed) == thread_token() {
@@ -374,7 +374,7 @@ impl WorkerPool {
     /// Results are bit-identical to calling `program` without the block (its
     /// phases are the same phases a plain `run` publishes). Nested
     /// `run_program` calls on the same pool from the block's thread just run
-    /// their program, so fused helpers compose freely.
+    /// their program.
     ///
     /// Calls from different threads serialise on the same gate as
     /// [`WorkerPool::run`]: a second thread blocks until the block ends.
@@ -410,10 +410,6 @@ impl WorkerPool {
     /// caller holds the gate.
     fn phase(&self, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
         let shared = &*self.shared;
-        assert!(
-            !shared.in_phase.swap(true, Ordering::Relaxed),
-            "WorkerPool::run called from inside one of its own tasks"
-        );
         // A 2-task phase on an 8-worker pool involves 1 worker.
         let participants = self.handles.len().min(tasks - 1);
         // SAFETY (lifetime erasure): the quiescence wait below, which also
@@ -437,11 +433,13 @@ impl WorkerPool {
         shared.panicked.store(false, Ordering::Relaxed);
         self.publish(participants as u64);
 
-        /// Waits until every participant retired the phase — in `Drop`, so
-        /// the wait holds when the owner's own task panics too.
-        struct Quiesce<'p>(&'p Shared);
+        /// Restores the owner's [`IN_TASK`] mark and waits until every
+        /// participant retired the phase — in `Drop`, so both hold when the
+        /// owner's own task panics too.
+        struct Quiesce<'p>(&'p Shared, usize);
         impl Drop for Quiesce<'_> {
             fn drop(&mut self) {
+                let _ = IN_TASK.try_with(|t| t.set(self.1));
                 let deadline = Instant::now() + self.0.spin;
                 while self.0.remaining.load(Ordering::Acquire) != 0 {
                     if Instant::now() < deadline {
@@ -455,10 +453,12 @@ impl WorkerPool {
                         std::thread::yield_now();
                     }
                 }
-                self.0.in_phase.store(false, Ordering::Relaxed);
             }
         }
-        let quiesce = Quiesce(shared);
+        let quiesce = Quiesce(
+            shared,
+            IN_TASK.with(|t| t.replace(shared as *const Shared as usize)),
+        );
         claim(shared, tasks, task);
         drop(quiesce);
 
@@ -527,6 +527,8 @@ fn claim(shared: &Shared, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
 /// over, and the packed word always pairs the observed phase with *its own*
 /// participant count.
 fn worker_loop(shared: &Shared, id: u64) {
+    // A worker thread runs nothing but this pool's tasks.
+    IN_TASK.with(|t| t.set(shared as *const Shared as usize));
     let mut seen = 0;
     loop {
         let packed = wait_for_phase(shared, seen);
@@ -953,6 +955,51 @@ mod tests {
             });
         });
         assert_eq!(ok.load(Ordering::Relaxed), 8);
+    }
+
+    /// A `run` from a worker's task would wait on its phase's owner, which
+    /// waits on the worker; it must panic, forwarded by the owner. The outer
+    /// call runs on a helper thread so a deadlock fails instead of hanging.
+    #[test]
+    fn a_run_nested_in_a_worker_task_panics() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let (done, finished) = std::sync::mpsc::channel();
+        let outer = Arc::clone(&pool);
+        let helper = std::thread::spawn(move || {
+            let worker_ran = AtomicBool::new(false);
+            let nested = catch_unwind(AssertUnwindSafe(|| {
+                outer.run(2, &|_| {
+                    let on_worker = std::thread::current()
+                        .name()
+                        .is_some_and(|name| name.starts_with("gossip-worker"));
+                    if on_worker {
+                        worker_ran.store(true, Ordering::SeqCst);
+                        outer.run(2, &|_| {});
+                    } else {
+                        // Hold the owner's task so the worker claims the
+                        // other one.
+                        while !worker_ran.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }));
+            let _ = done.send(nested.is_err());
+        });
+        let refused = finished
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a run nested in a worker task deadlocked");
+        assert!(refused, "nested run was not refused");
+        helper.join().expect("the helper thread panicked");
+        // The pool still works, and its tasks may run a different pool.
+        let other = WorkerPool::new(2);
+        let total = AtomicU64::new(0);
+        pool.run(8, &|_| {
+            other.run(3, &|i| {
+                total.fetch_add(i as u64 + 1, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 8 * 6);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`stats`] — summary statistics over repeated trials;
 //! * [`experiment`] — a small parallel trial runner with deterministic
 //!   per-trial seeds;
-//! * [`report`] — fixed-width table and CSV emitters for EXPERIMENTS.md.
+//! * [`report`] — fixed-width table and CSV emitters for the `reproduce`
+//!   binary's experiment tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

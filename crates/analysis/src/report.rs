@@ -1,7 +1,7 @@
 //! Fixed-width table and CSV emitters.
 //!
-//! The `reproduce` binary prints one table per experiment; EXPERIMENTS.md is
-//! assembled from these tables. CSV output is provided for plotting.
+//! The `reproduce` binary prints one table per experiment (see "Measurement"
+//! in `docs/paper-map.md`). CSV output is provided for plotting.
 //! [`round_budget_table`] renders the per-primitive round breakdown that
 //! [`Metrics`] meters (`pull_rounds` / `push_rounds` / `push_pull_rounds`);
 //! [`service_table`] renders the per-lane amortisation of a batched
@@ -91,12 +91,6 @@ impl Table {
 /// experiment shows *where* an algorithm's round budget goes (e.g. the exact
 /// algorithm's mix of push-sum pull rounds vs rumor-spreading push–pull
 /// rounds, or a token-scattering phase touching only `o(n)` senders).
-///
-/// The trailing `dispatches` / `wakeups` columns render the scheduling
-/// counters (`Metrics::pool_dispatches`, `Metrics::worker_wakeups`): on a
-/// fused session the whole schedule costs one dispatch, so a
-/// `rounds ≫ dispatches` row makes the fusion's savings observable instead
-/// of inferred from wall clock.
 pub fn round_budget_table(title: impl Into<String>, entries: &[(String, Metrics)]) -> Table {
     let mut table = Table::new(
         title,
@@ -110,8 +104,6 @@ pub fn round_budget_table(title: impl Into<String>, entries: &[(String, Metrics)
             "max-active",
             "messages",
             "bits",
-            "dispatches",
-            "wakeups",
         ],
     );
     for (label, m) in entries {
@@ -125,8 +117,6 @@ pub fn round_budget_table(title: impl Into<String>, entries: &[(String, Metrics)
             m.max_active.to_string(),
             m.messages_delivered.to_string(),
             m.bits_delivered.to_string(),
-            m.pool_dispatches.to_string(),
-            m.worker_wakeups.to_string(),
         ]);
     }
     table
@@ -316,8 +306,6 @@ mod tests {
         assert!(out.contains("push-pull"));
         assert!(out.contains("mean-active"));
         assert!(out.contains("max-active"));
-        assert!(out.contains("dispatches"));
-        assert!(out.contains("wakeups"));
         let row = out.lines().last().unwrap();
         // rounds=4, pull=2, push=1, push-pull=1; all rounds dense → active=32.
         assert!(row.contains("| 4"), "{row}");

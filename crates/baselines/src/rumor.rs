@@ -134,23 +134,19 @@ pub fn spread_min_max<V: NodeValue>(
     let mut engine = Engine::from_states(states, engine_config);
     let total_rounds = rounds.rounds_for(values.len());
 
-    // A fixed schedule of identical push–pull rounds, fused into one pool
-    // dispatch for the whole spread.
-    engine.fused(|engine| {
-        for _ in 0..total_rounds {
-            engine.push_pull_round(
-                |_, st| (st.min, st.max),
-                |_, st, (lo, hi)| {
-                    if lo < st.min {
-                        st.min = lo;
-                    }
-                    if hi > st.max {
-                        st.max = hi;
-                    }
-                },
-            );
-        }
-    });
+    for _ in 0..total_rounds {
+        engine.push_pull_round(
+            |_, st| (st.min, st.max),
+            |_, st, (lo, hi)| {
+                if lo < st.min {
+                    st.min = lo;
+                }
+                if hi > st.max {
+                    st.max = hi;
+                }
+            },
+        );
+    }
 
     let metrics = engine.metrics();
     let states = engine.into_states();
@@ -234,26 +230,21 @@ pub fn spread_rumor(
     let budget = rounds.rounds_for(n);
     let mut informed_per_round = vec![active.len()];
 
-    // One fused session for the whole doubling process: the pool wakes
-    // once, every sparse push dispatches as a resident phase, and the
-    // active-set union (each round's active set is grown from the previous
-    // round's receivers, and the loop stops at full coverage) runs on the
-    // session thread between phases. Bit-identical to the unfused loop.
+    // Each round's active set is grown from the previous round's receivers,
+    // and the loop stops at full coverage.
     let mut executed = 0u64;
-    engine.fused(|engine| {
-        while executed < budget && active.len() < n {
-            let out = engine.push_round_on(
-                &active,
-                // Every informed node pushes the one-bit rumor.
-                |_, _| Some(true),
-                |_, st, _| *st = true,
-                |_, _, _| {},
-            );
-            executed += 1;
-            active.union_sorted(&out.receivers);
-            informed_per_round.push(active.len());
-        }
-    });
+    while executed < budget && active.len() < n {
+        let out = engine.push_round_on(
+            &active,
+            // Every informed node pushes the one-bit rumor.
+            |_, _| Some(true),
+            |_, st, _| *st = true,
+            |_, _, _| {},
+        );
+        executed += 1;
+        active.union_sorted(&out.receivers);
+        informed_per_round.push(active.len());
+    }
 
     let metrics = engine.metrics();
     let informed = engine.into_states();
@@ -288,19 +279,16 @@ pub fn spread_max_tagged<V: NodeValue>(
     }
     let mut engine = Engine::from_states(tagged.to_vec(), engine_config);
     let total_rounds = rounds.rounds_for(tagged.len());
-    // Fixed schedule, fused into one pool dispatch.
-    engine.fused(|engine| {
-        for _ in 0..total_rounds {
-            engine.push_pull_round(
-                |_, st| *st,
-                |_, st, m| {
-                    if m > *st {
-                        *st = m;
-                    }
-                },
-            );
-        }
-    });
+    for _ in 0..total_rounds {
+        engine.push_pull_round(
+            |_, st| *st,
+            |_, st, m| {
+                if m > *st {
+                    *st = m;
+                }
+            },
+        );
+    }
     let metrics = engine.metrics();
     let states = engine.into_states();
     let true_max = *tagged.iter().max().expect("non-empty");

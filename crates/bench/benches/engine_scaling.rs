@@ -8,20 +8,11 @@
 //! amortises dispatch and moves that crossover left. Watch the `speedup`
 //! column of those rows across PRs.
 //!
-//! The `program` section measures the same pull schedule **looped vs fused**:
-//! the looped run takes the pool's gate once per round, the fused run runs
-//! the same loop inside one [`Engine::fused`] session. Both publish every
-//! round as a phase of the same barrier, so the two should agree within
-//! noise at every size; a fused row far ahead of its looped row means the
-//! plain dispatch path got slower. Each row also pins the engine's dispatch
-//! counters for both variants (R dispatches looped, 1 fused) and asserts the
-//! final states are bit-identical.
-//!
 //! Besides the usual criterion output, this bench writes `BENCH_engine.json`
 //! (in the workspace root, or `$BENCH_ENGINE_JSON`) so future PRs have a perf
 //! trajectory to compare against. Each JSON row reports the **median** of
 //! five warmed measurements plus their sample standard deviation (`std_1t` /
-//! `std_mt`, `std_loop` / `std_program`), so regressions can be judged
+//! `std_mt`), so regressions can be judged
 //! against run-to-run noise instead of a single best-of number:
 //!
 //! ```text
@@ -49,33 +40,23 @@ fn max_spread_engine(n: usize, seed: u64, threads: usize) -> Engine<u64> {
     engine
 }
 
-/// Runs `rounds` pull rounds of max-spreading, looped or inside one fused
-/// session. Returns rounds/sec, the final states, and the pool dispatches
-/// the run cost.
-fn run_pull(n: usize, threads: usize, rounds: u64, fused: bool) -> (f64, Vec<u64>, u64) {
+/// Runs `rounds` pull rounds of max-spreading. Returns rounds/sec and the
+/// final states.
+fn run_pull(n: usize, threads: usize, rounds: u64) -> (f64, Vec<u64>) {
     let mut engine = max_spread_engine(n, 42, threads);
-    let before = engine.metrics().pool_dispatches;
-    let spread = |e: &mut Engine<u64>| {
-        for _ in 0..rounds {
-            e.pull_round(
-                |_, &s| s,
-                |_, st, p| {
-                    if let Some(p) = p {
-                        *st = (*st).max(p);
-                    }
-                },
-            );
-        }
-    };
     let start = Instant::now();
-    if fused {
-        engine.fused(spread);
-    } else {
-        spread(&mut engine);
+    for _ in 0..rounds {
+        engine.pull_round(
+            |_, &s| s,
+            |_, st, p| {
+                if let Some(p) = p {
+                    *st = (*st).max(p);
+                }
+            },
+        );
     }
     let rate = rounds as f64 / start.elapsed().as_secs_f64();
-    let dispatches = engine.metrics().pool_dispatches - before;
-    (rate, engine.into_states(), dispatches)
+    (rate, engine.into_states())
 }
 
 fn bench_engine_scaling(c: &mut Criterion) {
@@ -102,7 +83,7 @@ fn bench_engine_scaling(c: &mut Criterion) {
                 BenchmarkId::new(format!("pull_n{n}"), format!("{threads}t")),
                 &(n, threads),
                 |b, &(n, threads)| {
-                    b.iter(|| run_pull(n, threads, rounds, false).0);
+                    b.iter(|| run_pull(n, threads, rounds).0);
                 },
             );
         }
@@ -112,15 +93,13 @@ fn bench_engine_scaling(c: &mut Criterion) {
         // dev (host contention shows up as outliers the median resists, and
         // the std dev records how noisy the run was).
         let measure = |threads: usize| {
-            let _warmup = run_pull(n, threads, rounds, false);
-            let samples: Vec<f64> = (0..5)
-                .map(|_| run_pull(n, threads, rounds, false).0)
-                .collect();
+            let _warmup = run_pull(n, threads, rounds);
+            let samples: Vec<f64> = (0..5).map(|_| run_pull(n, threads, rounds).0).collect();
             criterion::stats::summary(&samples).expect("five samples")
         };
         let single = measure(1);
         let multi = measure(threads_mt);
-        let identical = run_pull(n, 1, rounds, false).1 == run_pull(n, threads_mt, rounds, false).1;
+        let identical = run_pull(n, 1, rounds).1 == run_pull(n, threads_mt, rounds).1;
         assert!(identical, "thread count changed the execution at n = {n}");
         println!(
             "engine_scaling n={n}: {:.2}±{:.2} rounds/s @1t, {:.2}±{:.2} rounds/s @{threads_mt}t \
@@ -158,51 +137,6 @@ fn bench_engine_scaling(c: &mut Criterion) {
     }
     group.finish();
 
-    // Looped-vs-fused A/B over the same pull schedule: same seed, same round
-    // count, the only variable is whether each round takes the pool's gate
-    // or runs inside one session that holds it.
-    let mut program_rows = Vec::new();
-    for &n in &[1_000usize, 4_000, 10_000, 100_000, 1_000_000] {
-        let rounds = rounds_for(n);
-        let mut thread_configs = vec![1];
-        if threads_mt > 1 {
-            thread_configs.push(threads_mt);
-        }
-        for &threads in &thread_configs {
-            let measure = |fused: bool| {
-                let _warmup = run_pull(n, threads, rounds, fused);
-                let samples: Vec<f64> = (0..5)
-                    .map(|_| run_pull(n, threads, rounds, fused).0)
-                    .collect();
-                criterion::stats::summary(&samples).expect("five samples")
-            };
-            let looped = measure(false);
-            let fused = measure(true);
-            let (_, loop_states, dispatches_loop) = run_pull(n, threads, rounds, false);
-            let (_, program_states, dispatches_program) = run_pull(n, threads, rounds, true);
-            let identical = loop_states == program_states;
-            assert!(identical, "fusion changed the execution at n = {n}");
-            let speedup = fused.median / looped.median;
-            println!(
-                "engine_scaling program n={n} threads={threads}: {:.2}±{:.2} rounds/s looped \
-                 ({dispatches_loop} dispatches), {:.2}±{:.2} rounds/s fused \
-                 ({dispatches_program} dispatches); speedup {speedup:.2}x, \
-                 deterministic: {identical}",
-                looped.median, looped.std_dev, fused.median, fused.std_dev
-            );
-            program_rows.push(format!(
-                "    {{\"n\": {n}, \"threads\": {threads}, \"rounds\": {rounds}, \
-                 \"host_cores\": {host_cores}, \
-                 \"rounds_per_sec_loop\": {:.3}, \"std_loop\": {:.3}, \
-                 \"rounds_per_sec_program\": {:.3}, \"std_program\": {:.3}, \
-                 \"speedup\": {speedup:.3}, \"identical_states\": {identical}, \
-                 \"dispatches_loop\": {dispatches_loop}, \
-                 \"dispatches_program\": {dispatches_program}}}",
-                looped.median, looped.std_dev, fused.median, fused.std_dev
-            ));
-        }
-    }
-
     // Anchored in the workspace root (or $BENCH_ENGINE_JSON) so every PR's
     // artifact lands in the same place; the section writer preserves the
     // `active_set` rows contributed by the engine_ablation bench.
@@ -210,7 +144,6 @@ fn bench_engine_scaling(c: &mut Criterion) {
     if !scaling_rows.is_empty() {
         bench::report_json::write_section("scaling", &scaling_rows);
     }
-    bench::report_json::write_section("program", &program_rows);
 }
 
 criterion_group!(benches, bench_engine_scaling);

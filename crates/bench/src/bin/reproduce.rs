@@ -1,4 +1,5 @@
-//! Reproduction harness: prints the experiment tables recorded in EXPERIMENTS.md.
+//! Reproduction harness: prints one table per experiment E1–E10 (see
+//! "Measurement" in `docs/paper-map.md`).
 //!
 //! ```text
 //! cargo run --release -p bench --bin reproduce -- all            # every experiment
@@ -70,6 +71,7 @@ fn print_usage() {
     println!(
         "usage: reproduce [--quick] [--seed N] <experiment...|all>\n\
          experiments: {ALL_EXPERIMENTS:?}\n\
-         See DESIGN.md section 3 for what each experiment validates."
+         Each table's title names what it measures; the E1-E10 drivers in\n\
+         crates/bench/src/experiments.rs document the claim each one checks."
     );
 }

@@ -1,4 +1,6 @@
-//! Experiment drivers E1–E10 (see DESIGN.md §3 and EXPERIMENTS.md).
+//! Experiment drivers E1–E10: each one's docs name the claim of the paper it
+//! checks, and the `reproduce` binary prints their tables (see
+//! "Measurement" in `docs/paper-map.md`).
 
 use analysis::{run_trials, RankOracle, Summary, Table, TrialSpec, Workload};
 use baselines::{
@@ -15,7 +17,7 @@ use quantile_gossip::{
 pub enum Scale {
     /// Small sizes and few trials — used by CI-style runs and the benches.
     Quick,
-    /// The sizes recorded in EXPERIMENTS.md.
+    /// The full sizes the `reproduce` binary runs without `--quick`.
     Full,
 }
 

@@ -66,8 +66,6 @@ const DETERMINISTIC_KEYS: &[&str] = &[
     "dirty_nodes",
     "amortisation",
     "bytes_per_node_round",
-    "dispatches_loop",
-    "dispatches_program",
 ];
 
 /// How many committed standard deviations of drift count as noise.

@@ -194,7 +194,7 @@
 //! bit-identical results — per-node RNG consumption, fold order and metrics
 //! are unchanged (pinned by the golden suites, by `tests/layout.rs` against
 //! the per-slot configuration `set_copy_block(1)` + `set_prefetch_dist(0)`,
-//! and by the sample-step ≡ composition tests of `tests/program.rs`).
+//! and by the sample-step ≡ composition tests of `tests/sample_step.rs`).
 //! Algorithms whose own state scans dominate can mirror their state structs
 //! into flat parallel columns via [`crate::soa::Columns`] / the
 //! [`columns!`](crate::columns) macro.
@@ -206,7 +206,7 @@ use crate::fault::FaultPlan;
 use crate::message::MessageSize;
 use crate::metrics::{Metrics, RoundKind};
 use crate::par;
-use crate::pool::{PoolStats, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::rng::{KeyPrefix, NodeRng};
 use crate::soa::{LaneMatrix, SampleMatrix};
 use crate::topology::{
@@ -939,14 +939,6 @@ pub struct Engine<S> {
     /// when the engine is cloned).
     sampler: PeerSampler,
     metrics: Metrics,
-    /// Pool scheduling counters attributed to this engine from pools it no
-    /// longer holds (folded in by [`Engine::set_threads`] when it swaps
-    /// pools); added to the live pool's delta in [`Engine::metrics`].
-    pool_carry: PoolStats,
-    /// The live pool's counters at adoption time — the baseline
-    /// [`Engine::metrics`] subtracts, so a shared pool's pre-existing
-    /// dispatches are not billed to this engine.
-    pool_base: PoolStats,
     round: u64,
     local_epochs: u64,
     /// Per-sender contact target (push target in push–pull), or a sentinel,
@@ -981,13 +973,15 @@ pub struct Engine<S> {
     /// arrivals included, reused across rounds.
     scratch_receivers: Vec<u32>,
     /// Slots per cache-blocked back-buffer refresh block (see
-    /// [`crate::soa::clone_block`]); seeded from `GOSSIP_COPY_BLOCK`,
-    /// overridable per engine via [`Engine::set_copy_block`]. Never affects
-    /// results, only cache behaviour.
+    /// [`crate::soa::clone_block`]); starts at
+    /// [`crate::soa::DEFAULT_COPY_BLOCK`], overridable per engine via
+    /// [`Engine::set_copy_block`]. Never affects results, only cache
+    /// behaviour.
     copy_block: usize,
     /// Lookahead of the software prefetches issued by the delivery gathers
-    /// (pull targets, CSR sender states); seeded from
-    /// `GOSSIP_PREFETCH_DIST`, `0` disables. Never affects results.
+    /// (pull targets, CSR sender states); starts at
+    /// [`crate::soa::DEFAULT_PREFETCH_DIST`], `0` disables. Never affects
+    /// results.
     prefetch_dist: usize,
 }
 
@@ -1016,10 +1010,6 @@ impl<S: Clone> Clone for Engine<S> {
             topology: self.topology,
             sampler: self.sampler.clone(),
             metrics: self.metrics,
-            // The clone shares the pool, so sharing base + carry keeps its
-            // scheduling counters continuous with the original's.
-            pool_carry: self.pool_carry,
-            pool_base: self.pool_base,
             round: self.round,
             local_epochs: self.local_epochs,
             scratch_targets: self.scratch_targets.clone(),
@@ -1091,7 +1081,6 @@ impl<S> Engine<S> {
         let pool = config
             .pool
             .unwrap_or_else(|| Arc::new(WorkerPool::new(threads)));
-        let pool_base = pool.stats();
         Ok(Engine {
             states,
             next: Vec::new(),
@@ -1105,8 +1094,6 @@ impl<S> Engine<S> {
             topology: config.topology,
             sampler,
             metrics: Metrics::new(),
-            pool_carry: PoolStats::default(),
-            pool_base,
             round: 0,
             local_epochs: 0,
             scratch_targets: vec![0; n],
@@ -1118,8 +1105,8 @@ impl<S> Engine<S> {
             scratch_pairs: Vec::new(),
             scratch_written: Vec::new(),
             scratch_receivers: Vec::new(),
-            copy_block: crate::soa::copy_block(),
-            prefetch_dist: crate::soa::prefetch_dist(),
+            copy_block: crate::soa::DEFAULT_COPY_BLOCK,
+            prefetch_dist: crate::soa::DEFAULT_PREFETCH_DIST,
         })
     }
 
@@ -1145,20 +1132,8 @@ impl<S> Engine<S> {
     }
 
     /// Communication metrics accumulated so far.
-    ///
-    /// The scheduling counters (`pool_dispatches`, `worker_wakeups`) are
-    /// filled in here from the worker pool's cumulative [`PoolStats`],
-    /// baselined at pool adoption; with a shared pool
-    /// ([`EngineConfig::pool`]) they include dispatches by other sharers
-    /// during this engine's lifetime. They are excluded from `Metrics`
-    /// equality — see [`Metrics`]' `PartialEq`.
     pub fn metrics(&self) -> Metrics {
-        let live = self.pool.stats();
-        let mut m = self.metrics;
-        m.pool_dispatches =
-            self.pool_carry.dispatches + (live.dispatches - self.pool_base.dispatches);
-        m.worker_wakeups = self.pool_carry.wakeups + (live.wakeups - self.pool_base.wakeups);
-        m
+        self.metrics
     }
 
     /// Number of rounds executed so far.
@@ -1216,14 +1191,7 @@ impl<S> Engine<S> {
     pub fn set_threads(&mut self, threads: usize) -> &mut Self {
         self.threads = threads.max(1);
         if self.threads > self.pool.threads() {
-            // Fold the old pool's scheduling counters into the carry so the
-            // engine's `pool_dispatches`/`worker_wakeups` stay monotone
-            // across the swap.
-            let old = self.pool.stats();
-            self.pool_carry.dispatches += old.dispatches - self.pool_base.dispatches;
-            self.pool_carry.wakeups += old.wakeups - self.pool_base.wakeups;
             self.pool = Arc::new(WorkerPool::new(self.threads));
-            self.pool_base = self.pool.stats();
         }
         self
     }
@@ -1236,34 +1204,9 @@ impl<S> Engine<S> {
         &self.pool
     }
 
-    /// Runs `f` as one **fused session** — the engine's one way to fuse a
-    /// multi-round schedule into a single pool dispatch. The session holds
-    /// the pool's gate for the whole of `f` ([`WorkerPool::run_program`]),
-    /// so every round primitive `f` executes on this engine publishes its
-    /// phases without taking the gate again, and the session counts as one
-    /// dispatch in [`Metrics::pool_dispatches`](crate::Metrics::pool_dispatches).
-    ///
-    /// Results are **bit-identical** to running `f` without the fusion (the
-    /// determinism suite and `tests/program.rs` pin this); only wall-clock
-    /// time and the scheduling counters change. A schedule is a plain loop
-    /// inside `f`, fixed (the tournament iterations, rumor spreading) or
-    /// data-dependent (convergence loops, expanding active sets): arbitrary
-    /// sequential work between rounds — convergence checks, active-set
-    /// unions, metric folds — simply runs on the session thread (executor 0)
-    /// while the workers wait at the barrier. Fused blocks nest freely (the
-    /// inner one just runs inside the outer session).
-    ///
-    /// Note: engines sharing this pool cannot dispatch from *other* threads
-    /// while the session runs (they serialise on the pool's gate, as
-    /// always); same-thread use is fine and fuses into the session.
-    pub fn fused<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let pool = Arc::clone(&self.pool);
-        pool.run_program(|| f(self))
-    }
-
     /// Overrides the cache-blocked refresh block size (slots per
     /// [`crate::soa::clone_block`] block; clamped to at least 1). Defaults to
-    /// `GOSSIP_COPY_BLOCK` / [`crate::soa::copy_block`]. **Results never
+    /// [`crate::soa::DEFAULT_COPY_BLOCK`]. **Results never
     /// depend on this value** — only the order cache lines are touched in;
     /// the layout property tests pin that invariance.
     pub fn set_copy_block(&mut self, slots: usize) -> &mut Self {
@@ -1272,8 +1215,8 @@ impl<S> Engine<S> {
     }
 
     /// Overrides the software-prefetch lookahead of the delivery gathers
-    /// (`0` disables prefetching). Defaults to `GOSSIP_PREFETCH_DIST` /
-    /// [`crate::soa::prefetch_dist`]. **Results never depend on this
+    /// (`0` disables prefetching). Defaults to
+    /// [`crate::soa::DEFAULT_PREFETCH_DIST`]. **Results never depend on this
     /// value** — prefetches are pure cache hints.
     pub fn set_prefetch_dist(&mut self, dist: usize) -> &mut Self {
         self.prefetch_dist = dist;

@@ -1,8 +1,9 @@
 //! Round, message and failure accounting.
 //!
 //! Every algorithm in the reproduction is measured through the same
-//! [`Metrics`] struct, so round counts reported in EXPERIMENTS.md are directly
-//! comparable across the paper's algorithms and the baselines.
+//! [`Metrics`] struct, so the round counts the `reproduce` binary prints are
+//! directly comparable across the paper's algorithms and the baselines (see
+//! "Measurement" in `docs/paper-map.md`).
 
 /// What kind of communication a round performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,7 +32,7 @@ impl std::fmt::Display for RoundKind {
 ///
 /// All counters are cumulative over the life of an [`crate::Engine`]; use
 /// [`Metrics::snapshot_delta`] to measure a phase of an algorithm.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Number of synchronous rounds executed.
     pub rounds: u64,
@@ -81,77 +82,6 @@ pub struct Metrics {
     pub bits_delivered: u64,
     /// Largest single message observed, in bits.
     pub max_message_bits: u64,
-    /// Worker-pool dispatches this engine paid: acquisitions of the pool's
-    /// gate, one per non-inline parallel map outside a fused session and
-    /// one per [`Engine::fused`](crate::Engine::fused) session, however
-    /// many rounds it runs (see [`crate::pool`]). A **scheduling** counter:
-    /// it measures execution cost, not communication, and is therefore
-    /// excluded from `==` (see [`Metrics`]'s `PartialEq`). With a shared
-    /// pool (`EngineConfig::pool`), dispatches by other sharers during this
-    /// engine's lifetime are included.
-    pub pool_dispatches: u64,
-    /// Parked workers the pool's phases woke (workers still spinning when a
-    /// phase is published cost none). Scheduling-only and excluded from
-    /// `==`, like `pool_dispatches`; inherently nondeterministic across
-    /// hosts, thread counts and spin budgets.
-    pub worker_wakeups: u64,
-}
-
-/// Counter-wise equality over the **trajectory** counters only.
-///
-/// `pool_dispatches` and `worker_wakeups` are deliberately excluded: they
-/// describe how the simulation was scheduled (thread count, pool sharing,
-/// fused sessions), not what it computed, and the engine's determinism
-/// contract — bit-identical results at any thread count, pinned by
-/// `tests/determinism.rs` comparing `(states, metrics)` tuples — must not
-/// depend on them.
-impl PartialEq for Metrics {
-    fn eq(&self, other: &Self) -> bool {
-        // Exhaustive destructuring (no `..`): adding a counter to `Metrics`
-        // refuses to compile until it is classified here as trajectory
-        // (compared) or scheduling (bound to `_`), so a new field can never
-        // silently weaken the determinism tests.
-        let Metrics {
-            rounds,
-            pull_rounds,
-            push_rounds,
-            push_pull_rounds,
-            active_nodes_total,
-            max_active,
-            active_pull_nodes,
-            active_push_nodes,
-            active_push_pull_nodes,
-            pulls_attempted,
-            pushes_attempted,
-            failed_operations,
-            crashed_operations,
-            messages_dropped,
-            messages_delayed,
-            messages_delivered,
-            bits_delivered,
-            max_message_bits,
-            pool_dispatches: _,
-            worker_wakeups: _,
-        } = *self;
-        rounds == other.rounds
-            && pull_rounds == other.pull_rounds
-            && push_rounds == other.push_rounds
-            && push_pull_rounds == other.push_pull_rounds
-            && active_nodes_total == other.active_nodes_total
-            && max_active == other.max_active
-            && active_pull_nodes == other.active_pull_nodes
-            && active_push_nodes == other.active_push_nodes
-            && active_push_pull_nodes == other.active_push_pull_nodes
-            && pulls_attempted == other.pulls_attempted
-            && pushes_attempted == other.pushes_attempted
-            && failed_operations == other.failed_operations
-            && crashed_operations == other.crashed_operations
-            && messages_dropped == other.messages_dropped
-            && messages_delayed == other.messages_delayed
-            && messages_delivered == other.messages_delivered
-            && bits_delivered == other.bits_delivered
-            && max_message_bits == other.max_message_bits
-    }
 }
 
 impl Metrics {
@@ -289,8 +219,6 @@ impl Metrics {
             messages_delivered: self.messages_delivered - earlier.messages_delivered,
             bits_delivered: self.bits_delivered - earlier.bits_delivered,
             max_message_bits: self.max_message_bits.max(earlier.max_message_bits),
-            pool_dispatches: self.pool_dispatches - earlier.pool_dispatches,
-            worker_wakeups: self.worker_wakeups - earlier.worker_wakeups,
         }
     }
 
@@ -382,8 +310,6 @@ impl std::ops::Add for Metrics {
             messages_delivered: self.messages_delivered + rhs.messages_delivered,
             bits_delivered: self.bits_delivered + rhs.bits_delivered,
             max_message_bits: self.max_message_bits.max(rhs.max_message_bits),
-            pool_dispatches: self.pool_dispatches + rhs.pool_dispatches,
-            worker_wakeups: self.worker_wakeups + rhs.worker_wakeups,
         }
     }
 }
@@ -548,38 +474,6 @@ mod tests {
         m.record_delivery(64);
         assert_eq!(m.bits_per_round(), 640.0 / 2.0);
         assert_eq!(m.mean_bits_per_node_round(), 640.0 / 12.0);
-    }
-
-    #[test]
-    fn scheduling_counters_are_excluded_from_equality() {
-        // Two runs of the same algorithm at different thread counts (or
-        // fused vs looped) produce identical trajectories but different
-        // scheduling counters — they must still compare equal.
-        let mut a = Metrics::new();
-        a.record_round(RoundKind::Pull, 10);
-        let mut b = a;
-        b.pool_dispatches = 500;
-        b.worker_wakeups = 1500;
-        assert_eq!(a, b);
-        // Any trajectory counter still breaks equality.
-        b.record_delivery(8);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn scheduling_counters_survive_delta_and_addition() {
-        let mut m = Metrics::new();
-        m.pool_dispatches = 10;
-        m.worker_wakeups = 30;
-        let snapshot = m;
-        m.pool_dispatches = 17;
-        m.worker_wakeups = 51;
-        let delta = m.snapshot_delta(&snapshot);
-        assert_eq!(delta.pool_dispatches, 7);
-        assert_eq!(delta.worker_wakeups, 21);
-        let sum = m + delta;
-        assert_eq!(sum.pool_dispatches, 24);
-        assert_eq!(sum.worker_wakeups, 72);
     }
 
     #[test]

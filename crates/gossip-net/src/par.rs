@@ -19,12 +19,8 @@
 //! constructed once, shareable between engines): each map is one *phase* of
 //! the pool's barrier — a store of the packed phase word that spinning
 //! workers see at once (parked ones need a condvar wake), an atomic task
-//! cursor, and a wait for the participants to retire. Inside an
-//! [`Engine::fused`] block the maps of every round are phases of one gate
-//! acquisition. The helpers themselves are oblivious to the difference. See
-//! [`crate::pool`] for the barrier and its lifecycle.
-//!
-//! [`Engine::fused`]: crate::Engine::fused
+//! cursor, and a wait for the participants to retire. See [`crate::pool`]
+//! for the barrier and its lifecycle.
 //!
 //! ## Determinism argument
 //!

@@ -35,29 +35,23 @@
 //!   of slot-by-slot `mem::swap`.
 //! * [`prefetch_read`] — a best-effort software prefetch, used by the
 //!   delivery gathers (pull targets, CSR sender states, sparse pair lists)
-//!   to issue the random-access loads [`prefetch_dist`] iterations ahead of
-//!   their use.
+//!   to issue the random-access loads a fixed distance ahead of their use.
 //!
 //! ## Tuning knobs
 //!
-//! Two environment variables tune the layout machinery (read once, at first
-//! use; per-engine overrides exist for tests and benches —
-//! [`Engine::set_copy_block`](crate::Engine::set_copy_block),
-//! [`Engine::set_prefetch_dist`](crate::Engine::set_prefetch_dist)):
-//!
-//! * `GOSSIP_COPY_BLOCK` — slots per refresh block (default
-//!   [`DEFAULT_COPY_BLOCK`], sized so a block of `u64`-sized states stays
-//!   comfortably inside L2 alongside the front-buffer line stream).
-//! * `GOSSIP_PREFETCH_DIST` — how many gather targets ahead to prefetch
-//!   (default [`DEFAULT_PREFETCH_DIST`]; `0` disables prefetching).
+//! Engines start from [`DEFAULT_COPY_BLOCK`] slots per refresh block (so a
+//! block of `u64`-sized states stays comfortably inside L2 alongside the
+//! front-buffer line stream) and a prefetch lookahead of
+//! [`DEFAULT_PREFETCH_DIST`] gather targets (`0` disables prefetching);
+//! tests and benches override them per engine through
+//! [`Engine::set_copy_block`](crate::Engine::set_copy_block) and
+//! [`Engine::set_prefetch_dist`](crate::Engine::set_prefetch_dist).
 //!
 //! **None of these affect results.** Block sizes and prefetch distances
 //! change only the order in which cache lines are touched, never the order
 //! in which per-node closures observe state — the property tests pin the
 //! blocked paths bit-identical to the per-slot configuration (block size 1,
 //! prefetch off) for arbitrary block sizes and active sets.
-
-use std::sync::OnceLock;
 
 /// Default refresh block: 2048 slots ≈ 16 KiB of `u64` states per buffer, so
 /// one block's front + back halves fit in L1d on common cores and several
@@ -76,27 +70,6 @@ pub const DEFAULT_PREFETCH_DIST: usize = 32;
 /// KiB, where the overhead loses) and the 128 KiB arrays where batching
 /// already wins. Like the other knobs, the gate never affects results.
 pub const PREFETCH_MIN_BYTES: usize = 64 * 1024;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(default)
-}
-
-/// The process-wide refresh block size: `GOSSIP_COPY_BLOCK`, or
-/// [`DEFAULT_COPY_BLOCK`]. Clamped to at least 1. Read once.
-pub fn copy_block() -> usize {
-    static BLOCK: OnceLock<usize> = OnceLock::new();
-    *BLOCK.get_or_init(|| env_usize("GOSSIP_COPY_BLOCK", DEFAULT_COPY_BLOCK).max(1))
-}
-
-/// The process-wide prefetch distance: `GOSSIP_PREFETCH_DIST`, or
-/// [`DEFAULT_PREFETCH_DIST`]. `0` disables software prefetching. Read once.
-pub fn prefetch_dist() -> usize {
-    static DIST: OnceLock<usize> = OnceLock::new();
-    *DIST.get_or_init(|| env_usize("GOSSIP_PREFETCH_DIST", DEFAULT_PREFETCH_DIST))
-}
 
 /// Issues a best-effort prefetch of the cache line holding `*p` into the
 /// nearest cache level. A pure scheduling hint: it performs no observable
@@ -136,7 +109,7 @@ pub fn prefetch_read<T>(p: *const T) {
 /// (and that reuses existing heap capacity for states that own buffers).
 ///
 /// The engine's round passes call this block-by-block (block size
-/// [`copy_block`] / [`crate::Engine::set_copy_block`]) instead of cloning
+/// [`crate::Engine::set_copy_block`]) instead of cloning
 /// each slot immediately before serving it, so (a) the copy runs at
 /// streaming bandwidth with no interleaved random reads, and (b) the block
 /// is still cache-hot when the serve/apply pass comes back over it.
@@ -563,14 +536,5 @@ mod tests {
         prefetch_read(&v[7]);
         prefetch_read(std::ptr::null::<u64>()); // hints may not fault
         assert_eq!(v[7], 42);
-    }
-
-    #[test]
-    fn env_knobs_have_sane_defaults() {
-        // The OnceLocks are process-wide; in the test binary no env override
-        // is set, so the defaults (or a caller-set override) must be
-        // positive / finite.
-        assert!(copy_block() >= 1);
-        let _ = prefetch_dist(); // any usize is valid; 0 disables
     }
 }

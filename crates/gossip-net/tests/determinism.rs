@@ -356,59 +356,45 @@ fn sparse_push_at_20k_is_thread_count_invariant() {
 }
 
 #[test]
-fn sparse_push_session_at_20k_is_thread_count_invariant() {
-    // The fused counterpart of the entry above: the same sparse push / dense
-    // pull interleaving, looped and inside one fused session. The session
-    // must preserve thread-count invariance exactly as the loop does — and
-    // the fused run must equal the looped one bit for bit at every matrix
-    // point.
-    let run = |threads: usize, fuse: bool| {
+fn sparse_push_then_pull_at_20k_is_thread_count_invariant() {
+    // The entry above interleaved with dense pull rounds: each sparse push's
+    // copy-on-write commit feeds a dense round, which must stay exactly as
+    // thread-count-invariant as either kind of round alone.
+    let run = |threads: usize| {
         let n = 20_000;
         let active = ActiveSet::from_fn(n, |v| v % 11 == 0);
         let mut e = engine(n, 47, FailureModel::uniform(0.15).unwrap());
         e.set_threads(threads);
-        let schedule = |e: &mut Engine<u64>| {
-            for _ in 0..3 {
-                e.push_round_on(
-                    &active,
-                    |v, &s| if v % 5 == 0 { None } else { Some(s) },
-                    |_, st, msg| *st = fold_hash(*st, msg),
-                    |_, st, delivered| {
-                        if delivered {
-                            *st = st.rotate_left(1);
-                        }
-                    },
-                );
-                e.pull_round(
-                    |_, &s| s,
-                    |_, st, p| {
-                        if let Some(p) = p {
-                            *st = fold_hash(*st, p);
-                        }
-                    },
-                );
-            }
-        };
-        if fuse {
-            e.fused(schedule);
-        } else {
-            schedule(&mut e);
+        for _ in 0..3 {
+            e.push_round_on(
+                &active,
+                |v, &s| if v % 5 == 0 { None } else { Some(s) },
+                |_, st, msg| *st = fold_hash(*st, msg),
+                |_, st, delivered| {
+                    if delivered {
+                        *st = st.rotate_left(1);
+                    }
+                },
+            );
+            e.pull_round(
+                |_, &s| s,
+                |_, st, p| {
+                    if let Some(p) = p {
+                        *st = fold_hash(*st, p);
+                    }
+                },
+            );
         }
         let metrics = e.metrics();
         (e.into_states(), metrics)
     };
-    let baseline = run(1, false);
+    let baseline = run(1);
     assert!(baseline.1.failed_operations > 0, "failures did not fire");
     for threads in THREAD_MATRIX {
         assert_eq!(
-            run(threads, false),
+            run(threads),
             baseline,
-            "{threads}-thread sparse push loop diverged"
-        );
-        assert_eq!(
-            run(threads, true),
-            baseline,
-            "{threads}-thread sparse push session diverged from the loop"
+            "{threads}-thread sparse push / dense pull diverged"
         );
     }
 }

@@ -25,7 +25,7 @@
 //! values remain — yields the ε-approximation of Theorem 1.2 for arbitrarily
 //! small ε.
 //!
-//! ## Scale substitution (documented in DESIGN.md)
+//! ## Scale substitution
 //!
 //! The paper sizes the duplication target as `n^{0.99}/2` valued nodes and the
 //! per-iteration approximation parameter as `ε = n^{-0.05}/2`; both choices
@@ -490,12 +490,7 @@ fn distribute_tokens<V: NodeValue>(
     let mut senders = ActiveSet::from_members(n, std::iter::empty())?;
     let mut sender_ids: Vec<usize> = Vec::new();
     let mut executed = 0u64;
-    // The whole settle loop is one fused session (`Engine::fused`): the pool
-    // wakes once, the sparse local/push rounds dispatch as resident phases,
-    // and the sequential inter-round work — the settled scan that ends the
-    // loop and the sender-set rebuild — runs on the session thread between
-    // phases. Results are bit-identical to the unfused loop.
-    let budget_exceeded = engine.fused(|engine| loop {
+    let budget_exceeded = loop {
         let settled = holders.iter().all(|v| {
             let st = &engine.states()[v];
             st.tokens.len() <= 1 && st.tokens.iter().all(|&(_, w)| w == 1)
@@ -547,7 +542,7 @@ fn distribute_tokens<V: NodeValue>(
         );
         holders.union_sorted(&out.receivers);
         executed += 1;
-    });
+    };
     if budget_exceeded {
         return Err(GossipError::RoundBudgetExceeded {
             budget: max_rounds,

@@ -473,9 +473,9 @@ impl<V: NodeValue> QuantileService<V> {
         engine_config.ensure_pool_for(n);
         if engine_config.pool.is_none() {
             // Below the engine's parallel threshold `ensure_pool_for` is a
-            // no-op, but the service still fuses each epoch into one
-            // resident pool session — a 1-thread pool runs every dispatch
-            // inline, so results and small-n wall-clock are unaffected.
+            // no-op, but the epochs' own passes run on the configured pool —
+            // a 1-thread pool runs every dispatch inline, so results and
+            // small-n wall-clock are unaffected.
             engine_config.pool = Some(Arc::new(WorkerPool::new(1)));
         }
         Ok(QuantileService {
@@ -504,7 +504,7 @@ impl<V: NodeValue> QuantileService<V> {
     /// 1). Answers never depend on this — only wall-clock does — which the
     /// conformance suite pins by running identical services at 1, 2 and 8
     /// threads. Grows the shared pool if the override exceeds it, so the
-    /// phase engines keep fusing into one pool session.
+    /// phase engines never swap to private pools.
     pub fn set_threads(&mut self, threads: usize) -> &mut Self {
         let t = threads.max(1);
         self.threads = Some(t);
@@ -648,53 +648,28 @@ impl<V: NodeValue> QuantileService<V> {
     /// Runs every lane from scratch through one shared round sequence and
     /// caches the trajectory for later incremental epochs.
     ///
-    /// The whole epoch — Phase I pulls, Phase II 3-TOURNAMENT windows and
-    /// the vote derivation — executes as **one resident pool session**
-    /// ([`WorkerPool::run_program`]): the ~`2·t1 + 3·t2 + K` rounds cost a
-    /// single pool dispatch instead of one hand-off per round primitive.
-    /// Fusion is pure scheduling; `tests/service.rs` pins the answers
-    /// bit-identical to the unfused loop.
+    /// The epoch is one pass per window: draw the window's rounds as
+    /// realised sources only ([`Engine::pull_sources`], straight into the
+    /// trajectory's source rows), then step every node from snapshot `j`
+    /// into snapshot `j + 1`, reading each sample out of snapshot `j` at its
+    /// source; after Phase II the `K` vote rounds draw sources only and one
+    /// node-major pass votes from the final snapshot.
+    ///
+    /// Steady-state epochs are **allocation-free per round**: every round
+    /// buffer (coins, active set, snapshots, source rows, outputs) is
+    /// reused from the service's epoch scratch and the previous trajectory;
+    /// a debug fingerprint asserts no buffer moved.
     ///
     /// # Errors
     ///
     /// Propagates engine errors (none under a well-formed configuration).
     pub fn recompute_full(&mut self) -> Result<ServiceOutcome<V>> {
-        let pool = Arc::clone(
-            self.engine_config
-                .pool
-                .as_ref()
-                .expect("the service constructor always installs a pool"),
-        );
-        pool.run_program(|| self.full_epoch_body())
-    }
-
-    /// [`recompute_full`](Self::recompute_full) without the resident pool
-    /// session — every round primitive dispatches on its own. Exists so the
-    /// conformance suite can pin fused ≡ looped; results are identical by
-    /// construction, only scheduling differs.
-    #[doc(hidden)]
-    pub fn recompute_full_unfused(&mut self) -> Result<ServiceOutcome<V>> {
-        self.full_epoch_body()
-    }
-
-    /// The full-epoch pipeline, one pass per window: draw the window's
-    /// rounds as realised sources only ([`Engine::pull_sources`], straight
-    /// into the trajectory's source rows), then step every node from
-    /// snapshot `j` into snapshot `j + 1`, reading each sample out of
-    /// snapshot `j` at its source; after Phase II the `K` vote rounds draw
-    /// sources only and one node-major pass votes from the final snapshot.
-    ///
-    /// Steady-state epochs are **allocation-free per round**: every round
-    /// buffer (coins, active set, snapshots, source rows, outputs) is
-    /// reused from [`EpochScratch`] and the previous trajectory; a debug
-    /// fingerprint asserts no buffer moved.
-    fn full_epoch_body(&mut self) -> Result<ServiceOutcome<V>> {
         let (n, q, k) = (self.n, self.queries.len(), self.config.final_vote.samples);
         let (t1max, t2max) = (self.t1max(), self.t2max());
         let (mut e1, mut e2) = self.engines();
         if let Some(t) = self.threads {
             // `set_threads` pre-sized the shared pool, so these never swap
-            // pools — the epoch stays fused on one worker set.
+            // pools — the epoch runs on one worker set.
             e1.set_threads(t);
             e2.set_threads(t);
         }
@@ -823,20 +798,9 @@ impl<V: NodeValue> QuantileService<V> {
     /// spend the same either way — only the service-side wall-clock
     /// shrinks).
     ///
-    /// Like [`recompute_full`](Self::recompute_full), the whole replay runs
-    /// as one resident pool session: the per-round dirty frontier is carved
-    /// into disjoint node chunks and recomputed on the pool.
+    /// The per-round dirty frontier is carved into disjoint node chunks and
+    /// recomputed on the shared pool.
     fn recompute_incremental(&mut self) -> Result<ServiceOutcome<V>> {
-        let pool = Arc::clone(
-            self.engine_config
-                .pool
-                .as_ref()
-                .expect("the service constructor always installs a pool"),
-        );
-        pool.run_program(|| self.incremental_epoch_body())
-    }
-
-    fn incremental_epoch_body(&mut self) -> Result<ServiceOutcome<V>> {
         let mut cache = self
             .cache
             .take()
@@ -1656,7 +1620,7 @@ fn copy_into<V: NodeValue>(pool: &WorkerPool, threads: usize, dst: &mut [V], src
 }
 
 /// The backing-store pointers of every per-epoch buffer, used by the debug
-/// steady-state assertion in `full_epoch_body`: if any pointer moved between
+/// steady-state assertion in `recompute_full`: if any pointer moved between
 /// two warmed epochs, a round buffer was reallocated.
 #[cfg(debug_assertions)]
 fn epoch_buffer_ptrs<V>(traj: &Trajectory<V>, coins: &[f64]) -> Vec<usize> {

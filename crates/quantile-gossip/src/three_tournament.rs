@@ -81,63 +81,56 @@ pub fn run<V: NodeValue>(
     let mut engine = Engine::from_states(values.to_vec(), engine_config);
     let seed = engine.seed();
 
-    // The tournament iterations and the final vote run as one fused session
-    // (the workers wake once for the whole schedule); each iteration is one
-    // sample step pulling its three samples from the iteration-start values
-    // and applying them in the same pass. The trajectory is bit-identical to
-    // collecting the samples round by round and applying them in a local
-    // step.
+    // Each iteration is one sample step pulling its three samples from the
+    // iteration-start values and applying them in the same pass. The
+    // trajectory is bit-identical to collecting the samples round by round
+    // and applying them in a local step.
     let update = |_: usize, state: &mut V, _: &mut NodeRng, samples: &mut [Option<V>]| {
         *state = tournament(*state, samples);
     };
     let iterations = schedule.len();
-    let converged_values = engine.fused(|engine| {
-        for iteration in 0..iterations {
-            let delta = if iteration + 1 == iterations {
-                schedule.final_delta
-            } else {
-                1.0
-            };
-            if delta >= 1.0 {
-                engine.sample_step(3, 3, |_| true, |_, &v| v, update);
-            } else {
-                // δ-truncated final iteration
-                // (ThreeTournamentSchedule::final_delta): only a δ-fraction
-                // of nodes runs the three-sample tournament; everyone else
-                // copies a single fresh sample, so the second and third
-                // rounds run at the participants only — O(δn) gathers. The
-                // participation coin is drawn on the dedicated
-                // STREAM_PARTICIPATION stream so the trajectory is a pure
-                // function of the seed.
-                let coin =
-                    NodeRng::key_prefix(seed, iteration as u64, NodeRng::STREAM_PARTICIPATION);
-                engine.sample_step(
-                    3,
-                    1,
-                    |v| coin.node(v as u64).next_f64() < delta,
-                    |_, &v| v,
-                    update,
-                );
-            }
+    for iteration in 0..iterations {
+        let delta = if iteration + 1 == iterations {
+            schedule.final_delta
+        } else {
+            1.0
+        };
+        if delta >= 1.0 {
+            engine.sample_step(3, 3, |_| true, |_, &v| v, update);
+        } else {
+            // δ-truncated final iteration (ThreeTournamentSchedule::final_delta):
+            // only a δ-fraction of nodes runs the three-sample tournament;
+            // everyone else copies a single fresh sample, so the second and
+            // third rounds run at the participants only — O(δn) gathers. The
+            // participation coin is drawn on the dedicated
+            // STREAM_PARTICIPATION stream so the trajectory is a pure
+            // function of the seed.
+            let coin = NodeRng::key_prefix(seed, iteration as u64, NodeRng::STREAM_PARTICIPATION);
+            engine.sample_step(
+                3,
+                1,
+                |v| coin.node(v as u64).next_f64() < delta,
+                |_, &v| v,
+                update,
+            );
         }
-        let converged_values = engine.states().to_vec();
+    }
+    let converged_values = engine.states().to_vec();
 
-        // Line 8: sample K values and output their median — one more sample
-        // step, whose per-node median selection runs inside the parallel
-        // pass. A node that received nothing keeps its converged value.
-        engine.sample_step(
-            vote.samples,
-            vote.samples,
-            |_| true,
-            |_, &v| v,
-            |_, state, _, samples| {
-                if let Some(median) = median_of_delivered(samples) {
-                    *state = median;
-                }
-            },
-        );
-        converged_values
-    });
+    // Line 8: sample K values and output their median — one more sample step,
+    // whose per-node median selection runs inside the parallel pass. A node
+    // that received nothing keeps its converged value.
+    engine.sample_step(
+        vote.samples,
+        vote.samples,
+        |_| true,
+        |_, &v| v,
+        |_, state, _, samples| {
+            if let Some(median) = median_of_delivered(samples) {
+                *state = median;
+            }
+        },
+    );
 
     let metrics = engine.metrics();
     Ok(ThreeTournamentOutcome {

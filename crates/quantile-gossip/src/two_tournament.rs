@@ -61,41 +61,37 @@ pub fn run<V: NodeValue>(
     let side = schedule.side;
     let seed = engine.seed();
 
-    // The whole schedule runs as one fused session: the workers are woken
-    // once and every iteration runs as one resident phase — a sample step
-    // that pulls both samples from the iteration-start values and applies
-    // them in the same pass. The trajectory is bit-identical to collecting
-    // the samples round by round and applying them in a local step (pinned
-    // by the algorithm-level goldens of `tests/tournament_golden.rs`).
+    // Every iteration is one sample step: both samples are pulled from the
+    // iteration-start values and applied in the same pass. The trajectory is
+    // bit-identical to collecting the samples round by round and applying
+    // them in a local step (pinned by the algorithm-level goldens of
+    // `tests/tournament_golden.rs`).
     let update = move |_: usize, state: &mut V, _: &mut NodeRng, samples: &mut [Option<V>]| {
         *state = tournament(side, *state, samples);
     };
-    engine.fused(|engine| {
-        for (iteration, step) in schedule.steps.iter().enumerate() {
-            if step.delta >= 1.0 {
-                // Full iteration: every node runs the tournament.
-                engine.sample_step(2, 2, |_| true, |_, &v| v, update);
-            } else {
-                // Probabilistic final iteration: only a δ-fraction of nodes
-                // runs the tournament, and only *they* pull the second
-                // sample, so the second round costs O(δn) gathers instead of
-                // O(n). The participation coin is drawn on the dedicated
-                // `STREAM_PARTICIPATION` stream, keyed by the iteration index
-                // — deterministic in the seed at any thread count, and
-                // disjoint from the rounds' randomness.
-                let delta = step.delta;
-                let coin =
-                    NodeRng::key_prefix(seed, iteration as u64, NodeRng::STREAM_PARTICIPATION);
-                engine.sample_step(
-                    2,
-                    1,
-                    |v| coin.node(v as u64).next_f64() < delta,
-                    |_, &v| v,
-                    update,
-                );
-            }
+    for (iteration, step) in schedule.steps.iter().enumerate() {
+        if step.delta >= 1.0 {
+            // Full iteration: every node runs the tournament.
+            engine.sample_step(2, 2, |_| true, |_, &v| v, update);
+        } else {
+            // Probabilistic final iteration: only a δ-fraction of nodes runs
+            // the tournament, and only *they* pull the second sample, so the
+            // second round costs O(δn) gathers instead of O(n). The
+            // participation coin is drawn on the dedicated
+            // `STREAM_PARTICIPATION` stream, keyed by the iteration index —
+            // deterministic in the seed at any thread count, and disjoint
+            // from the rounds' randomness.
+            let delta = step.delta;
+            let coin = NodeRng::key_prefix(seed, iteration as u64, NodeRng::STREAM_PARTICIPATION);
+            engine.sample_step(
+                2,
+                1,
+                |v| coin.node(v as u64).next_f64() < delta,
+                |_, &v| v,
+                update,
+            );
         }
-    });
+    }
 
     let metrics = engine.metrics();
     Ok(TwoTournamentOutcome {

@@ -231,28 +231,6 @@ fn single_query_service_and_clean_epoch_edge_cases() {
     assert_eq!(second.answers, first.answers);
 }
 
-/// Fusing the whole epoch into one resident pool session is pure scheduling:
-/// a fused epoch must be bit-identical — answers, rounds and communication
-/// metrics — to the same epoch run with one pool dispatch per round.
-#[test]
-fn fused_epoch_is_bit_identical_to_the_unfused_loop() {
-    let vals = values(N);
-    let qs = queries();
-    for fault in [FaultPlan::none(), disruptive_plan()] {
-        let ec = EngineConfig::with_seed(1618)
-            .topology(Topology::random_regular(16, 7))
-            .fault(fault);
-        let mut fused =
-            QuantileService::new(&vals, &qs, ServiceConfig::default(), ec.clone()).unwrap();
-        let mut looped = QuantileService::new(&vals, &qs, ServiceConfig::default(), ec).unwrap();
-        let f = fused.recompute_full().unwrap();
-        let l = looped.recompute_full_unfused().unwrap();
-        assert_eq!(f.answers, l.answers, "fused epoch diverged from the loop");
-        assert_eq!(f.rounds, l.rounds);
-        assert_eq!(f.metrics, l.metrics);
-    }
-}
-
 /// The pool-parallel lane apply (full epochs) and the pool-parallel dirty
 /// replay (incremental epochs) are chunked over worker threads; results must
 /// not depend on the thread count.

@@ -1,6 +1,6 @@
 //! Smoke tests for the reproduction harness: every experiment driver runs at
-//! quick scale and produces a non-empty table. (The full-scale numbers are
-//! recorded in EXPERIMENTS.md by the `reproduce` binary.)
+//! quick scale and produces a non-empty table. (The full-scale numbers come
+//! from the `reproduce` binary; see "Measurement" in `docs/paper-map.md`.)
 
 // The `bench` crate is not a dependency of the facade crate (it is a binary
 // harness), so these tests exercise the same code paths through the public

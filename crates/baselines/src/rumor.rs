@@ -230,8 +230,6 @@ pub fn spread_rumor(
     let budget = rounds.rounds_for(n);
     let mut informed_per_round = vec![active.len()];
 
-    // Each round's active set is grown from the previous round's receivers,
-    // and the loop stops at full coverage.
     let mut executed = 0u64;
     while executed < budget && active.len() < n {
         let out = engine.push_round_on(

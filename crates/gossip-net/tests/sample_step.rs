@@ -159,8 +159,8 @@ fn fold_samples(st: &mut u64, rounds: usize, delivered: impl Iterator<Item = u64
 }
 
 /// One `k`-sample step (rounds `dense..k` at the participants only) as the
-/// fused primitive.
-fn fused_step(e: &mut Engine<u64>, k: usize, dense: usize) {
+/// one-pass primitive.
+fn one_pass_step(e: &mut Engine<u64>, k: usize, dense: usize) {
     e.sample_step(
         k,
         dense,
@@ -205,7 +205,7 @@ fn graph_engine(n: usize, config: &EngineConfig) -> Engine<u64> {
 
 #[test]
 fn sample_step_matches_its_composition() {
-    // The fused pass against the composition — on the cache-resident path
+    // The one-pass step against the composition — on the cache-resident path
     // (n = 256) and the parallel, prefetched one (20k is above
     // PAR_MIN_NODES and the prefetch gate) — for every k the tournaments use
     // (1, 2 and 3 samples, the 15-sample vote), with and without a
@@ -227,14 +227,14 @@ fn sample_step_matches_its_composition() {
                 composed_step(&mut composed, k, dense);
                 let composed_metrics = composed.metrics();
                 for dist in [0, 1, 32] {
-                    let mut fused = graph_engine(n, &config);
-                    fused.set_prefetch_dist(dist);
-                    fused_step(&mut fused, k, dense);
-                    fused_step(&mut fused, k, dense);
+                    let mut stepped = graph_engine(n, &config);
+                    stepped.set_prefetch_dist(dist);
+                    one_pass_step(&mut stepped, k, dense);
+                    one_pass_step(&mut stepped, k, dense);
                     let case = format!("n={n} {topology}: k={k} dense={dense} dist={dist}");
-                    assert_eq!(fused.metrics(), composed_metrics, "{case}");
-                    assert_eq!(fused.round(), composed.round(), "{case}");
-                    assert_eq!(fused.states(), composed.states(), "{case}");
+                    assert_eq!(stepped.metrics(), composed_metrics, "{case}");
+                    assert_eq!(stepped.round(), composed.round(), "{case}");
+                    assert_eq!(stepped.states(), composed.states(), "{case}");
                 }
             }
         }
@@ -260,7 +260,7 @@ fn sample_step_on_failing_engines_runs_the_composition() {
                 e.set_threads(gossip_net::par::num_threads());
                 for _ in 0..2 {
                     if fuse {
-                        fused_step(&mut e, k, dense);
+                        one_pass_step(&mut e, k, dense);
                     } else {
                         composed_step(&mut e, k, dense);
                     }

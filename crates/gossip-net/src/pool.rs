@@ -29,10 +29,13 @@
 //! Worker panics are caught per phase, forwarded by the owner after the
 //! quiescence wait, and leave the pool usable.
 //!
-//! Calls from different threads serialise on a gate, taken once per phase;
-//! [`WorkerPool::run_program`] holds it for a whole block, whose thread's
-//! `run` calls then skip it. A `run` from inside one of the pool's own tasks
-//! panics: a thread-local mark names the pool whose task a thread runs.
+//! Calls from different threads serialise on a gate, held by the owner for
+//! one phase or, in [`WorkerPool::run_program`], for a whole block; the
+//! owner's own calls skip it. A call back into the pool from a thread running
+//! one of its tasks, directly or through other pools' runs, panics instead of
+//! waiting on itself: on the owner the phase it would publish finds one in
+//! flight, on a worker a thread-local mark names the worker's pool. Only a
+//! call that comes back on another thread can still deadlock on the gate.
 //!
 //! `tests/pool_model.rs` checks this barrier exhaustively: the owner and two
 //! or three workers as a state machine with one step per atomic operation
@@ -80,8 +83,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// A per-thread token distinguishing live threads: the address of a
 /// thread-local, which is unique among concurrently running threads and never
-/// zero. Used to recognise the [`WorkerPool::run_program`] thread in
-/// [`WorkerPool::run`] without taking any lock.
+/// zero. Used to recognise the gate's holder without taking any lock.
 fn thread_token() -> usize {
     thread_local! {
         static TOKEN: u8 = const { 0 };
@@ -90,9 +92,9 @@ fn thread_token() -> usize {
 }
 
 thread_local! {
-    /// The pool whose task this thread is running (the address of its
-    /// [`Shared`]), or `0`: [`WorkerPool::run`] on that pool panics.
-    static IN_TASK: Cell<usize> = const { Cell::new(0) };
+    /// The pool whose worker this thread is (its [`Shared`]'s address), or
+    /// `0`. A worker must never wait on that pool's gate.
+    static WORKER_OF: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Spin budget of the phase barrier, in microseconds, read from
@@ -183,8 +185,8 @@ fn participants_of(packed: u64) -> u64 {
 /// The phase barrier's state, shared by the owner of the current phase and
 /// the workers.
 struct Shared {
-    /// Thread token ([`thread_token`]) of the thread inside
-    /// [`WorkerPool::run_program`], or `0`. Its `run` calls skip the gate.
+    /// Thread token ([`thread_token`]) of the thread holding the gate, or
+    /// `0`. Its `run` calls skip the gate.
     owner: AtomicUsize,
     /// Packed phase word (see [`PHASE_SHIFT`]), written only by the owner of
     /// the current phase; its `SeqCst` store releases the phase's job.
@@ -192,6 +194,9 @@ struct Shared {
     /// The current phase's job (the `Sync` impl below says why it needs no
     /// lock).
     job: UnsafeCell<Option<Job>>,
+    /// A phase is in flight: the gate keeps other threads from publishing
+    /// over it, this flag the owner, whose calls skip the gate.
+    in_phase: AtomicBool,
     /// Next unclaimed task index of the current phase.
     cursor: AtomicUsize,
     /// Participants that have not yet retired the current phase; the owner
@@ -282,6 +287,7 @@ impl WorkerPool {
             owner: AtomicUsize::new(0),
             phase: AtomicU64::new(0),
             job: UnsafeCell::new(None),
+            in_phase: AtomicBool::new(false),
             cursor: AtomicUsize::new(0),
             remaining: AtomicUsize::new(0),
             sleepers: AtomicUsize::new(0),
@@ -332,15 +338,16 @@ impl WorkerPool {
     /// task's effect a pure function of its index (the contract
     /// [`crate::par::for_chunks`] builds on top of this).
     ///
-    /// Calls from different threads serialise on an internal gate. Inside a
-    /// [`WorkerPool::run_program`] block, on the block's thread, `run` skips
-    /// the gate, which the block already holds.
+    /// Calls from different threads serialise on an internal gate: a
+    /// non-inline `run` is a [`WorkerPool::run_program`] block of one phase,
+    /// so inside a block, on the block's thread, it skips the gate.
     ///
     /// # Panics
     ///
     /// If any task panics, `run` panics after all executors quiesced; the
     /// pool itself remains usable. A multi-task `run` from inside one of this
-    /// pool's own tasks panics; a task may still run another pool.
+    /// pool's own tasks panics. A task may run another pool, as long as no
+    /// other thread runs this pool back for it (see the module docs).
     pub fn run(&self, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
         if tasks == 0 {
             return;
@@ -352,18 +359,7 @@ impl WorkerPool {
             }
             return;
         }
-        assert!(
-            IN_TASK.with(Cell::get) != Arc::as_ptr(&self.shared) as usize,
-            "WorkerPool::run called from inside one of its own tasks"
-        );
-        // Only the owner thread can ever observe its own token here, so the
-        // relaxed load is enough.
-        if self.shared.owner.load(Ordering::Relaxed) == thread_token() {
-            return self.phase(tasks, task);
-        }
-        let _gate = lock(&self.gate);
-        self.shared.dispatches.fetch_add(1, Ordering::Relaxed);
-        self.phase(tasks, task);
+        self.run_program(|| self.phase(tasks, task));
     }
 
     /// Runs `program` holding the pool's gate, with this thread marked as its
@@ -383,14 +379,20 @@ impl WorkerPool {
     ///
     /// Worker panics inside a phase are forwarded by that phase's `run`; a
     /// panic unwinding out of `program` releases the gate and the owner mark
-    /// and continues unwinding.
+    /// and continues unwinding. A call from one of this pool's workers panics
+    /// instead of waiting on the gate.
     pub fn run_program<R>(&self, program: impl FnOnce() -> R) -> R {
         let token = thread_token();
+        // Only the owner thread can ever observe its own token here, so the
+        // relaxed load is enough.
         if self.handles.is_empty() || self.shared.owner.load(Ordering::Relaxed) == token {
-            // No workers to keep waiting, or already inside this pool's
-            // block on this thread.
+            // No workers to keep waiting, or this thread holds the gate.
             return program();
         }
+        assert!(
+            WORKER_OF.with(Cell::get) != Arc::as_ptr(&self.shared) as usize,
+            "WorkerPool run from inside one of its own tasks"
+        );
         let _gate = lock(&self.gate);
         self.shared.dispatches.fetch_add(1, Ordering::Relaxed);
         /// Clears the owner mark when the block ends, by unwinding too.
@@ -410,6 +412,10 @@ impl WorkerPool {
     /// caller holds the gate.
     fn phase(&self, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
         let shared = &*self.shared;
+        assert!(
+            !shared.in_phase.swap(true, Ordering::Relaxed),
+            "WorkerPool run from inside one of its own tasks"
+        );
         // A 2-task phase on an 8-worker pool involves 1 worker.
         let participants = self.handles.len().min(tasks - 1);
         // SAFETY (lifetime erasure): the quiescence wait below, which also
@@ -433,13 +439,11 @@ impl WorkerPool {
         shared.panicked.store(false, Ordering::Relaxed);
         self.publish(participants as u64);
 
-        /// Restores the owner's [`IN_TASK`] mark and waits until every
-        /// participant retired the phase — in `Drop`, so both hold when the
-        /// owner's own task panics too.
-        struct Quiesce<'p>(&'p Shared, usize);
+        /// Waits until every participant retired the phase, then ends it —
+        /// in `Drop`, so both hold when the owner's own task panics too.
+        struct Quiesce<'p>(&'p Shared);
         impl Drop for Quiesce<'_> {
             fn drop(&mut self) {
-                let _ = IN_TASK.try_with(|t| t.set(self.1));
                 let deadline = Instant::now() + self.0.spin;
                 while self.0.remaining.load(Ordering::Acquire) != 0 {
                     if Instant::now() < deadline {
@@ -453,12 +457,10 @@ impl WorkerPool {
                         std::thread::yield_now();
                     }
                 }
+                self.0.in_phase.store(false, Ordering::Relaxed);
             }
         }
-        let quiesce = Quiesce(
-            shared,
-            IN_TASK.with(|t| t.replace(shared as *const Shared as usize)),
-        );
+        let quiesce = Quiesce(shared);
         claim(shared, tasks, task);
         drop(quiesce);
 
@@ -527,8 +529,7 @@ fn claim(shared: &Shared, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
 /// over, and the packed word always pairs the observed phase with *its own*
 /// participant count.
 fn worker_loop(shared: &Shared, id: u64) {
-    // A worker thread runs nothing but this pool's tasks.
-    IN_TASK.with(|t| t.set(shared as *const Shared as usize));
+    WORKER_OF.with(|t| t.set(shared as *const Shared as usize));
     let mut seen = 0;
     loop {
         let packed = wait_for_phase(shared, seen);
@@ -668,12 +669,8 @@ mod tests {
                 total.fetch_add(i as u64 + 1, Ordering::Relaxed);
             });
         }
-        let expected: u64 = (0..300u64)
-            .map(|r| {
-                let t = 2 + r % 3;
-                t * (t + 1) / 2
-            })
-            .sum();
+        // Tasks t = 2 + r % 3 add 1 + 2 + … + t.
+        let expected: u64 = (0..300u64).map(|r| (2 + r % 3) * (3 + r % 3) / 2).sum();
         assert_eq!(total.load(Ordering::Relaxed), expected);
     }
 
@@ -737,41 +734,32 @@ mod tests {
                     });
                 }
             });
-            for (i, hit) in hits.iter().enumerate() {
-                assert_eq!(
-                    hit.load(Ordering::Relaxed),
-                    16,
-                    "slot {i} (spin {spin_us}µs)"
-                );
-            }
+            let counts: Vec<usize> = hits.iter().map(|h| h.load(Ordering::Relaxed)).collect();
+            assert_eq!(counts, vec![16; 64], "spin {spin_us}µs");
         }
     }
 
     #[test]
     fn program_matches_looped_dispatches() {
-        // The same job sequence, fused and looped, must produce identical
-        // results (the task effects are pure functions of the index).
-        let run_once = |fused: bool| -> Vec<u64> {
+        // The same job sequence, in a block and looped, must produce
+        // identical results (the task effects are pure functions of the index).
+        let run_once = |in_block: bool| -> Vec<u64> {
             let pool = WorkerPool::with_spin(4, 50);
             let cells: Vec<AtomicU64> = (0..128).map(|_| AtomicU64::new(0)).collect();
-            let body = |round: u64| {
-                pool.run(8, &|i| {
-                    for c in &cells[i * 16..(i + 1) * 16] {
-                        let old = c.load(Ordering::Relaxed);
-                        c.store(old.rotate_left(5) ^ (round + i as u64), Ordering::Relaxed);
-                    }
-                });
-            };
-            if fused {
-                pool.run_program(|| {
-                    for round in 0..50 {
-                        body(round);
-                    }
-                });
-            } else {
-                for round in 0..50 {
-                    body(round);
+            let rounds = || {
+                for round in 0..50u64 {
+                    pool.run(8, &|i| {
+                        for c in &cells[i * 16..(i + 1) * 16] {
+                            let old = c.load(Ordering::Relaxed);
+                            c.store(old.rotate_left(5) ^ (round + i as u64), Ordering::Relaxed);
+                        }
+                    });
                 }
+            };
+            if in_block {
+                pool.run_program(rounds);
+            } else {
+                rounds();
             }
             cells.iter().map(|c| c.load(Ordering::Relaxed)).collect()
         };
@@ -787,8 +775,7 @@ mod tests {
                 pool.run(4, &|_| {});
             }
         });
-        let delta = pool.stats().dispatches - before.dispatches;
-        assert_eq!(delta, 1, "a fused program is one dispatch, not 32");
+        assert_eq!(pool.stats().dispatches - before.dispatches, 1, "one block");
         // The same schedule looped pays one dispatch per round.
         let before = pool.stats();
         for _ in 0..32 {
@@ -831,12 +818,8 @@ mod tests {
                 });
             }
         });
-        let expected: u64 = (0..200u64)
-            .map(|r| {
-                let t = 2 + r % 3;
-                t * (t + 1) / 2
-            })
-            .sum();
+        // Tasks t = 2 + r % 3 add 1 + 2 + … + t.
+        let expected: u64 = (0..200u64).map(|r| (2 + r % 3) * (3 + r % 3) / 2).sum();
         assert_eq!(total.load(Ordering::Relaxed), expected);
     }
 
@@ -892,7 +875,7 @@ mod tests {
             });
         }));
         assert!(attempt.is_err(), "phase panic was swallowed");
-        // The session unwound cleanly: the pool still works, fused or not.
+        // The block unwound cleanly: the pool still works, in a block or not.
         let ok = AtomicUsize::new(0);
         pool.run_program(|| {
             pool.run(8, &|_| {
@@ -924,82 +907,103 @@ mod tests {
         assert_eq!(ok.load(Ordering::Relaxed), 8);
     }
 
-    /// A `run` from a task on the `run_program` thread would publish a phase
-    /// over the one in flight; it must panic instead.
-    #[test]
-    fn a_run_nested_in_a_program_task_panics() {
-        let pool = WorkerPool::new(2);
-        let caller = std::thread::current().id();
-        let owner_ran = AtomicBool::new(false);
-        let nested = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_program(|| {
-                pool.run(2, &|_| {
-                    if std::thread::current().id() == caller {
-                        owner_ran.store(true, Ordering::SeqCst);
-                        pool.run(2, &|_| {});
-                    } else {
-                        // Hold the worker's task so the owner claims the
-                        // other one.
-                        while !owner_ran.load(Ordering::SeqCst) {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            });
-        }));
-        assert!(nested.is_err(), "nested run was not refused");
-        let ok = AtomicUsize::new(0);
-        pool.run_program(|| {
-            pool.run(8, &|_| {
-                ok.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(ok.load(Ordering::Relaxed), 8);
+    /// The executor of a 2-task phase that makes the nested call: the thread
+    /// that called `run`, or the pool's one worker.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Nester {
+        Owner,
+        Worker,
     }
 
-    /// A `run` from a worker's task would wait on its phase's owner, which
-    /// waits on the worker; it must panic, forwarded by the owner. The outer
-    /// call runs on a helper thread so a deadlock fails instead of hanging.
-    #[test]
-    fn a_run_nested_in_a_worker_task_panics() {
-        let pool = Arc::new(WorkerPool::new(2));
-        let (done, finished) = std::sync::mpsc::channel();
-        let outer = Arc::clone(&pool);
-        let helper = std::thread::spawn(move || {
-            let worker_ran = AtomicBool::new(false);
-            let nested = catch_unwind(AssertUnwindSafe(|| {
-                outer.run(2, &|_| {
-                    let on_worker = std::thread::current()
-                        .name()
-                        .is_some_and(|name| name.starts_with("gossip-worker"));
-                    if on_worker {
-                        worker_ran.store(true, Ordering::SeqCst);
-                        outer.run(2, &|_| {});
-                    } else {
-                        // Hold the owner's task so the worker claims the
-                        // other one.
-                        while !worker_ran.load(Ordering::SeqCst) {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }));
-            let _ = done.send(nested.is_err());
+    /// Runs a 2-task phase of `pool` whose task on `nester` calls `nest`,
+    /// while the other task waits for that call, so each executor claims one.
+    fn nest_in_a_task(pool: &WorkerPool, nester: Nester, nest: &(dyn Fn() + Sync)) {
+        let owner = std::thread::current().id();
+        let nesting = AtomicBool::new(false);
+        pool.run(2, &|_| {
+            let on_owner = std::thread::current().id() == owner;
+            if on_owner == (nester == Nester::Owner) {
+                nesting.store(true, Ordering::SeqCst);
+                nest();
+            } else {
+                while !nesting.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            }
         });
-        let refused = finished
-            .recv_timeout(Duration::from_secs(20))
-            .expect("a run nested in a worker task deadlocked");
-        assert!(refused, "nested run was not refused");
-        helper.join().expect("the helper thread panicked");
-        // The pool still works, and its tasks may run a different pool.
-        let other = WorkerPool::new(2);
-        let total = AtomicU64::new(0);
-        pool.run(8, &|_| {
-            other.run(3, &|i| {
-                total.fetch_add(i as u64 + 1, Ordering::Relaxed);
+    }
+
+    /// Runs `case` on two 2-executor pools `a` and `b`, once plainly and once
+    /// inside an `a.run_program` block, and asserts that it panics. It runs
+    /// on a helper thread, so a deadlock fails after 20 s instead of
+    /// hanging. Both pools must work afterwards, and a task of one may still
+    /// run the other.
+    fn assert_nested_call_panics(case: fn(&WorkerPool, &WorkerPool)) {
+        for in_block in [false, true] {
+            let pools = Arc::new((WorkerPool::new(2), WorkerPool::new(2)));
+            let (done, finished) = std::sync::mpsc::channel();
+            let helper = {
+                let pools = Arc::clone(&pools);
+                std::thread::spawn(move || {
+                    let (a, b) = (&pools.0, &pools.1);
+                    let nested = catch_unwind(AssertUnwindSafe(|| match in_block {
+                        true => a.run_program(|| case(a, b)),
+                        false => case(a, b),
+                    }));
+                    let _ = done.send(nested.is_err());
+                })
+            };
+            let refused = finished
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("a nested call deadlocked (in a block: {in_block})"));
+            assert!(refused, "not refused (in a block: {in_block})");
+            helper.join().expect("the helper thread panicked");
+            let (a, b) = (&pools.0, &pools.1);
+            let total = AtomicU64::new(0);
+            a.run_program(|| {
+                a.run(8, &|_| {
+                    b.run(3, &|i| {
+                        total.fetch_add(i as u64 + 1, Ordering::Relaxed);
+                    });
+                });
+            });
+            assert_eq!(total.load(Ordering::Relaxed), 8 * 6);
+        }
+    }
+
+    /// A `run` from a task on the thread that called the outer `run` would
+    /// wait on the gate that thread holds, or publish a phase over the one
+    /// in flight; so would one that comes back through another pool's `run`
+    /// on the same thread. Both must panic.
+    #[test]
+    fn a_run_nested_in_a_program_task_panics() {
+        assert_nested_call_panics(|a, _| {
+            nest_in_a_task(a, Nester::Owner, &|| a.run(2, &|_| {}));
+        });
+        assert_nested_call_panics(|a, b| {
+            nest_in_a_task(a, Nester::Owner, &|| {
+                nest_in_a_task(b, Nester::Owner, &|| a.run(2, &|_| {}));
             });
         });
-        assert_eq!(total.load(Ordering::Relaxed), 8 * 6);
+    }
+
+    /// A `run` or `run_program` from a worker's task would wait on the gate,
+    /// which the phase's owner holds while it waits on the worker; so would
+    /// one that comes back through another pool's `run` on the worker. All
+    /// must panic, forwarded by the owner.
+    #[test]
+    fn a_run_nested_in_a_worker_task_panics() {
+        assert_nested_call_panics(|a, _| {
+            nest_in_a_task(a, Nester::Worker, &|| a.run(2, &|_| {}));
+        });
+        assert_nested_call_panics(|a, _| {
+            nest_in_a_task(a, Nester::Worker, &|| a.run_program(|| ()));
+        });
+        assert_nested_call_panics(|a, b| {
+            nest_in_a_task(a, Nester::Worker, &|| {
+                nest_in_a_task(b, Nester::Owner, &|| a.run(2, &|_| {}));
+            });
+        });
     }
 
     #[test]

@@ -194,8 +194,8 @@ struct Shared {
     /// The current phase's job (the `Sync` impl below says why it needs no
     /// lock).
     job: UnsafeCell<Option<Job>>,
-    /// A phase is in flight: the gate keeps other threads from publishing
-    /// over it, this flag the owner, whose calls skip the gate.
+    /// A phase is in flight; touched only by the gate's holder, so relaxed.
+    /// It keeps the owner, whose calls skip the gate, from publishing over it.
     in_phase: AtomicBool,
     /// Next unclaimed task index of the current phase.
     cursor: AtomicUsize,
@@ -796,7 +796,7 @@ mod tests {
             });
         });
         assert_eq!(sum.load(Ordering::Relaxed), 21);
-        // The session ended: a fresh plain run still works.
+        // The block ended: a fresh plain run still works.
         pool.run(6, &|i| {
             sum.fetch_add(i as u64 + 1, Ordering::Relaxed);
         });

@@ -2,9 +2,10 @@
 //!
 //! 1. **Per-pass round costs** (`engine_rounds`): the steady-state cost of one
 //!    round of each primitive — pull (a single fused double-buffer dispatch),
-//!    push and push–pull (sender pass + CSR bucketing + fused delivery pass),
-//!    and `local_step` — with and without failure injection, so a change to
-//!    any pass (snapshot fusion, CSR parallelisation, RNG keying, failure
+//!    push and push–pull (a draw pass that files each landed push by sender
+//!    chunk and receiver range, then a per-receiver-range fold pass), and
+//!    `local_step` — with and without failure injection, so a change to any
+//!    pass (snapshot fusion, the push lists, RNG keying, failure
 //!    specialisation) is visible per primitive instead of only through whole
 //!    benchmarks.
 //! 2. **Sparse vs dense rounds** (`active_set`): one pull round over the

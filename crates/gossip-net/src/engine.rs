@@ -84,14 +84,22 @@
 //!   reading peers from the immutable `states`, and the engine swaps the two
 //!   vectors afterwards. (Earlier engines refreshed a separate snapshot in
 //!   its own dispatch first — a full extra `O(n)` pass per round.)
-//! * **push** — two dispatches around the CSR bucketing: one pass decides
-//!   every sender's outcome (silent / failed / dropped / target) into the
-//!   target scratch, the deliveries are counting-sorted receiver-major, and
-//!   one fused pass clones each receiver's state into `next`, folds its
-//!   incoming messages (ascending sender order, then any straggled arrivals
-//!   due this round) and runs `after`. Swap.
-//! * **push–pull** — the same two dispatches; the second pass merges the
-//!   pulled message first, then the pushed ones.
+//! * **push** — two dispatches. The draw pass decides every sender's
+//!   outcome (silent / failed / dropped / target) into the target scratch
+//!   and files each landed push as a `(receiver, sender)` pair in a list for
+//!   its sender chunk and receiver range. The fold pass runs one task per
+//!   receiver range: it clones the range's states into `next`, walks the
+//!   range's lists in sender-chunk order folding each message into its
+//!   receiver's slot, folds the straggled arrivals due this round, and runs
+//!   `after`. Swap.
+//! * **push–pull** — the same two dispatches; the fold pass merges each
+//!   node's pulled message first, then the pushed ones.
+//!
+//! A chunk draws its senders in ascending order, so walking the lists in
+//! chunk order hands every receiver its messages in ascending sender order
+//! with no sort: each node sees its pulled message, its in-time pushes by
+//! ascending sender, its late arrivals in send order and then `after`, at
+//! any thread count.
 //!
 //! Inside every pass the loop-invariant work is hoisted: the
 //! `(seed, round, stream)` RNG prefix is absorbed once per round
@@ -131,31 +139,26 @@
 //! position of a node, how the pool chunks a node-indexed buffer
 //! ([`crate::par::for_chunks`] or [`crate::par::for_sparse`]), how a block of
 //! back-buffer slots is refreshed (one [`crate::soa::clone_block`] burst or
-//! per-slot clones), how push deliveries are bucketed (the CSR below, or a
-//! sort of the `(receiver, sender)` pairs laid out as a CSR over the written
-//! set), and how the round commits (the whole-buffer swap or the
+//! per-slot clones), which push lists a fold task walks (its receiver
+//! range's lists as the draw pass filed them, or its slice of the round's
+//! pairs gathered and sorted receiver-major, split at the written set's
+//! chunks), and how the round commits (the whole-buffer swap or the
 //! copy-on-write slot swap). The fault order, the ascending-sender fold,
 //! the straggler drain, the prefetched gathers and the metrics accounting
 //! each live in one place, and the dense instantiation is the plain dense
 //! loop.
 //!
-//! The CSR bucketing itself is sequential below [`Engine::PAR_MIN_NODES`] (two
-//! linear passes over `u32` buffers) and parallel above it: per-chunk
-//! histograms, an exclusive prefix scan over power-of-two receiver ranges,
-//! and chunk-major placement — which preserves the stable ascending-sender
-//! fold order bit for bit, because sender chunks are ascending and each chunk
-//! places its senders in ascending order within its reserved spans.
-//!
 //! ## Allocation discipline
 //!
-//! All `O(n)` scratch (contact targets, CSR delivery buckets, the `next`
-//! state buffer) lives in buffers owned by the engine, sized once at
-//! construction (`next` on the first round; the parallel-CSR histogram, sized
-//! `chunks × n` with the chunk count capped at 8, on the first parallel push
-//! round) and reused forever after:
-//! steady-state rounds perform **no size-`n` allocations**. The only per-round
-//! heap traffic is `O(threads)` chunk/slot bookkeeping per dispatched map —
-//! and whatever the caller's own state clones cost for non-`Copy` states.
+//! All `O(n)` scratch (contact targets, the push lists, the `next` state
+//! buffer) lives in buffers owned by the engine, sized once at construction
+//! (`next` on the first round; the push lists — `threads²` of them, holding
+//! at most `n` pairs — grow on the first push rounds and keep their
+//! capacity) and reused forever after: steady-state rounds perform **no
+//! size-`n` allocations**. The only per-round heap traffic is `O(threads)`
+//! chunk/slot bookkeeping per dispatched map (a push's draw pass adds one
+//! vector of `threads` list headers per task) — and whatever the caller's own
+//! state clones cost for non-`Copy` states.
 //!
 //! The per-slot `clone_from` into `next` is the price of running serve and
 //! apply fused in one parallel pass (closures read other nodes only through
@@ -180,8 +183,8 @@
 //! * pull targets are drawn into a small stack batch and the corresponding
 //!   sender states are **software-prefetched** [`Engine::set_prefetch_dist`]
 //!   iterations ahead of their random-gather read, hiding the DRAM latency
-//!   of the uniform contact pattern (the CSR delivery folds prefetch their
-//!   sender gathers the same way);
+//!   of the uniform contact pattern (the push folds, which read their senders
+//!   in ascending order, prefetch their receivers' slots the same way);
 //! * a `k`-sample step feeding a local update — a tournament iteration —
 //!   runs as **one** such pass ([`Engine::sample_step`]): all `k` rounds'
 //!   targets of a node batch are drawn up front, gathered under one
@@ -207,7 +210,7 @@ use crate::message::MessageSize;
 use crate::metrics::{Metrics, RoundKind};
 use crate::par;
 use crate::pool::WorkerPool;
-use crate::rng::{KeyPrefix, NodeRng};
+use crate::rng::{Coin, KeyPrefix, NodeRng};
 use crate::soa::{LaneMatrix, SampleMatrix};
 use crate::topology::{
     AdjacencyCache, CompleteSampler, CsrSampler, PeerSampler, Sampler, Topology,
@@ -215,8 +218,7 @@ use crate::topology::{
 use crate::NodeId;
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Sentinel in the target scratch buffer: the node failed this round.
 const TARGET_FAILED: u32 = u32::MAX;
@@ -225,8 +227,8 @@ const TARGET_SILENT: u32 = u32::MAX - 1;
 /// Sentinel in the target scratch buffer: the node pushed, but the delivery
 /// did not land this round — dropped in flight by a fault-plan coin, sent to
 /// a crashed node, or buffered by the straggler model. Like the other
-/// sentinels it is `>= n` (engines reject `n > u32::MAX - 2`), so the
-/// bucketing passes skip it and `after` sees `delivered = false`.
+/// sentinels it is `>= n` (engines reject `n > u32::MAX - 2`), so the draw
+/// pass files no push for it and `after` sees `delivered = false`.
 const TARGET_DROPPED: u32 = u32::MAX - 2;
 
 /// Contact targets the prefetched gathers draw ahead into one stack or
@@ -283,9 +285,10 @@ trait Faults: Sync {
     /// Draws the loss coin of the contact `sender → receiver`.
     fn lost(&self, sender: usize, receiver: usize) -> bool;
 
-    /// The straggled pushes landing at `receiver` this round, as
-    /// `(receiver, sender)` pairs in send order.
-    fn late(&self, receiver: usize) -> &[(u32, u32)];
+    /// The straggled pushes landing this round at receivers in `nodes`, as
+    /// `(receiver, sender)` pairs sorted by receiver, each receiver's in send
+    /// order.
+    fn late(&self, nodes: Range<usize>) -> &[(u32, u32)];
 
     /// Node `v`'s pull contact: its target, or why nothing arrives —
     /// [`TARGET_SILENT`] (`v` is down and performs nothing),
@@ -445,7 +448,7 @@ impl Faults for Reliable {
     }
 
     #[inline(always)]
-    fn late(&self, _: usize) -> &[(u32, u32)] {
+    fn late(&self, _: Range<usize>) -> &[(u32, u32)] {
         &[]
     }
 }
@@ -463,8 +466,8 @@ struct FaultCtx<'a> {
     /// round); empty when the plan has no churn.
     down: &'a [u64],
     due: &'a [(u32, u32)],
-    loss: Option<(KeyPrefix, f64)>,
-    delay: Option<(KeyPrefix, f64, u64)>,
+    loss: Option<(KeyPrefix, Coin)>,
+    delay: Option<(KeyPrefix, Coin, u64)>,
 }
 
 impl Faults for FaultCtx<'_> {
@@ -485,13 +488,13 @@ impl Faults for FaultCtx<'_> {
             loss: plan.loss().map(|l| {
                 (
                     NodeRng::key_prefix(seed, round, NodeRng::STREAM_FAULT_LOSS),
-                    l.drop_probability(),
+                    Coin::new(l.drop_probability()),
                 )
             }),
             delay: plan.stragglers().map(|s| {
                 (
                     NodeRng::key_prefix(seed, round, NodeRng::STREAM_FAULT_DELAY),
-                    s.straggle_probability(),
+                    Coin::new(s.straggle_probability()),
                     s.max_delay(),
                 )
             }),
@@ -512,29 +515,28 @@ impl Faults for FaultCtx<'_> {
     /// rounds late.
     #[inline]
     fn delayed(&self, sender: usize) -> Option<u64> {
-        let (prefix, p, max_delay) = self.delay?;
+        let (prefix, coin, max_delay) = self.delay?;
         let mut rng = prefix.node(sender as u64);
-        (rng.next_f64() < p).then(|| self.round + 1 + rng.next_below(max_delay))
+        coin.lands(&mut rng)
+            .then(|| self.round + 1 + rng.next_below(max_delay))
     }
 
     /// The coin is keyed by the packed `(sender, receiver)` pair, so the two
     /// directions of a push–pull round are independent.
     #[inline]
     fn lost(&self, sender: usize, receiver: usize) -> bool {
-        self.loss.is_some_and(|(prefix, p)| {
+        self.loss.is_some_and(|(prefix, coin)| {
             let key = ((sender as u64) << 32) | receiver as u64;
-            prefix.node(key).next_f64() < p
+            coin.lands(&mut prefix.node(key))
         })
     }
 
-    #[inline]
-    fn late(&self, receiver: usize) -> &[(u32, u32)] {
-        if self.due.is_empty() {
-            return &[];
-        }
-        let lo = self.due.partition_point(|&(r, _)| (r as usize) < receiver);
-        let len = self.due[lo..].partition_point(|&(r, _)| r as usize == receiver);
-        &self.due[lo..lo + len]
+    fn late(&self, nodes: Range<usize>) -> &[(u32, u32)] {
+        let lo = self
+            .due
+            .partition_point(|&(r, _)| (r as usize) < nodes.start);
+        let hi = self.due.partition_point(|&(r, _)| (r as usize) < nodes.end);
+        &self.due[lo..hi]
     }
 }
 
@@ -574,6 +576,100 @@ fn join_pending(
     (ma + mb, va)
 }
 
+/// Landed pushes as `(receiver, sender)` pairs.
+type PushList = Vec<(u32, u32)>;
+
+/// How a push-style round's draw pass files its landed pushes: one
+/// [`PushList`] per sender chunk and receiver range. The sender chunks are
+/// the draw pass's chunks of member positions, and the receiver ranges are
+/// the dense fold pass's chunks of nodes (both cut by [`par::chunk_len`]).
+/// List `c · ranges + r` holds chunk `c`'s pushes into range `r`. A chunk
+/// draws its senders in ascending order, so walking a range's lists in chunk
+/// order meets every receiver's senders in ascending order.
+#[derive(Clone, Copy)]
+struct Bins {
+    chunk: usize,
+    chunks: usize,
+    range: usize,
+    ranges: usize,
+}
+
+impl Bins {
+    fn new(members: usize, n: usize, threads: usize) -> Bins {
+        let (chunk, range) = (par::chunk_len(members, threads), par::chunk_len(n, threads));
+        Bins {
+            chunk,
+            chunks: members.div_ceil(chunk),
+            range,
+            ranges: n.div_ceil(range),
+        }
+    }
+
+    /// The number of lists.
+    fn len(self) -> usize {
+        self.chunks * self.ranges
+    }
+}
+
+/// A push-style round's in-time pushes, as its fold pass reads them (see
+/// [`Domain::pushes`]).
+#[derive(Clone, Copy)]
+struct Landed<'a> {
+    bins: Bins,
+    /// The draw pass's lists, `bins.len()` of them.
+    lists: &'a [PushList],
+    /// A sparse round's pairs, gathered from `lists` and sorted
+    /// receiver-major.
+    sorted: &'a [(u32, u32)],
+}
+
+/// Runs draw task `c` of a push-style round with its lists taken out of
+/// `cells` and cleared, and puts them back afterwards. The task appends to
+/// list headers in a vector of its own: with the headers side by side in
+/// the engine's scratch, two tasks appending at once write one cache line,
+/// which took a 2-thread push round at n = 2·10⁴ from 10 to 21 ns per node
+/// on a 2-vCPU x86-64 host.
+fn with_lists<A>(
+    cells: &[Mutex<&mut [PushList]>],
+    c: usize,
+    draw: impl FnOnce(&mut [PushList]) -> A,
+) -> A {
+    let mut home = cells[c].lock().expect("delivery lists poisoned");
+    let mut lists: Vec<_> = home.iter_mut().map(std::mem::take).collect();
+    lists.iter_mut().for_each(Vec::clear);
+    let out = draw(&mut lists);
+    for (slot, list) in home.iter_mut().zip(lists) {
+        *slot = list;
+    }
+    out
+}
+
+/// Lands the in-time pushes of the fold task over written positions `run`
+/// in its back-buffer window `sub`, which starts at node `base`: walks
+/// [`Domain::pushes`] and calls `land(receiver, slot, sender)` per push,
+/// with each receiver's slot prefetched `dist` pushes ahead.
+#[inline(always)]
+fn land_pushes<S, W: Domain>(
+    written: W,
+    run: Range<usize>,
+    landed: Landed<'_>,
+    sub: &mut [S],
+    base: usize,
+    dist: usize,
+    mut land: impl FnMut(NodeId, &mut S, usize),
+) {
+    for list in written.pushes(run, landed) {
+        for (i, &(u, v)) in list.iter().enumerate() {
+            if dist > 0 {
+                if let Some(&(ahead, _)) = list.get(i + dist) {
+                    crate::soa::prefetch_read(&sub[ahead as usize - base]);
+                }
+            }
+            land(u as usize, &mut sub[u as usize - base], v as usize);
+        }
+    }
+}
+
 /// The index domain of a round body (see the module docs' "Index domains"):
 /// the nodes it runs at, addressed by their *member position* `0..len()` in
 /// ascending node order. [`All`] is every node, where position `p` is node
@@ -582,7 +678,7 @@ fn join_pending(
 /// policy, so the [`All`] instantiation is the plain dense loop.
 trait Domain: Copy + Sync {
     /// The domain a push-style round writes: its members and every receiver
-    /// of the round, as laid out by [`Domain::bucket`].
+    /// of the round, as readied by [`Domain::bucket`].
     type Written<'w>: Domain;
 
     /// Member count — the round's participant charge.
@@ -593,6 +689,12 @@ trait Domain: Copy + Sync {
 
     /// The member position of node `v`, or `None` if `v` is not a member.
     fn position(self, v: usize) -> Option<usize>;
+
+    /// The nodes from the first to the last member of the non-empty run of
+    /// positions `run`; no other member lies among them.
+    fn span(self, run: Range<usize>) -> Range<usize> {
+        self.node(run.start)..self.node(run.end - 1) + 1
+    }
 
     /// Runs `map(run, base, sub)` over contiguous runs of member positions
     /// on `pool` and folds the results in run order. `data` is node-indexed
@@ -617,17 +719,26 @@ trait Domain: Copy + Sync {
     /// in `sub`, a [`Domain::map`] window starting at node `base`.
     fn refresh<S: Clone>(self, sub: &mut [S], base: usize, states: &[S], run: Range<usize>);
 
-    /// Buckets a push round's deliveries, given the members' targets in
-    /// `scratch_targets[..len()]`, into a CSR over the written domain's
-    /// positions: the senders of written position `q` are
-    /// `scratch_senders[scratch_offsets[q]..scratch_offsets[q + 1]]`, in
-    /// ascending order. Returns the round's receivers (empty for [`All`],
-    /// which reports none).
-    fn bucket<S: Clone + Send + Sync>(self, e: &mut Engine<S>) -> Vec<NodeId>;
+    /// Readies a push-style round's landed pushes, which the draw pass left
+    /// in the first `lists` of `scratch_lists` (see [`Bins`]), for the fold
+    /// pass over the written domain, and returns the round's receivers
+    /// (empty for [`All`], which reports none). [`All`] folds the lists as
+    /// they are. [`Members`] gathers their pairs into `scratch_pairs`, sorted
+    /// receiver-major, and its written set into `scratch_written`.
+    fn bucket<S: Clone + Send + Sync>(self, e: &mut Engine<S>, lists: usize) -> Vec<NodeId>;
 
     /// The written domain, given the written list [`Domain::bucket`] left in
     /// `scratch_written`.
     fn written(self, list: &[u32]) -> Self::Written<'_>;
+
+    /// The lists of in-time pushes the fold task over the written positions
+    /// `run` walks, in order: together they hold every push into the run's
+    /// receivers, and each receiver meets its senders in ascending order.
+    fn pushes<'a>(
+        self,
+        run: Range<usize>,
+        landed: Landed<'a>,
+    ) -> impl Iterator<Item = &'a [(u32, u32)]>;
 
     /// Commits the members' back-buffer slots to the front buffer.
     fn commit<S: Send>(
@@ -687,13 +798,24 @@ impl Domain for All {
         crate::soa::clone_block(&mut sub[run.start - base..run.end - base], &states[run]);
     }
 
-    fn bucket<S: Clone + Send + Sync>(self, e: &mut Engine<S>) -> Vec<NodeId> {
-        e.bucket_deliveries(self.0);
+    fn bucket<S: Clone + Send + Sync>(self, _: &mut Engine<S>, _: usize) -> Vec<NodeId> {
         Vec::new()
     }
 
     fn written(self, _: &[u32]) -> All {
         self
+    }
+
+    /// The run is receiver range `r`: its lists from every sender chunk, in
+    /// chunk order.
+    fn pushes<'a>(
+        self,
+        run: Range<usize>,
+        landed: Landed<'a>,
+    ) -> impl Iterator<Item = &'a [(u32, u32)]> {
+        let Bins { range, ranges, .. } = landed.bins;
+        let lists = landed.lists.iter().skip(run.start / range);
+        lists.step_by(ranges).map(Vec::as_slice)
     }
 
     /// The `O(1)` whole-buffer swap.
@@ -753,12 +875,24 @@ impl Domain for Members<'_> {
         }
     }
 
-    fn bucket<S: Clone + Send + Sync>(self, e: &mut Engine<S>) -> Vec<NodeId> {
-        e.bucket_sparse(self.0)
+    fn bucket<S: Clone + Send + Sync>(self, e: &mut Engine<S>, lists: usize) -> Vec<NodeId> {
+        e.bucket_sparse(self.0, lists)
     }
 
     fn written(self, list: &[u32]) -> Members<'_> {
         Members(list)
+    }
+
+    /// The sorted pairs whose receivers lie in the run's span.
+    fn pushes<'a>(
+        self,
+        run: Range<usize>,
+        landed: Landed<'a>,
+    ) -> impl Iterator<Item = &'a [(u32, u32)]> {
+        let (nodes, sorted) = (self.span(run), landed.sorted);
+        let lo = sorted.partition_point(|&(r, _)| (r as usize) < nodes.start);
+        let hi = sorted.partition_point(|&(r, _)| (r as usize) < nodes.end);
+        std::iter::once(&sorted[lo..hi])
     }
 
     /// The copy-on-write commit: swaps the members' slots between the
@@ -783,7 +917,9 @@ impl Domain for Members<'_> {
 /// them into its informed [`ActiveSet`]
 /// ([`ActiveSet::union_sorted`]), a token-scattering loop into its holder set
 /// — so the engine reports them instead of forcing callers into an `O(n)`
-/// scan for changed states.
+/// scan for changed states. They are read off the round's pushes, which the
+/// sparse round sorts receiver-major for its fold anyway, together with the
+/// receivers of the straggled pushes that land this round.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparsePushOutcome {
     /// Number of active nodes whose push failed under the failure model.
@@ -946,24 +1082,14 @@ pub struct Engine<S> {
     scratch_targets: Vec<u32>,
     /// Per-puller contact target in push–pull rounds, by member position.
     scratch_pull: Vec<u32>,
-    /// CSR bucket offsets over the written domain's positions: deliveries
-    /// for written position `q` (node `q` in a dense round) occupy
-    /// `scratch_senders[offsets[q]..offsets[q + 1]]`. Atomic because the
-    /// parallel bucketing passes write them from `pool.run` tasks (every slot
-    /// has exactly one writer per pass; all accesses are `Relaxed`, ordered
-    /// across passes by the pool's quiescence barrier).
-    scratch_offsets: Vec<AtomicU32>,
-    /// CSR placement cursors: `n` entries for the sequential counting sort,
-    /// grown to `chunks × n` (chunk-major) by the parallel bucketing.
-    scratch_cursors: Vec<AtomicU32>,
-    /// Sender ids, grouped by receiver, in ascending sender order.
-    scratch_senders: Vec<AtomicU32>,
-    /// Parallel-CSR per-chunk histograms (chunk-major, `chunks × n`); empty
-    /// until the first parallel push round.
-    scratch_hist: Vec<u32>,
-    /// Sparse delivery list: `(receiver, sender)` pairs, sorted
-    /// receiver-major with ascending senders — sized by the number of
-    /// messages instead of `n`, and laid out into the CSR scratch above.
+    /// A push-style round's landed pushes as `(receiver, sender)` pairs, one
+    /// list per sender chunk and receiver range (see [`Bins`]): at most
+    /// `threads²` lists holding at most `n` pairs, which keep their capacity
+    /// across rounds.
+    scratch_lists: Vec<PushList>,
+    /// A sparse round's landed pushes, gathered from `scratch_lists` and
+    /// sorted receiver-major with ascending senders — sized by the number of
+    /// messages instead of `n`.
     scratch_pairs: Vec<(u32, u32)>,
     /// The written set of the current sparse round (active ∪ receivers),
     /// sorted — what the copy-on-write commit pass swaps into the front
@@ -979,16 +1105,10 @@ pub struct Engine<S> {
     /// behaviour.
     copy_block: usize,
     /// Lookahead of the software prefetches issued by the delivery gathers
-    /// (pull targets, CSR sender states); starts at
+    /// (pull targets, push receivers' back-buffer slots); starts at
     /// [`crate::soa::DEFAULT_PREFETCH_DIST`], `0` disables. Never affects
     /// results.
     prefetch_dist: usize,
-}
-
-/// A zeroed atomic scratch buffer (scratch holds no cross-round state, so
-/// clones start from zero).
-fn atomic_zeroed(len: usize) -> Vec<AtomicU32> {
-    (0..len).map(|_| AtomicU32::new(0)).collect()
 }
 
 impl<S: Clone> Clone for Engine<S> {
@@ -1014,13 +1134,10 @@ impl<S: Clone> Clone for Engine<S> {
             local_epochs: self.local_epochs,
             scratch_targets: self.scratch_targets.clone(),
             scratch_pull: self.scratch_pull.clone(),
-            scratch_offsets: atomic_zeroed(self.scratch_offsets.len()),
-            scratch_cursors: atomic_zeroed(self.scratch_cursors.len()),
-            scratch_senders: atomic_zeroed(self.scratch_senders.len()),
-            scratch_hist: vec![0; self.scratch_hist.len()],
-            // Like the atomic scratches above: no cross-round state, so the
-            // clone starts empty instead of memcpying stale ids (the sparse
-            // paths resize/clear these before every use).
+            // Scratch holds no cross-round state, so the clone starts empty
+            // instead of copying stale ids (the push paths resize and clear
+            // these before every use).
+            scratch_lists: Vec::new(),
             scratch_pairs: Vec::new(),
             scratch_written: Vec::new(),
             scratch_receivers: Vec::new(),
@@ -1098,10 +1215,7 @@ impl<S> Engine<S> {
             local_epochs: 0,
             scratch_targets: vec![0; n],
             scratch_pull: vec![0; n],
-            scratch_offsets: atomic_zeroed(n + 1),
-            scratch_cursors: atomic_zeroed(n),
-            scratch_senders: atomic_zeroed(n),
-            scratch_hist: Vec::new(),
+            scratch_lists: Vec::new(),
             scratch_pairs: Vec::new(),
             scratch_written: Vec::new(),
             scratch_receivers: Vec::new(),
@@ -1384,6 +1498,16 @@ impl<S: Clone + Send + Sync> Engine<S> {
         }
     }
 
+    /// The [`Bins`] of a push-style round over `members` members, with
+    /// `scratch_lists` grown to hold them.
+    fn bins(&mut self, members: usize) -> Bins {
+        let bins = Bins::new(members, self.n(), self.threads);
+        if self.scratch_lists.len() < bins.len() {
+            self.scratch_lists.resize_with(bins.len(), Vec::new);
+        }
+        bins
+    }
+
     /// One synchronous **pull** round.
     ///
     /// Every node `v` contacts a uniformly random neighbour `t(v)` (under the
@@ -1570,6 +1694,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
         self.advance_churn(self.round);
 
         let (round, threads) = (self.round, self.threads);
+        let bins = self.bins(m);
         let states = &self.states;
         let sampler = &sampler;
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
@@ -1577,45 +1702,56 @@ impl<S: Clone + Send + Sync> Engine<S> {
 
         // Pass 1: every member decides its outcome (silent / failed /
         // dropped / target) into its member position of the target scratch,
-        // reading its own pre-round state from the front buffer.
+        // reading its own pre-round state from the front buffer, and files a
+        // landed push under its sender chunk and receiver range.
+        let cells: Vec<_> = self.scratch_lists[..bins.len()]
+            .chunks_mut(bins.ranges)
+            .map(Mutex::new)
+            .collect();
+        let range = bins.range as u32;
         let (delta, mut pending) = par::for_chunks(
             &self.pool,
             &mut self.scratch_targets[..m],
             threads,
             (Metrics::default(), Vec::new()),
             |start, chunk| {
-                let mut local = Metrics::default();
-                let mut pending = Vec::new();
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let v = dom.node(start + j);
-                    let bits = || make(v, &states[v]).map(|m| m.message_bits());
-                    *slot = fx.push(sampler, prefix, v, bits, &mut local, &mut pending);
-                }
-                (local, pending)
+                with_lists(&cells, start / bins.chunk, |lists| {
+                    let mut local = Metrics::default();
+                    let mut pending = Vec::new();
+                    for (j, slot) in chunk.iter_mut().enumerate() {
+                        let v = dom.node(start + j);
+                        let bits = || make(v, &states[v]).map(|m| m.message_bits());
+                        let t = fx.push(sampler, prefix, v, bits, &mut local, &mut pending);
+                        if (t as usize) < n {
+                            lists[(t / range) as usize].push((t, v as u32));
+                        }
+                        *slot = t;
+                    }
+                    (local, pending)
+                })
             },
             join_pending,
         );
+        drop(cells);
         self.metrics = self.metrics + delta;
         // New entries are due strictly after `round`, so appending before the
         // drain is safe — they cannot be picked up by it.
         self.pending_delayed.append(&mut pending);
         self.collect_due(round);
 
-        // Bucket deliveries into a CSR over the written domain, then clone +
-        // fold + after per written node in one fused pass over the back
-        // buffer — block-refreshed, with the sender-state gather prefetched
-        // ahead (the senders of a chunk's receivers occupy one contiguous CSR
-        // span, so the lookahead is a cheap sequential read of the sender
-        // ids).
-        let receivers = dom.bucket(self);
+        // Pass 2, one task per chunk of the written domain (a receiver range
+        // in a dense round): refresh the chunk's back-buffer slots, fold its
+        // in-time pushes by ascending sender, then its late arrivals, and run
+        // `after`.
+        let receivers = dom.bucket(self, bins.len());
         let written = dom.written(&self.scratch_written);
+        let landed = Landed {
+            bins,
+            lists: &self.scratch_lists[..bins.len()],
+            sorted: &self.scratch_pairs,
+        };
         let states = &self.states;
-        let (block, dist) = (self.copy_block, self.prefetch_dist);
-        let (targets, offsets, senders) = (
-            &self.scratch_targets[..m],
-            &self.scratch_offsets,
-            &self.scratch_senders,
-        );
+        let (targets, dist) = (&self.scratch_targets[..m], self.prefetch_dist);
         let fx = X::hoist(
             self.seed,
             round,
@@ -1630,47 +1766,40 @@ impl<S: Clone + Send + Sync> Engine<S> {
             Metrics::default(),
             |run, base, sub| {
                 let mut local = Metrics::default();
-                let run_hi = offsets[run.end].load(Ordering::Relaxed) as usize;
-                let mut bs = run.start;
-                while bs < run.end {
-                    let be = (bs + block).min(run.end);
-                    written.refresh(sub, base, states, bs..be);
-                    for q in bs..be {
-                        let u = written.node(q);
-                        let slot = &mut sub[u - base];
-                        let lo = offsets[q].load(Ordering::Relaxed) as usize;
-                        let hi = offsets[q + 1].load(Ordering::Relaxed) as usize;
-                        for i in lo..hi {
-                            if dist > 0 && i + dist < run_hi {
-                                let ahead = senders[i + dist].load(Ordering::Relaxed) as usize;
-                                crate::soa::prefetch_read(&states[ahead]);
-                            }
-                            let v = senders[i].load(Ordering::Relaxed) as usize;
-                            if let Some(msg) = make(v, &states[v]) {
-                                fold(u, slot, msg);
-                            }
+                written.refresh(sub, base, states, run.clone());
+                land_pushes(
+                    written,
+                    run.clone(),
+                    landed,
+                    sub,
+                    base,
+                    dist,
+                    |u, slot, v| {
+                        if let Some(msg) = make(v, &states[v]) {
+                            fold(u, slot, msg);
                         }
-                        // Late arrivals land after this round's in-time
-                        // deliveries, in send order; the message is
-                        // re-derived from the sender's *current* state (a
-                        // sender answering `None` now means the late message
-                        // evaporates).
-                        for &(_, s) in fx.late(u) {
-                            let v = s as usize;
-                            if let Some(msg) = make(v, &states[v]) {
-                                local.record_delivery(msg.message_bits());
-                                fold(u, slot, msg);
-                            }
-                        }
-                        // `after` runs at the members only, and not at a
-                        // crashed one: it performed nothing this round.
-                        if let Some(p) = dom.position(u) {
-                            if fx.alive(u) {
-                                after(u, slot, (targets[p] as usize) < n);
-                            }
+                    },
+                );
+                // Late arrivals land after the in-time pushes, in send order;
+                // the message is re-derived from the sender's *current* state
+                // (a sender answering `None` now means the late message
+                // evaporates).
+                for &(u, v) in fx.late(written.span(run.clone())) {
+                    let (u, v) = (u as usize, v as usize);
+                    if let Some(msg) = make(v, &states[v]) {
+                        local.record_delivery(msg.message_bits());
+                        fold(u, &mut sub[u - base], msg);
+                    }
+                }
+                // `after` runs at the members only, and not at a crashed one:
+                // it performed nothing this round.
+                for q in run {
+                    let u = written.node(q);
+                    if let Some(p) = dom.position(u) {
+                        if fx.alive(u) {
+                            after(u, &mut sub[u - base], (targets[p] as usize) < n);
                         }
                     }
-                    bs = be;
                 }
                 local
             },
@@ -1732,13 +1861,20 @@ impl<S: Clone + Send + Sync> Engine<S> {
         self.advance_churn(self.round);
 
         let (round, threads) = (self.round, self.threads);
+        let bins = self.bins(m);
         let sampler = &sampler;
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
         let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
 
         // Pass 1: every member draws its failure coin, pull target, push
-        // target, then the per-direction fault coins. Delivery metrics are
-        // recorded in pass 2, where the messages are constructed anyway.
+        // target, then the per-direction fault coins, and files a landed push
+        // as the push round does. Delivery metrics are recorded in pass 2,
+        // where the messages are constructed anyway.
+        let cells: Vec<_> = self.scratch_lists[..bins.len()]
+            .chunks_mut(bins.ranges)
+            .map(Mutex::new)
+            .collect();
+        let range = bins.range as u32;
         let (delta, mut pending) = par::for_chunks2(
             &self.pool,
             &mut self.scratch_targets[..m],
@@ -1746,29 +1882,36 @@ impl<S: Clone + Send + Sync> Engine<S> {
             threads,
             (Metrics::default(), Vec::new()),
             |start, push_chunk, pull_chunk| {
-                let mut local = Metrics::default();
-                let mut pending = Vec::new();
-                for (j, (push, pull)) in push_chunk.iter_mut().zip(pull_chunk).enumerate() {
-                    let v = dom.node(start + j);
-                    (*pull, *push) = fx.push_pull(sampler, prefix, v, &mut local, &mut pending);
-                }
-                (local, pending)
+                with_lists(&cells, start / bins.chunk, |lists| {
+                    let mut local = Metrics::default();
+                    let mut pending = Vec::new();
+                    for (j, (push, pull)) in push_chunk.iter_mut().zip(pull_chunk).enumerate() {
+                        let v = dom.node(start + j);
+                        (*pull, *push) = fx.push_pull(sampler, prefix, v, &mut local, &mut pending);
+                        if (*push as usize) < n {
+                            lists[(*push / range) as usize].push((*push, v as u32));
+                        }
+                    }
+                    (local, pending)
+                })
             },
             join_pending,
         );
+        drop(cells);
         self.metrics = self.metrics + delta;
         self.pending_delayed.append(&mut pending);
         self.collect_due(round);
 
-        let receivers = dom.bucket(self);
+        let receivers = dom.bucket(self, bins.len());
         let written = dom.written(&self.scratch_written);
+        let landed = Landed {
+            bins,
+            lists: &self.scratch_lists[..bins.len()],
+            sorted: &self.scratch_pairs,
+        };
         let states = &self.states;
         let (block, dist) = (self.copy_block, self.prefetch_dist);
-        let (pulls, offsets, senders) = (
-            &self.scratch_pull[..m],
-            &self.scratch_offsets,
-            &self.scratch_senders,
-        );
+        let pulls = &self.scratch_pull[..m];
         let fx = X::hoist(
             self.seed,
             round,
@@ -1783,48 +1926,42 @@ impl<S: Clone + Send + Sync> Engine<S> {
             Metrics::default(),
             |run, base, sub| {
                 let mut local = Metrics::default();
-                let run_hi = offsets[run.end].load(Ordering::Relaxed) as usize;
                 let mut deliver = |u: NodeId, slot: &mut S, v: usize| {
                     let msg = serve(v, &states[v]);
                     local.record_delivery(msg.message_bits());
                     merge(u, slot, msg);
                 };
+                // The pulled messages first (members only): each block of
+                // slots is refreshed and then merges its members' pulls while
+                // it is cache-warm, the pull gather prefetched a few members
+                // ahead.
                 let mut bs = run.start;
                 while bs < run.end {
                     let be = (bs + block).min(run.end);
                     written.refresh(sub, base, states, bs..be);
                     for q in bs..be {
                         let u = written.node(q);
-                        let slot = &mut sub[u - base];
-                        // The pulled message first (members only), its
-                        // gather prefetched a few members ahead; the push
-                        // gather is prefetched along the CSR span.
-                        if let Some(p) = dom.position(u) {
-                            if dist > 0 {
-                                if let Some(&ahead) = pulls.get(p + dist) {
-                                    if let Some(ahead) = states.get(ahead as usize) {
-                                        crate::soa::prefetch_read(ahead);
-                                    }
+                        let Some(p) = dom.position(u) else {
+                            continue;
+                        };
+                        if dist > 0 {
+                            if let Some(&ahead) = pulls.get(p + dist) {
+                                if let Some(ahead) = states.get(ahead as usize) {
+                                    crate::soa::prefetch_read(ahead);
                                 }
                             }
-                            if (pulls[p] as usize) < n {
-                                deliver(u, slot, pulls[p] as usize);
-                            }
                         }
-                        let lo = offsets[q].load(Ordering::Relaxed) as usize;
-                        let hi = offsets[q + 1].load(Ordering::Relaxed) as usize;
-                        for i in lo..hi {
-                            if dist > 0 && i + dist < run_hi {
-                                let ahead = senders[i + dist].load(Ordering::Relaxed) as usize;
-                                crate::soa::prefetch_read(&states[ahead]);
-                            }
-                            deliver(u, slot, senders[i].load(Ordering::Relaxed) as usize);
-                        }
-                        for &(_, s) in fx.late(u) {
-                            deliver(u, slot, s as usize);
+                        if (pulls[p] as usize) < n {
+                            deliver(u, &mut sub[u - base], pulls[p] as usize);
                         }
                     }
                     bs = be;
+                }
+                // Then the pushes by ascending sender, and the late arrivals
+                // in send order.
+                land_pushes(written, run.clone(), landed, sub, base, dist, &mut deliver);
+                for &(u, v) in fx.late(written.span(run)) {
+                    deliver(u as usize, &mut sub[u as usize - base], v as usize);
                 }
                 local
             },
@@ -2339,7 +2476,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let Some(churn) = self.fault.churn() else {
             return;
         };
-        let p = churn.crash_probability();
+        let coin = Coin::new(churn.crash_probability());
         let rejoin = churn.rejoin_after();
         let n = self.states.len();
         if self.down_until.len() != n {
@@ -2350,8 +2487,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
             if *down > round {
                 continue;
             }
-            let mut rng = prefix.node(v as u64);
-            if rng.next_f64() < p {
+            if coin.lands(&mut prefix.node(v as u64)) {
                 *down = rejoin.map_or(u64::MAX, |k| round.saturating_add(k));
             }
         }
@@ -2385,192 +2521,6 @@ impl<S: Clone + Send + Sync> Engine<S> {
             self.metrics.record_drop();
         }
     }
-
-    /// Counting-sorts senders into per-receiver CSR buckets: deliveries for
-    /// receiver `u` end up in `senders[offsets[u]..offsets[u + 1]]`, in
-    /// ascending sender order (the sort is stable). Entries of `targets` that
-    /// are not valid node ids (the sentinels) are skipped.
-    ///
-    /// Below [`Engine::PAR_MIN_NODES`] (or at one thread) this is the
-    /// sequential two-pass counting sort; above it, the parallel
-    /// histogram/scan/placement pipeline of [`Engine::bucket_parallel`]. Both
-    /// produce the identical `offsets`/`senders` contents, so the choice is
-    /// invisible in results.
-    fn bucket_deliveries(&mut self, n: usize) {
-        let threads = self.threads.clamp(1, n);
-        if threads > 1 && n >= Self::PAR_MIN_NODES {
-            self.bucket_parallel(n, threads);
-        } else {
-            self.bucket_sequential(n);
-        }
-    }
-
-    /// The sequential counting sort: two linear passes over `u32` buffers.
-    /// (`get_mut` accesses — this thread owns the buffers exclusively.)
-    fn bucket_sequential(&mut self, n: usize) {
-        let offsets = &mut self.scratch_offsets[..=n];
-        for o in offsets.iter_mut() {
-            *o.get_mut() = 0;
-        }
-        for &t in &self.scratch_targets {
-            if (t as usize) < n {
-                *offsets[t as usize + 1].get_mut() += 1;
-            }
-        }
-        for u in 0..n {
-            let prev = *offsets[u].get_mut();
-            *offsets[u + 1].get_mut() += prev;
-        }
-        for (cursor, offset) in self.scratch_cursors[..n].iter_mut().zip(offsets.iter_mut()) {
-            *cursor.get_mut() = *offset.get_mut();
-        }
-        for (v, &t) in self.scratch_targets.iter().enumerate() {
-            if (t as usize) < n {
-                let c = self.scratch_cursors[t as usize].get_mut();
-                let pos = *c;
-                *c = pos + 1;
-                *self.scratch_senders[pos as usize].get_mut() = v as u32;
-            }
-        }
-    }
-
-    /// Caps the parallel bucketing's sender-chunk count. The scan and cursor
-    /// matrices are `chunks × n`, so the chunk count bounds both their memory
-    /// and the scan's total work (`Θ(chunks · n)`) independently of the
-    /// engine's (up to 256) worker threads; past ~8 chunks the bucketing is
-    /// memory-bound anyway, so extra chunks would add scratch and scan
-    /// traffic without adding speed.
-    const MAX_CSR_CHUNKS: usize = 8;
-
-    /// The parallel bucketing pipeline: per-chunk histograms, an exclusive
-    /// prefix scan over power-of-two receiver ranges, and chunk-major
-    /// placement.
-    ///
-    /// Stability argument: receiver `u`'s bucket is laid out as the
-    /// concatenation of per-sender-chunk spans in ascending chunk order (the
-    /// scan hands chunk `c` the cursor base `offsets[u] + Σ_{c' < c}
-    /// hist[c'][u]`), and each chunk places its senders in ascending order
-    /// within its span — so the bucket is globally ascending in sender id,
-    /// exactly what the sequential counting sort produces.
-    ///
-    /// All cross-task buffers are `AtomicU32` with `Relaxed` accesses: within
-    /// a pass every slot has exactly one writer, and the pool's quiescence
-    /// barrier orders the passes.
-    fn bucket_parallel(&mut self, n: usize, threads: usize) {
-        let chunk_len = n.div_ceil(threads.min(Self::MAX_CSR_CHUNKS));
-        let chunks = n.div_ceil(chunk_len);
-        // Power-of-two receiver ranges, so the histogram pass can bin each
-        // target into its range with a shift instead of a division.
-        let range_len = chunk_len.next_power_of_two();
-        let shift = range_len.trailing_zeros();
-        let ranges = n.div_ceil(range_len);
-
-        let hist_len = chunks * n;
-        if self.scratch_hist.len() < hist_len {
-            self.scratch_hist.resize(hist_len, 0);
-        }
-        if self.scratch_cursors.len() < hist_len {
-            self.scratch_cursors
-                .resize_with(hist_len, || AtomicU32::new(0));
-        }
-
-        // Pass A: per-chunk histograms (task `c` owns `hist[c·n .. (c+1)·n]`)
-        // plus per-range subtotals for the scan bases, returned through the
-        // chunk-order fold.
-        let targets = &self.scratch_targets;
-        let range_rows = par::for_chunks(
-            &self.pool,
-            &mut self.scratch_hist[..hist_len],
-            chunks,
-            Vec::new(),
-            |start, hist_chunk| {
-                let c = start / n;
-                hist_chunk.fill(0);
-                let mut row = vec![0u32; ranges];
-                let lo = c * chunk_len;
-                let hi = ((c + 1) * chunk_len).min(n);
-                for &t in &targets[lo..hi] {
-                    if (t as usize) < n {
-                        hist_chunk[t as usize] += 1;
-                        row[(t >> shift) as usize] += 1;
-                    }
-                }
-                vec![row]
-            },
-            |mut a, mut b| {
-                a.append(&mut b);
-                a
-            },
-        );
-
-        // Exclusive scan of the range totals — O(threads²) sequential work.
-        let mut range_base = vec![0u32; ranges + 1];
-        for r in 0..ranges {
-            let total: u32 = range_rows.iter().map(|row| row[r]).sum();
-            range_base[r + 1] = range_base[r] + total;
-        }
-
-        // Pass B: per-range exclusive scan, writing every receiver's bucket
-        // offset and every (chunk, receiver) placement cursor. The loops run
-        // chunk-column-major so every sweep touches a contiguous slice of the
-        // chunk-major matrices (a receiver-major inner loop would make every
-        // store a stride-`n` cache miss).
-        let hist = &self.scratch_hist;
-        let offsets = &self.scratch_offsets;
-        let cursors = &self.scratch_cursors;
-        let base = &range_base;
-        self.pool.run(ranges, &|r| {
-            let lo = r << shift;
-            let hi = ((r + 1) << shift).min(n);
-            // offsets[u] ← Σ_c hist[c][u], one contiguous sweep per chunk…
-            for (offset, &h) in offsets[lo..hi].iter().zip(&hist[lo..hi]) {
-                offset.store(h, Ordering::Relaxed);
-            }
-            for c in 1..chunks {
-                for u in lo..hi {
-                    let sum = offsets[u].load(Ordering::Relaxed) + hist[c * n + u];
-                    offsets[u].store(sum, Ordering::Relaxed);
-                }
-            }
-            // …then the exclusive scan over the range…
-            let mut running = base[r];
-            for offset in &offsets[lo..hi] {
-                let total = offset.load(Ordering::Relaxed);
-                offset.store(running, Ordering::Relaxed);
-                running += total;
-            }
-            // …and the cursor columns: chunk c's base for receiver u is
-            // offsets[u] + Σ_{c' < c} hist[c'][u].
-            for u in lo..hi {
-                cursors[u].store(offsets[u].load(Ordering::Relaxed), Ordering::Relaxed);
-            }
-            for c in 1..chunks {
-                for u in lo..hi {
-                    let prev =
-                        cursors[(c - 1) * n + u].load(Ordering::Relaxed) + hist[(c - 1) * n + u];
-                    cursors[c * n + u].store(prev, Ordering::Relaxed);
-                }
-            }
-        });
-        offsets[n].store(range_base[ranges], Ordering::Relaxed);
-
-        // Pass C: chunk-major stable placement (task `c` advances only its
-        // own cursor column and writes only its senders' reserved slots).
-        let senders = &self.scratch_senders;
-        self.pool.run(chunks, &|c| {
-            let lo = c * chunk_len;
-            let hi = ((c + 1) * chunk_len).min(n);
-            for (dv, &t) in targets[lo..hi].iter().enumerate() {
-                let (v, t) = (lo + dv, t as usize);
-                if t < n {
-                    let cursor = &cursors[c * n + t];
-                    let pos = cursor.load(Ordering::Relaxed);
-                    senders[pos as usize].store(v as u32, Ordering::Relaxed);
-                    cursor.store(pos + 1, Ordering::Relaxed);
-                }
-            }
-        });
-    }
 }
 
 /// ## Sparse rounds: active sets and copy-on-write buffers
@@ -2598,11 +2548,13 @@ impl<S: Clone + Send + Sync> Engine<S> {
 /// discipline — and the slot-swap commit is already proportional to the
 /// participants, which is the property that matters.)
 ///
-/// Push deliveries are bucketed over the **sparse message set**: a
-/// `(receiver, sender)` pair list sized by the number of messages, sorted
-/// receiver-major (unique keys, so the unstable sort is deterministic and
-/// yields the dense paths' ascending-sender fold order) and laid out as a
-/// CSR over the written set — never the dense `O(n)` receiver histogram.
+/// Push deliveries are bucketed over the **sparse message set**: the draw
+/// pass's `(receiver, sender)` lists are gathered into one pair list sized
+/// by the number of messages and sorted receiver-major (unique keys, so the
+/// unstable sort is deterministic and yields the dense paths'
+/// ascending-sender fold order). Each fold task over a chunk of the written
+/// set walks the slice of pairs whose receivers fall in its chunk — never an
+/// `O(n)` pass.
 ///
 /// A sparse round over [`ActiveSet::full`] is **bit-identical** to its dense
 /// counterpart — same RNG keys per node, same fold order, same metrics — as
@@ -2631,8 +2583,11 @@ impl<S: Clone + Send + Sync> Engine<S> {
 
     /// [`Engine::push_round`] restricted to an [`ActiveSet`]: only active
     /// nodes derive and push messages; receivers (any node of the network)
-    /// fold what they were sent, and `after` runs for the **active** nodes
-    /// only. Cost: `O(|active| + messages)`.
+    /// fold what they were sent, in ascending sender order as in the dense
+    /// primitive, and `after` runs for the **active** nodes only. The
+    /// round's pushes are sorted receiver-major, and each fold task walks its
+    /// receivers' slice of them. Cost: `O(|active| + messages · log
+    /// messages)`.
     ///
     /// # Panics
     ///
@@ -2705,23 +2660,18 @@ impl<S: Clone + Send + Sync> Engine<S> {
         self.collect_buckets(Members(active.indices()), k, serve)
     }
 
-    /// Buckets a sparse push round's deliveries: the members' targets
-    /// (`scratch_targets[..ids.len()]`, by member position) become
-    /// `(receiver, sender)` pairs, sorted receiver-major with ascending
-    /// senders; the written set (members ∪ receivers ∪ this round's
-    /// straggler receivers) goes to `scratch_written`, and the pairs are laid
-    /// out as a CSR over it in `scratch_offsets` / `scratch_senders`, so the
-    /// delivery pass is the dense one. Returns the sorted receivers, late
-    /// ones included. `O(messages · log messages + |members|)` — never
-    /// `O(n)`.
-    fn bucket_sparse(&mut self, ids: &[u32]) -> Vec<NodeId> {
-        let n = self.n();
+    /// Readies a sparse push round's landed pushes, left by the draw pass in
+    /// the first `lists` of `scratch_lists`, for the fold pass: their pairs
+    /// are gathered into `scratch_pairs` and sorted receiver-major with
+    /// ascending senders, and the written set (members ∪ receivers ∪ this
+    /// round's straggler receivers) goes to `scratch_written`. Returns the
+    /// sorted receivers, late ones included. `O(messages · log messages +
+    /// |members|)` — never `O(n)`.
+    fn bucket_sparse(&mut self, ids: &[u32], lists: usize) -> Vec<NodeId> {
         let pairs = &mut self.scratch_pairs;
         pairs.clear();
-        for (&v, &t) in ids.iter().zip(&self.scratch_targets) {
-            if (t as usize) < n {
-                pairs.push((t, v));
-            }
+        for list in &self.scratch_lists[..lists] {
+            pairs.extend_from_slice(list);
         }
         // Keys are unique (one push per sender), so the unstable sort is
         // deterministic; receiver-major lexicographic order gives each
@@ -2735,15 +2685,6 @@ impl<S: Clone + Send + Sync> Engine<S> {
         }
         receivers.dedup();
         merge_sorted_into(ids, receivers, &mut self.scratch_written);
-        let mut k = 0;
-        for (q, &u) in self.scratch_written.iter().enumerate() {
-            *self.scratch_offsets[q].get_mut() = k as u32;
-            while k < pairs.len() && pairs[k].0 == u {
-                *self.scratch_senders[k].get_mut() = pairs[k].1;
-                k += 1;
-            }
-        }
-        *self.scratch_offsets[self.scratch_written.len()].get_mut() = k as u32;
         receivers.iter().map(|&r| r as usize).collect()
     }
 }

@@ -69,6 +69,13 @@ pub fn num_threads() -> usize {
         .clamp(1, 256)
 }
 
+/// The chunk length [`for_chunks`] and [`for_chunks2`] cut `len` items into
+/// at `threads` threads: chunk `i` starts at item `i · chunk_len`, and a map
+/// over `len > 0` items runs `len.div_ceil(chunk_len)` tasks.
+pub(crate) fn chunk_len(len: usize, threads: usize) -> usize {
+    len.div_ceil(threads.clamp(1, len.max(1))).max(1)
+}
+
 /// Runs `map` over `threads` contiguous chunks of `data` on `pool` and folds
 /// the per-chunk results in chunk order.
 ///
@@ -99,11 +106,10 @@ where
     if n == 0 {
         return identity;
     }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
+    let chunk = chunk_len(n, threads);
+    if chunk == n {
         return reduce(identity, map(0, data));
     }
-    let chunk = n.div_ceil(threads);
     // Hand each chunk to its task through a once-takeable cell, and collect
     // each task's accumulator in its own slot — O(threads) bookkeeping, the
     // only per-map allocation.
@@ -151,11 +157,10 @@ where
     if n == 0 {
         return identity;
     }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
+    let chunk = chunk_len(n, threads);
+    if chunk == n {
         return reduce(identity, map(0, a, b));
     }
-    let chunk = n.div_ceil(threads);
     // Hand each chunk pair to its task through a once-takeable cell, and
     // collect each task's accumulator in its own slot — O(threads)
     // bookkeeping, the only per-map allocation.

@@ -213,6 +213,28 @@ impl KeyPrefix {
     }
 }
 
+/// A probability-`p` coin as an integer compare: it lands when the top 53
+/// bits `m` of the next draw fall below `⌈p·2⁵³⌉`. That is the coin
+/// `next_f64() < p` bit for bit — `next_f64()` is `m·2⁻⁵³`, `p·2⁵³` is exact
+/// in `f64`, and for an integer `m`, `m < x ⟺ m < ⌈x⌉` — without the
+/// conversion and the multiply per draw. The fault plan's loss, straggler and
+/// churn coins hoist one per round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Coin(u64);
+
+impl Coin {
+    /// The coin of a probability `p ∈ [0, 1)`.
+    pub(crate) fn new(p: f64) -> Coin {
+        Coin((p * (1u64 << 53) as f64).ceil() as u64)
+    }
+
+    /// Draws the coin from `rng`: one `next_u64`, exactly as `next_f64`.
+    #[inline]
+    pub(crate) fn lands(self, rng: &mut NodeRng) -> bool {
+        (rng.next_u64() >> 11) < self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,6 +340,23 @@ mod tests {
         for _ in 0..10_000 {
             let x = rng.next_f64();
             assert!((0.0..1.0).contains(&x));
+        }
+    }
+
+    #[test]
+    fn integer_coin_is_the_float_coin() {
+        // At the threshold's edges: `m·2⁻⁵³ < p ⟺ m < ⌈p·2⁵³⌉`.
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        for p in [0.1, 0.15, 0.5, 1e-12, 1.0 - ulp] {
+            let Coin(t) = Coin::new(p);
+            for m in [0, t - 1, t, t + 1, (1u64 << 53) - 1] {
+                assert_eq!(m < t, m as f64 * ulp < p, "p = {p}, m = {m}");
+            }
+            // And draw for draw on a stream.
+            let (mut a, mut b) = (NodeRng::keyed(1, 2, 3, 4), NodeRng::keyed(1, 2, 3, 4));
+            for _ in 0..1000 {
+                assert_eq!(Coin::new(p).lands(&mut a), b.next_f64() < p, "p = {p}");
+            }
         }
     }
 

@@ -34,8 +34,9 @@
 //!   maximal contiguous id runs are swapped with `swap_with_slice` instead
 //!   of slot-by-slot `mem::swap`.
 //! * [`prefetch_read`] — a best-effort software prefetch, used by the
-//!   delivery gathers (pull targets, CSR sender states, sparse pair lists)
-//!   to issue the random-access loads a fixed distance ahead of their use.
+//!   delivery gathers (pull targets' states, push receivers' back-buffer
+//!   slots) to issue the random-access loads a fixed distance ahead of
+//!   their use.
 //!
 //! ## Tuning knobs
 //!

@@ -1,6 +1,6 @@
 //! Determinism contract of the parallel engine: for a fixed seed, executions
-//! are bit-identical across thread counts (the `RAYON_NUM_THREADS=1,2,8`
-//! matrix of the engine's deployment docs), across separately constructed
+//! are bit-identical across thread counts (the `GOSSIP_NUM_THREADS=1,2,3,8`
+//! matrix of CI; 3 threads cut n = 20 000 into unequal chunks), across separately constructed
 //! engines replaying the same round sequence, with failure injection on, and
 //! regardless of which `WorkerPool` — private, grown, or shared between
 //! engines — the rounds dispatch on.
@@ -17,7 +17,7 @@ use gossip_net::{
 use rand::Rng;
 use std::sync::Arc;
 
-const THREAD_MATRIX: [usize; 3] = [1, 2, 8];
+const THREAD_MATRIX: [usize; 4] = [1, 2, 3, 8];
 
 /// A state whose update history is order-sensitive: a running hash of every
 /// message folded into it. Any change in delivery order or content changes
@@ -178,7 +178,8 @@ fn pool_reuse_across_engines_is_invisible_in_the_results() {
 #[test]
 fn local_step_is_identical_across_thread_counts() {
     // The dedicated local_step matrix: algorithm-local coins plus an
-    // order-sensitive fold of a shared read-only capture, at 1/2/8 threads.
+    // order-sensitive fold of a shared read-only capture, at every thread
+    // count of the matrix.
     let run = |threads: usize| {
         let mut e = engine(1000, 31, FailureModel::None);
         e.set_threads(threads);
@@ -206,10 +207,12 @@ fn local_step_is_identical_across_thread_counts() {
 }
 
 #[test]
-fn parallel_csr_bucketing_is_thread_count_invariant() {
-    // Above Engine::PAR_MIN_NODES, multi-thread push paths bucket deliveries
-    // with the parallel histogram/scan/placement pipeline; 1 thread uses the
-    // sequential counting sort. Both must yield the identical execution.
+fn sender_order_fold_is_thread_count_invariant() {
+    // Push paths file each landed push under its sender chunk and receiver
+    // range, and every receiver range folds its lists in sender-chunk order;
+    // 1 thread files everything in one list. Every split — 3 threads cut
+    // 20 000 nodes into 6 667 / 6 667 / 6 666 — must fold each receiver's
+    // messages in the same ascending sender order.
     let run = |threads: usize| {
         let mut e = engine(20_000, 17, FailureModel::uniform(0.15).unwrap());
         e.set_threads(threads);
@@ -233,7 +236,7 @@ fn parallel_csr_bucketing_is_thread_count_invariant() {
         assert_eq!(
             run(threads),
             baseline,
-            "{threads}-thread CSR bucketing diverged"
+            "{threads}-thread sender-order fold diverged"
         );
     }
 }
@@ -270,11 +273,10 @@ fn non_complete_topologies_are_thread_count_invariant() {
 }
 
 #[test]
-fn parallel_csr_bucketing_with_sparse_topology_is_thread_count_invariant() {
-    // Push paths above Engine::PAR_MIN_NODES bucket deliveries with the
-    // parallel CSR pipeline; sparse peer sampling concentrates receivers
-    // (every delivery lands in a small neighbourhood), which must not
-    // perturb the stable placement at any thread count.
+fn sender_order_fold_with_sparse_topology_is_thread_count_invariant() {
+    // Sparse peer sampling concentrates receivers (every delivery lands in a
+    // small neighbourhood, often across a receiver-range boundary), which
+    // must not perturb the sender-order fold at any thread count.
     let run = |threads: usize| {
         let config = EngineConfig::with_seed(31)
             .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.15).unwrap()))
@@ -302,18 +304,18 @@ fn parallel_csr_bucketing_with_sparse_topology_is_thread_count_invariant() {
         assert_eq!(
             run(threads),
             baseline,
-            "{threads}-thread sparse-topology CSR bucketing diverged"
+            "{threads}-thread sparse-topology sender-order fold diverged"
         );
     }
 }
 
 #[test]
 fn sparse_push_at_20k_is_thread_count_invariant() {
-    // The sparse execution path at the size where the *dense* push takes the
-    // parallel-CSR pipeline: an active subset pushes through push_round_on
+    // The sparse execution path at the size where the dense engine runs
+    // parallel by default: an active subset pushes through push_round_on
     // (pair-sort bucketing, copy-on-write commit), interleaved with a dense
     // pull so sparse-written and densely-written buffers mix. Results and the
-    // reported receiver sets must be identical at 1/2/8 threads.
+    // reported receiver sets must be identical at every thread count.
     let run = |threads: usize| {
         let n = 20_000;
         let active = ActiveSet::from_fn(n, |v| v % 11 == 0);
@@ -507,9 +509,9 @@ fn mixed_rounds_are_identical_across_thread_counts_with_fault_injection() {
 
 #[test]
 fn large_n_fault_injection_is_thread_count_invariant() {
-    // Above the parallel-CSR threshold, the faulty push passes concatenate
-    // straggled contacts chunk-by-chunk and fold due arrivals after the
-    // in-round deliveries; both must be invisible to the thread count.
+    // At the parallel default, the faulty push passes concatenate straggled
+    // contacts chunk-by-chunk and fold due arrivals after the in-round
+    // deliveries; both must be invisible to the thread count.
     let run = |threads: usize| {
         let mut e = fault_engine(20_000, 71);
         e.set_threads(threads);
@@ -536,7 +538,7 @@ fn large_n_fault_injection_is_thread_count_invariant() {
         assert_eq!(
             run(threads),
             baseline,
-            "{threads}-thread faulty CSR path diverged"
+            "{threads}-thread faulty push path diverged"
         );
     }
 }
@@ -669,7 +671,7 @@ fn soa_backed_engine_is_identical_across_thread_counts_and_layout_knobs() {
     for (i, &threads) in THREAD_MATRIX.iter().enumerate() {
         // Vary every knob along the matrix, including the degenerate block
         // size and a disabled prefetcher.
-        let (block, dist) = [(1, 0), (64, 8), (4096, 512)][i];
+        let (block, dist) = [(1, 0), (64, 8), (1000, 3), (4096, 512)][i];
         let (cols, metrics) = run(threads, block, dist);
         assert_eq!(
             cols.value, baseline_cols.value,

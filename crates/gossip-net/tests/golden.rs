@@ -19,8 +19,9 @@
 //! exits non-zero, so it doubles as a standalone check).
 //!
 //! Every scenario runs at `par::num_threads()` worker threads, so CI's
-//! `GOSSIP_NUM_THREADS=1/2/8` matrix checks each pin at all three thread
-//! counts (including, at the large sizes, the parallel CSR bucketing path).
+//! `GOSSIP_NUM_THREADS=1/2/3/8` matrix checks each pin at all four thread
+//! counts (including, at the large sizes, the parallel sender-order fold
+//! of the push paths, over unequal receiver ranges at 3 threads).
 
 #[path = "support/goldens.rs"]
 mod support;
@@ -113,8 +114,8 @@ fn golden_faulted_mixed_sequence() {
 #[test]
 fn golden_faulted_large_n_covers_parallel_fault_paths() {
     // The chaos plan at n = 20 000: multi-thread runs of the CI matrix take
-    // the parallel CSR bucketing with faults on, and the push-capable rounds
-    // drain stragglers across chunk boundaries.
+    // the parallel sender-order fold with faults on, and the push-capable
+    // rounds drain stragglers across chunk boundaries.
     let e = faulted_large(1010);
     assert_eq!(metrics_line(&e), pinned("faulted_large.metrics"));
     assert_eq!(fault_metrics_line(&e), pinned("faulted_large.faults"));
@@ -144,7 +145,7 @@ fn golden_mixed_sequence() {
 #[test]
 fn golden_large_n_covers_parallel_paths() {
     // Big enough that multi-thread runs of the CI matrix take the parallel
-    // CSR bucketing and chunked round paths; the pins must match the
+    // sender-order fold and chunked round paths; the pins must match the
     // sequential values bit for bit.
     let mut e = engine(20_000, 707, FailureModel::None);
     pull_rounds(&mut e, 2);

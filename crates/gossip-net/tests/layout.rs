@@ -12,7 +12,7 @@
 //! collection.
 //!
 //! Property tests draw those knobs arbitrarily (proptest); every test runs
-//! at `par::num_threads()` workers, so CI's 1/2/8-thread matrix exercises
+//! at `par::num_threads()` workers, so CI's 1/2/3/8-thread matrix exercises
 //! the blocked paths at each thread count.
 
 use gossip_net::message::seq_message_bits;
@@ -81,9 +81,9 @@ proptest! {
         prop_assert_eq!(reference, blocked);
     }
 
-    /// Push and push–pull rounds (whose pass 2 now refreshes the back buffer
-    /// in blocks and prefetches the CSR sender gather) are invariant under
-    /// the layout knobs.
+    /// Push and push–pull rounds (whose pass 2 refreshes the back buffer in
+    /// blocks and prefetches the receiver slots of the sender-order fold)
+    /// are invariant under the layout knobs.
     fn dense_push_rounds_are_knob_invariant(
         size in (16usize..600, 0u64..1_000_000),
         knobs in (1usize..512, 0usize..64),

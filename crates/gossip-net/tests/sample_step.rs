@@ -7,7 +7,7 @@
 //!
 //! Every test runs at `par::num_threads()`, so CI's `GOSSIP_NUM_THREADS`
 //! matrix (crossed with `GOSSIP_SPIN_US` for the spin-vs-park barrier paths)
-//! checks each case at 1/2/8 threads.
+//! checks each case at 1/2/3/8 threads.
 
 #[path = "support/goldens.rs"]
 mod support;

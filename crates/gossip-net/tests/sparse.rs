@@ -12,7 +12,7 @@
 //!    and dense runs agree wherever dense activity is emulated with silent
 //!    senders, and metrics count participants instead of `n`.
 //!
-//! Every test runs at `par::num_threads()` workers, so CI's 1/2/8-thread
+//! Every test runs at `par::num_threads()` workers, so CI's 1/2/3/8-thread
 //! matrix exercises the sparse dispatch at each thread count.
 
 #[path = "support/goldens.rs"]
@@ -117,7 +117,7 @@ fn full_set_local_step_matches_dense_golden_pin() {
 #[test]
 fn full_set_large_n_matches_dense_golden_pin() {
     // The 20k scenario of golden.rs: at multi-thread runs of the CI matrix,
-    // the *dense* engine takes the parallel CSR path here; the sparse full-set
+    // the *dense* engine folds per receiver range here; the sparse full-set
     // run must land on the identical trajectory through its pair-sort
     // bucketing.
     let mut e = engine(20_000, 707, FailureModel::None);

@@ -171,8 +171,8 @@ pub fn faulted_mixed(n: usize, seed: u64) -> Engine<u64> {
     e
 }
 
-/// The chaos plan at a size where multi-thread runs take the parallel CSR
-/// bucketing, with stragglers drained across the push-capable rounds.
+/// The chaos plan at a size where multi-thread runs fold pushes per
+/// receiver range, with stragglers drained across the push-capable rounds.
 pub fn faulted_large(seed: u64) -> Engine<u64> {
     let mut e = plan_engine(20_000, seed, chaos_plan());
     pull_rounds(&mut e, 2);

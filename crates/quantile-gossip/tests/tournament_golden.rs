@@ -8,7 +8,7 @@
 //! the final vote — so a restructuring of how the drivers call the engine
 //! cannot change an answer unnoticed. `tournament_quantile` sizes its pool
 //! from `par::num_threads()`, so CI's `GOSSIP_NUM_THREADS` matrix checks the
-//! pins at 1/2/8 threads; the n = 20 000 scenarios run the parallel paths.
+//! pins at 1/2/3/8 threads; the n = 20 000 scenarios run the parallel paths.
 //!
 //! Regenerate deliberately (with a CHANGES.md note) via
 //! `cargo run -p quantile-gossip --example regen_tournament_goldens -- --write`.

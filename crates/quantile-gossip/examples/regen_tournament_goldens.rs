@@ -1,4 +1,4 @@
-//! Regenerates (or checks) the pinned tournament fingerprints in
+//! Regenerates (or checks) the pinned algorithm-level fingerprints in
 //! `tests/data/tournament_goldens.txt`, which back `tests/tournament_golden.rs`.
 //!
 //! ```text
@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Pins must only be regenerated deliberately — in the same commit as the
-//! change that alters a tournament trajectory, with a CHANGES.md note.
+//! change that alters a driver's trajectory, with a CHANGES.md note.
 
 #[path = "../tests/support/tournament_goldens.rs"]
 mod support;
@@ -20,13 +20,16 @@ const PIN_PATH: &str = concat!(
 );
 
 const HEADER: &str = "\
-# Pinned algorithm-level fingerprints of tournament_quantile.
+# Pinned algorithm-level fingerprints of tournament_quantile, the robust
+# algorithm, the median rule and the sampling baseline.
 #
 # Consumed by tests/tournament_golden.rs. Each scenario pins the per-node
-# outputs fingerprint and a metrics line (rounds, participants, max
-# participants, pulls attempted, failures, drops, deliveries, bits).
-# Regenerate deliberately — in the same commit as the change that alters a
-# tournament trajectory, with a CHANGES.md note — via:
+# outputs fingerprint (a node without an answer as u64::MAX) and a metrics
+# line (rounds, participants, max participants, pulls attempted, failures,
+# drops, deliveries, bits, crashed operations, delayed messages); a robust
+# scenario also pins the bits of its good and answered fractions and of its
+# failure estimate. Regenerate deliberately — in the same commit as the
+# change that alters a driver's trajectory, with a CHANGES.md note — via:
 #
 #     cargo run -p quantile-gossip --example regen_tournament_goldens -- --write
 #

@@ -1,4 +1,4 @@
-//! Shared fixtures for the algorithm-level tournament pins and the
+//! Shared fixtures for the algorithm-level pins and the
 //! `regen_tournament_goldens` example.
 //!
 //! The pinned constants live in `tests/data/tournament_goldens.txt`; this
@@ -7,20 +7,30 @@
 //! `examples/regen_tournament_goldens.rs`, so the two can never disagree
 //! about what a scenario runs.
 //!
-//! Every scenario is one [`tournament_quantile`] call. The settings are
+//! Most scenarios are one [`tournament_quantile`] call. Their settings are
 //! chosen so that both phases end in a δ-truncated (δ < 1) final iteration,
 //! which puts every tournament code path — dense iterations, the δ-cut
-//! iterations of both phases, and the final vote — under the pins.
+//! iterations of both phases, and the final vote — under the pins. The rest
+//! run the other drivers built on sampling rounds: the robust algorithm of
+//! Theorem 1.4 (fixed and adaptive pull budgets), the median rule and the
+//! sampling baseline, each without faults, under the failure model and
+//! under churn.
 
 #![allow(dead_code)]
 
+use baselines::{median_rule, sampling, MedianRuleConfig, SamplingConfig};
 use quantile_gossip::{
-    tournament_quantile, EngineConfig, FaultPlan, LossModel, ThreeTournamentSchedule, Topology,
+    robust_approximate_quantile, tournament_quantile, ChurnModel, EngineConfig, FailureModel,
+    FaultPlan, LossModel, Metrics, RobustConfig, ThreeTournamentSchedule, Topology,
     TournamentConfig, TwoTournamentSchedule,
 };
 
-/// The ε of every pinned scenario.
+/// The ε of every pinned tournament and robust scenario.
 pub const EPSILON: f64 = 0.05;
+
+/// The ε of the pinned sampling-baseline scenarios (496 samples at n = 20 000,
+/// more than one target batch of the sample step holds).
+pub const SAMPLING_EPSILON: f64 = 0.2;
 
 /// SplitMix64 finalizer, re-stated here so the fingerprint is independent of
 /// the crates' internals.
@@ -39,34 +49,114 @@ pub fn fingerprint(outputs: &[u64]) -> String {
     format!("{h:016x}")
 }
 
-/// One pinned `tournament_quantile` call.
+/// The metrics line of a pin: rounds, participants, max participants, pulls
+/// attempted, failures, drops, deliveries, bits, crashed operations and
+/// delayed messages.
+pub fn metrics_line(m: &Metrics) -> String {
+    format!(
+        "r{} a{} ma{} pa{} f{} dr{} d{} b{} c{} dl{}",
+        m.rounds,
+        m.active_nodes_total,
+        m.max_active,
+        m.pulls_attempted,
+        m.failed_operations,
+        m.messages_dropped,
+        m.messages_delivered,
+        m.bits_delivered,
+        m.crashed_operations,
+        m.messages_delayed
+    )
+}
+
+/// The algorithm a pinned scenario runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Driver {
+    /// [`tournament_quantile`].
+    Tournament,
+    /// [`robust_approximate_quantile`] with the fixed Lemma 5.2 budget.
+    Robust,
+    /// [`robust_approximate_quantile`] with the adaptive budget.
+    RobustAdaptive,
+    /// [`median_rule::run`].
+    MedianRule,
+    /// [`sampling::approximate_quantile`] at [`SAMPLING_EPSILON`].
+    Sampling,
+}
+
+/// The fault plan a pinned scenario runs under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plan {
+    /// No faults.
+    Reliable,
+    /// 10 % per-contact message loss.
+    Loss,
+    /// Section 5's failure model: every operation fails with probability 0.2.
+    Failure,
+    /// Crash-and-rejoin churn (crash probability 0.05, down for 3 rounds)
+    /// plus 10 % message loss.
+    Churn,
+}
+
+impl Plan {
+    fn suffix(self) -> &'static str {
+        match self {
+            Plan::Reliable => "",
+            Plan::Loss => ".loss",
+            Plan::Failure => ".failure",
+            Plan::Churn => ".churn",
+        }
+    }
+
+    fn fault_plan(self) -> FaultPlan {
+        let loss = || LossModel::uniform(0.1).unwrap();
+        match self {
+            Plan::Reliable => FaultPlan::none(),
+            Plan::Loss => FaultPlan::none().with_loss(loss()),
+            Plan::Failure => FaultPlan::none().with_failure(FailureModel::uniform(0.2).unwrap()),
+            Plan::Churn => FaultPlan::none()
+                .with_churn(ChurnModel::with_rejoin(0.05, 3).unwrap())
+                .with_loss(loss()),
+        }
+    }
+}
+
+/// One pinned driver call.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// The pin-file key prefix.
     pub name: String,
+    pub driver: Driver,
     pub n: usize,
     pub phi: f64,
     pub seed: u64,
     pub topology: Topology,
-    /// Per-contact message-loss probability (0 = fault-free).
-    pub loss: f64,
+    pub plan: Plan,
 }
 
 impl Scenario {
-    fn new(n: usize, phi: f64, topology: Topology, loss: f64) -> Self {
+    fn new(driver: Driver, n: usize, phi: f64, topology: Topology, plan: Plan) -> Self {
         let graph = match topology {
             Topology::Complete => "complete".to_string(),
             Topology::RandomRegular { degree, .. } => format!("rr{degree}"),
             other => unreachable!("no pinned scenario runs on {other}"),
         };
-        let lossy = if loss > 0.0 { ".loss" } else { "" };
+        let at = format!("n{n}.phi{phi}.{graph}{}", plan.suffix());
+        let name = match driver {
+            // The tournament keys predate the other drivers' and stay bare.
+            Driver::Tournament => at,
+            Driver::Robust => format!("robust.{at}"),
+            Driver::RobustAdaptive => format!("robust_adaptive.{at}"),
+            Driver::MedianRule => format!("median_rule.n{n}.{graph}{}", plan.suffix()),
+            Driver::Sampling => format!("sampling.{at}"),
+        };
         Scenario {
-            name: format!("n{n}.phi{phi}.{graph}{lossy}"),
+            name,
+            driver,
             n,
             phi,
             seed: 1000 + n as u64 + (phi * 100.0) as u64,
             topology,
-            loss,
+            plan,
         }
     }
 
@@ -78,12 +168,9 @@ impl Scenario {
     }
 
     pub fn config(&self) -> EngineConfig {
-        let config = EngineConfig::with_seed(self.seed).topology(self.topology);
-        if self.loss > 0.0 {
-            config.fault(FaultPlan::none().with_loss(LossModel::uniform(self.loss).unwrap()))
-        } else {
-            config
-        }
+        EngineConfig::with_seed(self.seed)
+            .topology(self.topology)
+            .fault(self.plan.fault_plan())
     }
 
     /// Whether both phases' schedules end in a δ < 1 final iteration.
@@ -93,45 +180,109 @@ impl Scenario {
         two.steps.last().is_some_and(|s| s.delta < 1.0) && three.final_delta < 1.0
     }
 
-    /// Runs the scenario: `(outputs fingerprint, metrics line)`.
-    pub fn run(&self) -> (String, String) {
-        let out = tournament_quantile(
-            &self.values(),
-            self.phi,
-            EPSILON,
-            &TournamentConfig::default(),
-            self.config(),
-        )
-        .expect("valid scenario parameters");
-        let m = out.metrics;
-        let metrics = format!(
-            "r{} a{} ma{} pa{} f{} dr{} d{} b{}",
-            m.rounds,
-            m.active_nodes_total,
-            m.max_active,
-            m.pulls_attempted,
-            m.failed_operations,
-            m.messages_dropped,
-            m.messages_delivered,
-            m.bits_delivered
-        );
-        (fingerprint(&out.outputs), metrics)
+    /// Runs the scenario: its pinned `(key suffix, value)` pairs — the
+    /// outputs fingerprint (a node without an answer as `u64::MAX`), the
+    /// metrics line and, for the robust driver, the bits of its good and
+    /// answered fractions and of its failure estimate.
+    pub fn run(&self) -> Vec<(&'static str, String)> {
+        let (values, config) = (self.values(), self.config());
+        let (outputs, metrics, outcome) = match self.driver {
+            Driver::Tournament => {
+                let out = tournament_quantile(
+                    &values,
+                    self.phi,
+                    EPSILON,
+                    &TournamentConfig::default(),
+                    config,
+                )
+                .expect("valid scenario parameters");
+                (out.outputs, out.metrics, None)
+            }
+            Driver::Robust | Driver::RobustAdaptive => {
+                let robust = RobustConfig {
+                    adaptive: self.driver == Driver::RobustAdaptive,
+                    ..RobustConfig::default()
+                };
+                let out = robust_approximate_quantile(&values, self.phi, EPSILON, &robust, config)
+                    .expect("valid scenario parameters");
+                let outcome = format!(
+                    "good{:016x} answered{:016x} mu{:016x}",
+                    out.good_fraction.to_bits(),
+                    out.answered_fraction.to_bits(),
+                    out.estimated_mu.to_bits()
+                );
+                let outputs = out.outputs.iter().map(|o| o.unwrap_or(u64::MAX)).collect();
+                (outputs, out.metrics, Some(outcome))
+            }
+            Driver::MedianRule => {
+                let out = median_rule::run(&values, &MedianRuleConfig::default(), config)
+                    .expect("valid scenario parameters");
+                (out.values, out.metrics, None)
+            }
+            Driver::Sampling => {
+                let sampling_config = SamplingConfig::new(SAMPLING_EPSILON).unwrap();
+                let out =
+                    sampling::approximate_quantile(&values, self.phi, &sampling_config, config)
+                        .expect("valid scenario parameters");
+                (out.estimates, out.metrics, None)
+            }
+        };
+        let mut pins = vec![
+            ("fp", fingerprint(&outputs)),
+            ("metrics", metrics_line(&metrics)),
+        ];
+        pins.extend(outcome.map(|o| ("outcome", o)));
+        pins
     }
 }
 
-/// Every pinned scenario, in canonical file order: n ∈ {2 000, 20 000} ×
-/// φ ∈ {0.1, 0.9} on the complete graph and a degree-16 random regular
-/// expander, plus one message-loss case.
+/// Every pinned scenario, in canonical file order: the tournament at
+/// n ∈ {2 000, 20 000} × φ ∈ {0.1, 0.9} on the complete graph and a
+/// degree-16 random regular expander, one message-loss case at n = 2 000 and
+/// the three fault plans at n = 20 000; then the robust driver (both
+/// budgets), the median rule and the sampling baseline at n = 20 000, each
+/// reliable, under the failure model and under churn.
 pub fn scenarios() -> Vec<Scenario> {
     let mut out = Vec::new();
     for topology in [Topology::Complete, Topology::random_regular(16, 7)] {
         for n in [2_000, 20_000] {
             for phi in [0.1, 0.9] {
-                out.push(Scenario::new(n, phi, topology, 0.0));
+                out.push(Scenario::new(
+                    Driver::Tournament,
+                    n,
+                    phi,
+                    topology,
+                    Plan::Reliable,
+                ));
             }
         }
     }
-    out.push(Scenario::new(2_000, 0.1, Topology::Complete, 0.1));
+    out.push(Scenario::new(
+        Driver::Tournament,
+        2_000,
+        0.1,
+        Topology::Complete,
+        Plan::Loss,
+    ));
+    for plan in [Plan::Loss, Plan::Failure, Plan::Churn] {
+        out.push(Scenario::new(
+            Driver::Tournament,
+            20_000,
+            0.1,
+            Topology::Complete,
+            plan,
+        ));
+    }
+    for driver in [
+        Driver::Robust,
+        Driver::RobustAdaptive,
+        Driver::MedianRule,
+        Driver::Sampling,
+    ] {
+        for plan in [Plan::Reliable, Plan::Failure, Plan::Churn] {
+            out.push(Scenario::new(driver, 20_000, 0.3, Topology::Complete, plan));
+        }
+    }
     out
 }
 
@@ -155,7 +306,7 @@ pub fn lookup<'a>(file: &'a str, key: &str) -> Option<&'a str> {
 pub fn pinned(key: &str) -> &'static str {
     lookup(GOLDENS, key).unwrap_or_else(|| {
         panic!(
-            "no tournament pin named {key:?} in tests/data/tournament_goldens.txt — regenerate \
+            "no pin named {key:?} in tests/data/tournament_goldens.txt — regenerate \
              with `cargo run -p quantile-gossip --example regen_tournament_goldens -- --write`"
         )
     })
@@ -165,9 +316,9 @@ pub fn pinned(key: &str) -> &'static str {
 pub fn compute_all() -> Vec<(String, String)> {
     let mut out = Vec::new();
     for s in scenarios() {
-        let (fp, metrics) = s.run();
-        out.push((format!("{}.fp", s.name), fp));
-        out.push((format!("{}.metrics", s.name), metrics));
+        for (suffix, value) in s.run() {
+            out.push((format!("{}.{suffix}", s.name), value));
+        }
     }
     out
 }

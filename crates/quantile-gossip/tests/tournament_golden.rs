@@ -1,14 +1,17 @@
-//! Algorithm-level golden pins for [`tournament_quantile`]: every scenario of
+//! Algorithm-level golden pins for [`tournament_quantile`], the robust
+//! algorithm of Theorem 1.4 and the sampling baselines: every scenario of
 //! `support/tournament_goldens.rs` must reproduce its pinned outputs
-//! fingerprint and metrics line exactly.
+//! fingerprint and metrics line (and, for the robust driver, its outcome
+//! line) exactly.
 //!
 //! The engine-level pins (`gossip-net/tests/golden.rs`) fix each primitive's
-//! trajectory; these fix what the tournament drivers compose from them —
-//! dense iterations, the δ-truncated final iterations of both phases, and
-//! the final vote — so a restructuring of how the drivers call the engine
-//! cannot change an answer unnoticed. `tournament_quantile` sizes its pool
-//! from `par::num_threads()`, so CI's `GOSSIP_NUM_THREADS` matrix checks the
-//! pins at 1/2/3/8 threads; the n = 20 000 scenarios run the parallel paths.
+//! trajectory; these fix what the drivers compose from them — dense
+//! iterations, the δ-truncated final iterations of both tournament phases,
+//! the final votes, and the same steps under loss, the failure model and
+//! churn — so a restructuring of how the drivers call the engine cannot
+//! change an answer unnoticed. Every driver sizes its pool from
+//! `par::num_threads()`, so CI's `GOSSIP_NUM_THREADS` matrix checks the pins
+//! at 1/2/3/8 threads; the n = 20 000 scenarios run the parallel paths.
 //!
 //! Regenerate deliberately (with a CHANGES.md note) via
 //! `cargo run -p quantile-gossip --example regen_tournament_goldens -- --write`.
@@ -17,31 +20,46 @@
 mod support;
 
 use quantile_gossip::{tournament_quantile, EngineConfig, FaultPlan, LossModel, TournamentConfig};
+use support::Driver;
+
+/// The pinned scenarios of one kind: the tournament's, or every other
+/// driver's.
+fn scenarios(tournament: bool) -> Vec<support::Scenario> {
+    support::scenarios()
+        .into_iter()
+        .filter(|s| (s.driver == Driver::Tournament) == tournament)
+        .collect()
+}
+
+/// Runs every scenario and checks each of its values against its pin.
+fn check(scenarios: Vec<support::Scenario>) {
+    for s in scenarios {
+        for (suffix, value) in s.run() {
+            assert_eq!(
+                value,
+                support::pinned(&format!("{}.{suffix}", s.name)),
+                "{}: {suffix}",
+                s.name
+            );
+        }
+    }
+}
 
 #[test]
 fn every_scenario_truncates_both_phases() {
-    for s in support::scenarios() {
+    for s in scenarios(true) {
         assert!(s.has_delta_cuts(), "{}: no δ < 1 final step", s.name);
     }
 }
 
 #[test]
 fn tournament_outputs_and_metrics_match_the_pins() {
-    for s in support::scenarios() {
-        let (fp, metrics) = s.run();
-        assert_eq!(
-            metrics,
-            support::pinned(&format!("{}.metrics", s.name)),
-            "{}: metrics",
-            s.name
-        );
-        assert_eq!(
-            fp,
-            support::pinned(&format!("{}.fp", s.name)),
-            "{}: outputs",
-            s.name
-        );
-    }
+    check(scenarios(true));
+}
+
+#[test]
+fn robust_and_baseline_outputs_and_metrics_match_the_pins() {
+    check(scenarios(false));
 }
 
 #[test]

@@ -78,17 +78,21 @@ pub fn run<V: NodeValue>(
     while iterations < config.max_iterations && !(config.stop_on_consensus && consensus) {
         // Three rounds of sampling against the iteration-start snapshot, then
         // a synchronous local update — exactly the paper's convention that
-        // sampling three values costs three rounds.
-        let samples = engine.collect_samples(3, |_, &v| v);
-        engine.local_step(|v, state, _rng| {
-            let s = &samples[v];
-            *state = match s.len() {
-                3 => median3(s[0], s[1], s[2]),
-                2 => median3(s[0], s[1], *state),
-                1 => median3(s[0], *state, *state),
-                _ => *state,
-            };
-        });
+        // sampling three values costs three rounds. A node's own value stands
+        // in for each sample that did not arrive.
+        engine.sample_step(
+            3,
+            3,
+            |_| true,
+            |_, &v| v,
+            |_, state, _, samples| {
+                let mut three = [*state; 3];
+                for (slot, &s) in three.iter_mut().zip(samples.iter().flatten()) {
+                    *slot = s;
+                }
+                *state = median3(three[0], three[1], three[2]);
+            },
+        );
         iterations += 1;
         consensus = all_equal(engine.states());
     }

@@ -24,19 +24,11 @@ use gossip_net::{Engine, EngineConfig, GossipError, Metrics, Result};
 
 /// State of one node during push-sum.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PushSumState {
+struct PushSumState {
     s: f64,
     w: f64,
     out_s: f64,
     out_w: f64,
-}
-
-gossip_net::columns! {
-    /// Struct-of-arrays mirror of [`PushSumState`]: four parallel flat `f64`
-    /// columns, so whole-network reductions over `s` / `w` (the estimate
-    /// extraction) scan contiguous arrays that autovectorise instead of
-    /// striding through the interleaved struct array.
-    pub(crate) struct PushSumColumns for PushSumState { s: f64, w: f64, out_s: f64, out_w: f64 }
 }
 
 /// Configuration of a push-sum run.
@@ -148,16 +140,10 @@ fn run_push_sum(
     }
 
     let metrics = engine.metrics();
-    // Columnar extraction: split the final states into flat s / w columns and
-    // divide them element-wise — two contiguous streams the compiler can
-    // vectorise, versus a strided walk over the 4-field struct array.
-    use gossip_net::soa::Columns as _;
-    let cols = PushSumColumns::from_states(engine.states());
-    let estimates = cols
-        .s
+    let estimates = engine
+        .states()
         .iter()
-        .zip(&cols.w)
-        .map(|(&s, &w)| if w > 0.0 { s / w } else { 0.0 })
+        .map(|st| if st.w > 0.0 { st.s / st.w } else { 0.0 })
         .collect();
     PushSumOutcome {
         estimates,

@@ -94,25 +94,27 @@ pub fn approximate_quantile<V: NodeValue>(
     }
     let k = config.samples_for(values.len());
     let mut engine = Engine::from_states(values.to_vec(), engine_config);
-    let mut samples = engine.collect_samples(k, |_, &v| v);
-    let estimates: Vec<V> = samples
-        .iter_mut()
-        .enumerate()
-        .map(|(v, s)| {
-            // A node whose every pull failed falls back to its own value; with
-            // k = Ω(log n) samples this happens with probability ≤ mu^k.
-            if s.is_empty() {
-                values[v]
-            } else {
-                s.sort_unstable();
-                empirical_quantile(s, phi)
+    engine.sample_step(
+        k,
+        k,
+        |_| true,
+        |_, &v| v,
+        |_, state, _, samples| {
+            // Undelivered samples sort first. A node whose every pull failed
+            // keeps its own value; with k = Ω(log n) samples this happens with
+            // probability ≤ mu^k.
+            samples.sort_unstable();
+            let delivered = &samples[samples.partition_point(Option::is_none)..];
+            if !delivered.is_empty() {
+                *state = empirical_quantile(delivered, phi).expect("a delivered sample");
             }
-        })
-        .collect();
+        },
+    );
+    let metrics = engine.metrics();
     Ok(SamplingOutcome {
-        estimates,
+        estimates: engine.into_states(),
         rounds: k as u64,
-        metrics: engine.metrics(),
+        metrics,
     })
 }
 

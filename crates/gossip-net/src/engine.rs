@@ -185,10 +185,12 @@
 //!   iterations ahead of their random-gather read, hiding the DRAM latency
 //!   of the uniform contact pattern (the push folds, which read their senders
 //!   in ascending order, prefetch their receivers' slots the same way);
-//! * a `k`-sample step feeding a local update — a tournament iteration —
-//!   runs as **one** such pass ([`Engine::sample_step`]): all `k` rounds'
-//!   targets of a node batch are drawn up front, gathered under one
-//!   prefetch stream, and applied without an intermediate sample matrix;
+//! * a `k`-sample step feeding a local update — a tournament iteration, the
+//!   robust algorithm's, a baseline's sampling — runs as **one** such pass
+//!   ([`Engine::sample_step`]) under every fault plan: all `k` rounds'
+//!   targets of a node batch are drawn up front through each round's fault
+//!   policy, gathered under one prefetch stream, and applied without an
+//!   intermediate sample matrix (churn keeps one bit per node and round);
 //! * the sparse copy-on-write commit batches runs of consecutive written ids
 //!   into whole-slice swaps ([`crate::soa::swap_runs`]).
 //!
@@ -198,9 +200,6 @@
 //! are unchanged (pinned by the golden suites, by `tests/layout.rs` against
 //! the per-slot configuration `set_copy_block(1)` + `set_prefetch_dist(0)`,
 //! and by the sample-step ≡ composition tests of `tests/sample_step.rs`).
-//! Algorithms whose own state scans dominate can mirror their state structs
-//! into flat parallel columns via [`crate::soa::Columns`] / the
-//! [`columns!`](crate::columns) macro.
 
 use crate::active::ActiveSet;
 use crate::error::{GossipError, Result};
@@ -262,13 +261,14 @@ trait Faults: Sync {
     /// destructor and a body can re-hoist it after mutating the engine).
     type Round<'a>: Faults + Copy;
 
-    /// Hoists the round's loop invariants. `due` is the round's drained
-    /// straggler list (see [`Faults::late`]).
+    /// Hoists the round's loop invariants. `up` is the round's row of churn
+    /// bits (see `Engine::advance_churn`; empty without churn) and `due`
+    /// its drained straggler list (see [`Faults::late`]).
     fn hoist<'a>(
         seed: u64,
         round: u64,
         plan: &'a FaultPlan,
-        down: &'a [u64],
+        up: &'a [u64],
         due: &'a [(u32, u32)],
     ) -> Self::Round<'a>;
 
@@ -455,16 +455,16 @@ impl Faults for Reliable {
 
 /// Per-round fault context: the loop-invariant pieces of the active
 /// [`FaultPlan`], hoisted before each pass of a round (the failure model,
-/// the RNG prefixes of the loss and delay streams, the churn model's
-/// down-until view and the drained stragglers).
+/// the RNG prefixes of the loss and delay streams, the round's churn bits
+/// and the drained stragglers).
 #[derive(Clone, Copy)]
 struct FaultCtx<'a> {
     round: u64,
     /// `None` when the failure model never fires.
     failure: Option<&'a FailureModel>,
-    /// Round until which each node is down (`down[v] > round` = crashed this
-    /// round); empty when the plan has no churn.
-    down: &'a [u64],
+    /// One bit per node, set where the node is up this round; empty when the
+    /// plan has no churn.
+    up: &'a [u64],
     due: &'a [(u32, u32)],
     loss: Option<(KeyPrefix, Coin)>,
     delay: Option<(KeyPrefix, Coin, u64)>,
@@ -477,13 +477,13 @@ impl Faults for FaultCtx<'_> {
         seed: u64,
         round: u64,
         plan: &'a FaultPlan,
-        down: &'a [u64],
+        up: &'a [u64],
         due: &'a [(u32, u32)],
     ) -> FaultCtx<'a> {
         FaultCtx {
             round,
             failure: Some(plan.failure()).filter(|f| !f.is_reliable()),
-            down,
+            up,
             due,
             loss: plan.loss().map(|l| {
                 (
@@ -503,7 +503,7 @@ impl Faults for FaultCtx<'_> {
 
     #[inline]
     fn alive(&self, v: usize) -> bool {
-        self.down.is_empty() || self.down[v] <= self.round
+        self.up.is_empty() || self.up[v / 64] >> (v % 64) & 1 != 0
     }
 
     #[inline]
@@ -1061,6 +1061,9 @@ pub struct Engine<S> {
     /// `u64::MAX` = crashed permanently). Empty until the plan's churn model
     /// first advances.
     down_until: Vec<u64>,
+    /// Churn scratch: one row of `n` bits per round of the running body, set
+    /// where the node is up in that round (see `Engine::advance_churn`).
+    up: Vec<u64>,
     /// Straggled push contacts not yet due (or due in a round that cannot
     /// deliver them — only push-capable rounds drain this buffer).
     pending_delayed: Vec<DelayedContact>,
@@ -1125,6 +1128,7 @@ impl<S: Clone> Clone for Engine<S> {
             // Churn state and in-flight stragglers are real trajectory state
             // (unlike scratch) and must survive a clone.
             down_until: self.down_until.clone(),
+            up: Vec::new(),
             pending_delayed: self.pending_delayed.clone(),
             due_scratch: Vec::new(),
             topology: self.topology,
@@ -1206,6 +1210,7 @@ impl<S> Engine<S> {
             pool,
             fault,
             down_until: Vec::new(),
+            up: Vec::new(),
             pending_delayed: Vec::new(),
             due_scratch: Vec::new(),
             topology: config.topology,
@@ -1559,14 +1564,14 @@ impl<S: Clone + Send + Sync> Engine<S> {
         self.metrics.record_round(RoundKind::Pull, dom.len() as u64);
         self.round += 1;
         self.ensure_next();
-        self.advance_churn(self.round);
+        self.advance_churn(self.round, 1);
 
         let (round, threads) = (self.round, self.threads);
         let states = &self.states;
         let sampler = &sampler;
         let (block, dist) = (self.copy_block, self.prefetch_dist);
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
+        let fx = X::hoist(self.seed, round, &self.fault, &self.up, &[]);
         let (serve, apply) = (&serve, &apply);
         // When the whole state array is cache-resident the gather never
         // misses, so the batch/prefetch machinery is skipped (measured ~10%
@@ -1691,14 +1696,14 @@ impl<S: Clone + Send + Sync> Engine<S> {
         self.metrics.record_round(RoundKind::Push, m as u64);
         self.round += 1;
         self.ensure_next();
-        self.advance_churn(self.round);
+        self.advance_churn(self.round, 1);
 
         let (round, threads) = (self.round, self.threads);
         let bins = self.bins(m);
         let states = &self.states;
         let sampler = &sampler;
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
+        let fx = X::hoist(self.seed, round, &self.fault, &self.up, &[]);
 
         // Pass 1: every member decides its outcome (silent / failed /
         // dropped / target) into its member position of the target scratch,
@@ -1752,13 +1757,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
         };
         let states = &self.states;
         let (targets, dist) = (&self.scratch_targets[..m], self.prefetch_dist);
-        let fx = X::hoist(
-            self.seed,
-            round,
-            &self.fault,
-            &self.down_until,
-            &self.due_scratch,
-        );
+        let fx = X::hoist(self.seed, round, &self.fault, &self.up, &self.due_scratch);
         let arrivals = written.map(
             &self.pool,
             &mut self.next,
@@ -1858,13 +1857,13 @@ impl<S: Clone + Send + Sync> Engine<S> {
         self.metrics.record_round(RoundKind::PushPull, m as u64);
         self.round += 1;
         self.ensure_next();
-        self.advance_churn(self.round);
+        self.advance_churn(self.round, 1);
 
         let (round, threads) = (self.round, self.threads);
         let bins = self.bins(m);
         let sampler = &sampler;
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
+        let fx = X::hoist(self.seed, round, &self.fault, &self.up, &[]);
 
         // Pass 1: every member draws its failure coin, pull target, push
         // target, then the per-direction fault coins, and files a landed push
@@ -1912,13 +1911,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let states = &self.states;
         let (block, dist) = (self.copy_block, self.prefetch_dist);
         let pulls = &self.scratch_pull[..m];
-        let fx = X::hoist(
-            self.seed,
-            round,
-            &self.fault,
-            &self.down_until,
-            &self.due_scratch,
-        );
+        let fx = X::hoist(self.seed, round, &self.fault, &self.up, &self.due_scratch);
         let deliveries = written.map(
             &self.pool,
             &mut self.next,
@@ -2065,16 +2058,18 @@ impl<S: Clone + Send + Sync> Engine<S> {
     /// otherwise it must be a pure function of the node id (it may be
     /// evaluated more than once).
     ///
-    /// On an engine whose pulls cannot fail the whole step is **one** pool
-    /// dispatch over the back buffer: per block of nodes, all targets of all
-    /// `k` rounds are drawn from the `k` hoisted round prefixes into a
-    /// scratch batch, their states are software-prefetched
+    /// The whole step is **one** pool dispatch over the back buffer, under
+    /// every fault plan: per block of nodes, all targets of all `k` rounds
+    /// are drawn from the `k` hoisted round views into a scratch batch (a
+    /// stack batch when a node's targets fit one, else one node's heap
+    /// batch), their states are software-prefetched
     /// [`Engine::set_prefetch_dist`] ahead (the [`Engine::pull_round`]
     /// scheme, with the same cache-resident gate), and each node's samples
-    /// go straight to `apply` — no sample matrix and no second pass. Under
-    /// any fault, the failure model included (and for more than 256 samples
-    /// per node), the step runs the composition itself, one flat sample
-    /// column per round.
+    /// go straight to `apply` — no sample matrix and no second pass. Each
+    /// draw passes the round's fault coins in the order of a pull round, and
+    /// an undelivered sample reads `None`. Under churn the model advances
+    /// through all `k` rounds before the pass, keeping one bit per node and
+    /// round, and ends where `k` sampling rounds leave it.
     pub fn sample_step<M, P, F, A>(
         &mut self,
         k: usize,
@@ -2088,12 +2083,17 @@ impl<S: Clone + Send + Sync> Engine<S> {
         F: Fn(NodeId, &S) -> M + Sync,
         A: Fn(NodeId, &mut S, &mut NodeRng, &mut [Option<M>]) + Sync,
     {
-        with_sampler!(self, sp => self.sample_step_with(sp, k, dense, participates, serve, apply))
+        with_sampler!(self, sp => with_faults!(self, fx => {
+            self.sample_step_body(fx, sp, k, dense, participates, serve, apply)
+        }))
     }
 
-    /// [`Engine::sample_step`], monomorphised over the sampler type.
-    fn sample_step_with<SP, M, P, F, A>(
+    /// [`Engine::sample_step`], monomorphised over the sampler type and the
+    /// fault policy.
+    #[allow(clippy::too_many_arguments)]
+    fn sample_step_body<X, SP, M, P, F, A>(
         &mut self,
+        _: PhantomData<X>,
         sampler: SP,
         k: usize,
         dense: usize,
@@ -2101,33 +2101,57 @@ impl<S: Clone + Send + Sync> Engine<S> {
         serve: F,
         apply: A,
     ) where
+        X: Faults,
         SP: Sampler,
         M: MessageSize + Clone + Send + Sync,
         P: Fn(NodeId) -> bool + Sync,
         F: Fn(NodeId, &S) -> M + Sync,
         A: Fn(NodeId, &mut S, &mut NodeRng, &mut [Option<M>]) + Sync,
     {
-        let dense = dense.min(k);
-        // A node's targets must fit one stack batch; steps with more samples
-        // per node than that (no algorithm here takes them) compose instead.
-        if !self.fault.is_none() || k > TARGET_BATCH {
-            return self.sample_step_composed(sampler, k, dense, participates, serve, apply);
-        }
-        let n = self.n();
+        let (n, dense, seed) = (self.n(), dense.min(k), self.seed);
         self.ensure_next();
-        let prefixes: Vec<KeyPrefix> = (1..=k as u64)
-            .map(|r| NodeRng::key_prefix(self.seed, self.round + r, NodeRng::STREAM_ROUND))
-            .collect();
+        let first = self.round + 1;
+        self.advance_churn(first, k);
         self.round += k as u64;
         self.local_epochs += 1;
-        let local = NodeRng::key_prefix(self.seed, self.local_epochs, NodeRng::STREAM_LOCAL);
+        let local = NodeRng::key_prefix(seed, self.local_epochs, NodeRng::STREAM_LOCAL);
+        // One hoisted view per round, as each sampling round hoists its own.
+        let words = self.up.len() / k.max(1);
+        let rounds: Vec<(KeyPrefix, X::Round<'_>)> = (0..k)
+            .map(|r| {
+                let round = first + r as u64;
+                let up = &self.up[r * words..(r + 1) * words];
+                (
+                    NodeRng::key_prefix(seed, round, NodeRng::STREAM_ROUND),
+                    X::hoist(seed, round, &self.fault, up, &[]),
+                )
+            })
+            .collect();
 
-        let (states, sampler, prefixes) = (&self.states, &sampler, &prefixes);
+        let (states, sampler, rounds) = (&self.states, &sampler, &rounds);
         let (block, dist) = (self.copy_block, self.prefetch_dist);
         let prefetch = dist > 0 && std::mem::size_of::<S>() * n > crate::soa::PREFETCH_MIN_BYTES;
-        // Nodes per target batch, so that a batch holds at most TARGET_BATCH
-        // targets whatever `k` is.
-        let batch = TARGET_BATCH / k.max(1);
+        // Nodes per target batch: as many as TARGET_BATCH targets hold, and
+        // one node when its own targets do not fit.
+        let batch = (TARGET_BATCH / k.max(1)).max(1);
+        // How many rounds `v` pulls in: all `k` at participants, `dense`
+        // elsewhere.
+        let pulls_of = |v: NodeId| {
+            if dense == k || participates(v) {
+                k
+            } else {
+                dense
+            }
+        };
+        // What a drawn target delivers: the served message, or `None` for a
+        // sentinel, which is never read.
+        let gather = |t: u32, metrics: &mut Metrics| {
+            states.get(t as usize).map(|state| {
+                let msg = serve(t as usize, state);
+                metrics.record_delivery(msg.message_bits());
+                msg
+            })
+        };
         let (delta, joined) = par::for_chunks(
             &self.pool,
             &mut self.next,
@@ -2136,12 +2160,18 @@ impl<S: Clone + Send + Sync> Engine<S> {
             |start, chunk| {
                 let mut metrics = Metrics::default();
                 let mut joined = 0u64;
-                // Stack scratch (measurably faster than heap buffers here):
-                // the batch's targets, packed node by node, and how many
-                // rounds each node pulls in — all `k` at participants,
-                // `dense` elsewhere.
-                let mut targets = [0u32; TARGET_BATCH];
-                let mut rounds = [0usize; TARGET_BATCH];
+                // The batch's targets, packed node by node: stack scratch
+                // (measurably faster than a heap buffer here) unless one
+                // node's targets overflow it. `pulls` holds each node's
+                // round count.
+                let (mut stack, mut heap) = ([0u32; TARGET_BATCH], Vec::new());
+                let targets: &mut [u32] = if k <= TARGET_BATCH {
+                    &mut stack
+                } else {
+                    heap.resize(k, 0);
+                    &mut heap
+                };
+                let mut pulls = [0usize; TARGET_BATCH];
                 let mut got: Vec<Option<M>> = (0..k).map(|_| None).collect();
                 let mut bs = 0;
                 while bs < chunk.len() {
@@ -2155,18 +2185,11 @@ impl<S: Clone + Send + Sync> Engine<S> {
                         // batch machinery would be pure overhead.
                         for (j, slot) in chunk[bs..be].iter_mut().enumerate() {
                             let v = start + bs + j;
-                            let kv = if dense == k || participates(v) {
-                                k
-                            } else {
-                                dense
-                            };
+                            let kv = pulls_of(v);
                             joined += u64::from(kv > dense);
-                            for (sample, prefix) in got[..kv].iter_mut().zip(prefixes) {
-                                let t = sampler.sample(&mut prefix.node(v as u64), v);
-                                metrics.record_attempt(RoundKind::Pull);
-                                let msg = serve(t, &states[t]);
-                                metrics.record_delivery(msg.message_bits());
-                                *sample = Some(msg);
+                            for (sample, (prefix, fx)) in got[..kv].iter_mut().zip(rounds) {
+                                let t = fx.pull(sampler, *prefix, v, &mut metrics);
+                                *sample = gather(t, &mut metrics);
                             }
                             apply(v, slot, &mut local.node(v as u64), &mut got[..kv]);
                         }
@@ -2176,39 +2199,33 @@ impl<S: Clone + Send + Sync> Engine<S> {
                     let mut js = bs;
                     while js < be {
                         let je = (js + batch).min(be);
-                        let rounds = &mut rounds[..je - js];
+                        let pulls = &mut pulls[..je - js];
                         // Draw every target of the batch — all rounds of
                         // every node — before the first gather…
                         let mut drawn = 0;
-                        for (i, kv) in rounds.iter_mut().enumerate() {
+                        for (i, kv) in pulls.iter_mut().enumerate() {
                             let v = start + js + i;
-                            *kv = if dense == k || participates(v) {
-                                k
-                            } else {
-                                dense
-                            };
+                            *kv = pulls_of(v);
                             joined += u64::from(*kv > dense);
-                            for (slot, prefix) in
-                                targets[drawn..drawn + *kv].iter_mut().zip(prefixes)
+                            for (slot, (prefix, fx)) in
+                                targets[drawn..drawn + *kv].iter_mut().zip(rounds)
                             {
-                                *slot = sampler.sample(&mut prefix.node(v as u64), v) as u32;
+                                *slot = fx.pull(sampler, *prefix, v, &mut metrics);
                             }
                             drawn += *kv;
                         }
                         // …then gather with each read prefetched `dist`
                         // targets ahead, applying node by node.
                         let mut j = 0;
-                        for (i, &kv) in rounds.iter().enumerate() {
+                        for (i, &kv) in pulls.iter().enumerate() {
                             let v = start + js + i;
                             for sample in &mut got[..kv] {
                                 if j + dist < drawn {
-                                    crate::soa::prefetch_read(&states[targets[j + dist] as usize]);
+                                    if let Some(ahead) = states.get(targets[j + dist] as usize) {
+                                        crate::soa::prefetch_read(ahead);
+                                    }
                                 }
-                                let t = targets[j] as usize;
-                                metrics.record_attempt(RoundKind::Pull);
-                                let msg = serve(t, &states[t]);
-                                metrics.record_delivery(msg.message_bits());
-                                *sample = Some(msg);
+                                *sample = gather(targets[j], &mut metrics);
                                 j += 1;
                             }
                             apply(
@@ -2232,74 +2249,6 @@ impl<S: Clone + Send + Sync> Engine<S> {
         }
         self.metrics = self.metrics + delta;
         std::mem::swap(&mut self.states, &mut self.next);
-    }
-
-    /// [`Engine::sample_step`] on an engine whose pulls can fail: the
-    /// composition it is defined by, run as is — one sampling round per
-    /// column of a flat `n × k` [`SampleMatrix`] (rounds `dense..k` at the
-    /// participants only), then one local step handing every node its row.
-    fn sample_step_composed<SP, M, P, F, A>(
-        &mut self,
-        sampler: SP,
-        k: usize,
-        dense: usize,
-        participates: P,
-        serve: F,
-        apply: A,
-    ) where
-        SP: Sampler,
-        M: MessageSize + Clone + Send + Sync,
-        P: Fn(NodeId) -> bool + Sync,
-        F: Fn(NodeId, &S) -> M + Sync,
-        A: Fn(NodeId, &mut S, &mut NodeRng, &mut [Option<M>]) + Sync,
-    {
-        let n = self.n();
-        let mut samples = SampleMatrix::empty(n, k);
-        let deliver = |slot: &mut Option<M>, t, state: &S| keep(slot, serve(t, state));
-        let all = All(n);
-        // The participants of the cut rounds `dense..k`, if there are any.
-        let cut: Vec<u32> = if dense < k {
-            (0..n as u32)
-                .filter(|&v| participates(v as usize))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        with_faults!(self, fx => {
-            for r in 0..k {
-                let column = samples.column_mut(r);
-                if r < dense {
-                    self.collect_column(all, all, fx, &sampler, column, &deliver);
-                } else {
-                    let cut = Members(&cut);
-                    self.collect_column(cut, cut, fx, &sampler, column, &deliver);
-                }
-            }
-        });
-        self.local_epochs += 1;
-        let prefix = NodeRng::key_prefix(self.seed, self.local_epochs, NodeRng::STREAM_LOCAL);
-        let samples = &samples;
-        par::for_chunks(
-            &self.pool,
-            &mut self.states,
-            self.threads,
-            (),
-            |start, chunk| {
-                let mut row: Vec<Option<M>> = Vec::with_capacity(k);
-                for (j, state) in chunk.iter_mut().enumerate() {
-                    let v = start + j;
-                    let kv = if dense < k && !participates(v) {
-                        dense
-                    } else {
-                        k
-                    };
-                    row.clear();
-                    row.extend((0..kv).map(|r| samples.get(v, r).cloned()));
-                    apply(v, state, &mut prefix.node(v as u64), &mut row);
-                }
-            },
-            |(), ()| (),
-        );
     }
 
     /// One sampling round into `column`: every member `v` of `dom` pulls
@@ -2330,10 +2279,10 @@ impl<S: Clone + Send + Sync> Engine<S> {
         self.metrics.record_round(RoundKind::Pull, dom.len() as u64);
         self.round += 1;
         let round = self.round;
-        self.advance_churn(round);
+        self.advance_churn(round, 1);
         let states = &self.states;
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
-        let fx = X::hoist(self.seed, round, &self.fault, &self.down_until, &[]);
+        let fx = X::hoist(self.seed, round, &self.fault, &self.up, &[]);
         let delta = slots.map(
             &self.pool,
             column,
@@ -2467,12 +2416,14 @@ impl<S: Clone + Send + Sync> Engine<S> {
     // sender's state at arrival; pull-only rounds leave them in flight.
     // ------------------------------------------------------------------
 
-    /// Advances the churn model to `round`: every currently-alive node draws
-    /// its crash coin (from `STREAM_FAULT_CRASH`); nodes already down draw
-    /// nothing until their rejoin round passes. Sequential `O(n)` — churn is
-    /// an explicitly-opted-into fault mode, and the scan is a trivial
+    /// Advances the churn model through the `k` rounds from `first` on: in
+    /// each, every currently-alive node draws its crash coin (from
+    /// `STREAM_FAULT_CRASH`); nodes already down draw nothing until their
+    /// rejoin round passes. Leaves in `up` one row of `n` bits per round,
+    /// set where the node is up in that round. Sequential `O(n·k)` — churn
+    /// is an explicitly-opted-into fault mode, and the scan is a trivial
     /// fraction of a round's work.
-    fn advance_churn(&mut self, round: u64) {
+    fn advance_churn(&mut self, first: u64, k: usize) {
         let Some(churn) = self.fault.churn() else {
             return;
         };
@@ -2482,13 +2433,19 @@ impl<S: Clone + Send + Sync> Engine<S> {
         if self.down_until.len() != n {
             self.down_until = vec![0; n];
         }
-        let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_FAULT_CRASH);
-        for (v, down) in self.down_until.iter_mut().enumerate() {
-            if *down > round {
-                continue;
-            }
-            if coin.lands(&mut prefix.node(v as u64)) {
-                *down = rejoin.map_or(u64::MAX, |k| round.saturating_add(k));
+        let words = n.div_ceil(64);
+        self.up.clear();
+        self.up.resize(k * words, 0);
+        for (r, row) in self.up.chunks_mut(words).enumerate() {
+            let round = first + r as u64;
+            let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_FAULT_CRASH);
+            for (v, down) in self.down_until.iter_mut().enumerate() {
+                if *down <= round && coin.lands(&mut prefix.node(v as u64)) {
+                    *down = rejoin.map_or(u64::MAX, |k| round.saturating_add(k));
+                }
+                if *down <= round {
+                    row[v / 64] |= 1 << (v % 64);
+                }
             }
         }
     }

@@ -78,7 +78,7 @@ pub use message::MessageSize;
 pub use metrics::{Metrics, RoundKind};
 pub use pool::{PoolStats, WorkerPool};
 pub use rng::{KeyPrefix, NodeRng, SeedSequence};
-pub use soa::{Columns, LaneMatrix, SampleMatrix};
+pub use soa::{LaneMatrix, SampleMatrix};
 pub use topology::{Adjacency, AdjacencyCache, Topology};
 pub use value::{NodeValue, OrderedF64};
 

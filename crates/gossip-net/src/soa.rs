@@ -1,23 +1,12 @@
-//! Struct-of-arrays state storage and the memory-layout primitives of the
-//! engine's hot data path.
+//! The memory-layout primitives of the engine's hot data path.
 //!
 //! Dense rounds at n = 10⁶ are **memory-bound**: one round of the pull
 //! primitive streams both state buffers (a write pass over `next`, a
 //! sequential read of `states` and a random gather of contact targets), so
 //! throughput is set by bytes moved and by how much of the gather latency the
 //! core can hide — not by RNG or dispatch cost. This module collects the
-//! layout-level tools the engine and the algorithm crates use to squeeze the
-//! per-byte cost:
+//! layout-level tools the engine uses to squeeze the per-byte cost:
 //!
-//! * [`Columns`] — struct-of-arrays storage for per-node algorithm state. A
-//!   `Columns` implementation (hand-written, or generated by
-//!   [`columns!`](crate::columns)) mirrors a per-node struct as parallel
-//!   flat `Vec`s, one per field, so whole-population passes ("divide every
-//!   `s` by its `w`", "count the `good` flags") run over contiguous
-//!   same-typed arrays that autovectorise, instead of striding over
-//!   interleaved structs. [`Columns::from_states`] and
-//!   [`Columns::to_states`] convert to and from the row layout an engine
-//!   runs on.
 //! * [`SampleMatrix`] — the flat result of
 //!   [`Engine::collect_samples_flat`](crate::Engine::collect_samples_flat):
 //!   `k` rounds of samples for `n` nodes in **one** column-major allocation
@@ -157,117 +146,6 @@ pub fn swap_runs<S>(ids: &[u32], base: usize, a: &mut [S], b: &mut [S]) {
         a[run_start..run_end].swap_with_slice(&mut b[run_start..run_end]);
         i = j;
     }
-}
-
-/// A per-node state type mirrored as parallel flat columns, one per field.
-///
-/// Implementations are usually generated by the [`columns!`](crate::columns)
-/// macro for plain-old-data states (every field lands in its own
-/// `Vec<field type>`); generic states hand-implement the trait (see
-/// `RobustColumns` in the `quantile-gossip` crate for the pattern). The
-/// contract: all columns always have equal length, and
-/// `get(i)`/`set(i, _)` round-trip states losslessly.
-pub trait Columns: Default {
-    /// The row type: one node's state, materialised from the columns.
-    type State;
-
-    /// Appends one state, pushing each field onto its column.
-    fn push(&mut self, state: &Self::State);
-
-    /// Number of rows (states) stored.
-    fn len(&self) -> usize;
-
-    /// Whether the store holds no rows.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Materialises row `i` as a state value.
-    fn get(&self, i: usize) -> Self::State;
-
-    /// Overwrites row `i` from a state value.
-    fn set(&mut self, i: usize, state: &Self::State);
-
-    /// Builds columns from a slice of states.
-    fn from_states(states: &[Self::State]) -> Self {
-        let mut cols = Self::default();
-        for s in states {
-            cols.push(s);
-        }
-        cols
-    }
-
-    /// Materialises every row back into a `Vec` of states (the layout the
-    /// [`Engine`](crate::Engine) consumes).
-    fn to_states(&self) -> Vec<Self::State> {
-        (0..self.len()).map(|i| self.get(i)).collect()
-    }
-}
-
-/// Generates a struct-of-arrays mirror of a plain-old-data state struct and
-/// its [`Columns`](crate::soa::Columns) implementation.
-///
-/// Each listed field becomes a public `Vec<field type>` column; the
-/// generated type derives `Debug`, `Clone` and `Default` and round-trips
-/// states through `get`/`set`/`push` field by field. The state type must be
-/// constructible from its listed fields (i.e. list **all** fields, in any
-/// order).
-///
-/// ```
-/// #[derive(Debug, Clone, Copy, PartialEq)]
-/// pub struct Point { x: f64, tag: u64 }
-/// gossip_net::columns! {
-///     /// Flat columns of [`Point`].
-///     pub struct PointColumns for Point { x: f64, tag: u64 }
-/// }
-/// use gossip_net::soa::Columns;
-/// let cols = PointColumns::from_states(&[Point { x: 0.5, tag: 7 }]);
-/// assert_eq!(cols.x, vec![0.5]);
-/// assert_eq!(cols.tag, vec![7]);
-/// assert_eq!(cols.get(0), Point { x: 0.5, tag: 7 });
-/// ```
-#[macro_export]
-macro_rules! columns {
-    (
-        $(#[$meta:meta])*
-        $vis:vis struct $name:ident for $state:path { $($field:ident : $ty:ty),+ $(,)? }
-    ) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone, Default)]
-        $vis struct $name {
-            $(
-                #[doc = concat!("The `", stringify!($field), "` column.")]
-                $vis $field: Vec<$ty>,
-            )+
-        }
-
-        impl $crate::soa::Columns for $name {
-            type State = $state;
-
-            fn push(&mut self, state: &Self::State) {
-                $( self.$field.push(state.$field.clone()); )+
-            }
-
-            fn len(&self) -> usize {
-                let lens = [ $( self.$field.len() ),+ ];
-                debug_assert!(
-                    lens.iter().all(|&l| l == lens[0]),
-                    "column lengths diverged"
-                );
-                lens[0]
-            }
-
-            fn get(&self, i: usize) -> Self::State {
-                $state {
-                    $( $field: self.$field[i].clone(), )+
-                }
-            }
-
-            fn set(&mut self, i: usize, state: &Self::State) {
-                $( self.$field[i] = state.$field.clone(); )+
-            }
-        }
-    };
 }
 
 /// The flat, column-major result of
@@ -418,35 +296,6 @@ impl<V: Clone> LaneMatrix<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    struct Demo {
-        a: u64,
-        b: f64,
-    }
-
-    crate::columns! {
-        /// Test columns.
-        struct DemoColumns for Demo { a: u64, b: f64 }
-    }
-
-    fn demo_states() -> Vec<Demo> {
-        (0..10)
-            .map(|i| Demo {
-                a: i,
-                b: i as f64 / 2.0,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn columns_round_trip_states() {
-        let states = demo_states();
-        let cols = DemoColumns::from_states(&states);
-        assert_eq!(cols.len(), states.len());
-        assert_eq!(cols.a, (0..10).collect::<Vec<u64>>());
-        assert_eq!(cols.to_states(), states);
-    }
 
     #[test]
     fn clone_block_matches_per_slot_clone() {

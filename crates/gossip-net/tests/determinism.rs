@@ -608,12 +608,7 @@ fn node_rng_streams_are_independent_of_order_of_use() {
     assert_eq!(first6, second6);
 }
 
-gossip_net::columns! {
-    /// Struct-of-arrays mirror of the tournament-style test state used by
-    /// the SoA matrix entry below.
-    struct PairColumns for PairState { value: u64, tag: u64 }
-}
-
+/// A two-field state, so each round's fold moves a struct, not a word.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct PairState {
     value: u64,
@@ -621,25 +616,20 @@ struct PairState {
 }
 
 #[test]
-fn soa_backed_engine_is_identical_across_thread_counts_and_layout_knobs() {
-    // The SoA path end to end: algorithm state lives in columns, is loaded
-    // into an engine (`Columns::to_states`), run through pull/push rounds
-    // whose layout knobs (copy block, prefetch distance) vary per
-    // configuration, and decomposed back into columns. Every
-    // (threads, knobs) point of the matrix must yield bit-identical columns —
+fn struct_states_are_identical_across_thread_counts_and_layout_knobs() {
+    // Struct states run through pull/push rounds whose layout knobs (copy
+    // block, prefetch distance) vary per configuration. Every
+    // (threads, knobs) point of the matrix must yield bit-identical states —
     // the knobs are mechanical-sympathy switches, never semantic ones.
-    use gossip_net::Columns;
-
     let initial: Vec<PairState> = (0..2000u64)
         .map(|v| PairState {
             value: v.wrapping_mul(31),
             tag: v ^ 0x5eed,
         })
         .collect();
-    let columns = PairColumns::from_states(&initial);
 
     let run = |threads: usize, block: usize, dist: usize| {
-        let mut e = Engine::from_states(columns.to_states(), EngineConfig::with_seed(77));
+        let mut e = Engine::from_states(initial.clone(), EngineConfig::with_seed(77));
         e.set_threads(threads);
         e.set_copy_block(block).set_prefetch_dist(dist);
         let active = ActiveSet::from_fn(2000, |v| v % 3 != 0);
@@ -664,29 +654,22 @@ fn soa_backed_engine_is_identical_across_thread_counts_and_layout_knobs() {
                 |_, _, _| {},
             );
         }
-        (PairColumns::from_states(e.states()), e.metrics())
+        let metrics = e.metrics();
+        (e.into_states(), metrics)
     };
 
-    let (baseline_cols, baseline_metrics) = run(1, 2048, 32);
+    let (baseline_states, baseline_metrics) = run(1, 2048, 32);
     for (i, &threads) in THREAD_MATRIX.iter().enumerate() {
         // Vary every knob along the matrix, including the degenerate block
         // size and a disabled prefetcher.
         let (block, dist) = [(1, 0), (64, 8), (1000, 3), (4096, 512)][i];
-        let (cols, metrics) = run(threads, block, dist);
+        let (states, metrics) = run(threads, block, dist);
         assert_eq!(
-            cols.value, baseline_cols.value,
-            "{threads} threads / block {block} diverged in the value column"
-        );
-        assert_eq!(
-            cols.tag, baseline_cols.tag,
-            "{threads} threads / block {block} diverged in the tag column"
+            states, baseline_states,
+            "{threads} threads / block {block} / dist {dist} diverged"
         );
         assert_eq!(metrics, baseline_metrics);
     }
-
-    // The columns themselves round-trip states losslessly.
-    assert_eq!(columns.to_states(), initial);
-    assert_eq!(columns.get(7), initial[7]);
 }
 
 #[test]

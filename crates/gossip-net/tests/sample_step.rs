@@ -12,7 +12,9 @@
 #[path = "support/goldens.rs"]
 mod support;
 
-use gossip_net::{ActiveSet, Engine, EngineConfig, FailureModel, FaultPlan, Metrics, Topology};
+use gossip_net::{
+    ActiveSet, ChurnModel, Engine, EngineConfig, FailureModel, FaultPlan, Metrics, Topology,
+};
 use rand::Rng;
 use support::{
     chaos_plan, engine, fold_hash, hash_local_steps, initial_states, pinned_subset, pull_rounds,
@@ -118,8 +120,8 @@ fn sample_steps_in_a_word_over_every_primitive_match_the_composition() {
     // use, so the case is reproducible yet arbitrary. The word holds every
     // op once, in a seeded order, followed by seeded draws, so every
     // primitive, dense and sparse, runs between the sample steps. The
-    // small failing engine's sample step composes itself, the reliable 20k
-    // one runs the one-pass, parallel, prefetched path.
+    // small failing engine's sample steps run the cache-resident pass with
+    // failure coins, the reliable 20k one the parallel, prefetched pass.
     for (n, failure) in [
         (500, FailureModel::uniform(0.2).unwrap()),
         (20_000, FailureModel::None),
@@ -242,38 +244,65 @@ fn sample_step_matches_its_composition() {
 }
 
 #[test]
-fn sample_step_on_failing_engines_runs_the_composition() {
-    // Failure models and disruptive fault plans take the composed path;
-    // its flat per-round columns must reproduce the nested and sparse
-    // collectors' coins, drops and crashes exactly.
-    for (name, config) in [
-        (
-            "failures",
-            EngineConfig::with_seed(31)
-                .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.3).unwrap())),
-        ),
-        ("chaos", EngineConfig::with_seed(31).fault(chaos_plan())),
-    ] {
-        for (k, dense) in [(2, 2), (3, 1), (15, 15)] {
-            let run = |fuse: bool| {
-                let mut e = Engine::from_states(initial_states(600), config.clone());
-                e.set_threads(gossip_net::par::num_threads());
-                for _ in 0..2 {
-                    if fuse {
-                        one_pass_step(&mut e, k, dense);
-                    } else {
-                        composed_step(&mut e, k, dense);
-                    }
+fn sample_step_under_faults_matches_its_composition() {
+    // Under every kind of fault the one pass must reproduce the composed
+    // collectors' coins, drops and crashes exactly: on the cache-resident
+    // path (n = 600) and the parallel, prefetched one (20k), for the
+    // tournaments' step sizes and a step whose targets overflow the stack
+    // batch (300), with and without a participation cut. Churn advances
+    // through a step's rounds before the pass, so both churn kinds run
+    // alone as well as inside the chaos plan.
+    for n in [600, 20_000] {
+        let per_node: Vec<f64> = (0..n).map(|v| [0.5, 0.05, 0.2][v % 3]).collect();
+        for (name, plan) in [
+            (
+                "failures",
+                FaultPlan::none().with_failure(FailureModel::uniform(0.3).unwrap()),
+            ),
+            (
+                "per-node failures",
+                FaultPlan::none().with_failure(FailureModel::per_node(per_node).unwrap()),
+            ),
+            (
+                "crash-stop churn",
+                FaultPlan::none().with_churn(ChurnModel::crash_stop(0.02).unwrap()),
+            ),
+            (
+                "rejoining churn",
+                FaultPlan::none().with_churn(ChurnModel::with_rejoin(0.1, 2).unwrap()),
+            ),
+            ("chaos", chaos_plan()),
+        ] {
+            let config = EngineConfig::with_seed(31).fault(plan);
+            for k in [2, 3, 15, 300] {
+                // At 20k the overflowing step runs under the chaos plan
+                // only, which carries every fault kind at once; the full
+                // grid there would take most of the suite's time.
+                if n > 600 && k > 256 && name != "chaos" {
+                    continue;
                 }
-                let metrics = e.metrics();
-                (e.into_states(), metrics)
-            };
-            let composed = run(false);
-            assert!(
-                composed.1.failed_operations + composed.1.messages_dropped > 0,
-                "{name}: no pull failed"
-            );
-            assert_eq!(run(true), composed, "{name}: k={k} dense={dense}");
+                for dense in [k, k / 2] {
+                    let run = |one_pass: bool| {
+                        let mut e = graph_engine(n, &config);
+                        for _ in 0..2 {
+                            if one_pass {
+                                one_pass_step(&mut e, k, dense);
+                            } else {
+                                composed_step(&mut e, k, dense);
+                            }
+                        }
+                        let metrics = e.metrics();
+                        (e.crashed_nodes(), metrics, e.into_states())
+                    };
+                    let composed = run(false);
+                    let m = &composed.1;
+                    assert!(
+                        m.failed_operations + m.messages_dropped + m.crashed_operations > 0,
+                        "n={n} {name}: no pull failed"
+                    );
+                    assert_eq!(run(true), composed, "n={n} {name}: k={k} dense={dense}");
+                }
+            }
         }
     }
 }

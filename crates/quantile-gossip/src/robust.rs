@@ -31,7 +31,7 @@ pub struct RobustConfig {
     /// Number of pulls per tournament iteration. `None` selects the
     /// Lemma 5.2 default `⌈4/(1−μ)·ln(4/(1−μ))⌉ + 1`.
     pub pulls_per_iteration: Option<usize>,
-    /// `K`: the number of good pulls the final vote needs.
+    /// `K`: the number of good pulls the final vote needs (0 runs as 1).
     pub final_vote_samples: usize,
     /// `t`: extra learning rounds after the vote; all but `≈ n·2^{-t}` nodes
     /// end up with an answer.
@@ -69,10 +69,15 @@ impl RobustConfig {
         ((4.0 / s) * (4.0 / s).ln()).ceil() as usize + 1
     }
 
+    /// `K`, the number of good pulls the final vote needs: at least one.
+    fn vote_samples(&self) -> usize {
+        self.final_vote_samples.max(1)
+    }
+
     /// The number of pulls used by the final vote for a failure bound `mu`.
     pub fn final_pulls_for(&self, mu: f64) -> usize {
         let s = 1.0 - mu.clamp(0.0, 0.99);
-        let k = self.final_vote_samples as f64;
+        let k = self.vote_samples() as f64;
         ((k / s) * (k / s).ln().max(1.0)).ceil() as usize
     }
 }
@@ -104,58 +109,14 @@ struct RobustState<V> {
     answer: Option<V>,
 }
 
-/// Struct-of-arrays mirror of [`RobustState`]: three parallel columns, so
-/// the end-of-run extraction scans flat `good` / `answer` arrays instead of
-/// striding through the interleaved struct array. Hand-written
-/// [`Columns`](gossip_net::soa::Columns) impl (the `columns!` macro handles
-/// non-generic states; this one is generic over `V`).
-#[derive(Debug, Clone)]
-struct RobustColumns<V> {
-    value: Vec<V>,
-    good: Vec<bool>,
-    answer: Vec<Option<V>>,
-}
-
-// Manual `Default` so `V: Default` is not required (empty columns need no
-// element values).
-impl<V> Default for RobustColumns<V> {
-    fn default() -> Self {
-        RobustColumns {
-            value: Vec::new(),
-            good: Vec::new(),
-            answer: Vec::new(),
-        }
-    }
-}
-
-impl<V: NodeValue> gossip_net::soa::Columns for RobustColumns<V> {
-    type State = RobustState<V>;
-
-    fn push(&mut self, state: &RobustState<V>) {
-        self.value.push(state.value);
-        self.good.push(state.good);
-        self.answer.push(state.answer);
-    }
-
-    fn len(&self) -> usize {
-        debug_assert_eq!(self.value.len(), self.good.len());
-        debug_assert_eq!(self.value.len(), self.answer.len());
-        self.value.len()
-    }
-
-    fn get(&self, i: usize) -> RobustState<V> {
-        RobustState {
-            value: self.value[i],
-            good: self.good[i],
-            answer: self.answer[i],
-        }
-    }
-
-    fn set(&mut self, i: usize, state: &RobustState<V>) {
-        self.value[i] = state.value;
-        self.good[i] = state.good;
-        self.answer[i] = state.answer;
-    }
+/// The values of a step's good pulls — delivered, from a node that was good —
+/// in pull order.
+fn good_pulls<V: Copy>(samples: &[Option<(V, bool)>]) -> impl Iterator<Item = V> + '_ {
+    samples
+        .iter()
+        .flatten()
+        .filter(|&&(_, good)| good)
+        .map(|&(v, _)| v)
 }
 
 /// Runs the failure-robust ε-approximate φ-quantile algorithm of Theorem 1.4.
@@ -213,93 +174,110 @@ pub fn robust_approximate_quantile<V: NodeValue>(
         .collect();
     let mut engine = Engine::from_states(states, engine_config);
 
+    // Every iteration and the final vote are one sample step each: every
+    // node pulls `(value, good)` pairs and uses the first good ones, in pull
+    // order.
+    let serve = |_: usize, st: &RobustState<V>| (st.value, st.good);
+    let pulls_now = |budget: &AdaptiveRoundBudget| {
+        if config.adaptive {
+            config.pulls_for(budget.mu_hat())
+        } else {
+            fixed_pulls
+        }
+    };
+
     // Phase I: robust 2-TOURNAMENT.
     let schedule1 = TwoTournamentSchedule::compute(phi, eps)?;
     let side = schedule1.side;
     for step in &schedule1.steps {
-        let pulls = if config.adaptive {
-            config.pulls_for(budget.mu_hat())
-        } else {
-            fixed_pulls
-        };
+        let pulls = pulls_now(&budget);
         let before = engine.metrics();
-        let samples = engine.collect_samples(pulls, |_, st| (st.value, st.good));
+        let delta = step.delta;
+        engine.sample_step(
+            pulls,
+            pulls,
+            |_| true,
+            serve,
+            |_, st, rng, samples| {
+                let mut good = good_pulls(samples);
+                let (Some(a), Some(b)) = (good.next(), good.next()) else {
+                    st.good = false;
+                    return;
+                };
+                // The probability-δ branch is drawn from the node's own stream so
+                // runs replay identically at any thread count.
+                let tournament = delta >= 1.0 || rng.gen::<f64>() < delta;
+                st.value = if tournament {
+                    match side {
+                        ShrinkSide::High => a.min(b),
+                        ShrinkSide::Low => a.max(b),
+                    }
+                } else {
+                    a
+                };
+            },
+        );
         if config.adaptive {
             budget.observe(engine.metrics().snapshot_delta(&before).disturbance_rate());
         }
-        let delta = step.delta;
-        engine.local_step(|v, st, rng| {
-            let good_pulls: Vec<V> = samples[v]
-                .iter()
-                .filter(|(_, g)| *g)
-                .map(|&(val, _)| val)
-                .collect();
-            if good_pulls.len() < 2 {
-                st.good = false;
-                return;
-            }
-            // The probability-δ branch is drawn from the node's own stream so
-            // runs replay identically at any thread count.
-            let tournament = delta >= 1.0 || rng.gen::<f64>() < delta;
-            st.value = if tournament {
-                match side {
-                    ShrinkSide::High => good_pulls[0].min(good_pulls[1]),
-                    ShrinkSide::Low => good_pulls[0].max(good_pulls[1]),
-                }
-            } else {
-                good_pulls[0]
-            };
-        });
     }
 
     // Phase II: robust 3-TOURNAMENT.
     let schedule2 = ThreeTournamentSchedule::compute(eps / 4.0, n)?;
     for _ in 0..schedule2.len() {
-        let pulls = if config.adaptive {
-            config.pulls_for(budget.mu_hat())
-        } else {
-            fixed_pulls
-        };
+        let pulls = pulls_now(&budget);
         let before = engine.metrics();
-        let samples = engine.collect_samples(pulls, |_, st| (st.value, st.good));
+        engine.sample_step(
+            pulls,
+            pulls,
+            |_| true,
+            serve,
+            |_, st, _, samples| {
+                let mut good = good_pulls(samples);
+                match (good.next(), good.next(), good.next()) {
+                    (Some(a), Some(b), Some(c)) => st.value = median3(a, b, c),
+                    _ => st.good = false,
+                }
+            },
+        );
         if config.adaptive {
             budget.observe(engine.metrics().snapshot_delta(&before).disturbance_rate());
         }
-        engine.local_step(|v, st, _rng| {
-            let good_pulls: Vec<V> = samples[v]
-                .iter()
-                .filter(|(_, g)| *g)
-                .map(|&(val, _)| val)
-                .collect();
-            if good_pulls.len() < 3 {
-                st.good = false;
-                return;
-            }
-            st.value = median3(good_pulls[0], good_pulls[1], good_pulls[2]);
-        });
     }
-    // Final vote: sample until K good pulls are collected.
+
+    // Final vote: the median of the first K good pulls, at every node that
+    // got K of them.
     let final_pulls = if config.adaptive {
         config.final_pulls_for(budget.mu_hat())
     } else {
         config.final_pulls_for(mu)
     };
-    let k = config.final_vote_samples.max(1);
-    let samples = engine.collect_samples(final_pulls, |_, st| (st.value, st.good));
-    engine.local_step(|v, st, _rng| {
-        let mut good_pulls: Vec<V> = samples[v]
-            .iter()
-            .filter(|(_, g)| *g)
-            .map(|&(val, _)| val)
-            .collect();
-        if good_pulls.len() >= k {
-            good_pulls.truncate(k);
-            good_pulls.sort_unstable();
-            st.answer = Some(good_pulls[good_pulls.len() / 2]);
-        } else {
+    let k = config.vote_samples();
+    engine.sample_step(
+        final_pulls,
+        final_pulls,
+        |_| true,
+        serve,
+        |_, st, _, samples| {
+            // Move the first K good pulls to the front.
+            let mut good = 0;
+            for i in 0..samples.len() {
+                if good == k {
+                    break;
+                }
+                if matches!(samples[i], Some((_, true))) {
+                    samples.swap(good, i);
+                    good += 1;
+                }
+            }
             st.answer = None;
-        }
-    });
+            if good == k {
+                let votes = &mut samples[..k];
+                votes.sort_unstable();
+                st.answer = votes[k / 2].map(|(val, _)| val);
+            }
+        },
+    );
 
     // Learning rounds: nodes without an answer adopt any answer they pull.
     for _ in 0..config.learning_rounds {
@@ -316,16 +294,13 @@ pub fn robust_approximate_quantile<V: NodeValue>(
     }
 
     let metrics = engine.metrics();
-    // Columnar extraction: decompose the final states into parallel flat
-    // columns and read `good` / `answer` as contiguous arrays. `good` is only
-    // ever cleared during the tournament phases (the final vote and learning
-    // rounds touch `answer` alone), so the fraction measured here equals the
-    // post-tournament one.
-    use gossip_net::soa::Columns as _;
-    let cols = RobustColumns::from_states(engine.states());
-    let good_fraction = cols.good.iter().filter(|&&g| g).count() as f64 / n as f64;
-    let answered = cols.answer.iter().filter(|o| o.is_some()).count() as f64 / n as f64;
-    let outputs = cols.answer;
+    // `good` is only ever cleared during the tournament phases (the final
+    // vote and learning rounds touch `answer` alone), so the fraction
+    // measured here equals the post-tournament one.
+    let states = engine.states();
+    let good_fraction = states.iter().filter(|st| st.good).count() as f64 / n as f64;
+    let outputs: Vec<Option<V>> = states.iter().map(|st| st.answer).collect();
+    let answered = outputs.iter().flatten().count() as f64 / n as f64;
     Ok(RobustOutcome {
         outputs,
         answered_fraction: answered,
@@ -390,6 +365,25 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(fixed.pulls_for(0.9), 7);
+    }
+
+    #[test]
+    fn a_zero_sample_vote_runs_as_a_one_sample_vote() {
+        let values: Vec<u64> = (0..4_000).collect();
+        let run = |final_vote_samples| {
+            let cfg = RobustConfig {
+                mu: Some(0.0),
+                final_vote_samples,
+                ..Default::default()
+            };
+            robust_approximate_quantile(&values, 0.5, 0.1, &cfg, EngineConfig::with_seed(4))
+                .unwrap()
+        };
+        let (zero, one) = (run(0), run(1));
+        assert_eq!(zero.answered_fraction, 1.0);
+        assert_eq!(zero.outputs, one.outputs);
+        assert_eq!(zero.metrics, one.metrics);
+        assert_eq!(zero.good_fraction, one.good_fraction);
     }
 
     #[test]

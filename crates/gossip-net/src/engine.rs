@@ -2060,16 +2060,16 @@ impl<S: Clone + Send + Sync> Engine<S> {
     ///
     /// The whole step is **one** pool dispatch over the back buffer, under
     /// every fault plan: per block of nodes, all targets of all `k` rounds
-    /// are drawn from the `k` hoisted round views into a scratch batch (a
-    /// stack batch when a node's targets fit one, else one node's heap
-    /// batch), their states are software-prefetched
-    /// [`Engine::set_prefetch_dist`] ahead (the [`Engine::pull_round`]
-    /// scheme, with the same cache-resident gate), and each node's samples
-    /// go straight to `apply` — no sample matrix and no second pass. Each
-    /// draw passes the round's fault coins in the order of a pull round, and
-    /// an undelivered sample reads `None`. Under churn the model advances
-    /// through all `k` rounds before the pass, keeping one bit per node and
-    /// round, and ends where `k` sampling rounds leave it.
+    /// are drawn from the `k` hoisted round views into a stack batch, their
+    /// states are software-prefetched [`Engine::set_prefetch_dist`] ahead
+    /// (the [`Engine::pull_round`] scheme, with the same cache-resident
+    /// gate), and each node's samples go straight to `apply` — no sample
+    /// matrix and no second pass. A step of more than 256 samples per node
+    /// gathers each sample as it draws it. Each draw passes the round's
+    /// fault coins in the order of a pull round, and an undelivered sample
+    /// reads `None`. Under churn the model advances through all `k` rounds
+    /// before the pass, keeping one bit per node and round, and ends where
+    /// `k` sampling rounds leave it.
     pub fn sample_step<M, P, F, A>(
         &mut self,
         k: usize,
@@ -2130,10 +2130,15 @@ impl<S: Clone + Send + Sync> Engine<S> {
 
         let (states, sampler, rounds) = (&self.states, &sampler, &rounds);
         let (block, dist) = (self.copy_block, self.prefetch_dist);
-        let prefetch = dist > 0 && std::mem::size_of::<S>() * n > crate::soa::PREFETCH_MIN_BYTES;
-        // Nodes per target batch: as many as TARGET_BATCH targets hold, and
-        // one node when its own targets do not fit.
-        let batch = (TARGET_BATCH / k.max(1)).max(1);
+        // A node's targets must fit the stack batch: reading the batch
+        // through a slice that could also point at a heap buffer made
+        // `tournament_1m` 1.25× slower, so larger steps take the unbatched
+        // loop below.
+        let prefetch = k <= TARGET_BATCH
+            && dist > 0
+            && std::mem::size_of::<S>() * n > crate::soa::PREFETCH_MIN_BYTES;
+        // Nodes per target batch.
+        let batch = TARGET_BATCH / k.max(1);
         // How many rounds `v` pulls in: all `k` at participants, `dense`
         // elsewhere.
         let pulls_of = |v: NodeId| {
@@ -2160,17 +2165,10 @@ impl<S: Clone + Send + Sync> Engine<S> {
             |start, chunk| {
                 let mut metrics = Metrics::default();
                 let mut joined = 0u64;
-                // The batch's targets, packed node by node: stack scratch
-                // (measurably faster than a heap buffer here) unless one
-                // node's targets overflow it. `pulls` holds each node's
+                // Stack scratch (measurably faster than heap buffers here):
+                // the batch's targets, packed node by node, and each node's
                 // round count.
-                let (mut stack, mut heap) = ([0u32; TARGET_BATCH], Vec::new());
-                let targets: &mut [u32] = if k <= TARGET_BATCH {
-                    &mut stack
-                } else {
-                    heap.resize(k, 0);
-                    &mut heap
-                };
+                let mut targets = [0u32; TARGET_BATCH];
                 let mut pulls = [0usize; TARGET_BATCH];
                 let mut got: Vec<Option<M>> = (0..k).map(|_| None).collect();
                 let mut bs = 0;
@@ -2181,8 +2179,9 @@ impl<S: Clone + Send + Sync> Engine<S> {
                     let be = (bs + block).min(chunk.len());
                     crate::soa::clone_block(&mut chunk[bs..be], &states[start + bs..start + be]);
                     if !prefetch {
-                        // Cache-resident states: gathers never miss, so the
-                        // batch machinery would be pure overhead.
+                        // Cache-resident states (gathers never miss, so the
+                        // batch machinery would be pure overhead) or more
+                        // targets per node than a batch holds.
                         for (j, slot) in chunk[bs..be].iter_mut().enumerate() {
                             let v = start + bs + j;
                             let kv = pulls_of(v);

@@ -249,9 +249,9 @@ fn sample_step_under_faults_matches_its_composition() {
     // collectors' coins, drops and crashes exactly: on the cache-resident
     // path (n = 600) and the parallel, prefetched one (20k), for the
     // tournaments' step sizes and a step whose targets overflow the stack
-    // batch (300), with and without a participation cut. Churn advances
-    // through a step's rounds before the pass, so both churn kinds run
-    // alone as well as inside the chaos plan.
+    // batch (300, gathered unbatched), with and without a participation
+    // cut. Churn advances through a step's rounds before the pass, so both
+    // churn kinds run alone as well as inside the chaos plan.
     for n in [600, 20_000] {
         let per_node: Vec<f64> = (0..n).map(|v| [0.5, 0.05, 0.2][v % 3]).collect();
         for (name, plan) in [

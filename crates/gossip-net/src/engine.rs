@@ -2137,7 +2137,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let prefetch = k <= TARGET_BATCH
             && dist > 0
             && std::mem::size_of::<S>() * n > crate::soa::PREFETCH_MIN_BYTES;
-        // Nodes per target batch.
+        // Nodes per target batch (at least one whenever the batch runs).
         let batch = TARGET_BATCH / k.max(1);
         // How many rounds `v` pulls in: all `k` at participants, `dense`
         // elsewhere.
@@ -2440,7 +2440,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
             let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_FAULT_CRASH);
             for (v, down) in self.down_until.iter_mut().enumerate() {
                 if *down <= round && coin.lands(&mut prefix.node(v as u64)) {
-                    *down = rejoin.map_or(u64::MAX, |k| round.saturating_add(k));
+                    *down = rejoin.map_or(u64::MAX, |after| round.saturating_add(after));
                 }
                 if *down <= round {
                     row[v / 64] |= 1 << (v % 64);

@@ -1062,7 +1062,8 @@ pub struct Engine<S> {
     /// first advances.
     down_until: Vec<u64>,
     /// Churn scratch: one row of `n` bits per round of the running body, set
-    /// where the node is up in that round (see `Engine::advance_churn`).
+    /// where the node is up in that round (see `Engine::advance_churn`);
+    /// empty without churn.
     up: Vec<u64>,
     /// Straggled push contacts not yet due (or due in a round that cannot
     /// deliver them — only push-capable rounds drain this buffer).
@@ -1445,14 +1446,6 @@ fn merge_sorted_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
-}
-
-/// Stores a served message in its sample slot and returns its wire size —
-/// the [`Engine::collect_column`] delivery of every message-serving round.
-fn keep<M: MessageSize>(slot: &mut Option<M>, msg: M) -> u64 {
-    let bits = msg.message_bits();
-    *slot = Some(msg);
-    bits
 }
 
 /// Dispatches `$body` with `$sp` bound to the engine's concrete sampler
@@ -2024,7 +2017,12 @@ impl<S: Clone + Send + Sync> Engine<S> {
         F: Fn(NodeId, &S) -> M + Sync,
     {
         let mut matrix = SampleMatrix::empty(self.n(), k);
-        let deliver = |slot: &mut Option<M>, t, state: &S| keep(slot, serve(t, state));
+        let deliver = |slot: &mut Option<M>, t, state: &S| {
+            let msg = serve(t, state);
+            let bits = msg.message_bits();
+            *slot = Some(msg);
+            bits
+        };
         let all = All(self.n());
         with_sampler!(self, sp => with_faults!(self, fx => {
             for r in 0..k {
@@ -2115,7 +2113,8 @@ impl<S: Clone + Send + Sync> Engine<S> {
         self.round += k as u64;
         self.local_epochs += 1;
         let local = NodeRng::key_prefix(seed, self.local_epochs, NodeRng::STREAM_LOCAL);
-        // One hoisted view per round, as each sampling round hoists its own.
+        // One hoisted view per round, as each sampling round hoists its own,
+        // holding the round's row of churn bits (empty without churn).
         let words = self.up.len() / k.max(1);
         let rounds: Vec<(KeyPrefix, X::Round<'_>)> = (0..k)
             .map(|r| {

@@ -21,14 +21,15 @@ const PIN_PATH: &str = concat!(
 
 const HEADER: &str = "\
 # Pinned algorithm-level fingerprints of tournament_quantile, the robust
-# algorithm, the median rule and the sampling baseline.
+# algorithm, the median rule, the sampling baseline and exact_quantile.
 #
 # Consumed by tests/tournament_golden.rs. Each scenario pins the per-node
 # outputs fingerprint (a node without an answer as u64::MAX) and a metrics
 # line (rounds, participants, max participants, pulls attempted, failures,
 # drops, deliveries, bits, crashed operations, delayed messages); a robust
 # scenario also pins the bits of its good and answered fractions and of its
-# failure estimate. Regenerate deliberately — in the same commit as the
+# failure estimate, and an exact scenario pins its answer's bits, iterations
+# and rounds instead of a fingerprint. Regenerate deliberately — in the same commit as the
 # change that alters a driver's trajectory, with a CHANGES.md note — via:
 #
 #     cargo run -p quantile-gossip --example regen_tournament_goldens -- --write

@@ -10,19 +10,23 @@
 //! Most scenarios are one [`tournament_quantile`] call. Their settings are
 //! chosen so that both phases end in a δ-truncated (δ < 1) final iteration,
 //! which puts every tournament code path — dense iterations, the δ-cut
-//! iterations of both phases, and the final vote — under the pins. The rest
+//! iterations of both phases, and the final vote — under the pins. Others
 //! run the other drivers built on sampling rounds: the robust algorithm of
 //! Theorem 1.4 (fixed and adaptive pull budgets), the median rule and the
 //! sampling baseline, each without faults, under the failure model and
-//! under churn.
+//! under churn. The last run [`exact_quantile`] (Algorithm 3: tournaments,
+//! the bracket spread, push-sum counts and token scattering) under every
+//! fault plan, on u64 inputs and, for the message-size charge of other value
+//! widths, on u32 and [`OrderedF64`] inputs.
 
 #![allow(dead_code)]
 
 use baselines::{median_rule, sampling, MedianRuleConfig, SamplingConfig};
+use gossip_net::OrderedF64;
 use quantile_gossip::{
-    robust_approximate_quantile, tournament_quantile, ChurnModel, EngineConfig, FailureModel,
-    FaultPlan, LossModel, Metrics, RobustConfig, ThreeTournamentSchedule, Topology,
-    TournamentConfig, TwoTournamentSchedule,
+    exact_quantile, robust_approximate_quantile, tournament_quantile, ChurnModel, EngineConfig,
+    ExactOutcome, FailureModel, FaultPlan, LossModel, Metrics, NarrowingConfig, NodeValue, Result,
+    RobustConfig, ThreeTournamentSchedule, Topology, TournamentConfig, TwoTournamentSchedule,
 };
 
 /// The ε of every pinned tournament and robust scenario.
@@ -81,6 +85,20 @@ pub enum Driver {
     MedianRule,
     /// [`sampling::approximate_quantile`] at [`SAMPLING_EPSILON`].
     Sampling,
+    /// [`exact_quantile`] on the u64 inputs.
+    Exact,
+    /// [`exact_quantile`] on the same inputs as u32.
+    ExactU32,
+    /// [`exact_quantile`] on the inputs mapped to [`OrderedF64`] (negative
+    /// and positive values).
+    ExactF64,
+}
+
+impl Driver {
+    /// Whether the driver is one of the [`exact_quantile`] drivers.
+    pub fn is_exact(self) -> bool {
+        matches!(self, Driver::Exact | Driver::ExactU32 | Driver::ExactF64)
+    }
 }
 
 /// The fault plan a pinned scenario runs under.
@@ -148,6 +166,9 @@ impl Scenario {
             Driver::RobustAdaptive => format!("robust_adaptive.{at}"),
             Driver::MedianRule => format!("median_rule.n{n}.{graph}{}", plan.suffix()),
             Driver::Sampling => format!("sampling.{at}"),
+            Driver::Exact => format!("exact.{at}"),
+            Driver::ExactU32 => format!("exact_u32.{at}"),
+            Driver::ExactF64 => format!("exact_f64.{at}"),
         };
         Scenario {
             name,
@@ -183,9 +204,24 @@ impl Scenario {
     /// Runs the scenario: its pinned `(key suffix, value)` pairs — the
     /// outputs fingerprint (a node without an answer as `u64::MAX`), the
     /// metrics line and, for the robust driver, the bits of its good and
-    /// answered fractions and of its failure estimate.
+    /// answered fractions and of its failure estimate. An exact scenario
+    /// pins its answer's bits, iterations and rounds instead of a
+    /// fingerprint, or the error it returned (with `-` for metrics).
     pub fn run(&self) -> Vec<(&'static str, String)> {
         let (values, config) = (self.values(), self.config());
+        let exact = |outcome: Result<ExactOutcome<u64>>| match outcome {
+            Ok(out) => vec![
+                (
+                    "outcome",
+                    format!(
+                        "answer{:016x} iterations{} rounds{}",
+                        out.answer, out.iterations, out.rounds
+                    ),
+                ),
+                ("metrics", metrics_line(&out.metrics)),
+            ],
+            Err(e) => vec![("outcome", format!("error {e}")), ("metrics", "-".into())],
+        };
         let (outputs, metrics, outcome) = match self.driver {
             Driver::Tournament => {
                 let out = tournament_quantile(
@@ -226,6 +262,14 @@ impl Scenario {
                         .expect("valid scenario parameters");
                 (out.estimates, out.metrics, None)
             }
+            Driver::Exact => return exact(self.exact(&values, |x| x, |a| a)),
+            Driver::ExactU32 => {
+                return exact(self.exact(&values, |x| x as u32, u64::from));
+            }
+            Driver::ExactF64 => {
+                let to_f64 = |x: u64| OrderedF64::new(x as f64 / 7.0 - self.n as f64).unwrap();
+                return exact(self.exact(&values, to_f64, |a| a.get().to_bits()));
+            }
         };
         let mut pins = vec![
             ("fp", fingerprint(&outputs)),
@@ -234,6 +278,29 @@ impl Scenario {
         pins.extend(outcome.map(|o| ("outcome", o)));
         pins
     }
+
+    /// Runs [`exact_quantile`] on the inputs mapped by `to`, and maps the
+    /// answer back to the u64 its bits are pinned as.
+    fn exact<V: NodeValue>(
+        &self,
+        values: &[u64],
+        to: impl Fn(u64) -> V,
+        bits: impl Fn(V) -> u64,
+    ) -> Result<ExactOutcome<u64>> {
+        let values: Vec<V> = values.iter().map(|&x| to(x)).collect();
+        let out = exact_quantile(
+            &values,
+            self.phi,
+            &NarrowingConfig::default(),
+            self.config(),
+        )?;
+        Ok(ExactOutcome {
+            answer: bits(out.answer),
+            iterations: out.iterations,
+            rounds: out.rounds,
+            metrics: out.metrics,
+        })
+    }
 }
 
 /// Every pinned scenario, in canonical file order: the tournament at
@@ -241,7 +308,9 @@ impl Scenario {
 /// degree-16 random regular expander, one message-loss case at n = 2 000 and
 /// the three fault plans at n = 20 000; then the robust driver (both
 /// budgets), the median rule and the sampling baseline at n = 20 000, each
-/// reliable, under the failure model and under churn.
+/// reliable, under the failure model and under churn; then the exact
+/// algorithm under all four plans at n = 2 000 × φ ∈ {0.1, 0.5, 0.9} and at
+/// n = 20 000 × φ = 0.5, and on u32 and [`OrderedF64`] inputs at n = 2 000.
 pub fn scenarios() -> Vec<Scenario> {
     let mut out = Vec::new();
     for topology in [Topology::Complete, Topology::random_regular(16, 7)] {
@@ -282,6 +351,29 @@ pub fn scenarios() -> Vec<Scenario> {
         for plan in [Plan::Reliable, Plan::Failure, Plan::Churn] {
             out.push(Scenario::new(driver, 20_000, 0.3, Topology::Complete, plan));
         }
+    }
+    let plans = [Plan::Reliable, Plan::Loss, Plan::Failure, Plan::Churn];
+    for (n, phis) in [(2_000, &[0.1, 0.5, 0.9][..]), (20_000, &[0.5][..])] {
+        for &phi in phis {
+            for plan in plans {
+                out.push(Scenario::new(
+                    Driver::Exact,
+                    n,
+                    phi,
+                    Topology::Complete,
+                    plan,
+                ));
+            }
+        }
+    }
+    for driver in [Driver::ExactU32, Driver::ExactF64] {
+        out.push(Scenario::new(
+            driver,
+            2_000,
+            0.5,
+            Topology::Complete,
+            Plan::Reliable,
+        ));
     }
     out
 }

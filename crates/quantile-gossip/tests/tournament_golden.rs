@@ -1,8 +1,9 @@
 //! Algorithm-level golden pins for [`tournament_quantile`], the robust
-//! algorithm of Theorem 1.4 and the sampling baselines: every scenario of
-//! `support/tournament_goldens.rs` must reproduce its pinned outputs
-//! fingerprint and metrics line (and, for the robust driver, its outcome
-//! line) exactly.
+//! algorithm of Theorem 1.4, the sampling baselines and the exact algorithm
+//! of Theorem 1.1: every scenario of `support/tournament_goldens.rs` must
+//! reproduce its pinned outputs fingerprint and metrics line (and, for the
+//! robust driver, its outcome line; for the exact algorithm, its answer's
+//! bits, iterations and rounds) exactly.
 //!
 //! The engine-level pins (`gossip-net/tests/golden.rs`) fix each primitive's
 //! trajectory; these fix what the drivers compose from them — dense
@@ -22,13 +23,16 @@ mod support;
 use quantile_gossip::{tournament_quantile, EngineConfig, FaultPlan, LossModel, TournamentConfig};
 use support::Driver;
 
-/// The pinned scenarios of one kind: the tournament's, or every other
-/// driver's.
-fn scenarios(tournament: bool) -> Vec<support::Scenario> {
+/// The pinned scenarios whose driver `pick` accepts.
+fn scenarios(pick: impl Fn(Driver) -> bool) -> Vec<support::Scenario> {
     support::scenarios()
         .into_iter()
-        .filter(|s| (s.driver == Driver::Tournament) == tournament)
+        .filter(|s| pick(s.driver))
         .collect()
+}
+
+fn tournament(d: Driver) -> bool {
+    d == Driver::Tournament
 }
 
 /// Runs every scenario and checks each of its values against its pin.
@@ -47,19 +51,24 @@ fn check(scenarios: Vec<support::Scenario>) {
 
 #[test]
 fn every_scenario_truncates_both_phases() {
-    for s in scenarios(true) {
+    for s in scenarios(tournament) {
         assert!(s.has_delta_cuts(), "{}: no δ < 1 final step", s.name);
     }
 }
 
 #[test]
 fn tournament_outputs_and_metrics_match_the_pins() {
-    check(scenarios(true));
+    check(scenarios(tournament));
 }
 
 #[test]
 fn robust_and_baseline_outputs_and_metrics_match_the_pins() {
-    check(scenarios(false));
+    check(scenarios(|d| !tournament(d) && !d.is_exact()));
+}
+
+#[test]
+fn exact_outcomes_and_metrics_match_the_pins() {
+    check(scenarios(Driver::is_exact));
 }
 
 #[test]

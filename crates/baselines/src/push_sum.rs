@@ -18,7 +18,9 @@
 //! simply does not split this round (its outgoing half is returned to it), so
 //! the protocol's mass conservation invariant `Σ s_v = const`, `Σ w_v = const`
 //! is preserved and only convergence speed degrades — matching the discussion
-//! in \[KDG03\] and Section 5.2 of the paper.
+//! in \[KDG03\] and Section 5.2 of the paper. The same holds under churn: a
+//! node held down keeps its staged half and takes it back at its next local
+//! step.
 
 use gossip_net::{Engine, EngineConfig, GossipError, Metrics, Result};
 
@@ -113,8 +115,13 @@ fn run_push_sum(
     let rounds = config.rounds_for(n);
 
     for _ in 0..rounds {
-        // Local half-split into the outbox.
+        // Local half-split into the outbox. A local step also runs at a node
+        // that churn holds down, whose push round skipped `after`: it first
+        // takes back the outbox it could not send (a no-op everywhere else,
+        // since `after` empties every outbox it runs at).
         engine.local_step(|_, st, _rng| {
+            st.s += st.out_s;
+            st.w += st.out_w;
             st.out_s = st.s / 2.0;
             st.out_w = st.w / 2.0;
             st.s -= st.out_s;
@@ -234,7 +241,7 @@ pub fn count_matching(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_net::{FailureModel, FaultPlan};
+    use gossip_net::{ChurnModel, FailureModel, FaultPlan};
 
     fn cfg(seed: u64) -> EngineConfig {
         EngineConfig::with_seed(seed)
@@ -307,23 +314,28 @@ mod tests {
 
     #[test]
     fn mass_is_conserved_under_failures() {
-        // With a 30% failure rate the estimate still converges (more slowly),
-        // because failed pushes return their mass to the sender.
+        // With a 30% failure rate, or churn that holds 5% of the nodes down
+        // for 3 rounds at a time, the estimate still converges (more slowly),
+        // because a push that does not go out returns its mass to the sender.
         let values: Vec<f64> = (0..800).map(|i| (i % 10) as f64).collect();
         let truth = values.iter().sum::<f64>() / values.len() as f64;
         let config = PushSumConfig {
             rounds: Some(120),
             target_accuracy: 1e-6,
         };
-        let engine_config = EngineConfig::with_seed(9)
-            .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.3).unwrap()));
-        let out = average(&values, &config, engine_config).unwrap();
-        assert!(
-            out.max_absolute_error(truth) < 0.05,
-            "err {}",
-            out.max_absolute_error(truth)
-        );
-        assert!(out.metrics.failed_operations > 0);
+        let failure = FaultPlan::none().with_failure(FailureModel::uniform(0.3).unwrap());
+        let churn = FaultPlan::none().with_churn(ChurnModel::with_rejoin(0.05, 3).unwrap());
+        for plan in [failure, churn] {
+            let engine_config = EngineConfig::with_seed(9).fault(plan);
+            let out = average(&values, &config, engine_config).unwrap();
+            assert!(
+                out.max_absolute_error(truth) < 0.05,
+                "err {}",
+                out.max_absolute_error(truth)
+            );
+            let m = out.metrics;
+            assert!(m.failed_operations + m.crashed_operations > 0);
+        }
     }
 
     #[test]

@@ -49,10 +49,13 @@ use crate::failure::FailureModel;
 /// Crash-stop churn: each alive node crashes with a fixed probability per
 /// round, permanently or rejoining after a fixed downtime.
 ///
-/// While down, a node performs nothing — it neither pulls, pushes, serves,
-/// nor folds — and contacts targeting it are dropped in flight
-/// (counted in [`Metrics::messages_dropped`](crate::Metrics)). A node that
-/// rejoins resumes with the state it crashed with (crash-*stop*, not
+/// While down, a node performs nothing in a round — it neither pulls,
+/// pushes, serves, nor folds, and a push round skips its `after` — and
+/// contacts targeting it are dropped in flight (counted in
+/// [`Metrics::messages_dropped`](crate::Metrics)). A local step is not a
+/// round: it still runs at a down node, so an algorithm that stages a push
+/// in a local step must take back a message the node could not send. A node
+/// that rejoins resumes with the state it crashed with (crash-*stop*, not
 /// crash-recovery with amnesia).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnModel {

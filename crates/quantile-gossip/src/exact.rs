@@ -494,7 +494,7 @@ fn distribute_tokens<V: NodeValue>(
     let budget_exceeded = loop {
         let settled = holders.iter().all(|v| {
             let st = &engine.states()[v];
-            st.tokens.len() <= 1 && st.tokens.iter().all(|&(_, w)| w == 1)
+            st.outbox.is_none() && st.tokens.len() <= 1 && st.tokens.iter().all(|&(_, w)| w == 1)
         });
         if settled {
             break false;
@@ -505,9 +505,10 @@ fn distribute_tokens<V: NodeValue>(
         // Local step over the holders only: pick what to send this round —
         // half of a heavy token, or a surplus token if the node holds more
         // than one. (Non-holders have nothing to send and an already-clear
-        // outbox.)
+        // outbox.) A holder that churn held down last round skipped `after`,
+        // so it first takes back the token it could not send.
         engine.local_step_on(&holders, |_, st, _rng| {
-            st.outbox = None;
+            st.tokens.extend(st.outbox.take());
             if let Some(idx) = st.tokens.iter().position(|&(_, w)| w > 1) {
                 let (value, weight) = st.tokens[idx];
                 let half = weight / 2;
@@ -563,6 +564,7 @@ fn distribute_tokens<V: NodeValue>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gossip_net::{ChurnModel, FailureModel, FaultPlan, LossModel};
 
     fn sorted_quantile(values: &[u64], phi: f64) -> u64 {
         let mut sorted = values.to_vec();
@@ -726,14 +728,47 @@ mod tests {
                 }
             })
             .collect();
-        let cfg = EngineConfig::with_seed(4).fault(
-            gossip_net::FaultPlan::none()
-                .with_failure(gossip_net::FailureModel::uniform(0.3).unwrap()),
-        );
-        let (assigned, _rounds, metrics) = distribute_tokens(&keys, 4, n, cfg).unwrap();
-        let placed: Vec<u64> = assigned.iter().filter_map(|a| *a).collect();
-        assert_eq!(placed.len(), 32 * 4);
-        assert!(metrics.failed_operations > 0);
+        let failure = FaultPlan::none().with_failure(FailureModel::uniform(0.3).unwrap());
+        let churn = FaultPlan::none()
+            .with_churn(ChurnModel::with_rejoin(0.05, 3).unwrap())
+            .with_loss(LossModel::uniform(0.1).unwrap());
+        for plan in [failure, churn] {
+            let cfg = EngineConfig::with_seed(4).fault(plan);
+            let (assigned, _rounds, metrics) = distribute_tokens(&keys, 4, n, cfg).unwrap();
+            let placed: Vec<u64> = assigned.iter().filter_map(|a| *a).collect();
+            assert_eq!(placed.len(), 32 * 4);
+            assert!(metrics.failed_operations + metrics.crashed_operations > 0);
+        }
+    }
+
+    /// Theorem 1.1 as a claim: the answer equals the rank oracle's at every
+    /// seed tried, without faults and under each fault plan.
+    #[test]
+    fn exact_answer_matches_the_rank_oracle_under_every_fault_plan() {
+        let n = 2000u64;
+        let loss = || LossModel::uniform(0.1).unwrap();
+        let plans = [
+            FaultPlan::none(),
+            FaultPlan::none().with_loss(loss()),
+            FaultPlan::none().with_failure(FailureModel::uniform(0.2).unwrap()),
+            FaultPlan::none()
+                .with_churn(ChurnModel::with_rejoin(0.05, 3).unwrap())
+                .with_loss(loss()),
+        ];
+        for (p, plan) in plans.into_iter().enumerate() {
+            // Distinct inputs, then a duplicate-heavy one (97 values).
+            for (seed, phi, modulus) in [(31u64, 0.1, 4001), (32, 0.5, 4001), (33, 0.9, 97)] {
+                let values: Vec<u64> = (0..n).map(|i| (i * 7919 + seed) % modulus).collect();
+                let cfg = EngineConfig::with_seed(seed * 10 + p as u64).fault(plan.clone());
+                let out = exact_quantile(&values, phi, &NarrowingConfig::default(), cfg);
+                let answer = out.map(|o| o.answer);
+                assert_eq!(
+                    answer,
+                    Ok(sorted_quantile(&values, phi)),
+                    "plan {plan:?}, phi {phi}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,10 +7,17 @@
 //! when all weights start at 1 — with relative error `ε` after
 //! `O(log n + log 1/ε)` rounds with high probability.
 //!
+//! One run may carry several sums beside one shared weight — state
+//! `(s₁, …, s_K, w)`, one message of `K + 1` numbers per push (\[KDG03\]
+//! aggregates this way). Every sum follows exactly the arithmetic, targets and
+//! fault coins of a run of its own on the same seed, so each of its estimates
+//! is bit-identical to that solo run's; only the message grows, by one number
+//! per extra sum instead of a second run's `2 + …` numbers per round.
+//!
 //! The quantile paper uses this primitive twice:
-//! * Algorithm 3, Step 5 counts the rank of a value ("the sum can be
-//!   aggregated in O(log n) rounds" \[KDG03\]), implemented here as
-//!   [`count_matching`];
+//! * Algorithm 3, Step 5 counts the ranks of the bracket's two ends ("the sum
+//!   can be aggregated in O(log n) rounds" \[KDG03\]) in one run, through
+//!   [`count_matching`] with two indicators per node;
 //! * the `O(log² n)` baseline ([`crate::kdg_selection`]) counts ranks in every
 //!   iteration.
 //!
@@ -22,14 +29,70 @@
 //! node held down keeps its staged half and takes it back at its next local
 //! step.
 
-use gossip_net::{Engine, EngineConfig, GossipError, Metrics, Result};
+use gossip_net::{Engine, EngineConfig, GossipError, MessageSize, Metrics, Result};
+use std::fmt::Debug;
+
+/// The sums one push-sum run carries beside its shared weight: one `f64`, or
+/// `[f64; K]` for `K` sums in the same messages.
+pub trait Sums: Copy + Debug + Send + Sync + MessageSize + 'static {
+    /// Applies `f` to every sum.
+    fn map(self, f: impl Fn(f64) -> f64) -> Self;
+    /// Combines two sets of sums position by position.
+    fn zip(self, other: Self, f: impl Fn(f64, f64) -> f64) -> Self;
+}
+
+impl Sums for f64 {
+    fn map(self, f: impl Fn(f64) -> f64) -> Self {
+        f(self)
+    }
+    fn zip(self, other: Self, f: impl Fn(f64, f64) -> f64) -> Self {
+        f(self, other)
+    }
+}
+
+impl<const K: usize> Sums for [f64; K] {
+    fn map(self, f: impl Fn(f64) -> f64) -> Self {
+        std::array::from_fn(|i| f(self[i]))
+    }
+    fn zip(self, other: Self, f: impl Fn(f64, f64) -> f64) -> Self {
+        std::array::from_fn(|i| f(self[i], other[i]))
+    }
+}
+
+/// What a node contributes to [`count_matching`]: whether it matches one
+/// predicate (`bool`), or each of `K` predicates (`[bool; K]`), which one
+/// run then counts together.
+pub trait Indicator: Copy {
+    /// The per-node count estimates: `f64`, or `[f64; K]`.
+    type Counts: Sums;
+    /// 1 where a predicate holds, 0 elsewhere.
+    fn sums(self) -> Self::Counts;
+}
+
+impl Indicator for bool {
+    type Counts = f64;
+    fn sums(self) -> f64 {
+        if self {
+            1.0
+        } else {
+            0.0
+        }
+    }
+}
+
+impl<const K: usize> Indicator for [bool; K] {
+    type Counts = [f64; K];
+    fn sums(self) -> [f64; K] {
+        std::array::from_fn(|i| self[i].sums())
+    }
+}
 
 /// State of one node during push-sum.
 #[derive(Debug, Clone, Copy)]
-struct PushSumState {
-    s: f64,
+struct PushSumState<S> {
+    s: S,
     w: f64,
-    out_s: f64,
+    out_s: S,
     out_w: f64,
 }
 
@@ -76,10 +139,10 @@ impl PushSumConfig {
 
 /// Result of a push-sum run.
 #[derive(Debug, Clone)]
-pub struct PushSumOutcome {
+pub struct PushSumOutcome<S = f64> {
     /// Per-node estimates of the aggregate (average, sum or count depending on
-    /// the entry point used).
-    pub estimates: Vec<f64>,
+    /// the entry point used), one per sum the run carried.
+    pub estimates: Vec<S>,
     /// Rounds executed.
     pub rounds: u64,
     /// Communication metrics.
@@ -96,18 +159,18 @@ impl PushSumOutcome {
     }
 }
 
-fn run_push_sum(
-    initial: Vec<(f64, f64)>,
+fn run_push_sum<S: Sums>(
+    initial: Vec<(S, f64)>,
     config: &PushSumConfig,
     engine_config: EngineConfig,
-) -> PushSumOutcome {
+) -> PushSumOutcome<S> {
     let n = initial.len();
-    let states: Vec<PushSumState> = initial
+    let states: Vec<PushSumState<S>> = initial
         .into_iter()
         .map(|(s, w)| PushSumState {
             s,
             w,
-            out_s: 0.0,
+            out_s: s.map(|_| 0.0),
             out_w: 0.0,
         })
         .collect();
@@ -120,11 +183,11 @@ fn run_push_sum(
         // takes back the outbox it could not send (a no-op everywhere else,
         // since `after` empties every outbox it runs at).
         engine.local_step(|_, st, _rng| {
-            st.s += st.out_s;
+            st.s = st.s.zip(st.out_s, |s, o| s + o);
             st.w += st.out_w;
-            st.out_s = st.s / 2.0;
+            st.out_s = st.s.map(|s| s / 2.0);
             st.out_w = st.w / 2.0;
-            st.s -= st.out_s;
+            st.s = st.s.zip(st.out_s, |s, o| s - o);
             st.w -= st.out_w;
         });
         // Push the outbox; a failed push returns the mass to its owner so that
@@ -132,15 +195,15 @@ fn run_push_sum(
         engine.push_round(
             |_, st| Some((st.out_s, st.out_w)),
             |_, st, (ms, mw)| {
-                st.s += ms;
+                st.s = st.s.zip(ms, |s, m| s + m);
                 st.w += mw;
             },
             |_, st, delivered| {
                 if !delivered {
-                    st.s += st.out_s;
+                    st.s = st.s.zip(st.out_s, |s, o| s + o);
                     st.w += st.out_w;
                 }
-                st.out_s = 0.0;
+                st.out_s = st.out_s.map(|_| 0.0);
                 st.out_w = 0.0;
             },
         );
@@ -150,7 +213,7 @@ fn run_push_sum(
     let estimates = engine
         .states()
         .iter()
-        .map(|st| if st.w > 0.0 { st.s / st.w } else { 0.0 })
+        .map(|st| st.s.map(|s| if st.w > 0.0 { s / st.w } else { 0.0 }))
         .collect();
     PushSumOutcome {
         estimates,
@@ -207,33 +270,32 @@ pub fn sum(
     Ok(run_push_sum(initial, config, engine_config))
 }
 
-/// Estimates, at every node, the **number of nodes satisfying a predicate**.
+/// Estimates, at every node, the **number of nodes satisfying a predicate**
+/// — or, with `[bool; K]` indicators, of each of `K` predicates in one run.
 ///
 /// This is the "counting" use of push-sum from Algorithm 3, Step 5: nodes
 /// matching the predicate contribute 1, the others 0, and the average is
-/// scaled by `n` (every node knows `n` in the model).
+/// scaled by `n` (every node knows `n` in the model). Each of `K` counts is
+/// bit-identical to a one-predicate run on the same seed.
 ///
 /// # Errors
 ///
 /// Returns [`GossipError::TooFewNodes`] if fewer than two indicator values are given.
-pub fn count_matching(
-    indicators: &[bool],
+pub fn count_matching<I: Indicator>(
+    indicators: &[I],
     config: &PushSumConfig,
     engine_config: EngineConfig,
-) -> Result<PushSumOutcome> {
+) -> Result<PushSumOutcome<I::Counts>> {
     if indicators.len() < 2 {
         return Err(GossipError::TooFewNodes {
             requested: indicators.len(),
         });
     }
     let n = indicators.len() as f64;
-    let values: Vec<f64> = indicators
-        .iter()
-        .map(|&b| if b { 1.0 } else { 0.0 })
-        .collect();
-    let mut outcome = average(&values, config, engine_config)?;
+    let initial = indicators.iter().map(|i| (i.sums(), 1.0)).collect();
+    let mut outcome = run_push_sum(initial, config, engine_config);
     for e in &mut outcome.estimates {
-        *e *= n;
+        *e = e.map(|c| c * n);
     }
     Ok(outcome)
 }
@@ -294,6 +356,32 @@ mod tests {
             "err {}",
             out.max_absolute_error(truth)
         );
+    }
+
+    #[test]
+    fn shared_counts_equal_solo_runs_bit_for_bit() {
+        // Two predicates in one run: each count is the solo run's, bit for
+        // bit, in one 192-bit message per push instead of two 128-bit ones.
+        let a: Vec<bool> = (0..1500).map(|i| i % 3 == 0).collect();
+        let b: Vec<bool> = (0..1500).map(|i| i % 7 < 2).collect();
+        let both: Vec<[bool; 2]> = a.iter().zip(&b).map(|(&x, &y)| [x, y]).collect();
+        let plan = FaultPlan::none().with_churn(ChurnModel::with_rejoin(0.05, 3).unwrap());
+        for config in [cfg(5), cfg(6).fault(plan)] {
+            let config = || config.clone();
+            let config_rounds = PushSumConfig::fixed_rounds(30);
+            let shared = count_matching(&both, &config_rounds, config()).unwrap();
+            let solo_a = count_matching(&a, &config_rounds, config()).unwrap();
+            let solo_b = count_matching(&b, &config_rounds, config()).unwrap();
+            for (i, e) in shared.estimates.iter().enumerate() {
+                assert_eq!(e[0].to_bits(), solo_a.estimates[i].to_bits());
+                assert_eq!(e[1].to_bits(), solo_b.estimates[i].to_bits());
+            }
+            assert_eq!(shared.metrics.rounds, solo_a.metrics.rounds);
+            assert_eq!(
+                shared.metrics.bits_delivered * 2,
+                solo_a.metrics.bits_delivered * 3
+            );
+        }
     }
 
     #[test]

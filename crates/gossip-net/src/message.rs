@@ -55,6 +55,13 @@ impl<A: MessageSize, B: MessageSize, C: MessageSize> MessageSize for (A, B, C) {
     }
 }
 
+/// A fixed-length array carries no length prefix: its elements only.
+impl<T: MessageSize, const N: usize> MessageSize for [T; N] {
+    fn message_bits(&self) -> u64 {
+        self.iter().map(MessageSize::message_bits).sum()
+    }
+}
+
 impl<T: MessageSize> MessageSize for Option<T> {
     fn message_bits(&self) -> u64 {
         1 + self.as_ref().map_or(0, MessageSize::message_bits)
@@ -101,6 +108,7 @@ mod tests {
     fn composite_sizes() {
         assert_eq!((1u64, 2u64).message_bits(), 128);
         assert_eq!((1u64, 2u64, 3u32).message_bits(), 160);
+        assert_eq!(([1.0f64, 2.0], 3.0f64).message_bits(), 192);
         assert_eq!(Some(7u64).message_bits(), 65);
         assert_eq!(None::<u64>.message_bits(), 1);
     }

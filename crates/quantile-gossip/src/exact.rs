@@ -45,35 +45,83 @@ use gossip_net::{
     SeedSequence,
 };
 
-/// A node's working value: either a (value, tag) key or "valueless" (`∞`).
+/// A node's working key as one `u64`: `rank << 36 | tag << 8 | width`, or
+/// [`Code::EMPTY`] for a valueless node (the paper's `x_v ← ∞`).
 ///
-/// Tags keep all working keys distinct, which is what lets Algorithm 3 reason
-/// about exact ranks; `Empty` sorts above every key, matching the paper's
-/// `x_v ← ∞` for valueless nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum Slot<V> {
-    /// A working key: the value plus a distinctness tag.
-    Value(V, u64),
-    /// A valueless node (`x_v = ∞`).
-    Empty,
-}
+/// `rank` is the dense rank of the key's value among the inputs' distinct
+/// values, `tag` the node that holds the key — which keeps all working keys
+/// distinct, what lets Algorithm 3 reason about exact ranks — and `width` the
+/// value's [`MessageSize::message_bits`]. Codes therefore order exactly as
+/// (value, holder) pairs with valueless keys last, and a message costs what
+/// the value and a 64-bit tag would: `1 + width + 64` bits, or 1 when
+/// valueless. The layout holds fewer than 2²⁸ nodes and widths below 256
+/// bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Code(u64);
 
-impl<V: NodeValue> Slot<V> {
-    fn value(self) -> Option<V> {
-        match self {
-            Slot::Value(v, _) => Some(v),
-            Slot::Empty => None,
-        }
+impl Code {
+    /// A valueless node; above every valued code.
+    const EMPTY: Code = Code(u64::MAX);
+    /// The bound (exclusive) on ranks and tags, and so on `n`.
+    const MAX_NODES: usize = 1 << 28;
+    /// The bound (exclusive) on a value's message width.
+    const MAX_WIDTH: u64 = 1 << 8;
+
+    fn new(rank: usize, tag: usize, width: u64) -> Code {
+        Code((rank as u64) << 36 | (tag as u64) << 8 | width)
+    }
+
+    fn rank(self) -> Option<usize> {
+        (self != Code::EMPTY).then_some((self.0 >> 36) as usize)
     }
 }
 
-impl<V: MessageSize> MessageSize for Slot<V> {
+impl MessageSize for Code {
     fn message_bits(&self) -> u64 {
-        match self {
-            Slot::Value(v, _) => 1 + v.message_bits() + 64,
-            Slot::Empty => 1,
+        match *self {
+            Code::EMPTY => 1,
+            Code(c) => 1 + (c & (Code::MAX_WIDTH - 1)) + 64,
         }
     }
+}
+
+/// Sorts a copy of `values` once: returns the table of distinct values in
+/// ascending order — each Ord-equal class (such as [`OrderedF64`]'s ±0.0)
+/// represented by its lowest-index input — and node `v`'s initial code.
+///
+/// [`OrderedF64`]: gossip_net::OrderedF64
+fn encode<V: NodeValue>(values: &[V]) -> Result<(Vec<V>, Vec<Code>)> {
+    let n = values.len();
+    if n >= Code::MAX_NODES {
+        return Err(GossipError::InvalidParameter {
+            name: "values",
+            reason: format!("rank codes hold fewer than 2^28 nodes, got {n}"),
+        });
+    }
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_unstable_by_key(|&v| (values[v as usize], v));
+    let mut table: Vec<V> = Vec::new();
+    let mut keys = vec![Code::EMPTY; n];
+    for v in order {
+        let (v, x) = (v as usize, values[v as usize]);
+        if table.last().map_or(true, |last| *last < x) {
+            table.push(x);
+        }
+        keys[v] = code(&table, table.len() - 1, v)?;
+    }
+    Ok((table, keys))
+}
+
+/// The code of the value `table[rank]` held by node `v`.
+fn code<V: NodeValue>(table: &[V], rank: usize, v: usize) -> Result<Code> {
+    let width = table[rank].message_bits();
+    if width >= Code::MAX_WIDTH {
+        return Err(GossipError::InvalidParameter {
+            name: "values",
+            reason: format!("rank codes hold message widths below 256 bits, got {width}"),
+        });
+    }
+    Ok(Code::new(rank, v, width))
 }
 
 /// Configuration of the exact / narrowing quantile algorithm.
@@ -139,8 +187,10 @@ pub struct ExactOutcome<V> {
 ///
 /// # Errors
 ///
-/// Returns an error if fewer than two values are given, `φ ∉ [0, 1]`, or the
-/// iteration cap is exhausted (which indicates a mis-configured round budget).
+/// Returns an error if fewer than two values are given, `φ ∉ [0, 1]`, the
+/// inputs do not fit the rank-code layout (2²⁸ or more values, or a value of
+/// 256 or more message bits), or the iteration cap is exhausted (which
+/// indicates a mis-configured round budget).
 pub fn exact_quantile<V: NodeValue>(
     values: &[V],
     phi: f64,
@@ -182,6 +232,8 @@ pub(crate) fn narrow_to_rank<V: NodeValue>(
             reason: format!("must be in 1..={n}, got {target_rank}"),
         });
     }
+    // Working keys: the rank code of node v's value, tagged with v.
+    let (table, mut keys) = encode(values)?;
     let mut seeds = SeedSequence::new(engine_config.seed);
     // Every narrowing iteration spins up sub-engines; sharing one worker
     // pool (materialised here if the caller didn't supply one) keeps that
@@ -196,12 +248,6 @@ pub(crate) fn narrow_to_rank<V: NodeValue>(
         target_accuracy: 0.25 / n as f64,
     };
 
-    // Working keys: the original value of node v tagged with v.
-    let mut keys: Vec<Slot<V>> = values
-        .iter()
-        .enumerate()
-        .map(|(v, &x)| Slot::Value(x, v as u64))
-        .collect();
     let mut k = target_rank;
     let mut copies_per_candidate: u64 = 1; // M_{i-1} in the paper
     let mut metrics = Metrics::default();
@@ -258,15 +304,15 @@ pub(crate) fn narrow_to_rank<V: NodeValue>(
         metrics = metrics + spread_metrics;
         rounds += spread_rounds;
 
-        let lo_v = match lo.value() {
-            Some(v) => v,
+        let lo_rank = match lo.rank() {
+            Some(r) => r,
             // Degenerate (only possible under extreme failure rates): retry.
             None => continue,
         };
 
         // Step 5: count the rank of `lo` and of `hi` with push-sum. (`hi` may
-        // legitimately be `Empty` when the upper window spilled past 1 and
-        // some nodes are valueless; `Empty` compares above every key, so the
+        // legitimately be valueless when the upper window spilled past 1 and
+        // some nodes are valueless; `EMPTY` compares above every key, so the
         // count is then simply `n` — "no upper restriction".)
         let (rank_lo, c_rounds, c_metrics) = count_at_most(
             &keys,
@@ -302,9 +348,9 @@ pub(crate) fn narrow_to_rank<V: NodeValue>(
         // block — i.e. its exactly-counted rank satisfies `k − rank < copies`
         // — `lo`'s value *is* the answer. The same holds trivially when the
         // bracket spans a single distinct value.
-        if k - rank_lo < copies_per_candidate || hi.value() == Some(lo_v) {
+        if k - rank_lo < copies_per_candidate || hi.rank() == Some(lo_rank) {
             return Ok(ExactOutcome {
-                answer: lo_v,
+                answer: table[lo_rank],
                 iterations: iteration,
                 rounds,
                 metrics,
@@ -316,7 +362,7 @@ pub(crate) fn narrow_to_rank<V: NodeValue>(
         // bracket, every one of them within that many ranks of the target.
         if tolerance > 0 && bracket / copies_per_candidate + 2 <= tolerance {
             return Ok(ExactOutcome {
-                answer: lo_v,
+                answer: table[lo_rank],
                 iterations: iteration,
                 rounds,
                 metrics,
@@ -326,10 +372,10 @@ pub(crate) fn narrow_to_rank<V: NodeValue>(
         // Step 6: nodes outside [lo, hi] become valueless.
         for key in keys.iter_mut() {
             if *key < lo || *key > hi {
-                *key = Slot::Empty;
+                *key = Code::EMPTY;
             }
         }
-        let valued = keys.iter().filter(|s| !matches!(s, Slot::Empty)).count() as u64;
+        let valued = keys.iter().filter(|&&c| c != Code::EMPTY).count() as u64;
         if valued == 0 {
             // Cannot happen if the bracket checks above passed; defensive.
             continue;
@@ -348,14 +394,20 @@ pub(crate) fn narrow_to_rank<V: NodeValue>(
         while m > 1 && m * valued > (n as u64) * 9 / 10 {
             m /= 2;
         }
+        // The tokens carry values: decode the keys, and re-encode what each
+        // node is assigned by a binary search over the table.
         if m > 1 {
-            let (assigned, d_rounds, d_metrics) = distribute_tokens(&keys, m, n, sub(&mut seeds))?;
+            let held: Vec<Option<V>> = keys.iter().map(|c| c.rank().map(|r| table[r])).collect();
+            let (assigned, d_rounds, d_metrics) = distribute_tokens(&held, m, n, sub(&mut seeds))?;
             metrics = metrics + d_metrics;
             rounds += d_rounds;
-            for (v, slot) in keys.iter_mut().enumerate() {
-                *slot = match assigned[v] {
-                    Some(value) => Slot::Value(value, (iteration << 32) | v as u64),
-                    None => Slot::Empty,
+            for (v, key) in keys.iter_mut().enumerate() {
+                *key = match assigned[v] {
+                    Some(x) => {
+                        let rank = table.binary_search(&x).expect("tokens carry table values");
+                        code(&table, rank, v)?
+                    }
+                    None => Code::EMPTY,
                 };
             }
         }
@@ -373,14 +425,13 @@ pub(crate) fn narrow_to_rank<V: NodeValue>(
 
 /// Disseminates `min` of the first components and `max` of the second
 /// components to every node by push–pull gossip (Step 4 of Algorithm 3).
-fn spread_bracket<V: NodeValue>(
-    lower: &[Slot<V>],
-    upper: &[Slot<V>],
+fn spread_bracket(
+    lower: &[Code],
+    upper: &[Code],
     rounds: u64,
     engine_config: EngineConfig,
-) -> (Slot<V>, Slot<V>, u64, Metrics) {
-    let states: Vec<(Slot<V>, Slot<V>)> =
-        lower.iter().copied().zip(upper.iter().copied()).collect();
+) -> (Code, Code, u64, Metrics) {
+    let states: Vec<(Code, Code)> = lower.iter().copied().zip(upper.iter().copied()).collect();
     let mut engine = Engine::from_states(states, engine_config);
     for _ in 0..rounds {
         engine.push_pull_round(
@@ -415,9 +466,9 @@ fn spread_bracket<V: NodeValue>(
 }
 
 /// Counts `#{keys ≤ bound}` with push-sum (or exactly, for the ablation).
-fn count_at_most<V: NodeValue>(
-    keys: &[Slot<V>],
-    bound: &Slot<V>,
+fn count_at_most(
+    keys: &[Code],
+    bound: &Code,
     oracle: bool,
     counting: &PushSumConfig,
     engine_config: EngineConfig,
@@ -454,22 +505,20 @@ struct TokenState<V> {
 /// set, so the trajectory is bit-identical to a dense execution of the same
 /// process.
 ///
-/// Returns the value assigned to every node (or `None` for nodes left
-/// valueless), the number of rounds used, and the metrics.
+/// `held[v]` is node `v`'s value, or `None` if it is valueless. Returns the
+/// value assigned to every node (or `None` for nodes left valueless), the
+/// number of rounds used, and the metrics.
 fn distribute_tokens<V: NodeValue>(
-    keys: &[Slot<V>],
+    held: &[Option<V>],
     m: u64,
     n: usize,
     engine_config: EngineConfig,
 ) -> Result<(Vec<Option<V>>, u64, Metrics)> {
     debug_assert!(m.is_power_of_two());
-    let states: Vec<TokenState<V>> = keys
+    let states: Vec<TokenState<V>> = held
         .iter()
-        .map(|slot| TokenState {
-            tokens: match slot {
-                Slot::Value(v, _) => vec![(*v, m)],
-                Slot::Empty => Vec::new(),
-            },
+        .map(|x| TokenState {
+            tokens: x.map(|x| (x, m)).into_iter().collect(),
             outbox: None,
         })
         .collect();
@@ -477,9 +526,9 @@ fn distribute_tokens<V: NodeValue>(
     // so the set only grows (by push receivers).
     let mut holders = ActiveSet::from_members(
         n,
-        keys.iter()
+        held.iter()
             .enumerate()
-            .filter(|(_, slot)| !matches!(slot, Slot::Empty))
+            .filter(|(_, x)| x.is_some())
             .map(|(v, _)| v),
     )?;
     let mut engine = Engine::from_states(states, engine_config);
@@ -564,7 +613,7 @@ fn distribute_tokens<V: NodeValue>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_net::{ChurnModel, FailureModel, FaultPlan, LossModel};
+    use gossip_net::{ChurnModel, FailureModel, FaultPlan, LossModel, OrderedF64};
 
     fn sorted_quantile(values: &[u64], phi: f64) -> u64 {
         let mut sorted = values.to_vec();
@@ -574,15 +623,81 @@ mod tests {
     }
 
     #[test]
-    fn slot_ordering_places_empty_last() {
-        let a: Slot<u64> = Slot::Value(10, 5);
-        let b: Slot<u64> = Slot::Value(10, 6);
-        let c: Slot<u64> = Slot::Value(11, 0);
-        let e: Slot<u64> = Slot::Empty;
-        assert!(a < b && b < c && c < e);
-        assert_eq!(a.value(), Some(10));
-        assert_eq!(e.value(), None);
-        assert!(e.message_bits() < a.message_bits());
+    fn codes_order_as_value_then_holder_and_charge_the_value_and_a_tag() {
+        let a = Code::new(10, 5, 64);
+        let b = Code::new(10, 6, 64);
+        let c = Code::new(11, 0, 32);
+        // n < 2^28 keeps ranks and tags at most 2^28 - 2, below `EMPTY`.
+        let top = Code::new(Code::MAX_NODES - 2, Code::MAX_NODES - 2, 255);
+        assert!(a < b && b < c && c < top && top < Code::EMPTY);
+        assert_eq!(
+            (a.rank(), top.rank()),
+            (Some(10), Some(Code::MAX_NODES - 2))
+        );
+        assert_eq!(Code::EMPTY.rank(), None);
+        assert_eq!(a.message_bits(), 1 + 64 + 64);
+        assert_eq!(c.message_bits(), 1 + 32 + 64);
+        assert_eq!(Code::EMPTY.message_bits(), 1);
+    }
+
+    #[test]
+    fn encoding_ranks_distinct_values_and_keeps_the_lowest_index_of_a_class() {
+        let zero = |x: f64| OrderedF64::new(x).unwrap();
+        let values = [zero(2.5), zero(0.0), zero(-1.0), zero(-0.0), zero(2.5)];
+        let (table, keys) = encode(&values).unwrap();
+        let bits: Vec<u64> = table.iter().map(|x| x.get().to_bits()).collect();
+        let expect = [-1.0f64, 0.0, 2.5].map(f64::to_bits);
+        assert_eq!(bits, expect, "+0.0 (node 1) represents ±0.0");
+        let ranks: Vec<_> = keys.iter().map(|c| c.rank()).collect();
+        assert_eq!(ranks, [2, 1, 0, 1, 2].map(Some));
+        assert_eq!(keys[3], Code::new(1, 3, 64));
+    }
+
+    #[test]
+    fn inputs_outside_the_code_layout_are_rejected() {
+        /// A value wider than a code's width field holds.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        struct Wide(u64);
+        impl MessageSize for Wide {
+            fn message_bits(&self) -> u64 {
+                256
+            }
+        }
+        let cfg = NarrowingConfig::default();
+        let wide: Vec<Wide> = (0..10).map(Wide).collect();
+        let out = exact_quantile(&wide, 0.5, &cfg, EngineConfig::with_seed(0));
+        assert!(matches!(
+            out,
+            Err(GossipError::InvalidParameter { name: "values", .. })
+        ));
+        // 2^28 zero-sized values: too many nodes, refused before any work.
+        let many = vec![(); Code::MAX_NODES];
+        let out = exact_quantile(&many, 0.5, &cfg, EngineConfig::with_seed(0));
+        assert!(matches!(
+            out,
+            Err(GossipError::InvalidParameter { name: "values", .. })
+        ));
+    }
+
+    #[test]
+    fn an_ord_equal_class_answers_with_its_lowest_index_input() {
+        // 300 negative values, 100 zeros of alternating sign, 200 positive
+        // ones; the median lies among the zeros.
+        let sign = [-0.0f64, 0.0];
+        for first in 0..2 {
+            let values: Vec<OrderedF64> = (0..600)
+                .map(|i| match i {
+                    0..=299 => -1.0 - i as f64,
+                    300..=399 => sign[(i + first) % 2],
+                    _ => i as f64,
+                })
+                .map(|x| OrderedF64::new(x).unwrap())
+                .collect();
+            let cfg = NarrowingConfig::default();
+            let out = exact_quantile(&values, 0.6, &cfg, EngineConfig::with_seed(first as u64));
+            let answer = out.unwrap().answer.get();
+            assert_eq!(answer.to_bits(), sign[first].to_bits());
+        }
     }
 
     #[test]
@@ -668,15 +783,7 @@ mod tests {
         // round's participants are the token holders, so total push activity
         // is bounded by rounds × final-holder-count — far below rounds × n.
         let n = 4096usize;
-        let keys: Vec<Slot<u64>> = (0..n)
-            .map(|v| {
-                if v % 512 == 0 {
-                    Slot::Value(v as u64, v as u64)
-                } else {
-                    Slot::Empty
-                }
-            })
-            .collect();
+        let keys: Vec<Option<u64>> = (0..n).map(|v| (v % 512 == 0).then_some(v as u64)).collect();
         let (assigned, rounds, metrics) =
             distribute_tokens(&keys, 16, n, EngineConfig::with_seed(6)).unwrap();
         assert_eq!(assigned.iter().filter(|a| a.is_some()).count(), 8 * 16);
@@ -696,15 +803,7 @@ mod tests {
     fn token_distribution_conserves_copies() {
         let n = 1024usize;
         // 32 valued keys, to be duplicated 8x = 256 tokens over 1024 nodes.
-        let keys: Vec<Slot<u64>> = (0..n)
-            .map(|v| {
-                if v % 32 == 0 {
-                    Slot::Value(v as u64, v as u64)
-                } else {
-                    Slot::Empty
-                }
-            })
-            .collect();
+        let keys: Vec<Option<u64>> = (0..n).map(|v| (v % 32 == 0).then_some(v as u64)).collect();
         let (assigned, rounds, _metrics) =
             distribute_tokens(&keys, 8, n, EngineConfig::with_seed(3)).unwrap();
         let placed: Vec<u64> = assigned.iter().filter_map(|a| *a).collect();
@@ -719,15 +818,7 @@ mod tests {
     #[test]
     fn token_distribution_under_failures_still_conserves_copies() {
         let n = 512usize;
-        let keys: Vec<Slot<u64>> = (0..n)
-            .map(|v| {
-                if v % 16 == 0 {
-                    Slot::Value(v as u64, v as u64)
-                } else {
-                    Slot::Empty
-                }
-            })
-            .collect();
+        let keys: Vec<Option<u64>> = (0..n).map(|v| (v % 16 == 0).then_some(v as u64)).collect();
         let failure = FaultPlan::none().with_failure(FailureModel::uniform(0.3).unwrap());
         let churn = FaultPlan::none()
             .with_churn(ChurnModel::with_rejoin(0.05, 3).unwrap())

@@ -8,8 +8,10 @@
 //!    tournament algorithm ([`crate::approx::tournament_quantile`]);
 //! 2. the minimum of the lower approximations and the maximum of the upper
 //!    approximations are disseminated by push–pull rumor spreading (Step 4);
-//! 3. the rank `R` of the minimum (and the size of the bracket) is counted
-//!    with push-sum (Step 5, \[KDG03\]);
+//! 3. the rank `R` of the minimum and the rank of the maximum (so the size
+//!    of the bracket) are counted in one push-sum run whose messages carry
+//!    both sums beside one shared weight, `(s_lo, s_hi, w)` (Step 5,
+//!    \[KDG03\]);
 //! 4. nodes whose value lies outside `[min, max]` become *valueless* (Step 6);
 //! 5. every surviving value is duplicated `m` times — `m` the smallest power
 //!    of two that brings the number of valued nodes up to a constant fraction
@@ -24,6 +26,22 @@
 //! exact answer. Stopping earlier — as soon as at most `⌊ε·n⌋` candidate
 //! values remain — yields the ε-approximation of Theorem 1.2 for arbitrarily
 //! small ε.
+//!
+//! ## Rank codes
+//!
+//! A run sorts a copy of the inputs once, into a table of their distinct
+//! values, and carries every working key as one `u64` code: the dense rank
+//! of the key's value in that table, the holder node as a tag that keeps
+//! keys distinct, and the value's message width; a valueless node is
+//! `u64::MAX`. Codes order exactly as (value, tag) pairs do and charge the
+//! same message bits (the value, a 64-bit tag and a presence bit), so the
+//! tournaments, the bracket spread, the Step-6 cut and the counts compare
+//! integers, and only the answer (and Step 7, whose tokens carry values) is
+//! decoded. The layout holds fewer than 2²⁸ nodes and value widths below 256
+//! bits; other inputs are refused with [`GossipError::InvalidParameter`].
+//! Ord-equal values with different bits, such as [`gossip_net::OrderedF64`]'s
+//! `-0.0` and `+0.0`, share one rank and decode to one representative: the
+//! lowest-index input of the class.
 //!
 //! ## Scale substitution
 //!
@@ -310,22 +328,13 @@ pub(crate) fn narrow_to_rank<V: NodeValue>(
             None => continue,
         };
 
-        // Step 5: count the rank of `lo` and of `hi` with push-sum. (`hi` may
-        // legitimately be valueless when the upper window spilled past 1 and
-        // some nodes are valueless; `EMPTY` compares above every key, so the
-        // count is then simply `n` — "no upper restriction".)
-        let (rank_lo, c_rounds, c_metrics) = count_at_most(
+        // Step 5: count the ranks of `lo` and of `hi` in one push-sum. (`hi`
+        // may legitimately be valueless when the upper window spilled past 1
+        // and some nodes are valueless; `EMPTY` compares above every key, so
+        // its count is then simply `n` — "no upper restriction".)
+        let ([rank_lo, rank_hi], c_rounds, c_metrics) = count_at_most(
             &keys,
-            &lo,
-            config.oracle_counting,
-            &counting,
-            sub(&mut seeds),
-        )?;
-        metrics = metrics + c_metrics;
-        rounds += c_rounds;
-        let (rank_hi, c_rounds, c_metrics) = count_at_most(
-            &keys,
-            &hi,
+            [lo, hi],
             config.oracle_counting,
             &counting,
             sub(&mut seeds),
@@ -465,25 +474,29 @@ fn spread_bracket(
     (lo, hi, rounds, metrics)
 }
 
-/// Counts `#{keys ≤ bound}` with push-sum (or exactly, for the ablation).
+/// Counts `#{keys ≤ bound}` for both bounds in one push-sum over
+/// `(s_lo, s_hi, w)` (or exactly, for the ablation). Each count is the median
+/// of the nodes' rounded estimates.
 fn count_at_most(
     keys: &[Code],
-    bound: &Code,
+    bounds: [Code; 2],
     oracle: bool,
     counting: &PushSumConfig,
     engine_config: EngineConfig,
-) -> Result<(u64, u64, Metrics)> {
+) -> Result<([u64; 2], u64, Metrics)> {
     if oracle {
-        let count = keys.iter().filter(|&k| k <= bound).count() as u64;
-        return Ok((count, 0, Metrics::default()));
+        let counts = bounds.map(|b| keys.iter().filter(|&&k| k <= b).count() as u64);
+        return Ok((counts, 0, Metrics::default()));
     }
-    let indicators: Vec<bool> = keys.iter().map(|k| k <= bound).collect();
+    let indicators: Vec<[bool; 2]> = keys.iter().map(|&k| bounds.map(|b| k <= b)).collect();
     let out = push_sum::count_matching(&indicators, counting, engine_config)?;
-    let mut rounded: Vec<i64> = out.estimates.iter().map(|e| e.round() as i64).collect();
-    // The median estimate: the element a sort would put in the middle, in O(n).
-    let mid = rounded.len() / 2;
-    let count = (*rounded.select_nth_unstable(mid).1).max(0) as u64;
-    Ok((count, out.rounds, out.metrics))
+    let count = |i: usize| {
+        let mut rounded: Vec<i64> = out.estimates.iter().map(|e| e[i].round() as i64).collect();
+        // The median estimate: the element a sort would put in the middle, in O(n).
+        let mid = rounded.len() / 2;
+        (*rounded.select_nth_unstable(mid).1).max(0) as u64
+    };
+    Ok(([count(0), count(1)], out.rounds, out.metrics))
 }
 
 /// Token state used by the splitting-and-scattering process of Step 7.

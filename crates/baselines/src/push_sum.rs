@@ -7,12 +7,12 @@
 //! when all weights start at 1 — with relative error `ε` after
 //! `O(log n + log 1/ε)` rounds with high probability.
 //!
-//! One run may carry several sums beside one shared weight — state
-//! `(s₁, …, s_K, w)`, one message of `K + 1` numbers per push (\[KDG03\]
-//! aggregates this way). Every sum follows exactly the arithmetic, targets and
-//! fault coins of a run of its own on the same seed, so each of its estimates
-//! is bit-identical to that solo run's; only the message grows, by one number
-//! per extra sum instead of a second run's `2 + …` numbers per round.
+//! As in \[KDG03\], one run may carry several sums beside one shared
+//! weight: state `(s₁, …, s_K, w)`, one message of `K + 1` numbers per push.
+//! Every sum follows exactly the arithmetic, targets and fault coins of a run
+//! of its own on the same seed, so each of its estimates is bit-identical to
+//! that solo run's. An extra sum costs one number per message, where a second
+//! run would cost its own rounds and two numbers per message.
 //!
 //! The quantile paper uses this primitive twice:
 //! * Algorithm 3, Step 5 counts the ranks of the bracket's two ends ("the sum

@@ -25,8 +25,8 @@ use baselines::{median_rule, sampling, MedianRuleConfig, SamplingConfig};
 use gossip_net::OrderedF64;
 use quantile_gossip::{
     exact_quantile, robust_approximate_quantile, tournament_quantile, ChurnModel, EngineConfig,
-    ExactOutcome, FailureModel, FaultPlan, LossModel, Metrics, NarrowingConfig, NodeValue, Result,
-    RobustConfig, ThreeTournamentSchedule, Topology, TournamentConfig, TwoTournamentSchedule,
+    FailureModel, FaultPlan, LossModel, Metrics, NarrowingConfig, NodeValue, RobustConfig,
+    ThreeTournamentSchedule, Topology, TournamentConfig, TwoTournamentSchedule,
 };
 
 /// The ε of every pinned tournament and robust scenario.
@@ -209,19 +209,6 @@ impl Scenario {
     /// fingerprint, or the error it returned (with `-` for metrics).
     pub fn run(&self) -> Vec<(&'static str, String)> {
         let (values, config) = (self.values(), self.config());
-        let exact = |outcome: Result<ExactOutcome<u64>>| match outcome {
-            Ok(out) => vec![
-                (
-                    "outcome",
-                    format!(
-                        "answer{:016x} iterations{} rounds{}",
-                        out.answer, out.iterations, out.rounds
-                    ),
-                ),
-                ("metrics", metrics_line(&out.metrics)),
-            ],
-            Err(e) => vec![("outcome", format!("error {e}")), ("metrics", "-".into())],
-        };
         let (outputs, metrics, outcome) = match self.driver {
             Driver::Tournament => {
                 let out = tournament_quantile(
@@ -262,13 +249,11 @@ impl Scenario {
                         .expect("valid scenario parameters");
                 (out.estimates, out.metrics, None)
             }
-            Driver::Exact => return exact(self.exact(&values, |x| x, |a| a)),
-            Driver::ExactU32 => {
-                return exact(self.exact(&values, |x| x as u32, u64::from));
-            }
+            Driver::Exact => return self.exact(&values, |x| x, |a| a),
+            Driver::ExactU32 => return self.exact(&values, |x| x as u32, u64::from),
             Driver::ExactF64 => {
                 let to_f64 = |x: u64| OrderedF64::new(x as f64 / 7.0 - self.n as f64).unwrap();
-                return exact(self.exact(&values, to_f64, |a| a.get().to_bits()));
+                return self.exact(&values, to_f64, |a| a.get().to_bits());
             }
         };
         let mut pins = vec![
@@ -279,27 +264,29 @@ impl Scenario {
         pins
     }
 
-    /// Runs [`exact_quantile`] on the inputs mapped by `to`, and maps the
-    /// answer back to the u64 its bits are pinned as.
+    /// Runs [`exact_quantile`] on the inputs mapped by `to`: its pins, with
+    /// the answer's bits mapped back to a u64 by `bits`.
     fn exact<V: NodeValue>(
         &self,
         values: &[u64],
         to: impl Fn(u64) -> V,
         bits: impl Fn(V) -> u64,
-    ) -> Result<ExactOutcome<u64>> {
+    ) -> Vec<(&'static str, String)> {
         let values: Vec<V> = values.iter().map(|&x| to(x)).collect();
-        let out = exact_quantile(
-            &values,
-            self.phi,
-            &NarrowingConfig::default(),
-            self.config(),
-        )?;
-        Ok(ExactOutcome {
-            answer: bits(out.answer),
-            iterations: out.iterations,
-            rounds: out.rounds,
-            metrics: out.metrics,
-        })
+        let narrowing = NarrowingConfig::default();
+        match exact_quantile(&values, self.phi, &narrowing, self.config()) {
+            Ok(out) => {
+                let (answer, iterations, rounds) = (bits(out.answer), out.iterations, out.rounds);
+                vec![
+                    (
+                        "outcome",
+                        format!("answer{answer:016x} iterations{iterations} rounds{rounds}"),
+                    ),
+                    ("metrics", metrics_line(&out.metrics)),
+                ]
+            }
+            Err(e) => vec![("outcome", format!("error {e}")), ("metrics", "-".into())],
+        }
     }
 }
 

@@ -199,6 +199,12 @@ fn pin_file_covers_exactly_the_computed_keys() {
         "sparse_subset_large",
         "sparse_subset_large_failures",
         "sparse_subset_large_faulted",
+        "sparse_kept",
+        "sparse_kept_failures",
+        "sparse_kept_faulted",
+        "sparse_kept_large",
+        "sparse_kept_large_failures",
+        "sparse_kept_large_faulted",
     ];
     let mut want: Vec<String> = Vec::new();
     for name in expected {
@@ -207,6 +213,9 @@ fn pin_file_covers_exactly_the_computed_keys() {
             "faulted_mixed" | "faulted_large" => &["metrics", "faults", "fp"],
             _ if name.starts_with("sparse_subset") => {
                 &["metrics", "faults", "fp", "sample_fp", "receivers"]
+            }
+            _ if name.starts_with("sparse_kept") => {
+                &["metrics", "faults", "fp", "sources", "receivers"]
             }
             _ => &["metrics", "fp"],
         };

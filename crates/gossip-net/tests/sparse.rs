@@ -26,8 +26,8 @@ use proptest::prelude::*;
 use rand::Rng;
 use support::{
     chaos_plan, engine, fault_metrics_line, fingerprint, fold_hash, large_name, metrics_line,
-    pinned, sample_fp, sparse_pull_rounds, sparse_push_pull_rounds, sparse_push_rounds,
-    sparse_subset, sparse_subset_cases, sparse_subset_large,
+    pinned, sample_fp, sparse_kept, sparse_kept_cases, sparse_pull_rounds, sparse_push_pull_rounds,
+    sparse_push_rounds, sparse_subset, sparse_subset_cases, sparse_subset_large,
 };
 
 // ---------------------------------------------------------------------------
@@ -184,6 +184,52 @@ fn large_proper_subset_rounds_with_failures_match_their_pin() {
 #[test]
 fn large_proper_subset_rounds_under_the_chaos_plan_match_their_pin() {
     check_sparse_subset_large_pin(2);
+}
+
+// ---------------------------------------------------------------------------
+// Kept-primitive pins: `push_round_on`, `pull_sources` over a subset and
+// `local_step_on` over a fixed partial active set (see `sparse_kept`).
+// ---------------------------------------------------------------------------
+
+fn check_sparse_kept_pin(case: usize) {
+    let (name, n, seed, plan) = sparse_kept_cases().swap_remove(case);
+    let (e, sources, receivers) = sparse_kept(n, seed, plan);
+    let key = |field: &str| format!("{name}.{field}");
+    assert_eq!(metrics_line(&e), pinned(&key("metrics")));
+    assert_eq!(fault_metrics_line(&e), pinned(&key("faults")));
+    assert_eq!(fingerprint(e.states()), pinned(&key("fp")));
+    assert_eq!(sources, pinned(&key("sources")));
+    assert_eq!(receivers, pinned(&key("receivers")));
+}
+
+#[test]
+fn kept_sparse_rounds_match_their_pin() {
+    check_sparse_kept_pin(0);
+}
+
+#[test]
+fn kept_sparse_rounds_with_failures_match_their_pin() {
+    check_sparse_kept_pin(1);
+}
+
+#[test]
+fn kept_sparse_rounds_under_the_chaos_plan_match_their_pin() {
+    check_sparse_kept_pin(2);
+}
+
+#[test]
+fn large_kept_sparse_rounds_match_their_pin() {
+    check_sparse_kept_pin(3);
+}
+
+#[test]
+fn large_kept_sparse_rounds_with_failures_match_their_pin() {
+    check_sparse_kept_pin(4);
+}
+
+#[test]
+fn large_kept_sparse_rounds_under_the_chaos_plan_match_their_pin() {
+    check_sparse_kept_pin(5);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@
 #![allow(dead_code)]
 
 use gossip_net::{
-    par, ActiveSet, ChurnModel, Engine, EngineConfig, FailureModel, FaultPlan, LossModel, NodeId,
-    StragglerModel,
+    par, ActiveSet, ChurnModel, Engine, EngineConfig, FailureModel, FaultPlan, LossModel,
+    MessageSize, NodeId, StragglerModel,
 };
 use rand::Rng;
 
@@ -304,6 +304,60 @@ pub fn sparse_subset_cases() -> [(&'static str, u64, FaultPlan); 3] {
     ]
 }
 
+/// One `sparse_kept*` scenario at n nodes: three iterations of
+/// `push_round_on`, a `pull_sources` round and a `local_step_on`, all over
+/// [`pinned_subset`], under `plan` — the sparse rounds the algorithms and
+/// the service run. The local step folds in the value of each member's
+/// pulled source, read from a snapshot of the states the round served.
+/// Returns the engine, the fingerprint of every round's sources and the
+/// fingerprint of every returned receiver list.
+pub fn sparse_kept(n: usize, seed: u64, plan: FaultPlan) -> (Engine<u64>, String, String) {
+    let mut e = plan_engine(n, seed, plan);
+    let active = pinned_subset(n);
+    let (mut rows, mut receivers) = (Vec::new(), Vec::new());
+    let mut sources = vec![0u32; n];
+    for _ in 0..3 {
+        receivers.extend(sparse_push_rounds(&mut e, &active, 1));
+        let snap = e.states().to_vec();
+        e.pull_sources(Some(&active), |t| snap[t].message_bits(), &mut sources);
+        e.local_step_on(&active, |v, st, rng| {
+            if let Some(&pulled) = snap.get(sources[v] as usize) {
+                *st = fold_hash(*st, pulled);
+            }
+            *st = fold_hash(*st, rng.gen::<u64>() ^ v as u64);
+        });
+        rows.push(sources.iter().map(|&s| u64::from(s)).collect::<Vec<_>>());
+    }
+    let receivers: Vec<Vec<u64>> = receivers
+        .iter()
+        .map(|r| r.iter().map(|&v| v as u64).collect())
+        .collect();
+    (e, sample_fp(&rows), sample_fp(&receivers))
+}
+
+/// The six `sparse_kept*` pins: key prefix, n, seed and plan — reliable,
+/// under the failure model and under the chaos plan, at n = 1,000 and at
+/// n = 20,000 (above the prefetch gate and the parallel threshold).
+pub fn sparse_kept_cases() -> Vec<(String, usize, u64, FaultPlan)> {
+    let plans = || {
+        [
+            ("", FaultPlan::none()),
+            (
+                "_failures",
+                FaultPlan::none().with_failure(FailureModel::uniform(0.3).unwrap()),
+            ),
+            ("_faulted", chaos_plan()),
+        ]
+    };
+    let mut cases = Vec::new();
+    for (size, n) in [("", 1_000), ("_large", 20_000)] {
+        for (seed, (kind, plan)) in (2121..).step_by(101).zip(plans()) {
+            cases.push((format!("sparse_kept{size}{kind}"), n, seed, plan));
+        }
+    }
+    cases
+}
+
 // --- the pin file -----------------------------------------------------------
 
 /// The pinned constants, embedded at compile time.
@@ -426,6 +480,15 @@ pub fn compute_all() -> Vec<(String, String)> {
             pin(&format!("{name}.sample_fp"), samples);
             pin(&format!("{name}.receivers"), receivers);
         }
+    }
+
+    for (name, n, seed, plan) in sparse_kept_cases() {
+        let (e, sources, receivers) = sparse_kept(n, seed, plan);
+        pin(&format!("{name}.metrics"), metrics_line(&e));
+        pin(&format!("{name}.faults"), fault_metrics_line(&e));
+        pin(&format!("{name}.fp"), fingerprint(e.states()));
+        pin(&format!("{name}.sources"), sources);
+        pin(&format!("{name}.receivers"), receivers);
     }
 
     out

@@ -270,19 +270,25 @@ impl Metrics {
         }
     }
 
-    /// Fraction of attempted operations whose delivery did not happen on
-    /// time: failure-model skips, in-flight drops, and straggled contacts,
-    /// over attempts. This is the *measured* `μ̂` that an adaptive round
-    /// budget (the paper's `O(1/(1−μ))` compensation, driven by observation
-    /// instead of assumption) divides by. Crashed nodes make no attempts, so
-    /// they are invisible here — track them via `crashed_operations`.
+    /// Fraction of operations whose delivery did not happen on time:
+    /// failure-model skips, in-flight drops, straggled contacts and the
+    /// operations crashed nodes skipped, over attempts plus those skipped
+    /// operations. This is the *measured* `μ̂` that an adaptive round budget
+    /// (the paper's `O(1/(1−μ))` compensation, driven by observation instead
+    /// of assumption) divides by. A crashed node makes no attempt, so its
+    /// skipped operation is charged as a disturbed one, as
+    /// [`FaultPlan::mu_upper_bound`](crate::FaultPlan::mu_upper_bound)
+    /// charges churn.
     pub fn disturbance_rate(&self) -> f64 {
-        let attempts = self.pulls_attempted + self.pushes_attempted;
-        if attempts == 0 {
+        let operations = self.pulls_attempted + self.pushes_attempted + self.crashed_operations;
+        if operations == 0 {
             0.0
         } else {
-            let disturbed = self.failed_operations + self.messages_dropped + self.messages_delayed;
-            disturbed as f64 / attempts as f64
+            let disturbed = self.failed_operations
+                + self.messages_dropped
+                + self.messages_delayed
+                + self.crashed_operations;
+            disturbed as f64 / operations as f64
         }
     }
 }
@@ -438,7 +444,8 @@ mod tests {
         assert_eq!(m.crashed_operations, 1);
         assert_eq!(m.messages_dropped, 2);
         assert_eq!(m.messages_delayed, 1);
-        // 1 failed + 2 dropped + 1 delayed over 4 attempts.
+        // 1 failed + 2 dropped + 1 delayed + 1 crashed over 4 attempts and
+        // the 1 crashed operation.
         assert_eq!(m.disturbance_rate(), 1.0);
         assert_eq!(m.failure_rate(), 0.25);
         let snapshot = m;
@@ -454,6 +461,19 @@ mod tests {
         assert_eq!(sum.messages_delayed, 4);
         assert_eq!(sum.crashed_operations, 4);
         assert_eq!(Metrics::new().disturbance_rate(), 0.0);
+    }
+
+    #[test]
+    fn crashed_operations_count_as_disturbed() {
+        // A node down under churn attempts nothing; its skipped operation
+        // is still one the round meant to run, and it delivered nothing.
+        let mut m = Metrics::new();
+        m.record_crash();
+        assert_eq!(m.disturbance_rate(), 1.0);
+        m.record_attempt(RoundKind::Pull);
+        m.record_attempt(RoundKind::Pull);
+        m.record_attempt(RoundKind::Pull);
+        assert_eq!(m.disturbance_rate(), 0.25);
     }
 
     #[test]

@@ -244,23 +244,29 @@ fn faults_compose_with_restricted_topologies() {
 }
 
 /// `FaultPlan::mu_upper_bound` feeds the adaptive schedules: the union
-/// bound must dominate the observed per-round disturbance rate.
+/// bound must dominate the observed per-round disturbance rate, churn's
+/// skipped operations included.
 #[test]
 fn mu_upper_bound_dominates_observed_disturbance() {
-    let plan = FaultPlan::none()
+    let loss_and_failures = FaultPlan::none()
         .with_loss(LossModel::uniform(0.2).unwrap())
         .with_failure(FailureModel::uniform(0.1).unwrap());
-    let mu = plan.mu_upper_bound().expect("bound derivable");
-    let mut e = engine_with_plan(5000, 77, plan);
-    for _ in 0..5 {
-        e.pull_round(|_, &s| s, |_, _, _| {});
+    let churn_and_loss = FaultPlan::none()
+        .with_churn(ChurnModel::with_rejoin(0.05, 3).unwrap())
+        .with_loss(LossModel::uniform(0.1).unwrap());
+    for plan in [loss_and_failures, churn_and_loss] {
+        let mu = plan.mu_upper_bound().expect("bound derivable");
+        let mut e = engine_with_plan(5000, 77, plan);
+        for _ in 0..5 {
+            e.pull_round(|_, &s| s, |_, _, _| {});
+        }
+        let observed = e.metrics().disturbance_rate();
+        assert!(observed > 0.0);
+        assert!(
+            observed <= mu + 0.05,
+            "observed {observed} exceeds the union bound {mu}"
+        );
     }
-    let observed = e.metrics().disturbance_rate();
-    assert!(observed > 0.0);
-    assert!(
-        observed <= mu + 0.05,
-        "observed {observed} exceeds the union bound {mu}"
-    );
 }
 
 #[test]

@@ -321,7 +321,7 @@ mod tests {
         let mut e = Engine::from_states((0..64u64).collect(), EngineConfig::with_seed(2));
         e.pull_round(|_, &s| s, |_, _, _| {});
         let active = ActiveSet::from_members(64, 0..8).unwrap();
-        e.pull_round_on(&active, |_, &s| s, |_, _, _| {});
+        e.pull_sources(Some(&active), |_| 64, &mut [0; 64]);
         let table = round_budget_table("sparse budget", &[("mixed".to_string(), e.metrics())]);
         let row = table.render().lines().last().unwrap().to_string();
         // (64 + 8) participants over 2 rounds → mean 36, max 64.

@@ -1,22 +1,24 @@
-//! Same-host A/B of the memory-layout changes: the **old** code path (the
+//! Same-host A/B of a memory-layout change: the **old** code path (the
 //! composition a fused call replaces) and the **new** one are measured in
 //! the same process, back to back, so the comparison is free of toolchain
-//! and host drift. Two changes:
-//!
-//! 1. **`collect_flat`**: `k` sampling rounds into the nested per-node
-//!    `Vec<Vec<M>>` ([`Engine::collect_samples`]) vs the flat column-major
-//!    [`SampleMatrix`](gossip_net::SampleMatrix)
-//!    ([`Engine::collect_samples_flat`]) — n allocations vs one.
-//! 2. **`fused_sample_step`**: a tournament-shaped step of `k` samples per
-//!    node feeding a local update — `collect_samples_flat(k)` plus
-//!    `local_step` (the composition) vs [`Engine::sample_step`], which
-//!    draws, prefetches and applies all `k` samples in one pass — for
-//!    `k = 3` (a 3-TOURNAMENT iteration) and `k = 15` (the final vote).
+//! and host drift. The change is **`fused_sample_step`**: a
+//! tournament-shaped step of `k` samples per node feeding a local update —
+//! `collect_samples_flat(k)` plus `local_step` (the composition) vs
+//! [`Engine::sample_step`], which draws, prefetches and applies all `k`
+//! samples in one pass — for `k = 3` (a 3-TOURNAMENT iteration) and
+//! `k = 15` (the final vote).
 //!
 //! Every pair also cross-checks **bit-identical final states** — the layout
 //! work is pure mechanical sympathy, so any trajectory divergence is a bug,
 //! not a tolerance question. Rows land in the `layout` section of
 //! `BENCH_engine.json`.
+//!
+//! The flat column-major [`SampleMatrix`](gossip_net::SampleMatrix)
+//! ([`Engine::collect_samples_flat`]) is the only sample collector the
+//! engine has. Its A/B against the nested per-node `Vec<Vec<M>>` collector it
+//! replaced is recorded in the committed `collect_flat` rows of
+//! `BENCH_engine.json` (5.38× at n = 16k, 5.15× at 100k, 4.22× at 1M; a
+//! full run of this bench rewrites the section without them).
 //!
 //! The cache-blocked, prefetched dense pull round is the only pull round
 //! the engine has. Its A/B against the per-slot loop it replaced is
@@ -70,31 +72,6 @@ fn measure(mut f: impl FnMut() -> f64) -> criterion::stats::Summary {
     criterion::stats::summary(&collected).expect("samples")
 }
 
-fn collect_rounds_per_sec(n: usize, iterations: u64, flat: bool) -> (f64, Vec<u64>) {
-    let mut e = engine(n);
-    let mut fold = 0u64;
-    let start = Instant::now();
-    for _ in 0..iterations {
-        if flat {
-            let m = e.collect_samples_flat(2, |_, &v| v);
-            for v in 0..n {
-                fold = fold.wrapping_add(m.sample(v, 0).unwrap_or(0) ^ m.sample(v, 1).unwrap_or(0));
-            }
-        } else {
-            let m = e.collect_samples(2, |_, &v| v);
-            for s in &m {
-                fold = fold
-                    .wrapping_add(s.first().copied().unwrap_or(0) ^ s.get(1).copied().unwrap_or(0));
-            }
-        }
-    }
-    // 2 sampling rounds per iteration; fold the digest into the trajectory
-    // check so the sample consumption cannot be optimised away.
-    let rate = (2 * iterations) as f64 / start.elapsed().as_secs_f64();
-    std::hint::black_box(fold); // keep the sample reads live
-    (rate, e.into_states())
-}
-
 /// The update both sides of the sample-step A/B apply: each node takes the
 /// median of its `k` samples (Algorithm 2's iteration and final vote).
 fn take_median(st: &mut u64, samples: &mut [Option<u64>]) {
@@ -126,9 +103,8 @@ fn sample_step_rounds_per_sec(n: usize, k: usize, steps: u64, fused: bool) -> (f
 }
 
 struct AbRow {
-    change: &'static str,
-    /// Samples per step, for the sample-step rows.
-    k: Option<usize>,
+    /// Samples per step.
+    k: usize,
     n: usize,
     old: criterion::stats::Summary,
     new: criterion::stats::Summary,
@@ -146,21 +122,6 @@ fn bench_engine_layout(_: &mut Criterion) {
     let mut rows: Vec<AbRow> = Vec::new();
     for &n in sizes {
         let rounds = rounds_for(n);
-        let iterations = rounds.div_ceil(2).max(1);
-        let old = measure(|| collect_rounds_per_sec(n, iterations, false).0);
-        let new = measure(|| collect_rounds_per_sec(n, iterations, true).0);
-        let identical = collect_rounds_per_sec(n, iterations, false).1
-            == collect_rounds_per_sec(n, iterations, true).1;
-        assert!(identical, "flat sample collection diverged at n = {n}");
-        rows.push(AbRow {
-            change: "collect_flat",
-            k: None,
-            n,
-            old,
-            new,
-            identical,
-        });
-
         for k in [3, 15] {
             let steps = (3 * rounds).div_ceil(k as u64);
             let old = measure(|| sample_step_rounds_per_sec(n, k, steps, false).0);
@@ -169,8 +130,7 @@ fn bench_engine_layout(_: &mut Criterion) {
                 == sample_step_rounds_per_sec(n, k, steps, true).1;
             assert!(identical, "fused sample step diverged at n = {n}, k = {k}");
             rows.push(AbRow {
-                change: "fused_sample_step",
-                k: Some(k),
+                k,
                 n,
                 old,
                 new,
@@ -182,19 +142,18 @@ fn bench_engine_layout(_: &mut Criterion) {
     let mut json_rows = Vec::new();
     for r in &rows {
         let speedup = r.new.median / r.old.median;
-        let k = r.k.map_or(String::new(), |k| format!(" k={k}"));
         println!(
-            "engine_layout {}{k} n={}: old {:.2}±{:.2} rounds/s, new {:.2}±{:.2} rounds/s \
-             (speedup {speedup:.2}x, identical: {})",
-            r.change, r.n, r.old.median, r.old.std_dev, r.new.median, r.new.std_dev, r.identical
+            "engine_layout fused_sample_step k={} n={}: old {:.2}±{:.2} rounds/s, \
+             new {:.2}±{:.2} rounds/s (speedup {speedup:.2}x, identical: {})",
+            r.k, r.n, r.old.median, r.old.std_dev, r.new.median, r.new.std_dev, r.identical
         );
-        let k = r.k.map_or(String::new(), |k| format!(" \"k\": {k},"));
         json_rows.push(format!(
-            "    {{\"change\": \"{}\",{k} \"n\": {}, \"threads\": 1, \"host_cores\": {host_cores}, \
+            "    {{\"change\": \"fused_sample_step\", \"k\": {}, \"n\": {}, \"threads\": 1, \
+             \"host_cores\": {host_cores}, \
              \"rounds_per_sec_old\": {:.3}, \"std_old\": {:.3}, \
              \"rounds_per_sec_new\": {:.3}, \"std_new\": {:.3}, \"speedup\": {speedup:.3}, \
              \"identical_states\": {}}}",
-            r.change, r.n, r.old.median, r.old.std_dev, r.new.median, r.new.std_dev, r.identical
+            r.k, r.n, r.old.median, r.old.std_dev, r.new.median, r.new.std_dev, r.identical
         ));
     }
     // Quick mode's numbers are bit-rot checks, not data — keep the committed

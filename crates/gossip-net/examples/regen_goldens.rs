@@ -107,10 +107,12 @@ fn keys_of(file: &str) -> Vec<&str> {
         .collect()
 }
 
-/// Re-derives every scenario through the sparse `*_on` primitives over the
-/// full active set and asserts bit-identity with the dense run, mirroring the
-/// equivalence pins of `tests/sparse.rs`. A regeneration that would break
-/// sparse/dense agreement aborts here instead of writing a bad pin file.
+/// Re-derives every scenario a sparse primitive can run over the full
+/// active set — the push rounds through `push_round_on`, the sampling
+/// rounds through `pull_sources` over the full set — and asserts
+/// bit-identity with the dense run, mirroring the equivalence pins of
+/// `tests/sparse.rs`. A regeneration that would break sparse/dense
+/// agreement aborts here instead of writing a bad pin file.
 fn verify_sparse_full_set_equivalence() {
     let check = |name: &str, dense: &gossip_net::Engine<u64>, sparse: &gossip_net::Engine<u64>| {
         assert_eq!(
@@ -127,16 +129,6 @@ fn verify_sparse_full_set_equivalence() {
     };
 
     for (name, seed, failure) in [
-        ("pull", 101, FailureModel::None),
-        ("pull_failures", 101, FailureModel::uniform(0.3).unwrap()),
-    ] {
-        let mut d = support::engine(512, seed, failure.clone());
-        support::pull_rounds(&mut d, 8);
-        let mut s = support::engine(512, seed, failure);
-        support::sparse_pull_rounds(&mut s, &ActiveSet::full(512), 8);
-        check(name, &d, &s);
-    }
-    for (name, seed, failure) in [
         ("push", 202, FailureModel::None),
         ("push_failures", 202, FailureModel::uniform(0.3).unwrap()),
     ] {
@@ -147,27 +139,13 @@ fn verify_sparse_full_set_equivalence() {
         check(name, &d, &s);
     }
     for (name, seed, failure) in [
-        ("push_pull", 303, FailureModel::None),
-        (
-            "push_pull_failures",
-            303,
-            FailureModel::uniform(0.3).unwrap(),
-        ),
-    ] {
-        let mut d = support::engine(512, seed, failure.clone());
-        support::push_pull_rounds(&mut d, 8);
-        let mut s = support::engine(512, seed, failure);
-        support::sparse_push_pull_rounds(&mut s, &ActiveSet::full(512), 8);
-        check(name, &d, &s);
-    }
-    for (name, seed, failure) in [
         ("collect", 404, FailureModel::None),
         ("collect_failures", 404, FailureModel::uniform(0.4).unwrap()),
     ] {
         let mut d = support::engine(512, seed, failure.clone());
-        let ds = d.collect_samples(3, |_, &s| s);
+        let ds = support::pulled_samples(&mut d, None, 3);
         let mut s = support::engine(512, seed, failure);
-        let ss = s.collect_samples_on(&ActiveSet::full(512), 3, |_, &v| v);
+        let ss = support::pulled_samples(&mut s, Some(&ActiveSet::full(512)), 3);
         assert_eq!(
             support::sample_fp(&ds),
             support::sample_fp(&ss),
@@ -181,10 +159,9 @@ fn verify_sparse_full_set_equivalence() {
         support::push_rounds(&mut d, 2);
         support::push_pull_rounds(&mut d, 2);
         let mut s = support::engine(20_000, 707, FailureModel::None);
-        let full = ActiveSet::full(20_000);
-        support::sparse_pull_rounds(&mut s, &full, 2);
-        support::sparse_push_rounds(&mut s, &full, 2);
-        support::sparse_push_pull_rounds(&mut s, &full, 2);
+        support::pull_rounds(&mut s, 2);
+        support::sparse_push_rounds(&mut s, &ActiveSet::full(20_000), 2);
+        support::push_pull_rounds(&mut s, 2);
         check("large", &d, &s);
     }
     println!("sparse full-set trajectories match dense on all scenarios");

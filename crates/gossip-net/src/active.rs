@@ -6,9 +6,11 @@
 //! nodes participates, and the exact algorithm's token-distribution phase has
 //! `o(n)` senders — yet a dense [`Engine`](crate::Engine) round always costs
 //! `O(n)`. An [`ActiveSet`] names the participating subset so the engine's
-//! sparse primitives ([`pull_round_on`](crate::Engine::pull_round_on) and
-//! friends) can dispatch over the participants only, making per-round cost
-//! proportional to `|active|` instead of `n`.
+//! sparse primitives ([`push_round_on`](crate::Engine::push_round_on),
+//! [`local_step_on`](crate::Engine::local_step_on) and
+//! [`pull_sources`](crate::Engine::pull_sources) over an active set) can
+//! dispatch over the participants only, making per-round cost proportional
+//! to `|active|` instead of `n`.
 //!
 //! The representation is a **dense bitmap plus a sorted index list**: the
 //! bitmap answers `contains` in O(1), and the sorted list is the index
@@ -115,11 +117,6 @@ impl ActiveSet {
         self.indices.is_empty()
     }
 
-    /// Whether the set contains every node.
-    pub fn is_full(&self) -> bool {
-        self.indices.len() == self.n
-    }
-
     /// O(1) membership test.
     #[inline]
     pub fn contains(&self, v: NodeId) -> bool {
@@ -129,17 +126,6 @@ impl ActiveSet {
     /// The members, strictly increasing.
     pub fn indices(&self) -> &[u32] {
         &self.indices
-    }
-
-    /// The position of `v` in [`ActiveSet::indices`], or `None` if `v` is not
-    /// a member. O(log |active|); consumers use it to look up a member's slot
-    /// in the compact per-member outputs of
-    /// [`collect_samples_on`](crate::Engine::collect_samples_on).
-    pub fn rank(&self, v: NodeId) -> Option<usize> {
-        if !self.contains(v) {
-            return None;
-        }
-        self.indices.binary_search(&(v as u32)).ok()
     }
 
     /// Iterates the members in ascending order.
@@ -239,7 +225,6 @@ mod tests {
         for n in [1, 63, 64, 65, 200] {
             let s = ActiveSet::full(n);
             assert_eq!(s.len(), n);
-            assert!(s.is_full());
             assert!((0..n).all(|v| s.contains(v)));
             assert!(!s.contains(n));
             assert_eq!(s.indices().len(), n);
@@ -251,10 +236,7 @@ mod tests {
         let s = ActiveSet::from_members(10, [7, 2, 2, 9, 0]).unwrap();
         assert_eq!(s.indices(), &[0, 2, 7, 9]);
         assert_eq!(s.len(), 4);
-        assert!(!s.is_full());
         assert!(s.contains(2) && !s.contains(3));
-        assert_eq!(s.rank(7), Some(2));
-        assert_eq!(s.rank(3), None);
         assert!(ActiveSet::from_members(10, [10]).is_err());
     }
 

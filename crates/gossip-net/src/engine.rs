@@ -130,23 +130,25 @@
 //!
 //! ## Index domains
 //!
-//! The same bodies run the `_on` primitives: each body is also generic over
-//! a private *index domain*, the nodes the round runs at — every node for
-//! the dense rounds, an [`ActiveSet`]'s sorted members for the `_on` rounds
-//! — picked once per round next to the sampler and the fault policy. The
+//! The push, local-step and sampling-column bodies also run the sparse
+//! primitives ([`Engine::push_round_on`], [`Engine::local_step_on`] and
+//! [`Engine::pull_sources`] over an active set): each is generic over a
+//! private *index domain*, the nodes the round runs at — every node for the
+//! dense rounds, an [`ActiveSet`]'s sorted members for the sparse ones —
+//! picked once per round next to the sampler and the fault policy. The
 //! domain answers what the two kinds of round do differently: its member
 //! count (the participant charge), the node at a member position and the
 //! position of a node, how the pool chunks a node-indexed buffer
-//! ([`crate::par::for_chunks`] or [`crate::par::for_sparse`]), how a block of
-//! back-buffer slots is refreshed (one [`crate::soa::clone_block`] burst or
+//! ([`crate::par::for_chunks`] or [`crate::par::for_sparse`]), how the
+//! back-buffer slots are refreshed (one [`crate::soa::clone_block`] burst or
 //! per-slot clones), which push lists a fold task walks (its receiver
 //! range's lists as the draw pass filed them, or its slice of the round's
 //! pairs gathered and sorted receiver-major, split at the written set's
 //! chunks), and how the round commits (the whole-buffer swap or the
 //! copy-on-write slot swap). The fault order, the ascending-sender fold,
-//! the straggler drain, the prefetched gathers and the metrics accounting
-//! each live in one place, and the dense instantiation is the plain dense
-//! loop.
+//! the straggler drain and the metrics accounting each live in one place,
+//! and the dense instantiation is the plain dense loop. The pull, push–pull
+//! and sample-step bodies run the dense domain only.
 //!
 //! ## Allocation discipline
 //!
@@ -194,8 +196,8 @@
 //! * the sparse copy-on-write commit batches runs of consecutive written ids
 //!   into whole-slice swaps ([`crate::soa::swap_runs`]).
 //!
-//! Faulted and sparse rounds run the same bodies, so they get the blocked
-//! refresh and the prefetched gathers too. All of it is mechanical rewriting with
+//! Faulted rounds run the same bodies, so they get the blocked refresh and
+//! the prefetched gathers too. All of it is mechanical rewriting with
 //! bit-identical results — per-node RNG consumption, fold order and metrics
 //! are unchanged (pinned by the golden suites, by `tests/layout.rs` against
 //! the per-slot configuration `set_copy_block(1)` + `set_prefetch_dist(0)`,
@@ -909,9 +911,9 @@ impl Domain for Members<'_> {
     }
 }
 
-/// What a sparse push-style round ([`Engine::push_round_on`] /
-/// [`Engine::push_pull_round_on`]) did, beyond the dense primitives' failed
-/// count: the set of nodes that received at least one message this round.
+/// What a sparse push round ([`Engine::push_round_on`]) did, beyond the
+/// dense primitives' failed count: the set of nodes that received at least
+/// one message this round.
 ///
 /// Receivers are how sparse activity *grows* — a rumor-spreading loop unions
 /// them into its informed [`ActiveSet`]
@@ -1072,8 +1074,6 @@ pub struct Engine<S> {
     /// sorted receiver-major (stable, so a receiver folds its late arrivals
     /// in send order).
     due_scratch: Vec<(u32, u32)>,
-    /// The topology specification (as configured; kept for reporting).
-    topology: Topology,
     /// The materialised peer sampler rounds draw contacts from; built once at
     /// construction (non-complete topologies share their adjacency via `Arc`
     /// when the engine is cloned).
@@ -1132,7 +1132,6 @@ impl<S: Clone> Clone for Engine<S> {
             up: Vec::new(),
             pending_delayed: self.pending_delayed.clone(),
             due_scratch: Vec::new(),
-            topology: self.topology,
             sampler: self.sampler.clone(),
             metrics: self.metrics,
             round: self.round,
@@ -1214,7 +1213,6 @@ impl<S> Engine<S> {
             up: Vec::new(),
             pending_delayed: Vec::new(),
             due_scratch: Vec::new(),
-            topology: config.topology,
             sampler,
             metrics: Metrics::new(),
             round: 0,
@@ -1238,17 +1236,6 @@ impl<S> Engine<S> {
     /// The states of all nodes, indexed by [`NodeId`].
     pub fn states(&self) -> &[S] {
         &self.states
-    }
-
-    /// Mutable access to the node states.
-    ///
-    /// Intended for *local* (communication-free) computation steps such as
-    /// "every node updates its own value from what it has already received";
-    /// using it to read other nodes' states would break the gossip model, so
-    /// algorithms in this repository only ever use it via
-    /// [`Engine::local_step`].
-    pub fn states_mut(&mut self) -> &mut [S] {
-        &mut self.states
     }
 
     /// Communication metrics accumulated so far.
@@ -1289,11 +1276,6 @@ impl<S> Engine<S> {
     /// yet folded into a push-capable round's deliveries).
     pub fn delayed_in_flight(&self) -> usize {
         self.pending_delayed.len()
-    }
-
-    /// The communication topology peer sampling runs on.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// Number of worker threads rounds run on.
@@ -1532,29 +1514,26 @@ impl<S: Clone + Send + Sync> Engine<S> {
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, Option<M>) + Sync,
     {
-        let all = All(self.n());
-        with_sampler!(self, sp => with_faults!(self, fx => self.pull_body(all, fx, sp, serve, apply)))
+        with_sampler!(self, sp => with_faults!(self, fx => self.pull_body(fx, sp, serve, apply)))
     }
 
-    /// [`Engine::pull_round`] and [`Engine::pull_round_on`], monomorphised
-    /// over the index domain, the sampler type and the fault policy.
-    fn pull_body<D, X, SP, M, F, G>(
+    /// [`Engine::pull_round`], monomorphised over the sampler type and the
+    /// fault policy.
+    fn pull_body<X, SP, M, F, G>(
         &mut self,
-        dom: D,
         _: PhantomData<X>,
         sampler: SP,
         serve: F,
         apply: G,
     ) -> usize
     where
-        D: Domain,
         X: Faults,
         SP: Sampler,
         M: MessageSize,
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, Option<M>) + Sync,
     {
-        self.metrics.record_round(RoundKind::Pull, dom.len() as u64);
+        self.metrics.record_round(RoundKind::Pull, self.n() as u64);
         self.round += 1;
         self.ensure_next();
         self.advance_churn(self.round, 1);
@@ -1572,12 +1551,12 @@ impl<S: Clone + Send + Sync> Engine<S> {
         // this gate cannot affect results.
         let prefetch =
             dist > 0 && std::mem::size_of::<S>() * states.len() > crate::soa::PREFETCH_MIN_BYTES;
-        let delta = dom.map(
+        let delta = par::for_chunks(
             &self.pool,
             &mut self.next,
             threads,
             Metrics::default(),
-            |run, base, sub| {
+            |base, sub| {
                 let mut local = Metrics::default();
                 // Structured around memory layout (bit-identical to a
                 // per-slot clone-then-serve loop — every node draws the same
@@ -1585,22 +1564,21 @@ impl<S: Clone + Send + Sync> Engine<S> {
                 // touch order changes):
                 //
                 // 1. refresh one block of back-buffer slots in a tight clone
-                //    pass (a memcpy for Copy states on the dense domain) so
-                //    the block is L1/L2-hot for the apply pass;
+                //    pass (a memcpy for Copy states) so the block is
+                //    L1/L2-hot for the apply pass;
                 // 2. within the block, draw contacts a batch at a time into a
                 //    stack buffer — separating the RNG math from the gather
                 //    makes the targets available early;
                 // 3. serve/apply with the gather prefetched `dist` targets
                 //    ahead, hiding the random-read latency that dominates
                 //    large-n rounds.
-                let mut tbuf = [0u32; TARGET_BATCH];
-                let mut bs = run.start;
-                while bs < run.end {
-                    let be = (bs + block).min(run.end);
-                    dom.refresh(sub, base, states, bs..be);
+                let (mut tbuf, end) = ([0u32; TARGET_BATCH], base + sub.len());
+                let mut bs = base;
+                while bs < end {
+                    let be = (bs + block).min(end);
+                    crate::soa::clone_block(&mut sub[bs - base..be - base], &states[bs..be]);
                     if !prefetch {
-                        for p in bs..be {
-                            let v = dom.node(p);
+                        for v in bs..be {
                             let t = fx.pull(sampler, prefix, v, &mut local);
                             land_pull(states, serve, apply, v, &mut sub[v - base], t, &mut local);
                         }
@@ -1612,7 +1590,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
                         let je = (js + TARGET_BATCH).min(be);
                         let batch = je - js;
                         for (i, t) in tbuf[..batch].iter_mut().enumerate() {
-                            *t = fx.pull(sampler, prefix, dom.node(js + i), &mut local);
+                            *t = fx.pull(sampler, prefix, js + i, &mut local);
                         }
                         for i in 0..batch {
                             if i + dist < batch {
@@ -1620,7 +1598,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
                                     crate::soa::prefetch_read(ahead);
                                 }
                             }
-                            let v = dom.node(js + i);
+                            let v = js + i;
                             let slot = &mut sub[v - base];
                             land_pull(states, serve, apply, v, slot, tbuf[i], &mut local);
                         }
@@ -1633,7 +1611,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
             |a, b| a + b,
         );
         self.metrics = self.metrics + delta;
-        dom.commit(&self.pool, &mut self.states, &mut self.next, threads);
+        std::mem::swap(&mut self.states, &mut self.next);
         delta.failed_operations as usize
     }
 
@@ -1821,44 +1799,38 @@ impl<S: Clone + Send + Sync> Engine<S> {
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, M) + Sync,
     {
-        let all = All(self.n());
-        with_sampler!(self, sp => with_faults!(self, fx => {
-            self.push_pull_body(all, fx, sp, serve, merge).failed
-        }))
+        with_sampler!(self, sp => with_faults!(self, fx => self.push_pull_body(fx, sp, serve, merge)))
     }
 
-    /// [`Engine::push_pull_round`] and [`Engine::push_pull_round_on`],
-    /// monomorphised over the index domain, the sampler type and the fault
-    /// policy.
-    fn push_pull_body<D, X, SP, M, F, G>(
+    /// [`Engine::push_pull_round`], monomorphised over the sampler type and
+    /// the fault policy.
+    fn push_pull_body<X, SP, M, F, G>(
         &mut self,
-        dom: D,
         _: PhantomData<X>,
         sampler: SP,
         serve: F,
         merge: G,
-    ) -> SparsePushOutcome
+    ) -> usize
     where
-        D: Domain,
         X: Faults,
         SP: Sampler,
         M: MessageSize,
         F: Fn(NodeId, &S) -> M + Sync,
         G: Fn(NodeId, &mut S, M) + Sync,
     {
-        let (n, m) = (self.n(), dom.len());
-        self.metrics.record_round(RoundKind::PushPull, m as u64);
+        let n = self.n();
+        self.metrics.record_round(RoundKind::PushPull, n as u64);
         self.round += 1;
         self.ensure_next();
         self.advance_churn(self.round, 1);
 
         let (round, threads) = (self.round, self.threads);
-        let bins = self.bins(m);
+        let bins = self.bins(n);
         let sampler = &sampler;
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
         let fx = X::hoist(self.seed, round, &self.fault, &self.up, &[]);
 
-        // Pass 1: every member draws its failure coin, pull target, push
+        // Pass 1: every node draws its failure coin, pull target, push
         // target, then the per-direction fault coins, and files a landed push
         // as the push round does. Delivery metrics are recorded in pass 2,
         // where the messages are constructed anyway.
@@ -1869,8 +1841,8 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let range = bins.range as u32;
         let (delta, mut pending) = par::for_chunks2(
             &self.pool,
-            &mut self.scratch_targets[..m],
-            &mut self.scratch_pull[..m],
+            &mut self.scratch_targets,
+            &mut self.scratch_pull,
             threads,
             (Metrics::default(), Vec::new()),
             |start, push_chunk, pull_chunk| {
@@ -1878,7 +1850,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
                     let mut local = Metrics::default();
                     let mut pending = Vec::new();
                     for (j, (push, pull)) in push_chunk.iter_mut().zip(pull_chunk).enumerate() {
-                        let v = dom.node(start + j);
+                        let v = start + j;
                         (*pull, *push) = fx.push_pull(sampler, prefix, v, &mut local, &mut pending);
                         if (*push as usize) < n {
                             lists[(*push / range) as usize].push((*push, v as u32));
@@ -1894,59 +1866,53 @@ impl<S: Clone + Send + Sync> Engine<S> {
         self.pending_delayed.append(&mut pending);
         self.collect_due(round);
 
-        let receivers = dom.bucket(self, bins.len());
-        let written = dom.written(&self.scratch_written);
         let landed = Landed {
             bins,
             lists: &self.scratch_lists[..bins.len()],
-            sorted: &self.scratch_pairs,
+            sorted: &[],
         };
         let states = &self.states;
         let (block, dist) = (self.copy_block, self.prefetch_dist);
-        let pulls = &self.scratch_pull[..m];
+        let pulls = &self.scratch_pull;
         let fx = X::hoist(self.seed, round, &self.fault, &self.up, &self.due_scratch);
-        let deliveries = written.map(
+        let deliveries = par::for_chunks(
             &self.pool,
             &mut self.next,
             threads,
             Metrics::default(),
-            |run, base, sub| {
+            |base, sub| {
                 let mut local = Metrics::default();
                 let mut deliver = |u: NodeId, slot: &mut S, v: usize| {
                     let msg = serve(v, &states[v]);
                     local.record_delivery(msg.message_bits());
                     merge(u, slot, msg);
                 };
-                // The pulled messages first (members only): each block of
-                // slots is refreshed and then merges its members' pulls while
-                // it is cache-warm, the pull gather prefetched a few members
-                // ahead.
+                // The pulled messages first: each block of slots is refreshed
+                // and then merges its pulls while it is cache-warm, the pull
+                // gather prefetched a few nodes ahead.
+                let run = base..base + sub.len();
                 let mut bs = run.start;
                 while bs < run.end {
                     let be = (bs + block).min(run.end);
-                    written.refresh(sub, base, states, bs..be);
-                    for q in bs..be {
-                        let u = written.node(q);
-                        let Some(p) = dom.position(u) else {
-                            continue;
-                        };
+                    crate::soa::clone_block(&mut sub[bs - base..be - base], &states[bs..be]);
+                    for u in bs..be {
                         if dist > 0 {
-                            if let Some(&ahead) = pulls.get(p + dist) {
+                            if let Some(&ahead) = pulls.get(u + dist) {
                                 if let Some(ahead) = states.get(ahead as usize) {
                                     crate::soa::prefetch_read(ahead);
                                 }
                             }
                         }
-                        if (pulls[p] as usize) < n {
-                            deliver(u, &mut sub[u - base], pulls[p] as usize);
+                        if (pulls[u] as usize) < n {
+                            deliver(u, &mut sub[u - base], pulls[u] as usize);
                         }
                     }
                     bs = be;
                 }
                 // Then the pushes by ascending sender, and the late arrivals
                 // in send order.
-                land_pushes(written, run.clone(), landed, sub, base, dist, &mut deliver);
-                for &(u, v) in fx.late(written.span(run)) {
+                land_pushes(All(n), run.clone(), landed, sub, base, dist, &mut deliver);
+                for &(u, v) in fx.late(run) {
                     deliver(u as usize, &mut sub[u as usize - base], v as usize);
                 }
                 local
@@ -1954,63 +1920,20 @@ impl<S: Clone + Send + Sync> Engine<S> {
             |a, b| a + b,
         );
         self.metrics = self.metrics + deliveries;
-        written.commit(&self.pool, &mut self.states, &mut self.next, threads);
-        SparsePushOutcome {
-            failed: delta.failed_operations as usize,
-            receivers,
-        }
+        std::mem::swap(&mut self.states, &mut self.next);
+        delta.failed_operations as usize
     }
 
-    /// Convenience: `k` consecutive pull rounds in which every node collects
-    /// the served messages of `k` independently chosen random nodes.
-    ///
-    /// Returns, for every node, the vector of successfully pulled messages
-    /// (between 0 and `k` entries, fewer when the node's pulls failed). This
+    /// `k` consecutive pull rounds in which every node collects the served
+    /// messages of `k` independently chosen random nodes, into one flat,
+    /// column-major `n × k` sample matrix (see [`SampleMatrix`]): column `r`
+    /// holds round `r`'s pulls, empty where a pull failed or was lost. This
     /// consumes exactly `k` rounds, matching the paper's convention that
     /// "each node can sample t node values (with replacement) in t rounds".
-    /// Node states are untouched.
-    pub fn collect_samples<M, F>(&mut self, k: usize, serve: F) -> Vec<Vec<M>>
-    where
-        M: MessageSize + Send,
-        F: Fn(NodeId, &S) -> M + Sync,
-    {
-        self.collect_buckets(All(self.n()), k, serve)
-    }
-
-    /// [`Engine::collect_samples`] and [`Engine::collect_samples_on`]: `k`
-    /// sampling columns whose slots are the members' buckets, so every round
-    /// pushes straight into them in parallel (regrouping a flat matrix
-    /// afterwards would be a sequential pass).
-    fn collect_buckets<D, M, F>(&mut self, dom: D, k: usize, serve: F) -> Vec<Vec<M>>
-    where
-        D: Domain,
-        M: MessageSize + Send,
-        F: Fn(NodeId, &S) -> M + Sync,
-    {
-        let mut collected: Vec<Vec<M>> = (0..dom.len()).map(|_| Vec::with_capacity(k)).collect();
-        let deliver = |bucket: &mut Vec<M>, t, state: &S| {
-            let msg = serve(t, state);
-            let bits = msg.message_bits();
-            bucket.push(msg);
-            bits
-        };
-        let slots = All(dom.len());
-        with_sampler!(self, sp => with_faults!(self, fx => {
-            for _ in 0..k {
-                self.collect_column(dom, slots, fx, &sp, &mut collected, &deliver);
-            }
-        }));
-        collected
-    }
-
-    /// [`Engine::collect_samples`] with flat, column-major storage: one
-    /// allocation for the whole `n × k` sample matrix instead of `n`
-    /// per-node vectors, with each sampling round writing one contiguous
-    /// column (see [`SampleMatrix`]). Identical round accounting, RNG
-    /// consumption and sample values. The matrix is always `n × k`: column
-    /// `r` holds round `r`'s pulls, empty where a pull failed or was lost.
-    /// [`Engine::sample_step`] is the fused form for samples that feed a
-    /// local update.
+    /// Node states are untouched. Each round is a [`Engine::pull_sources`]
+    /// round whose messages cost what `serve` returns: the same targets,
+    /// coins and metrics. [`Engine::sample_step`] is the fused form for
+    /// samples that feed a local update.
     pub fn collect_samples_flat<M, F>(&mut self, k: usize, serve: F) -> SampleMatrix<M>
     where
         M: MessageSize + Send,
@@ -2026,7 +1949,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let all = All(self.n());
         with_sampler!(self, sp => with_faults!(self, fx => {
             for r in 0..k {
-                self.collect_column(all, all, fx, &sp, matrix.column_mut(r), &deliver);
+                self.collect_column(all, fx, &sp, matrix.column_mut(r), &deliver);
             }
         }));
         matrix
@@ -2041,13 +1964,13 @@ impl<S: Clone + Send + Sync> Engine<S> {
     /// Rounds `0..dense` run at every node; rounds `dense..k` only at the
     /// nodes where `participates(v)` holds (the δ-truncated iterations). The
     /// step is defined as, and **bit-identical** to, the composition
-    /// `collect_samples_flat(dense)`, then `collect_samples_on` over the
-    /// participants for the remaining `k − dense` rounds, then one
-    /// [`Engine::local_step`] calling `apply(v, state, rng, samples)`: the
-    /// same per-node RNG streams, the same round-counter and local-epoch
-    /// advance, and the same [`Metrics`] (`k` pull rounds of `n` — or of the
-    /// participant count, for the cut rounds — plus one attempt, delivery
-    /// and bit charge per sample).
+    /// [`Engine::collect_samples_flat`]`(dense)`, then `k − dense` rounds of
+    /// [`Engine::pull_sources`] over the participants, each delivery served
+    /// from the round-start states, then one [`Engine::local_step`] calling
+    /// `apply(v, state, rng, samples)`: the same per-node RNG streams, the
+    /// same round-counter and local-epoch advance, and the same [`Metrics`]
+    /// (`k` pull rounds of `n` — or of the participant count, for the cut
+    /// rounds — plus one attempt, delivery and bit charge per sample).
     ///
     /// `samples[r]` is what the node pulled in round `r` (`None` where the
     /// pull failed); the slice holds `k` entries at participating nodes and
@@ -2249,26 +2172,23 @@ impl<S: Clone + Send + Sync> Engine<S> {
         std::mem::swap(&mut self.states, &mut self.next);
     }
 
-    /// One sampling round into `column`: every member `v` of `dom` pulls
-    /// once, and when the pull lands `deliver(slot, t, &states[t])` stores
-    /// what target `t` served in `v`'s slot and returns the bits it costs on
-    /// the wire; a pull that fails, is dropped, or comes from a down node
-    /// leaves its slot untouched, as are the other slots. `slots` is the
-    /// domain `column` is indexed by: `dom` itself for a node-indexed column,
-    /// or `All(dom.len())` for one slot per member. The round is recorded
-    /// with the member count, and every coin — churn, failure, target, loss
-    /// — is drawn in the order of the pull round.
-    fn collect_column<D, K, X, SP, C, Dl>(
+    /// One sampling round into the node-indexed `column`: every member `v`
+    /// of `dom` pulls once, and when the pull lands `deliver(slot, t,
+    /// &states[t])` stores what target `t` served in `v`'s slot and returns
+    /// the bits it costs on the wire; a pull that fails, is dropped, or
+    /// comes from a down node leaves its slot untouched, as are the other
+    /// slots. The round is recorded with the member count, and every coin —
+    /// churn, failure, target, loss — is drawn in the order of the pull
+    /// round.
+    fn collect_column<D, X, SP, C, Dl>(
         &mut self,
         dom: D,
-        slots: K,
         _: PhantomData<X>,
         sampler: &SP,
         column: &mut [C],
         deliver: &Dl,
     ) where
         D: Domain,
-        K: Domain,
         X: Faults,
         SP: Sampler,
         C: Send,
@@ -2281,7 +2201,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let states = &self.states;
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
         let fx = X::hoist(self.seed, round, &self.fault, &self.up, &[]);
-        let delta = slots.map(
+        let delta = dom.map(
             &self.pool,
             column,
             self.threads,
@@ -2292,8 +2212,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
                     let v = dom.node(p);
                     let t = fx.pull(sampler, prefix, v, &mut local) as usize;
                     if let Some(state) = states.get(t) {
-                        let slot = &mut sub[slots.node(p) - base];
-                        local.record_delivery(deliver(slot, t, state));
+                        local.record_delivery(deliver(&mut sub[v - base], t, state));
                     }
                 }
                 local
@@ -2311,14 +2230,14 @@ impl<S: Clone + Send + Sync> Engine<S> {
     /// serves. No state is read or written: the round is fully described by
     /// its realised sources and its bit charge, which is all a caller that
     /// keeps its values outside the engine needs — it then reads the served
-    /// values itself, when and how it likes.
+    /// values itself, when and how it likes (a sampler of the engine's own
+    /// states reads them from a snapshot of [`Engine::states`]).
     ///
     /// Targets, coins, the round counter and [`Metrics`] advance exactly as
-    /// a [`Engine::collect_samples`]`(1, ..)` round (with `active`,
-    /// [`Engine::collect_samples_on`]) whose messages cost `bits(source)`:
-    /// it is the same sampling column, over the active indices only when
-    /// `active` is given (after an `O(n)` reset of `sources`, which also
-    /// runs whenever a pull can fail).
+    /// a one-column [`Engine::collect_samples_flat`] whose messages cost
+    /// `bits(source)` — over the active indices only when `active` is given
+    /// (after an `O(n)` reset of `sources`, which also runs whenever a pull
+    /// can fail), as in the cut rounds of [`Engine::sample_step`].
     ///
     /// # Panics
     ///
@@ -2339,14 +2258,11 @@ impl<S: Clone + Send + Sync> Engine<S> {
             *slot = t as u32;
             bits(t)
         };
+        let all = All(self.n());
         with_sampler!(self, sp => with_faults!(self, fx => match active {
-            None => {
-                let all = All(self.n());
-                self.collect_column(all, all, fx, &sp, sources, &deliver);
-            }
+            None => self.collect_column(all, fx, &sp, sources, &deliver),
             Some(active) => {
-                let dom = Members(active.indices());
-                self.collect_column(dom, dom, fx, &sp, sources, &deliver);
+                self.collect_column(Members(active.indices()), fx, &sp, sources, &deliver);
             }
         }));
     }
@@ -2354,7 +2270,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
     /// One pull round in which every node samples a random peer and receives
     /// that peer's `lanes`-wide row of `lane_values` — the lane-major,
     /// allocation-free counterpart of
-    /// `collect_samples(1, |t, _| lane_values[t*lanes..(t+1)*lanes].to_vec())`.
+    /// `collect_samples_flat(1, |t, _| lane_values[t*lanes..(t+1)*lanes].to_vec())`.
     ///
     /// `lane_values` is a borrowed lane-major sheet (`n × lanes`, node `t`'s
     /// row at `t·lanes..(t+1)·lanes`), deliberately separate from the
@@ -2480,28 +2396,29 @@ impl<S: Clone + Send + Sync> Engine<S> {
 
 /// ## Sparse rounds: active sets and copy-on-write buffers
 ///
-/// The `*_on` primitives are the participant-proportional counterparts of the
-/// dense rounds: they take an [`ActiveSet`] and run the dense primitives'
-/// round bodies over its members (the index domain, see the module docs), so
-/// their pool chunks cover the active indices only
-/// ([`crate::par::for_sparse`]) and a round over `a` participants costs
-/// `O(a)` (plus `O(messages)` delivery work on the push paths) instead of
+/// [`Engine::push_round_on`] is the participant-proportional counterpart of
+/// the dense push round, as [`Engine::local_step_on`] is of the local step
+/// and [`Engine::pull_sources`] over an active set of a sampling round: it
+/// takes an [`ActiveSet`] and runs the dense primitive's round body over its
+/// members (the index domain, see the module docs), so its pool chunks cover
+/// the active indices only ([`crate::par::for_sparse`]) and a round over `a`
+/// participants costs `O(a)` plus `O(messages)` delivery work instead of
 /// `O(n)`. Peer *targets* are still sampled from the full topology
 /// neighbourhood — sparseness restricts who acts, not who can be contacted.
 ///
-/// Instead of the dense rounds' whole-buffer swap, sparse rounds are
-/// **copy-on-write**: only the round's *written set* — the active nodes
-/// (pull) or active ∪ receivers (push paths) — is cloned into the back
-/// buffer, updated there against the immutable front buffer, and committed by
-/// swapping exactly those slots back (an `O(|written|)` pass;
-/// [`crate::par::for_sparse2`]). The front buffer therefore stays fully
-/// current at all times — dense and sparse rounds interleave freely — and
-/// untouched slots are never cloned, read, or written. (A design with an
-/// `O(1)` whole-buffer swap plus per-node epoch stamps was rejected: resolving
-/// stale slots through stamps makes peer reads alias the buffer being
-/// written, which cannot be expressed under this crate's `deny(unsafe_code)`
-/// discipline — and the slot-swap commit is already proportional to the
-/// participants, which is the property that matters.)
+/// Instead of the dense rounds' whole-buffer swap, a sparse push round is
+/// **copy-on-write**: only the round's *written set* — the active nodes and
+/// the receivers — is cloned into the back buffer, updated there against the
+/// immutable front buffer, and committed by swapping exactly those slots
+/// back (an `O(|written|)` pass; [`crate::par::for_sparse2`]). The front
+/// buffer therefore stays fully current at all times — dense and sparse
+/// rounds interleave freely — and untouched slots are never cloned, read, or
+/// written. (A design with an `O(1)` whole-buffer swap plus per-node epoch
+/// stamps was rejected: resolving stale slots through stamps makes peer
+/// reads alias the buffer being written, which cannot be expressed under
+/// this crate's `deny(unsafe_code)` discipline — and the slot-swap commit is
+/// already proportional to the participants, which is the property that
+/// matters.)
 ///
 /// Push deliveries are bucketed over the **sparse message set**: the draw
 /// pass's `(receiver, sender)` lists are gathered into one pair list sized
@@ -2515,27 +2432,6 @@ impl<S: Clone + Send + Sync> Engine<S> {
 /// counterpart — same RNG keys per node, same fold order, same metrics — as
 /// pinned against the golden trajectories by `tests/sparse.rs`.
 impl<S: Clone + Send + Sync> Engine<S> {
-    /// [`Engine::pull_round`] restricted to an [`ActiveSet`]: only active
-    /// nodes pull (each contacting a uniformly random neighbour and folding
-    /// the served message through `apply`); every other node's state is
-    /// carried over untouched. Cost: `O(|active|)`.
-    ///
-    /// Returns the number of active nodes whose pull failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active` was built for a different network size.
-    pub fn pull_round_on<M, F, G>(&mut self, active: &ActiveSet, serve: F, apply: G) -> usize
-    where
-        M: MessageSize,
-        F: Fn(NodeId, &S) -> M + Sync,
-        G: Fn(NodeId, &mut S, Option<M>) + Sync,
-    {
-        self.assert_active(active);
-        let dom = Members(active.indices());
-        with_sampler!(self, sp => with_faults!(self, fx => self.pull_body(dom, fx, sp, serve, apply)))
-    }
-
     /// [`Engine::push_round`] restricted to an [`ActiveSet`]: only active
     /// nodes derive and push messages; receivers (any node of the network)
     /// fold what they were sent, in ascending sender order as in the dense
@@ -2565,54 +2461,6 @@ impl<S: Clone + Send + Sync> Engine<S> {
         with_sampler!(self, sp => with_faults!(self, fx => {
             self.push_body(dom, fx, sp, make, fold, after)
         }))
-    }
-
-    /// [`Engine::push_pull_round`] restricted to an [`ActiveSet`]: only
-    /// active nodes push **and** pull this round (one round on the meter,
-    /// both directions); receivers of pushes fold the served messages as in
-    /// the dense primitive. Cost: `O(|active| + messages)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active` was built for a different network size.
-    pub fn push_pull_round_on<M, F, G>(
-        &mut self,
-        active: &ActiveSet,
-        serve: F,
-        merge: G,
-    ) -> SparsePushOutcome
-    where
-        M: MessageSize,
-        F: Fn(NodeId, &S) -> M + Sync,
-        G: Fn(NodeId, &mut S, M) + Sync,
-    {
-        self.assert_active(active);
-        let dom = Members(active.indices());
-        with_sampler!(self, sp => with_faults!(self, fx => {
-            self.push_pull_body(dom, fx, sp, serve, merge)
-        }))
-    }
-
-    /// [`Engine::collect_samples`] restricted to an [`ActiveSet`]: `k`
-    /// consecutive pull rounds in which only the active nodes sample. Cost:
-    /// `O(k·|active|)`.
-    ///
-    /// Returns one bucket per **active** node, aligned with
-    /// [`ActiveSet::indices`] (use [`ActiveSet::rank`] to look a member's
-    /// bucket up by node id); over the full set the layout coincides with the
-    /// dense primitive's per-node vector. Node states are untouched.
-    pub fn collect_samples_on<M, F>(
-        &mut self,
-        active: &ActiveSet,
-        k: usize,
-        serve: F,
-    ) -> Vec<Vec<M>>
-    where
-        M: MessageSize + Send,
-        F: Fn(NodeId, &S) -> M + Sync,
-    {
-        self.assert_active(active);
-        self.collect_buckets(Members(active.indices()), k, serve)
     }
 
     /// Readies a sparse push round's landed pushes, left by the draw pass in
@@ -2858,23 +2706,23 @@ mod tests {
     }
 
     #[test]
-    fn collect_samples_returns_k_samples_without_failures() {
+    fn collect_samples_flat_returns_k_samples_without_failures() {
         let mut e = engine_with(32, 23);
-        let samples = e.collect_samples(3, |_, &s| s);
-        assert_eq!(samples.len(), 32);
-        assert!(samples.iter().all(|s| s.len() == 3));
+        let samples = e.collect_samples_flat(3, |_, &s| s);
+        assert_eq!((samples.n(), samples.k()), (32, 3));
+        assert!((0..32).all(|v| samples.count(v) == 3));
         assert_eq!(e.metrics().rounds, 3);
         // Node states are untouched by sampling.
         assert_eq!(e.states(), (0..32u64).collect::<Vec<_>>().as_slice());
     }
 
     #[test]
-    fn collect_samples_with_failures_returns_fewer() {
+    fn collect_samples_flat_with_failures_returns_fewer() {
         let config = EngineConfig::with_seed(5)
             .fault(FaultPlan::none().with_failure(FailureModel::uniform(0.4).unwrap()));
         let mut e = Engine::from_states((0..500u64).collect(), config);
-        let samples = e.collect_samples(4, |_, &s| s);
-        let total: usize = samples.iter().map(Vec::len).sum();
+        let samples = e.collect_samples_flat(4, |_, &s| s);
+        let total: usize = (0..500).map(|v| samples.count(v)).sum();
         assert!(total < 2000);
         assert!(total > 500);
     }
@@ -2951,7 +2799,6 @@ mod tests {
     fn ring_topology_pulls_only_from_neighbours() {
         let config = EngineConfig::with_seed(5).topology(Topology::ring(1));
         let mut e = Engine::from_states((0..32u64).collect(), config);
-        assert_eq!(e.topology(), &Topology::ring(1));
         for _ in 0..50 {
             e.pull_round(
                 |t, _| t as u64,
@@ -3198,18 +3045,17 @@ mod tests {
     }
 
     #[test]
-    fn collect_samples_under_faults_still_reports_inner_rounds() {
+    fn collect_samples_flat_under_faults_still_reports_inner_rounds() {
         let plan = FaultPlan::none()
             .with_churn(ChurnModel::with_rejoin(0.2, 1).unwrap())
             .with_loss(LossModel::uniform(0.3).unwrap());
         let mut e = faulty_engine(400, 23, plan);
-        let samples = e.collect_samples(3, |_, &s| s);
-        assert_eq!(samples.len(), 400);
+        let samples = e.collect_samples_flat(3, |_, &s| s);
+        assert_eq!((samples.n(), samples.k()), (400, 3));
         assert_eq!(e.metrics().rounds, 3);
         // Faults thin the samples but cannot invent them.
-        let total: usize = samples.iter().map(Vec::len).sum();
+        let total: usize = (0..400).map(|v| samples.count(v)).sum();
         assert!(total < 3 * 400);
         assert!(total > 0);
-        assert!(samples.iter().all(|s| s.len() <= 3));
     }
 }

@@ -5,10 +5,13 @@
 //! regardless of which `WorkerPool` — private, grown, or shared between
 //! engines — the rounds dispatch on.
 //!
-//! These tests exercise all three round primitives plus `collect_samples` and
-//! `local_step` (itself a pooled chunk map), with non-commutative state folds
-//! where possible so that any ordering difference between runs shows up as a
-//! state difference.
+//! These tests exercise all three round primitives plus sampling rounds
+//! (`pull_sources`) and `local_step` (itself a pooled chunk map), with
+//! non-commutative state folds where possible so that any ordering
+//! difference between runs shows up as a state difference.
+
+#[path = "support/goldens.rs"]
+mod support;
 
 use gossip_net::{
     ActiveSet, ChurnModel, Engine, EngineConfig, FailureModel, FaultPlan, LossModel, Metrics,
@@ -49,7 +52,7 @@ fn run_mixed_sequence(mut engine: Engine<u64>, threads: usize) -> (Vec<u64>, Met
             },
         );
         engine.push_pull_round(|_, &s| s, |_, st, msg| *st = fold_hash(*st, msg));
-        let samples = engine.collect_samples(2, |_, &s| s);
+        let samples = support::pulled_samples(&mut engine, None, 2);
         engine.local_step(|v, st, rng| {
             for &s in &samples[v] {
                 *st = fold_hash(*st, s);
@@ -133,11 +136,11 @@ fn different_seeds_still_diverge() {
 }
 
 #[test]
-fn collect_samples_is_thread_count_invariant() {
+fn sampling_rounds_are_thread_count_invariant() {
     let run = |threads: usize| {
         let mut e = engine(700, 13, FailureModel::uniform(0.1).unwrap());
         e.set_threads(threads);
-        e.collect_samples(4, |_, &s| s)
+        support::pulled_samples(&mut e, None, 4)
     };
     let baseline = run(1);
     for threads in THREAD_MATRIX {
@@ -183,7 +186,7 @@ fn local_step_is_identical_across_thread_counts() {
     let run = |threads: usize| {
         let mut e = engine(1000, 31, FailureModel::None);
         e.set_threads(threads);
-        let samples = e.collect_samples(2, |_, &s| s);
+        let samples = support::pulled_samples(&mut e, None, 2);
         for _ in 0..5 {
             e.local_step(|v, st, rng| {
                 for &s in &samples[v] {
@@ -566,15 +569,12 @@ fn sparse_rounds_with_fault_injection_are_thread_count_invariant() {
                 },
             );
             receiver_log.push(out);
-            e.pull_round_on(
-                &active,
-                |_, &s| s,
-                |_, st, p| {
-                    if let Some(p) = p {
-                        *st = fold_hash(*st, p);
-                    }
-                },
-            );
+            let samples = support::pulled_samples(&mut e, Some(&active), 1);
+            e.local_step_on(&active, |v, st, _| {
+                for &s in &samples[v / 5] {
+                    *st = fold_hash(*st, s);
+                }
+            });
         }
         let metrics = e.metrics();
         (e.into_states(), metrics, receiver_log)

@@ -29,8 +29,8 @@ mod support;
 use gossip_net::FailureModel;
 use support::{
     engine, fault_metrics_line, faulted_large, faulted_mixed, fingerprint, hash_local_steps,
-    initial_states, metrics_line, mixed_iteration, pinned, pull_rounds, push_pull_rounds,
-    push_rounds, sample_fp,
+    initial_states, metrics_line, mixed_iteration, pinned, pull_rounds, pulled_samples,
+    push_pull_rounds, push_rounds, sample_fp,
 };
 
 #[test]
@@ -84,7 +84,7 @@ fn golden_push_pull_with_failures() {
 #[test]
 fn golden_collect_samples() {
     let mut e = engine(512, 404, FailureModel::None);
-    let samples = e.collect_samples(3, |_, &s| s);
+    let samples = pulled_samples(&mut e, None, 3);
     assert_eq!(metrics_line(&e), pinned("collect.metrics"));
     assert_eq!(sample_fp(&samples), pinned("collect.sample_fp"));
     // Sampling leaves the node states untouched.
@@ -94,7 +94,7 @@ fn golden_collect_samples() {
 #[test]
 fn golden_collect_samples_with_failures() {
     let mut e = engine(512, 404, FailureModel::uniform(0.4).unwrap());
-    let samples = e.collect_samples(3, |_, &s| s);
+    let samples = pulled_samples(&mut e, None, 3);
     assert_eq!(metrics_line(&e), pinned("collect_failures.metrics"));
     assert_eq!(sample_fp(&samples), pinned("collect_failures.sample_fp"));
 }
@@ -193,12 +193,6 @@ fn pin_file_covers_exactly_the_computed_keys() {
         "large",
         "large_failures",
         "faulted_large",
-        "sparse_subset",
-        "sparse_subset_failures",
-        "sparse_subset_faulted",
-        "sparse_subset_large",
-        "sparse_subset_large_failures",
-        "sparse_subset_large_faulted",
         "sparse_kept",
         "sparse_kept_failures",
         "sparse_kept_faulted",
@@ -211,9 +205,6 @@ fn pin_file_covers_exactly_the_computed_keys() {
         let fields: &[&str] = match name {
             "collect" | "collect_failures" => &["metrics", "sample_fp"],
             "faulted_mixed" | "faulted_large" => &["metrics", "faults", "fp"],
-            _ if name.starts_with("sparse_subset") => {
-                &["metrics", "faults", "fp", "sample_fp", "receivers"]
-            }
             _ if name.starts_with("sparse_kept") => {
                 &["metrics", "faults", "fp", "sources", "receivers"]
             }

@@ -3,13 +3,13 @@
 //! the flat column-major sample matrix, and the run-batched copy-on-write
 //! commit are *mechanical* rewrites of the per-slot paths — for every block
 //! size, prefetch distance, active-set shape, and failure model, in the
-//! dense rounds and in the `_on` rounds alike, they must
+//! dense rounds and in the sparse push rounds alike, they must
 //! produce exactly the states, metrics, and sample values of the per-slot
 //! configuration (`set_copy_block(1)` with `set_prefetch_dist(0)`: one slot
 //! cloned, then served, at a time; for the commit, the per-slot swap
-//! `soa::swap_runs` is checked against). The source-only pull round behind
-//! the lane collector is pinned the same way, against nested one-sample
-//! collection.
+//! `soa::swap_runs` is checked against). The flat sample matrix and the lane
+//! collector are pinned against the source-only pull round they are built
+//! on.
 //!
 //! Property tests draw those knobs arbitrarily (proptest); every test runs
 //! at `par::num_threads()` workers, so CI's 1/2/3/8-thread matrix exercises
@@ -112,11 +112,12 @@ proptest! {
         prop_assert_eq!(run(None), run(Some(knobs)));
     }
 
-    /// The `_on` rounds run the dense bodies over their members, so they
-    /// honour both knobs too: over a proper subset, at sizes below and above
-    /// the 64 KiB prefetch gate (8,192 `u64` states), every block size and
-    /// prefetch distance reproduces the per-slot configuration's states,
-    /// metrics and receiver lists.
+    /// The sparse push round runs the dense body over its members, so it
+    /// honours both knobs too: over a proper subset, between dense pull and
+    /// push–pull rounds, at sizes below and above the 64 KiB prefetch gate
+    /// (8,192 `u64` states), every block size and prefetch distance
+    /// reproduces the per-slot configuration's states, metrics and receiver
+    /// lists.
     fn sparse_rounds_are_knob_invariant(
         size in (16usize..600, 0u64..1_000_000, 0usize..2),
         knobs in (1usize..512, 0usize..64, 2usize..6),
@@ -130,15 +131,7 @@ proptest! {
         let run = |mut e: Engine<u64>| {
             let mut receivers = Vec::new();
             for _ in 0..3 {
-                e.pull_round_on(
-                    &active,
-                    |_, &s| s,
-                    |_, st, pulled| {
-                        if let Some(p) = pulled {
-                            *st = fold_hash(*st, p);
-                        }
-                    },
-                );
+                pull_rounds(&mut e, 1);
                 let pushed = e.push_round_on(
                     &active,
                     |v, &s| if v % 3 == 0 { None } else { Some(s) },
@@ -150,9 +143,7 @@ proptest! {
                     },
                 );
                 receivers.push(pushed.receivers);
-                let swapped =
-                    e.push_pull_round_on(&active, |_, &s| s, |_, st, msg| *st = fold_hash(*st, msg));
-                receivers.push(swapped.receivers);
+                e.push_pull_round(|_, &s| s, |_, st, msg| *st = fold_hash(*st, msg));
             }
             (e.states().to_vec(), e.metrics(), receivers)
         };
@@ -183,25 +174,28 @@ proptest! {
         prop_assert_eq!(b, b_ref);
     }
 
-    /// The flat column-major sample matrix holds exactly the samples of the
-    /// nested `collect_samples` layout — same values, same round order, same
-    /// metrics — under arbitrary failure rates.
-    fn flat_sample_matrix_matches_nested_collection(
+    /// The flat column-major sample matrix holds exactly the values its
+    /// `k` source-only pull rounds read from a snapshot of the states —
+    /// same values, same round order, same metrics — under arbitrary failure
+    /// rates.
+    fn flat_sample_matrix_matches_pulled_sources(
         size in (16usize..600, 0u64..1_000_000),
         k in 1usize..6,
         fail_p in proptest::f64_range(0.0, 0.4),
     ) {
         let (n, seed) = size;
-        let mut nested_engine = engine(n, seed, failure_for(fail_p));
-        let nested = nested_engine.collect_samples(k, |_, &s| s);
         let mut flat_engine = engine(n, seed, failure_for(fail_p));
         let flat = flat_engine.collect_samples_flat(k, |_, &s| s);
-        prop_assert_eq!(nested_engine.metrics(), flat_engine.metrics());
-        for (v, nested_row) in nested.iter().enumerate() {
-            let row: Vec<u64> = flat.row(v).copied().collect();
-            prop_assert_eq!(nested_row, &row, "node {}", v);
-            prop_assert_eq!(flat.count(v), nested_row.len());
+        let mut drawn = engine(n, seed, failure_for(fail_p));
+        let snap = drawn.states().to_vec();
+        let mut sources = vec![0u32; n];
+        for r in 0..k {
+            drawn.pull_sources(None, |_| 64, &mut sources);
+            for (v, &src) in sources.iter().enumerate() {
+                prop_assert_eq!(flat.sample(v, r), snap.get(src as usize).copied(), "node {}", v);
+            }
         }
+        prop_assert_eq!(drawn.metrics(), flat_engine.metrics());
     }
 }
 
@@ -244,12 +238,12 @@ impl MessageSize for TaggedRow {
 }
 
 /// The source-only pull round realises exactly the sources and metrics of
-/// nested one-sample collection serving tagged rows, and on dense rounds of
-/// the lane collector too: dense, on an active set (an empty one included),
-/// under a failure model and under a disruptive fault plan, below and above
-/// the parallel threshold.
+/// one-column flat sampling serving tagged rows and of the lane collector,
+/// in a sequence of dense rounds and rounds on an active set (an empty one
+/// included), under a failure model and under a disruptive fault plan,
+/// below and above the parallel threshold.
 #[test]
-fn pull_sources_matches_lane_collection_and_nested_sampling() {
+fn pull_sources_matches_lane_collection_and_flat_sampling() {
     let q = 3;
     let configs = [
         ("clean", EngineConfig::with_seed(77)),
@@ -277,11 +271,6 @@ fn pull_sources_matches_lane_collection_and_nested_sampling() {
             source: t as u32,
             row: row(t).to_vec(),
         };
-        let source_of = |bucket: Option<&Vec<TaggedRow>>| {
-            bucket
-                .and_then(|b| b.first())
-                .map_or(u32::MAX, |m| m.source)
-        };
         let partial = ActiveSet::from_fn(n, |v| v % 3 != 1);
         let empty = ActiveSet::from_fn(n, |_| false);
         for (name, config) in &configs {
@@ -290,38 +279,33 @@ fn pull_sources_matches_lane_collection_and_nested_sampling() {
                 e.set_threads(par::num_threads());
                 e
             };
-            let (mut drawn, mut lane, mut nested) = (make(), make(), make());
+            let (mut drawn, mut lane, mut flat) = (make(), make(), make());
             let mut sources = vec![0u32; n];
             let mut matrix = LaneMatrix::empty(n, q, 0u64);
             for active in [None, Some(&partial), Some(&empty), None, Some(&partial)] {
                 let bits = |t: usize| seq_message_bits(row(t));
                 drawn.pull_sources(active, bits, &mut sources);
-                let reference: Vec<u32> = match active {
-                    None => {
-                        lane.collect_lanes(&lanes, &mut matrix);
-                        assert_eq!(matrix.sources(), &sources[..], "{name}, n = {n}: lanes");
-                        for (v, &src) in sources.iter().enumerate() {
-                            if src != u32::MAX {
-                                assert_eq!(matrix.row(v), Some(row(src as usize)));
-                            }
-                        }
-                        let buckets = nested.collect_samples(1, serve);
-                        buckets.iter().map(|b| source_of(Some(b))).collect()
+                if active.is_some() {
+                    // The lane collector and the flat matrix are dense-only:
+                    // their engines draw the sparse rounds directly, staying
+                    // in step.
+                    lane.pull_sources(active, bits, &mut vec![0; n]);
+                    flat.pull_sources(active, bits, &mut vec![0; n]);
+                    continue;
+                }
+                lane.collect_lanes(&lanes, &mut matrix);
+                assert_eq!(matrix.sources(), &sources[..], "{name}, n = {n}: lanes");
+                let column = flat.collect_samples_flat(1, serve);
+                for (v, &src) in sources.iter().enumerate() {
+                    if src != u32::MAX {
+                        assert_eq!(matrix.row(v), Some(row(src as usize)));
                     }
-                    Some(set) => {
-                        // The lane collector is dense-only: its engine draws
-                        // the sparse rounds directly, staying in step.
-                        lane.pull_sources(active, bits, &mut vec![0; n]);
-                        let buckets = nested.collect_samples_on(set, 1, serve);
-                        (0..n)
-                            .map(|v| source_of(set.rank(v).map(|rk| &buckets[rk])))
-                            .collect()
-                    }
-                };
-                assert_eq!(sources, reference, "{name}, n = {n}: nested sampling");
+                    let sampled = column.get(v, 0).map_or(u32::MAX, |m| m.source);
+                    assert_eq!(sampled, src, "{name}, n = {n}: flat sampling at {v}");
+                }
             }
-            assert_eq!(drawn.round(), nested.round());
-            assert_eq!(drawn.metrics(), nested.metrics(), "{name}, n = {n}");
+            assert_eq!(drawn.round(), flat.round());
+            assert_eq!(drawn.metrics(), flat.metrics(), "{name}, n = {n}");
             assert_eq!(drawn.metrics(), lane.metrics(), "{name}, n = {n}");
         }
     }

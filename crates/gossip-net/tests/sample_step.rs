@@ -13,12 +13,13 @@
 mod support;
 
 use gossip_net::{
-    ActiveSet, ChurnModel, Engine, EngineConfig, FailureModel, FaultPlan, Metrics, Topology,
+    ActiveSet, ChurnModel, Engine, EngineConfig, FailureModel, FaultPlan, MessageSize, Metrics,
+    Topology,
 };
 use rand::Rng;
 use support::{
     chaos_plan, engine, fold_hash, hash_local_steps, initial_states, pinned_subset, pull_rounds,
-    push_pull_rounds, push_rounds, sparse_pull_rounds, sparse_push_pull_rounds, sparse_push_rounds,
+    pulled_samples, push_pull_rounds, push_rounds, sparse_push_rounds,
 };
 
 // --- a word over every primitive ---------------------------------------------
@@ -32,21 +33,19 @@ enum Op {
     PushPull,
     Local,
     Collect,
-    PullOn,
+    SourcesOn,
     PushOn,
-    PushPullOn,
     LocalOn,
 }
 
-const OPS: [Op; 9] = [
+const OPS: [Op; 8] = [
     Op::Pull,
     Op::Push,
     Op::PushPull,
     Op::Local,
     Op::Collect,
-    Op::PullOn,
+    Op::SourcesOn,
     Op::PushOn,
-    Op::PushPullOn,
     Op::LocalOn,
 ];
 
@@ -80,12 +79,17 @@ fn run_op(e: &mut Engine<u64>, active: &ActiveSet, op: Op, sample_step: bool) {
                 }
             });
         }
-        Op::PullOn => sparse_pull_rounds(e, active, 1),
+        Op::SourcesOn => {
+            let samples = pulled_samples(e, Some(active), 1);
+            e.local_step_on(active, |v, st, _| {
+                let rank = active.indices().binary_search(&(v as u32)).unwrap();
+                for &s in &samples[rank] {
+                    *st = fold_hash(*st, s);
+                }
+            });
+        }
         Op::PushOn => {
             sparse_push_rounds(e, active, 1);
-        }
-        Op::PushPullOn => {
-            sparse_push_pull_rounds(e, active, 1);
         }
         Op::LocalOn => {
             e.local_step_on(active, |v, st, rng| {
@@ -176,25 +180,28 @@ fn one_pass_step(e: &mut Engine<u64>, k: usize, dense: usize) {
 }
 
 /// The same step as the composition it is defined by: a flat collect of the
-/// dense rounds, a sparse collect of the cut rounds over the participant
-/// set, and a local step.
+/// dense rounds, the cut rounds as source-only pull rounds over the
+/// participant set (their deliveries read from a snapshot of the
+/// round-start states), and a local step.
 fn composed_step(e: &mut Engine<u64>, k: usize, dense: usize) {
     let active = ActiveSet::from_fn(e.n(), participates);
     let head = e.collect_samples_flat(dense, |_, &s| s);
-    let tail = if dense < k {
-        e.collect_samples_on(&active, k - dense, |_, &s| s)
-    } else {
-        Vec::new()
-    };
+    let snap = e.states().to_vec();
+    let tail: Vec<Vec<u32>> = (dense..k)
+        .map(|_| {
+            let mut sources = vec![0; snap.len()];
+            e.pull_sources(Some(&active), |t| snap[t].message_bits(), &mut sources);
+            sources
+        })
+        .collect();
     e.local_step(|v, st, rng| {
         let coin = rng.gen::<u64>();
-        let cut_rounds = active.rank(v).filter(|_| dense < k);
-        let rounds = if cut_rounds.is_some() || dense == k {
+        let rounds = if dense == k || active.contains(v) {
             k
         } else {
             dense
         };
-        let tail = cut_rounds.map_or(&[][..], |r| tail[r].as_slice());
+        let tail = tail.iter().filter_map(|row| snap.get(row[v] as usize));
         fold_samples(st, rounds, head.row(v).chain(tail).copied(), coin);
     });
 }

@@ -1,16 +1,20 @@
 //! Sparse/dense equivalence pins and active-set round properties.
 //!
-//! Two layers of evidence that the sparse execution paths are faithful:
+//! Three layers of evidence that the sparse execution paths
+//! (`push_round_on`, `local_step_on` and `pull_sources` over an active set)
+//! are faithful:
 //!
-//! 1. **Equivalence pins** — every `*_on` primitive, run over
+//! 1. **Equivalence pins** — each sparse primitive, run over
 //!    [`ActiveSet::full`], reproduces the *same* golden fingerprints pinned in
 //!    `tests/data/goldens.txt` for the dense engine (the scenarios are
 //!    identical, so both suites read the same keys; regenerate with
 //!    `cargo run -p gossip-net --example regen_goldens -- --write`).
-//! 2. **Property tests** — over partial active sets: inactive nodes are
-//!    untouched (pull), push receivers are exactly the reported set, sparse
-//!    and dense runs agree wherever dense activity is emulated with silent
-//!    senders, and metrics count participants instead of `n`.
+//! 2. **Proper-subset pins** — the `sparse_kept*` scenarios over a fixed
+//!    partial active set, pinned to constants of their own.
+//! 3. **Property tests** — over partial active sets: sources arrive only at
+//!    members, push receivers are exactly the reported set, sparse and dense
+//!    runs agree wherever dense activity is emulated with silent senders,
+//!    and metrics count participants instead of `n`.
 //!
 //! Every test runs at `par::num_threads()` workers, so CI's 1/2/3/8-thread
 //! matrix exercises the sparse dispatch at each thread count.
@@ -25,30 +29,14 @@ use gossip_net::{
 use proptest::prelude::*;
 use rand::Rng;
 use support::{
-    chaos_plan, engine, fault_metrics_line, fingerprint, fold_hash, large_name, metrics_line,
-    pinned, sample_fp, sparse_kept, sparse_kept_cases, sparse_pull_rounds, sparse_push_pull_rounds,
-    sparse_push_rounds, sparse_subset, sparse_subset_cases, sparse_subset_large,
+    chaos_plan, engine, fault_metrics_line, fingerprint, fold_hash, metrics_line, pinned,
+    pull_rounds, pulled_samples, push_pull_rounds, sample_fp, sparse_kept, sparse_kept_cases,
+    sparse_push_rounds,
 };
 
 // ---------------------------------------------------------------------------
 // Equivalence pins: sparse over the FULL set == the dense golden constants.
 // ---------------------------------------------------------------------------
-
-#[test]
-fn full_set_pull_matches_dense_golden_pin() {
-    let mut e = engine(512, 101, FailureModel::None);
-    sparse_pull_rounds(&mut e, &ActiveSet::full(512), 8);
-    assert_eq!(metrics_line(&e), pinned("pull.metrics"));
-    assert_eq!(fingerprint(e.states()), pinned("pull.fp"));
-}
-
-#[test]
-fn full_set_pull_with_failures_matches_dense_golden_pin() {
-    let mut e = engine(512, 101, FailureModel::uniform(0.3).unwrap());
-    sparse_pull_rounds(&mut e, &ActiveSet::full(512), 8);
-    assert_eq!(metrics_line(&e), pinned("pull_failures.metrics"));
-    assert_eq!(fingerprint(e.states()), pinned("pull_failures.fp"));
-}
 
 #[test]
 fn full_set_push_matches_dense_golden_pin() {
@@ -67,25 +55,9 @@ fn full_set_push_with_failures_matches_dense_golden_pin() {
 }
 
 #[test]
-fn full_set_push_pull_matches_dense_golden_pin() {
-    let mut e = engine(512, 303, FailureModel::None);
-    sparse_push_pull_rounds(&mut e, &ActiveSet::full(512), 8);
-    assert_eq!(metrics_line(&e), pinned("push_pull.metrics"));
-    assert_eq!(fingerprint(e.states()), pinned("push_pull.fp"));
-}
-
-#[test]
-fn full_set_push_pull_with_failures_matches_dense_golden_pin() {
-    let mut e = engine(512, 303, FailureModel::uniform(0.3).unwrap());
-    sparse_push_pull_rounds(&mut e, &ActiveSet::full(512), 8);
-    assert_eq!(metrics_line(&e), pinned("push_pull_failures.metrics"));
-    assert_eq!(fingerprint(e.states()), pinned("push_pull_failures.fp"));
-}
-
-#[test]
 fn full_set_collect_samples_matches_dense_golden_pin() {
     let mut e = engine(512, 404, FailureModel::None);
-    let samples = e.collect_samples_on(&ActiveSet::full(512), 3, |_, &s| s);
+    let samples = pulled_samples(&mut e, Some(&ActiveSet::full(512)), 3);
     assert_eq!(metrics_line(&e), pinned("collect.metrics"));
     assert_eq!(sample_fp(&samples), pinned("collect.sample_fp"));
 }
@@ -93,7 +65,7 @@ fn full_set_collect_samples_matches_dense_golden_pin() {
 #[test]
 fn full_set_collect_samples_with_failures_matches_dense_golden_pin() {
     let mut e = engine(512, 404, FailureModel::uniform(0.4).unwrap());
-    let samples = e.collect_samples_on(&ActiveSet::full(512), 3, |_, &s| s);
+    let samples = pulled_samples(&mut e, Some(&ActiveSet::full(512)), 3);
     assert_eq!(metrics_line(&e), pinned("collect_failures.metrics"));
     assert_eq!(sample_fp(&samples), pinned("collect_failures.sample_fp"));
 }
@@ -116,79 +88,25 @@ fn full_set_local_step_matches_dense_golden_pin() {
 
 #[test]
 fn full_set_large_n_matches_dense_golden_pin() {
-    // The 20k scenario of golden.rs: at multi-thread runs of the CI matrix,
-    // the *dense* engine folds per receiver range here; the sparse full-set
-    // run must land on the identical trajectory through its pair-sort
-    // bucketing.
+    // The 20k scenario of golden.rs with its push rounds over the full set:
+    // at multi-thread runs of the CI matrix, the *dense* engine folds per
+    // receiver range here; the sparse full-set rounds must land on the
+    // identical trajectory through their pair-sort bucketing, between the
+    // dense pull and push–pull rounds.
     let mut e = engine(20_000, 707, FailureModel::None);
-    let full = ActiveSet::full(20_000);
-    sparse_pull_rounds(&mut e, &full, 2);
-    sparse_push_rounds(&mut e, &full, 2);
-    sparse_push_pull_rounds(&mut e, &full, 2);
+    pull_rounds(&mut e, 2);
+    sparse_push_rounds(&mut e, &ActiveSet::full(20_000), 2);
+    push_pull_rounds(&mut e, 2);
     assert_eq!(metrics_line(&e), pinned("large.metrics"));
     assert_eq!(fingerprint(e.states()), pinned("large.fp"));
 }
 
 // ---------------------------------------------------------------------------
-// Proper-subset pins: the `*_on` rounds over a fixed partial active set,
+// Proper-subset pins: the sparse rounds over a fixed partial active set,
 // pinned to constants of their own (the checks below only compare code paths
-// with each other, which a change made to both sides alike would pass).
-// ---------------------------------------------------------------------------
-
-fn check_sparse_subset_pin(case: usize) {
-    let (name, seed, plan) = sparse_subset_cases().into_iter().nth(case).unwrap();
-    check_subset_keys(name, sparse_subset(seed, plan));
-}
-
-/// The same pins at n = 20,000, where the sparse rounds take the prefetched
-/// gathers and the parallel dispatch, with `local_step_on` in the mix.
-fn check_sparse_subset_large_pin(case: usize) {
-    let (name, seed, plan) = sparse_subset_cases().into_iter().nth(case).unwrap();
-    check_subset_keys(&large_name(name), sparse_subset_large(seed, plan));
-}
-
-fn check_subset_keys(name: &str, (e, samples, receivers): (Engine<u64>, String, String)) {
-    let key = |field: &str| format!("{name}.{field}");
-    assert_eq!(metrics_line(&e), pinned(&key("metrics")));
-    assert_eq!(fault_metrics_line(&e), pinned(&key("faults")));
-    assert_eq!(fingerprint(e.states()), pinned(&key("fp")));
-    assert_eq!(samples, pinned(&key("sample_fp")));
-    assert_eq!(receivers, pinned(&key("receivers")));
-}
-
-#[test]
-fn proper_subset_rounds_match_their_pin() {
-    check_sparse_subset_pin(0);
-}
-
-#[test]
-fn proper_subset_rounds_with_failures_match_their_pin() {
-    check_sparse_subset_pin(1);
-}
-
-#[test]
-fn proper_subset_rounds_under_the_chaos_plan_match_their_pin() {
-    check_sparse_subset_pin(2);
-}
-
-#[test]
-fn large_proper_subset_rounds_match_their_pin() {
-    check_sparse_subset_large_pin(0);
-}
-
-#[test]
-fn large_proper_subset_rounds_with_failures_match_their_pin() {
-    check_sparse_subset_large_pin(1);
-}
-
-#[test]
-fn large_proper_subset_rounds_under_the_chaos_plan_match_their_pin() {
-    check_sparse_subset_large_pin(2);
-}
-
-// ---------------------------------------------------------------------------
-// Kept-primitive pins: `push_round_on`, `pull_sources` over a subset and
-// `local_step_on` over a fixed partial active set (see `sparse_kept`).
+// with each other, which a change made to both sides alike would pass):
+// `push_round_on`, `pull_sources` over the subset and `local_step_on` (see
+// `sparse_kept`).
 // ---------------------------------------------------------------------------
 
 fn check_sparse_kept_pin(case: usize) {
@@ -293,39 +211,6 @@ proptest! {
         prop_assert_eq!(sm.max_active, active.len() as u64);
     }
 
-    fn sparse_pull_leaves_inactive_nodes_untouched(
-        n in 16usize..600,
-        seed in 0u64..1_000_000,
-        m in 2usize..9,
-    ) {
-        let active = ActiveSet::from_members(n, (0..n).filter(|v| v % m == 1)).unwrap();
-        let mut e = engine(n, seed, FailureModel::None);
-        let before = e.states().to_vec();
-        for _ in 0..3 {
-            e.pull_round_on(
-                &active,
-                |_, &s| s,
-                |_, st, p| {
-                    if let Some(p) = p {
-                        *st = fold_hash(*st, p);
-                    }
-                },
-            );
-        }
-        let mut changed = 0;
-        for (v, (&b, &a)) in before.iter().zip(e.states()).enumerate() {
-            if active.contains(v) {
-                changed += usize::from(a != b);
-            } else {
-                prop_assert_eq!(a, b, "inactive node {} was written", v);
-            }
-        }
-        // Pulling folds a hash; active nodes all change with overwhelming
-        // probability.
-        prop_assert_eq!(changed, active.len());
-        prop_assert_eq!(e.metrics().active_of(RoundKind::Pull), 3 * active.len() as u64);
-    }
-
     fn sparse_push_reports_exactly_the_changed_receivers(
         n in 32usize..800,
         seed in 0u64..1_000_000,
@@ -354,40 +239,7 @@ proptest! {
         prop_assert_eq!(total, expected);
     }
 
-    fn sparse_push_pull_only_actives_pull_but_anyone_receives(
-        n in 16usize..400,
-        seed in 0u64..1_000_000,
-        stride in 1usize..12,
-    ) {
-        let active = ActiveSet::from_members(n, (0..n).step_by(stride)).unwrap();
-        let mut e = Engine::from_states(vec![Vec::<u64>::new(); n], EngineConfig::with_seed(seed));
-        e.set_threads(par::num_threads());
-        let out = e.push_pull_round_on(&active, |t, _| t as u64, |_, st, msg| st.push(msg));
-        prop_assert_eq!(out.failed, 0);
-        // Each active node merges exactly its one pulled message; every push
-        // lands on some node (possibly colliding), so the merge count is
-        // conserved at two per active node.
-        let merges: usize = e.states().iter().map(Vec::len).sum();
-        prop_assert_eq!(merges, 2 * active.len());
-        for (v, st) in e.states().iter().enumerate() {
-            let pulled = usize::from(active.contains(v));
-            let pushed = usize::from(out.receivers.contains(&v));
-            prop_assert!(
-                st.len() >= pulled + pushed,
-                "node {}: expected at least pull={} push={} merges, got {}",
-                v, pulled, pushed, st.len()
-            );
-            if !active.contains(v) && !out.receivers.contains(&v) {
-                prop_assert!(st.is_empty(), "idle node {} was written", v);
-            }
-        }
-        let m = e.metrics();
-        prop_assert_eq!(m.pulls_attempted, active.len() as u64);
-        prop_assert_eq!(m.pushes_attempted, active.len() as u64);
-        prop_assert_eq!(m.active_of(RoundKind::PushPull), active.len() as u64);
-    }
-
-    fn collect_samples_on_returns_compact_buckets(
+    fn pull_sources_on_a_subset_deliver_only_at_members(
         dims in (8usize..300, 0u64..1_000_000),
         k in 1usize..5,
         raw in collection::vec(0u64..100_000, 1..12),
@@ -396,15 +248,21 @@ proptest! {
         let active = ActiveSet::from_members(n, raw.iter().map(|&r| r as usize % n)).unwrap();
         let mut e = engine(n, seed, FailureModel::None);
         let initial = e.states().to_vec();
-        let samples = e.collect_samples_on(&active, k, |_, &s| s);
-        prop_assert_eq!(samples.len(), active.len());
-        prop_assert!(samples.iter().all(|b| b.len() == k));
-        prop_assert_eq!(e.metrics().rounds, k as u64);
-        prop_assert_eq!(e.metrics().active_nodes_total, (k * active.len()) as u64);
-        // Rank lookup maps node ids into the compact layout.
-        for (r, v) in active.iter().enumerate() {
-            prop_assert_eq!(active.rank(v), Some(r));
+        let mut sources = vec![0u32; n];
+        for _ in 0..k {
+            e.pull_sources(Some(&active), |_| 64, &mut sources);
+            // Every member pulls from another node; nothing arrives elsewhere.
+            for (v, &src) in sources.iter().enumerate() {
+                if active.contains(v) {
+                    prop_assert!((src as usize) < n && src as usize != v, "node {}", v);
+                } else {
+                    prop_assert_eq!(src, u32::MAX, "non-member {} received", v);
+                }
+            }
         }
+        prop_assert_eq!(e.metrics().rounds, k as u64);
+        prop_assert_eq!(e.metrics().active_of(RoundKind::Pull), (k * active.len()) as u64);
+        prop_assert_eq!(e.metrics().messages_delivered, (k * active.len()) as u64);
         // States untouched.
         prop_assert_eq!(e.states(), initial.as_slice());
     }
@@ -434,8 +292,9 @@ proptest! {
         let empty = ActiveSet::from_members(n, std::iter::empty()).unwrap();
         let mut e = engine(n, seed, FailureModel::None);
         let before = e.states().to_vec();
-        let failed = e.pull_round_on(&empty, |_, &s| s, |_, _, _| {});
-        prop_assert_eq!(failed, 0);
+        let mut sources = vec![0u32; n];
+        e.pull_sources(Some(&empty), |_| 64, &mut sources);
+        prop_assert!(sources.iter().all(|&s| s == u32::MAX));
         let out = e.push_round_on(&empty, |_, &s| Some(s), |_, _, _| {}, |_, _, _| {});
         prop_assert!(out.receivers.is_empty());
         prop_assert_eq!(e.states(), before.as_slice());
@@ -492,7 +351,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// ActiveSet algebra: union_sorted / rank against the dense bitmap oracle.
+// ActiveSet algebra: union_sorted and the member list against the dense
+// bitmap oracle.
 // ---------------------------------------------------------------------------
 
 /// Reduces a raw draw to a strictly increasing member list in `0..n`.
@@ -536,24 +396,19 @@ proptest! {
         prop_assert_eq!(&ab, &dense);
     }
 
-    fn rank_is_the_position_in_indices(
+    fn indices_are_the_members_in_order(
         n in 1usize..400,
         raw in collection::vec(0u64..100_000, 0..64),
     ) {
         let members = sorted_members(n, &raw);
         let set = ActiveSet::from_members(n, members.iter().copied()).unwrap();
-        for (r, v) in set.iter().enumerate() {
-            prop_assert_eq!(set.rank(v), Some(r));
-        }
+        // `indices()` and `iter()` list exactly the members, strictly
+        // increasing, and agree with the bitmap.
+        prop_assert!(set.iter().eq(members.iter().copied()));
+        prop_assert!(set.indices().iter().map(|&v| v as usize).eq(set.iter()));
         for v in 0..n {
-            if !set.contains(v) {
-                prop_assert_eq!(set.rank(v), None);
-            }
+            prop_assert_eq!(set.contains(v), members.binary_search(&v).is_ok());
         }
-        // `indices()` and `iter()` agree and are strictly increasing.
-        let ids = set.indices();
-        prop_assert!(ids.windows(2).all(|w| w[0] < w[1]));
-        prop_assert_eq!(ids.len(), members.len());
     }
 }
 
@@ -568,9 +423,10 @@ fn fault_engine(n: usize, seed: u64) -> Engine<u64> {
     e
 }
 
-/// Sparse rounds over the FULL active set take the same per-contact fault
-/// decisions (same counter-keyed coins) as the dense engine, so the two
-/// trajectories must be bit-identical — including the straggler buffers.
+/// Sparse push rounds over the FULL active set take the same per-contact
+/// fault decisions (same counter-keyed coins) as the dense engine, so the
+/// two trajectories must be bit-identical — including the straggler buffers
+/// the push–pull rounds between them drain.
 #[test]
 fn full_set_fault_rounds_match_dense_fault_rounds() {
     full_vs_dense_fault_case(1000, 77).unwrap();
@@ -592,23 +448,8 @@ fn full_vs_dense_fault_case(n: usize, seed: u64) -> proptest::TestCaseResult {
     let mut dense = fault_engine(n, seed);
     let mut sparse = fault_engine(n, seed);
     for _ in 0..4 {
-        dense.pull_round(
-            |_, &s| s,
-            |_, st, p| {
-                if let Some(p) = p {
-                    *st = fold_hash(*st, p);
-                }
-            },
-        );
-        sparse.pull_round_on(
-            &full,
-            |_, &s| s,
-            |_, st, p| {
-                if let Some(p) = p {
-                    *st = fold_hash(*st, p);
-                }
-            },
-        );
+        pull_rounds(&mut dense, 1);
+        pull_rounds(&mut sparse, 1);
         dense.push_round(
             |v, &s| if v % 5 == 0 { None } else { Some(s) },
             |_, st, msg| *st = fold_hash(*st, msg),
@@ -628,8 +469,8 @@ fn full_vs_dense_fault_case(n: usize, seed: u64) -> proptest::TestCaseResult {
                 }
             },
         );
-        dense.push_pull_round(|_, &s| s, |_, st, msg| *st = fold_hash(*st, msg));
-        sparse.push_pull_round_on(&full, |_, &s| s, |_, st, msg| *st = fold_hash(*st, msg));
+        push_pull_rounds(&mut dense, 1);
+        push_pull_rounds(&mut sparse, 1);
     }
 
     prop_assert_eq!(dense.states(), sparse.states());
@@ -683,9 +524,9 @@ proptest! {
         prop_assert!(total_received > 0);
     }
 
-    /// Sparse collect_samples under churn and loss: buckets stay within `k`,
-    /// states untouched, and the crashed set is visible mid-protocol.
-    fn collect_samples_on_under_faults_thins_buckets(
+    /// Sparse sampling rounds under churn and loss: deliveries thin out,
+    /// arrive at members only, and leave the states untouched.
+    fn pull_sources_on_a_subset_under_faults_thin_deliveries(
         n in 100usize..500,
         seed in 0u64..1_000_000,
     ) {
@@ -699,10 +540,15 @@ proptest! {
         );
         e.set_threads(par::num_threads());
         let initial = e.states().to_vec();
-        let samples = e.collect_samples_on(&active, 4, |_, &s| s);
-        prop_assert_eq!(samples.len(), active.len());
-        prop_assert!(samples.iter().all(|b| b.len() <= 4));
-        let total: usize = samples.iter().map(Vec::len).sum();
+        let (mut sources, mut total) = (vec![0u32; n], 0);
+        for _ in 0..4 {
+            e.pull_sources(Some(&active), |_| 64, &mut sources);
+            for (v, &src) in sources.iter().enumerate() {
+                prop_assert!(src == u32::MAX || active.contains(v), "non-member {}", v);
+                total += usize::from(src != u32::MAX);
+            }
+        }
+        prop_assert_eq!(total as u64, e.metrics().messages_delivered);
         prop_assert!(total < 4 * active.len());
         prop_assert!(total > 0);
         prop_assert_eq!(e.states(), initial.as_slice());
@@ -715,5 +561,5 @@ proptest! {
 fn mismatched_active_set_size_panics() {
     let mut e = engine(64, 1, FailureModel::None);
     let wrong = ActiveSet::full(65);
-    e.pull_round_on(&wrong, |_, &s| s, |_, _, _| {});
+    e.push_round_on(&wrong, |_, &s| Some(s), |_, _, _| {}, |_, _, _| {});
 }

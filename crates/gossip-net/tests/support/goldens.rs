@@ -138,12 +138,31 @@ pub fn hash_local_steps(e: &mut Engine<u64>, rounds: usize) {
     }
 }
 
+/// `k` sampling rounds through `pull_sources` over `active` (every node when
+/// `None`): per member, in ascending node order, the values its delivered
+/// pulls read from a snapshot of the states, in round order — the buckets
+/// of a `k`-round sample collection serving the states, with the same
+/// targets, coins and metrics.
+pub fn pulled_samples(e: &mut Engine<u64>, active: Option<&ActiveSet>, k: usize) -> Vec<Vec<u64>> {
+    let snap = e.states().to_vec();
+    let members: Vec<NodeId> = active.map_or_else(|| (0..e.n()).collect(), |a| a.iter().collect());
+    let mut buckets = vec![Vec::with_capacity(k); members.len()];
+    let mut sources = vec![0u32; e.n()];
+    for _ in 0..k {
+        e.pull_sources(active, |t| snap[t].message_bits(), &mut sources);
+        for (bucket, &v) in buckets.iter_mut().zip(&members) {
+            bucket.extend(snap.get(sources[v] as usize));
+        }
+    }
+    buckets
+}
+
 /// One mixed macro-iteration over all five primitives.
 pub fn mixed_iteration(e: &mut Engine<u64>) {
     pull_rounds(e, 1);
     push_rounds(e, 1);
     push_pull_rounds(e, 1);
-    let samples = e.collect_samples(2, |_, &s| s);
+    let samples = pulled_samples(e, None, 2);
     e.local_step(|v, st, rng| {
         for &s in &samples[v] {
             *st = fold_hash(*st, s);
@@ -181,21 +200,7 @@ pub fn faulted_large(seed: u64) -> Engine<u64> {
     e
 }
 
-// --- sparse (`*_on`) variants of the scenario bodies -----------------------
-
-pub fn sparse_pull_rounds(e: &mut Engine<u64>, active: &ActiveSet, rounds: usize) {
-    for _ in 0..rounds {
-        e.pull_round_on(
-            active,
-            |_, &s| s,
-            |_, st, pulled| {
-                if let Some(p) = pulled {
-                    *st = fold_hash(*st, p);
-                }
-            },
-        );
-    }
-}
+// --- sparse variants of the scenario bodies --------------------------------
 
 /// Runs the push scenario body over `active`; returns each round's receivers.
 pub fn sparse_push_rounds(
@@ -220,88 +225,11 @@ pub fn sparse_push_rounds(
         .collect()
 }
 
-/// Runs the push–pull scenario body over `active`; returns each round's
-/// receivers.
-pub fn sparse_push_pull_rounds(
-    e: &mut Engine<u64>,
-    active: &ActiveSet,
-    rounds: usize,
-) -> Vec<Vec<NodeId>> {
-    (0..rounds)
-        .map(|_| {
-            e.push_pull_round_on(active, |_, &s| s, |_, st, msg| *st = fold_hash(*st, msg))
-                .receivers
-        })
-        .collect()
-}
-
-/// The fixed proper subset of the `sparse_subset*` pins: two nodes in
-/// three, plus one contiguous run so the copy-on-write commit swaps
-/// multi-slot runs.
+/// The fixed proper subset of the `sparse_kept*` pins: two nodes in three,
+/// plus one contiguous run so the copy-on-write commit swaps multi-slot
+/// runs.
 pub fn pinned_subset(n: usize) -> ActiveSet {
     ActiveSet::from_fn(n, |v| v % 3 != 0 || (200..320).contains(&v))
-}
-
-/// One `sparse_subset*` scenario: three iterations of `pull_round_on`,
-/// `push_round_on`, `push_pull_round_on` and a two-sample
-/// `collect_samples_on`, all over [`pinned_subset`], under `plan`. Returns
-/// the engine, the fingerprint of every sample bucket, and the fingerprint
-/// of every returned receiver list.
-pub fn sparse_subset(seed: u64, plan: FaultPlan) -> (Engine<u64>, String, String) {
-    subset_scenario(1_000, seed, plan, false)
-}
-
-/// One `sparse_subset_large*` scenario: the [`sparse_subset`] iterations at
-/// n = 20,000 — above the prefetch gate and the parallel threshold — with a
-/// `local_step_on` over the subset closing each iteration.
-pub fn sparse_subset_large(seed: u64, plan: FaultPlan) -> (Engine<u64>, String, String) {
-    subset_scenario(20_000, seed, plan, true)
-}
-
-/// The key prefix of the large twin of a `sparse_subset*` case.
-pub fn large_name(name: &str) -> String {
-    name.replacen("sparse_subset", "sparse_subset_large", 1)
-}
-
-fn subset_scenario(
-    n: usize,
-    seed: u64,
-    plan: FaultPlan,
-    local_step: bool,
-) -> (Engine<u64>, String, String) {
-    let mut e = plan_engine(n, seed, plan);
-    let active = pinned_subset(n);
-    let (mut samples, mut receivers) = (Vec::new(), Vec::new());
-    for _ in 0..3 {
-        sparse_pull_rounds(&mut e, &active, 1);
-        receivers.extend(sparse_push_rounds(&mut e, &active, 1));
-        receivers.extend(sparse_push_pull_rounds(&mut e, &active, 1));
-        samples.extend(e.collect_samples_on(&active, 2, |_, &s| s));
-        if local_step {
-            e.local_step_on(&active, |v, st, rng| {
-                *st = fold_hash(*st, rng.gen::<u64>() ^ v as u64);
-            });
-        }
-    }
-    let receivers: Vec<Vec<u64>> = receivers
-        .iter()
-        .map(|r| r.iter().map(|&v| v as u64).collect())
-        .collect();
-    (e, sample_fp(&samples), sample_fp(&receivers))
-}
-
-/// The three fault settings of the `sparse_subset*` pins: key prefix, seed
-/// and plan.
-pub fn sparse_subset_cases() -> [(&'static str, u64, FaultPlan); 3] {
-    [
-        ("sparse_subset", 1111, FaultPlan::none()),
-        (
-            "sparse_subset_failures",
-            1212,
-            FaultPlan::none().with_failure(FailureModel::uniform(0.3).unwrap()),
-        ),
-        ("sparse_subset_faulted", 1313, chaos_plan()),
-    ]
 }
 
 /// One `sparse_kept*` scenario at n nodes: three iterations of
@@ -422,12 +350,12 @@ pub fn compute_all() -> Vec<(String, String)> {
     pin("push_pull_failures.fp", fingerprint(e.states()));
 
     let mut e = engine(512, 404, FailureModel::None);
-    let samples = e.collect_samples(3, |_, &s| s);
+    let samples = pulled_samples(&mut e, None, 3);
     pin("collect.metrics", metrics_line(&e));
     pin("collect.sample_fp", sample_fp(&samples));
 
     let mut e = engine(512, 404, FailureModel::uniform(0.4).unwrap());
-    let samples = e.collect_samples(3, |_, &s| s);
+    let samples = pulled_samples(&mut e, None, 3);
     pin("collect_failures.metrics", metrics_line(&e));
     pin("collect_failures.sample_fp", sample_fp(&samples));
 
@@ -466,21 +394,6 @@ pub fn compute_all() -> Vec<(String, String)> {
     pin("faulted_large.metrics", metrics_line(&e));
     pin("faulted_large.faults", fault_metrics_line(&e));
     pin("faulted_large.fp", fingerprint(e.states()));
-
-    for large in [false, true] {
-        for (name, seed, plan) in sparse_subset_cases() {
-            let (name, (e, samples, receivers)) = if large {
-                (large_name(name), sparse_subset_large(seed, plan))
-            } else {
-                (name.to_owned(), sparse_subset(seed, plan))
-            };
-            pin(&format!("{name}.metrics"), metrics_line(&e));
-            pin(&format!("{name}.faults"), fault_metrics_line(&e));
-            pin(&format!("{name}.fp"), fingerprint(e.states()));
-            pin(&format!("{name}.sample_fp"), samples);
-            pin(&format!("{name}.receivers"), receivers);
-        }
-    }
 
     for (name, n, seed, plan) in sparse_kept_cases() {
         let (e, sources, receivers) = sparse_kept(n, seed, plan);

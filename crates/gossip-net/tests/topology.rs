@@ -171,14 +171,14 @@ fn expander_gossip_stays_logarithmically_fast() {
 }
 
 #[test]
-fn collect_samples_draws_from_neighbourhoods_only() {
+fn sampling_rounds_draw_from_neighbourhoods_only() {
     let n = 48usize;
     let config = EngineConfig::with_seed(3).topology(Topology::ring(1));
-    let mut e = Engine::from_states((0..n as u64).collect(), config);
-    let samples = e.collect_samples(4, |t, _| t as u64);
-    for (v, bucket) in samples.iter().enumerate() {
-        assert_eq!(bucket.len(), 4);
-        for &t in bucket {
+    let mut e = Engine::from_states(vec![0u64; n], config);
+    let mut sources = vec![0u32; n];
+    for _ in 0..4 {
+        e.pull_sources(None, |_| 64, &mut sources);
+        for (v, &t) in sources.iter().enumerate() {
             let d = (t as i64 - v as i64).rem_euclid(n as i64);
             assert!(d == 1 || d == n as i64 - 1, "node {v} sampled {t}");
         }

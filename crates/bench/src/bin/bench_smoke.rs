@@ -1,9 +1,11 @@
 //! CI bench smoke comparator: `bench_smoke <committed.json> <fresh.json>`.
 //!
-//! Prints one warning line per measurement outside the committed noise band
-//! (see [`bench::smoke`]) and always exits 0 — quick-mode numbers are noisy
-//! by construction, so drift is surfaced in the job log, not enforced. CI
-//! invokes it once per report pair (`BENCH_engine.json`,
+//! Prints one error line per deterministic count that differs from its
+//! committed value and exits non-zero if there is any, and one warning line
+//! per wall-clock median outside the committed noise band (see
+//! [`bench::smoke`]), which never fails the run — quick-mode timings are
+//! noisy by construction, so their drift is surfaced in the job log, not
+//! enforced. CI invokes it once per report pair (`BENCH_engine.json`,
 //! `BENCH_service.json`, `BENCH_robustness.json`).
 
 use std::process::ExitCode;
@@ -24,17 +26,29 @@ fn main() -> ExitCode {
     let (Some(committed), Some(fresh)) = (read(committed_path), read(fresh_path)) else {
         return ExitCode::SUCCESS; // missing file: nothing to compare, not an error
     };
-    let warnings = bench::smoke::compare(&committed, &fresh);
-    if warnings.is_empty() {
+    let drift = bench::smoke::compare(&committed, &fresh);
+    for w in &drift.warnings {
+        println!("::warning::bench_smoke: {w}");
+    }
+    for f in &drift.failures {
+        println!("::error::bench_smoke: {f}");
+    }
+    if drift.warnings.is_empty() {
         println!("bench_smoke: all medians within ±3·std of the committed report");
     } else {
-        for w in &warnings {
-            println!("::warning::bench_smoke: {w}");
-        }
         println!(
             "bench_smoke: {} median(s) outside the committed noise band (warning only)",
-            warnings.len()
+            drift.warnings.len()
         );
     }
-    ExitCode::SUCCESS
+    if drift.failures.is_empty() {
+        println!("bench_smoke: every deterministic count matches the committed report");
+        ExitCode::SUCCESS
+    } else {
+        println!(
+            "bench_smoke: {} deterministic count(s) differ from the committed report",
+            drift.failures.len()
+        );
+        ExitCode::FAILURE
+    }
 }

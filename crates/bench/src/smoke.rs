@@ -16,16 +16,20 @@
 //! The band is the committed median ± [`NOISE_SIGMAS`]·(committed std). A
 //! handful of keys (`DETERMINISTIC_KEYS`) are *derived counts* — round
 //! totals, amortisation ratios, per-round byte footprints — that are exact
-//! functions of the seed; those are compared exactly even without a
-//! committed std, because any drift there is a behavioural change, not
-//! noise. Wall-clock keys with neither a std pair nor a determinism
-//! guarantee (`qps`, `speedup`, `epoch_secs`, …) are skipped: with no
-//! committed noise estimate there is no honest band to test against.
+//! functions of the seed; those are compared exactly, whether or not the
+//! committed row carries a std for them, because any drift there is a
+//! behavioural change, not noise. Wall-clock keys with neither a std pair
+//! nor a determinism guarantee (`qps`, `speedup`, `epoch_secs`, …) are
+//! skipped: with no committed noise estimate there is no honest band to test
+//! against.
 //!
-//! Anything outside its band becomes a **warning** — never a failure,
-//! because quick mode trades stability for runtime and a CI container's
-//! noise floor is unknowable — so a silent regression at least leaves a
-//! trace in the job log at PR time.
+//! A deterministic count that differs from its committed value is a
+//! **failure**: the `bench_smoke` binary exits non-zero, and the committed
+//! row may only change by re-running the bench that writes it. A wall-clock
+//! median outside its band is a **warning** — never a failure, because
+//! quick mode trades stability for runtime and a CI container's noise floor
+//! is unknowable — so a silent regression at least leaves a trace in the job
+//! log at PR time.
 //!
 //! The parser is deliberately matched to [`crate::report_json`]'s fixed
 //! row-per-line format rather than being a general JSON reader: one object
@@ -56,9 +60,9 @@ const IDENTITY_KEYS: &[&str] = &[
 ];
 
 /// Measurements that are deterministic functions of the seed (round counts
-/// and quantities derived from them). Compared exactly when the committed
-/// row has no std pair for them — drift here means the algorithm's
-/// trajectory changed, not that the machine was noisy.
+/// and quantities derived from them). Always compared exactly — drift here
+/// means the algorithm's trajectory changed, not that the machine was
+/// noisy.
 const DETERMINISTIC_KEYS: &[&str] = &[
     "rounds",
     "seq_rounds",
@@ -75,7 +79,7 @@ pub const NOISE_SIGMAS: f64 = 3.0;
 /// (in key order), and its numeric fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
-    /// Section name (`results`, `active_set`, `layout`, …).
+    /// Section name (`results`, `layout`, …).
     pub section: String,
     /// Identity, e.g. `n=1000000 threads=4`.
     pub identity: String,
@@ -136,14 +140,23 @@ pub fn parse_rows(report: &str) -> Vec<Row> {
     rows
 }
 
-/// Compares a freshly generated report against the committed one and returns
-/// one human-readable warning per median outside the committed noise band
-/// (empty = all within noise). Rows present on only one side are skipped —
-/// quick mode legitimately produces fewer sections.
-pub fn compare(committed: &str, fresh: &str) -> Vec<String> {
+/// What [`compare`] found, one human-readable line per finding.
+#[derive(Debug, Default, PartialEq)]
+pub struct Drift {
+    /// Deterministic counts that differ from their committed value.
+    pub failures: Vec<String>,
+    /// Wall-clock medians outside their committed noise band.
+    pub warnings: Vec<String>,
+}
+
+/// Compares a freshly generated report against the committed one (both
+/// lists empty = every deterministic count exact and every median within
+/// noise). Rows present on only one side are skipped — quick mode
+/// legitimately produces fewer sections.
+pub fn compare(committed: &str, fresh: &str) -> Drift {
     let committed_rows = parse_rows(committed);
     let fresh_rows = parse_rows(fresh);
-    let mut warnings = Vec::new();
+    let mut drift = Drift::default();
     for fresh_row in &fresh_rows {
         let Some(base) = committed_rows
             .iter()
@@ -158,34 +171,33 @@ pub fn compare(committed: &str, fresh: &str) -> Vec<String> {
             let Some(&committed_value) = base.values.get(key) else {
                 continue;
             };
-            match committed_std(base, key) {
-                Some(std) => {
-                    let band = NOISE_SIGMAS * std;
-                    let drift = fresh_value - committed_value;
-                    if drift.abs() > band {
-                        warnings.push(format!(
-                            "[{}] {}: {key} = {fresh_value:.3} drifted {drift:+.3} from committed \
-                             {committed_value:.3} (band ±{band:.3} = {NOISE_SIGMAS}·std {std:.3})",
-                            fresh_row.section, fresh_row.identity
-                        ));
-                    }
-                }
-                None if DETERMINISTIC_KEYS.contains(&key.as_str())
-                    && fresh_value != committed_value =>
-                {
-                    warnings.push(format!(
+            if DETERMINISTIC_KEYS.contains(&key.as_str()) {
+                if fresh_value != committed_value {
+                    drift.failures.push(format!(
                         "[{}] {}: {key} = {fresh_value:.3} differs from committed \
                          {committed_value:.3} (deterministic count — expected exact match)",
                         fresh_row.section, fresh_row.identity
                     ));
                 }
-                // Wall-clock measurement with no committed noise estimate:
-                // nothing honest to compare against.
-                None => {}
+                continue;
+            }
+            // A wall-clock measurement with no committed noise estimate has
+            // nothing honest to compare against.
+            let Some(std) = committed_std(base, key) else {
+                continue;
+            };
+            let band = NOISE_SIGMAS * std;
+            let moved = fresh_value - committed_value;
+            if moved.abs() > band {
+                drift.warnings.push(format!(
+                    "[{}] {}: {key} = {fresh_value:.3} drifted {moved:+.3} from committed \
+                     {committed_value:.3} (band ±{band:.3} = {NOISE_SIGMAS}·std {std:.3})",
+                    fresh_row.section, fresh_row.identity
+                ));
             }
         }
     }
-    warnings
+    drift
 }
 
 /// Looks up the committed noise estimate for measurement `key`, accepting
@@ -240,7 +252,7 @@ mod tests {
             "\"rounds_per_sec_1t\": 1000.0",
             "\"rounds_per_sec_1t\": 1030.0",
         );
-        assert_eq!(compare(COMMITTED, &fresh), Vec::<String>::new());
+        assert_eq!(compare(COMMITTED, &fresh), Drift::default());
     }
 
     #[test]
@@ -254,7 +266,8 @@ mod tests {
                 "\"rounds_per_sec_new\": 100.0",
                 "\"rounds_per_sec_new\": 80.0",
             );
-        let warnings = compare(COMMITTED, &fresh);
+        let Drift { failures, warnings } = compare(COMMITTED, &fresh);
+        assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(warnings.len(), 2, "{warnings:?}");
         assert!(warnings[0].contains("rounds_per_sec_mt = 300.000"));
         assert!(warnings[0].contains("band ±150.000"));
@@ -272,7 +285,7 @@ mod tests {
   ]
 }
 "#;
-        assert!(compare(COMMITTED, fresh).is_empty());
+        assert_eq!(compare(COMMITTED, fresh), Drift::default());
     }
 
     #[test]
@@ -284,7 +297,7 @@ mod tests {
 }
 "#;
         let fresh = committed.replace("10.0", "99.0");
-        assert!(compare(committed, &fresh).is_empty());
+        assert_eq!(compare(committed, &fresh), Drift::default());
     }
 
     #[test]
@@ -300,17 +313,41 @@ mod tests {
 "#;
         let fresh = committed
             .replace("\"within_eps\": 1.0,", "\"within_eps\": 0.8,")
-            .replace("\"rounds\": 155.0,", "\"rounds\": 162.0,")
-            .replace("\"rounds\": 189.0,", "\"rounds\": 190.0,");
-        let warnings = compare(committed, &fresh);
-        assert_eq!(warnings.len(), 3, "{warnings:?}");
+            .replace("\"answered\": 1.0,", "\"answered\": 0.99,");
+        let Drift { failures, warnings } = compare(committed, &fresh);
+        assert!(failures.is_empty(), "{failures:?}");
+        assert_eq!(warnings.len(), 2, "{warnings:?}");
         assert!(warnings[0].contains("[results] section=sweep fault=loss intensity=0.2 n=20000"));
-        assert!(warnings[0].contains("rounds = 162.000"));
-        assert!(warnings[0].contains("band ±6.000"));
+        assert!(warnings[0].contains("answered = 0.990"));
+        // A zero std makes any drift of its measurement real.
+        assert!(warnings[0].contains("band ±0.000"));
         assert!(warnings[1].contains("within_eps = 0.800"));
-        // The zero-std schedule row treats any round drift as real.
-        assert!(warnings[2].contains("section=schedule mode=adaptive mu=0.3"));
-        assert!(warnings[2].contains("band ±0.000"));
+        assert!(warnings[1].contains("band ±0.030"));
+    }
+
+    #[test]
+    fn deterministic_counts_fail_even_inside_their_committed_band() {
+        // Robustness rows carry a std for `rounds`, but the count is a
+        // function of the seeds: a drift inside ±3·std is still a changed
+        // trajectory, so it fails instead of passing as noise.
+        let committed = r#"{
+  "results": [
+    {"section": "sweep", "fault": "loss", "intensity": 0.2, "n": 20000, "rounds": 155.0, "std_rounds": 2.0},
+    {"section": "schedule", "mode": "adaptive", "mu": 0.3, "n": 20000, "rounds": 189.0, "std_rounds": 0.0}
+  ]
+}
+"#;
+        assert_eq!(compare(committed, committed), Drift::default());
+        let fresh = committed
+            .replace("\"rounds\": 155.0,", "\"rounds\": 156.0,")
+            .replace("\"rounds\": 189.0,", "\"rounds\": 190.0,");
+        let Drift { failures, warnings } = compare(committed, &fresh);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[0].contains("section=sweep fault=loss intensity=0.2 n=20000"));
+        assert!(failures[0].contains("rounds = 156.000 differs from committed 155.000"));
+        assert!(failures[1].contains("section=schedule mode=adaptive mu=0.3"));
+        assert!(failures[1].contains("deterministic count"));
     }
 
     #[test]
@@ -326,10 +363,11 @@ mod tests {
         let fresh = committed
             .replace("107.822", "3.001")
             .replace("\"rounds\": 49", "\"rounds\": 53");
-        let warnings = compare(committed, &fresh);
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("[results] kind=batch n=10000 q=8"));
-        assert!(warnings[0].contains("rounds = 53.000"));
-        assert!(warnings[0].contains("deterministic count"));
+        let Drift { failures, warnings } = compare(committed, &fresh);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("[results] kind=batch n=10000 q=8"));
+        assert!(failures[0].contains("rounds = 53.000"));
+        assert!(failures[0].contains("deterministic count"));
     }
 }

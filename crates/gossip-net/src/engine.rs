@@ -1572,10 +1572,11 @@ impl<S: Clone + Send + Sync> Engine<S> {
                 // 3. serve/apply with the gather prefetched `dist` targets
                 //    ahead, hiding the random-read latency that dominates
                 //    large-n rounds.
-                let (mut tbuf, end) = ([0u32; TARGET_BATCH], base + sub.len());
-                let mut bs = base;
-                while bs < end {
-                    let be = (bs + block).min(end);
+                let mut tbuf = [0u32; TARGET_BATCH];
+                let run = base..base + sub.len();
+                let mut bs = run.start;
+                while bs < run.end {
+                    let be = (bs + block).min(run.end);
                     crate::soa::clone_block(&mut sub[bs - base..be - base], &states[bs..be]);
                     if !prefetch {
                         for v in bs..be {

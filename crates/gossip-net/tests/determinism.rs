@@ -569,12 +569,7 @@ fn sparse_rounds_with_fault_injection_are_thread_count_invariant() {
                 },
             );
             receiver_log.push(out);
-            let samples = support::pulled_samples(&mut e, Some(&active), 1);
-            e.local_step_on(&active, |v, st, _| {
-                for &s in &samples[v / 5] {
-                    *st = fold_hash(*st, s);
-                }
-            });
+            support::sparse_pull_step(&mut e, &active);
         }
         let metrics = e.metrics();
         (e.into_states(), metrics, receiver_log)

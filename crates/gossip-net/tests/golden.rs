@@ -82,7 +82,7 @@ fn golden_push_pull_with_failures() {
 }
 
 #[test]
-fn golden_collect_samples() {
+fn golden_sampling_rounds() {
     let mut e = engine(512, 404, FailureModel::None);
     let samples = pulled_samples(&mut e, None, 3);
     assert_eq!(metrics_line(&e), pinned("collect.metrics"));
@@ -92,7 +92,7 @@ fn golden_collect_samples() {
 }
 
 #[test]
-fn golden_collect_samples_with_failures() {
+fn golden_sampling_rounds_with_failures() {
     let mut e = engine(512, 404, FailureModel::uniform(0.4).unwrap());
     let samples = pulled_samples(&mut e, None, 3);
     assert_eq!(metrics_line(&e), pinned("collect_failures.metrics"));

@@ -19,7 +19,7 @@ use gossip_net::{
 use rand::Rng;
 use support::{
     chaos_plan, engine, fold_hash, hash_local_steps, initial_states, pinned_subset, pull_rounds,
-    pulled_samples, push_pull_rounds, push_rounds, sparse_push_rounds,
+    push_pull_rounds, push_rounds, sparse_pull_step, sparse_push_rounds,
 };
 
 // --- a word over every primitive ---------------------------------------------
@@ -80,13 +80,7 @@ fn run_op(e: &mut Engine<u64>, active: &ActiveSet, op: Op, sample_step: bool) {
             });
         }
         Op::SourcesOn => {
-            let samples = pulled_samples(e, Some(active), 1);
-            e.local_step_on(active, |v, st, _| {
-                let rank = active.indices().binary_search(&(v as u32)).unwrap();
-                for &s in &samples[rank] {
-                    *st = fold_hash(*st, s);
-                }
-            });
+            sparse_pull_step(e, active);
         }
         Op::PushOn => {
             sparse_push_rounds(e, active, 1);

@@ -55,7 +55,7 @@ fn full_set_push_with_failures_matches_dense_golden_pin() {
 }
 
 #[test]
-fn full_set_collect_samples_matches_dense_golden_pin() {
+fn full_set_sampling_rounds_match_dense_golden_pin() {
     let mut e = engine(512, 404, FailureModel::None);
     let samples = pulled_samples(&mut e, Some(&ActiveSet::full(512)), 3);
     assert_eq!(metrics_line(&e), pinned("collect.metrics"));
@@ -63,7 +63,7 @@ fn full_set_collect_samples_matches_dense_golden_pin() {
 }
 
 #[test]
-fn full_set_collect_samples_with_failures_matches_dense_golden_pin() {
+fn full_set_sampling_rounds_with_failures_match_dense_golden_pin() {
     let mut e = engine(512, 404, FailureModel::uniform(0.4).unwrap());
     let samples = pulled_samples(&mut e, Some(&ActiveSet::full(512)), 3);
     assert_eq!(metrics_line(&e), pinned("collect_failures.metrics"));

@@ -232,28 +232,35 @@ pub fn pinned_subset(n: usize) -> ActiveSet {
     ActiveSet::from_fn(n, |v| v % 3 != 0 || (200..320).contains(&v))
 }
 
+/// A `pull_sources` round over `active`, then a `local_step_on` in which
+/// each member folds in the value of its pulled source, read from a
+/// snapshot of the states the round served, and one local coin. Returns the
+/// round's sources.
+pub fn sparse_pull_step(e: &mut Engine<u64>, active: &ActiveSet) -> Vec<u32> {
+    let snap = e.states().to_vec();
+    let mut sources = vec![0u32; e.n()];
+    e.pull_sources(Some(active), |t| snap[t].message_bits(), &mut sources);
+    e.local_step_on(active, |v, st, rng| {
+        if let Some(&pulled) = snap.get(sources[v] as usize) {
+            *st = fold_hash(*st, pulled);
+        }
+        *st = fold_hash(*st, rng.gen::<u64>() ^ v as u64);
+    });
+    sources
+}
+
 /// One `sparse_kept*` scenario at n nodes: three iterations of
-/// `push_round_on`, a `pull_sources` round and a `local_step_on`, all over
-/// [`pinned_subset`], under `plan` — the sparse rounds the algorithms and
-/// the service run. The local step folds in the value of each member's
-/// pulled source, read from a snapshot of the states the round served.
+/// `push_round_on` and a [`sparse_pull_step`], all over [`pinned_subset`],
+/// under `plan` — the sparse rounds the algorithms and the service run.
 /// Returns the engine, the fingerprint of every round's sources and the
 /// fingerprint of every returned receiver list.
 pub fn sparse_kept(n: usize, seed: u64, plan: FaultPlan) -> (Engine<u64>, String, String) {
     let mut e = plan_engine(n, seed, plan);
     let active = pinned_subset(n);
     let (mut rows, mut receivers) = (Vec::new(), Vec::new());
-    let mut sources = vec![0u32; n];
     for _ in 0..3 {
         receivers.extend(sparse_push_rounds(&mut e, &active, 1));
-        let snap = e.states().to_vec();
-        e.pull_sources(Some(&active), |t| snap[t].message_bits(), &mut sources);
-        e.local_step_on(&active, |v, st, rng| {
-            if let Some(&pulled) = snap.get(sources[v] as usize) {
-                *st = fold_hash(*st, pulled);
-            }
-            *st = fold_hash(*st, rng.gen::<u64>() ^ v as u64);
-        });
+        let sources = sparse_pull_step(&mut e, &active);
         rows.push(sources.iter().map(|&s| u64::from(s)).collect::<Vec<_>>());
     }
     let receivers: Vec<Vec<u64>> = receivers

@@ -9,7 +9,7 @@
 //! * **crash-stop churn** ([`ChurnModel`]) — a node crashes and performs
 //!   *nothing* from that round on, either permanently or until it rejoins
 //!   after `k` rounds. The engine tracks the alive set round to round and
-//!   intersects it with both dense rounds and sparse `*_on` active sets;
+//!   intersects it with both dense rounds and sparse rounds' active sets;
 //!   contacts *targeting* a crashed node are dropped in flight.
 //! * **per-contact message loss** ([`LossModel`]) — an individual delivery is
 //!   dropped with a probability drawn per `(sender, receiver, round)`. Unlike

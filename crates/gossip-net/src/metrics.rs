@@ -36,20 +36,20 @@ impl std::fmt::Display for RoundKind {
 pub struct Metrics {
     /// Number of synchronous rounds executed.
     pub rounds: u64,
-    /// Rounds that were pull rounds (includes `collect_samples` rounds).
+    /// Rounds that were pull rounds (includes sampling rounds).
     pub pull_rounds: u64,
     /// Rounds that were push rounds.
     pub push_rounds: u64,
     /// Rounds that were push–pull rounds (both directions, one round).
     pub push_pull_rounds: u64,
     /// Total participants across all rounds: a dense round contributes `n`,
-    /// a sparse `*_on` round contributes the size of its
-    /// [`ActiveSet`](crate::ActiveSet). `active_nodes_total / rounds` is the
+    /// a round over an [`ActiveSet`](crate::ActiveSet) its size, and a cut
+    /// sample-step round its participants. `active_nodes_total / rounds` is the
     /// mean per-round activity.
     pub active_nodes_total: u64,
     /// Largest single-round participant count observed.
     pub max_active: u64,
-    /// Participants in pull rounds (includes `collect_samples` rounds).
+    /// Participants in pull rounds (includes sampling rounds).
     pub active_pull_nodes: u64,
     /// Participants in push rounds.
     pub active_push_nodes: u64,
@@ -240,7 +240,7 @@ impl Metrics {
     /// Mean payload bits delivered **per participating node per round**, or 0
     /// with no activity.
     ///
-    /// Sparse (`_on`) rounds divide by their active-set size, not `n`, so the
+    /// Rounds over an active set divide by its size, not `n`, so the
     /// figure stays comparable between dense and sparse executions of the
     /// same algorithm.
     pub fn mean_bits_per_node_round(&self) -> f64 {

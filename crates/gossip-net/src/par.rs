@@ -189,7 +189,7 @@ where
 ///
 /// This is the sparse counterpart of [`for_chunks`]: the engine's round
 /// bodies dispatch through it when they run over an active set's members
-/// (the `*_on` primitives), so per-round cost is proportional to the number
+/// (the sparse primitives), so per-round cost is proportional to the number
 /// of participants, not to `data.len()`.
 /// Safety falls out of the index order: chunk `j` of the index list covers
 /// the slot range `[ids[j·chunk], ids[(j+1)·chunk])`, and because the indices

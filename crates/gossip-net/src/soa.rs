@@ -10,16 +10,17 @@
 //! * [`SampleMatrix`] — the flat result of
 //!   [`Engine::collect_samples_flat`](crate::Engine::collect_samples_flat):
 //!   `k` rounds of samples for `n` nodes in **one** column-major allocation
-//!   (sample `r` of node `v` at `r·n + v`), where the nested
-//!   `Vec<Vec<M>>` of `collect_samples` costs `n` little heap allocations
-//!   per call and scatters the write pass across the heap. Each sampling
-//!   round writes one contiguous column.
+//!   (sample `r` of node `v` at `r·n + v`), where nested per-node
+//!   `Vec<Vec<M>>` buckets would cost `n` little heap allocations per call
+//!   and scatter the write pass across the heap. Each sampling round writes
+//!   one contiguous column.
 //! * [`clone_block`] — the cache-blocked back-buffer refresh: a tight
 //!   per-slot `clone_from` loop over one block, which the compiler lowers to
 //!   a memcpy for `Copy` states, issued block-by-block so the freshly copied
 //!   slots are still in L1/L2 when the round's `apply`/`fold` pass reads
 //!   them.
-//! * [`swap_runs`] — the batched copy-on-write commit of the sparse rounds:
+//! * [`swap_runs`] — the batched copy-on-write commit of the sparse push
+//!   rounds:
 //!   maximal contiguous id runs are swapped with `swap_with_slice` instead
 //!   of slot-by-slot `mem::swap`.
 //! * [`prefetch_read`] — a best-effort software prefetch, used by the
@@ -152,9 +153,9 @@ pub fn swap_runs<S>(ids: &[u32], base: usize, a: &mut [S], b: &mut [S]) {
 /// [`Engine::collect_samples_flat`](crate::Engine::collect_samples_flat):
 /// sample `r` (of `k`) for node `v` lives at index `r·n + v`, `None` marking
 /// a failed pull. One allocation for the whole matrix — each of the `k`
-/// sampling rounds writes one contiguous column — where the nested
-/// `Vec<Vec<M>>` of `collect_samples` costs `n` per-node allocations and a
-/// pointer chase per access.
+/// sampling rounds writes one contiguous column — where nested per-node
+/// `Vec<Vec<M>>` buckets would cost `n` allocations and a pointer chase per
+/// access.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampleMatrix<M> {
     n: usize,
@@ -187,8 +188,7 @@ impl<M> SampleMatrix<M> {
         self.data[r * self.n + v].as_ref()
     }
 
-    /// Node `v`'s successfully collected samples, in round order — the
-    /// equivalent of `collect_samples(..)[v].iter()`.
+    /// Node `v`'s successfully collected samples, in round order.
     pub fn row(&self, v: usize) -> impl Iterator<Item = &M> + '_ {
         assert!(v < self.n, "node id out of range");
         (0..self.k).filter_map(move |r| self.data[r * self.n + v].as_ref())
@@ -221,8 +221,8 @@ impl<M: Copy> SampleMatrix<M> {
 /// Layout: the row delivered to node `v` occupies `values[v·lanes ..
 /// (v+1)·lanes]`, and the realised source id sits in a parallel width-1
 /// column (`sources[v]`, with [`LaneMatrix::NO_SOURCE`] marking a failed or
-/// skipped pull). Where the nested `collect_samples(1, ..)` layout costs one
-/// heap `Vec` per node per round, a `LaneMatrix` is two construction-time
+/// skipped pull). Where a per-node `Vec` message would cost one heap
+/// allocation per node per round, a `LaneMatrix` is two construction-time
 /// allocations reused round after round.
 ///
 /// Contract: rows whose source is `NO_SOURCE` are *undefined* — the buffer

@@ -3,8 +3,9 @@
 //! The pinned constants live in `tests/data/goldens.txt`; this module holds
 //! the scenario builders that produce them, the fingerprint helpers, and the
 //! file parser. It is included with `#[path]` by `tests/golden.rs`,
-//! `tests/sparse.rs` and `examples/regen_goldens.rs`, so the three consumers
-//! can never disagree about what a scenario runs.
+//! `tests/sparse.rs`, `examples/regen_goldens.rs` and the suites that reuse
+//! its scenario bodies, so they can never disagree about what a scenario
+//! runs.
 
 #![allow(dead_code)]
 

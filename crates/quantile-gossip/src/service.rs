@@ -47,8 +47,8 @@
 
 use crate::approx::MAX_TOURNAMENT_EPSILON;
 use crate::schedule::{ShrinkSide, ThreeTournamentSchedule, TwoTournamentSchedule};
-use crate::three_tournament::{median3, FinalVote};
-use crate::two_tournament::extremum;
+use crate::three_tournament::{self, median3, FinalVote};
+use crate::two_tournament::{self, extremum};
 use baselines::CompactorSketch;
 use gossip_net::message::seq_message_bits;
 use gossip_net::soa::prefetch_read;
@@ -1111,17 +1111,19 @@ impl Window {
                 _ => {}
             }
         }
+        // Each lane runs its tournament's own update on its samples; a node
+        // whose coin keeps it out of a δ-cut lane's step pulled only the
+        // first one.
         let cur = row(v);
         for (i, o) in out.iter_mut().enumerate() {
-            let s = |r: usize| got[r].map(|row| row[i]);
+            let s = got.map(|g| g.map(|row| row[i]));
+            let cut = |d: f64| &s[..if coin < d { self.samples } else { 1 }];
             *o = match self.rules[i] {
                 LaneRule::Frozen => cur[i],
-                LaneRule::Two(side) => lane_step_two(side, s(0), s(1), cur[i]),
-                LaneRule::TwoCut(side, d) => {
-                    lane_step_two_delta(side, coin < d, s(0), s(1), cur[i])
-                }
-                LaneRule::Three => lane_step_three(s(0), s(1), s(2), cur[i]),
-                LaneRule::ThreeCut(d) => lane_step_three_delta(coin < d, s(0), s(1), s(2), cur[i]),
+                LaneRule::Two(side) => two_tournament::tournament(side, cur[i], &s[..2]),
+                LaneRule::TwoCut(side, d) => two_tournament::tournament(side, cur[i], cut(d)),
+                LaneRule::Three => three_tournament::tournament(cur[i], &s),
+                LaneRule::ThreeCut(d) => three_tournament::tournament(cur[i], cut(d)),
             };
         }
     }
@@ -1633,82 +1635,6 @@ fn epoch_buffer_ptrs<V>(traj: &Trajectory<V>, coins: &[f64]) -> Vec<usize> {
     ptrs.extend(traj.snap1.iter().map(|s| s.as_ptr() as usize));
     ptrs.extend(traj.snap2.iter().map(|s| s.as_ptr() as usize));
     ptrs
-}
-
-/// One lane's update in a full (δ = 1) Phase I iteration — the exact arms of
-/// [`crate::two_tournament::run`]'s dense `local_step`.
-fn lane_step_two<V: NodeValue>(side: ShrinkSide, s0: Option<V>, s1: Option<V>, cur: V) -> V {
-    match (s0, s1) {
-        (Some(a), Some(b)) => extremum(side, a, b),
-        (Some(a), None) => extremum(side, a, cur),
-        (None, Some(b)) => extremum(side, b, cur),
-        (None, None) => cur,
-    }
-}
-
-/// One lane's update in a δ-truncated Phase I iteration.
-fn lane_step_two_delta<V: NodeValue>(
-    side: ShrinkSide,
-    participant: bool,
-    s0: Option<V>,
-    s1: Option<V>,
-    cur: V,
-) -> V {
-    let s1 = if participant { s1 } else { None };
-    match (s0, s1) {
-        (Some(a), Some(b)) => extremum(side, a, b),
-        (Some(a), None) if !participant => a,
-        (Some(a), None) => extremum(side, a, cur),
-        (None, Some(b)) => extremum(side, b, cur),
-        (None, None) => cur,
-    }
-}
-
-/// One lane's update in a full Phase II iteration — the samples present, in
-/// round order, fed through the dense arms of [`crate::three_tournament::run`].
-fn lane_step_three<V: NodeValue>(s0: Option<V>, s1: Option<V>, s2: Option<V>, cur: V) -> V {
-    let mut got = [cur; 3];
-    let mut c = 0;
-    for x in [s0, s1, s2].into_iter().flatten() {
-        got[c] = x;
-        c += 1;
-    }
-    match c {
-        3 => median3(got[0], got[1], got[2]),
-        2 => median3(got[0], got[1], cur),
-        1 => median3(got[0], cur, cur),
-        _ => cur,
-    }
-}
-
-/// One lane's update in the δ-truncated final Phase II iteration.
-fn lane_step_three_delta<V: NodeValue>(
-    participant: bool,
-    s0: Option<V>,
-    s1: Option<V>,
-    s2: Option<V>,
-    cur: V,
-) -> V {
-    if !participant {
-        return match s0 {
-            Some(a) => a,
-            None => cur,
-        };
-    }
-    let mut extra = [cur; 2];
-    let mut c = 0;
-    for x in [s1, s2].into_iter().flatten() {
-        extra[c] = x;
-        c += 1;
-    }
-    match (s0, c) {
-        (Some(a), 2) => median3(a, extra[0], extra[1]),
-        (Some(a), 1) => median3(a, extra[0], cur),
-        (Some(a), _) => median3(a, cur, cur),
-        (None, 2) => median3(extra[0], extra[1], cur),
-        (None, 1) => median3(extra[0], cur, cur),
-        _ => cur,
-    }
 }
 
 #[cfg(test)]

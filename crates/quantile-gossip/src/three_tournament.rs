@@ -147,7 +147,7 @@ pub fn run<V: NodeValue>(
 /// non-participant of the δ-truncated iteration, which pulls once — the
 /// single fresh sample. With failed pulls the update degrades gracefully to
 /// the samples actually received, padded with the current value.
-fn tournament<V: Ord + Copy>(state: V, samples: &[Option<V>]) -> V {
+pub(crate) fn tournament<V: Ord + Copy>(state: V, samples: &[Option<V>]) -> V {
     match *samples {
         [Some(a), Some(b), Some(c)] => median3(a, b, c),
         [Some(a)] => a,

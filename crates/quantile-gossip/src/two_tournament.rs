@@ -107,7 +107,7 @@ pub fn run<V: NodeValue>(
 /// non-participant of a δ-truncated iteration, which pulls once — the single
 /// fresh sample. With failed pulls the update degrades to a tournament
 /// between the received sample and the current value, or keeps the value.
-fn tournament<V: Ord + Copy>(side: ShrinkSide, state: V, samples: &[Option<V>]) -> V {
+pub(crate) fn tournament<V: Ord + Copy>(side: ShrinkSide, state: V, samples: &[Option<V>]) -> V {
     match *samples {
         [Some(a), Some(b)] => extremum(side, a, b),
         [Some(a)] => a,

@@ -209,7 +209,7 @@ use crate::failure::FailureModel;
 use crate::fault::FaultPlan;
 use crate::message::MessageSize;
 use crate::metrics::{Metrics, RoundKind};
-use crate::par;
+use crate::par::{self, Rows, Split};
 use crate::pool::WorkerPool;
 use crate::rng::{Coin, KeyPrefix, NodeRng};
 use crate::soa::{LaneMatrix, SampleMatrix};
@@ -701,20 +701,20 @@ trait Domain: Copy + Sync {
     /// Runs `map(run, base, sub)` over contiguous runs of member positions
     /// on `pool` and folds the results in run order. `data` is node-indexed
     /// and `sub` is its window starting at node `base`, so the slot of
-    /// member `p` is `sub[self.node(p) - base]`.
+    /// member `p` is item `self.node(p) - base` of `sub`.
     fn map<T, A, F, R>(
         self,
         pool: &WorkerPool,
-        data: &mut [T],
+        data: T,
         threads: usize,
         identity: A,
         map: F,
         reduce: R,
     ) -> A
     where
-        T: Send,
+        T: Split,
         A: Send,
-        F: Fn(Range<usize>, usize, &mut [T]) -> A + Sync,
+        F: Fn(Range<usize>, usize, T) -> A + Sync,
         R: Fn(A, A) -> A;
 
     /// Refreshes the back-buffer slots of the members `run` from `states`,
@@ -778,19 +778,19 @@ impl Domain for All {
     fn map<T, A, F, R>(
         self,
         pool: &WorkerPool,
-        data: &mut [T],
+        data: T,
         threads: usize,
         identity: A,
         map: F,
         reduce: R,
     ) -> A
     where
-        T: Send,
+        T: Split,
         A: Send,
-        F: Fn(Range<usize>, usize, &mut [T]) -> A + Sync,
+        F: Fn(Range<usize>, usize, T) -> A + Sync,
         R: Fn(A, A) -> A,
     {
-        let chunk_map = |start, chunk: &mut [T]| map(start..start + chunk.len(), start, chunk);
+        let chunk_map = |start, chunk: T| map(start..start + chunk.items(), start, chunk);
         par::for_chunks(pool, data, threads, identity, chunk_map, reduce)
     }
 
@@ -852,20 +852,19 @@ impl Domain for Members<'_> {
     fn map<T, A, F, R>(
         self,
         pool: &WorkerPool,
-        data: &mut [T],
+        data: T,
         threads: usize,
         identity: A,
         map: F,
         reduce: R,
     ) -> A
     where
-        T: Send,
+        T: Split,
         A: Send,
-        F: Fn(Range<usize>, usize, &mut [T]) -> A + Sync,
+        F: Fn(Range<usize>, usize, T) -> A + Sync,
         R: Fn(A, A) -> A,
     {
-        let chunk_map =
-            |first, ids: &[u32], base, sub: &mut [T]| map(first..first + ids.len(), base, sub);
+        let chunk_map = |first, ids: &[u32], base, sub| map(first..first + ids.len(), base, sub);
         par::for_sparse(pool, data, self.0, threads, identity, chunk_map, reduce)
     }
 
@@ -907,7 +906,11 @@ impl Domain for Members<'_> {
         next: &mut Vec<S>,
         threads: usize,
     ) {
-        par::for_sparse2(pool, states, next, self.0, threads, crate::soa::swap_runs);
+        let buffers = (&mut states[..], &mut next[..]);
+        let swap = |run: Range<usize>, base, (a, b): (&mut [S], &mut [S])| {
+            crate::soa::swap_runs(&self.0[run], base, a, b);
+        };
+        self.map(pool, buffers, threads, (), swap, |(), ()| ());
     }
 }
 
@@ -1339,7 +1342,7 @@ impl<S: Send> Engine<S> {
     /// coins (e.g. the probability-δ branch of Algorithm 1); the stream is
     /// keyed by `(seed, epoch, node)` where the epoch increments per
     /// `local_step` call, so runs replay identically — at any thread count,
-    /// since the closure runs on the same chunk helper as the rounds. The
+    /// since the closure runs on the same chunk map as the rounds. The
     /// closure may therefore only mutate the state slot it is handed; shared
     /// captures are immutable (`Fn + Sync`).
     pub fn local_step<F>(&mut self, f: F)
@@ -1374,7 +1377,7 @@ impl<S: Send> Engine<S> {
         let prefix = NodeRng::key_prefix(self.seed, self.local_epochs, NodeRng::STREAM_LOCAL);
         dom.map(
             &self.pool,
-            &mut self.states,
+            &mut self.states[..],
             self.threads,
             (),
             |run, base, sub| {
@@ -1553,7 +1556,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
             dist > 0 && std::mem::size_of::<S>() * states.len() > crate::soa::PREFETCH_MIN_BYTES;
         let delta = par::for_chunks(
             &self.pool,
-            &mut self.next,
+            &mut self.next[..],
             threads,
             Metrics::default(),
             |base, sub| {
@@ -1732,7 +1735,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let fx = X::hoist(self.seed, round, &self.fault, &self.up, &self.due_scratch);
         let arrivals = written.map(
             &self.pool,
-            &mut self.next,
+            &mut self.next[..],
             threads,
             Metrics::default(),
             |run, base, sub| {
@@ -1840,13 +1843,12 @@ impl<S: Clone + Send + Sync> Engine<S> {
             .map(Mutex::new)
             .collect();
         let range = bins.range as u32;
-        let (delta, mut pending) = par::for_chunks2(
+        let (delta, mut pending) = par::for_chunks(
             &self.pool,
-            &mut self.scratch_targets,
-            &mut self.scratch_pull,
+            (&mut self.scratch_targets[..], &mut self.scratch_pull[..]),
             threads,
             (Metrics::default(), Vec::new()),
-            |start, push_chunk, pull_chunk| {
+            |start, (push_chunk, pull_chunk)| {
                 with_lists(&cells, start / bins.chunk, |lists| {
                     let mut local = Metrics::default();
                     let mut pending = Vec::new();
@@ -1878,7 +1880,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let fx = X::hoist(self.seed, round, &self.fault, &self.up, &self.due_scratch);
         let deliveries = par::for_chunks(
             &self.pool,
-            &mut self.next,
+            &mut self.next[..],
             threads,
             Metrics::default(),
             |base, sub| {
@@ -2082,7 +2084,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
         };
         let (delta, joined) = par::for_chunks(
             &self.pool,
-            &mut self.next,
+            &mut self.next[..],
             self.threads,
             (Metrics::default(), 0u64),
             |start, chunk| {
@@ -2301,15 +2303,12 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let row = |t: usize| &lane_values[t * lanes..(t + 1) * lanes];
         let (values, sources) = out.parts_mut();
         self.pull_sources(None, |t| crate::message::seq_message_bits(row(t)), sources);
-        par::for_rows2(
+        par::for_chunks(
             &self.pool,
-            values,
-            lanes,
-            sources,
-            1,
+            (Rows(values, lanes), sources),
             self.threads,
             (),
-            |_, vchunk, schunk| {
+            |_, (Rows(vchunk, _), schunk)| {
                 for (dst, &src) in vchunk.chunks_exact_mut(lanes).zip(schunk.iter()) {
                     if src != LaneMatrix::<V>::NO_SOURCE {
                         dst.copy_from_slice(row(src as usize));
@@ -2411,10 +2410,10 @@ impl<S: Clone + Send + Sync> Engine<S> {
 /// **copy-on-write**: only the round's *written set* — the active nodes and
 /// the receivers — is cloned into the back buffer, updated there against the
 /// immutable front buffer, and committed by swapping exactly those slots
-/// back (an `O(|written|)` pass; [`crate::par::for_sparse2`]). The front
-/// buffer therefore stays fully current at all times — dense and sparse
-/// rounds interleave freely — and untouched slots are never cloned, read, or
-/// written. (A design with an `O(1)` whole-buffer swap plus per-node epoch
+/// back (an `O(|written|)` pass; [`crate::par::for_sparse`] over the buffer
+/// pair). The front buffer therefore stays fully current at all times —
+/// dense and sparse rounds interleave freely — and untouched slots are never
+/// cloned, read, or written. (A design with an `O(1)` whole-buffer swap plus per-node epoch
 /// stamps was rejected: resolving stale slots through stamps makes peer
 /// reads alias the buffer being written, which cannot be expressed under
 /// this crate's `deny(unsafe_code)` discipline — and the slot-swap commit is

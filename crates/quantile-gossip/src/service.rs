@@ -51,6 +51,7 @@ use crate::three_tournament::{self, median3, FinalVote};
 use crate::two_tournament::{self, extremum};
 use baselines::CompactorSketch;
 use gossip_net::message::seq_message_bits;
+use gossip_net::par::Rows;
 use gossip_net::soa::prefetch_read;
 use gossip_net::{
     par, ActiveSet, Engine, EngineConfig, GossipError, Metrics, NodeRng, NodeValue, Result,
@@ -700,13 +701,12 @@ impl<V: NodeValue> QuantileService<V> {
             ..
         } = &mut traj;
         let inputs = &self.inputs;
-        par::for_rows(
+        par::for_chunks(
             &pool,
-            &mut snap1[0],
-            q,
+            Rows(&mut snap1[0], q),
             threads,
             (),
-            |start, rows| {
+            |start, Rows(rows, _)| {
                 for (row, &x) in rows.chunks_exact_mut(q).zip(&inputs[start..]) {
                     row.fill(x);
                 }
@@ -959,7 +959,7 @@ impl<V: NodeValue> QuantileService<V> {
         let mut answers: Vec<Vec<V>> = (0..q).map(|_| Vec::with_capacity(n)).collect();
         par::for_chunks(
             pool,
-            &mut answers,
+            &mut answers[..],
             threads,
             (),
             |start, lanes| {
@@ -1202,13 +1202,12 @@ fn step_nodes<V: NodeValue>(
 ) {
     let q = window.rules.len();
     let n = snap.len() / q;
-    par::for_rows(
+    par::for_chunks(
         pool,
-        next,
-        q,
+        Rows(next, q),
         threads,
         (),
-        |start, rows| {
+        |start, Rows(rows, _)| {
             for (j, out) in rows.chunks_exact_mut(q).enumerate() {
                 let v = start + j;
                 let ahead = v + PREFETCH_NODES;
@@ -1252,12 +1251,12 @@ fn replay_phase<V: NodeValue>(
         let (q, w) = (window.rules.len(), window.samples);
         let rows = &sources[j * w * n..(j + 1) * w * n];
         let (dm, coins) = (&dirty_map[..], &coins[..]);
-        let cand: Vec<u32> = par::fold_ranges(
+        let cand: Vec<u32> = par::for_chunks(
             pool,
-            n,
+            0..n,
             threads,
             Vec::new(),
-            |range| {
+            |_, range| {
                 range
                     .filter(|&v| {
                         dm[v]
@@ -1277,16 +1276,13 @@ fn replay_phase<V: NodeValue>(
         // The candidates are disjoint rows of both the next snapshot and
         // the component-dirty map, so the frontier recompute carves them
         // into per-thread chunks.
-        let still: Vec<u32> = par::for_sparse_rows2(
+        let still: Vec<u32> = par::for_sparse(
             pool,
-            next,
-            q,
-            comp_dirty,
-            q,
+            (Rows(next, q), Rows(comp_dirty, q)),
             &cand,
             threads,
             Vec::new(),
-            |ids, base, sub_next, sub_cd| {
+            |_, ids, base, (Rows(sub_next, _), Rows(sub_cd, _))| {
                 let mut row = snap[..q].to_vec();
                 let mut still = Vec::new();
                 for &vu in ids {
@@ -1470,13 +1466,12 @@ fn vote_rows<V: NodeValue>(
     dirty: Option<&[bool]>,
     outputs: &mut [V],
 ) {
-    par::for_rows(
+    par::for_chunks(
         pool,
-        outputs,
-        plan.q,
+        Rows(outputs, plan.q),
         threads,
         (),
-        |start, rows| {
+        |start, Rows(rows, _)| {
             let mut scratch = plan.scratch();
             for (j, out) in rows.chunks_exact_mut(plan.q).enumerate() {
                 let v = start + j;

@@ -25,7 +25,9 @@
 //!
 //! Each cell is the median of 5 trials with sample standard deviations
 //! (`std_*`). Set `ROBUSTNESS_QUICK=1` (CI's bench smoke step does) to
-//! shrink sizes and trial counts to a bit-rot check:
+//! shrink the grid to a bit-rot check: intensities 0 and 0.3, μ = 0.3 and 2
+//! trials, still at n = 20 000, so each quick row is one of the committed
+//! rows and `bench_smoke` compares its deterministic `rounds`:
 //!
 //! ```text
 //! cargo bench -p bench --bench chaos_robustness
@@ -104,7 +106,7 @@ fn run_trial(n: usize, seed: u64, plan: FaultPlan, config: &RobustConfig) -> Tri
 
 fn bench_chaos_robustness(c: &mut Criterion) {
     let quick = quick();
-    let n = if quick { 2_000 } else { 20_000 };
+    let n = 20_000;
     let trials = if quick { 2 } else { 5 };
     let intensities: &[f64] = if quick {
         &[0.0, 0.3]

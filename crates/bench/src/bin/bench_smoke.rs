@@ -1,12 +1,13 @@
 //! CI bench smoke comparator: `bench_smoke <committed.json> <fresh.json>`.
 //!
-//! Prints one error line per deterministic count that differs from its
-//! committed value and exits non-zero if there is any, and one warning line
-//! per wall-clock median outside the committed noise band (see
-//! [`bench::smoke`]), which never fails the run — quick-mode timings are
-//! noisy by construction, so their drift is surfaced in the job log, not
-//! enforced. CI invokes it once per report pair (`BENCH_engine.json`,
-//! `BENCH_service.json`, `BENCH_robustness.json`).
+//! Prints how many fresh rows matched a committed row, one error line per
+//! deterministic count that differs from its committed value, and one
+//! warning line per wall-clock median outside the committed noise band (see
+//! [`bench::smoke`]). It exits non-zero if a count differs or if no fresh
+//! row matched (then nothing was compared); a warning never fails the run —
+//! quick-mode timings are noisy by construction, so their drift is surfaced
+//! in the job log, not enforced. CI invokes it once per report pair
+//! (`BENCH_engine.json`, `BENCH_service.json`, `BENCH_robustness.json`).
 
 use std::process::ExitCode;
 
@@ -27,6 +28,16 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS; // missing file: nothing to compare, not an error
     };
     let drift = bench::smoke::compare(&committed, &fresh);
+    println!(
+        "bench_smoke: compared {} of {} fresh rows",
+        drift.matched, drift.fresh
+    );
+    if drift.matched == 0 {
+        println!(
+            "::error::bench_smoke: no fresh row matched a committed row; nothing was compared"
+        );
+        return ExitCode::FAILURE;
+    }
     for w in &drift.warnings {
         println!("::warning::bench_smoke: {w}");
     }

@@ -25,7 +25,9 @@
 //!
 //! A deterministic count that differs from its committed value is a
 //! **failure**: the `bench_smoke` binary exits non-zero, and the committed
-//! row may only change by re-running the bench that writes it. A wall-clock
+//! row may only change by re-running the bench that writes it. So is a
+//! fresh report none of whose rows matches a committed row: it compared
+//! nothing, so it cannot vouch for anything. A wall-clock
 //! median outside its band is a **warning** — never a failure, because
 //! quick mode trades stability for runtime and a CI container's noise floor
 //! is unknowable — so a silent regression at least leaves a trace in the job
@@ -140,9 +142,14 @@ pub fn parse_rows(report: &str) -> Vec<Row> {
     rows
 }
 
-/// What [`compare`] found, one human-readable line per finding.
+/// What [`compare`] found: how many fresh rows it compared, and one
+/// human-readable line per finding.
 #[derive(Debug, Default, PartialEq)]
 pub struct Drift {
+    /// Fresh rows that matched a committed row, and so were compared.
+    pub matched: usize,
+    /// Rows in the fresh report.
+    pub fresh: usize,
     /// Deterministic counts that differ from their committed value.
     pub failures: Vec<String>,
     /// Wall-clock medians outside their committed noise band.
@@ -151,12 +158,15 @@ pub struct Drift {
 
 /// Compares a freshly generated report against the committed one (both
 /// lists empty = every deterministic count exact and every median within
-/// noise). Rows present on only one side are skipped — quick mode
-/// legitimately produces fewer sections.
+/// noise), and counts the fresh rows it matched. Rows present on only one
+/// side are skipped — quick mode legitimately produces fewer sections.
 pub fn compare(committed: &str, fresh: &str) -> Drift {
     let committed_rows = parse_rows(committed);
     let fresh_rows = parse_rows(fresh);
-    let mut drift = Drift::default();
+    let mut drift = Drift {
+        fresh: fresh_rows.len(),
+        ..Drift::default()
+    };
     for fresh_row in &fresh_rows {
         let Some(base) = committed_rows
             .iter()
@@ -164,6 +174,7 @@ pub fn compare(committed: &str, fresh: &str) -> Drift {
         else {
             continue;
         };
+        drift.matched += 1;
         for (key, &fresh_value) in &fresh_row.values {
             if key.starts_with("std") || IDENTITY_KEYS.contains(&key.as_str()) {
                 continue;
@@ -230,6 +241,15 @@ mod tests {
 }
 "#;
 
+    /// A clean comparison of `matched` of `fresh` rows.
+    fn compared(matched: usize, fresh: usize) -> Drift {
+        Drift {
+            matched,
+            fresh,
+            ..Drift::default()
+        }
+    }
+
     #[test]
     fn parses_sections_identities_and_numbers() {
         let rows = parse_rows(COMMITTED);
@@ -252,7 +272,7 @@ mod tests {
             "\"rounds_per_sec_1t\": 1000.0",
             "\"rounds_per_sec_1t\": 1030.0",
         );
-        assert_eq!(compare(COMMITTED, &fresh), Drift::default());
+        assert_eq!(compare(COMMITTED, &fresh), compared(3, 3));
     }
 
     #[test]
@@ -266,7 +286,9 @@ mod tests {
                 "\"rounds_per_sec_new\": 100.0",
                 "\"rounds_per_sec_new\": 80.0",
             );
-        let Drift { failures, warnings } = compare(COMMITTED, &fresh);
+        let Drift {
+            failures, warnings, ..
+        } = compare(COMMITTED, &fresh);
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(warnings.len(), 2, "{warnings:?}");
         assert!(warnings[0].contains("rounds_per_sec_mt = 300.000"));
@@ -285,7 +307,16 @@ mod tests {
   ]
 }
 "#;
-        assert_eq!(compare(COMMITTED, fresh), Drift::default());
+        assert_eq!(compare(COMMITTED, fresh), compared(1, 2));
+    }
+
+    #[test]
+    fn a_report_that_matches_no_committed_row_fails() {
+        // Every fresh identity differs from the committed ones (here `n`),
+        // so nothing is compared and nothing can be vouched for.
+        let fresh = COMMITTED.replace("\"n\": ", "\"n\": 7");
+        assert_eq!(compare(COMMITTED, &fresh), compared(0, 3));
+        assert_eq!(compare(COMMITTED, COMMITTED), compared(3, 3));
     }
 
     #[test]
@@ -297,7 +328,7 @@ mod tests {
 }
 "#;
         let fresh = committed.replace("10.0", "99.0");
-        assert_eq!(compare(committed, &fresh), Drift::default());
+        assert_eq!(compare(committed, &fresh), compared(1, 1));
     }
 
     #[test]
@@ -314,7 +345,9 @@ mod tests {
         let fresh = committed
             .replace("\"within_eps\": 1.0,", "\"within_eps\": 0.8,")
             .replace("\"answered\": 1.0,", "\"answered\": 0.99,");
-        let Drift { failures, warnings } = compare(committed, &fresh);
+        let Drift {
+            failures, warnings, ..
+        } = compare(committed, &fresh);
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(warnings.len(), 2, "{warnings:?}");
         assert!(warnings[0].contains("[results] section=sweep fault=loss intensity=0.2 n=20000"));
@@ -337,11 +370,13 @@ mod tests {
   ]
 }
 "#;
-        assert_eq!(compare(committed, committed), Drift::default());
+        assert_eq!(compare(committed, committed), compared(2, 2));
         let fresh = committed
             .replace("\"rounds\": 155.0,", "\"rounds\": 156.0,")
             .replace("\"rounds\": 189.0,", "\"rounds\": 190.0,");
-        let Drift { failures, warnings } = compare(committed, &fresh);
+        let Drift {
+            failures, warnings, ..
+        } = compare(committed, &fresh);
         assert!(warnings.is_empty(), "{warnings:?}");
         assert_eq!(failures.len(), 2, "{failures:?}");
         assert!(failures[0].contains("section=sweep fault=loss intensity=0.2 n=20000"));
@@ -363,7 +398,9 @@ mod tests {
         let fresh = committed
             .replace("107.822", "3.001")
             .replace("\"rounds\": 49", "\"rounds\": 53");
-        let Drift { failures, warnings } = compare(committed, &fresh);
+        let Drift {
+            failures, warnings, ..
+        } = compare(committed, &fresh);
         assert!(warnings.is_empty(), "{warnings:?}");
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("[results] kind=batch n=10000 q=8"));

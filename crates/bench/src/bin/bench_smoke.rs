@@ -3,11 +3,12 @@
 //! Prints how many fresh rows matched a committed row, one error line per
 //! deterministic count that differs from its committed value, and one
 //! warning line per wall-clock median outside the committed noise band (see
-//! [`bench::smoke`]). It exits non-zero if a count differs or if no fresh
-//! row matched (then nothing was compared); a warning never fails the run —
-//! quick-mode timings are noisy by construction, so their drift is surfaced
-//! in the job log, not enforced. CI invokes it once per report pair
-//! (`BENCH_engine.json`, `BENCH_service.json`, `BENCH_robustness.json`).
+//! [`bench::smoke`]). It exits non-zero if a count differs, or if a report
+//! cannot be read or no fresh row matched (then nothing was compared); a
+//! warning never fails the run — quick-mode timings are noisy by
+//! construction, so their drift is surfaced in the job log, not enforced.
+//! CI invokes it once per report pair (`BENCH_engine.json`,
+//! `BENCH_service.json`, `BENCH_robustness.json`).
 
 use std::process::ExitCode;
 
@@ -20,12 +21,12 @@ fn main() -> ExitCode {
     let read = |path: &str| match std::fs::read_to_string(path) {
         Ok(s) => Some(s),
         Err(e) => {
-            println!("bench_smoke: cannot read {path}: {e} — skipping comparison");
+            println!("::error::bench_smoke: cannot read {path}: {e}; nothing was compared");
             None
         }
     };
     let (Some(committed), Some(fresh)) = (read(committed_path), read(fresh_path)) else {
-        return ExitCode::SUCCESS; // missing file: nothing to compare, not an error
+        return ExitCode::FAILURE;
     };
     let drift = bench::smoke::compare(&committed, &fresh);
     println!(

@@ -311,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn a_report_that_matches_no_committed_row_fails() {
+    fn a_report_with_no_matching_identity_compares_no_row() {
         // Every fresh identity differs from the committed ones (here `n`),
         // so nothing is compared and nothing can be vouched for.
         let fresh = COMMITTED.replace("\"n\": ", "\"n\": 7");

@@ -11,7 +11,7 @@
 //!   sample standard deviation (`std_epoch_secs`/`std_qps`, so the CI drift
 //!   check can band-compare the wall-clock keys instead of skipping them),
 //!   queries/second, a per-phase wall-clock breakdown (sample-collect /
-//!   lane-apply / record / vote, from [`ServiceOutcome::timings`]), the
+//!   lane-apply / vote, from [`ServiceOutcome::timings`]), the
 //!   payload cost in bytes per node per round
 //!   ([`Metrics::mean_bits_per_node_round`]), and the round amortisation
 //!   `Σᵢ solo_roundsᵢ / rounds`.
@@ -27,7 +27,10 @@
 //!
 //! Results land in `BENCH_service.json` in the workspace root (override with
 //! `$BENCH_SERVICE_JSON`). Set `SERVICE_QPS_QUICK=1` (CI's bench smoke step
-//! does) to shrink the grid to a bit-rot check:
+//! does) to shrink the grid to a bit-rot check: the batch grid runs at
+//! n = 10k and q ∈ {1, 8}, and the incremental comparison at 1 % only, but
+//! still at the committed n = 100k, so its rows match committed rows and the
+//! drift check compares their rounds and dirty counts:
 //!
 //! ```text
 //! cargo bench -p bench --bench service_qps
@@ -40,9 +43,9 @@ use quantile_gossip::{
 };
 use std::time::Instant;
 
-/// Largest `n·q` the batch grid runs. An epoch keeps `t₁max + t₂max + 2`
-/// lane-major snapshots of `n·q` values (15 of them at n = 1M), so the
-/// n = 1M, q = 64 cell would hold about 9 GB — more than a shared bench
+/// Largest `n·q` the batch grid runs. An epoch keeps `t₁max + t₂max + 1`
+/// lane-major snapshots of `n·q` values (14 of them at n = 1M), so the
+/// n = 1M, q = 64 cell would hold about 8.4 GB — more than a shared bench
 /// host should spend on one row. It returns once the trajectory cache is
 /// opt-in.
 const MAX_LANE_SLOTS: usize = 10_000_000;
@@ -86,7 +89,6 @@ struct BatchCell {
     std_qps: f64,
     collect_secs: f64,
     apply_secs: f64,
-    record_secs: f64,
     vote_secs: f64,
     bytes_per_node_round: f64,
     seq_secs: f64,
@@ -189,7 +191,6 @@ fn run_batch_cell(
         std_qps,
         collect_secs: out.timings.collect_secs,
         apply_secs: out.timings.apply_secs,
-        record_secs: out.timings.record_secs,
         vote_secs: out.timings.vote_secs,
         bytes_per_node_round: out.metrics.mean_bits_per_node_round() / 8.0,
         seq_secs,
@@ -347,7 +348,7 @@ fn bench_service_qps(c: &mut Criterion) {
             let cell = run_batch_cell(n, q, 42, trials, n <= seq_measure_cap || q == 1);
             println!(
                 "service_qps n={n} q={q}: rounds={} (solo total {}), amortisation={:.1}x, \
-                 epoch={:.3}s±{:.3} (collect {:.3}s, apply {:.3}s, record {:.3}s, vote {:.3}s) \
+                 epoch={:.3}s±{:.3} (collect {:.3}s, apply {:.3}s, vote {:.3}s) \
                  qps={:.1} payload={:.1} B/node/round, sequential={:.3}s ({})",
                 cell.rounds,
                 cell.solo_rounds_total,
@@ -356,7 +357,6 @@ fn bench_service_qps(c: &mut Criterion) {
                 cell.std_epoch_secs,
                 cell.collect_secs,
                 cell.apply_secs,
-                cell.record_secs,
                 cell.vote_secs,
                 cell.qps,
                 cell.bytes_per_node_round,
@@ -368,8 +368,7 @@ fn bench_service_qps(c: &mut Criterion) {
                  \"solo_rounds_total\": {}, \"amortisation\": {:.3}, \
                  \"epoch_secs\": {:.6}, \"std_epoch_secs\": {:.6}, \
                  \"qps\": {:.3}, \"std_qps\": {:.3}, \
-                 \"collect_secs\": {:.6}, \"apply_secs\": {:.6}, \
-                 \"record_secs\": {:.6}, \"vote_secs\": {:.6}, \
+                 \"collect_secs\": {:.6}, \"apply_secs\": {:.6}, \"vote_secs\": {:.6}, \
                  \"bytes_per_node_round\": {:.3}, \"seq_secs\": {:.6}, \
                  \"seq_rounds\": {}, \"seq_mode\": \"{}\", \"wall_speedup\": {:.3}}}",
                 cell.n,
@@ -383,7 +382,6 @@ fn bench_service_qps(c: &mut Criterion) {
                 cell.std_qps,
                 cell.collect_secs,
                 cell.apply_secs,
-                cell.record_secs,
                 cell.vote_secs,
                 cell.bytes_per_node_round,
                 cell.seq_secs,
@@ -394,11 +392,10 @@ fn bench_service_qps(c: &mut Criterion) {
         }
     }
 
-    let inc_n = if quick { 10_000 } else { 100_000 };
     let fractions: &[f64] = if quick { &[0.01] } else { &[0.001, 0.01, 0.1] };
     for &fraction in fractions {
         for perturbation in [Perturbation::Drift, Perturbation::Replace] {
-            let cell = run_incremental_cell(inc_n, 8, fraction, perturbation, 1337);
+            let cell = run_incremental_cell(100_000, 8, fraction, perturbation, 1337);
             println!(
                 "service_qps incremental n={} q=8 dirty={:.3}% ({} holders, {}): \
                  inc={:.3}s (replay {:.3}s, patch {:.3}s) full={:.3}s speedup={:.1}x",

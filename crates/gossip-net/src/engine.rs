@@ -1058,7 +1058,6 @@ pub struct Engine<S> {
     threads: usize,
     /// The persistent worker pool rounds dispatch on; constructed once (or
     /// adopted from [`EngineConfig::pool`]) and reused by every round.
-    /// Cloning the engine shares the pool.
     pool: Arc<WorkerPool>,
     /// The normalised fault plan in effect.
     fault: FaultPlan,
@@ -1078,8 +1077,7 @@ pub struct Engine<S> {
     /// in send order).
     due_scratch: Vec<(u32, u32)>,
     /// The materialised peer sampler rounds draw contacts from; built once at
-    /// construction (non-complete topologies share their adjacency via `Arc`
-    /// when the engine is cloned).
+    /// construction.
     sampler: PeerSampler,
     metrics: Metrics,
     round: u64,
@@ -1116,42 +1114,6 @@ pub struct Engine<S> {
     /// [`crate::soa::DEFAULT_PREFETCH_DIST`], `0` disables. Never affects
     /// results.
     prefetch_dist: usize,
-}
-
-impl<S: Clone> Clone for Engine<S> {
-    fn clone(&self) -> Self {
-        Engine {
-            states: self.states.clone(),
-            // Post-swap, `next` holds stale data no round ever reads before
-            // overwriting; `ensure_next` re-sizes the empty buffer lazily.
-            next: Vec::new(),
-            seed: self.seed,
-            threads: self.threads,
-            pool: Arc::clone(&self.pool),
-            fault: self.fault.clone(),
-            // Churn state and in-flight stragglers are real trajectory state
-            // (unlike scratch) and must survive a clone.
-            down_until: self.down_until.clone(),
-            up: Vec::new(),
-            pending_delayed: self.pending_delayed.clone(),
-            due_scratch: Vec::new(),
-            sampler: self.sampler.clone(),
-            metrics: self.metrics,
-            round: self.round,
-            local_epochs: self.local_epochs,
-            scratch_targets: self.scratch_targets.clone(),
-            scratch_pull: self.scratch_pull.clone(),
-            // Scratch holds no cross-round state, so the clone starts empty
-            // instead of copying stale ids (the push paths resize and clear
-            // these before every use).
-            scratch_lists: Vec::new(),
-            scratch_pairs: Vec::new(),
-            scratch_written: Vec::new(),
-            scratch_receivers: Vec::new(),
-            copy_block: self.copy_block,
-            prefetch_dist: self.prefetch_dist,
-        }
-    }
 }
 
 impl<S> Engine<S> {
@@ -3019,7 +2981,7 @@ mod tests {
     }
 
     #[test]
-    fn clone_preserves_churn_and_straggler_state_but_sub_resets() {
+    fn sub_engine_of_a_faulted_config_starts_with_no_crashes_or_stragglers() {
         let plan = FaultPlan::none()
             .with_churn(ChurnModel::crash_stop(0.2).unwrap())
             .with_stragglers(StragglerModel::uniform(0.5, 4).unwrap());
@@ -3029,19 +2991,10 @@ mod tests {
             e.push_round(|v, _| Some(v as u64), |_, st, _| *st += 1, |_, _, _| {});
         }
         assert!(!e.crashed_nodes().is_empty());
-        let clone = e.clone();
-        assert_eq!(clone.crashed_nodes(), e.crashed_nodes());
-        assert_eq!(clone.delayed_in_flight(), e.delayed_in_flight());
         // A sub-engine built from the config starts with everyone alive.
         let sub = Engine::from_states(vec![0u64; 10], config.sub(77));
         assert!(sub.crashed_nodes().is_empty());
         assert_eq!(sub.delayed_in_flight(), 0);
-        // The clone continues deterministically in lockstep with the original.
-        let mut clone = clone;
-        e.push_round(|v, _| Some(v as u64), |_, st, _| *st += 1, |_, _, _| {});
-        clone.push_round(|v, _| Some(v as u64), |_, st, _| *st += 1, |_, _, _| {});
-        assert_eq!(e.states(), clone.states());
-        assert_eq!(e.crashed_nodes(), clone.crashed_nodes());
     }
 
     #[test]

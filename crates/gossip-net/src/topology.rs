@@ -33,10 +33,9 @@
 //! ## Allocation discipline
 //!
 //! Non-complete topologies are materialised **once** at engine construction
-//! into a flat CSR-style [`Adjacency`] (`n × degree` neighbour ids, shared
-//! behind an `Arc` when the engine is cloned). Steady-state rounds only index
-//! into it — no per-round allocation, no hashing, no branching beyond the
-//! one topology-kind dispatch per draw.
+//! into a flat CSR-style [`Adjacency`] (`n × degree` neighbour ids).
+//! Steady-state rounds only index into it — no per-round allocation, no
+//! hashing, no branching beyond the one topology-kind dispatch per draw.
 
 use crate::error::{GossipError, Result};
 use crate::rng::NodeRng;

@@ -116,19 +116,6 @@ fn run_to_completion_no_local(n: usize, seed: u64) -> Vec<u64> {
 }
 
 #[test]
-fn cloned_engines_share_the_pool_but_not_the_execution() {
-    let mut original = Engine::from_states((0..200u64).collect(), EngineConfig::with_seed(5));
-    original.set_threads(4);
-    max_spread(&mut original, 2);
-    let mut fork = original.clone();
-    assert!(Arc::ptr_eq(original.pool(), fork.pool()));
-    // Both continuations replay identically from the fork point.
-    max_spread(&mut original, 3);
-    max_spread(&mut fork, 3);
-    assert_eq!(original.into_states(), fork.into_states());
-}
-
-#[test]
 fn more_threads_than_nodes_is_fine_and_thread_count_invariant() {
     let run = |threads: usize| {
         let mut e = Engine::from_states((0..10u64).collect(), EngineConfig::with_seed(7));

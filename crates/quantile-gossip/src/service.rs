@@ -24,6 +24,14 @@
 //! suite in `tests/service.rs` pins this on every topology and under a
 //! disruptive [`gossip_net::FaultPlan`].
 //!
+//! **One window sequence.** The service builds an epoch's windows once, at
+//! construction: every Phase I iteration (two rounds on the Phase I engine),
+//! then every Phase II window (three rounds on the Phase II engine); the `K`
+//! rounds only the vote uses follow. Each window steps every node from one
+//! snapshot into the next, so Phase II continues in Phase I's last snapshot
+//! and one chain of `t1max + t2max + 1` snapshots holds the whole
+//! trajectory.
+//!
 //! **Incremental recompute.** Holders ingest new values between epochs
 //! ([`QuantileService::ingest`]), summarised per holder by the
 //! [`CompactorSketch`] of Appendix A (the holder gossips its sketch median).
@@ -127,10 +135,10 @@ pub enum EpochMode {
 
 /// Wall-clock breakdown of one epoch, by pipeline stage.
 ///
-/// Full epochs fill the collect / apply / record / vote stages; incremental
-/// epochs fill replay (the engine-free dataflow over the cached trajectory)
-/// and vote (the output patch). Purely observational — timings are never
-/// part of answer equality, and the unfilled stages of a mode stay `0.0`.
+/// Full epochs fill the collect / apply / vote stages; incremental epochs
+/// fill replay (the engine-free dataflow over the cached trajectory) and
+/// vote (the output patch). Purely observational — timings are never part
+/// of answer equality, and the unfilled stages of a mode stay `0.0`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochTimings {
     /// Seconds drawing the epoch's rounds as realised sources only
@@ -141,8 +149,9 @@ pub struct EpochTimings {
     /// node's samples out of snapshot `j` at its realised sources and writes
     /// its lane values into snapshot `j + 1`.
     pub apply_secs: f64,
-    /// Seconds recording the replay cache beyond what the passes above
-    /// write in place: only the Phase I → II snapshot hand-off.
+    /// Always `0.0`: the passes above write the whole replay cache in place,
+    /// so no stage records it. Kept only because perfbench reports it as
+    /// `service.record_s`.
     pub record_secs: f64,
     /// Seconds deriving (full epochs) or patching (incremental epochs) the
     /// per-lane vote outputs.
@@ -201,38 +210,37 @@ impl LanePlan {
 }
 
 /// The cached trajectory of the last full epoch, the raw material of
-/// incremental replay. `snap1[j][v * q + i]` is node `v`'s lane-`i` value at
-/// the start of Phase I iteration `j` (`snap1[0]` holds the inputs);
-/// likewise `snap2` for Phase II, whose last snapshot `snap2[t2max]` holds
-/// the final states the vote reads; `outputs[v * q + i]` is the final vote
+/// incremental replay: one chain of `t1max + t2max + 1` snapshots.
+/// `snaps[j][v * q + i]` is node `v`'s lane-`i` value before window `j` of
+/// the epoch's window sequence: `snaps[0]` holds the inputs, Phase II starts
+/// from Phase I's last snapshot `snaps[t1max]`, and the last snapshot holds
+/// the final states the vote reads. `outputs[v * q + i]` is the final vote
 /// output.
 ///
-/// `sources1`/`sources2` record the realised contact graph: the node each
-/// holder actually received a pull from in every round (`u32::MAX` when
-/// nothing was delivered — a failed target, a lost or straggling message, a
-/// crashed node, or a round the holder sat out). Draws are keyed purely by
-/// `(seed, round, node)`, so these sources are epoch-invariant: a re-run on
-/// new inputs realises exactly the same graph, which is what makes the
-/// engine-free incremental replay exact, faults included. `sources1` is
-/// `2·t1max` rows of `n` (slots A and B of each Phase I iteration);
-/// `sources2` is `3·t2max + K` rows of `n` (Phase II rounds and votes).
-/// `rounds`/`metrics` are the logical cost of the cached trajectory,
-/// reported verbatim by incremental epochs.
+/// `sources` records the realised contact graph: the node each holder
+/// actually received a pull from in every round (`u32::MAX` when nothing
+/// was delivered — a failed target, a lost or straggling message, a crashed
+/// node, or a round the holder sat out). Draws are keyed purely by `(seed,
+/// round, node)`, so these sources are epoch-invariant: a re-run on new
+/// inputs realises exactly the same graph, which is what makes the
+/// engine-free incremental replay exact, faults included. It is one sheet
+/// of `2·t1max + 3·t2max + K` rows of `n`: each window's rounds from its
+/// first row (slots A and B of a Phase I iteration, three rounds of a Phase
+/// II window), then the `K` rounds only the vote uses. `rounds`/`metrics`
+/// are the logical cost of the cached trajectory, reported verbatim by
+/// incremental epochs.
 ///
-/// Snapshots are stored lane-major and flat — `snap1[j][v * q + i]` — so a
+/// Snapshots are stored lane-major and flat — `snaps[j][v * q + i]` — so a
 /// source read touches the one contiguous row covering every lane of the
 /// source node instead of chasing a per-node `Vec` pointer. They are not
 /// copies taken on the side: a full epoch steps each window straight from
 /// snapshot `j` into snapshot `j + 1`, so the snapshots double as the
-/// epoch's ping-pong state buffers, and the only copy is the Phase I → II
-/// hand-off `snap2[0] = snap1[t1max]`.
+/// epoch's state buffers and nothing is copied between them.
 #[derive(Debug, Clone)]
 struct Trajectory<V> {
-    snap1: Vec<Vec<V>>,
-    snap2: Vec<Vec<V>>,
+    snaps: Vec<Vec<V>>,
     outputs: Vec<V>,
-    sources1: Vec<u32>,
-    sources2: Vec<u32>,
+    sources: Vec<u32>,
     rounds: u64,
     metrics: Metrics,
 }
@@ -242,40 +250,27 @@ impl<V: Copy> Trajectory<V> {
     /// subsequent full epochs refill the previous epoch's buffers in place.
     fn empty() -> Self {
         Trajectory {
-            snap1: Vec::new(),
-            snap2: Vec::new(),
+            snaps: Vec::new(),
             outputs: Vec::new(),
-            sources1: Vec::new(),
-            sources2: Vec::new(),
+            sources: Vec::new(),
             rounds: 0,
             metrics: Metrics::new(),
         }
     }
 
-    /// Sizes every buffer for an epoch of `n × q` lanes, `t1max`/`t2max`
-    /// iterations and `r2max` Phase II rounds. Returns whether any buffer
-    /// had to grow. Contents are left as they are: the epoch writes every
-    /// element before reading it.
-    fn prepare(
-        &mut self,
-        n: usize,
-        q: usize,
-        t1max: usize,
-        t2max: usize,
-        r2max: usize,
-        fill: V,
-    ) -> bool {
-        let mut grew = fit(&mut self.sources1, 2 * t1max * n, u32::MAX);
-        grew |= fit(&mut self.sources2, r2max * n, u32::MAX);
+    /// Sizes every buffer for an epoch of `n × q` lanes, `snapshots`
+    /// snapshots and `rows` source rows. Returns whether any buffer had to
+    /// grow. Contents are left as they are: the epoch writes every element
+    /// before reading it.
+    fn prepare(&mut self, n: usize, q: usize, snapshots: usize, rows: usize, fill: V) -> bool {
+        let mut grew = fit(&mut self.sources, rows * n, u32::MAX);
         grew |= fit(&mut self.outputs, n * q, fill);
-        for (snaps, len) in [(&mut self.snap1, t1max + 1), (&mut self.snap2, t2max + 1)] {
-            if snaps.len() != len {
-                snaps.resize_with(len, Vec::new);
-                grew = true;
-            }
-            for snap in snaps.iter_mut() {
-                grew |= fit(snap, n * q, fill);
-            }
+        if self.snaps.len() != snapshots {
+            self.snaps.resize_with(snapshots, Vec::new);
+            grew = true;
+        }
+        for snap in &mut self.snaps {
+            grew |= fit(snap, n * q, fill);
         }
         grew
     }
@@ -365,7 +360,6 @@ impl EpochScratch {
 #[derive(Debug)]
 pub struct QuantileService<V: NodeValue> {
     queries: Vec<QuantileQuery>,
-    plans: Vec<LanePlan>,
     per_query: Vec<QueryCost>,
     config: ServiceConfig,
     engine_config: EngineConfig,
@@ -374,9 +368,9 @@ pub struct QuantileService<V: NodeValue> {
     inputs: Vec<V>,
     dirty: Vec<bool>,
     cache: Option<Trajectory<V>>,
-    /// Per-lane update rules of every Phase I iteration and Phase II window.
-    windows1: Vec<Window>,
-    windows2: Vec<Window>,
+    /// The epoch's window sequence: every Phase I iteration, then every
+    /// Phase II window.
+    windows: Vec<Window>,
     vote: VotePlan,
     /// Worker-thread override for epoch execution (`None` = engine default).
     threads: Option<usize>,
@@ -467,9 +461,12 @@ impl<V: NodeValue> QuantileService<V> {
         }
         let t1max = plans.iter().map(LanePlan::t1).max().unwrap_or(0);
         let t2max = plans.iter().map(LanePlan::t2).max().unwrap_or(0);
-        let windows1 = (0..t1max).map(|j| Window::phase1(&plans, j)).collect();
-        let windows2 = (0..t2max).map(|j| Window::phase2(&plans, j)).collect();
-        let vote = VotePlan::new(&plans, config.final_vote.samples);
+        let k = config.final_vote.samples;
+        let windows = (0..t1max)
+            .map(|j| Window::phase1(&plans, j))
+            .chain((0..t2max).map(|j| Window::phase2(&plans, t1max, k, j)))
+            .collect();
+        let vote = VotePlan::new(&plans, t1max, k);
         let mut engine_config = engine_config;
         engine_config.ensure_pool_for(n);
         if engine_config.pool.is_none() {
@@ -481,10 +478,8 @@ impl<V: NodeValue> QuantileService<V> {
         }
         Ok(QuantileService {
             queries: queries.to_vec(),
-            windows1,
-            windows2,
+            windows,
             vote,
-            plans,
             per_query,
             config,
             engine_config,
@@ -624,37 +619,28 @@ impl<V: NodeValue> QuantileService<V> {
     /// second to Phase II. The engines carry `()` state — they are pure
     /// round/draw/metrics machines; the service owns the lane-major values
     /// and serves them from the sampling closures.
-    fn engines(&self) -> (Engine<()>, Engine<()>) {
-        let mut seeds = SeedSequence::new(self.engine_config.seed);
-        let e1 = Engine::from_states(vec![(); self.n], self.engine_config.sub(seeds.next_seed()));
-        let e2 = Engine::from_states(vec![(); self.n], self.engine_config.sub(seeds.next_seed()));
-        (e1, e2)
+    fn engines(&self) -> [Engine<()>; 2] {
+        self.phase_seeds()
+            .map(|seed| Engine::from_states(vec![(); self.n], self.engine_config.sub(seed)))
     }
 
     /// The two phase seeds of [`engines`](Self::engines), without paying for
     /// engine construction — incremental replay needs only the coin streams.
-    fn phase_seeds(&self) -> (u64, u64) {
+    fn phase_seeds(&self) -> [u64; 2] {
         let mut seeds = SeedSequence::new(self.engine_config.seed);
-        (seeds.next_seed(), seeds.next_seed())
-    }
-
-    fn t1max(&self) -> usize {
-        self.windows1.len()
-    }
-
-    fn t2max(&self) -> usize {
-        self.windows2.len()
+        [seeds.next_seed(), seeds.next_seed()]
     }
 
     /// Runs every lane from scratch through one shared round sequence and
     /// caches the trajectory for later incremental epochs.
     ///
-    /// The epoch is one pass per window: draw the window's rounds as
+    /// The epoch is one pass per window of the window sequence (Phase I's
+    /// iterations, then Phase II's windows): draw the window's rounds as
     /// realised sources only ([`Engine::pull_sources`], straight into the
     /// trajectory's source rows), then step every node from snapshot `j`
     /// into snapshot `j + 1`, reading each sample out of snapshot `j` at its
-    /// source; after Phase II the `K` vote rounds draw sources only and one
-    /// node-major pass votes from the final snapshot.
+    /// source; after the last window the `K` vote rounds draw sources only
+    /// and one node-major pass votes from the final snapshot.
     ///
     /// Steady-state epochs are **allocation-free per round**: every round
     /// buffer (coins, active set, snapshots, source rows, outputs) is
@@ -666,24 +652,26 @@ impl<V: NodeValue> QuantileService<V> {
     /// Propagates engine errors (none under a well-formed configuration).
     pub fn recompute_full(&mut self) -> Result<ServiceOutcome<V>> {
         let (n, q, k) = (self.n, self.queries.len(), self.config.final_vote.samples);
-        let (t1max, t2max) = (self.t1max(), self.t2max());
-        let (mut e1, mut e2) = self.engines();
+        let mut engines = self.engines();
         if let Some(t) = self.threads {
             // `set_threads` pre-sized the shared pool, so these never swap
             // pools — the epoch runs on one worker set.
-            e1.set_threads(t);
-            e2.set_threads(t);
+            for engine in &mut engines {
+                engine.set_threads(t);
+            }
         }
-        let threads = e1.threads();
-        let pool = Arc::clone(e1.pool());
-        let plans = &self.plans;
+        let threads = engines[0].threads();
+        let pool = Arc::clone(engines[0].pool());
+        let windows = &self.windows;
         let mut timings = EpochTimings::default();
 
         // ---- Buffer preparation (reuse everything from last epoch) -----
-        let r2max = 3 * t2max + k;
+        // The vote-only rounds follow the last window's rows.
+        let vote_start = windows.last().map_or(0, |w| w.first_row + w.samples);
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut traj = self.cache.take().unwrap_or_else(Trajectory::empty);
-        let grew = scratch.prepare(n) | traj.prepare(n, q, t1max, t2max, r2max, self.inputs[0]);
+        let grew = scratch.prepare(n)
+            | traj.prepare(n, q, windows.len() + 1, vote_start + k, self.inputs[0]);
         debug_assert!(
             !(scratch.warmed && grew),
             "steady-state epoch grew a buffer"
@@ -693,17 +681,15 @@ impl<V: NodeValue> QuantileService<V> {
             .warmed
             .then(|| epoch_buffer_ptrs(&traj, &scratch.coins));
         let Trajectory {
-            snap1,
-            snap2,
+            snaps,
             outputs,
-            sources1,
-            sources2,
+            sources,
             ..
         } = &mut traj;
         let inputs = &self.inputs;
         par::for_chunks(
             &pool,
-            Rows(&mut snap1[0], q),
+            Rows(&mut snaps[0], q),
             threads,
             (),
             |start, Rows(rows, _)| {
@@ -714,60 +700,30 @@ impl<V: NodeValue> QuantileService<V> {
             |(), ()| (),
         );
 
-        // ---- Phase I: one 2-round window per iteration -----------------
-        // Slot A is dense for every lane (both branches of Algorithm 1 take
-        // a first fresh sample); slot B runs on the δ cut when no lane takes
-        // a full step — participant sets are nested under the shared coins,
-        // so their union is the largest lane's cut.
-        let windows1 = &self.windows1;
-        let cut1 = |j: usize, s: usize| {
-            if s == 0 {
-                None
-            } else {
-                windows1[j].sparse_cut()
-            }
-        };
-        run_phase(
-            &mut e1,
-            windows1,
-            cut1,
-            snap1,
-            sources1,
-            &mut scratch,
-            &mut timings,
-        );
-
-        // ---- Phase I → II hand-off -------------------------------------
-        let t0 = Instant::now();
-        copy_into(&pool, threads, &mut snap2[0], &snap1[t1max]);
-        timings.record_secs += t0.elapsed().as_secs_f64();
-
-        // ---- Phase II: one 3-round window per iteration ----------------
-        let cut2 = |j: usize, s: usize| p2_round_cut(plans, k, 3 * j + s);
-        run_phase(
-            &mut e2,
-            &self.windows2,
-            cut2,
-            snap2,
-            sources2,
+        // ---- The windows: Phase I's iterations, then Phase II's ---------
+        run_windows(
+            &mut engines,
+            windows,
+            snaps,
+            sources,
             &mut scratch,
             &mut timings,
         );
 
         // ---- The vote: K rounds of sources, one pass over the nodes -----
         // Every lane has frozen by its vote window, so the values its vote
-        // sources serve are their final states, `snap2[t2max]`.
-        let fin = &snap2[t2max][..];
+        // sources serve are their final states, the last snapshot.
+        let fin = &snaps[windows.len()][..];
         let t0 = Instant::now();
-        for row in sources2[3 * t2max * n..].chunks_exact_mut(n) {
-            e2.pull_sources(None, |t| seq_message_bits(&fin[t * q..(t + 1) * q]), row);
+        for row in sources[vote_start * n..].chunks_exact_mut(n) {
+            engines[1].pull_sources(None, |t| seq_message_bits(&fin[t * q..(t + 1) * q]), row);
         }
         timings.collect_secs += t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        vote_rows(&pool, threads, &self.vote, fin, sources2, None, outputs);
+        vote_rows(&pool, threads, &self.vote, fin, sources, None, outputs);
         timings.vote_secs += t0.elapsed().as_secs_f64();
 
-        let metrics = e1.metrics() + e2.metrics();
+        let metrics = engines[0].metrics() + engines[1].metrics();
         let rounds = metrics.rounds;
         traj.rounds = rounds;
         traj.metrics = metrics;
@@ -788,15 +744,14 @@ impl<V: NodeValue> QuantileService<V> {
 
     /// Replays the cached trajectory as a pure dataflow over the realised
     /// contact graph recorded by the last full recompute: no engine rounds
-    /// run at all. Each Phase I/II iteration touches only the nodes whose
-    /// own state or realised pull source is dirty, recomputed states are
-    /// compared against the cache and pruned on equality, and the vote
-    /// outputs are recomputed for the nodes whose own row or one of whose
-    /// realised vote sources carries a dirty component. All other nodes
-    /// keep their cached trajectory untouched. The reported rounds/metrics
-    /// are the cached logical cost of the trajectory (the network would
-    /// spend the same either way — only the service-side wall-clock
-    /// shrinks).
+    /// run at all. Each window touches only the nodes whose own state or
+    /// realised pull source is dirty, recomputed states are compared against
+    /// the cache and pruned on equality, and the vote outputs are recomputed
+    /// for the nodes whose own row or one of whose realised vote sources
+    /// moved. All other nodes keep their cached trajectory untouched. The
+    /// reported rounds/metrics are the cached logical cost of the trajectory
+    /// (the network would spend the same either way — only the service-side
+    /// wall-clock shrinks).
     ///
     /// The per-round dirty frontier is carved into disjoint node chunks and
     /// recomputed on the shared pool.
@@ -806,8 +761,6 @@ impl<V: NodeValue> QuantileService<V> {
             .take()
             .expect("incremental replay needs a cached trajectory");
         let (n, q) = (self.n, self.queries.len());
-        let (t1max, t2max) = (self.t1max(), self.t2max());
-        let (seed1, seed2) = self.phase_seeds();
         let pool = Arc::clone(
             self.engine_config
                 .pool
@@ -824,16 +777,13 @@ impl<V: NodeValue> QuantileService<V> {
 
         // Seed the dirty set, pruning holders whose value bounced back.
         let mut dirty_map = vec![false; n];
-        let mut comp_dirty = vec![false; n * q];
         let mut dirty_nodes = 0usize;
+        let inputs = &mut cache.snaps[0];
         for v in 0..n {
-            if self.dirty[v] && self.inputs[v] != cache.snap1[0][v * q] {
+            if self.dirty[v] && self.inputs[v] != inputs[v * q] {
                 dirty_map[v] = true;
                 dirty_nodes += 1;
-                for i in 0..q {
-                    comp_dirty[v * q + i] = true;
-                    cache.snap1[0][v * q + i] = self.inputs[v];
-                }
+                inputs[v * q..(v + 1) * q].fill(self.inputs[v]);
             }
         }
         let dirty_fraction = dirty_nodes as f64 / n as f64;
@@ -855,44 +805,25 @@ impl<V: NodeValue> QuantileService<V> {
                 threads,
             ));
         }
+        let seeds = self.phase_seeds();
         let coins = &mut self.scratch.coins;
         fit(coins, n, 0.0);
         let Trajectory {
-            snap1,
-            snap2,
+            snaps,
             outputs,
-            sources1,
-            sources2,
+            sources,
             ..
         } = &mut cache;
 
-        // ---- Phase I replay, hand-off, Phase II replay -----------------
-        replay_phase(
+        // ---- Replay every window ---------------------------------------
+        replay_windows(
             &pool,
             threads,
-            &self.windows1,
-            seed1,
+            &self.windows,
+            seeds,
             coins,
-            snap1,
-            sources1,
-            &mut comp_dirty,
-            &mut dirty_map,
-        );
-        for (v, &dirty) in dirty_map.iter().enumerate() {
-            if dirty {
-                let (src, dst) = (&snap1[t1max][v * q..(v + 1) * q], v * q);
-                snap2[0][dst..dst + q].copy_from_slice(src);
-            }
-        }
-        replay_phase(
-            &pool,
-            threads,
-            &self.windows2,
-            seed2,
-            coins,
-            snap2,
-            sources2,
-            &mut comp_dirty,
+            snaps,
+            sources,
             &mut dirty_map,
         );
         timings.replay_secs = t_replay.elapsed().as_secs_f64();
@@ -905,18 +836,14 @@ impl<V: NodeValue> QuantileService<V> {
         // realised vote sources moved (the own-row test also covers the
         // empty-vote fallback to the converged value); those rows rerun the
         // full epoch's vote kernel, every other row keeps its cached output.
-        debug_assert!(dirty_map
-            .iter()
-            .zip(comp_dirty.chunks_exact(q))
-            .all(|(&d, row)| d == row.contains(&true)));
         let t0 = Instant::now();
-        let fin = &snap2[t2max][..];
+        let fin = &snaps[self.windows.len()][..];
         vote_rows(
             &pool,
             threads,
             &self.vote,
             fin,
-            sources2,
+            sources,
             Some(&dirty_map),
             outputs,
         );
@@ -1000,10 +927,20 @@ enum LaneRule {
     ThreeCut(f64),
 }
 
-/// The per-lane rules of one window, built once at construction, and the
-/// node step that applies them.
+/// One window of the epoch's sequence — a Phase I iteration or a Phase II
+/// 3-round window — built once at construction: where its rounds run, the
+/// per-lane rules, and the node step that applies them.
 #[derive(Debug)]
 struct Window {
+    /// The phase engine that draws its rounds: 0 in Phase I, 1 in Phase II.
+    engine: usize,
+    /// Its iteration within its phase, which keys its participation coins.
+    iteration: u64,
+    /// Its first row in the trajectory's source sheet.
+    first_row: usize,
+    /// `cuts[s]`: the δ cut of the participation coins its round `s` runs
+    /// on, `None` where the round runs dense.
+    cuts: [Option<f64>; 3],
     /// `rules[i]` is lane `i`'s update.
     rules: Vec<LaneRule>,
     /// Rounds (samples per node) in the window: 2 in Phase I, 3 in Phase II.
@@ -1024,11 +961,12 @@ impl Window {
                 Some(step) => LaneRule::TwoCut(side, step.delta),
             }
         });
-        Window::new(rules.collect(), 2)
+        Window::new(0, j, 2 * j, rules.collect(), 2, |_| false)
     }
 
-    /// Phase II window `j`.
-    fn phase2(plans: &[LanePlan], j: usize) -> Self {
+    /// Phase II window `j`, after `t1max` Phase I iterations, with `k` vote
+    /// rounds per lane.
+    fn phase2(plans: &[LanePlan], t1max: usize, k: usize, j: usize) -> Self {
         let rules = plans.iter().map(|plan| {
             let (t2, fd) = (plan.t2(), plan.schedule2.final_delta);
             if t2 <= j {
@@ -1039,14 +977,47 @@ impl Window {
                 LaneRule::Three
             }
         });
-        Window::new(rules.collect(), 3)
+        // A lane that froze after `t2` windows votes in Phase II rounds
+        // `3·t2 .. 3·t2 + k`, which can fall in later windows of other
+        // lanes; a vote pulls at every node.
+        let voting = |s: usize| {
+            let r = 3 * j + s;
+            plans.iter().any(|p| 3 * p.t2() <= r && r < 3 * p.t2() + k)
+        };
+        Window::new(1, j, 2 * t1max + 3 * j, rules.collect(), 3, voting)
     }
 
-    fn new(rules: Vec<LaneRule>, samples: usize) -> Self {
+    /// `voting(s)`: some lane votes in the window's round `s`.
+    fn new(
+        engine: usize,
+        iteration: usize,
+        first_row: usize,
+        rules: Vec<LaneRule>,
+        samples: usize,
+        voting: impl Fn(usize) -> bool,
+    ) -> Self {
         let full = rules
             .iter()
             .all(|r| matches!(r, LaneRule::Two(_) | LaneRule::Three));
+        // The first round is dense for every lane: both tournaments take a
+        // first fresh sample. A later round runs on the δ cut when no lane
+        // takes a full step or votes in it — participant sets are nested
+        // under the shared coins, so their union is the largest lane's cut.
+        let cuts = std::array::from_fn(|s| {
+            if s == 0 || s >= samples || voting(s) {
+                return None;
+            }
+            rules.iter().try_fold(0.0, |cut: f64, rule| match *rule {
+                LaneRule::Two(_) | LaneRule::Three => None,
+                LaneRule::TwoCut(_, d) | LaneRule::ThreeCut(d) => Some(cut.max(d)),
+                LaneRule::Frozen => Some(cut),
+            })
+        });
         Window {
+            engine,
+            iteration: iteration as u64,
+            first_row,
+            cuts,
             rules,
             samples,
             full,
@@ -1059,20 +1030,6 @@ impl Window {
         self.rules
             .iter()
             .any(|r| matches!(r, LaneRule::TwoCut(..) | LaneRule::ThreeCut(_)))
-    }
-
-    /// Phase I slot B runs only on the participants when no lane takes a
-    /// full step: then it is the cut of the largest δ (`None` otherwise).
-    fn sparse_cut(&self) -> Option<f64> {
-        let mut cut = None;
-        for rule in &self.rules {
-            match *rule {
-                LaneRule::Two(_) => return None,
-                LaneRule::TwoCut(_, d) => cut = Some(cut.map_or(d, |c: f64| c.max(d))),
-                _ => {}
-            }
-        }
-        cut
     }
 
     /// Node `v`'s step: `out[i]` becomes lane `i`'s value after the window,
@@ -1129,35 +1086,35 @@ impl Window {
     }
 }
 
-/// Runs one phase of a full epoch, window by window: draw the window's
-/// rounds as realised sources into its rows of `sources` (round `s` of
-/// window `j` dense when `cut(j, s)` is `None`, else on that δ cut of the
-/// iteration's participation coins), then step every node from `snaps[j]`
-/// into `snaps[j + 1]`.
-fn run_phase<V: NodeValue>(
-    engine: &mut Engine<()>,
+/// Runs a full epoch's windows in order: draw each window's rounds on its
+/// phase engine as realised sources into its rows of `sources` (round `s`
+/// dense when `cuts[s]` is `None`, else on that δ cut of the iteration's
+/// participation coins), then step every node from `snaps[j]` into
+/// `snaps[j + 1]`.
+fn run_windows<V: NodeValue>(
+    engines: &mut [Engine<()>; 2],
     windows: &[Window],
-    cut: impl Fn(usize, usize) -> Option<f64>,
     snaps: &mut [Vec<V>],
     sources: &mut [u32],
     scratch: &mut EpochScratch,
     timings: &mut EpochTimings,
 ) {
-    let (pool, threads, seed) = (Arc::clone(engine.pool()), engine.threads(), engine.seed());
+    let (pool, threads) = (Arc::clone(engines[0].pool()), engines[0].threads());
     let EpochScratch { coins, active, .. } = scratch;
-    let n = engine.n();
+    let n = engines[0].n();
     for (j, window) in windows.iter().enumerate() {
+        let engine = &mut engines[window.engine];
         let (head, tail) = snaps.split_at_mut(j + 1);
         let (snap, next) = (&head[j][..], &mut tail[0][..]);
         let q = window.rules.len();
         let bits = |t: usize| seq_message_bits(&snap[t * q..(t + 1) * q]);
-        let rows = &mut sources[j * window.samples * n..(j + 1) * window.samples * n];
+        let rows = &mut sources[window.first_row * n..(window.first_row + window.samples) * n];
         let t0 = Instant::now();
         if window.needs_coins() {
-            participation_coins_into(&pool, threads, seed, j as u64, coins);
+            participation_coins_into(&pool, threads, engine.seed(), window.iteration, coins);
         }
-        for (s, row) in rows.chunks_exact_mut(n).enumerate() {
-            match cut(j, s) {
+        for (cut, row) in window.cuts.iter().zip(rows.chunks_exact_mut(n)) {
+            match *cut {
                 None => engine.pull_sources(None, bits, row),
                 Some(delta) => {
                     active.reset_from_fn(|v| coins[v] < delta);
@@ -1223,33 +1180,33 @@ fn step_nodes<V: NodeValue>(
     );
 }
 
-/// Replays one phase's windows on the dirty frontier. In window `j` only
+/// Replays the epoch's windows on the dirty frontier. In window `j` only
 /// the nodes whose own row or one of whose realised sources (the window's
 /// rows of `sources`) is marked in `dirty_map` are stepped again from
 /// `snaps[j]`; each recomputed row is compared with the cached row of
-/// `snaps[j + 1]`, lane by lane, into `comp_dirty` and written over it, and
-/// `dirty_map` ends the window marking the nodes whose row moved.
+/// `snaps[j + 1]` and written over it, and `dirty_map` ends the window
+/// marking the nodes whose row moved.
 #[allow(clippy::too_many_arguments)]
-fn replay_phase<V: NodeValue>(
+fn replay_windows<V: NodeValue>(
     pool: &WorkerPool,
     threads: usize,
     windows: &[Window],
-    seed: u64,
+    seeds: [u64; 2],
     coins: &mut [f64],
     snaps: &mut [Vec<V>],
     sources: &[u32],
-    comp_dirty: &mut [bool],
     dirty_map: &mut [bool],
 ) {
     let n = dirty_map.len();
     for (j, window) in windows.iter().enumerate() {
         if window.needs_coins() {
-            participation_coins_into(pool, threads, seed, j as u64, coins);
+            let seed = seeds[window.engine];
+            participation_coins_into(pool, threads, seed, window.iteration, coins);
         }
         let (head, tail) = snaps.split_at_mut(j + 1);
         let (snap, next) = (&head[j][..], &mut tail[0][..]);
         let (q, w) = (window.rules.len(), window.samples);
-        let rows = &sources[j * w * n..(j + 1) * w * n];
+        let rows = &sources[window.first_row * n..(window.first_row + w) * n];
         let (dm, coins) = (&dirty_map[..], &coins[..]);
         let cand: Vec<u32> = par::for_chunks(
             pool,
@@ -1273,34 +1230,26 @@ fn replay_phase<V: NodeValue>(
                 acc
             },
         );
-        // The candidates are disjoint rows of both the next snapshot and
-        // the component-dirty map, so the frontier recompute carves them
-        // into per-thread chunks.
+        // The candidates are disjoint rows of the next snapshot, so the
+        // frontier recompute carves them into per-thread chunks.
         let still: Vec<u32> = par::for_sparse(
             pool,
-            (Rows(next, q), Rows(comp_dirty, q)),
+            Rows(next, q),
             &cand,
             threads,
             Vec::new(),
-            |_, ids, base, (Rows(sub_next, _), Rows(sub_cd, _))| {
+            |_, ids, base, Rows(sub_next, _)| {
                 let mut row = snap[..q].to_vec();
                 let mut still = Vec::new();
                 for &vu in ids {
                     let v = vu as usize;
                     window.step(v, snap, rows, coins[v], &mut row);
                     let rel = (v - base) * q;
-                    let mut any = false;
-                    let cached = sub_next[rel..rel + q]
-                        .iter_mut()
-                        .zip(&mut sub_cd[rel..rel + q]);
-                    for ((old, changed), &new) in cached.zip(&row) {
-                        *changed = new != *old;
-                        any |= *changed;
-                        *old = new;
-                    }
-                    if any {
+                    let cached = &mut sub_next[rel..rel + q];
+                    if cached[..] != row[..] {
                         still.push(vu);
                     }
+                    cached.copy_from_slice(&row);
                 }
                 still
             },
@@ -1309,7 +1258,7 @@ fn replay_phase<V: NodeValue>(
                 acc
             },
         );
-        // Equivalent to the sequential per-candidate `dirty_map[v] = any`:
+        // Equivalent to marking each candidate as its row is compared:
         // nothing inside the window reads `dirty_map`, so the update can be
         // deferred past the parallel pass.
         for &vu in &cand {
@@ -1333,8 +1282,8 @@ struct VotePlan {
     k: usize,
     /// Lanes per node (`q`).
     q: usize,
-    /// One entry per distinct vote window: its first Phase II round
-    /// (`3·t2` of its lanes) and its lanes, ascending.
+    /// One entry per distinct vote window: its first row in the source
+    /// sheet (`2·t1max + 3·t2` of its lanes) and its lanes, ascending.
     windows: Vec<(usize, Vec<usize>)>,
     /// Compare-exchange pairs of [`median_network`]`(k)`, empty when `k`
     /// exceeds [`MAX_NETWORK_SAMPLES`].
@@ -1352,10 +1301,10 @@ struct VoteScratch<V> {
 }
 
 impl VotePlan {
-    fn new(plans: &[LanePlan], k: usize) -> Self {
+    fn new(plans: &[LanePlan], t1max: usize, k: usize) -> Self {
         let mut windows: Vec<(usize, Vec<usize>)> = Vec::new();
         for (i, plan) in plans.iter().enumerate() {
-            let first = 3 * plan.t2();
+            let first = 2 * t1max + 3 * plan.t2();
             match windows.iter_mut().find(|(f, _)| *f == first) {
                 Some((_, lanes)) => lanes.push(i),
                 None => windows.push((first, vec![i])),
@@ -1384,12 +1333,12 @@ impl VotePlan {
 
     /// Whether node `v`'s vote reads a row marked in `dirty`: its own (the
     /// empty-vote fallback) or one of its realised vote sources'.
-    fn touches(&self, v: usize, sources2: &[u32], dirty: &[bool]) -> bool {
+    fn touches(&self, v: usize, sources: &[u32], dirty: &[bool]) -> bool {
         let n = dirty.len();
         dirty[v]
             || self.windows.iter().any(|&(first, _)| {
                 (first..first + self.k).any(|r| {
-                    let src = sources2[r * n + v];
+                    let src = sources[r * n + v];
                     src != u32::MAX && dirty[src as usize]
                 })
             })
@@ -1408,7 +1357,7 @@ impl VotePlan {
         &self,
         v: usize,
         fin: &[V],
-        sources2: &[u32],
+        sources: &[u32],
         out: &mut [V],
         scratch: &mut VoteScratch<V>,
     ) {
@@ -1416,16 +1365,16 @@ impl VotePlan {
         let n = fin.len() / q;
         for (first, lanes) in &self.windows {
             let VoteScratch {
-                sources,
+                sources: got,
                 tile,
                 lane,
             } = &mut *scratch;
-            sources.clear();
-            sources.extend((*first..first + k).map(|r| sources2[r * n + v]));
-            if !self.network.is_empty() && sources.iter().all(|&s| s != u32::MAX) {
+            got.clear();
+            got.extend((*first..first + k).map(|r| sources[r * n + v]));
+            if !self.network.is_empty() && got.iter().all(|&s| s != u32::MAX) {
                 let w = lanes.len();
                 tile.clear();
-                for &src in sources.iter() {
+                for &src in got.iter() {
                     let row = &fin[src as usize * q..(src as usize + 1) * q];
                     if w == q {
                         tile.extend_from_slice(row);
@@ -1441,7 +1390,7 @@ impl VotePlan {
             }
             for &i in lanes {
                 lane.clear();
-                let delivered = sources.iter().filter(|&&s| s != u32::MAX);
+                let delivered = got.iter().filter(|&&s| s != u32::MAX);
                 lane.extend(delivered.map(|&s| fin[s as usize * q + i]));
                 out[i] = if lane.is_empty() {
                     fin[v * q + i] // an empty vote keeps the converged value
@@ -1462,7 +1411,7 @@ fn vote_rows<V: NodeValue>(
     threads: usize,
     plan: &VotePlan,
     fin: &[V],
-    sources2: &[u32],
+    sources: &[u32],
     dirty: Option<&[bool]>,
     outputs: &mut [V],
 ) {
@@ -1475,8 +1424,8 @@ fn vote_rows<V: NodeValue>(
             let mut scratch = plan.scratch();
             for (j, out) in rows.chunks_exact_mut(plan.q).enumerate() {
                 let v = start + j;
-                if dirty.map_or(true, |d| plan.touches(v, sources2, d)) {
-                    plan.vote_row(v, fin, sources2, out, &mut scratch);
+                if dirty.map_or(true, |d| plan.touches(v, sources, d)) {
+                    plan.vote_row(v, fin, sources, out, &mut scratch);
                 }
             }
         },
@@ -1550,30 +1499,6 @@ fn sort_rows<V: Ord + Copy>(pairs: &[(usize, usize)], tile: &mut [V], width: usi
     }
 }
 
-/// The δ cut Phase II round `r` (0-based within the phase) may run on, or
-/// `None` when some lane needs it dense: the first slot of an iteration, a
-/// full tournament step, or a vote round (the vote reads the final snapshot
-/// at the realised sources after the phase, but a voting lane still pulls
-/// at every node). Lanes in their δ-truncated final step only need their
-/// participants, whose sets are nested under the shared coins.
-fn p2_round_cut(plans: &[LanePlan], k: usize, r: usize) -> Option<f64> {
-    let (j, s) = (r / 3, r % 3);
-    let mut cut: f64 = 0.0;
-    for plan in plans {
-        let (t2, fd) = (plan.t2(), plan.schedule2.final_delta);
-        if r < 3 * t2 {
-            if s != 0 && t2 == j + 1 && fd < 1.0 {
-                cut = cut.max(fd);
-            } else {
-                return None;
-            }
-        } else if r < 3 * t2 + k {
-            return None;
-        }
-    }
-    Some(cut)
-}
-
 /// The participation coins of one iteration, drawn exactly as the solo
 /// tournaments draw them (`STREAM_PARTICIPATION`, keyed by iteration), into
 /// a reused buffer in parallel — each coin depends only on `(seed,
@@ -1600,22 +1525,6 @@ fn participation_coins_into(
     );
 }
 
-/// Pool-parallel `dst.copy_from_slice(src)` — the full epoch's Phase I → II
-/// snapshot hand-off.
-fn copy_into<V: NodeValue>(pool: &WorkerPool, threads: usize, dst: &mut [V], src: &[V]) {
-    assert_eq!(dst.len(), src.len(), "snapshots have one length");
-    par::for_chunks(
-        pool,
-        dst,
-        threads,
-        (),
-        |start, chunk| {
-            chunk.copy_from_slice(&src[start..start + chunk.len()]);
-        },
-        |(), ()| (),
-    );
-}
-
 /// The backing-store pointers of every per-epoch buffer, used by the debug
 /// steady-state assertion in `recompute_full`: if any pointer moved between
 /// two warmed epochs, a round buffer was reallocated.
@@ -1623,12 +1532,10 @@ fn copy_into<V: NodeValue>(pool: &WorkerPool, threads: usize, dst: &mut [V], src
 fn epoch_buffer_ptrs<V>(traj: &Trajectory<V>, coins: &[f64]) -> Vec<usize> {
     let mut ptrs = vec![
         coins.as_ptr() as usize,
-        traj.sources1.as_ptr() as usize,
-        traj.sources2.as_ptr() as usize,
+        traj.sources.as_ptr() as usize,
         traj.outputs.as_ptr() as usize,
     ];
-    ptrs.extend(traj.snap1.iter().map(|s| s.as_ptr() as usize));
-    ptrs.extend(traj.snap2.iter().map(|s| s.as_ptr() as usize));
+    ptrs.extend(traj.snaps.iter().map(|s| s.as_ptr() as usize));
     ptrs
 }
 
@@ -1839,8 +1746,8 @@ mod tests {
 
     #[test]
     fn vote_row_selects_per_lane_where_samples_are_missing() {
-        // Two vote windows over q = 3 lanes (lanes 0 and 2 vote in Phase II
-        // rounds 0..5, lane 1 in rounds 3..8); each node misses samples with
+        // Two vote windows over q = 3 lanes (lanes 0 and 2 vote in source
+        // rows 0..5, lane 1 in rows 3..8); each node misses samples with
         // a probability that varies from all delivered to none.
         let (n, q, k) = (64usize, 3usize, 5usize);
         let plan = VotePlan {
@@ -1850,7 +1757,7 @@ mod tests {
             network: median_network(k),
         };
         let fin: Vec<u64> = (0..(n * q) as u64).map(|x| mix(x) % 50).collect();
-        let sources2: Vec<u32> = (0..(8 * n) as u64)
+        let sources: Vec<u32> = (0..(8 * n) as u64)
             .map(|x| {
                 if mix(x ^ 1 << 32) % 8 < (x % n as u64 % 9) {
                     u32::MAX
@@ -1863,11 +1770,11 @@ mod tests {
         let mut scratch = plan.scratch();
         for v in 0..n {
             let mut out = vec![u64::MAX; q];
-            plan.vote_row(v, &fin, &sources2, &mut out, &mut scratch);
+            plan.vote_row(v, &fin, &sources, &mut out, &mut scratch);
             for (i, &got) in out.iter().enumerate() {
                 let first = if i == 1 { 3 } else { 0 };
                 let mut values: Vec<u64> = (first..first + k)
-                    .map(|r| sources2[r * n + v])
+                    .map(|r| sources[r * n + v])
                     .filter(|&s| s != u32::MAX)
                     .map(|s| fin[s as usize * q + i])
                     .collect();

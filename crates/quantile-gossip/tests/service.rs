@@ -280,66 +280,88 @@ fn mixed_queries() -> Vec<QuantileQuery> {
     ]
 }
 
+/// Two lanes at φ = 0.5, whose Phase I schedules are empty: Phase II steps
+/// straight from the inputs sheet, and an incremental epoch seeds the sheet
+/// Phase II starts from. Phase II lengths 10 and 8, so two vote windows.
+fn median_queries() -> Vec<QuantileQuery> {
+    vec![
+        QuantileQuery::new(0.5, 0.05),
+        QuantileQuery::new(0.5, 0.125),
+    ]
+}
+
 /// Batched ≡ solo and incremental ≡ full at parallel scale, on a clean
-/// engine and under 10 % message loss.
+/// engine and under 10 % message loss, for the mixed lanes and for lanes
+/// with no Phase I.
 #[test]
 fn parallel_scale_epochs_match_solo_runs_and_full_recompute() {
-    let qs = mixed_queries();
     let cfg = ServiceConfig::default();
     let lossy = FaultPlan::none().with_loss(LossModel::uniform(0.1).unwrap());
-    for (name, fault) in [("clean", FaultPlan::none()), ("lossy", lossy)] {
-        let mut vals = values(N_PARALLEL);
-        let ec = EngineConfig::with_seed(2718).fault(fault);
-        let mut svc = QuantileService::new(&vals, &qs, cfg, ec.clone()).unwrap();
-        let t1: Vec<usize> = svc
-            .per_query()
-            .iter()
-            .map(|c| c.phase1_iterations)
-            .collect();
-        let t2: Vec<usize> = svc
-            .per_query()
-            .iter()
-            .map(|c| c.phase2_iterations)
-            .collect();
-        assert_eq!(t1, [0, 2, 3, 2], "Phase I lengths moved");
-        assert_eq!(t2, [10, 9, 12, 8], "Phase II lengths moved");
+    let query_sets = [
+        (
+            "mixed",
+            mixed_queries(),
+            vec![0, 2, 3, 2],
+            vec![10, 9, 12, 8],
+        ),
+        ("median", median_queries(), vec![0, 0], vec![10, 8]),
+    ];
+    for (set, qs, t1_expected, t2_expected) in query_sets {
+        for (fault_name, fault) in [("clean", FaultPlan::none()), ("lossy", lossy.clone())] {
+            let name = format!("{set}, {fault_name}");
+            let mut vals = values(N_PARALLEL);
+            let ec = EngineConfig::with_seed(2718).fault(fault);
+            let mut svc = QuantileService::new(&vals, &qs, cfg, ec.clone()).unwrap();
+            let t1: Vec<usize> = svc
+                .per_query()
+                .iter()
+                .map(|c| c.phase1_iterations)
+                .collect();
+            let t2: Vec<usize> = svc
+                .per_query()
+                .iter()
+                .map(|c| c.phase2_iterations)
+                .collect();
+            assert_eq!(t1, t1_expected, "Phase I lengths moved ({name})");
+            assert_eq!(t2, t2_expected, "Phase II lengths moved ({name})");
 
-        let out = svc.epoch().unwrap();
-        assert_eq!(out.mode, EpochMode::Full);
-        for (i, q) in qs.iter().enumerate() {
-            let solo = tournament_quantile(
-                &vals,
-                q.phi,
-                q.epsilon,
-                &TournamentConfig::default(),
-                ec.clone(),
-            )
-            .unwrap();
-            assert_eq!(
-                out.answers[i], solo.outputs,
-                "lane {i} diverged from its solo run ({name})"
+            let out = svc.epoch().unwrap();
+            assert_eq!(out.mode, EpochMode::Full);
+            for (i, q) in qs.iter().enumerate() {
+                let solo = tournament_quantile(
+                    &vals,
+                    q.phi,
+                    q.epsilon,
+                    &TournamentConfig::default(),
+                    ec.clone(),
+                )
+                .unwrap();
+                assert_eq!(
+                    out.answers[i], solo.outputs,
+                    "lane {i} diverged from its solo run ({name})"
+                );
+                assert_eq!(out.per_query[i].solo_rounds, solo.rounds);
+            }
+
+            // 0.1 % of the holders move: an incremental epoch.
+            for node in (0..N_PARALLEL).step_by(997) {
+                vals[node] = vals[node].wrapping_mul(31) % 100_000;
+                svc.set_value(node, vals[node]).unwrap();
+            }
+            let inc = svc.epoch().unwrap();
+            assert!(
+                matches!(inc.mode, EpochMode::Incremental { dirty_nodes, .. } if dirty_nodes > 0),
+                "expected a non-trivial incremental epoch ({name}), got {:?}",
+                inc.mode
             );
-            assert_eq!(out.per_query[i].solo_rounds, solo.rounds);
+            let mut fresh = QuantileService::new(&vals, &qs, cfg, ec).unwrap();
+            let full = fresh.epoch().unwrap();
+            assert_eq!(
+                inc.answers, full.answers,
+                "incremental replay diverged from the full recompute ({name})"
+            );
+            assert_eq!(inc.rounds, full.rounds);
+            assert_eq!(inc.metrics, full.metrics);
         }
-
-        // 0.1 % of the holders move: an incremental epoch.
-        for node in (0..N_PARALLEL).step_by(997) {
-            vals[node] = vals[node].wrapping_mul(31) % 100_000;
-            svc.set_value(node, vals[node]).unwrap();
-        }
-        let inc = svc.epoch().unwrap();
-        assert!(
-            matches!(inc.mode, EpochMode::Incremental { dirty_nodes, .. } if dirty_nodes > 0),
-            "expected a non-trivial incremental epoch ({name}), got {:?}",
-            inc.mode
-        );
-        let mut fresh = QuantileService::new(&vals, &qs, cfg, ec).unwrap();
-        let full = fresh.epoch().unwrap();
-        assert_eq!(
-            inc.answers, full.answers,
-            "incremental replay diverged from the full recompute ({name})"
-        );
-        assert_eq!(inc.rounds, full.rounds);
-        assert_eq!(inc.metrics, full.metrics);
     }
 }

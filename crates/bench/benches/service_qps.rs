@@ -7,14 +7,16 @@
 //!   q ∈ {1, 8, 64} up to n·q = 10⁷ (so n = 1M stops at q = 8; see
 //!   `MAX_LANE_SLOTS`): the median of five epochs (fresh service each, so the
 //!   cold first-epoch cost is what's measured) answering all q queries
-//!   through shared tournament rounds. Reports rounds, wall-clock with a
-//!   sample standard deviation (`std_epoch_secs`/`std_qps`, so the CI drift
-//!   check can band-compare the wall-clock keys instead of skipping them),
-//!   queries/second, a per-phase wall-clock breakdown (sample-collect /
-//!   lane-apply / vote, from [`ServiceOutcome::timings`]), the
-//!   payload cost in bytes per node per round
-//!   ([`Metrics::mean_bits_per_node_round`]), and the round amortisation
-//!   `Σᵢ solo_roundsᵢ / rounds`.
+//!   through shared tournament rounds. Each timed epoch includes
+//!   `QuantileService::new`, which allocates the epoch buffers, just as the
+//!   sequential baseline times whole `tournament_quantile` calls. Reports
+//!   rounds, wall-clock with a sample standard deviation
+//!   (`std_epoch_secs`/`std_qps`, so the CI drift check can band-compare
+//!   the wall-clock keys instead of skipping them), queries/second, a
+//!   per-phase wall-clock breakdown (sample-collect / lane-apply / vote,
+//!   from [`ServiceOutcome::timings`]), the payload cost in bytes per node
+//!   per round ([`Metrics::mean_bits_per_node_round`]), and the round
+//!   amortisation `Σᵢ solo_roundsᵢ / rounds`.
 //! * **Batch vs sequential** — the same q queries as q back-to-back
 //!   [`tournament_quantile`] runs. Measured directly up to n = 100k and at
 //!   q = 1 for every n (so the 1M single-query baseline is real); the
@@ -23,7 +25,8 @@
 //!   dropped).
 //! * **Incremental vs full** — at n = 100k, q = 8: epoch, mutate a dirty
 //!   fraction ∈ {0.1%, 1%, 10%} of holders, then time the sparse incremental
-//!   epoch against a from-scratch recompute of the same inputs.
+//!   epoch against a from-scratch recompute of the same inputs (a fresh
+//!   service, construction included).
 //!
 //! Results land in `BENCH_service.json` in the workspace root (override with
 //! `$BENCH_SERVICE_JSON`). Set `SERVICE_QPS_QUICK=1` (CI's bench smoke step
@@ -122,9 +125,10 @@ fn run_batch_cell(
     let mut epoch_samples = Vec::with_capacity(trials);
     let mut outcomes = Vec::with_capacity(trials);
     for _ in 0..trials {
+        // Construction allocates the epoch buffers, so it is timed too.
+        let t = Instant::now();
         let mut svc = QuantileService::new(&vals, &queries, ServiceConfig::default(), ec.clone())
             .expect("valid service parameters");
-        let t = Instant::now();
         let out = svc.epoch().expect("epoch");
         epoch_samples.push(t.elapsed().as_secs_f64());
         outcomes.push(out);
@@ -274,9 +278,9 @@ fn run_incremental_cell(
         "dirty fraction {dirty_fraction} unexpectedly exceeded the threshold"
     );
 
+    let t = Instant::now();
     let mut fresh = QuantileService::new(&vals, &queries, ServiceConfig::default(), ec)
         .expect("valid service parameters");
-    let t = Instant::now();
     let full = fresh.epoch().expect("full epoch");
     let full_secs = t.elapsed().as_secs_f64();
     assert_eq!(

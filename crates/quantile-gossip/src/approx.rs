@@ -111,7 +111,7 @@ pub struct ApproxOutcome<V> {
 /// # Errors
 ///
 /// Returns an error if fewer than two values are given or `φ ∉ [0, 1]` /
-/// `ε ≤ 0`.
+/// `ε ≤ 0` / `ε` is NaN.
 pub fn tournament_quantile<V: NodeValue>(
     values: &[V],
     phi: f64,
@@ -129,7 +129,7 @@ pub fn tournament_quantile<V: NodeValue>(
             reason: format!("must be in [0, 1], got {phi}"),
         });
     }
-    if epsilon <= 0.0 {
+    if epsilon.is_nan() || epsilon <= 0.0 {
         return Err(GossipError::InvalidParameter {
             name: "epsilon",
             reason: format!("must be positive, got {epsilon}"),
@@ -179,7 +179,7 @@ pub fn tournament_quantile<V: NodeValue>(
 /// # Errors
 ///
 /// Returns an error if fewer than two values are given, `φ ∉ [0, 1]`, or
-/// `ε ≤ 0`.
+/// `ε ≤ 0` or NaN.
 pub fn approximate_quantile<V: NodeValue>(
     values: &[V],
     phi: f64,
@@ -191,7 +191,7 @@ pub fn approximate_quantile<V: NodeValue>(
     if n < 2 {
         return Err(GossipError::TooFewNodes { requested: n });
     }
-    if epsilon <= 0.0 {
+    if epsilon.is_nan() || epsilon <= 0.0 {
         return Err(GossipError::InvalidParameter {
             name: "epsilon",
             reason: format!("must be positive, got {epsilon}"),
@@ -266,9 +266,16 @@ mod tests {
         assert!(
             tournament_quantile(&[1u64, 2], 0.5, 0.0, &cfg, EngineConfig::with_seed(0)).is_err()
         );
+        let nan = f64::NAN;
+        assert!(
+            tournament_quantile(&[1u64, 2], 0.5, nan, &cfg, EngineConfig::with_seed(0)).is_err()
+        );
         let acfg = ApproxConfig::default();
         assert!(
             approximate_quantile(&[1u64, 2], 0.5, -1.0, &acfg, EngineConfig::with_seed(0)).is_err()
+        );
+        assert!(
+            approximate_quantile(&[1u64, 2], 0.5, nan, &acfg, EngineConfig::with_seed(0)).is_err()
         );
     }
 

@@ -124,7 +124,8 @@ fn good_pulls<V: Copy>(samples: &[Option<(V, bool)>]) -> impl Iterator<Item = V>
 /// # Errors
 ///
 /// Returns an error if fewer than two values are given, `φ ∉ [0, 1]`,
-/// `ε ≤ 0`, or `μ` is neither given nor derivable from the failure model.
+/// `ε ≤ 0` or NaN, or `μ` is neither given nor derivable from the failure
+/// model.
 pub fn robust_approximate_quantile<V: NodeValue>(
     values: &[V],
     phi: f64,
@@ -142,7 +143,7 @@ pub fn robust_approximate_quantile<V: NodeValue>(
             reason: format!("must be in [0, 1], got {phi}"),
         });
     }
-    if epsilon <= 0.0 {
+    if epsilon.is_nan() || epsilon <= 0.0 {
         return Err(GossipError::InvalidParameter {
             name: "epsilon",
             reason: format!("must be positive, got {epsilon}"),
@@ -340,6 +341,14 @@ mod tests {
             &[1u64, 2],
             2.0,
             0.1,
+            &cfg,
+            EngineConfig::with_seed(0)
+        )
+        .is_err());
+        assert!(robust_approximate_quantile(
+            &[1u64, 2],
+            0.5,
+            f64::NAN,
             &cfg,
             EngineConfig::with_seed(0)
         )

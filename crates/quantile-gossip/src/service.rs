@@ -30,11 +30,15 @@
 //! rounds only the vote uses follow. Each window steps every node from one
 //! snapshot into the next, so Phase II continues in Phase I's last snapshot
 //! and one chain of `t1max + t2max + 1` snapshots holds the whole
-//! trajectory.
+//! trajectory. `n`, `q` and the windows are fixed from then on, so
+//! construction also allocates every epoch buffer — the snapshots, the
+//! source sheet, the outputs, the participation coins and the δ-cut active
+//! set — and epochs only ever fill them.
 //!
 //! **Incremental recompute.** Holders ingest new values between epochs
 //! ([`QuantileService::ingest`]), summarised per holder by the
-//! [`CompactorSketch`] of Appendix A (the holder gossips its sketch median).
+//! [`CompactorSketch`] of Appendix A, created by the holder's first
+//! `ingest` (the holder gossips its sketch median).
 //! Contact patterns are epoch-invariant — every draw (targets, participation
 //! coins, fault outcomes) is keyed purely by `(seed, round, node)` — so the
 //! full recompute records the *realised* pull source of every node in every
@@ -209,8 +213,9 @@ impl LanePlan {
     }
 }
 
-/// The cached trajectory of the last full epoch, the raw material of
-/// incremental replay: one chain of `t1max + t2max + 1` snapshots.
+/// The trajectory of the last full epoch, the raw material of incremental
+/// replay: one chain of `t1max + t2max + 1` snapshots, allocated at full
+/// size by [`QuantileService::new`] and refilled in place by every epoch.
 /// `snaps[j][v * q + i]` is node `v`'s lane-`i` value before window `j` of
 /// the epoch's window sequence: `snaps[0]` holds the inputs, Phase II starts
 /// from Phase I's last snapshot `snaps[t1max]`, and the last snapshot holds
@@ -236,94 +241,13 @@ impl LanePlan {
 /// copies taken on the side: a full epoch steps each window straight from
 /// snapshot `j` into snapshot `j + 1`, so the snapshots double as the
 /// epoch's state buffers and nothing is copied between them.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Trajectory<V> {
     snaps: Vec<Vec<V>>,
     outputs: Vec<V>,
     sources: Vec<u32>,
     rounds: u64,
     metrics: Metrics,
-}
-
-impl<V: Copy> Trajectory<V> {
-    /// An unsized trajectory for the first full epoch to grow into —
-    /// subsequent full epochs refill the previous epoch's buffers in place.
-    fn empty() -> Self {
-        Trajectory {
-            snaps: Vec::new(),
-            outputs: Vec::new(),
-            sources: Vec::new(),
-            rounds: 0,
-            metrics: Metrics::new(),
-        }
-    }
-
-    /// Sizes every buffer for an epoch of `n × q` lanes, `snapshots`
-    /// snapshots and `rows` source rows. Returns whether any buffer had to
-    /// grow. Contents are left as they are: the epoch writes every element
-    /// before reading it.
-    fn prepare(&mut self, n: usize, q: usize, snapshots: usize, rows: usize, fill: V) -> bool {
-        let mut grew = fit(&mut self.sources, rows * n, u32::MAX);
-        grew |= fit(&mut self.outputs, n * q, fill);
-        if self.snaps.len() != snapshots {
-            self.snaps.resize_with(snapshots, Vec::new);
-            grew = true;
-        }
-        for snap in &mut self.snaps {
-            grew |= fit(snap, n * q, fill);
-        }
-        grew
-    }
-}
-
-/// Resizes `buf` to `len` (filled with `fill`) unless it already has that
-/// length. Returns whether it had to.
-fn fit<T: Copy>(buf: &mut Vec<T>, len: usize, fill: T) -> bool {
-    if buf.len() == len {
-        return false;
-    }
-    buf.clear();
-    buf.resize(len, fill);
-    true
-}
-
-/// Reused epoch working memory besides the [`Trajectory`]: everything a
-/// steady-state epoch touches per round is allocated here once (or by the
-/// first epoch) and only ever *filled* afterwards — the buffer-reuse half of
-/// the service's "no per-round size-`n` allocations" guarantee (the debug
-/// fingerprint in [`QuantileService::recompute_full`] asserts the other
-/// half).
-#[derive(Debug)]
-struct EpochScratch {
-    /// Participation coins of the current iteration.
-    coins: Vec<f64>,
-    /// Reusable δ-cut participant set.
-    active: ActiveSet,
-    /// Whether a full epoch has already sized every buffer.
-    warmed: bool,
-}
-
-impl Default for EpochScratch {
-    fn default() -> Self {
-        EpochScratch {
-            coins: Vec::new(),
-            active: ActiveSet::from_fn(0, |_| false),
-            warmed: false,
-        }
-    }
-}
-
-impl EpochScratch {
-    /// Sizes every reusable buffer for `n` nodes. Returns whether any
-    /// buffer had to grow — which must never happen once `warmed`.
-    fn prepare(&mut self, n: usize) -> bool {
-        let mut grew = fit(&mut self.coins, n, 0.0);
-        if self.active.n() != n {
-            self.active = ActiveSet::from_fn(n, |_| false);
-            grew = true;
-        }
-        grew
-    }
 }
 
 /// A multi-query quantile service over `n` value holders.
@@ -364,17 +288,24 @@ pub struct QuantileService<V: NodeValue> {
     config: ServiceConfig,
     engine_config: EngineConfig,
     n: usize,
-    sketches: Vec<CompactorSketch<V>>,
+    /// Holder `v`'s ingestion sketch; `None` stands for the singleton of
+    /// its current value until its first [`ingest`](Self::ingest).
+    sketches: Vec<Option<CompactorSketch<V>>>,
     inputs: Vec<V>,
     dirty: Vec<bool>,
-    cache: Option<Trajectory<V>>,
     /// The epoch's window sequence: every Phase I iteration, then every
     /// Phase II window.
     windows: Vec<Window>,
     vote: VotePlan,
     /// Worker-thread override for epoch execution (`None` = engine default).
     threads: Option<usize>,
-    scratch: EpochScratch,
+    /// The epoch buffers, all sized by `new`: the trajectory, the current
+    /// iteration's participation coins and the δ-cut participant set.
+    traj: Trajectory<V>,
+    coins: Vec<f64>,
+    active: ActiveSet,
+    /// Whether a full epoch has filled `traj`.
+    filled: bool,
 }
 
 impl<V: NodeValue> QuantileService<V> {
@@ -384,9 +315,9 @@ impl<V: NodeValue> QuantileService<V> {
     ///
     /// [`GossipError::TooFewNodes`] with fewer than two holders;
     /// [`GossipError::InvalidParameter`] for an empty query vector, a query
-    /// with `φ ∉ [0, 1]` or `ε ≤ 0` (mirroring
+    /// with `φ ∉ [0, 1]` or `ε ≤ 0` or NaN (mirroring
     /// [`crate::approx::tournament_quantile`]), a zero-sample vote, a
-    /// `dirty_threshold` outside `[0, 1]`, or a zero sketch capacity.
+    /// `dirty_threshold` outside `[0, 1]`, or a sketch capacity below 2.
     pub fn new(
         values: &[V],
         queries: &[QuantileQuery],
@@ -421,10 +352,10 @@ impl<V: NodeValue> QuantileService<V> {
                 reason: format!("must be in [0, 1], got {}", config.dirty_threshold),
             });
         }
-        if config.sketch_capacity == 0 {
+        if config.sketch_capacity < 2 {
             return Err(GossipError::InvalidParameter {
                 name: "sketch_capacity",
-                reason: "holder sketches need a positive capacity".to_string(),
+                reason: format!("must be at least 2, got {}", config.sketch_capacity),
             });
         }
         let mut plans = Vec::with_capacity(queries.len());
@@ -438,7 +369,7 @@ impl<V: NodeValue> QuantileService<V> {
                     reason: format!("must be in [0, 1], got {}", query.phi),
                 });
             }
-            if query.epsilon <= 0.0 {
+            if query.epsilon.is_nan() || query.epsilon <= 0.0 {
                 return Err(GossipError::InvalidParameter {
                     name: "epsilon",
                     reason: format!("must be positive, got {}", query.epsilon),
@@ -467,6 +398,15 @@ impl<V: NodeValue> QuantileService<V> {
             .chain((0..t2max).map(|j| Window::phase2(&plans, t1max, k, j)))
             .collect();
         let vote = VotePlan::new(&plans, t1max, k);
+        let (q, fill) = (queries.len(), values[0]);
+        let traj = Trajectory {
+            // One `vec!` per snapshot: cloning a sheet would read it back.
+            snaps: (0..=t1max + t2max).map(|_| vec![fill; n * q]).collect(),
+            outputs: vec![fill; n * q],
+            sources: vec![u32::MAX; (2 * t1max + 3 * t2max + k) * n],
+            rounds: 0,
+            metrics: Metrics::new(),
+        };
         let mut engine_config = engine_config;
         engine_config.ensure_pool_for(n);
         if engine_config.pool.is_none() {
@@ -484,15 +424,14 @@ impl<V: NodeValue> QuantileService<V> {
             config,
             engine_config,
             n,
-            sketches: values
-                .iter()
-                .map(|&v| CompactorSketch::singleton(v, config.sketch_capacity))
-                .collect(),
+            sketches: vec![None; n],
             inputs: values.to_vec(),
             dirty: vec![false; n],
-            cache: None,
             threads: None,
-            scratch: EpochScratch::default(),
+            traj,
+            coins: vec![0.0; n],
+            active: ActiveSet::from_fn(n, |_| false),
+            filled: false,
         })
     }
 
@@ -540,11 +479,6 @@ impl<V: NodeValue> QuantileService<V> {
         self.dirty_nodes() as f64 / self.n as f64
     }
 
-    /// Whether a cached trajectory from a previous epoch exists.
-    pub fn has_cache(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// The effective (gossiped) value of each holder: its sketch median.
     pub fn effective_values(&self) -> &[V] {
         &self.inputs
@@ -553,15 +487,19 @@ impl<V: NodeValue> QuantileService<V> {
     /// Holder `node` observes `value`: the ingestion sketch absorbs it (one
     /// [`CompactorSketch::insert`], i.e. a singleton merge per Appendix A)
     /// and the holder's effective value becomes the sketch median. The holder
-    /// is marked dirty only if that median actually moved.
+    /// is marked dirty only if that median actually moved. A holder's first
+    /// `ingest` creates its sketch as the singleton of its current value.
     ///
     /// # Errors
     ///
     /// [`GossipError::InvalidParameter`] if `node >= n`.
     pub fn ingest(&mut self, node: usize, value: V) -> Result<()> {
         self.check_node(node)?;
-        self.sketches[node].insert(value);
-        let effective = self.sketches[node]
+        let (current, capacity) = (self.inputs[node], self.config.sketch_capacity);
+        let sketch = self.sketches[node]
+            .get_or_insert_with(|| CompactorSketch::singleton(current, capacity));
+        sketch.insert(value);
+        let effective = sketch
             .quantile(0.5)
             .expect("a holder sketch is never empty");
         if effective != self.inputs[node] {
@@ -579,7 +517,7 @@ impl<V: NodeValue> QuantileService<V> {
     /// [`GossipError::InvalidParameter`] if `node >= n`.
     pub fn set_value(&mut self, node: usize, value: V) -> Result<()> {
         self.check_node(node)?;
-        self.sketches[node] = CompactorSketch::singleton(value, self.config.sketch_capacity);
+        self.sketches[node] = None;
         if value != self.inputs[node] {
             self.inputs[node] = value;
             self.dirty[node] = true;
@@ -606,7 +544,7 @@ impl<V: NodeValue> QuantileService<V> {
     ///
     /// Propagates engine errors (none under a well-formed configuration).
     pub fn epoch(&mut self) -> Result<ServiceOutcome<V>> {
-        if self.cache.is_some() && self.dirty_fraction() <= self.config.dirty_threshold {
+        if self.filled && self.dirty_fraction() <= self.config.dirty_threshold {
             self.recompute_incremental()
         } else {
             self.recompute_full()
@@ -642,10 +580,9 @@ impl<V: NodeValue> QuantileService<V> {
     /// source; after the last window the `K` vote rounds draw sources only
     /// and one node-major pass votes from the final snapshot.
     ///
-    /// Steady-state epochs are **allocation-free per round**: every round
-    /// buffer (coins, active set, snapshots, source rows, outputs) is
-    /// reused from the service's epoch scratch and the previous trajectory;
-    /// a debug fingerprint asserts no buffer moved.
+    /// Epochs allocate no round buffer: the snapshots, source rows,
+    /// outputs, participation coins and δ-cut active set were all sized by
+    /// [`new`](Self::new), and every epoch only fills them.
     ///
     /// # Errors
     ///
@@ -662,30 +599,13 @@ impl<V: NodeValue> QuantileService<V> {
         }
         let threads = engines[0].threads();
         let pool = Arc::clone(engines[0].pool());
-        let windows = &self.windows;
         let mut timings = EpochTimings::default();
-
-        // ---- Buffer preparation (reuse everything from last epoch) -----
-        // The vote-only rounds follow the last window's rows.
-        let vote_start = windows.last().map_or(0, |w| w.first_row + w.samples);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut traj = self.cache.take().unwrap_or_else(Trajectory::empty);
-        let grew = scratch.prepare(n)
-            | traj.prepare(n, q, windows.len() + 1, vote_start + k, self.inputs[0]);
-        debug_assert!(
-            !(scratch.warmed && grew),
-            "steady-state epoch grew a buffer"
-        );
-        #[cfg(debug_assertions)]
-        let warmed_ptrs = scratch
-            .warmed
-            .then(|| epoch_buffer_ptrs(&traj, &scratch.coins));
         let Trajectory {
             snaps,
             outputs,
             sources,
             ..
-        } = &mut traj;
+        } = &mut self.traj;
         let inputs = &self.inputs;
         par::for_chunks(
             &pool,
@@ -703,19 +623,22 @@ impl<V: NodeValue> QuantileService<V> {
         // ---- The windows: Phase I's iterations, then Phase II's ---------
         run_windows(
             &mut engines,
-            windows,
+            &self.windows,
             snaps,
             sources,
-            &mut scratch,
+            &mut self.coins,
+            &mut self.active,
             &mut timings,
         );
 
         // ---- The vote: K rounds of sources, one pass over the nodes -----
         // Every lane has frozen by its vote window, so the values its vote
-        // sources serve are their final states, the last snapshot.
-        let fin = &snaps[windows.len()][..];
+        // sources serve are their final states, the last snapshot. The vote
+        // rounds are the source sheet's last `K` rows.
+        let fin = &snaps[self.windows.len()][..];
+        let vote_start = sources.len() - k * n;
         let t0 = Instant::now();
-        for row in sources[vote_start * n..].chunks_exact_mut(n) {
+        for row in sources[vote_start..].chunks_exact_mut(n) {
             engines[1].pull_sources(None, |t| seq_message_bits(&fin[t * q..(t + 1) * q]), row);
         }
         timings.collect_secs += t0.elapsed().as_secs_f64();
@@ -724,22 +647,11 @@ impl<V: NodeValue> QuantileService<V> {
         timings.vote_secs += t0.elapsed().as_secs_f64();
 
         let metrics = engines[0].metrics() + engines[1].metrics();
-        let rounds = metrics.rounds;
-        traj.rounds = rounds;
-        traj.metrics = metrics;
-        #[cfg(debug_assertions)]
-        if let Some(before) = warmed_ptrs {
-            debug_assert_eq!(
-                before,
-                epoch_buffer_ptrs(&traj, &scratch.coins),
-                "steady-state epoch reallocated a round buffer"
-            );
-        }
-        scratch.warmed = true;
-        self.scratch = scratch;
-        self.cache = Some(traj);
-        self.dirty.iter_mut().for_each(|d| *d = false);
-        Ok(self.outcome_from_cache(rounds, metrics, EpochMode::Full, timings, threads))
+        self.traj.rounds = metrics.rounds;
+        self.traj.metrics = metrics;
+        self.filled = true;
+        self.dirty.fill(false);
+        Ok(self.outcome(EpochMode::Full, timings, threads))
     }
 
     /// Replays the cached trajectory as a pure dataflow over the realised
@@ -753,13 +665,11 @@ impl<V: NodeValue> QuantileService<V> {
     /// (the network would spend the same either way — only the service-side
     /// wall-clock shrinks).
     ///
-    /// The per-round dirty frontier is carved into disjoint node chunks and
-    /// recomputed on the shared pool.
+    /// The holders' own `dirty` marks are the frontier: pruned to the
+    /// holders whose value differs from the cached input, carried through
+    /// every window and read by the vote patch. The per-round frontier is
+    /// carved into disjoint node chunks and recomputed on the shared pool.
     fn recompute_incremental(&mut self) -> Result<ServiceOutcome<V>> {
-        let mut cache = self
-            .cache
-            .take()
-            .expect("incremental replay needs a cached trajectory");
         let (n, q) = (self.n, self.queries.len());
         let pool = Arc::clone(
             self.engine_config
@@ -772,48 +682,25 @@ impl<V: NodeValue> QuantileService<V> {
         } else {
             1
         });
+        let seeds = self.phase_seeds();
         let mut timings = EpochTimings::default();
         let t_replay = Instant::now();
 
-        // Seed the dirty set, pruning holders whose value bounced back.
-        let mut dirty_map = vec![false; n];
-        let mut dirty_nodes = 0usize;
-        let inputs = &mut cache.snaps[0];
-        for v in 0..n {
-            if self.dirty[v] && self.inputs[v] != inputs[v * q] {
-                dirty_map[v] = true;
-                dirty_nodes += 1;
-                inputs[v * q..(v + 1) * q].fill(self.inputs[v]);
-            }
-        }
-        let dirty_fraction = dirty_nodes as f64 / n as f64;
-        if dirty_nodes == 0 {
-            // Every marked holder bounced back to its cached value: the
-            // cached trajectory is already current.
-            let (rounds, metrics) = (cache.rounds, cache.metrics);
-            self.cache = Some(cache);
-            self.dirty.iter_mut().for_each(|d| *d = false);
-            timings.replay_secs = t_replay.elapsed().as_secs_f64();
-            return Ok(self.outcome_from_cache(
-                rounds,
-                metrics,
-                EpochMode::Incremental {
-                    dirty_nodes,
-                    dirty_fraction,
-                },
-                timings,
-                threads,
-            ));
-        }
-        let seeds = self.phase_seeds();
-        let coins = &mut self.scratch.coins;
-        fit(coins, n, 0.0);
+        // Seed the frontier, unmarking holders whose value bounced back.
         let Trajectory {
             snaps,
             outputs,
             sources,
             ..
-        } = &mut cache;
+        } = &mut self.traj;
+        let (cached, mut dirty_nodes) = (&mut snaps[0], 0usize);
+        for (v, dirty) in self.dirty.iter_mut().enumerate() {
+            *dirty = *dirty && self.inputs[v] != cached[v * q];
+            if *dirty {
+                dirty_nodes += 1;
+                cached[v * q..(v + 1) * q].fill(self.inputs[v]);
+            }
+        }
 
         // ---- Replay every window ---------------------------------------
         replay_windows(
@@ -821,15 +708,15 @@ impl<V: NodeValue> QuantileService<V> {
             threads,
             &self.windows,
             seeds,
-            coins,
+            &mut self.coins,
             snaps,
             sources,
-            &mut dirty_map,
+            &mut self.dirty,
         );
         timings.replay_secs = t_replay.elapsed().as_secs_f64();
 
         // ---- Patch the vote outputs ------------------------------------
-        // Every replayed window leaves `dirty_map[v]` set exactly when some
+        // Every replayed window leaves `dirty[v]` set exactly when some
         // component of `v`'s new row differs from the cache, so after the
         // last window it marks the rows of the final snapshot that moved. A
         // vote output can change only if its node's row or one of its
@@ -844,39 +731,26 @@ impl<V: NodeValue> QuantileService<V> {
             &self.vote,
             fin,
             sources,
-            Some(&dirty_map),
+            Some(&self.dirty),
             outputs,
         );
         timings.vote_secs = t0.elapsed().as_secs_f64();
 
-        let rounds = cache.rounds;
-        let metrics = cache.metrics;
-        self.cache = Some(cache);
-        self.dirty.iter_mut().for_each(|d| *d = false);
-        Ok(self.outcome_from_cache(
-            rounds,
-            metrics,
-            EpochMode::Incremental {
-                dirty_nodes,
-                dirty_fraction,
-            },
-            timings,
-            threads,
-        ))
+        self.dirty.fill(false);
+        let dirty_fraction = dirty_nodes as f64 / n as f64;
+        let mode = EpochMode::Incremental {
+            dirty_nodes,
+            dirty_fraction,
+        };
+        Ok(self.outcome(mode, timings, threads))
     }
 
-    /// The outcome of an epoch whose outputs are in the cache. The answers
-    /// are the outputs transposed to one vector per lane, on the pool: each
-    /// task walks the output rows once and appends its lanes' values.
-    fn outcome_from_cache(
-        &self,
-        rounds: u64,
-        metrics: Metrics,
-        mode: EpochMode,
-        timings: EpochTimings,
-        threads: usize,
-    ) -> ServiceOutcome<V> {
-        let outputs = &self.cache.as_ref().expect("cache just written").outputs;
+    /// The outcome of the epoch whose trajectory was just written: its
+    /// rounds, metrics and outputs, the outputs transposed to one vector per
+    /// lane on the pool (each task walks the output rows once and appends
+    /// its lanes' values).
+    fn outcome(&self, mode: EpochMode, timings: EpochTimings, threads: usize) -> ServiceOutcome<V> {
+        let outputs = &self.traj.outputs;
         let pool = self
             .engine_config
             .pool
@@ -900,8 +774,8 @@ impl<V: NodeValue> QuantileService<V> {
         );
         ServiceOutcome {
             answers,
-            rounds,
-            metrics,
+            rounds: self.traj.rounds,
+            metrics: self.traj.metrics,
             per_query: self.per_query.clone(),
             mode,
             timings,
@@ -1096,11 +970,11 @@ fn run_windows<V: NodeValue>(
     windows: &[Window],
     snaps: &mut [Vec<V>],
     sources: &mut [u32],
-    scratch: &mut EpochScratch,
+    coins: &mut [f64],
+    active: &mut ActiveSet,
     timings: &mut EpochTimings,
 ) {
     let (pool, threads) = (Arc::clone(engines[0].pool()), engines[0].threads());
-    let EpochScratch { coins, active, .. } = scratch;
     let n = engines[0].n();
     for (j, window) in windows.iter().enumerate() {
         let engine = &mut engines[window.engine];
@@ -1182,9 +1056,9 @@ fn step_nodes<V: NodeValue>(
 
 /// Replays the epoch's windows on the dirty frontier. In window `j` only
 /// the nodes whose own row or one of whose realised sources (the window's
-/// rows of `sources`) is marked in `dirty_map` are stepped again from
+/// rows of `sources`) is marked in `dirty` are stepped again from
 /// `snaps[j]`; each recomputed row is compared with the cached row of
-/// `snaps[j + 1]` and written over it, and `dirty_map` ends the window
+/// `snaps[j + 1]` and written over it, and `dirty` ends the window
 /// marking the nodes whose row moved.
 #[allow(clippy::too_many_arguments)]
 fn replay_windows<V: NodeValue>(
@@ -1195,9 +1069,9 @@ fn replay_windows<V: NodeValue>(
     coins: &mut [f64],
     snaps: &mut [Vec<V>],
     sources: &[u32],
-    dirty_map: &mut [bool],
+    dirty: &mut [bool],
 ) {
-    let n = dirty_map.len();
+    let n = dirty.len();
     for (j, window) in windows.iter().enumerate() {
         if window.needs_coins() {
             let seed = seeds[window.engine];
@@ -1207,7 +1081,7 @@ fn replay_windows<V: NodeValue>(
         let (snap, next) = (&head[j][..], &mut tail[0][..]);
         let (q, w) = (window.rules.len(), window.samples);
         let rows = &sources[window.first_row * n..(window.first_row + w) * n];
-        let (dm, coins) = (&dirty_map[..], &coins[..]);
+        let (dm, coins) = (&dirty[..], &coins[..]);
         let cand: Vec<u32> = par::for_chunks(
             pool,
             0..n,
@@ -1259,13 +1133,13 @@ fn replay_windows<V: NodeValue>(
             },
         );
         // Equivalent to marking each candidate as its row is compared:
-        // nothing inside the window reads `dirty_map`, so the update can be
+        // nothing inside the window reads `dirty`, so the update can be
         // deferred past the parallel pass.
         for &vu in &cand {
-            dirty_map[vu as usize] = false;
+            dirty[vu as usize] = false;
         }
         for &vu in &still {
-            dirty_map[vu as usize] = true;
+            dirty[vu as usize] = true;
         }
     }
 }
@@ -1525,20 +1399,6 @@ fn participation_coins_into(
     );
 }
 
-/// The backing-store pointers of every per-epoch buffer, used by the debug
-/// steady-state assertion in `recompute_full`: if any pointer moved between
-/// two warmed epochs, a round buffer was reallocated.
-#[cfg(debug_assertions)]
-fn epoch_buffer_ptrs<V>(traj: &Trajectory<V>, coins: &[f64]) -> Vec<usize> {
-    let mut ptrs = vec![
-        coins.as_ptr() as usize,
-        traj.sources.as_ptr() as usize,
-        traj.outputs.as_ptr() as usize,
-    ];
-    ptrs.extend(traj.snaps.iter().map(|s| s.as_ptr() as usize));
-    ptrs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1591,7 +1451,20 @@ mod tests {
         let cfg = ServiceConfig::default();
         let mut inc =
             QuantileService::new(&values, &queries, cfg, EngineConfig::with_seed(5)).unwrap();
+        // Every epoch buffer keeps the allocation `new` gave it.
+        let buffers = |svc: &QuantileService<u64>| {
+            let traj = &svc.traj;
+            let mut ptrs: Vec<(usize, usize)> = traj.snaps.iter().map(|s| ptr_len(s)).collect();
+            ptrs.extend([
+                ptr_len(&traj.sources),
+                ptr_len(&traj.outputs),
+                ptr_len(&svc.coins),
+            ]);
+            ptrs
+        };
+        let allocated = buffers(&inc);
         inc.epoch().unwrap();
+        assert_eq!(buffers(&inc), allocated);
         for (node, val) in [(7usize, 1u64), (123, 99_999), (250, 17)] {
             inc.set_value(node, val).unwrap();
         }
@@ -1600,6 +1473,7 @@ mod tests {
             out.mode,
             EpochMode::Incremental { dirty_nodes: 3, .. }
         ));
+        assert_eq!(buffers(&inc), allocated);
 
         let mut updated = values;
         for (node, val) in [(7usize, 1u64), (123, 99_999), (250, 17)] {
@@ -1610,6 +1484,16 @@ mod tests {
         let fout = full.epoch().unwrap();
         assert_eq!(out.answers, fout.answers);
         assert_eq!(out.rounds, fout.rounds);
+
+        let again = inc.recompute_full().unwrap();
+        assert_eq!(again.mode, EpochMode::Full);
+        assert_eq!(again.answers, fout.answers);
+        assert_eq!(buffers(&inc), allocated);
+    }
+
+    /// A buffer's backing-store address and length.
+    fn ptr_len<T>(buf: &[T]) -> (usize, usize) {
+        (buf.as_ptr() as usize, buf.len())
     }
 
     #[test]
@@ -1670,6 +1554,20 @@ mod tests {
         let eff = svc.effective_values()[1];
         svc.ingest(1, eff).unwrap();
         assert_eq!(svc.effective_values()[1], eff);
+        // A holder's first `ingest`, untouched or after `set_value`, starts
+        // from the singleton sketch of its current value. The inserted
+        // value is the larger one, so the median is the previous value.
+        let singleton_then = |previous: u64, value: u64| {
+            let mut sketch =
+                CompactorSketch::singleton(previous, ServiceConfig::default().sketch_capacity);
+            sketch.insert(value);
+            sketch.quantile(0.5).unwrap()
+        };
+        svc.ingest(2, 90_000).unwrap();
+        assert_eq!(svc.effective_values()[2], singleton_then(values[2], 90_000));
+        svc.set_value(3, 40_000).unwrap();
+        svc.ingest(3, 90_000).unwrap();
+        assert_eq!(svc.effective_values()[3], singleton_then(40_000, 90_000));
     }
 
     #[test]
@@ -1688,23 +1586,28 @@ mod tests {
             ec.clone()
         )
         .is_err());
-        assert!(QuantileService::new(
-            &values,
-            &[QuantileQuery::new(0.5, 0.0)],
-            ServiceConfig::default(),
-            ec.clone()
-        )
-        .is_err());
+        for epsilon in [0.0, f64::NAN] {
+            assert!(QuantileService::new(
+                &values,
+                &[QuantileQuery::new(0.5, epsilon)],
+                ServiceConfig::default(),
+                ec.clone()
+            )
+            .is_err());
+        }
         let bad = ServiceConfig {
             dirty_threshold: f64::NAN,
             ..ServiceConfig::default()
         };
         assert!(QuantileService::new(&values, &q, bad, ec.clone()).is_err());
-        let bad = ServiceConfig {
-            sketch_capacity: 0,
-            ..ServiceConfig::default()
-        };
-        assert!(QuantileService::new(&values, &q, bad, ec).is_err());
+        // A compactor sketch needs room for two values.
+        for sketch_capacity in [0, 1] {
+            let bad = ServiceConfig {
+                sketch_capacity,
+                ..ServiceConfig::default()
+            };
+            assert!(QuantileService::new(&values, &q, bad, ec.clone()).is_err());
+        }
     }
 
     /// SplitMix64: a deterministic value stream for the kernel tests.

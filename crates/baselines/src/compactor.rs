@@ -218,6 +218,8 @@ pub struct CompactorOutcome<V> {
 ///
 /// Returns [`GossipError::TooFewNodes`] if fewer than two values are given, or
 /// [`GossipError::InvalidParameter`] if `phi` is not in `[0, 1]`.
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn approximate_quantile<V: NodeValue>(
     values: &[V],
     phi: f64,
@@ -244,7 +246,7 @@ pub fn approximate_quantile<V: NodeValue>(
         .iter()
         .map(|&v| (v, CompactorSketch::empty(capacity)))
         .collect();
-    let mut engine = Engine::from_states(states, engine_config);
+    let mut engine = Engine::try_from_states(states, engine_config)?;
     engine.pull_round(
         |_, (own, _)| *own,
         |_, (own, sk), pulled| {

@@ -74,6 +74,8 @@ pub struct DoublingOutcome<V> {
 ///
 /// Returns [`GossipError::TooFewNodes`] if fewer than two values are given, or
 /// [`GossipError::InvalidParameter`] if `phi` is not in `[0, 1]`.
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn approximate_quantile<V: NodeValue>(
     values: &[V],
     phi: f64,
@@ -97,7 +99,7 @@ pub fn approximate_quantile<V: NodeValue>(
     // exactly as in Appendix A ("Before the first round, each node v samples a
     // random node t0(v) and sets S_v(0) = {t0(v)}").
     let states: Vec<(V, Vec<V>)> = values.iter().map(|&v| (v, Vec::new())).collect();
-    let mut engine = Engine::from_states(states, engine_config);
+    let mut engine = Engine::try_from_states(states, engine_config)?;
 
     engine.pull_round(
         |_, (own, _)| *own,

@@ -86,6 +86,8 @@ fn median_rounded(estimates: &[f64]) -> u64 {
 /// Returns an error if fewer than two values are given, `phi` is outside
 /// `[0, 1]`, or the iteration cap is exceeded (which indicates a
 /// mis-configured counting budget).
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn exact_quantile<V: NodeValue>(
     values: &[V],
     phi: f64,

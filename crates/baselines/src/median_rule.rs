@@ -62,6 +62,8 @@ pub(crate) fn median3<V: Ord>(a: V, b: V, c: V) -> V {
 /// # Errors
 ///
 /// Returns [`GossipError::TooFewNodes`] if fewer than two values are given.
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn run<V: NodeValue>(
     values: &[V],
     config: &MedianRuleConfig,
@@ -72,7 +74,7 @@ pub fn run<V: NodeValue>(
             requested: values.len(),
         });
     }
-    let mut engine = Engine::from_states(values.to_vec(), engine_config);
+    let mut engine = Engine::try_from_states(values.to_vec(), engine_config)?;
     let mut iterations = 0u64;
     let mut consensus = all_equal(engine.states());
     while iterations < config.max_iterations && !(config.stop_on_consensus && consensus) {

@@ -163,7 +163,7 @@ fn run_push_sum<S: Sums>(
     initial: Vec<(S, f64)>,
     config: &PushSumConfig,
     engine_config: EngineConfig,
-) -> PushSumOutcome<S> {
+) -> Result<PushSumOutcome<S>> {
     let n = initial.len();
     let states: Vec<PushSumState<S>> = initial
         .into_iter()
@@ -174,7 +174,7 @@ fn run_push_sum<S: Sums>(
             out_w: 0.0,
         })
         .collect();
-    let mut engine = Engine::from_states(states, engine_config);
+    let mut engine = Engine::try_from_states(states, engine_config)?;
     let rounds = config.rounds_for(n);
 
     for _ in 0..rounds {
@@ -215,11 +215,11 @@ fn run_push_sum<S: Sums>(
         .iter()
         .map(|st| st.s.map(|s| if st.w > 0.0 { s / st.w } else { 0.0 }))
         .collect();
-    PushSumOutcome {
+    Ok(PushSumOutcome {
         estimates,
         rounds,
         metrics,
-    }
+    })
 }
 
 /// Estimates the **average** of `values` at every node.
@@ -227,6 +227,8 @@ fn run_push_sum<S: Sums>(
 /// # Errors
 ///
 /// Returns [`GossipError::TooFewNodes`] if fewer than two values are given.
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn average(
     values: &[f64],
     config: &PushSumConfig,
@@ -237,11 +239,11 @@ pub fn average(
             requested: values.len(),
         });
     }
-    Ok(run_push_sum(
+    run_push_sum(
         values.iter().map(|&v| (v, 1.0)).collect(),
         config,
         engine_config,
-    ))
+    )
 }
 
 /// Estimates the **sum** of `values` at every node.
@@ -252,6 +254,8 @@ pub fn average(
 /// # Errors
 ///
 /// Returns [`GossipError::TooFewNodes`] if fewer than two values are given.
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn sum(
     values: &[f64],
     config: &PushSumConfig,
@@ -267,7 +271,7 @@ pub fn sum(
         .enumerate()
         .map(|(v, &x)| (x, if v == 0 { 1.0 } else { 0.0 }))
         .collect();
-    Ok(run_push_sum(initial, config, engine_config))
+    run_push_sum(initial, config, engine_config)
 }
 
 /// Estimates, at every node, the **number of nodes satisfying a predicate**
@@ -281,6 +285,8 @@ pub fn sum(
 /// # Errors
 ///
 /// Returns [`GossipError::TooFewNodes`] if fewer than two indicator values are given.
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn count_matching<I: Indicator>(
     indicators: &[I],
     config: &PushSumConfig,
@@ -293,7 +299,7 @@ pub fn count_matching<I: Indicator>(
     }
     let n = indicators.len() as f64;
     let initial = indicators.iter().map(|i| (i.sums(), 1.0)).collect();
-    let mut outcome = run_push_sum(initial, config, engine_config);
+    let mut outcome = run_push_sum(initial, config, engine_config)?;
     for e in &mut outcome.estimates {
         *e = e.map(|c| c * n);
     }

@@ -115,6 +115,8 @@ struct MinMaxState<V> {
 /// # Errors
 ///
 /// Returns [`GossipError::TooFewNodes`] if fewer than two values are given.
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn spread_min_max<V: NodeValue>(
     values: &[V],
     rounds: SpreadRounds,
@@ -131,7 +133,7 @@ pub fn spread_min_max<V: NodeValue>(
         .iter()
         .map(|&v| MinMaxState { min: v, max: v })
         .collect();
-    let mut engine = Engine::from_states(states, engine_config);
+    let mut engine = Engine::try_from_states(states, engine_config)?;
     let total_rounds = rounds.rounds_for(values.len());
 
     for _ in 0..total_rounds {
@@ -197,6 +199,8 @@ pub struct RumorOutcome {
 /// Returns [`GossipError::TooFewNodes`] if `n < 2`, or
 /// [`GossipError::InvalidParameter`] if `sources` is empty or names a node
 /// `>= n`.
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn spread_rumor(
     n: usize,
     sources: &[usize],
@@ -226,7 +230,7 @@ pub fn spread_rumor(
         informed
     };
     let mut active = ActiveSet::from_members(n, sources.iter().copied())?;
-    let mut engine = Engine::from_states(states, engine_config);
+    let mut engine = Engine::try_from_states(states, engine_config)?;
     let budget = rounds.rounds_for(n);
     let mut informed_per_round = vec![active.len()];
 
@@ -265,6 +269,8 @@ pub fn spread_rumor(
 /// # Errors
 ///
 /// Returns [`GossipError::TooFewNodes`] if fewer than two items are given.
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn spread_max_tagged<V: NodeValue>(
     tagged: &[(u64, V)],
     rounds: SpreadRounds,
@@ -275,7 +281,7 @@ pub fn spread_max_tagged<V: NodeValue>(
             requested: tagged.len(),
         });
     }
-    let mut engine = Engine::from_states(tagged.to_vec(), engine_config);
+    let mut engine = Engine::try_from_states(tagged.to_vec(), engine_config)?;
     let total_rounds = rounds.rounds_for(tagged.len());
     for _ in 0..total_rounds {
         engine.push_pull_round(

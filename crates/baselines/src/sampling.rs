@@ -75,6 +75,8 @@ pub struct SamplingOutcome<V> {
 ///
 /// Returns [`GossipError::TooFewNodes`] if fewer than two values are given, or
 /// [`GossipError::InvalidParameter`] if `phi` is not in `[0, 1]`.
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn approximate_quantile<V: NodeValue>(
     values: &[V],
     phi: f64,
@@ -93,7 +95,7 @@ pub fn approximate_quantile<V: NodeValue>(
         });
     }
     let k = config.samples_for(values.len());
-    let mut engine = Engine::from_states(values.to_vec(), engine_config);
+    let mut engine = Engine::try_from_states(values.to_vec(), engine_config)?;
     engine.sample_step(
         k,
         k,

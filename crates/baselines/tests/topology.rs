@@ -3,8 +3,12 @@
 //! complete-graph bounds stop holding exactly where mixing slows down.
 //! (Everything is seed-deterministic, so these are replay checks.)
 
-use baselines::rumor::{spread_min_max, SpreadRounds};
-use gossip_net::{EngineConfig, Topology};
+use baselines::rumor::{spread_max_tagged, spread_min_max, spread_rumor, SpreadRounds};
+use baselines::{
+    compactor, doubling, kdg_selection, median_rule, push_sum, sampling, CompactorConfig,
+    DoublingConfig, KdgSelectionConfig, MedianRuleConfig, PushSumConfig, SamplingConfig,
+};
+use gossip_net::{EngineConfig, GossipError, Topology};
 
 #[test]
 fn rumor_spreading_completes_on_an_expander_in_logarithmic_rounds() {
@@ -36,4 +40,89 @@ fn rumor_spreading_on_a_thin_ring_misses_the_logarithmic_budget() {
         out.rounds
     );
     assert!(out.coverage(0, (n - 1) as u64) < 0.5);
+}
+
+/// A ring too wide for the network (60 neighbours a side need 121 nodes, and
+/// there are 101) is the topology's error at every entry point that builds
+/// an engine, never a panic.
+#[test]
+fn an_unrealisable_topology_is_an_error_at_every_entry_point() {
+    let n = 101;
+    let values: Vec<u64> = (0..n as u64).map(|i| (i * 37) % 101).collect();
+    let reals: Vec<f64> = values.iter().map(|&v| v as f64).collect();
+    let tagged: Vec<(u64, u64)> = values.iter().map(|&v| (v, v)).collect();
+    let config = EngineConfig::with_seed(5).topology(Topology::ring(60));
+    let (phi, eps, rounds) = (0.5, 0.1, SpreadRounds::default());
+    let push_sum_config = PushSumConfig::default();
+    let errors = [
+        (
+            "median_rule::run",
+            median_rule::run(&values, &MedianRuleConfig::default(), config.clone()).err(),
+        ),
+        (
+            "push_sum::average",
+            push_sum::average(&reals, &push_sum_config, config.clone()).err(),
+        ),
+        (
+            "push_sum::sum",
+            push_sum::sum(&reals, &push_sum_config, config.clone()).err(),
+        ),
+        (
+            "push_sum::count_matching",
+            push_sum::count_matching(&vec![true; n], &push_sum_config, config.clone()).err(),
+        ),
+        (
+            "spread_min_max",
+            spread_min_max(&values, rounds, config.clone()).err(),
+        ),
+        (
+            "spread_rumor",
+            spread_rumor(n, &[0], rounds, config.clone()).err(),
+        ),
+        (
+            "spread_max_tagged",
+            spread_max_tagged(&tagged, rounds, config.clone()).err(),
+        ),
+        (
+            "doubling::approximate_quantile",
+            doubling::approximate_quantile(
+                &values,
+                phi,
+                &DoublingConfig::new(eps).unwrap(),
+                config.clone(),
+            )
+            .err(),
+        ),
+        (
+            "compactor::approximate_quantile",
+            compactor::approximate_quantile(
+                &values,
+                phi,
+                &CompactorConfig::new(eps).unwrap(),
+                config.clone(),
+            )
+            .err(),
+        ),
+        (
+            "sampling::approximate_quantile",
+            sampling::approximate_quantile(
+                &values,
+                phi,
+                &SamplingConfig::new(eps).unwrap(),
+                config.clone(),
+            )
+            .err(),
+        ),
+        (
+            "kdg_selection::exact_quantile",
+            kdg_selection::exact_quantile(&values, phi, &KdgSelectionConfig::default(), config)
+                .err(),
+        ),
+    ];
+    for (name, error) in errors {
+        assert!(
+            matches!(error, Some(GossipError::InvalidParameter { name: "k", .. })),
+            "{name}: {error:?}"
+        );
+    }
 }

@@ -1,11 +1,10 @@
 //! Multi-query service throughput: round amortisation, payload cost, and
-//! incremental-recompute speedup.
+//! the replay's cost against a full recompute.
 //!
 //! Three experiments, all on the batched [`QuantileService`]:
 //!
 //! * **Batch grid** — for every n ∈ {10k, 100k, 1M} and query-vector size
-//!   q ∈ {1, 8, 64} up to n·q = 10⁷ (so n = 1M stops at q = 8; see
-//!   `MAX_LANE_SLOTS`): the median of five epochs (fresh service each, so the
+//!   q ∈ {1, 8, 64}: the median of five epochs (fresh service each, so the
 //!   cold first-epoch cost is what's measured) answering all q queries
 //!   through shared tournament rounds. Each timed epoch includes
 //!   `QuantileService::new`, which allocates the epoch buffers, just as the
@@ -23,17 +22,18 @@
 //!   remaining 1M cells extrapolate as `q ×` the measured single-query run
 //!   (the JSON row says which, in `seq_mode` — nothing is silently
 //!   dropped).
-//! * **Incremental vs full** — at n = 100k, q = 8: epoch, mutate a dirty
-//!   fraction ∈ {0.1%, 1%, 10%} of holders, then time the sparse incremental
-//!   epoch against a from-scratch recompute of the same inputs (a fresh
-//!   service, construction included).
+//! * **Incremental vs full** — at n = 100k, q = 8: epoch, move 1 % of the
+//!   holders by +1, then time the replay (`epoch()` over the cached
+//!   contact graph, for every node) against a from-scratch recompute of the
+//!   same inputs (a fresh service, construction included). The replay's
+//!   work depends neither on how many holders moved nor on how far.
 //!
 //! Results land in `BENCH_service.json` in the workspace root (override with
 //! `$BENCH_SERVICE_JSON`). Set `SERVICE_QPS_QUICK=1` (CI's bench smoke step
 //! does) to shrink the grid to a bit-rot check: the batch grid runs at
-//! n = 10k and q ∈ {1, 8}, and the incremental comparison at 1 % only, but
-//! still at the committed n = 100k, so its rows match committed rows and the
-//! drift check compares their rounds and dirty counts:
+//! n = 10k and q ∈ {1, 8}; the incremental comparison runs as in a full
+//! run, at the committed n = 100k, so its row matches the committed row and
+//! the drift check compares its rounds and dirty count:
 //!
 //! ```text
 //! cargo bench -p bench --bench service_qps
@@ -45,13 +45,6 @@ use quantile_gossip::{
     tournament_quantile, EpochMode, QuantileQuery, QuantileService, ServiceConfig, TournamentConfig,
 };
 use std::time::Instant;
-
-/// Largest `n·q` the batch grid runs. An epoch keeps `t₁max + t₂max + 1`
-/// lane-major snapshots of `n·q` values (14 of them at n = 1M), so the
-/// n = 1M, q = 64 cell would hold about 8.4 GB — more than a shared bench
-/// host should spend on one row. It returns once the trajectory cache is
-/// opt-in.
-const MAX_LANE_SLOTS: usize = 10_000_000;
 
 fn quick() -> bool {
     std::env::var_os("SERVICE_QPS_QUICK").is_some_and(|v| v != "0")
@@ -129,8 +122,11 @@ fn run_batch_cell(
         let t = Instant::now();
         let mut svc = QuantileService::new(&vals, &queries, ServiceConfig::default(), ec.clone())
             .expect("valid service parameters");
-        let out = svc.epoch().expect("epoch");
+        let mut out = svc.epoch().expect("epoch");
         epoch_samples.push(t.elapsed().as_secs_f64());
+        // Only the stage timings differ between trials: free the answers,
+        // which at n = 1M, q = 64 are half a gigabyte per trial.
+        out.answers = Vec::new();
         outcomes.push(out);
     }
     let mut sorted = epoch_samples.clone();
@@ -203,51 +199,22 @@ fn run_batch_cell(
     }
 }
 
-/// How the dirty holders' values move between epochs. The dirty *closure* —
-/// and with it the incremental speedup — depends on this, not just on the
-/// dirty count: a small drift rarely changes any tournament comparison, so
-/// the replay stays local, while replacing values with fresh random draws
-/// can move the converged quantile value itself, which dirties every node's
-/// trajectory tail and forces a near-full (engine-free) dataflow replay.
-#[derive(Clone, Copy)]
-enum Perturbation {
-    /// Each dirty holder's value moves by +1 — a sensor-style small drift.
-    Drift,
-    /// Each dirty holder's value is replaced by a fresh random draw.
-    Replace,
-}
-
-impl Perturbation {
-    fn label(self) -> &'static str {
-        match self {
-            Perturbation::Drift => "drift",
-            Perturbation::Replace => "replace",
-        }
-    }
-}
-
 struct IncrementalCell {
     n: usize,
     q: usize,
     dirty_fraction: f64,
     dirty_nodes: usize,
-    perturbation: Perturbation,
     rounds: u64,
     inc_secs: f64,
     replay_secs: f64,
-    patch_secs: f64,
+    vote_secs: f64,
     full_secs: f64,
     speedup: f64,
 }
 
-/// Epoch, dirty a fraction of holders, and time incremental vs full.
-fn run_incremental_cell(
-    n: usize,
-    q: usize,
-    dirty_fraction: f64,
-    perturbation: Perturbation,
-    seed: u64,
-) -> IncrementalCell {
+/// Epoch, move a fraction of holders by +1, and time the replay against a
+/// full recompute.
+fn run_incremental_cell(n: usize, q: usize, dirty_fraction: f64, seed: u64) -> IncrementalCell {
     let mut vals = values(n);
     let queries = query_vector(q);
     let ec = EngineConfig::with_seed(seed);
@@ -259,24 +226,15 @@ fn run_incremental_cell(
     // Spread the edits over the id space.
     for j in 0..k {
         let node = (j * n) / k;
-        let value = match perturbation {
-            Perturbation::Drift => vals[node].wrapping_add(1),
-            Perturbation::Replace => (node as u64)
-                .wrapping_mul(0xD134_2543_DE82_EF95)
-                .wrapping_add(seed),
-        };
-        svc.set_value(node, value).expect("in range");
-        vals[node] = value;
+        vals[node] = vals[node].wrapping_add(1);
+        svc.set_value(node, vals[node]).expect("in range");
     }
     let dirty_nodes = svc.dirty_nodes();
 
     let t = Instant::now();
     let inc = svc.epoch().expect("incremental epoch");
     let inc_secs = t.elapsed().as_secs_f64();
-    assert!(
-        matches!(inc.mode, EpochMode::Incremental { .. }),
-        "dirty fraction {dirty_fraction} unexpectedly exceeded the threshold"
-    );
+    assert_eq!(inc.mode, EpochMode::Incremental { dirty_nodes });
 
     let t = Instant::now();
     let mut fresh = QuantileService::new(&vals, &queries, ServiceConfig::default(), ec)
@@ -293,11 +251,10 @@ fn run_incremental_cell(
         q,
         dirty_fraction,
         dirty_nodes,
-        perturbation,
         rounds: inc.rounds,
         inc_secs,
         replay_secs: inc.timings.replay_secs,
-        patch_secs: inc.timings.vote_secs,
+        vote_secs: inc.timings.vote_secs,
         full_secs,
         speedup: full_secs / inc_secs.max(1e-9),
     }
@@ -345,10 +302,6 @@ fn bench_service_qps(c: &mut Criterion) {
 
     for &n in sizes {
         for &q in qs {
-            if n * q > MAX_LANE_SLOTS {
-                println!("service_qps n={n} q={q}: skipped (n·q above {MAX_LANE_SLOTS})");
-                continue;
-            }
             let cell = run_batch_cell(n, q, 42, trials, n <= seq_measure_cap || q == 1);
             println!(
                 "service_qps n={n} q={q}: rounds={} (solo total {}), amortisation={:.1}x, \
@@ -396,43 +349,36 @@ fn bench_service_qps(c: &mut Criterion) {
         }
     }
 
-    let fractions: &[f64] = if quick { &[0.01] } else { &[0.001, 0.01, 0.1] };
-    for &fraction in fractions {
-        for perturbation in [Perturbation::Drift, Perturbation::Replace] {
-            let cell = run_incremental_cell(100_000, 8, fraction, perturbation, 1337);
-            println!(
-                "service_qps incremental n={} q=8 dirty={:.3}% ({} holders, {}): \
-                 inc={:.3}s (replay {:.3}s, patch {:.3}s) full={:.3}s speedup={:.1}x",
-                cell.n,
-                100.0 * cell.dirty_fraction,
-                cell.dirty_nodes,
-                cell.perturbation.label(),
-                cell.inc_secs,
-                cell.replay_secs,
-                cell.patch_secs,
-                cell.full_secs,
-                cell.speedup
-            );
-            rows.push(format!(
-                "    {{\"kind\": \"incremental\", \"n\": {}, \"q\": {}, \
-                 \"dirty_fraction\": {}, \"dirty_nodes\": {}, \
-                 \"perturbation\": \"{}\", \"rounds\": {}, \
-                 \"inc_secs\": {:.6}, \"replay_secs\": {:.6}, \"patch_secs\": {:.6}, \
-                 \"full_secs\": {:.6}, \"speedup\": {:.3}}}",
-                cell.n,
-                cell.q,
-                cell.dirty_fraction,
-                cell.dirty_nodes,
-                cell.perturbation.label(),
-                cell.rounds,
-                cell.inc_secs,
-                cell.replay_secs,
-                cell.patch_secs,
-                cell.full_secs,
-                cell.speedup,
-            ));
-        }
-    }
+    let cell = run_incremental_cell(100_000, 8, 0.01, 1337);
+    println!(
+        "service_qps incremental n={} q={} dirty={:.3}% ({} holders): \
+         inc={:.3}s (replay {:.3}s, vote {:.3}s) full={:.3}s speedup={:.1}x",
+        cell.n,
+        cell.q,
+        100.0 * cell.dirty_fraction,
+        cell.dirty_nodes,
+        cell.inc_secs,
+        cell.replay_secs,
+        cell.vote_secs,
+        cell.full_secs,
+        cell.speedup
+    );
+    rows.push(format!(
+        "    {{\"kind\": \"incremental\", \"n\": {}, \"q\": {}, \
+         \"dirty_fraction\": {}, \"dirty_nodes\": {}, \"rounds\": {}, \
+         \"inc_secs\": {:.6}, \"replay_secs\": {:.6}, \"vote_secs\": {:.6}, \
+         \"full_secs\": {:.6}, \"speedup\": {:.3}}}",
+        cell.n,
+        cell.q,
+        cell.dirty_fraction,
+        cell.dirty_nodes,
+        cell.rounds,
+        cell.inc_secs,
+        cell.replay_secs,
+        cell.vote_secs,
+        cell.full_secs,
+        cell.speedup,
+    ));
 
     // Anchor the report in the workspace root, like the other BENCH_*.json.
     let path = std::env::var("BENCH_SERVICE_JSON").unwrap_or_else(|_| {

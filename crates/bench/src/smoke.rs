@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 
 /// Keys that identify a row within its section rather than measuring it.
 /// Spans all three reports: engine rows (`n`/`threads`/`active_frac`/
-/// `change`/`k`), service rows (`kind`/`q`/`dirty_fraction`/`perturbation`) and
+/// `change`/`k`), service rows (`kind`/`q`/`dirty_fraction`) and
 /// robustness rows (in-row `section` plus `fault`/`intensity` for the sweep,
 /// `mode`/`mu` for the schedule comparison).
 const IDENTITY_KEYS: &[&str] = &[
@@ -53,7 +53,6 @@ const IDENTITY_KEYS: &[&str] = &[
     "kind",
     "q",
     "dirty_fraction",
-    "perturbation",
     "section",
     "fault",
     "intensity",

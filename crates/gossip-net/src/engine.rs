@@ -1126,10 +1126,11 @@ impl<S> Engine<S> {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two states are supplied; use [`Engine::try_from_states`]
-    /// for a fallible constructor.
+    /// Panics on any error of [`Engine::try_from_states`], the fallible
+    /// constructor: too few or too many states, or a topology or fault plan
+    /// that cannot be realised on this network size.
     pub fn from_states(states: Vec<S>, config: EngineConfig) -> Self {
-        Engine::try_from_states(states, config).expect("uniform gossip needs at least 2 nodes")
+        Engine::try_from_states(states, config).expect("Engine::try_from_states failed")
     }
 
     /// Fallible variant of [`Engine::from_states`].

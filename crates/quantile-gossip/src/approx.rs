@@ -112,6 +112,8 @@ pub struct ApproxOutcome<V> {
 ///
 /// Returns an error if fewer than two values are given or `φ ∉ [0, 1]` /
 /// `ε ≤ 0` / `ε` is NaN.
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn tournament_quantile<V: NodeValue>(
     values: &[V],
     phi: f64,
@@ -180,6 +182,8 @@ pub fn tournament_quantile<V: NodeValue>(
 ///
 /// Returns an error if fewer than two values are given, `φ ∉ [0, 1]`, or
 /// `ε ≤ 0` or NaN.
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn approximate_quantile<V: NodeValue>(
     values: &[V],
     phi: f64,

@@ -209,6 +209,8 @@ pub struct ExactOutcome<V> {
 /// inputs do not fit the rank-code layout (2²⁸ or more values, or a value of
 /// 256 or more message bits), or the iteration cap is exhausted (which
 /// indicates a mis-configured round budget).
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn exact_quantile<V: NodeValue>(
     values: &[V],
     phi: f64,
@@ -318,7 +320,7 @@ pub(crate) fn narrow_to_rank<V: NodeValue>(
             &upper_outputs,
             config.spread_rounds.rounds_for(n),
             sub(&mut seeds),
-        );
+        )?;
         metrics = metrics + spread_metrics;
         rounds += spread_rounds;
 
@@ -439,9 +441,9 @@ fn spread_bracket(
     upper: &[Code],
     rounds: u64,
     engine_config: EngineConfig,
-) -> (Code, Code, u64, Metrics) {
+) -> Result<(Code, Code, u64, Metrics)> {
     let states: Vec<(Code, Code)> = lower.iter().copied().zip(upper.iter().copied()).collect();
-    let mut engine = Engine::from_states(states, engine_config);
+    let mut engine = Engine::try_from_states(states, engine_config)?;
     for _ in 0..rounds {
         engine.push_pull_round(
             |_, st| *st,
@@ -471,7 +473,7 @@ fn spread_bracket(
         .map(|s| s.1)
         .max()
         .expect("non-empty network");
-    (lo, hi, rounds, metrics)
+    Ok((lo, hi, rounds, metrics))
 }
 
 /// Counts `#{keys ≤ bound}` for both bounds in one push-sum over
@@ -544,7 +546,7 @@ fn distribute_tokens<V: NodeValue>(
             .filter(|(_, x)| x.is_some())
             .map(|(v, _)| v),
     )?;
-    let mut engine = Engine::from_states(states, engine_config);
+    let mut engine = Engine::try_from_states(states, engine_config)?;
     let max_rounds =
         8 * (n.max(2) as f64).log2().ceil() as u64 + 4 * (m as f64).log2().ceil() as u64 + 64;
 

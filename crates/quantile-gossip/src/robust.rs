@@ -126,6 +126,8 @@ fn good_pulls<V: Copy>(samples: &[Option<(V, bool)>]) -> impl Iterator<Item = V>
 /// Returns an error if fewer than two values are given, `φ ∉ [0, 1]`,
 /// `ε ≤ 0` or NaN, or `μ` is neither given nor derivable from the failure
 /// model.
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn robust_approximate_quantile<V: NodeValue>(
     values: &[V],
     phi: f64,
@@ -173,7 +175,7 @@ pub fn robust_approximate_quantile<V: NodeValue>(
             answer: None,
         })
         .collect();
-    let mut engine = Engine::from_states(states, engine_config);
+    let mut engine = Engine::try_from_states(states, engine_config)?;
 
     // Every iteration and the final vote are one sample step each: every
     // node pulls `(value, good)` pairs and uses the first good ones, in pull

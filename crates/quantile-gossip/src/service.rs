@@ -1,4 +1,4 @@
-//! Batched multi-query quantile service with incremental recompute.
+//! Batched multi-query quantile service with an engine-free replay.
 //!
 //! [`QuantileService`] answers a *vector* of `(φ, ε)` queries over the same
 //! `n` holders through **shared** tournament rounds: every gossip contact
@@ -24,36 +24,30 @@
 //! suite in `tests/service.rs` pins this on every topology and under a
 //! disruptive [`gossip_net::FaultPlan`].
 //!
-//! **One window sequence.** The service builds an epoch's windows once, at
+//! **One epoch body.** The service builds an epoch's windows once, at
 //! construction: every Phase I iteration (two rounds on the Phase I engine),
 //! then every Phase II window (three rounds on the Phase II engine); the `K`
-//! rounds only the vote uses follow. Each window steps every node from one
-//! snapshot into the next, so Phase II continues in Phase I's last snapshot
-//! and one chain of `t1max + t2max + 1` snapshots holds the whole
-//! trajectory. `n`, `q` and the windows are fixed from then on, so
-//! construction also allocates every epoch buffer — the snapshots, the
-//! source sheet, the outputs, the participation coins and the δ-cut active
-//! set — and epochs only ever fill them.
+//! rounds only the vote uses follow. An epoch fills sheet 0 with the inputs
+//! and steps every node through each window from one of two `n·q` ping-pong
+//! sheets into the other, so Phase II continues where Phase I stopped, and
+//! the vote writes into the sheet that does not hold the final states. `n`,
+//! `q` and the windows are fixed from then on, so construction also
+//! allocates every epoch buffer — the two sheets, the source sheet, the
+//! participation coins and the δ-cut active set — and epochs only fill them.
 //!
-//! **Incremental recompute.** Holders ingest new values between epochs
+//! **Replay.** Holders ingest new values between epochs
 //! ([`QuantileService::ingest`]), summarised per holder by the
 //! [`CompactorSketch`] of Appendix A, created by the holder's first
 //! `ingest` (the holder gossips its sketch median).
 //! Contact patterns are epoch-invariant — every draw (targets, participation
 //! coins, fault outcomes) is keyed purely by `(seed, round, node)` — so the
 //! full recompute records the *realised* pull source of every node in every
-//! round alongside the per-iteration state snapshots. An incremental
-//! [`QuantileService::epoch`] then needs no engine at all: it replays the
-//! cached trajectory as a pure dataflow over that realised contact graph,
-//! touching per round only the nodes whose own state or realised source is
-//! dirty and pruning nodes whose recomputed state matches the cache. The
-//! epoch reports the cached logical round and traffic cost (the network
-//! cost of the trajectory is unchanged — only the service-side wall-clock
-//! shrinks with the dirty closure). When the dirty fraction exceeds
-//! [`ServiceConfig::dirty_threshold`] the service recomputes from scratch
-//! instead, refreshing the cache. Either way the answers equal a
-//! from-scratch [`recompute_full`] (`tests/service.rs` pins exact
-//! equality).
+//! round in the source sheet. Every later [`QuantileService::epoch`] then
+//! needs no engine at all: it runs the same epoch body over that cached
+//! contact graph, for every node, and reports the cached logical round and
+//! traffic cost (the network would spend the same; only the draws are
+//! saved). Its answers equal a from-scratch [`recompute_full`]
+//! (`tests/service.rs` pins exact equality).
 //!
 //! [`recompute_full`]: QuantileService::recompute_full
 
@@ -94,9 +88,6 @@ impl QuantileQuery {
 pub struct ServiceConfig {
     /// The final `K`-sample vote shared by every lane (Algorithm 2, line 8).
     pub final_vote: FinalVote,
-    /// Dirty-holder fraction above which [`QuantileService::epoch`] abandons
-    /// incremental replay and recomputes from scratch.
-    pub dirty_threshold: f64,
     /// Capacity of each holder's ingestion [`CompactorSketch`].
     pub sketch_capacity: usize,
 }
@@ -105,7 +96,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             final_vote: FinalVote::default(),
-            dirty_threshold: 0.25,
             sketch_capacity: 32,
         }
     }
@@ -126,41 +116,38 @@ pub struct QueryCost {
 /// How an epoch was answered.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EpochMode {
-    /// Full recompute of every lane from the current inputs.
+    /// The phase engines drew every round into the source sheet.
     Full,
-    /// Sparse replay of the cached trajectory on the dirty closure only.
+    /// The cached source sheet was replayed for every node; no engine ran.
     Incremental {
-        /// Holders whose effective value changed since the cached epoch.
+        /// Holders written with a new value since the last epoch.
         dirty_nodes: usize,
-        /// `dirty_nodes / n`.
-        dirty_fraction: f64,
     },
 }
 
 /// Wall-clock breakdown of one epoch, by pipeline stage.
 ///
-/// Full epochs fill the collect / apply / vote stages; incremental epochs
-/// fill replay (the engine-free dataflow over the cached trajectory) and
-/// vote (the output patch). Purely observational — timings are never part
-/// of answer equality, and the unfilled stages of a mode stay `0.0`.
+/// Full epochs fill the collect / apply / vote stages; a replay fills replay
+/// (its participation coins and window steps) and vote. Purely
+/// observational — timings are never part of answer equality, and the
+/// unfilled stages of a mode stay `0.0`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochTimings {
     /// Seconds drawing the epoch's rounds as realised sources only
-    /// ([`Engine::pull_sources`], straight into the trajectory's source
-    /// rows), including participation coins and δ-cut active sets.
+    /// ([`Engine::pull_sources`], straight into the source sheet), including
+    /// participation coins and δ-cut active sets.
     pub collect_secs: f64,
     /// Seconds in the fused gather-and-step passes: each window reads every
-    /// node's samples out of snapshot `j` at its realised sources and writes
-    /// its lane values into snapshot `j + 1`.
+    /// node's samples out of one sheet at its realised sources and writes
+    /// its lane values into the other.
     pub apply_secs: f64,
-    /// Always `0.0`: the passes above write the whole replay cache in place,
-    /// so no stage records it. Kept only because perfbench reports it as
-    /// `service.record_s`.
+    /// Always `0.0`: no stage records anything. Kept only because perfbench
+    /// reports it as `service.record_s`.
     pub record_secs: f64,
-    /// Seconds deriving (full epochs) or patching (incremental epochs) the
-    /// per-lane vote outputs.
+    /// Seconds in the vote pass.
     pub vote_secs: f64,
-    /// Seconds replaying the cached dataflow (incremental epochs only).
+    /// Seconds a replay spends on its participation coins and its window
+    /// steps (the apply of a full epoch, over the cached sources).
     pub replay_secs: f64,
 }
 
@@ -179,7 +166,7 @@ pub struct ServiceOutcome<V> {
     pub metrics: Metrics,
     /// Per-query solo-run costs, for amortisation accounting.
     pub per_query: Vec<QueryCost>,
-    /// Whether this epoch ran fully or incrementally.
+    /// Whether this epoch drew its rounds or replayed the cached ones.
     pub mode: EpochMode,
     /// Wall-clock breakdown of the epoch's pipeline stages.
     pub timings: EpochTimings,
@@ -213,43 +200,6 @@ impl LanePlan {
     }
 }
 
-/// The trajectory of the last full epoch, the raw material of incremental
-/// replay: one chain of `t1max + t2max + 1` snapshots, allocated at full
-/// size by [`QuantileService::new`] and refilled in place by every epoch.
-/// `snaps[j][v * q + i]` is node `v`'s lane-`i` value before window `j` of
-/// the epoch's window sequence: `snaps[0]` holds the inputs, Phase II starts
-/// from Phase I's last snapshot `snaps[t1max]`, and the last snapshot holds
-/// the final states the vote reads. `outputs[v * q + i]` is the final vote
-/// output.
-///
-/// `sources` records the realised contact graph: the node each holder
-/// actually received a pull from in every round (`u32::MAX` when nothing
-/// was delivered — a failed target, a lost or straggling message, a crashed
-/// node, or a round the holder sat out). Draws are keyed purely by `(seed,
-/// round, node)`, so these sources are epoch-invariant: a re-run on new
-/// inputs realises exactly the same graph, which is what makes the
-/// engine-free incremental replay exact, faults included. It is one sheet
-/// of `2·t1max + 3·t2max + K` rows of `n`: each window's rounds from its
-/// first row (slots A and B of a Phase I iteration, three rounds of a Phase
-/// II window), then the `K` rounds only the vote uses. `rounds`/`metrics`
-/// are the logical cost of the cached trajectory, reported verbatim by
-/// incremental epochs.
-///
-/// Snapshots are stored lane-major and flat — `snaps[j][v * q + i]` — so a
-/// source read touches the one contiguous row covering every lane of the
-/// source node instead of chasing a per-node `Vec` pointer. They are not
-/// copies taken on the side: a full epoch steps each window straight from
-/// snapshot `j` into snapshot `j + 1`, so the snapshots double as the
-/// epoch's state buffers and nothing is copied between them.
-#[derive(Debug)]
-struct Trajectory<V> {
-    snaps: Vec<Vec<V>>,
-    outputs: Vec<V>,
-    sources: Vec<u32>,
-    rounds: u64,
-    metrics: Metrics,
-}
-
 /// A multi-query quantile service over `n` value holders.
 ///
 /// See the [module docs](self) for the design. Typical use:
@@ -272,8 +222,8 @@ struct Trajectory<V> {
 /// let out = svc.epoch()?;
 /// assert_eq!(out.answers.len(), 2);
 ///
-/// // A handful of holders observe new values; the next epoch replays only
-/// // the affected part of the trajectory.
+/// // A handful of holders observe new values; the next epoch replays the
+/// // first one's contact graph on them.
 /// svc.ingest(3, 123)?;
 /// svc.ingest(200, 45_000)?;
 /// let out2 = svc.epoch()?;
@@ -292,6 +242,8 @@ pub struct QuantileService<V: NodeValue> {
     /// its current value until its first [`ingest`](Self::ingest).
     sketches: Vec<Option<CompactorSketch<V>>>,
     inputs: Vec<V>,
+    /// `dirty[v]`: holder `v` was written with a new value since the last
+    /// epoch.
     dirty: Vec<bool>,
     /// The epoch's window sequence: every Phase I iteration, then every
     /// Phase II window.
@@ -299,13 +251,28 @@ pub struct QuantileService<V: NodeValue> {
     vote: VotePlan,
     /// Worker-thread override for epoch execution (`None` = engine default).
     threads: Option<usize>,
-    /// The epoch buffers, all sized by `new`: the trajectory, the current
-    /// iteration's participation coins and the δ-cut participant set.
-    traj: Trajectory<V>,
+    /// The two ping-pong sheets of `n·q` lane values. They are node-major —
+    /// `sheet[v * q + i]` is node `v`'s lane-`i` value — so a source read
+    /// touches one contiguous row covering every lane of the source node.
+    sheets: [Vec<V>; 2],
+    /// The source sheet, the realised contact graph: the node each holder
+    /// actually received a pull from in every round (`u32::MAX` when nothing
+    /// was delivered — a failed target, a lost or straggling message, a
+    /// crashed node, or a round the holder sat out). It has
+    /// `2·t1max + 3·t2max + K` rows of `n`: each window's rounds from its
+    /// first row (slots A and B of a Phase I iteration, three rounds of a
+    /// Phase II window), then the `K` rounds only the vote uses. Draws are
+    /// keyed purely by `(seed, round, node)`, so a full epoch on any inputs
+    /// draws the same sheet, which is what makes a replay exact, faults
+    /// included.
+    sources: Vec<u32>,
+    /// The current iteration's participation coins.
     coins: Vec<f64>,
+    /// The δ-cut participant set of a cut round.
     active: ActiveSet,
-    /// Whether a full epoch has filled `traj`.
-    filled: bool,
+    /// The metrics of the full epoch that drew `sources`; `None` until one
+    /// has.
+    drawn: Option<Metrics>,
 }
 
 impl<V: NodeValue> QuantileService<V> {
@@ -316,8 +283,10 @@ impl<V: NodeValue> QuantileService<V> {
     /// [`GossipError::TooFewNodes`] with fewer than two holders;
     /// [`GossipError::InvalidParameter`] for an empty query vector, a query
     /// with `φ ∉ [0, 1]` or `ε ≤ 0` or NaN (mirroring
-    /// [`crate::approx::tournament_quantile`]), a zero-sample vote, a
-    /// `dirty_threshold` outside `[0, 1]`, or a sketch capacity below 2.
+    /// [`crate::approx::tournament_quantile`]), a zero-sample vote or a
+    /// sketch capacity below 2; the engine's own error from
+    /// [`Engine::try_from_states`] for a topology or fault plan that does
+    /// not fit `n` holders.
     pub fn new(
         values: &[V],
         queries: &[QuantileQuery],
@@ -344,12 +313,6 @@ impl<V: NodeValue> QuantileService<V> {
             return Err(GossipError::InvalidParameter {
                 name: "vote.samples",
                 reason: format!("at most {} vote samples supported", u16::MAX),
-            });
-        }
-        if !(config.dirty_threshold >= 0.0 && config.dirty_threshold <= 1.0) {
-            return Err(GossipError::InvalidParameter {
-                name: "dirty_threshold",
-                reason: format!("must be in [0, 1], got {}", config.dirty_threshold),
             });
         }
         if config.sketch_capacity < 2 {
@@ -398,15 +361,6 @@ impl<V: NodeValue> QuantileService<V> {
             .chain((0..t2max).map(|j| Window::phase2(&plans, t1max, k, j)))
             .collect();
         let vote = VotePlan::new(&plans, t1max, k);
-        let (q, fill) = (queries.len(), values[0]);
-        let traj = Trajectory {
-            // One `vec!` per snapshot: cloning a sheet would read it back.
-            snaps: (0..=t1max + t2max).map(|_| vec![fill; n * q]).collect(),
-            outputs: vec![fill; n * q],
-            sources: vec![u32::MAX; (2 * t1max + 3 * t2max + k) * n],
-            rounds: 0,
-            metrics: Metrics::new(),
-        };
         let mut engine_config = engine_config;
         engine_config.ensure_pool_for(n);
         if engine_config.pool.is_none() {
@@ -416,6 +370,10 @@ impl<V: NodeValue> QuantileService<V> {
             // small-n wall-clock are unaffected.
             engine_config.pool = Some(Arc::new(WorkerPool::new(1)));
         }
+        // The phase engines differ from this one in their seed alone, so it
+        // refuses now what they would refuse in the first epoch.
+        Engine::try_from_states(vec![(); n], engine_config.clone())?;
+        let (q, fill) = (queries.len(), values[0]);
         Ok(QuantileService {
             queries: queries.to_vec(),
             windows,
@@ -428,10 +386,12 @@ impl<V: NodeValue> QuantileService<V> {
             inputs: values.to_vec(),
             dirty: vec![false; n],
             threads: None,
-            traj,
+            // One `vec!` per sheet: cloning a sheet would read it back.
+            sheets: [vec![fill; n * q], vec![fill; n * q]],
+            sources: vec![u32::MAX; (2 * t1max + 3 * t2max + k) * n],
             coins: vec![0.0; n],
             active: ActiveSet::from_fn(n, |_| false),
-            filled: false,
+            drawn: None,
         })
     }
 
@@ -469,14 +429,9 @@ impl<V: NodeValue> QuantileService<V> {
         &self.per_query
     }
 
-    /// Holders whose effective value changed since the last epoch.
+    /// Holders written with a new value since the last epoch.
     pub fn dirty_nodes(&self) -> usize {
         self.dirty.iter().filter(|&&d| d).count()
-    }
-
-    /// [`dirty_nodes`](Self::dirty_nodes) as a fraction of `n`.
-    pub fn dirty_fraction(&self) -> f64 {
-        self.dirty_nodes() as f64 / self.n as f64
     }
 
     /// The effective (gossiped) value of each holder: its sketch median.
@@ -535,20 +490,22 @@ impl<V: NodeValue> QuantileService<V> {
         Ok(())
     }
 
-    /// Answers every query on the current inputs: incrementally when a cached
-    /// trajectory exists and the dirty fraction is at most
-    /// [`ServiceConfig::dirty_threshold`], from scratch otherwise. Both paths
-    /// produce identical answers.
+    /// Answers every query on the current inputs. The first epoch is a
+    /// [`recompute_full`](Self::recompute_full); every later one replays the
+    /// source sheet it drew: the same epoch body, for every node, with no
+    /// engine, reporting the cached rounds and metrics as
+    /// [`EpochMode::Incremental`]. Both give identical answers.
     ///
     /// # Errors
     ///
-    /// Propagates engine errors (none under a well-formed configuration).
+    /// Propagates engine errors (none under a configuration `new` accepted).
     pub fn epoch(&mut self) -> Result<ServiceOutcome<V>> {
-        if self.filled && self.dirty_fraction() <= self.config.dirty_threshold {
-            self.recompute_incremental()
-        } else {
-            self.recompute_full()
-        }
+        let Some(metrics) = self.drawn else {
+            return self.recompute_full();
+        };
+        let dirty_nodes = self.dirty_nodes();
+        let timings = self.run_epoch(None);
+        Ok(self.outcome(metrics, EpochMode::Incremental { dirty_nodes }, timings))
     }
 
     /// The two phase engines, derived exactly like
@@ -557,39 +514,55 @@ impl<V: NodeValue> QuantileService<V> {
     /// second to Phase II. The engines carry `()` state — they are pure
     /// round/draw/metrics machines; the service owns the lane-major values
     /// and serves them from the sampling closures.
-    fn engines(&self) -> [Engine<()>; 2] {
-        self.phase_seeds()
-            .map(|seed| Engine::from_states(vec![(); self.n], self.engine_config.sub(seed)))
+    fn engines(&self) -> Result<[Engine<()>; 2]> {
+        let [first, second] = self
+            .phase_seeds()
+            .map(|seed| Engine::try_from_states(vec![(); self.n], self.engine_config.sub(seed)));
+        Ok([first?, second?])
     }
 
     /// The two phase seeds of [`engines`](Self::engines), without paying for
-    /// engine construction — incremental replay needs only the coin streams.
+    /// engine construction — a replay needs only the coin streams.
     fn phase_seeds(&self) -> [u64; 2] {
         let mut seeds = SeedSequence::new(self.engine_config.seed);
         [seeds.next_seed(), seeds.next_seed()]
     }
 
-    /// Runs every lane from scratch through one shared round sequence and
-    /// caches the trajectory for later incremental epochs.
+    /// The pool every epoch pass runs on.
+    fn pool(&self) -> &Arc<WorkerPool> {
+        self.engine_config
+            .pool
+            .as_ref()
+            .expect("the service constructor always installs a pool")
+    }
+
+    /// The thread count epochs run at: the phase engines' own default
+    /// unless [`set_threads`](Self::set_threads) overrode it.
+    fn threads(&self) -> usize {
+        self.threads
+            .unwrap_or(if self.n >= Engine::<()>::PAR_MIN_NODES {
+                par::num_threads()
+            } else {
+                1
+            })
+    }
+
+    /// Runs every lane from scratch through one shared round sequence: the
+    /// epoch body, with each window's rounds drawn first on its phase
+    /// engine as realised sources only ([`Engine::pull_sources`], straight
+    /// into the window's rows of the source sheet), and the `K` vote rounds
+    /// drawn after the last window. Later [`epoch`](Self::epoch)s replay
+    /// that sheet.
     ///
-    /// The epoch is one pass per window of the window sequence (Phase I's
-    /// iterations, then Phase II's windows): draw the window's rounds as
-    /// realised sources only ([`Engine::pull_sources`], straight into the
-    /// trajectory's source rows), then step every node from snapshot `j`
-    /// into snapshot `j + 1`, reading each sample out of snapshot `j` at its
-    /// source; after the last window the `K` vote rounds draw sources only
-    /// and one node-major pass votes from the final snapshot.
-    ///
-    /// Epochs allocate no round buffer: the snapshots, source rows,
-    /// outputs, participation coins and δ-cut active set were all sized by
+    /// Epochs allocate no round buffer: the sheets, the source sheet, the
+    /// participation coins and the δ-cut active set were all sized by
     /// [`new`](Self::new), and every epoch only fills them.
     ///
     /// # Errors
     ///
-    /// Propagates engine errors (none under a well-formed configuration).
+    /// Propagates engine errors (none under a configuration `new` accepted).
     pub fn recompute_full(&mut self) -> Result<ServiceOutcome<V>> {
-        let (n, q, k) = (self.n, self.queries.len(), self.config.final_vote.samples);
-        let mut engines = self.engines();
+        let mut engines = self.engines()?;
         if let Some(t) = self.threads {
             // `set_threads` pre-sized the shared pool, so these never swap
             // pools — the epoch runs on one worker set.
@@ -597,19 +570,31 @@ impl<V: NodeValue> QuantileService<V> {
                 engine.set_threads(t);
             }
         }
-        let threads = engines[0].threads();
-        let pool = Arc::clone(engines[0].pool());
-        let mut timings = EpochTimings::default();
-        let Trajectory {
-            snaps,
-            outputs,
-            sources,
-            ..
-        } = &mut self.traj;
+        let timings = self.run_epoch(Some(&mut engines));
+        let metrics = engines[0].metrics() + engines[1].metrics();
+        self.drawn = Some(metrics);
+        Ok(self.outcome(metrics, EpochMode::Full, timings))
+    }
+
+    /// The epoch body: fill sheet 0 with the inputs, step every node through
+    /// each window from one sheet into the other, reading each sample out
+    /// of the first at its realised source, and vote from the final states
+    /// into the other sheet. With `engines`, each window's rounds are drawn
+    /// into the source sheet before it steps (round `s` dense when
+    /// `cuts[s]` is `None`, else on that δ cut of the iteration's
+    /// participation coins), and the vote rounds before the vote; without,
+    /// the cached sheet is replayed.
+    fn run_epoch(&mut self, mut engines: Option<&mut [Engine<()>; 2]>) -> EpochTimings {
+        let (n, q, k) = (self.n, self.queries.len(), self.vote.k);
+        let (pool, threads) = (Arc::clone(self.pool()), self.threads());
+        let (drawing, seeds) = (engines.is_some(), self.phase_seeds());
+        let [a, b] = &mut self.sheets;
+        let (mut cur, mut next) = (&mut a[..], &mut b[..]);
+        let (sources, coins, active) = (&mut self.sources, &mut self.coins, &mut self.active);
         let inputs = &self.inputs;
         par::for_chunks(
             &pool,
-            Rows(&mut snaps[0], q),
+            Rows(&mut *cur, q),
             threads,
             (),
             |start, Rows(rows, _)| {
@@ -621,147 +606,80 @@ impl<V: NodeValue> QuantileService<V> {
         );
 
         // ---- The windows: Phase I's iterations, then Phase II's ---------
-        run_windows(
-            &mut engines,
-            &self.windows,
-            snaps,
-            sources,
-            &mut self.coins,
-            &mut self.active,
-            &mut timings,
-        );
+        let (mut draw_secs, mut step_secs) = (0.0, 0.0);
+        for window in &self.windows {
+            let rows = &mut sources[window.first_row * n..(window.first_row + window.samples) * n];
+            let t0 = Instant::now();
+            if window.needs_coins() {
+                let seed = seeds[window.engine];
+                participation_coins_into(&pool, threads, seed, window.iteration, coins);
+            }
+            if let Some(engines) = engines.as_deref_mut() {
+                let engine = &mut engines[window.engine];
+                let snap = &*cur;
+                let bits = |t: usize| seq_message_bits(&snap[t * q..(t + 1) * q]);
+                for (cut, row) in window.cuts.iter().zip(rows.chunks_exact_mut(n)) {
+                    match *cut {
+                        None => engine.pull_sources(None, bits, row),
+                        Some(delta) => {
+                            active.reset_from_fn(|v| coins[v] < delta);
+                            engine.pull_sources(Some(active), bits, row);
+                        }
+                    }
+                }
+            }
+            draw_secs += t0.elapsed().as_secs_f64();
+            let t0 = Instant::now();
+            step_nodes(&pool, threads, window, cur, rows, coins, next);
+            step_secs += t0.elapsed().as_secs_f64();
+            std::mem::swap(&mut cur, &mut next);
+        }
 
         // ---- The vote: K rounds of sources, one pass over the nodes -----
         // Every lane has frozen by its vote window, so the values its vote
-        // sources serve are their final states, the last snapshot. The vote
+        // sources serve are their final states, now in `cur`. The vote
         // rounds are the source sheet's last `K` rows.
-        let fin = &snaps[self.windows.len()][..];
-        let vote_start = sources.len() - k * n;
         let t0 = Instant::now();
-        for row in sources[vote_start..].chunks_exact_mut(n) {
-            engines[1].pull_sources(None, |t| seq_message_bits(&fin[t * q..(t + 1) * q]), row);
-        }
-        timings.collect_secs += t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        vote_rows(&pool, threads, &self.vote, fin, sources, None, outputs);
-        timings.vote_secs += t0.elapsed().as_secs_f64();
-
-        let metrics = engines[0].metrics() + engines[1].metrics();
-        self.traj.rounds = metrics.rounds;
-        self.traj.metrics = metrics;
-        self.filled = true;
-        self.dirty.fill(false);
-        Ok(self.outcome(EpochMode::Full, timings, threads))
-    }
-
-    /// Replays the cached trajectory as a pure dataflow over the realised
-    /// contact graph recorded by the last full recompute: no engine rounds
-    /// run at all. Each window touches only the nodes whose own state or
-    /// realised pull source is dirty, recomputed states are compared against
-    /// the cache and pruned on equality, and the vote outputs are recomputed
-    /// for the nodes whose own row or one of whose realised vote sources
-    /// moved. All other nodes keep their cached trajectory untouched. The
-    /// reported rounds/metrics are the cached logical cost of the trajectory
-    /// (the network would spend the same either way — only the service-side
-    /// wall-clock shrinks).
-    ///
-    /// The holders' own `dirty` marks are the frontier: pruned to the
-    /// holders whose value differs from the cached input, carried through
-    /// every window and read by the vote patch. The per-round frontier is
-    /// carved into disjoint node chunks and recomputed on the shared pool.
-    fn recompute_incremental(&mut self) -> Result<ServiceOutcome<V>> {
-        let (n, q) = (self.n, self.queries.len());
-        let pool = Arc::clone(
-            self.engine_config
-                .pool
-                .as_ref()
-                .expect("the service constructor always installs a pool"),
-        );
-        let threads = self.threads.unwrap_or(if n >= Engine::<()>::PAR_MIN_NODES {
-            par::num_threads()
-        } else {
-            1
-        });
-        let seeds = self.phase_seeds();
-        let mut timings = EpochTimings::default();
-        let t_replay = Instant::now();
-
-        // Seed the frontier, unmarking holders whose value bounced back.
-        let Trajectory {
-            snaps,
-            outputs,
-            sources,
-            ..
-        } = &mut self.traj;
-        let (cached, mut dirty_nodes) = (&mut snaps[0], 0usize);
-        for (v, dirty) in self.dirty.iter_mut().enumerate() {
-            *dirty = *dirty && self.inputs[v] != cached[v * q];
-            if *dirty {
-                dirty_nodes += 1;
-                cached[v * q..(v + 1) * q].fill(self.inputs[v]);
+        if let Some([_, engine]) = engines {
+            let (fin, vote_start) = (&*cur, sources.len() - k * n);
+            for row in sources[vote_start..].chunks_exact_mut(n) {
+                engine.pull_sources(None, |t| seq_message_bits(&fin[t * q..(t + 1) * q]), row);
             }
         }
-
-        // ---- Replay every window ---------------------------------------
-        replay_windows(
-            &pool,
-            threads,
-            &self.windows,
-            seeds,
-            &mut self.coins,
-            snaps,
-            sources,
-            &mut self.dirty,
-        );
-        timings.replay_secs = t_replay.elapsed().as_secs_f64();
-
-        // ---- Patch the vote outputs ------------------------------------
-        // Every replayed window leaves `dirty[v]` set exactly when some
-        // component of `v`'s new row differs from the cache, so after the
-        // last window it marks the rows of the final snapshot that moved. A
-        // vote output can change only if its node's row or one of its
-        // realised vote sources moved (the own-row test also covers the
-        // empty-vote fallback to the converged value); those rows rerun the
-        // full epoch's vote kernel, every other row keeps its cached output.
+        draw_secs += t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let fin = &snaps[self.windows.len()][..];
-        vote_rows(
-            &pool,
-            threads,
-            &self.vote,
-            fin,
-            sources,
-            Some(&self.dirty),
-            outputs,
-        );
-        timings.vote_secs = t0.elapsed().as_secs_f64();
-
-        self.dirty.fill(false);
-        let dirty_fraction = dirty_nodes as f64 / n as f64;
-        let mode = EpochMode::Incremental {
-            dirty_nodes,
-            dirty_fraction,
+        vote_rows(&pool, threads, &self.vote, cur, sources, next);
+        let mut timings = EpochTimings {
+            vote_secs: t0.elapsed().as_secs_f64(),
+            ..EpochTimings::default()
         };
-        Ok(self.outcome(mode, timings, threads))
+        if drawing {
+            timings.collect_secs = draw_secs;
+            timings.apply_secs = step_secs;
+        } else {
+            timings.replay_secs = draw_secs + step_secs;
+        }
+        self.dirty.fill(false);
+        timings
     }
 
-    /// The outcome of the epoch whose trajectory was just written: its
-    /// rounds, metrics and outputs, the outputs transposed to one vector per
-    /// lane on the pool (each task walks the output rows once and appends
-    /// its lanes' values).
-    fn outcome(&self, mode: EpochMode, timings: EpochTimings, threads: usize) -> ServiceOutcome<V> {
-        let outputs = &self.traj.outputs;
-        let pool = self
-            .engine_config
-            .pool
-            .as_ref()
-            .expect("the service constructor always installs a pool");
+    /// The outcome of the epoch just run: `metrics` and its rounds, and the
+    /// vote outputs transposed to one vector per lane on the pool (each task
+    /// walks the output rows once and appends its lanes' values). The vote
+    /// wrote into the sheet that does not hold the final states.
+    fn outcome(
+        &self,
+        metrics: Metrics,
+        mode: EpochMode,
+        timings: EpochTimings,
+    ) -> ServiceOutcome<V> {
+        let outputs = &self.sheets[(self.windows.len() + 1) % 2];
         let (n, q) = (self.n, self.queries.len());
         let mut answers: Vec<Vec<V>> = (0..q).map(|_| Vec::with_capacity(n)).collect();
         par::for_chunks(
-            pool,
+            self.pool(),
             &mut answers[..],
-            threads,
+            self.threads(),
             (),
             |start, lanes| {
                 for row in outputs.chunks_exact(q) {
@@ -774,8 +692,8 @@ impl<V: NodeValue> QuantileService<V> {
         );
         ServiceOutcome {
             answers,
-            rounds: self.traj.rounds,
-            metrics: self.traj.metrics,
+            rounds: metrics.rounds,
+            metrics,
             per_query: self.per_query.clone(),
             mode,
             timings,
@@ -810,7 +728,7 @@ struct Window {
     engine: usize,
     /// Its iteration within its phase, which keys its participation coins.
     iteration: u64,
-    /// Its first row in the trajectory's source sheet.
+    /// Its first row in the source sheet.
     first_row: usize,
     /// `cuts[s]`: the δ cut of the participation coins its round `s` runs
     /// on, `None` where the round runs dense.
@@ -960,49 +878,6 @@ impl Window {
     }
 }
 
-/// Runs a full epoch's windows in order: draw each window's rounds on its
-/// phase engine as realised sources into its rows of `sources` (round `s`
-/// dense when `cuts[s]` is `None`, else on that δ cut of the iteration's
-/// participation coins), then step every node from `snaps[j]` into
-/// `snaps[j + 1]`.
-fn run_windows<V: NodeValue>(
-    engines: &mut [Engine<()>; 2],
-    windows: &[Window],
-    snaps: &mut [Vec<V>],
-    sources: &mut [u32],
-    coins: &mut [f64],
-    active: &mut ActiveSet,
-    timings: &mut EpochTimings,
-) {
-    let (pool, threads) = (Arc::clone(engines[0].pool()), engines[0].threads());
-    let n = engines[0].n();
-    for (j, window) in windows.iter().enumerate() {
-        let engine = &mut engines[window.engine];
-        let (head, tail) = snaps.split_at_mut(j + 1);
-        let (snap, next) = (&head[j][..], &mut tail[0][..]);
-        let q = window.rules.len();
-        let bits = |t: usize| seq_message_bits(&snap[t * q..(t + 1) * q]);
-        let rows = &mut sources[window.first_row * n..(window.first_row + window.samples) * n];
-        let t0 = Instant::now();
-        if window.needs_coins() {
-            participation_coins_into(&pool, threads, engine.seed(), window.iteration, coins);
-        }
-        for (cut, row) in window.cuts.iter().zip(rows.chunks_exact_mut(n)) {
-            match *cut {
-                None => engine.pull_sources(None, bits, row),
-                Some(delta) => {
-                    active.reset_from_fn(|v| coins[v] < delta);
-                    engine.pull_sources(Some(active), bits, row);
-                }
-            }
-        }
-        timings.collect_secs += t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        step_nodes(&pool, threads, window, snap, rows, coins, next);
-        timings.apply_secs += t0.elapsed().as_secs_f64();
-    }
-}
-
 /// How many nodes ahead the step pass prefetches the rows its realised
 /// sources serve.
 const PREFETCH_NODES: usize = 4;
@@ -1054,102 +929,11 @@ fn step_nodes<V: NodeValue>(
     );
 }
 
-/// Replays the epoch's windows on the dirty frontier. In window `j` only
-/// the nodes whose own row or one of whose realised sources (the window's
-/// rows of `sources`) is marked in `dirty` are stepped again from
-/// `snaps[j]`; each recomputed row is compared with the cached row of
-/// `snaps[j + 1]` and written over it, and `dirty` ends the window
-/// marking the nodes whose row moved.
-#[allow(clippy::too_many_arguments)]
-fn replay_windows<V: NodeValue>(
-    pool: &WorkerPool,
-    threads: usize,
-    windows: &[Window],
-    seeds: [u64; 2],
-    coins: &mut [f64],
-    snaps: &mut [Vec<V>],
-    sources: &[u32],
-    dirty: &mut [bool],
-) {
-    let n = dirty.len();
-    for (j, window) in windows.iter().enumerate() {
-        if window.needs_coins() {
-            let seed = seeds[window.engine];
-            participation_coins_into(pool, threads, seed, window.iteration, coins);
-        }
-        let (head, tail) = snaps.split_at_mut(j + 1);
-        let (snap, next) = (&head[j][..], &mut tail[0][..]);
-        let (q, w) = (window.rules.len(), window.samples);
-        let rows = &sources[window.first_row * n..(window.first_row + w) * n];
-        let (dm, coins) = (&dirty[..], &coins[..]);
-        let cand: Vec<u32> = par::for_chunks(
-            pool,
-            0..n,
-            threads,
-            Vec::new(),
-            |_, range| {
-                range
-                    .filter(|&v| {
-                        dm[v]
-                            || (0..w).any(|r| {
-                                let src = rows[r * n + v];
-                                src != u32::MAX && dm[src as usize]
-                            })
-                    })
-                    .map(|v| v as u32)
-                    .collect()
-            },
-            |mut acc, mut part| {
-                acc.append(&mut part);
-                acc
-            },
-        );
-        // The candidates are disjoint rows of the next snapshot, so the
-        // frontier recompute carves them into per-thread chunks.
-        let still: Vec<u32> = par::for_sparse(
-            pool,
-            Rows(next, q),
-            &cand,
-            threads,
-            Vec::new(),
-            |_, ids, base, Rows(sub_next, _)| {
-                let mut row = snap[..q].to_vec();
-                let mut still = Vec::new();
-                for &vu in ids {
-                    let v = vu as usize;
-                    window.step(v, snap, rows, coins[v], &mut row);
-                    let rel = (v - base) * q;
-                    let cached = &mut sub_next[rel..rel + q];
-                    if cached[..] != row[..] {
-                        still.push(vu);
-                    }
-                    cached.copy_from_slice(&row);
-                }
-                still
-            },
-            |mut acc, mut part| {
-                acc.append(&mut part);
-                acc
-            },
-        );
-        // Equivalent to marking each candidate as its row is compared:
-        // nothing inside the window reads `dirty`, so the update can be
-        // deferred past the parallel pass.
-        for &vu in &cand {
-            dirty[vu as usize] = false;
-        }
-        for &vu in &still {
-            dirty[vu as usize] = true;
-        }
-    }
-}
-
 /// The largest vote the median network takes; larger votes select per
 /// lane.
 const MAX_NETWORK_SAMPLES: usize = 32;
 
-/// The final `K`-sample vote, shared by full epochs and the incremental
-/// patch, built once at construction.
+/// The final `K`-sample vote, built once at construction.
 #[derive(Debug)]
 struct VotePlan {
     /// Samples per vote (`K`).
@@ -1203,19 +987,6 @@ impl VotePlan {
             tile: Vec::with_capacity(self.k * self.q),
             lane: Vec::with_capacity(self.k),
         }
-    }
-
-    /// Whether node `v`'s vote reads a row marked in `dirty`: its own (the
-    /// empty-vote fallback) or one of its realised vote sources'.
-    fn touches(&self, v: usize, sources: &[u32], dirty: &[bool]) -> bool {
-        let n = dirty.len();
-        dirty[v]
-            || self.windows.iter().any(|&(first, _)| {
-                (first..first + self.k).any(|r| {
-                    let src = sources[r * n + v];
-                    src != u32::MAX && dirty[src as usize]
-                })
-            })
     }
 
     /// Node `v`'s vote: `out[i]` becomes the median of the values lane `i`'s
@@ -1277,16 +1048,14 @@ impl VotePlan {
     }
 }
 
-/// One pool pass of the vote kernel ([`VotePlan::vote_row`]) over the rows
-/// of `outputs`: every row in a full epoch (`dirty: None`), only the rows
-/// whose vote reads a dirty row in the incremental patch.
+/// One pool pass of the vote kernel ([`VotePlan::vote_row`]) over every row
+/// of `outputs`.
 fn vote_rows<V: NodeValue>(
     pool: &WorkerPool,
     threads: usize,
     plan: &VotePlan,
     fin: &[V],
     sources: &[u32],
-    dirty: Option<&[bool]>,
     outputs: &mut [V],
 ) {
     par::for_chunks(
@@ -1297,10 +1066,7 @@ fn vote_rows<V: NodeValue>(
         |start, Rows(rows, _)| {
             let mut scratch = plan.scratch();
             for (j, out) in rows.chunks_exact_mut(plan.q).enumerate() {
-                let v = start + j;
-                if dirty.map_or(true, |d| plan.touches(v, sources, d)) {
-                    plan.vote_row(v, fin, sources, out, &mut scratch);
-                }
+                plan.vote_row(start + j, fin, sources, out, &mut scratch);
             }
         },
         |(), ()| (),
@@ -1451,28 +1217,32 @@ mod tests {
         let cfg = ServiceConfig::default();
         let mut inc =
             QuantileService::new(&values, &queries, cfg, EngineConfig::with_seed(5)).unwrap();
-        // Every epoch buffer keeps the allocation `new` gave it.
+        // The epoch state is two n·q sheets and the source sheet (plus the
+        // participation coins), and every epoch keeps the allocation `new`
+        // gave each of them.
         let buffers = |svc: &QuantileService<u64>| {
-            let traj = &svc.traj;
-            let mut ptrs: Vec<(usize, usize)> = traj.snaps.iter().map(|s| ptr_len(s)).collect();
-            ptrs.extend([
-                ptr_len(&traj.sources),
-                ptr_len(&traj.outputs),
+            let [a, b] = &svc.sheets;
+            [
+                ptr_len(a),
+                ptr_len(b),
+                ptr_len(&svc.sources),
                 ptr_len(&svc.coins),
-            ]);
-            ptrs
+            ]
         };
         let allocated = buffers(&inc);
+        let (t1max, t2max) = inc.per_query().iter().fold((0, 0), |(t1, t2), c| {
+            (t1.max(c.phase1_iterations), t2.max(c.phase2_iterations))
+        });
+        let rows = 2 * t1max + 3 * t2max + cfg.final_vote.samples;
+        let lens = allocated.map(|(_, len)| len);
+        assert_eq!(lens, [300 * 2, 300 * 2, rows * 300, 300]);
         inc.epoch().unwrap();
         assert_eq!(buffers(&inc), allocated);
         for (node, val) in [(7usize, 1u64), (123, 99_999), (250, 17)] {
             inc.set_value(node, val).unwrap();
         }
         let out = inc.epoch().unwrap();
-        assert!(matches!(
-            out.mode,
-            EpochMode::Incremental { dirty_nodes: 3, .. }
-        ));
+        assert_eq!(out.mode, EpochMode::Incremental { dirty_nodes: 3 });
         assert_eq!(buffers(&inc), allocated);
 
         let mut updated = values;
@@ -1484,6 +1254,7 @@ mod tests {
         let fout = full.epoch().unwrap();
         assert_eq!(out.answers, fout.answers);
         assert_eq!(out.rounds, fout.rounds);
+        assert_eq!(out.metrics, fout.metrics);
 
         let again = inc.recompute_full().unwrap();
         assert_eq!(again.mode, EpochMode::Full);
@@ -1509,29 +1280,8 @@ mod tests {
         .unwrap();
         let first = svc.epoch().unwrap();
         let second = svc.epoch().unwrap();
-        assert!(matches!(
-            second.mode,
-            EpochMode::Incremental { dirty_nodes: 0, .. }
-        ));
+        assert_eq!(second.mode, EpochMode::Incremental { dirty_nodes: 0 });
         assert_eq!(first.answers, second.answers);
-    }
-
-    #[test]
-    fn dirty_threshold_falls_back_to_full() {
-        let values = inputs(64);
-        let queries = [QuantileQuery::new(0.5, 0.125)];
-        let cfg = ServiceConfig {
-            dirty_threshold: 0.05,
-            ..ServiceConfig::default()
-        };
-        let mut svc =
-            QuantileService::new(&values, &queries, cfg, EngineConfig::with_seed(2)).unwrap();
-        svc.epoch().unwrap();
-        for v in 0..10 {
-            svc.set_value(v, 1_000_000 + v as u64).unwrap();
-        }
-        let out = svc.epoch().unwrap();
-        assert_eq!(out.mode, EpochMode::Full);
     }
 
     #[test]
@@ -1595,11 +1345,6 @@ mod tests {
             )
             .is_err());
         }
-        let bad = ServiceConfig {
-            dirty_threshold: f64::NAN,
-            ..ServiceConfig::default()
-        };
-        assert!(QuantileService::new(&values, &q, bad, ec.clone()).is_err());
         // A compactor sketch needs room for two values.
         for sketch_capacity in [0, 1] {
             let bad = ServiceConfig {

@@ -61,6 +61,8 @@ pub struct ThreeTournamentOutcome<V> {
 ///
 /// Returns [`GossipError::TooFewNodes`] if fewer than two values are given, or
 /// [`GossipError::InvalidParameter`] if `vote.samples == 0`.
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn run<V: NodeValue>(
     values: &[V],
     schedule: &ThreeTournamentSchedule,
@@ -78,7 +80,7 @@ pub fn run<V: NodeValue>(
             reason: "the final vote needs at least one sample".to_string(),
         });
     }
-    let mut engine = Engine::from_states(values.to_vec(), engine_config);
+    let mut engine = Engine::try_from_states(values.to_vec(), engine_config)?;
     let seed = engine.seed();
 
     // Each iteration is one sample step pulling its three samples from the

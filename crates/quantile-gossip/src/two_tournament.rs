@@ -47,6 +47,8 @@ pub struct TwoTournamentOutcome<V> {
 /// # Errors
 ///
 /// Returns [`GossipError::TooFewNodes`] if fewer than two values are given.
+/// A topology or fault plan that does not fit the network returns
+/// [`gossip_net::Engine::try_from_states`]'s error.
 pub fn run<V: NodeValue>(
     values: &[V],
     schedule: &TwoTournamentSchedule,
@@ -57,7 +59,7 @@ pub fn run<V: NodeValue>(
             requested: values.len(),
         });
     }
-    let mut engine = Engine::from_states(values.to_vec(), engine_config);
+    let mut engine = Engine::try_from_states(values.to_vec(), engine_config)?;
     let side = schedule.side;
     let seed = engine.seed();
 

@@ -8,15 +8,18 @@
 //!    [`EngineConfig`] seed — on every topology of the simulator and under a
 //!    disruptive fault plan (churn + loss + stragglers + failures at once).
 //! 2. **Incremental ≡ full.** After holders change between epochs, the
-//!    sparse incremental replay returns exactly the answers (and round
-//!    count) of a from-scratch recompute over the updated inputs.
+//!    replay of the first epoch's contact graph returns exactly the answers
+//!    (and round count) of a from-scratch recompute over the updated
+//!    inputs, and so does a replay after a replay.
 
 use gossip_net::{
     ChurnModel, EngineConfig, FailureModel, FaultPlan, LossModel, StragglerModel, Topology,
 };
 use quantile_gossip::{
-    tournament_quantile, EpochMode, QuantileQuery, QuantileService, ServiceConfig, TournamentConfig,
+    tournament_quantile, EpochMode, QuantileQuery, QuantileService, ServiceConfig, ServiceOutcome,
+    TournamentConfig,
 };
+use std::collections::BTreeSet;
 
 /// 144 nodes: divisible into the 12×12 grid `Topology::Torus2D` needs.
 const N: usize = 144;
@@ -131,13 +134,9 @@ fn assert_incremental_matches_full(name: &str, engine_config: EngineConfig) {
         svc.set_value(node, value).unwrap();
         vals[node] = value;
     }
-    assert!(
-        svc.dirty_fraction() <= cfg.dirty_threshold,
-        "test must take the incremental path"
-    );
     let inc = svc.epoch().unwrap();
     assert!(
-        matches!(inc.mode, EpochMode::Incremental { dirty_nodes, .. } if dirty_nodes <= edits.len()),
+        matches!(inc.mode, EpochMode::Incremental { dirty_nodes } if dirty_nodes <= edits.len()),
         "expected an incremental epoch on {name}, got {:?}",
         inc.mode
     );
@@ -193,7 +192,6 @@ fn incremental_epoch_after_sketch_ingestion_matches_full_recompute() {
         }
     }
     assert!(svc.dirty_nodes() >= 1, "ingestion never moved a median");
-    assert!(svc.dirty_fraction() <= cfg.dirty_threshold);
 
     let effective = svc.effective_values().to_vec();
     let inc = svc.epoch().unwrap();
@@ -206,7 +204,8 @@ fn incremental_epoch_after_sketch_ingestion_matches_full_recompute() {
 }
 
 /// A single-query service must agree with the solo run too (the q=1 edge of
-/// the batching argument), and a no-op second epoch must reuse the cache.
+/// the batching argument), and a no-op second epoch must replay to the same
+/// answers.
 #[test]
 fn single_query_service_and_clean_epoch_edge_cases() {
     let vals = values(N);
@@ -221,19 +220,12 @@ fn single_query_service_and_clean_epoch_edge_cases() {
     // Nothing changed: the second epoch is incremental with zero dirty
     // holders and identical answers.
     let second = svc.epoch().unwrap();
-    assert_eq!(
-        second.mode,
-        EpochMode::Incremental {
-            dirty_nodes: 0,
-            dirty_fraction: 0.0
-        }
-    );
+    assert_eq!(second.mode, EpochMode::Incremental { dirty_nodes: 0 });
     assert_eq!(second.answers, first.answers);
 }
 
-/// The pool-parallel lane apply (full epochs) and the pool-parallel dirty
-/// replay (incremental epochs) are chunked over worker threads; results must
-/// not depend on the thread count.
+/// The pool-parallel passes of full epochs and of replays are chunked over
+/// worker threads; results must not depend on the thread count.
 #[test]
 fn epochs_are_deterministic_across_thread_counts() {
     let vals = values(N);
@@ -281,8 +273,8 @@ fn mixed_queries() -> Vec<QuantileQuery> {
 }
 
 /// Two lanes at φ = 0.5, whose Phase I schedules are empty: Phase II steps
-/// straight from the inputs sheet, and an incremental epoch seeds the sheet
-/// Phase II starts from. Phase II lengths 10 and 8, so two vote windows.
+/// straight from the inputs sheet. Phase II lengths 10 and 8, so two vote
+/// windows.
 fn median_queries() -> Vec<QuantileQuery> {
     vec![
         QuantileQuery::new(0.5, 0.05),
@@ -292,7 +284,8 @@ fn median_queries() -> Vec<QuantileQuery> {
 
 /// Batched ≡ solo and incremental ≡ full at parallel scale, on a clean
 /// engine and under 10 % message loss, for the mixed lanes and for lanes
-/// with no Phase I.
+/// with no Phase I: a replay after the full epoch, then a replay after that
+/// replay.
 #[test]
 fn parallel_scale_epochs_match_solo_runs_and_full_recompute() {
     let cfg = ServiceConfig::default();
@@ -350,18 +343,59 @@ fn parallel_scale_epochs_match_solo_runs_and_full_recompute() {
             }
             let inc = svc.epoch().unwrap();
             assert!(
-                matches!(inc.mode, EpochMode::Incremental { dirty_nodes, .. } if dirty_nodes > 0),
+                matches!(inc.mode, EpochMode::Incremental { dirty_nodes } if dirty_nodes > 0),
                 "expected a non-trivial incremental epoch ({name}), got {:?}",
                 inc.mode
             );
-            let mut fresh = QuantileService::new(&vals, &qs, cfg, ec).unwrap();
-            let full = fresh.epoch().unwrap();
+            assert_replay_matches_full(&inc, &vals, &qs, &ec, &name);
+
+            // A second round of writes, then a replay after the replay: every
+            // other holder of the first round again, fresh holders beside
+            // them, and one holder written away and back.
+            let mut written = BTreeSet::new();
+            let second = (0..N_PARALLEL)
+                .step_by(2 * 997)
+                .chain((500..N_PARALLEL).step_by(1_999));
+            for node in second {
+                vals[node] += 1;
+                svc.set_value(node, vals[node]).unwrap();
+                written.insert(node);
+            }
+            let away_and_back = 12_345;
+            assert!(!written.contains(&away_and_back));
+            svc.set_value(away_and_back, vals[away_and_back] + 1)
+                .unwrap();
+            svc.set_value(away_and_back, vals[away_and_back]).unwrap();
+            written.insert(away_and_back);
+            assert_eq!(svc.dirty_nodes(), written.len(), "{name}");
+            let again = svc.epoch().unwrap();
             assert_eq!(
-                inc.answers, full.answers,
-                "incremental replay diverged from the full recompute ({name})"
+                again.mode,
+                EpochMode::Incremental {
+                    dirty_nodes: written.len()
+                },
+                "{name}"
             );
-            assert_eq!(inc.rounds, full.rounds);
-            assert_eq!(inc.metrics, full.metrics);
+            assert_replay_matches_full(&again, &vals, &qs, &ec, &format!("{name}, second"));
         }
     }
+}
+
+/// A replay's answers, rounds and metrics equal those of a fresh service's
+/// `recompute_full` over `vals`.
+fn assert_replay_matches_full(
+    replay: &ServiceOutcome<u64>,
+    vals: &[u64],
+    qs: &[QuantileQuery],
+    ec: &EngineConfig,
+    name: &str,
+) {
+    let mut fresh = QuantileService::new(vals, qs, ServiceConfig::default(), ec.clone()).unwrap();
+    let full = fresh.recompute_full().unwrap();
+    assert_eq!(
+        replay.answers, full.answers,
+        "the replay diverged from the full recompute ({name})"
+    );
+    assert_eq!(replay.rounds, full.rounds, "{name}");
+    assert_eq!(replay.metrics, full.metrics, "{name}");
 }

@@ -15,8 +15,13 @@
 //! The quantitative sweep across sizes lives in
 //! `bench/benches/topology_quantile.rs` (`BENCH_topology.json`).
 
-use gossip_net::{EngineConfig, Topology};
+use gossip_net::{EngineConfig, GossipError, Topology};
 use quantile_gossip::approx::{tournament_quantile, TournamentConfig};
+use quantile_gossip::{
+    approximate_quantile, exact_quantile, robust_approximate_quantile, three_tournament,
+    two_tournament, ApproxConfig, FinalVote, NarrowingConfig, QuantileQuery, QuantileService,
+    RobustConfig, ServiceConfig, ThreeTournamentSchedule, TwoTournamentSchedule,
+};
 
 const N: usize = 10_000;
 const PHI: f64 = 0.5;
@@ -99,4 +104,67 @@ fn sub_engines_inherit_the_topology_end_to_end() {
     let config = EngineConfig::with_seed(1).topology(Topology::ring(2));
     assert_eq!(config.sub(99).topology, Topology::ring(2));
     assert_eq!(config.sub(99).sub(7).topology, Topology::ring(2));
+}
+
+/// A ring too wide for the network (60 neighbours a side need 121 nodes, and
+/// there are 101) is the topology's error at every entry point that builds
+/// an engine, never a panic; the service refuses it at construction.
+#[test]
+fn an_unrealisable_topology_is_an_error_at_every_entry_point() {
+    let values: Vec<u64> = (0..101).map(|i| (i * 37) % 101).collect();
+    let config = EngineConfig::with_seed(5).topology(Topology::ring(60));
+    let (phi, eps) = (0.9, 0.1);
+    let phase1 = TwoTournamentSchedule::compute(phi, eps).unwrap();
+    let phase2 = ThreeTournamentSchedule::compute(eps / 4.0, values.len()).unwrap();
+    let query = [QuantileQuery::new(phi, eps)];
+    let errors = [
+        (
+            "two_tournament::run",
+            two_tournament::run(&values, &phase1, config.clone()).err(),
+        ),
+        (
+            "three_tournament::run",
+            three_tournament::run(&values, &phase2, FinalVote::default(), config.clone()).err(),
+        ),
+        (
+            "tournament_quantile",
+            tournament_quantile(
+                &values,
+                phi,
+                eps,
+                &TournamentConfig::default(),
+                config.clone(),
+            )
+            .err(),
+        ),
+        (
+            "approximate_quantile",
+            approximate_quantile(&values, phi, eps, &ApproxConfig::default(), config.clone()).err(),
+        ),
+        (
+            "robust_approximate_quantile",
+            robust_approximate_quantile(
+                &values,
+                phi,
+                eps,
+                &RobustConfig::default(),
+                config.clone(),
+            )
+            .err(),
+        ),
+        (
+            "exact_quantile",
+            exact_quantile(&values, phi, &NarrowingConfig::default(), config.clone()).err(),
+        ),
+        (
+            "QuantileService::new",
+            QuantileService::new(&values, &query, ServiceConfig::default(), config).err(),
+        ),
+    ];
+    for (name, error) in errors {
+        assert!(
+            matches!(error, Some(GossipError::InvalidParameter { name: "k", .. })),
+            "{name}: {error:?}"
+        );
+    }
 }

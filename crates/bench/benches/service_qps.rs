@@ -24,9 +24,11 @@
 //!   dropped).
 //! * **Incremental vs full** — at n = 100k, q = 8: epoch, move 1 % of the
 //!   holders by +1, then time the replay (`epoch()` over the cached
-//!   contact graph, for every node) against a from-scratch recompute of the
-//!   same inputs (a fresh service, construction included). The replay's
-//!   work depends neither on how many holders moved nor on how far.
+//!   contact graph, for every node) against a warm `recompute_full()` of
+//!   the same inputs (a fresh service, timed after its cold first epoch, so
+//!   neither side pays for construction or first-touch page faults). The
+//!   replay's work depends neither on how many holders moved nor on how
+//!   far.
 //!
 //! Results land in `BENCH_service.json` in the workspace root (override with
 //! `$BENCH_SERVICE_JSON`). Set `SERVICE_QPS_QUICK=1` (CI's bench smoke step
@@ -213,7 +215,7 @@ struct IncrementalCell {
 }
 
 /// Epoch, move a fraction of holders by +1, and time the replay against a
-/// full recompute.
+/// warm full recompute of the same inputs.
 fn run_incremental_cell(n: usize, q: usize, dirty_fraction: f64, seed: u64) -> IncrementalCell {
     let mut vals = values(n);
     let queries = query_vector(q);
@@ -236,10 +238,11 @@ fn run_incremental_cell(n: usize, q: usize, dirty_fraction: f64, seed: u64) -> I
     let inc_secs = t.elapsed().as_secs_f64();
     assert_eq!(inc.mode, EpochMode::Incremental { dirty_nodes });
 
-    let t = Instant::now();
     let mut fresh = QuantileService::new(&vals, &queries, ServiceConfig::default(), ec)
         .expect("valid service parameters");
-    let full = fresh.epoch().expect("full epoch");
+    fresh.epoch().expect("cold full epoch");
+    let t = Instant::now();
+    let full = fresh.recompute_full().expect("warm full epoch");
     let full_secs = t.elapsed().as_secs_f64();
     assert_eq!(
         inc.answers, full.answers,

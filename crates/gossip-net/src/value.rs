@@ -29,7 +29,9 @@ impl<T> NodeValue for T where T: Copy + Ord + fmt::Debug + Send + Sync + Message
 /// A totally ordered `f64` suitable for use as a node value.
 ///
 /// Construction rejects NaN so that the ordering is total; this is the
-/// standard "not NaN" newtype pattern.
+/// standard "not NaN" newtype pattern. It also reads `-0.0` as `+0.0`: the
+/// two compare equal, so they must hash equally, and a value that is equal
+/// to another is then the same bits.
 ///
 /// ```
 /// use gossip_net::OrderedF64;
@@ -42,12 +44,14 @@ impl<T> NodeValue for T where T: Copy + Ord + fmt::Debug + Send + Sync + Message
 pub struct OrderedF64(f64);
 
 impl OrderedF64 {
-    /// Wraps a finite or infinite (but not NaN) `f64`.
+    /// Wraps a finite or infinite (but not NaN) `f64`, `-0.0` as `+0.0`.
     ///
     /// Returns `None` if `x` is NaN.
     pub fn new(x: f64) -> Option<Self> {
         if x.is_nan() {
             None
+        } else if x == 0.0 {
+            Some(OrderedF64(0.0))
         } else {
             Some(OrderedF64(x))
         }
@@ -123,6 +127,24 @@ mod tests {
             sorted,
             vec![f64::NEG_INFINITY, -1.0, 0.0, 2.5, 3.0, f64::INFINITY]
         );
+    }
+
+    #[test]
+    fn ordered_f64_reads_negative_zero_as_positive_zero() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |x: OrderedF64| {
+            let mut hasher = DefaultHasher::new();
+            x.hash(&mut hasher);
+            hasher.finish()
+        };
+        let (negative, positive) = (
+            OrderedF64::new(-0.0).unwrap(),
+            OrderedF64::new(0.0).unwrap(),
+        );
+        assert_eq!(negative, positive);
+        assert_eq!(hash(negative), hash(positive));
+        assert_eq!(negative.get().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -39,9 +39,6 @@
 //! integers, and only the answer (and Step 7, whose tokens carry values) is
 //! decoded. The layout holds fewer than 2²⁸ nodes and value widths below 256
 //! bits; other inputs are refused with [`GossipError::InvalidParameter`].
-//! Ord-equal values with different bits, such as [`gossip_net::OrderedF64`]'s
-//! `-0.0` and `+0.0`, share one rank and decode to one representative: the
-//! lowest-index input of the class.
 //!
 //! ## Scale substitution
 //!
@@ -56,6 +53,7 @@
 //! polynomial fraction of candidates per iteration.
 
 use crate::approx::{tournament_quantile, TournamentConfig};
+use crate::ranks::{rank, sort_distinct};
 use baselines::push_sum::{self, PushSumConfig};
 use baselines::rumor::SpreadRounds;
 use gossip_net::{
@@ -103,11 +101,8 @@ impl MessageSize for Code {
     }
 }
 
-/// Sorts a copy of `values` once: returns the table of distinct values in
-/// ascending order — each Ord-equal class (such as [`OrderedF64`]'s ±0.0)
-/// represented by its lowest-index input — and node `v`'s initial code.
-///
-/// [`OrderedF64`]: gossip_net::OrderedF64
+/// Sorts a copy of `values` once: returns the table of their distinct
+/// values in ascending order and node `v`'s initial code.
 fn encode<V: NodeValue>(values: &[V]) -> Result<(Vec<V>, Vec<Code>)> {
     let n = values.len();
     if n >= Code::MAX_NODES {
@@ -116,17 +111,13 @@ fn encode<V: NodeValue>(values: &[V]) -> Result<(Vec<V>, Vec<Code>)> {
             reason: format!("rank codes hold fewer than 2^28 nodes, got {n}"),
         });
     }
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by_key(|&v| (values[v as usize], v));
-    let mut table: Vec<V> = Vec::new();
-    let mut keys = vec![Code::EMPTY; n];
-    for v in order {
-        let (v, x) = (v as usize, values[v as usize]);
-        if table.last().map_or(true, |last| *last < x) {
-            table.push(x);
-        }
-        keys[v] = code(&table, table.len() - 1, v)?;
-    }
+    let mut table = Vec::with_capacity(n);
+    sort_distinct(values, &mut table);
+    let keys = values
+        .iter()
+        .enumerate()
+        .map(|(v, x)| code(&table, rank(&table, x), v))
+        .collect::<Result<_>>()?;
     Ok((table, keys))
 }
 
@@ -414,10 +405,7 @@ pub(crate) fn narrow_to_rank<V: NodeValue>(
             rounds += d_rounds;
             for (v, key) in keys.iter_mut().enumerate() {
                 *key = match assigned[v] {
-                    Some(x) => {
-                        let rank = table.binary_search(&x).expect("tokens carry table values");
-                        code(&table, rank, v)?
-                    }
+                    Some(x) => code(&table, rank(&table, &x), v)?,
                     None => Code::EMPTY,
                 };
             }
@@ -695,9 +683,9 @@ mod tests {
     }
 
     #[test]
-    fn an_ord_equal_class_answers_with_its_lowest_index_input() {
+    fn zeros_of_both_signs_answer_positive_zero() {
         // 300 negative values, 100 zeros of alternating sign, 200 positive
-        // ones; the median lies among the zeros.
+        // ones; the median lies among the zeros, which read as +0.0.
         let sign = [-0.0f64, 0.0];
         for first in 0..2 {
             let values: Vec<OrderedF64> = (0..600)
@@ -711,7 +699,7 @@ mod tests {
             let cfg = NarrowingConfig::default();
             let out = exact_quantile(&values, 0.6, &cfg, EngineConfig::with_seed(first as u64));
             let answer = out.unwrap().answer.get();
-            assert_eq!(answer.to_bits(), sign[first].to_bits());
+            assert_eq!(answer.to_bits(), 0.0f64.to_bits());
         }
     }
 

@@ -67,6 +67,7 @@
 pub mod approx;
 pub mod exact;
 pub mod own_rank;
+mod ranks;
 pub mod robust;
 pub mod schedule;
 pub mod service;

@@ -27,13 +27,28 @@
 //! **One epoch body.** The service builds an epoch's windows once, at
 //! construction: every Phase I iteration (two rounds on the Phase I engine),
 //! then every Phase II window (three rounds on the Phase II engine); the `K`
-//! rounds only the vote uses follow. An epoch fills sheet 0 with the inputs
-//! and steps every node through each window from one of two `n·q` ping-pong
-//! sheets into the other, so Phase II continues where Phase I stopped, and
-//! the vote writes into the sheet that does not hold the final states. `n`,
-//! `q` and the windows are fixed from then on, so construction also
-//! allocates every epoch buffer — the two sheets, the source sheet, the
-//! participation coins and the δ-cut active set — and epochs only fill them.
+//! rounds only the vote uses follow. An epoch fills sheet 0 with the
+//! holders' rank codes and steps every node through each window from one of
+//! two `n·q` ping-pong sheets into the other, so Phase II continues where
+//! Phase I stopped, and the vote writes into the sheet that does not hold
+//! the final states. `n`, `q` and the windows are fixed from then on, so
+//! construction also allocates every epoch buffer — the value table, the
+//! two sheets, the source sheet, the participation coins and the δ-cut
+//! active set — and epochs only fill them.
+//!
+//! **Rank codes.** Every kernel (`extremum`, `median3`, the vote's median
+//! network) only compares lane values, and every lane value is one of the
+//! `n` inputs. So a lane carries a `u32` code: the dense rank of its value
+//! among the holders' distinct effective values, the `O(log n)`-bit value
+//! of the paper's model. Each epoch sorts a copy of the effective values
+//! into a table of distinct values before it fills sheet 0, and the pass
+//! that transposes the vote sheet into per-lane answers decodes each code
+//! through it. Codes order as their values do, so every step and every
+//! vote picks what the solo run picks; a code decodes to one member of its
+//! value's Ord-equal class, which is the value itself for every type whose
+//! equal values are identical ([`gossip_net::OrderedF64`] reads `-0.0` as
+//! `+0.0`). Each delivery is still charged the `Vec` message of its decoded
+//! row ([`seq_message_bits`]).
 //!
 //! **Replay.** Holders ingest new values between epochs
 //! ([`QuantileService::ingest`]), summarised per holder by the
@@ -52,6 +67,7 @@
 //! [`recompute_full`]: QuantileService::recompute_full
 
 use crate::approx::MAX_TOURNAMENT_EPSILON;
+use crate::ranks::{rank, sort_distinct};
 use crate::schedule::{ShrinkSide, ThreeTournamentSchedule, TwoTournamentSchedule};
 use crate::three_tournament::{self, median3, FinalVote};
 use crate::two_tournament::{self, extremum};
@@ -130,7 +146,9 @@ pub enum EpochMode {
 /// Full epochs fill the collect / apply / vote stages; a replay fills replay
 /// (its participation coins and window steps) and vote. Purely
 /// observational — timings are never part of answer equality, and the
-/// unfilled stages of a mode stay `0.0`.
+/// unfilled stages of a mode stay `0.0`. The value table's sort, the fill
+/// of sheet 0 with rank codes and the answers' decode run outside every
+/// stage timer.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochTimings {
     /// Seconds drawing the epoch's rounds as realised sources only
@@ -139,7 +157,7 @@ pub struct EpochTimings {
     pub collect_secs: f64,
     /// Seconds in the fused gather-and-step passes: each window reads every
     /// node's samples out of one sheet at its realised sources and writes
-    /// its lane values into the other.
+    /// its lane codes into the other.
     pub apply_secs: f64,
     /// Always `0.0`: no stage records anything. Kept only because perfbench
     /// reports it as `service.record_s`.
@@ -251,10 +269,14 @@ pub struct QuantileService<V: NodeValue> {
     vote: VotePlan,
     /// Worker-thread override for epoch execution (`None` = engine default).
     threads: Option<usize>,
-    /// The two ping-pong sheets of `n·q` lane values. They are node-major —
-    /// `sheet[v * q + i]` is node `v`'s lane-`i` value — so a source read
+    /// The epoch's distinct effective values, ascending: lane code `c`
+    /// stands for `table[c]`. Every epoch sorts it anew, within the
+    /// capacity of `n` that `new` gave it.
+    table: Vec<V>,
+    /// The two ping-pong sheets of `n·q` lane codes. They are node-major —
+    /// `sheet[v * q + i]` is node `v`'s lane-`i` code — so a source read
     /// touches one contiguous row covering every lane of the source node.
-    sheets: [Vec<V>; 2],
+    sheets: [Vec<u32>; 2],
     /// The source sheet, the realised contact graph: the node each holder
     /// actually received a pull from in every round (`u32::MAX` when nothing
     /// was delivered — a failed target, a lost or straggling message, a
@@ -373,7 +395,7 @@ impl<V: NodeValue> QuantileService<V> {
         // The phase engines differ from this one in their seed alone, so it
         // refuses now what they would refuse in the first epoch.
         Engine::try_from_states(vec![(); n], engine_config.clone())?;
-        let (q, fill) = (queries.len(), values[0]);
+        let q = queries.len();
         Ok(QuantileService {
             queries: queries.to_vec(),
             windows,
@@ -386,8 +408,9 @@ impl<V: NodeValue> QuantileService<V> {
             inputs: values.to_vec(),
             dirty: vec![false; n],
             threads: None,
+            table: Vec::with_capacity(n),
             // One `vec!` per sheet: cloning a sheet would read it back.
-            sheets: [vec![fill; n * q], vec![fill; n * q]],
+            sheets: [vec![0; n * q], vec![0; n * q]],
             sources: vec![u32::MAX; (2 * t1max + 3 * t2max + k) * n],
             coins: vec![0.0; n],
             active: ActiveSet::from_fn(n, |_| false),
@@ -554,9 +577,9 @@ impl<V: NodeValue> QuantileService<V> {
     /// drawn after the last window. Later [`epoch`](Self::epoch)s replay
     /// that sheet.
     ///
-    /// Epochs allocate no round buffer: the sheets, the source sheet, the
-    /// participation coins and the δ-cut active set were all sized by
-    /// [`new`](Self::new), and every epoch only fills them.
+    /// Epochs allocate no round buffer: the value table, the sheets, the
+    /// source sheet, the participation coins and the δ-cut active set were
+    /// all sized by [`new`](Self::new), and every epoch only fills them.
     ///
     /// # Errors
     ///
@@ -576,34 +599,49 @@ impl<V: NodeValue> QuantileService<V> {
         Ok(self.outcome(metrics, EpochMode::Full, timings))
     }
 
-    /// The epoch body: fill sheet 0 with the inputs, step every node through
-    /// each window from one sheet into the other, reading each sample out
-    /// of the first at its realised source, and vote from the final states
-    /// into the other sheet. With `engines`, each window's rounds are drawn
-    /// into the source sheet before it steps (round `s` dense when
-    /// `cuts[s]` is `None`, else on that δ cut of the iteration's
-    /// participation coins), and the vote rounds before the vote; without,
-    /// the cached sheet is replayed.
+    /// The epoch body: sort the inputs into the value table, fill sheet 0
+    /// with each holder's rank code, step every node through each window
+    /// from one sheet into the other, reading each sample out of the first
+    /// at its realised source, and vote from the final states into the
+    /// other sheet. With `engines`, each window's rounds are drawn into the
+    /// source sheet before it steps (round `s` dense when `cuts[s]` is
+    /// `None`, else on that δ cut of the iteration's participation coins),
+    /// and the vote rounds before the vote; without, the cached sheet is
+    /// replayed.
     fn run_epoch(&mut self, mut engines: Option<&mut [Engine<()>; 2]>) -> EpochTimings {
         let (n, q, k) = (self.n, self.queries.len(), self.vote.k);
         let (pool, threads) = (Arc::clone(self.pool()), self.threads());
         let (drawing, seeds) = (engines.is_some(), self.phase_seeds());
+        sort_distinct(&self.inputs, &mut self.table);
         let [a, b] = &mut self.sheets;
         let (mut cur, mut next) = (&mut a[..], &mut b[..]);
         let (sources, coins, active) = (&mut self.sources, &mut self.coins, &mut self.active);
-        let inputs = &self.inputs;
+        let (inputs, table) = (&self.inputs, &self.table);
         par::for_chunks(
             &pool,
             Rows(&mut *cur, q),
             threads,
             (),
             |start, Rows(rows, _)| {
-                for (row, &x) in rows.chunks_exact_mut(q).zip(&inputs[start..]) {
-                    row.fill(x);
+                for (row, x) in rows.chunks_exact_mut(q).zip(&inputs[start..]) {
+                    row.fill(rank(table, x) as u32);
                 }
             },
             |(), ()| (),
         );
+        // A delivery costs the `Vec` message of its decoded row: one
+        // constant when every distinct value has the same width (every
+        // fixed-size type), else the prefix plus each lane's own width.
+        let (prefix, width) = (seq_message_bits::<V>(&[]), table[0].message_bits());
+        let uniform = table
+            .iter()
+            .all(|x| x.message_bits() == width)
+            .then_some(prefix + q as u64 * width);
+        let lane_bits = |&c: &u32| table[c as usize].message_bits();
+        let row_bits = |t: usize, sheet: &[u32]| {
+            let row = &sheet[t * q..(t + 1) * q];
+            uniform.unwrap_or_else(|| prefix + row.iter().map(lane_bits).sum::<u64>())
+        };
 
         // ---- The windows: Phase I's iterations, then Phase II's ---------
         let (mut draw_secs, mut step_secs) = (0.0, 0.0);
@@ -617,7 +655,7 @@ impl<V: NodeValue> QuantileService<V> {
             if let Some(engines) = engines.as_deref_mut() {
                 let engine = &mut engines[window.engine];
                 let snap = &*cur;
-                let bits = |t: usize| seq_message_bits(&snap[t * q..(t + 1) * q]);
+                let bits = |t: usize| row_bits(t, snap);
                 for (cut, row) in window.cuts.iter().zip(rows.chunks_exact_mut(n)) {
                     match *cut {
                         None => engine.pull_sources(None, bits, row),
@@ -643,7 +681,7 @@ impl<V: NodeValue> QuantileService<V> {
         if let Some([_, engine]) = engines {
             let (fin, vote_start) = (&*cur, sources.len() - k * n);
             for row in sources[vote_start..].chunks_exact_mut(n) {
-                engine.pull_sources(None, |t| seq_message_bits(&fin[t * q..(t + 1) * q]), row);
+                engine.pull_sources(None, |t| row_bits(t, fin), row);
             }
         }
         draw_secs += t0.elapsed().as_secs_f64();
@@ -665,15 +703,15 @@ impl<V: NodeValue> QuantileService<V> {
 
     /// The outcome of the epoch just run: `metrics` and its rounds, and the
     /// vote outputs transposed to one vector per lane on the pool (each task
-    /// walks the output rows once and appends its lanes' values). The vote
-    /// wrote into the sheet that does not hold the final states.
+    /// walks the output rows once and appends its lanes' decoded values).
+    /// The vote wrote into the sheet that does not hold the final states.
     fn outcome(
         &self,
         metrics: Metrics,
         mode: EpochMode,
         timings: EpochTimings,
     ) -> ServiceOutcome<V> {
-        let outputs = &self.sheets[(self.windows.len() + 1) % 2];
+        let (outputs, table) = (&self.sheets[(self.windows.len() + 1) % 2], &self.table);
         let (n, q) = (self.n, self.queries.len());
         let mut answers: Vec<Vec<V>> = (0..q).map(|_| Vec::with_capacity(n)).collect();
         par::for_chunks(
@@ -683,8 +721,8 @@ impl<V: NodeValue> QuantileService<V> {
             (),
             |start, lanes| {
                 for row in outputs.chunks_exact(q) {
-                    for (lane, &x) in lanes.iter_mut().zip(&row[start..]) {
-                        lane.push(x);
+                    for (lane, &c) in lanes.iter_mut().zip(&row[start..]) {
+                        lane.push(table[c as usize]);
                     }
                 }
             },
@@ -824,15 +862,15 @@ impl Window {
             .any(|r| matches!(r, LaneRule::TwoCut(..) | LaneRule::ThreeCut(_)))
     }
 
-    /// Node `v`'s step: `out[i]` becomes lane `i`'s value after the window,
-    /// from its value in `snap` and the rows of `snap` its realised sources
+    /// Node `v`'s step: `out[i]` becomes lane `i`'s code after the window,
+    /// from its code in `snap` and the rows of `snap` its realised sources
     /// served (`sources[r·n + v]` for the window's round `r`, `u32::MAX`
     /// where nothing arrived).
-    fn step<V: NodeValue>(&self, v: usize, snap: &[V], sources: &[u32], coin: f64, out: &mut [V]) {
+    fn step(&self, v: usize, snap: &[u32], sources: &[u32], coin: f64, out: &mut [u32]) {
         let q = out.len();
         let n = snap.len() / q;
         let row = |t: usize| &snap[t * q..(t + 1) * q];
-        let mut got: [Option<&[V]>; 3] = [None; 3];
+        let mut got: [Option<&[u32]>; 3] = [None; 3];
         for (r, g) in got[..self.samples].iter_mut().enumerate() {
             let src = sources[r * n + v];
             if src != u32::MAX {
@@ -882,29 +920,31 @@ impl Window {
 /// sources serve.
 const PREFETCH_NODES: usize = 4;
 
+/// Codes per 64-byte cache line.
+const LINE_CODES: usize = 64 / std::mem::size_of::<u32>();
+
 /// Prefetches every cache line of row `src` of the `q`-wide `rows`
 /// (nothing for an undelivered `u32::MAX`).
-fn prefetch_row<V>(rows: &[V], q: usize, src: u32) {
+fn prefetch_row(rows: &[u32], q: usize, src: u32) {
     if src != u32::MAX {
         let row = &rows[src as usize * q..(src as usize + 1) * q];
-        let line = (64 / std::mem::size_of::<V>().max(1)).max(1);
-        for x in row.iter().step_by(line) {
+        for x in row.iter().step_by(LINE_CODES) {
             prefetch_read(x);
         }
     }
 }
 
 /// Steps every node through `window` in one node-major pool pass: row `v`
-/// of `next` becomes node `v`'s lane values after the window, read from
+/// of `next` becomes node `v`'s lane codes after the window, read from
 /// `snap` at the node's realised sources (see [`Window::step`]).
-fn step_nodes<V: NodeValue>(
+fn step_nodes(
     pool: &WorkerPool,
     threads: usize,
     window: &Window,
-    snap: &[V],
+    snap: &[u32],
     sources: &[u32],
     coins: &[f64],
-    next: &mut [V],
+    next: &mut [u32],
 ) {
     let q = window.rules.len();
     let n = snap.len() / q;
@@ -949,13 +989,13 @@ struct VotePlan {
 }
 
 /// Per-task working memory of the vote kernel.
-struct VoteScratch<V> {
+struct VoteScratch {
     /// The `K` vote sources of the current node and window.
     sources: Vec<u32>,
     /// `K` rows of the window's lanes: one per vote source.
-    tile: Vec<V>,
-    /// One lane's delivered vote values.
-    lane: Vec<V>,
+    tile: Vec<u32>,
+    /// One lane's delivered vote codes.
+    lane: Vec<u32>,
 }
 
 impl VotePlan {
@@ -981,7 +1021,7 @@ impl VotePlan {
         }
     }
 
-    fn scratch<V>(&self) -> VoteScratch<V> {
+    fn scratch(&self) -> VoteScratch {
         VoteScratch {
             sources: Vec::with_capacity(self.k),
             tile: Vec::with_capacity(self.k * self.q),
@@ -989,22 +1029,22 @@ impl VotePlan {
         }
     }
 
-    /// Node `v`'s vote: `out[i]` becomes the median of the values lane `i`'s
+    /// Node `v`'s vote: `out[i]` becomes the median of the codes lane `i`'s
     /// realised vote sources serve from the final states `fin` —
-    /// `sorted[c / 2]` of the `c` delivered values, or the node's own final
-    /// value when none arrived. Per window, the node's `K` sources are
+    /// `sorted[c / 2]` of the `c` delivered codes, or the node's own final
+    /// code when none arrived. Per window, the node's `K` sources are
     /// loaded once; when all of them delivered, their rows (the window's
     /// lanes only) are copied into a `K`-row tile and sorted column-wise by
     /// the median network, whose row `K / 2` is the answer — the value
     /// `select_nth_unstable(K / 2)` returns. A window with a missing sample
-    /// selects per lane over the delivered values.
-    fn vote_row<V: NodeValue>(
+    /// selects per lane over the delivered codes.
+    fn vote_row(
         &self,
         v: usize,
-        fin: &[V],
+        fin: &[u32],
         sources: &[u32],
-        out: &mut [V],
-        scratch: &mut VoteScratch<V>,
+        out: &mut [u32],
+        scratch: &mut VoteScratch,
     ) {
         let (k, q) = (self.k, self.q);
         let n = fin.len() / q;
@@ -1050,13 +1090,13 @@ impl VotePlan {
 
 /// One pool pass of the vote kernel ([`VotePlan::vote_row`]) over every row
 /// of `outputs`.
-fn vote_rows<V: NodeValue>(
+fn vote_rows(
     pool: &WorkerPool,
     threads: usize,
     plan: &VotePlan,
-    fin: &[V],
+    fin: &[u32],
     sources: &[u32],
-    outputs: &mut [V],
+    outputs: &mut [u32],
 ) {
     par::for_chunks(
         pool,
@@ -1121,11 +1161,9 @@ fn median_network(k: usize) -> Vec<(usize, usize)> {
 }
 
 /// Runs the compare-exchange `pairs` column-wise over the `width`-wide rows
-/// of `tile`: for each pair `(a, b)`, every lane keeps the smaller value in
-/// row `a` and the larger in row `b` (branchless `min`/`max`; on a tie `min`
-/// keeps its first argument and `max` its second, so equal values stay in
-/// place).
-fn sort_rows<V: Ord + Copy>(pairs: &[(usize, usize)], tile: &mut [V], width: usize) {
+/// of `tile`: for each pair `(a, b)`, every lane keeps the smaller code in
+/// row `a` and the larger in row `b` (branchless `min`/`max`).
+fn sort_rows(pairs: &[(usize, usize)], tile: &mut [u32], width: usize) {
     for &(a, b) in pairs {
         let (low, high) = tile.split_at_mut(b * width);
         let rows = low[a * width..(a + 1) * width]
@@ -1218,8 +1256,8 @@ mod tests {
         let mut inc =
             QuantileService::new(&values, &queries, cfg, EngineConfig::with_seed(5)).unwrap();
         // The epoch state is two n·q sheets and the source sheet (plus the
-        // participation coins), and every epoch keeps the allocation `new`
-        // gave each of them.
+        // participation coins and the value table, by its capacity), and
+        // every epoch keeps the allocation `new` gave each of them.
         let buffers = |svc: &QuantileService<u64>| {
             let [a, b] = &svc.sheets;
             [
@@ -1227,6 +1265,7 @@ mod tests {
                 ptr_len(b),
                 ptr_len(&svc.sources),
                 ptr_len(&svc.coins),
+                (svc.table.as_ptr() as usize, svc.table.capacity()),
             ]
         };
         let allocated = buffers(&inc);
@@ -1235,7 +1274,7 @@ mod tests {
         });
         let rows = 2 * t1max + 3 * t2max + cfg.final_vote.samples;
         let lens = allocated.map(|(_, len)| len);
-        assert_eq!(lens, [300 * 2, 300 * 2, rows * 300, 300]);
+        assert_eq!(lens, [300 * 2, 300 * 2, rows * 300, 300, 300]);
         inc.epoch().unwrap();
         assert_eq!(buffers(&inc), allocated);
         for (node, val) in [(7usize, 1u64), (123, 99_999), (250, 17)] {
@@ -1372,10 +1411,10 @@ mod tests {
             // Random, all-equal and duplicate-heavy rows.
             for modulus in [u64::MAX, 1, 3] {
                 for trial in 0..20u64 {
-                    let mut tile: Vec<u64> = (0..(k * width) as u64)
-                        .map(|x| mix((k as u64) << 40 ^ trial << 20 ^ x) % modulus)
+                    let mut tile: Vec<u32> = (0..(k * width) as u64)
+                        .map(|x| (mix((k as u64) << 40 ^ trial << 20 ^ x) % modulus) as u32)
                         .collect();
-                    let columns: Vec<Vec<u64>> = (0..width)
+                    let columns: Vec<Vec<u32>> = (0..width)
                         .map(|i| (0..k).map(|r| tile[r * width + i]).collect())
                         .collect();
                     sort_rows(&network, &mut tile, width);
@@ -1404,7 +1443,7 @@ mod tests {
             windows: vec![(0, vec![0, 2]), (3, vec![1])],
             network: median_network(k),
         };
-        let fin: Vec<u64> = (0..(n * q) as u64).map(|x| mix(x) % 50).collect();
+        let fin: Vec<u32> = (0..(n * q) as u64).map(|x| (mix(x) % 50) as u32).collect();
         let sources: Vec<u32> = (0..(8 * n) as u64)
             .map(|x| {
                 if mix(x ^ 1 << 32) % 8 < (x % n as u64 % 9) {
@@ -1417,11 +1456,11 @@ mod tests {
         let (mut full, mut partial, mut empty) = (0, 0, 0);
         let mut scratch = plan.scratch();
         for v in 0..n {
-            let mut out = vec![u64::MAX; q];
+            let mut out = vec![u32::MAX; q];
             plan.vote_row(v, &fin, &sources, &mut out, &mut scratch);
             for (i, &got) in out.iter().enumerate() {
                 let first = if i == 1 { 3 } else { 0 };
-                let mut values: Vec<u64> = (first..first + k)
+                let mut values: Vec<u32> = (first..first + k)
                     .map(|r| sources[r * n + v])
                     .filter(|&s| s != u32::MAX)
                     .map(|s| fin[s as usize * q + i])

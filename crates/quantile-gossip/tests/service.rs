@@ -11,9 +11,14 @@
 //!    replay of the first epoch's contact graph returns exactly the answers
 //!    (and round count) of a from-scratch recompute over the updated
 //!    inputs, and so does a replay after a replay.
+//!
+//! Batched ≡ sequential compares answers through their bits, so it also
+//! holds over `OrderedF64` zeros of both signs and over a variable-width
+//! value type.
 
 use gossip_net::{
-    ChurnModel, EngineConfig, FailureModel, FaultPlan, LossModel, StragglerModel, Topology,
+    ChurnModel, EngineConfig, FailureModel, FaultPlan, LossModel, NodeValue, OrderedF64,
+    StragglerModel, Topology,
 };
 use quantile_gossip::{
     tournament_quantile, EpochMode, QuantileQuery, QuantileService, ServiceConfig, ServiceOutcome,
@@ -59,21 +64,57 @@ fn disruptive_plan() -> FaultPlan {
         .with_failure(FailureModel::uniform(0.1).unwrap())
 }
 
-/// Batched epoch vs `q` sequential solo runs on a paired seed: bit-identity
-/// per lane, and the per-query round accounting must match what the solo
-/// runs actually spent.
-fn assert_batched_matches_sequential(name: &str, engine_config: EngineConfig) {
-    let vals = values(N);
+/// A value's bits: what batched ≡ sequential compares, so that Ord-equal
+/// values with different bits (`OrderedF64`'s ±0.0) count as different
+/// answers.
+trait Bits: NodeValue {
+    type Bits: Eq + std::fmt::Debug;
+    fn bits(self) -> Self::Bits;
+}
+
+impl Bits for u64 {
+    type Bits = u64;
+    fn bits(self) -> u64 {
+        self
+    }
+}
+
+impl Bits for Option<u64> {
+    type Bits = Option<u64>;
+    fn bits(self) -> Option<u64> {
+        self
+    }
+}
+
+impl Bits for OrderedF64 {
+    type Bits = u64;
+    fn bits(self) -> u64 {
+        self.get().to_bits()
+    }
+}
+
+fn bits<V: Bits>(answers: &[V]) -> Vec<V::Bits> {
+    answers.iter().map(|&x| x.bits()).collect()
+}
+
+/// Batched epoch over `vals` vs `q` sequential solo runs on a paired seed:
+/// bit-identity per lane, and the per-query round accounting must match
+/// what the solo runs actually spent. Returns the epoch's outcome.
+fn assert_batched_matches_sequential<V: Bits>(
+    name: &str,
+    vals: &[V],
+    engine_config: EngineConfig,
+) -> ServiceOutcome<V> {
     let qs = queries();
     let mut svc =
-        QuantileService::new(&vals, &qs, ServiceConfig::default(), engine_config.clone()).unwrap();
+        QuantileService::new(vals, &qs, ServiceConfig::default(), engine_config.clone()).unwrap();
     let out = svc.epoch().unwrap();
     assert_eq!(out.mode, EpochMode::Full);
 
     let mut solo_rounds_total = 0u64;
     for (i, q) in qs.iter().enumerate() {
         let solo = tournament_quantile(
-            &vals,
+            vals,
             q.phi,
             q.epsilon,
             &TournamentConfig::default(),
@@ -81,9 +122,11 @@ fn assert_batched_matches_sequential(name: &str, engine_config: EngineConfig) {
         )
         .unwrap();
         assert_eq!(
-            out.answers[i], solo.outputs,
+            bits(&out.answers[i]),
+            bits(&solo.outputs),
             "lane {i} (phi={}, eps={}) diverged from its solo run on {name}",
-            q.phi, q.epsilon
+            q.phi,
+            q.epsilon
         );
         assert_eq!(
             out.per_query[i].solo_rounds, solo.rounds,
@@ -100,13 +143,14 @@ fn assert_batched_matches_sequential(name: &str, engine_config: EngineConfig) {
         solo_rounds_total
     );
     assert!(out.amortisation() > 1.0);
+    out
 }
 
 #[test]
 fn batched_epoch_is_bit_identical_to_sequential_runs_on_every_topology() {
     for (name, topo) in topologies() {
         let ec = EngineConfig::with_seed(4242).topology(topo);
-        assert_batched_matches_sequential(name, ec);
+        assert_batched_matches_sequential(name, &values(N), ec);
     }
 }
 
@@ -116,8 +160,50 @@ fn batched_epoch_is_bit_identical_to_sequential_runs_under_faults() {
         let ec = EngineConfig::with_seed(97)
             .topology(topo)
             .fault(disruptive_plan());
-        assert_batched_matches_sequential(name, ec);
+        assert_batched_matches_sequential(name, &values(N), ec);
     }
+}
+
+/// A third of the holders hold zeros, alternating in sign, between a
+/// negative and a positive third, so the φ = 0.5 lane answers among them.
+/// At `N_PARALLEL` holders every epoch pass runs on the pool.
+#[test]
+fn batched_epoch_keeps_the_bits_of_signed_zeros_at_parallel_scale() {
+    let vals: Vec<OrderedF64> = values(N_PARALLEL)
+        .into_iter()
+        .enumerate()
+        .map(|(i, x)| match i % 3 {
+            0 if i % 2 == 0 => -0.0,
+            0 => 0.0,
+            1 => -1.0 - x as f64,
+            _ => 1.0 + x as f64,
+        })
+        .map(|x| OrderedF64::new(x).unwrap())
+        .collect();
+    let out = assert_batched_matches_sequential("signed zeros", &vals, EngineConfig::with_seed(61));
+    assert!(out.answers[0].iter().all(|x| x.get() == 0.0));
+}
+
+/// `Option<u64>` is a variable-width value: `None` is a 1-bit message,
+/// `Some` a 65-bit one. Every seventh holder holds `None`. Beside the
+/// answers, the traffic each delivery is charged is pinned.
+#[test]
+fn batched_epoch_over_variable_width_values_matches_solo_runs() {
+    let vals: Vec<Option<u64>> = values(N)
+        .into_iter()
+        .enumerate()
+        .map(|(i, x)| (i % 7 != 0).then_some(x))
+        .collect();
+    let ec = EngineConfig::with_seed(73).fault(disruptive_plan());
+    let out = assert_batched_matches_sequential("option", &vals, ec);
+    let m = out.metrics;
+    assert_eq!(
+        format!(
+            "rounds {} delivered {} bits {} max {}",
+            m.rounds, m.messages_delivered, m.bits_delivered, m.max_message_bits
+        ),
+        "rounds 51 delivered 4568 bits 1003528 max 227"
+    );
 }
 
 /// Runs an epoch, mutates a few holders, and checks the incremental second

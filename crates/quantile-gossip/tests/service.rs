@@ -21,8 +21,8 @@ use gossip_net::{
     StragglerModel, Topology,
 };
 use quantile_gossip::{
-    tournament_quantile, EpochMode, QuantileQuery, QuantileService, ServiceConfig, ServiceOutcome,
-    TournamentConfig,
+    tournament_quantile, EpochMode, FinalVote, QuantileQuery, QuantileService, ServiceConfig,
+    ServiceOutcome, TournamentConfig,
 };
 use std::collections::BTreeSet;
 
@@ -97,30 +97,30 @@ fn bits<V: Bits>(answers: &[V]) -> Vec<V::Bits> {
     answers.iter().map(|&x| x.bits()).collect()
 }
 
-/// Batched epoch over `vals` vs `q` sequential solo runs on a paired seed:
-/// bit-identity per lane, and the per-query round accounting must match
-/// what the solo runs actually spent. Returns the epoch's outcome.
+/// Batched epoch over `vals` vs `q` sequential solo runs on a paired seed,
+/// both ending in the `vote`: bit-identity per lane, and the per-query
+/// round accounting must match what the solo runs actually spent. Returns
+/// the epoch's outcome.
 fn assert_batched_matches_sequential<V: Bits>(
     name: &str,
     vals: &[V],
+    vote: FinalVote,
     engine_config: EngineConfig,
 ) -> ServiceOutcome<V> {
     let qs = queries();
-    let mut svc =
-        QuantileService::new(vals, &qs, ServiceConfig::default(), engine_config.clone()).unwrap();
+    let cfg = ServiceConfig {
+        final_vote: vote,
+        ..ServiceConfig::default()
+    };
+    let mut svc = QuantileService::new(vals, &qs, cfg, engine_config.clone()).unwrap();
     let out = svc.epoch().unwrap();
     assert_eq!(out.mode, EpochMode::Full);
 
+    let solo_config = TournamentConfig { final_vote: vote };
     let mut solo_rounds_total = 0u64;
     for (i, q) in qs.iter().enumerate() {
-        let solo = tournament_quantile(
-            vals,
-            q.phi,
-            q.epsilon,
-            &TournamentConfig::default(),
-            engine_config.clone(),
-        )
-        .unwrap();
+        let solo = tournament_quantile(vals, q.phi, q.epsilon, &solo_config, engine_config.clone())
+            .unwrap();
         assert_eq!(
             bits(&out.answers[i]),
             bits(&solo.outputs),
@@ -150,7 +150,7 @@ fn assert_batched_matches_sequential<V: Bits>(
 fn batched_epoch_is_bit_identical_to_sequential_runs_on_every_topology() {
     for (name, topo) in topologies() {
         let ec = EngineConfig::with_seed(4242).topology(topo);
-        assert_batched_matches_sequential(name, &values(N), ec);
+        assert_batched_matches_sequential(name, &values(N), FinalVote::default(), ec);
     }
 }
 
@@ -160,7 +160,22 @@ fn batched_epoch_is_bit_identical_to_sequential_runs_under_faults() {
         let ec = EngineConfig::with_seed(97)
             .topology(topo)
             .fault(disruptive_plan());
-        assert_batched_matches_sequential(name, &values(N), ec);
+        assert_batched_matches_sequential(name, &values(N), FinalVote::default(), ec);
+    }
+}
+
+/// Votes of other sizes, on a clean engine (every vote complete) and under
+/// the disruptive plan (most votes miss samples): K = 16 is even, so every
+/// side picks the upper median, and K = 33 is above the largest vote the
+/// median network takes, so every side selects.
+#[test]
+fn batched_epoch_is_bit_identical_to_sequential_runs_at_other_vote_sizes() {
+    for samples in [16, 33] {
+        for (plan, fault) in [("clean", FaultPlan::none()), ("faulted", disruptive_plan())] {
+            let ec = EngineConfig::with_seed(6007).fault(fault);
+            let name = format!("K = {samples}, {plan}");
+            assert_batched_matches_sequential(&name, &values(N), FinalVote { samples }, ec);
+        }
     }
 }
 
@@ -180,7 +195,12 @@ fn batched_epoch_keeps_the_bits_of_signed_zeros_at_parallel_scale() {
         })
         .map(|x| OrderedF64::new(x).unwrap())
         .collect();
-    let out = assert_batched_matches_sequential("signed zeros", &vals, EngineConfig::with_seed(61));
+    let out = assert_batched_matches_sequential(
+        "signed zeros",
+        &vals,
+        FinalVote::default(),
+        EngineConfig::with_seed(61),
+    );
     assert!(out.answers[0].iter().all(|x| x.get() == 0.0));
 }
 
@@ -195,7 +215,7 @@ fn batched_epoch_over_variable_width_values_matches_solo_runs() {
         .map(|(i, x)| (i % 7 != 0).then_some(x))
         .collect();
     let ec = EngineConfig::with_seed(73).fault(disruptive_plan());
-    let out = assert_batched_matches_sequential("option", &vals, ec);
+    let out = assert_batched_matches_sequential("option", &vals, FinalVote::default(), ec);
     let m = out.metrics;
     assert_eq!(
         format!(

@@ -66,6 +66,7 @@
 
 pub mod approx;
 pub mod exact;
+mod median;
 pub mod own_rank;
 mod ranks;
 pub mod robust;

@@ -14,6 +14,7 @@
 //! every node that obtained `K` good pulls; `t` additional learning rounds
 //! then deliver the answer to all but `≈ n·2^{-t}` of the remaining nodes.
 
+use crate::median::{median_network, median_of_delivered};
 use crate::schedule::{
     AdaptiveRoundBudget, ShrinkSide, ThreeTournamentSchedule, TwoTournamentSchedule,
 };
@@ -249,13 +250,15 @@ pub fn robust_approximate_quantile<V: NodeValue>(
     }
 
     // Final vote: the median of the first K good pulls, at every node that
-    // got K of them.
+    // got K of them, picked by `median::median_of_delivered` over the
+    // network built once here.
     let final_pulls = if config.adaptive {
         config.final_pulls_for(budget.mu_hat())
     } else {
         config.final_pulls_for(mu)
     };
     let k = config.vote_samples();
+    let network = median_network(k);
     engine.sample_step(
         final_pulls,
         final_pulls,
@@ -275,9 +278,9 @@ pub fn robust_approximate_quantile<V: NodeValue>(
             }
             st.answer = None;
             if good == k {
+                // Every vote is a good pull, so the pairs order by value.
                 let votes = &mut samples[..k];
-                votes.sort_unstable();
-                st.answer = votes[k / 2].map(|(val, _)| val);
+                st.answer = median_of_delivered(&network, votes).map(|(val, _)| val);
             }
         },
     );

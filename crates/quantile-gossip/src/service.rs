@@ -67,6 +67,7 @@
 //! [`recompute_full`]: QuantileService::recompute_full
 
 use crate::approx::MAX_TOURNAMENT_EPSILON;
+use crate::median::{median_network, median_of_delivered, sort_rows, MAX_NETWORK_SAMPLES};
 use crate::ranks::{rank, sort_distinct};
 use crate::schedule::{ShrinkSide, ThreeTournamentSchedule, TwoTournamentSchedule};
 use crate::three_tournament::{self, median3, FinalVote};
@@ -969,11 +970,10 @@ fn step_nodes(
     );
 }
 
-/// The largest vote the median network takes; larger votes select per
-/// lane.
-const MAX_NETWORK_SAMPLES: usize = 32;
-
-/// The final `K`-sample vote, built once at construction.
+/// The final `K`-sample vote, built once at construction. Like every vote
+/// of the crate it picks through [`crate::median`]: column-wise over a tile
+/// of lanes ([`sort_rows`]) where a node's whole vote arrived, one lane at
+/// a time ([`median_of_delivered`]) where it did not.
 #[derive(Debug)]
 struct VotePlan {
     /// Samples per vote (`K`).
@@ -994,8 +994,8 @@ struct VoteScratch {
     sources: Vec<u32>,
     /// `K` rows of the window's lanes: one per vote source.
     tile: Vec<u32>,
-    /// One lane's delivered vote codes.
-    lane: Vec<u32>,
+    /// One lane's `K` vote codes, `None` where the sample did not arrive.
+    lane: Vec<Option<u32>>,
 }
 
 impl VotePlan {
@@ -1008,16 +1008,11 @@ impl VotePlan {
                 None => windows.push((first, vec![i])),
             }
         }
-        let network = if k <= MAX_NETWORK_SAMPLES {
-            median_network(k)
-        } else {
-            Vec::new()
-        };
         VotePlan {
             k,
             q: plans.len(),
             windows,
-            network,
+            network: median_network(k),
         }
     }
 
@@ -1033,11 +1028,11 @@ impl VotePlan {
     /// realised vote sources serve from the final states `fin` —
     /// `sorted[c / 2]` of the `c` delivered codes, or the node's own final
     /// code when none arrived. Per window, the node's `K` sources are
-    /// loaded once; when all of them delivered, their rows (the window's
-    /// lanes only) are copied into a `K`-row tile and sorted column-wise by
-    /// the median network, whose row `K / 2` is the answer — the value
-    /// `select_nth_unstable(K / 2)` returns. A window with a missing sample
-    /// selects per lane over the delivered codes.
+    /// loaded once; when all of them delivered and `K` is at most
+    /// [`MAX_NETWORK_SAMPLES`], their rows (the window's lanes only) are
+    /// copied into a `K`-row tile and sorted column-wise by the median
+    /// network, whose row `K / 2` is the answer. Otherwise each lane picks
+    /// through [`median_of_delivered`], as the solo vote does.
     fn vote_row(
         &self,
         v: usize,
@@ -1056,7 +1051,7 @@ impl VotePlan {
             } = &mut *scratch;
             got.clear();
             got.extend((*first..first + k).map(|r| sources[r * n + v]));
-            if !self.network.is_empty() && got.iter().all(|&s| s != u32::MAX) {
+            if k <= MAX_NETWORK_SAMPLES && got.iter().all(|&s| s != u32::MAX) {
                 let w = lanes.len();
                 tile.clear();
                 for &src in got.iter() {
@@ -1075,14 +1070,12 @@ impl VotePlan {
             }
             for &i in lanes {
                 lane.clear();
-                let delivered = got.iter().filter(|&&s| s != u32::MAX);
-                lane.extend(delivered.map(|&s| fin[s as usize * q + i]));
-                out[i] = if lane.is_empty() {
-                    fin[v * q + i] // an empty vote keeps the converged value
-                } else {
-                    let c = lane.len();
-                    *lane.select_nth_unstable(c / 2).1
-                };
+                lane.extend(
+                    got.iter()
+                        .map(|&s| (s != u32::MAX).then(|| fin[s as usize * q + i])),
+                );
+                // An empty vote keeps the converged value.
+                out[i] = median_of_delivered(&self.network, lane).unwrap_or(fin[v * q + i]);
             }
         }
     }
@@ -1111,70 +1104,6 @@ fn vote_rows(
         },
         |(), ()| (),
     );
-}
-
-/// Batcher's odd–even merge sort for `k` inputs, as compare-exchange pairs
-/// `(a, b)` with `a < b`, pruned to what output `k / 2` depends on.
-///
-/// The network is built for the next power of two and every comparator
-/// touching an input at or past `k` is dropped: padding those inputs with
-/// +∞ would make each such comparator a no-op (a finite value never moves
-/// past position `k`, a padded one never moves below it). Walking the rest
-/// backwards then keeps only comparators feeding the median position.
-fn median_network(k: usize) -> Vec<(usize, usize)> {
-    let size = k.next_power_of_two();
-    let mut pairs = Vec::new();
-    let mut p = 1;
-    while p < size {
-        let mut step = p;
-        while step >= 1 {
-            let mut j = step % p;
-            while j + step < size {
-                for i in 0..step.min(size - j - step) {
-                    let (a, b) = (i + j, i + j + step);
-                    if a / (2 * p) == b / (2 * p) && b < k {
-                        pairs.push((a, b));
-                    }
-                }
-                j += 2 * step;
-            }
-            step /= 2;
-        }
-        p *= 2;
-    }
-    let mut needed = vec![false; k];
-    needed[k / 2] = true;
-    let mut kept: Vec<(usize, usize)> = pairs
-        .into_iter()
-        .rev()
-        .filter(|&(a, b)| {
-            let keep = needed[a] || needed[b];
-            if keep {
-                needed[a] = true;
-                needed[b] = true;
-            }
-            keep
-        })
-        .collect();
-    kept.reverse();
-    kept
-}
-
-/// Runs the compare-exchange `pairs` column-wise over the `width`-wide rows
-/// of `tile`: for each pair `(a, b)`, every lane keeps the smaller code in
-/// row `a` and the larger in row `b` (branchless `min`/`max`).
-fn sort_rows(pairs: &[(usize, usize)], tile: &mut [u32], width: usize) {
-    for &(a, b) in pairs {
-        let (low, high) = tile.split_at_mut(b * width);
-        let rows = low[a * width..(a + 1) * width]
-            .iter_mut()
-            .zip(&mut high[..width]);
-        for (x, y) in rows {
-            let (lo, hi) = ((*x).min(*y), (*x).max(*y));
-            *x = lo;
-            *y = hi;
-        }
-    }
 }
 
 /// The participation coins of one iteration, drawn exactly as the solo
@@ -1400,35 +1329,6 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-
-    #[test]
-    fn median_network_row_equals_select_nth() {
-        let width = 5;
-        for k in 1..=MAX_NETWORK_SAMPLES {
-            let network = median_network(k);
-            assert!(network.iter().all(|&(a, b)| a < b && b < k));
-            // Random, all-equal and duplicate-heavy rows.
-            for modulus in [u64::MAX, 1, 3] {
-                for trial in 0..20u64 {
-                    let mut tile: Vec<u32> = (0..(k * width) as u64)
-                        .map(|x| (mix((k as u64) << 40 ^ trial << 20 ^ x) % modulus) as u32)
-                        .collect();
-                    let columns: Vec<Vec<u32>> = (0..width)
-                        .map(|i| (0..k).map(|r| tile[r * width + i]).collect())
-                        .collect();
-                    sort_rows(&network, &mut tile, width);
-                    for (i, mut column) in columns.into_iter().enumerate() {
-                        let expected = *column.select_nth_unstable(k / 2).1;
-                        assert_eq!(
-                            tile[k / 2 * width + i],
-                            expected,
-                            "k = {k}, modulus {modulus}, trial {trial}, lane {i}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

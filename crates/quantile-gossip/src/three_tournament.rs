@@ -12,23 +12,31 @@
 //!
 //! Every iteration, and the final vote, is one [`Engine::sample_step`]: all
 //! samples are pulled from the iteration-start values and applied in a
-//! single engine pass. The last tournament iteration is δ-truncated
+//! single engine pass. The vote picks each node's median as every vote of
+//! the crate does — the robust driver's and the service's lanes too: a
+//! pruned sorting network over the `K` samples, built once per run, with
+//! missing samples padded so that it returns the upper median of those
+//! that arrived (`select_nth_unstable` above 32 samples). The last
+//! tournament iteration is δ-truncated
 //! ([`ThreeTournamentSchedule::final_delta`], the analogue of Algorithm 1's
 //! final-step probability): only a δ-fraction of nodes runs the three-sample
 //! tournament, so that iteration's second and third rounds run only at the
 //! participants, with the participation coin evaluated inside the pass on
 //! [`NodeRng::STREAM_PARTICIPATION`].
 
+use crate::median::{median_network, median_of_delivered};
 use crate::schedule::ThreeTournamentSchedule;
 use gossip_net::{Engine, EngineConfig, GossipError, Metrics, NodeRng, NodeValue, Result};
 
 /// Configuration of the final `K`-sample vote of Algorithm 2 (line 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FinalVote {
-    /// Number of values each node samples before outputting their median.
+    /// Number of values each node samples before outputting their median:
+    /// the upper median of the samples that arrived.
     /// The paper takes `K = O(1)`; 15 keeps the per-node failure probability
     /// `2·(4e/n^{2/3})^{K/2}` negligible for every n ≥ 1000 while costing only
-    /// 15 rounds.
+    /// 15 rounds. Up to 32 samples, every node picks its median with one
+    /// pruned sorting network; a larger vote selects.
     pub samples: usize,
 }
 
@@ -120,15 +128,17 @@ pub fn run<V: NodeValue>(
     let converged_values = engine.states().to_vec();
 
     // Line 8: sample K values and output their median — one more sample step,
-    // whose per-node median selection runs inside the parallel pass. A node
-    // that received nothing keeps its converged value.
+    // whose per-node pick (`median::median_of_delivered`, over the network
+    // built once here) runs inside the parallel pass. A node that received
+    // nothing keeps its converged value.
+    let network = median_network(vote.samples);
     engine.sample_step(
         vote.samples,
         vote.samples,
         |_| true,
         |_, &v| v,
         |_, state, _, samples| {
-            if let Some(median) = median_of_delivered(samples) {
+            if let Some(median) = median_of_delivered(&network, samples) {
                 *state = median;
             }
         },
@@ -161,19 +171,6 @@ pub(crate) fn tournament<V: Ord + Copy>(state: V, samples: &[Option<V>]) -> V {
         }
         _ => state,
     }
-}
-
-/// The median of the delivered samples (the upper median for an even count),
-/// or `None` when every pull failed. Reorders `samples`.
-fn median_of_delivered<V: Ord + Copy>(samples: &mut [Option<V>]) -> Option<V> {
-    // `None` orders before every `Some`, so the delivered values occupy the
-    // top ranks and their median sits `failed` places further in.
-    let failed = samples.iter().filter(|s| s.is_none()).count();
-    if failed == samples.len() {
-        return None;
-    }
-    let mid = failed + (samples.len() - failed) / 2;
-    *samples.select_nth_unstable(mid).1
 }
 
 /// Median of three values: with `(lo, hi)` the ordered pair `(a, b)`, `lo`

@@ -644,13 +644,13 @@ mod tests {
     }
 
     #[test]
-    fn encoding_ranks_distinct_values_and_keeps_the_lowest_index_of_a_class() {
+    fn encoding_ranks_distinct_values_and_reads_both_zeros_as_one_code() {
         let zero = |x: f64| OrderedF64::new(x).unwrap();
         let values = [zero(2.5), zero(0.0), zero(-1.0), zero(-0.0), zero(2.5)];
         let (table, keys) = encode(&values).unwrap();
         let bits: Vec<u64> = table.iter().map(|x| x.get().to_bits()).collect();
         let expect = [-1.0f64, 0.0, 2.5].map(f64::to_bits);
-        assert_eq!(bits, expect, "+0.0 (node 1) represents ±0.0");
+        assert_eq!(bits, expect, "±0.0 (nodes 1 and 3) read as one entry, +0.0");
         let ranks: Vec<_> = keys.iter().map(|c| c.rank()).collect();
         assert_eq!(ranks, [2, 1, 0, 1, 2].map(Some));
         assert_eq!(keys[3], Code::new(1, 3, 64));

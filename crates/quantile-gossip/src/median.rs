@@ -70,6 +70,10 @@ pub(crate) fn median_network(k: usize) -> Vec<(usize, usize)> {
 /// Runs the compare-exchange `pairs` column-wise over the `width`-wide rows
 /// of `tile`: for each pair `(a, b)`, every lane keeps the smaller code in
 /// row `a` and the larger in row `b` (branchless `min`/`max`).
+///
+/// Inlined into the service's vote loop: called out of line from this
+/// module, `service_full` ran 0.90× in five interleaved pairs.
+#[inline]
 pub(crate) fn sort_rows(pairs: &[(usize, usize)], tile: &mut [u32], width: usize) {
     for &(a, b) in pairs {
         let (low, high) = tile.split_at_mut(b * width);

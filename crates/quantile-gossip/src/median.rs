@@ -159,10 +159,10 @@ mod tests {
 
     /// For every vote size up to 40 and random, all-equal and
     /// duplicate-heavy values: the network's row `K / 2` of a complete vote
-    /// (up to `MAX_NETWORK_SAMPLES`) is what `select_nth_unstable(K / 2)`
-    /// returns, and for every count of undelivered samples, at varying
-    /// positions, `median_of_delivered` is `sorted[c / 2]` of the `c`
-    /// delivered values (`None` for an empty vote).
+    /// (up to `MAX_NETWORK_SAMPLES`) is `sorted[K / 2]`, and for every count
+    /// of undelivered samples, at varying positions, `median_of_delivered`
+    /// is `sorted[c / 2]` of the `c` delivered values (`None` for an empty
+    /// vote).
     #[test]
     fn median_network_row_equals_select_nth() {
         let width = 5;
@@ -192,7 +192,9 @@ mod tests {
                             assert_eq!(tile[k / 2 * width + i], sorted[k / 2], "{at}");
                         }
                         // Lane i leaves out `missing` samples, at positions
-                        // that move with the trial and the lane.
+                        // that move with the trial and the lane; `trial ·
+                        // width + i` runs over 0..100, so every count from 0
+                        // to k occurs for every k and modulus.
                         let missing = (trial as usize * width + i) % (k + 1);
                         let mut samples: Vec<Option<u32>> =
                             column.iter().copied().map(Some).collect();

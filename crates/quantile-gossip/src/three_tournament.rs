@@ -12,11 +12,11 @@
 //!
 //! Every iteration, and the final vote, is one [`Engine::sample_step`]: all
 //! samples are pulled from the iteration-start values and applied in a
-//! single engine pass. The vote picks each node's median as every vote of
-//! the crate does — the robust driver's and the service's lanes too: a
-//! pruned sorting network over the `K` samples, built once per run, with
-//! missing samples padded so that it returns the upper median of those
-//! that arrived (`select_nth_unstable` above 32 samples). The last
+//! single engine pass. The vote picks each node's median the way every
+//! vote of the crate does (the robust driver's and the service's lanes
+//! too): a pruned sorting network over the `K` samples, built once per
+//! run, with missing samples padded so that it returns the upper median of
+//! those that arrived (`select_nth_unstable` above 32 samples). The last
 //! tournament iteration is δ-truncated
 //! ([`ThreeTournamentSchedule::final_delta`], the analogue of Algorithm 1's
 //! final-step probability): only a δ-fraction of nodes runs the three-sample
